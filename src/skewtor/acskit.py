@@ -9,7 +9,12 @@ pack of the 6-dimensional nearly Kaehler algebra.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, permutations
+from math import lcm
 
+import numpy as np
+
+from .equivar import full_column_rank_certificate
 from .errors import DegreeError, NoSkewConnection, StructureError
 from .forms import Form, interior, sigma_t, wedge
 from .liegeom import (LieModel, curvature, d_form, levi_civita,
@@ -304,36 +309,48 @@ def torsion_uniqueness_certificate(s) -> bool:
 
     The parallelism conditions are affine in the torsion; uniqueness of the
     compatible connection is exactly injectivity of the linear response of
-    (nabla phi, nabla eta) to a torsion perturbation, certified by an exact
-    kernel computation over the full 3-form space.
+    (nabla phi, nabla eta) to a torsion perturbation dT, whose connection
+    perturbation is omega'_ijk = dT(i, j, k) / 2.  The response matrix has
+    one column per blade of dT and n^3 (+ n^2 with eta) rows; it is built
+    from the signed permutations of each blade, scaled by 2 L to integers
+    (L clears the denominators of phi and eta), and its full column rank is
+    certified mod p, with exact elimination only if that falls short.
     """
-    from itertools import combinations
-    from .linalg import nullspace
+    matrix = _uniqueness_response(s)
+    return full_column_rank_certificate(matrix, matrix.shape[1])
+
+
+def _uniqueness_response(s):
+    """The response matrix of `torsion_uniqueness_certificate`, times 2 L, as integers."""
     n = s.model.n
-    phi = s.phi if isinstance(s, AlmostContact) else s.j
-    eta_vec = s.eta.vector_components() if isinstance(s, AlmostContact) else None
-    blades = list(combinations(range(1, n + 1), 3))
-    columns = []
-    for b in blades:
-        dt = Form(n, 3, {b: Q(1)})
-        # connection perturbation omega'_ijk = dt(i,j,k)/2
-        rows = []
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    val = sum(phi[l][j] * dt.eval(i + 1, l + 1, k + 1)
-                              for l in range(n)) / 2
-                    val -= sum(dt.eval(i + 1, j + 1, l + 1) * phi[k][l]
-                               for l in range(n)) / 2
-                    rows.append(val)
-            if eta_vec is not None:
-                for j in range(n):
-                    rows.append(sum(dt.eval(i + 1, j + 1, l + 1) * eta_vec[l]
-                                    for l in range(n)) / 2)
-        columns.append(rows)
-    matrix = [[columns[c][r] for c in range(len(blades))]
-              for r in range(len(columns[0]))]
-    return not nullspace(matrix)
+    contact = isinstance(s, AlmostContact)
+    phi = s.phi if contact else s.j
+    eta = s.eta.vector_components() if contact else []
+    den = 1
+    for x in [x for row in phi for x in row] + eta:
+        den = lcm(den, x.denominator)
+    dtype = np.int64 if 2 * n * den < 2 ** 62 else object
+    p = np.array([[int(x * den) for x in row] for row in phi], dtype=dtype)
+    blades = _dense_blades(n, 3).astype(dtype)
+    response = [np.einsum("lj,cilk->cijk", p, blades)
+                - np.einsum("cijl,kl->cijk", blades, p)]
+    if contact:
+        e = np.array([int(x * den) for x in eta], dtype=dtype)
+        response.append(np.einsum("cijl,l->cij", blades, e)[..., None])
+    matrix = np.concatenate([r.reshape(len(blades), n, -1) for r in response], axis=2)
+    return matrix.reshape(len(blades), -1).T
+
+
+def _dense_blades(n, degree):
+    """Stacked dense tensors of the unit blades: sign(perm) at each permuted index."""
+    blades = list(combinations(range(n), degree))
+    out = np.zeros((len(blades),) + (n,) * degree, dtype=np.int64)
+    for perm in permutations(range(degree)):
+        sign = -1 if sum(perm[i] > perm[j] for i in range(degree)
+                         for j in range(i + 1, degree)) % 2 else 1
+        for c, blade in enumerate(blades):
+            out[(c,) + tuple(blade[k] for k in perm)] = sign
+    return out
 
 
 def structure_parallel_residuals(s, t: Form):
@@ -762,18 +779,20 @@ def nearly_kaehler_identities(a) -> dict:
 
     All quantities quadratic in the torsion scale rationally with a; the
     structure equations dT = a Omega ^ Omega and T T-contraction = 2 a g are
-    verified against the canonical real 3-form psi.
+    verified against the canonical real 3-form psi.  The contractions run on
+    the dense integer tensors of psi and Omega ^ Omega.
     """
     a = Q(a)
     n = 6
     psi = (Form.blade(n, 1, 3, 5) - Form.blade(n, 1, 4, 6)
            - Form.blade(n, 2, 3, 6) - Form.blade(n, 2, 4, 5))
     omega = Form.blade(n, 1, 2) + Form.blade(n, 3, 4) + Form.blade(n, 5, 6)
-    j = [[Q(0)] * n for _ in range(n)]
+    j = np.zeros((n, n), dtype=np.int64)
     for k in range(0, n, 2):
-        j[k + 1][k], j[k][k + 1] = Q(1), Q(-1)
+        j[k + 1, k], j[k, k + 1] = 1, -1
+    psi_t = _dense_form(psi)
     out = {}
-    ttc_psi = tt_contraction(psi)
+    ttc_psi = np.einsum("imk,jmk->ij", psi_t, psi_t).tolist()
     out["tt-contraction-2ag"] = all(
         Q(a, 2) * ttc_psi[x][y] == (2 * a if x == y else 0)
         for x in range(n) for y in range(n))
@@ -794,46 +813,35 @@ def nearly_kaehler_identities(a) -> dict:
     target = (Form.blade(n, 1, 2, 3, 4) + Form.blade(n, 1, 2, 5, 6)
               + Form.blade(n, 3, 4, 5, 6)).scale(a)
     out["endomorphism-form-value"] = lhs == target
-    # holonomy-reduction contraction: Ric(X,Y) = (1/4) sum dT(X, JY, e_i, J e_i)
-    cols = _columns(j)
-    ok = True
-    for x in range(n):
-        for y in range(n):
-            val = Q(0)
-            for b in range(n):
-                if not cols[y][b]:
-                    continue
-                for i in range(n):
-                    for c in range(n):
-                        if cols[i][c]:
-                            val += cols[y][b] * cols[i][c] * dt.eval(x + 1, b + 1, i + 1, c + 1)
-            if Q(1, 4) * val != ric_nabla[x][y]:
-                ok = False
-    out["ricci-from-dt-contraction"] = ok
-    # constant-type norm identity, quadratic in both arguments
-    ok2 = True
-    for u1 in range(n):
-        for u2 in range(u1, n):
-            for v1 in range(n):
-                for v2 in range(v1, n):
-                    xv = [Q(1) if i in (u1,) else Q(0) for i in range(n)]
-                    xv[u2] += 1
-                    yv = [Q(1) if i in (v1,) else Q(0) for i in range(n)]
-                    yv[v2] += 1
-                    lhs_val = Q(a, 2) * sum(
-                        (sum(xv[p] * yv[q] * psi.eval(p + 1, q + 1, m + 1)
-                             for p in range(n) for q in range(n))) ** 2
-                        for m in range(n))
-                    gxx = sum(x * x for x in xv)
-                    gyy = sum(y * y for y in yv)
-                    gxy = sum(x * y for x, y in zip(xv, yv))
-                    jy = apply_matrix(j, yv)
-                    gxjy = sum(x * y for x, y in zip(xv, jy))
-                    rhs_val = Q(a, 2) * (gxx * gyy - gxy * gxy - gxjy * gxjy)
-                    if lhs_val != rhs_val:
-                        ok2 = False
-    out["constant-type-identity"] = ok2
+    # holonomy-reduction contraction: Ric(X,Y) = (1/4) sum dT(X, JY, e_i, J e_i),
+    # with dT = a Omega ^ Omega
+    contraction = np.einsum("by,ci,xbic->xy", j, j, _dense_form(omega2)).tolist()
+    out["ricci-from-dt-contraction"] = all(
+        Q(1, 4) * a * contraction[x][y] == ric_nabla[x][y]
+        for x in range(n) for y in range(n))
+    # constant-type norm identity, quadratic in both arguments: polarized on
+    # the vectors e_u1 + e_u2 (u1 <= u2); both sides carry the factor a / 2
+    pairs = np.zeros((n * (n + 1) // 2, n), dtype=np.int64)
+    for r, (u1, u2) in enumerate((u1, u2) for u1 in range(n) for u2 in range(u1, n)):
+        pairs[r, u1] += 1
+        pairs[r, u2] += 1
+    values = np.einsum("sp,tq,pqm->stm", pairs, pairs, psi_t)
+    gram = pairs @ pairs.T
+    gjy = pairs @ j @ pairs.T
+    norm_side = (values ** 2).sum(axis=2)
+    metric_side = np.outer(gram.diagonal(), gram.diagonal()) - gram ** 2 - gjy ** 2
+    out["constant-type-identity"] = not a or bool((norm_side == metric_side).all())
     return out
+
+
+def _dense_form(form: Form):
+    """Dense tensor of a form with integer coefficients, as an int64 array."""
+    coeffs = [form.terms.get(tuple(k + 1 for k in b), Q(0))
+              for b in combinations(range(form.n), form.degree)]
+    if any(c.denominator != 1 for c in coeffs):
+        raise StructureError("dense tensor of a form with non-integral coefficients")
+    ints = np.array([int(c) for c in coeffs], dtype=np.int64)
+    return np.tensordot(ints, _dense_blades(form.n, form.degree), axes=1)
 
 
 def half_module_endomorphism_spectrum(a):

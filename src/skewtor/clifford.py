@@ -155,10 +155,6 @@ def common_kernel(endos, dim=None):
     return nullspace(stacked, one=CQ(1))
 
 
-def kernel_apply(matrix, vector):
-    return mat_vec(matrix, vector)
-
-
 # ---------------------------------------------------------------------------
 # dimension-5 closed-form kernel conditions
 # ---------------------------------------------------------------------------

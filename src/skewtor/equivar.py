@@ -14,21 +14,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
+
+import numpy as np
 
 from .errors import StructureError
 from .forms import Form, contract, inner, so_action, wedge
 from .linalg import (certified_eigenspace_dims, certify_annihilation,
-                     fraction_rows_to_int, int_matmul, int_nullspace,
-                     krylov_min_poly, mat_vec, poly_eval, rank_mod_p,
-                     solve, _PRIMES)
+                     fraction_rows_to_int, int_abs_max, int_matmul,
+                     int_nullspace, int_rank, krylov_min_poly, mat_vec,
+                     poly_eval, rank_mod_p, solve, _PRIMES)
 from .registry import canonical_omega3
 
 Q = Fraction
 
 BLADES2 = list(combinations(range(1, 8), 2))
 BLADES3 = list(combinations(range(1, 8), 3))
-BLADES4 = list(combinations(range(1, 8), 4))
 S2_PAIRS = [(i, j) for i in range(1, 8) for j in range(i, 8)]
 
 _G2_EQUATIONS = [
@@ -61,30 +62,28 @@ class G2Algebra:
         raw = [_form_from_blade_vector(v, BLADES2, 2) for v in kernel]
         self.basis = _orthogonalize(raw)
         self.norms = [inner(x, x) for x in self.basis]
+        self.endos = np.stack([_int_endo(x) for x in self.basis])
         w3 = canonical_omega3()
         if any(not so_action(x, w3).is_zero() for x in self.basis):
             raise StructureError("stabilizer basis does not annihilate the 3-form")
-        self._coord_cache = None
-
-    def bracket(self, a: Form, b: Form) -> Form:
-        return bracket_2forms(a, b)
 
     def coordinates(self, alpha: Form):
-        """Coefficients of a 2-form in the basis, or None if outside the algebra."""
-        if self._coord_cache is None:
-            cols = [_blade_vector(x, BLADES2) for x in self.basis]
-            matrix = [[cols[a][r] for a in range(14)] for r in range(21)]
-            self._coord_cache = matrix
-        sol = solve(self._coord_cache, [_blade_vector(alpha, BLADES2)])[0]
-        return sol
+        """Coefficients of a 2-form in the basis, or None if outside the algebra.
+
+        The basis is orthogonal, so the coefficients are the projections.
+        """
+        coords = [inner(alpha, x) / norm for x, norm in zip(self.basis, self.norms)]
+        span = Form(7, 2)
+        for c, x in zip(coords, self.basis):
+            span = span + x.scale(c)
+        return coords if span == alpha else None
 
     def closure_residuals(self):
+        """For each pair a < b of basis elements, whether [xi_a, xi_b] lies in the algebra."""
         out = []
         for a in range(14):
-            for b in range(a + 1, 14):
-                br = self.bracket(self.basis[a], self.basis[b])
-                coords = self.coordinates(br)
-                out.append(coords is not None)
+            closed = _ad_action(self.endos[a], self.endos, self.norms)[2]
+            out.extend(closed[a + 1:])
         return out
 
 
@@ -136,58 +135,79 @@ def endo_of_2form(alpha: Form):
 # module actions as integer matrices
 # ---------------------------------------------------------------------------
 
-def action_on_vectors(alpha: Form):
-    return endo_of_2form(alpha)
+def _int_endo(alpha: Form):
+    """endo_of_2form of a 2-form with integer coefficients, as an int64 array."""
+    a = np.zeros((alpha.n, alpha.n), dtype=np.int64)
+    for (u, v), c in alpha.terms.items():
+        if c.denominator != 1:
+            raise StructureError("generator 2-form has a non-integral coefficient")
+        a[v - 1, u - 1] = c.numerator
+        a[u - 1, v - 1] = -c.numerator
+    return a
 
 
-def action_on_blades(alpha: Form, blades, degree):
-    cols = []
-    for b in blades:
-        img = so_action(alpha, Form(7, degree, {b: Q(1)}))
-        cols.append(_blade_vector(img, blades))
-    return [[cols[c][r] for c in range(len(blades))] for r in range(len(blades))]
+def _blade_action(a, degree):
+    """Derivation action of e^m -> sum_k a[k, m] e^k on the degree-p blades.
 
-
-def action_on_s2(alpha: Form):
-    """Derivation action on symmetric bilinear forms in value coordinates.
-
-    Coordinates are the values W(e_y, e_z) for y <= z; with the pinned
-    coframe action matrix M this is W -> M W + W M^T, matching the row
-    convention of the equivariant map matrices.
+    Replacing e^m at position `pos` of a blade by e^k and sorting gives the
+    sign (-1)^(pos + #{r in the rest : r < k}).
     """
-    m = [[alpha.eval(u + 1, k + 1) for u in range(7)] for k in range(7)]
-    size = len(S2_PAIRS)
-    index = {p: k for k, p in enumerate(S2_PAIRS)}
-    out = [[Q(0)] * size for _ in range(size)]
-    for c, (u, v) in enumerate(S2_PAIRS):
-        w = [[Q(0)] * 7 for _ in range(7)]
-        w[u - 1][v - 1] = Q(1)
-        w[v - 1][u - 1] = Q(1)
-        for y in range(7):
-            for z in range(y, 7):
-                val = sum(m[y][k] * w[k][z] for k in range(7) if m[y][k]) \
-                    + sum(w[y][k] * m[z][k] for k in range(7) if m[z][k])
-                if val:
-                    out[index[(y + 1, z + 1)]][c] = val
+    blades = list(combinations(range(1, 8), degree))
+    index = {b: r for r, b in enumerate(blades)}
+    out = np.zeros((len(blades), len(blades)), dtype=np.int64)
+    for c, blade in enumerate(blades):
+        for pos, m in enumerate(blade):
+            rest = blade[:pos] + blade[pos + 1:]
+            for k in range(1, 8):
+                coeff = a[k - 1, m - 1]
+                if not coeff or k in rest:
+                    continue
+                below = sum(1 for r in rest if r < k)
+                sign = -1 if (pos + below) % 2 else 1
+                out[index[tuple(sorted(rest + (k,)))], c] += sign * coeff
     return out
 
 
-def _tensor_action(a_small, a_big):
-    """rho (x) 1 + 1 (x) rho on a tensor product, in (small x big) coordinates."""
-    ns, nb = len(a_small), len(a_big)
-    size = ns * nb
-    out = [[Q(0)] * size for _ in range(size)]
-    for x in range(ns):
-        for y in range(ns):
-            if a_small[x][y]:
-                for k in range(nb):
-                    out[x * nb + k][y * nb + k] += a_small[x][y]
-    for u in range(nb):
-        for v in range(nb):
-            if a_big[u][v]:
-                for x in range(ns):
-                    out[x * nb + u][x * nb + v] += a_big[u][v]
-    return out
+_S2_ROWS = np.array([y - 1 for y, _ in S2_PAIRS])
+_S2_COLS = np.array([z - 1 for _, z in S2_PAIRS])
+
+
+def _s2_action(a):
+    """W -> a W + W a^T on symmetric bilinear forms, in value coordinates.
+
+    Coordinates are the values W(e_y, e_z) for y <= z; the basis element of
+    the pair (u, v) is the symmetric W with W[u][v] = W[v][u] = 1, matching
+    the row convention of the equivariant map matrices.
+    """
+    w = np.zeros((len(S2_PAIRS), 7, 7), dtype=np.int64)
+    w[np.arange(len(S2_PAIRS)), _S2_ROWS, _S2_COLS] = 1
+    w[np.arange(len(S2_PAIRS)), _S2_COLS, _S2_ROWS] = 1
+    image = a @ w + w @ a.T
+    return image[:, _S2_ROWS, _S2_COLS].T
+
+
+def _ad_action(a, basis, norms):
+    """ad_a on the span of an orthogonal basis of skew matrices.
+
+    The 2-form inner product is half the entrywise product of the matrices,
+    so the coefficient of [a, X_c] on X_j is <[a, X_c], X_j>_F / (2 |X_j|^2).
+    Returns (rho, d, closed): rho / d is the action on the projections, and
+    closed[c] says whether [a, X_c] equals its projection, i.e. lies in the span.
+    """
+    comm = a @ basis - basis @ a
+    num = np.einsum("cuv,juv->jc", comm, basis)
+    den = np.array([[2 * int(norm)] for norm in norms], dtype=np.int64)
+    g = np.gcd(num, den)
+    d = int(np.lcm.reduce((den // g).ravel()))
+    rho = (num // g) * (d // (den // g))
+    closed = (np.einsum("jc,juv->cuv", rho, basis) == d * comm).all(axis=(1, 2))
+    return rho, d, closed.tolist()
+
+
+def _tensor_action(a, rho, d):
+    """d (a (x) 1 + 1 (x) rho / d) in (small x big) coordinates."""
+    return np.kron(d * a, np.eye(len(rho), dtype=np.int64)) \
+        + np.kron(np.eye(len(a), dtype=np.int64), rho)
 
 
 class Spaces:
@@ -197,78 +217,61 @@ class Spaces:
         self.algebra = G2Algebra()
         self.w3 = canonical_omega3()
         self.m_basis = [contract(self.w3, i) for i in range(1, 8)]
+        self.m_endos = np.stack([_int_endo(mu) for mu in self.m_basis])
+        self.m_norms = [inner(mu, mu) for mu in self.m_basis]
         self._cache = {}
 
-    def m_ad_matrix(self, alpha: Form):
-        """ad_alpha on the complement m in the e_k -| w3 coordinates."""
-        cols = []
-        for mu in self.m_basis:
-            br = bracket_2forms(alpha, mu)
-            # the complement is equivariantly R^7: coefficients against e_j -| w3
-            cols.append([inner(br, self.m_basis[j]) / 3 for j in range(7)])
-        return [[cols[c][r] for c in range(7)] for r in range(7)]
-
-    def g2_ad_matrix(self, alpha: Form):
-        cols = []
-        for xi in self.algebra.basis:
-            br = bracket_2forms(alpha, xi)
-            coords = self.algebra.coordinates(br)
-            if coords is None:
-                raise StructureError("bracket left the algebra")
-            cols.append(coords)
-        return [[cols[c][r] for c in range(14)] for r in range(14)]
-
-    def action(self, space: str, alpha: Form):
+    def _action(self, space: str, a):
+        """Action of the coframe endomorphism a of an algebra element, as (rho, d)."""
         if space == "lambda1":
-            return action_on_vectors(alpha)
-        if space == "lambda2":
-            return action_on_blades(alpha, BLADES2, 2)
-        if space == "lambda3":
-            return action_on_blades(alpha, BLADES3, 3)
-        if space == "lambda4":
-            return action_on_blades(alpha, BLADES4, 4)
-        if space == "r7_m":
-            return _tensor_action(action_on_vectors(alpha), self.m_ad_matrix(alpha))
-        if space == "r7_g2":
-            return _tensor_action(action_on_vectors(alpha), self.g2_ad_matrix(alpha))
+            return a, 1
+        if space in ("lambda2", "lambda3", "lambda4"):
+            return _blade_action(a, int(space[-1])), 1
         if space == "r7_s2":
-            return _tensor_action(action_on_vectors(alpha), action_on_s2(alpha))
+            return _tensor_action(a, _s2_action(a), 1), 1
+        if space in ("r7_m", "r7_g2"):
+            basis, norms = ((self.m_endos, self.m_norms) if space == "r7_m"
+                            else (self.algebra.endos, self.algebra.norms))
+            rho, d, closed = _ad_action(a, basis, norms)
+            if not all(closed):
+                raise StructureError("bracket left the module")
+            return _tensor_action(a, rho, d), d
         raise KeyError(f"unknown space '{space}'")
+
+    def generators(self, space: str):
+        """The actions of the 14 basis elements on a module, built one at a time.
+
+        Yields (rho, d) with rho an int64 matrix; the action is rho / d, with
+        d the least common denominator of its entries.
+        """
+        for a in self.algebra.endos:
+            yield self._action(space, a)
 
     def dimension(self, space: str) -> int:
         return {"lambda1": 7, "lambda2": 21, "lambda3": 35, "lambda4": 35,
                 "r7_m": 49, "r7_g2": 98, "r7_s2": 196}[space]
 
     def casimir(self, space: str):
-        """Integer matrix C' = L * Casimir plus the exact scale L."""
+        """Integer matrix C' = L * Casimir plus the exact scale L.
+
+        The Casimir is sum_a rho_a^2 / |xi_a|^2; with rho_a = N_a / d_a each
+        term is N_a^2 / w_a, w_a = d_a^2 |xi_a|^2, and L = lcm of the w_a.
+        """
         if space in self._cache:
             return self._cache[space]
-        mats = []
-        for xi, norm in zip(self.algebra.basis, self.algebra.norms):
-            rho = self.action(space, xi)
-            den = 1
-            for row in rho:
-                for x in row:
-                    q = Q(x)
-                    den = den * q.denominator // gcd(den, q.denominator)
-            rho_int = [[int(Q(x) * den) for x in row] for row in rho]
-            mats.append((rho_int, Q(1, den * den * norm)))
-        scale = 1
-        for _, w in mats:
-            scale = scale * w.denominator // gcd(scale, w.denominator)
         n = self.dimension(space)
-        total = [[0] * n for _ in range(n)]
-        for rho_int, w in mats:
-            sq = int_matmul(rho_int, rho_int)
-            factor = w * scale
-            assert factor.denominator == 1
-            factor = factor.numerator
-            for i in range(n):
-                row_t, row_s = total[i], sq[i]
-                for j in range(n):
-                    if row_s[j]:
-                        row_t[j] += factor * row_s[j]
-        self._cache[space] = (total, scale)
+        total, scale = np.zeros((n, n), dtype=np.int64), 1
+        for (rho, d), norm in zip(self.generators(space), self.algebra.norms):
+            weight = d * d * int(norm)
+            sq = int_matmul(rho, rho)
+            grown = lcm(scale, weight)
+            k, f = grown // scale, grown // weight
+            if (total.dtype == object or sq.dtype == object
+                    or k * int_abs_max(total) + f * int_abs_max(sq) >= 2 ** 62):
+                total, sq = total.astype(object), sq.astype(object)
+            total = total * k + sq * f
+            scale = grown
+        self._cache[space] = (total.tolist(), scale)
         return self._cache[space]
 
 
@@ -357,10 +360,10 @@ def casimir_spectrum(space: str):
     sp = spaces()
     cmat, scale = sp.casimir(space)
     n = sp.dimension(space)
+    cmat_obj = np.array(cmat, dtype=object)
 
     def matvec(v):
-        return [sum(cmat[i][j] * v[j] for j in range(n) if cmat[i][j])
-                for i in range(n)]
+        return (cmat_obj @ np.array(v, dtype=object)).tolist()
 
     gershgorin = max(sum(abs(x) for x in row) for row in cmat)
     roots = None
@@ -386,7 +389,6 @@ def _integer_roots_monic(coeffs, bound):
     Candidates are screened with a vectorized Horner pass mod two primes over
     the interval [-bound, bound], then confirmed exactly.
     """
-    import numpy as np
     den = 1
     for c in coeffs:
         den = den * c.denominator // gcd(den, c.denominator)
@@ -440,42 +442,28 @@ def casimir_decompose(space: str) -> IsotypicReport:
 # the equivariant maps and their rank certificates
 # ---------------------------------------------------------------------------
 
+def _map_matrix(endos):
+    """196 x 7k integer matrix with columns e^i (x) X_c and rows (x, y <= z).
+
+    The entry is X_c(x, y) [z = i] + X_c(x, z) [y = i], for the k skew
+    matrices X_c = endo_of_2form(.) stacked in `endos`.
+    """
+    values = endos.transpose(0, 2, 1)  # values[c, x, y] = X_c(x, y)
+    out = np.zeros((7, len(S2_PAIRS), 7, len(endos)), dtype=np.int64)
+    for r, (y, z) in enumerate(S2_PAIRS):
+        out[:, r, z - 1, :] += values[:, :, y - 1].T
+        out[:, r, y - 1, :] += values[:, :, z - 1].T
+    return out.reshape(7 * len(S2_PAIRS), 7 * len(endos)).tolist()
+
+
 def phi_matrix():
     """Phi as a 196 x 98 integer matrix; columns e^i (x) xi_a, rows (x, y<=z)."""
-    sp = spaces()
-    cols = []
-    for i in range(1, 8):
-        for xi in sp.algebra.basis:
-            vec = []
-            for x in range(1, 8):
-                for (y, z) in [(y, z) for y in range(1, 8) for z in range(y, 8)]:
-                    val = Q(0)
-                    if z == i:
-                        val += xi.eval(x, y)
-                    if y == i:
-                        val += xi.eval(x, z)
-                    vec.append(val)
-            cols.append(vec)
-    return [[int(cols[c][r]) for c in range(len(cols))] for r in range(196)]
+    return _map_matrix(spaces().algebra.endos)
 
 
 def psi_matrix():
     """Psi as a 196 x 49 integer matrix; columns e^i (x) (e_k -| w3)."""
-    sp = spaces()
-    cols = []
-    for i in range(1, 8):
-        for mu in sp.m_basis:
-            vec = []
-            for x in range(1, 8):
-                for (y, z) in [(y, z) for y in range(1, 8) for z in range(y, 8)]:
-                    val = Q(0)
-                    if y == i:
-                        val += mu.eval(x, z)
-                    if z == i:
-                        val += mu.eval(x, y)
-                    vec.append(val)
-            cols.append(vec)
-    return [[int(cols[c][r]) for c in range(len(cols))] for r in range(196)]
+    return _map_matrix(spaces().m_endos)
 
 
 def isotypic_basis_r7_m(label: str):
@@ -491,11 +479,16 @@ def isotypic_basis_r7_m(label: str):
 
 
 def full_column_rank_certificate(matrix, cols):
-    """Exact statement rank = cols via a single mod-p elimination (lower bound)."""
+    """Exact statement rank = cols for an integer matrix.
+
+    A mod-p rank is a lower bound on the rank over Q, so reaching `cols`
+    mod one of three primes proves it; only when all three fall short is the
+    rank settled by exact integer elimination.
+    """
     for p in _PRIMES[:3]:
         if rank_mod_p(matrix, p) == cols:
             return True
-    return False
+    return int_rank([[int(x) for x in row] for row in matrix]) == cols
 
 
 def solve_tall_exact(matrix, rhs_list):
@@ -507,15 +500,9 @@ def solve_tall_exact(matrix, rhs_list):
     m, n = len(matrix), len(matrix[0])
     p = _PRIMES[0]
     # locate n independent rows mod p
-    a = [row[:] for row in matrix]
-    idx = list(range(m))
-    chosen = []
-    import numpy as np
-    arr = (np.array(matrix, dtype=object) % p).astype(np.int64)
+    work = (np.array(matrix, dtype=object) % p).astype(np.int64)
     r = 0
     rows_order = []
-    cols_done = []
-    work = arr.copy()
     row_ids = list(range(m))
     for c in range(n):
         pivot = None
@@ -533,7 +520,6 @@ def solve_tall_exact(matrix, rhs_list):
             if k != r and work[k, c]:
                 work[k] = (work[k] - work[k, c] * work[r]) % p
         rows_order.append(row_ids[r])
-        cols_done.append(c)
         r += 1
         if r == n:
             break
@@ -576,22 +562,22 @@ def rank_certificates():
     out = {}
     out["phi-injective"] = full_column_rank_certificate(phi, 98)
 
+    # every statement below is invariant under rescaling the isotypic basis
+    # vectors, so each is cleared to a primitive integer vector
     psi = psi_matrix()
     basis14 = isotypic_basis_r7_m("14")
-    cols14 = [mat_vec([[Q(x) for x in row] for row in psi], v) for v in basis14]
-    combined = [[Q(phi[r][c]) for c in range(98)] + [cols14[k][r] for k in range(len(cols14))]
-                for r in range(196)]
-    combined_int = fraction_rows_to_int(combined)
+    cols14 = int_matmul(psi, np.array(fraction_rows_to_int(basis14), dtype=object).T)
+    combined = np.hstack([np.array(phi, dtype=object), cols14.astype(object)])
     out["psi-14-dimension"] = len(basis14) == 14
-    out["images-meet-trivially"] = full_column_rank_certificate(combined_int, 98 + 14)
+    out["images-meet-trivially"] = full_column_rank_certificate(combined, 98 + 14)
 
     # containment of the scalar- and 27-type images inside Im(Phi)
     basis1 = isotypic_basis_r7_m("1")
     basis27 = isotypic_basis_r7_m("27")
     out["scalar-block-dimension"] = len(basis1) == 1
     out["traceless-block-dimension"] = len(basis27) == 27
-    psi_q = [[Q(x) for x in row] for row in psi]
-    rhs = [mat_vec(psi_q, v) for v in basis1 + basis27]
+    rhs = int_matmul(psi, np.array(fraction_rows_to_int(basis1 + basis27), dtype=object).T)
+    rhs = rhs.T.tolist()
     sols = solve_tall_exact(phi, rhs)
     out["scalar-image-contained"] = sols[0] is not None
     out["scalar-image-solution-zero"] = sols[0] is not None and not any(sols[0])

@@ -497,18 +497,29 @@ def rank_mod_p(matrix, p):
     return r
 
 
-def _int_matmul(a, b):
-    """Exact product of integer numpy-able matrices, guarding int64 overflow."""
-    a = np.asarray(a, dtype=object)
-    b = np.asarray(b, dtype=object)
-    bound = a.shape[1] * max(1, int(np.abs(a).max())) * max(1, int(np.abs(b).max()))
-    if bound < 2 ** 62:
-        return (a.astype(np.int64) @ b.astype(np.int64)).astype(object)
-    return a @ b
-
-
 def int_matmul(a, b):
-    return _int_matmul(a, b).tolist()
+    """Exact product of integer matrices as an array, guarding int64 overflow.
+
+    The product is int64 when an a-priori entry bound fits, else an object
+    array of Python integers.
+    """
+    a, b = int_array(a), int_array(b)
+    if a.shape[1] * int_abs_max(a) * int_abs_max(b) < 2 ** 62:
+        return a.astype(np.int64) @ b.astype(np.int64)
+    return a.astype(object) @ b.astype(object)
+
+
+def int_array(a):
+    """Integer matrix as an int64 array when its entries fit, else an object array."""
+    if isinstance(a, np.ndarray) and a.dtype == np.int64:
+        return a
+    a = np.asarray(a, dtype=object)
+    return a.astype(np.int64) if int_abs_max(a) < 2 ** 62 else a
+
+
+def int_abs_max(a):
+    """Largest absolute entry of an integer array as a Python int, at least 1."""
+    return max(1, int(np.abs(a).max())) if a.size else 1
 
 
 def krylov_min_poly(matvec, n, seeds=3, rng=None):

@@ -233,10 +233,3 @@ def registry():
     if _REGISTRY is None:
         _REGISTRY = build_registry()
     return _REGISTRY
-
-
-def get_model(name: str) -> ModelEntry:
-    reg = registry()
-    if name not in reg:
-        raise KeyError(f"unknown model '{name}' (have: {', '.join(sorted(reg))})")
-    return reg[name]

@@ -10,6 +10,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from . import acskit, clifford, equivar, g2
 from .forms import (Form, contract, hodge, inner, random_form, sigma_t,
                     sigma_t_quadratic, volume_form, wedge)
@@ -19,7 +21,7 @@ from .liegeom import (codiff, curvature, curvature_identity_residuals, d_form,
                       dirac_torsion_anticommutator_residual, levi_civita,
                       nabla_form, parallel_spinor_field_equations,
                       parallel_spinors, tt_contraction, with_torsion)
-from .linalg import mat_eq_zero, mat_vec
+from .linalg import int_array, int_matmul, mat_eq_zero, mat_vec
 from .registry import canonical_omega3, registry
 from .reporting import Report, check, merge, skip
 
@@ -411,31 +413,22 @@ def suite_equivariant() -> Report:
 
 
 def _equivariance_residual_zero(sp):
-    """Exact intertwining check, with one common integer scale per generator."""
-    import numpy as np
-    from math import gcd
+    """Exact intertwining check on all 14 generators.
+
+    With rho = N / d on each module, Phi rho_g2 = rho_s2 Phi becomes the
+    integer identity d_s2 Phi N_g2 = d_g2 N_s2 Phi; likewise for Psi and the
+    Casimir.
+    """
     phi = np.array(equivar.phi_matrix(), dtype=np.int64)
     psi = np.array(equivar.psi_matrix(), dtype=np.int64)
-    cas, _ = sp.casimir("r7_s2")
-    cmat = np.array(cas, dtype=np.int64)
-    for xi in sp.algebra.basis[:4] + sp.algebra.basis[-2:]:
-        actions = {space: sp.action(space, xi)
-                   for space in ("r7_g2", "r7_m", "r7_s2")}
-        den = 1
-        for rows in actions.values():
-            for row in rows:
-                for x in row:
-                    q = Q(x)
-                    den = den * q.denominator // gcd(den, q.denominator)
-        scaled = {space: np.array([[int(Q(x) * den) for x in row]
-                                   for row in rows], dtype=np.int64)
-                  for space, rows in actions.items()}
-        if np.any(phi @ scaled["r7_g2"] - scaled["r7_s2"] @ phi):
+    cas = int_array(sp.casimir("r7_s2")[0])
+    for (g2_rho, g2_d), (m_rho, m_d), (s2_rho, s2_d) in zip(
+            sp.generators("r7_g2"), sp.generators("r7_m"), sp.generators("r7_s2")):
+        if np.any(int_matmul(phi, g2_rho) * s2_d - int_matmul(s2_rho, phi) * g2_d):
             return False
-        if np.any(psi @ scaled["r7_m"] - scaled["r7_s2"] @ psi):
+        if np.any(int_matmul(psi, m_rho) * s2_d - int_matmul(s2_rho, psi) * m_d):
             return False
-        if np.any(cmat.astype(np.int64) @ scaled["r7_s2"]
-                  - scaled["r7_s2"] @ cmat.astype(np.int64)):
+        if np.any(int_matmul(cas, s2_rho) - int_matmul(s2_rho, cas)):
             return False
     return True
 

@@ -20,7 +20,6 @@ from skewtor.liegeom import (codiff, curvature, curvature_identity_residuals,
                              tt_contraction, with_torsion)
 from skewtor.linalg import mat_eq_zero, mat_vec
 from skewtor.registry import canonical_omega3, registry
-from skewtor.suites import run_suite
 
 W3 = canonical_omega3()
 SW3 = hodge(W3)
@@ -252,8 +251,8 @@ def test_c11_contact_hermitian_suites():
               "multisets, contraction reduction")
 
 
-def test_c12_out_of_scope_skip_listed():
-    report = run_suite("all")
+def test_c12_out_of_scope_skip_listed(all_report):
+    report = all_report
     skips = {c.anchor: c for c in report.checks if c.status == "SKIP"}
     for anchor in ("Thm 3.4", "Thm 5.3", "Thm 5.6", "Thm 10.8", "Cor 6.3",
                    "Cor 6.6", "Remark 5.5"):

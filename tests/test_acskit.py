@@ -1,4 +1,5 @@
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
 
@@ -10,7 +11,8 @@ from skewtor.acskit import (AlmostContact, AlmostHermitian,
                             nijenhuis_gradient_identities,
                             nijenhuis_xi_identities, pullback3,
                             ricci_form_package, sasakian_ricci_package,
-                            structure_parallel_residuals, tanno_deform)
+                            structure_parallel_residuals, tanno_deform,
+                            _uniqueness_response)
 from skewtor.errors import NoSkewConnection, StructureError
 from skewtor.forms import Form, sigma_t, wedge
 from skewtor.liegeom import (codiff, curvature, d_form, levi_civita,
@@ -119,6 +121,49 @@ def test_torsion_uniqueness_certificates():
         assert torsion_uniqueness_certificate(contact(name)), name
     for name in ("abelian6", "solv6", "su2su2"):
         assert torsion_uniqueness_certificate(hermitian(name)), name
+
+
+def _response_by_loops(s):
+    """Reference response matrix: the per-entry Fraction loops over dT = e_b."""
+    n = s.model.n
+    phi = s.phi if isinstance(s, AlmostContact) else s.j
+    eta = s.eta.vector_components() if isinstance(s, AlmostContact) else None
+    columns = []
+    for b in combinations(range(1, n + 1), 3):
+        dt = Form(n, 3, {b: 1})
+        rows = []
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    rows.append(sum(phi[l][j] * dt.eval(i + 1, l + 1, k + 1)
+                                    - dt.eval(i + 1, j + 1, l + 1) * phi[k][l]
+                                    for l in range(n)) / 2)
+            if eta is not None:
+                for j in range(n):
+                    rows.append(sum(dt.eval(i + 1, j + 1, l + 1) * eta[l]
+                                    for l in range(n)) / 2)
+        columns.append(rows)
+    return [list(row) for row in zip(*columns)]
+
+
+def _rotated_contact(name):
+    """A contact fixture with phi conjugated by the rational rotation (3/5, 4/5) in e1, e3."""
+    s = contact(name)
+    n = s.n
+    r = [[Q(int(i == j)) for j in range(n)] for i in range(n)]
+    r[0][0], r[0][2], r[2][0], r[2][2] = Q(3, 5), Q(-4, 5), Q(4, 5), Q(3, 5)
+    phi = [[sum(r[i][a] * s.phi[a][b] * r[j][b] for a in range(n) for b in range(n))
+            for j in range(n)] for i in range(n)]
+    return AlmostContact(s.model, s.xi, s.eta, phi)
+
+
+@pytest.mark.parametrize("make, name, scale", [
+    (contact, "heis5", 2), (_rotated_contact, "abelian5", 10), (hermitian, "solv6", 2)])
+def test_uniqueness_response_matches_fraction_loops(make, name, scale):
+    # the integer matrix is the loop matrix times 2 L, L clearing phi and eta
+    s = make(name)
+    ints = _uniqueness_response(s).tolist()
+    assert [[Q(x, scale) for x in row] for row in ints] == _response_by_loops(s)
 
 
 def test_xi_identities_on_admissible_models():

@@ -158,8 +158,8 @@ def test_cli_verify_reports_failure_exit(monkeypatch, capsys):
     assert "FAIL" in out
 
 
-def test_out_of_scope_statements_are_skip_listed():
-    report = run_suite("all")
+def test_out_of_scope_statements_are_skip_listed(all_report):
+    report = all_report
     skips = {c.anchor for c in report.checks if c.status == "SKIP"}
     for anchor in ("Thm 3.4", "Thm 5.3", "Thm 5.6", "Thm 10.8",
                    "Cor 6.3", "Cor 6.6"):

@@ -1,13 +1,18 @@
 from fractions import Fraction as Q
+from itertools import combinations
+from math import lcm
 
+import numpy as np
 import pytest
 
 from skewtor.equivar import (bracket_2forms, calibration_table,
                              casimir_decompose, casimir_spectrum,
+                             full_column_rank_certificate,
                              isotypic_basis_r7_m, phi_matrix, psi_matrix,
                              rank_certificates, sigma0_constant,
                              sigma_solution_identity, spaces)
 from skewtor.forms import Form, contract, so_action
+from skewtor.linalg import rank_mod_p, _PRIMES
 from skewtor.registry import canonical_omega3
 
 
@@ -114,3 +119,75 @@ def test_sigma0_constant_value():
 
 def test_sigma_solution_identity_holds():
     assert sigma_solution_identity()
+
+
+SPACES = ("lambda1", "lambda2", "lambda3", "lambda4", "r7_m", "r7_g2", "r7_s2")
+
+
+def _common_scale(gens):
+    """The actions as integer matrices M_a over one denominator D: rho_a = M_a / D."""
+    den = lcm(*(d for _, d in gens))
+    return [rho * (den // d) for rho, d in gens], den
+
+
+@pytest.fixture(scope="module")
+def brackets(sp):
+    """[xi_a, xi_b] = sum_c (p_c / q) xi_c for all 91 pairs a < b, as (a, b, p, q)."""
+    basis = sp.algebra.basis
+    out = []
+    for a in range(14):
+        for b in range(a + 1, 14):
+            coords = sp.algebra.coordinates(bracket_2forms(basis[a], basis[b]))
+            assert coords is not None
+            q = lcm(*(c.denominator for c in coords))
+            out.append((a, b, [int(c * q) for c in coords], q))
+    return out
+
+
+@pytest.mark.parametrize("space", ["lambda2", "lambda3", "r7_m", "r7_g2", "r7_s2"])
+def test_integer_actions_are_homomorphisms(sp, brackets, space):
+    # rho([xi_a, xi_b]) = [rho(xi_a), rho(xi_b)]: q [M_a, M_b] = D sum_c p_c M_c
+    mats, den = _common_scale(list(sp.generators(space)))
+    for a, b, p, q in brackets:
+        lhs = mats[a] @ mats[b] - mats[b] @ mats[a]
+        rhs = sum(pc * m for pc, m in zip(p, mats))
+        assert np.array_equal(q * lhs, den * rhs), (space, a, b)
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_casimir_commutes_with_every_generator(sp, space):
+    cmat = np.array(sp.casimir(space)[0], dtype=np.int64)
+    for rho, _ in sp.generators(space):
+        assert np.array_equal(cmat @ rho, rho @ cmat), space
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_form_casimirs_match_so_action_assembly(sp, degree):
+    # Casimir = sum_a rho_a^2 / |xi_a|^2 with rho_a read off so_action on
+    # the basis blades, compared as fractions with the integer kernel's C' / L
+    blades = list(combinations(range(1, 8), degree))
+    total = [[Q(0)] * len(blades) for _ in blades]
+    for xi, norm in zip(sp.algebra.basis, sp.algebra.norms):
+        images = [so_action(xi, Form(7, degree, {b: 1})) for b in blades]
+        rho = np.array([[int(img.terms.get(r, 0)) for img in images] for r in blades],
+                       dtype=np.int64)
+        sq = (rho @ rho).tolist()
+        for i in range(len(blades)):
+            for j in range(len(blades)):
+                total[i][j] += Q(sq[i][j]) / norm
+    cmat, scale = sp.casimir(f"lambda{degree}")
+    assert [[Q(x, scale) for x in row] for row in cmat] == total
+
+
+def test_full_column_rank_certificate_falls_back_to_exact_rank():
+    # a column divisible by the three certificate primes vanishes mod each of
+    # them, so only the exact elimination can certify the full rank
+    big = _PRIMES[0] * _PRIMES[1] * _PRIMES[2]
+    matrix = [[big, 0, 0], [0, 1, 0], [0, 0, 1], [big, 1, 1]]
+    assert all(rank_mod_p(matrix, p) == 2 for p in _PRIMES[:3])
+    assert full_column_rank_certificate(matrix, 3)
+
+
+def test_full_column_rank_certificate_refuses_rank_deficient():
+    matrix = [[1, 0, 1], [0, 1, 1], [2, 3, 5], [4, -1, 3]]
+    assert not full_column_rank_certificate(matrix, 3)
