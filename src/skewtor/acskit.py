@@ -34,7 +34,56 @@ def apply_matrix(matrix, vec):
             for i in range(n)]
 
 
-class AlmostContact:
+def _support(x):
+    """(index, coefficient) pairs of a coefficient vector; an int k stands for e_{k+1}."""
+    return [(x, 1)] if isinstance(x, int) else [(a, c) for a, c in enumerate(x) if c]
+
+
+def _trilinear(table, u, v, w):
+    """sum of table[a][b][c] u_a v_b w_c for a dense 0-based table of a (0,3) tensor."""
+    su, sv, sw = _support(u), _support(v), _support(w)
+    return sum((cu * cv * cw * table[a][b][c] for a, cu in su for b, cv in sv
+                for c, cw in sw), Q(0))
+
+
+def _table3(a: Form):
+    """Dense 0-based table a(e_i, e_j, e_k) of a 3-form, filled from its blades."""
+    n = a.n
+    table = [[[Q(0)] * n for _ in range(n)] for _ in range(n)]
+    for blade in a.terms:
+        for i, j, k in permutations(blade):
+            table[i - 1][j - 1][k - 1] = a.eval(i, j, k)
+    return table
+
+
+def _nabla_endo(conn, phi):
+    """table[i][j][k] = g((nabla_{e_i} phi) e_j, e_k): [nabla_i, phi] in coefficients."""
+    n = conn.model.n
+    om = conn.omega
+    return [[[sum(phi[l][j] * om[i][l][k] for l in range(n))
+              - sum(om[i][j][l] * phi[k][l] for l in range(n))
+              for k in range(n)] for j in range(n)] for i in range(n)]
+
+
+class _EndoStructure:
+    """A metric structure given by an endomorphism `phi` of the invariant frame.
+
+    `phi` is the contact endomorphism or the almost complex structure J;
+    both structures keep it under this one name.
+    """
+
+    @property
+    def n(self):
+        return self.model.n
+
+    def fundamental_form(self) -> Form:
+        """F(X,Y) = g(X, phi(Y)) as a 2-form."""
+        n = self.n
+        return Form(n, 2, {(i + 1, j + 1): self.phi[i][j]
+                           for i in range(n) for j in range(i + 1, n)})
+
+
+class AlmostContact(_EndoStructure):
     """Odd-dimensional metric structure (xi, eta, phi) with exact compatibility checks."""
 
     def __init__(self, model: LieModel, xi, eta: Form, phi):
@@ -67,21 +116,6 @@ class AlmostContact:
                 if gphi != want:
                     raise StructureError("phi must be metric-compatible")
 
-    @property
-    def n(self):
-        return self.model.n
-
-    def fundamental_form(self) -> Form:
-        """F(X,Y) = g(X, phi(Y)) as a 2-form."""
-        n = self.n
-        terms = {}
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                val = self.phi[i - 1][j - 1]
-                if val:
-                    terms[(i, j)] = val
-        return Form(n, 2, terms)
-
     def d_eta(self) -> Form:
         return d_form(self.model, self.eta)
 
@@ -91,9 +125,7 @@ class AlmostContact:
     def killing_matrix(self):
         """K[i][j] = g(nabla^g_{e_i} xi, e_j); xi is Killing iff K is skew."""
         lc = levi_civita(self.model)
-        n = self.n
-        return [[sum(self.xi[k] * lc.omega[i][k][j] for k in range(n))
-                 for j in range(n)] for i in range(n)]
+        return [lc.nabla_vector(i, self.xi) for i in range(1, self.n + 1)]
 
     def xi_is_killing(self) -> bool:
         k = self.killing_matrix()
@@ -101,7 +133,7 @@ class AlmostContact:
         return all(k[i][j] == -k[j][i] for i in range(n) for j in range(n))
 
 
-class AlmostHermitian:
+class AlmostHermitian(_EndoStructure):
     """Even-dimensional metric structure with an orthogonal complex matrix J."""
 
     def __init__(self, model: LieModel, j):
@@ -109,32 +141,20 @@ class AlmostHermitian:
         if n % 2:
             raise DegreeError("hermitian structures live in even dimensions")
         self.model = model
-        self.j = [[Q(x) for x in row] for row in j]
-        j2 = [[sum(self.j[i][k] * self.j[k][j_] for k in range(n))
+        self.phi = j = [[Q(x) for x in row] for row in j]
+        j2 = [[sum(j[i][k] * j[k][j_] for k in range(n))
                for j_ in range(n)] for i in range(n)]
         if any(j2[i][j_] != (Q(-1) if i == j_ else Q(0))
                for i in range(n) for j_ in range(n)):
             raise StructureError("J^2 must be -Id")
         for i in range(n):
             for j_ in range(n):
-                gjj = sum(self.j[k][i] * self.j[k][j_] for k in range(n))
+                gjj = sum(j[k][i] * j[k][j_] for k in range(n))
                 if gjj != (Q(1) if i == j_ else Q(0)):
                     raise StructureError("J must be orthogonal")
 
-    @property
-    def n(self):
-        return self.model.n
-
-    def kaehler_form(self) -> Form:
-        """Omega(X,Y) = g(X, J(Y)) as a 2-form."""
-        n = self.n
-        terms = {}
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                val = self.j[i - 1][j - 1]
-                if val:
-                    terms[(i, j)] = val
-        return Form(n, 2, terms)
+    # Omega(X,Y) = g(X, J(Y))
+    kaehler_form = _EndoStructure.fundamental_form
 
 
 class NijTensor:
@@ -178,40 +198,27 @@ def nijenhuis(s) -> NijTensor:
     """Integrability tensor of a contact or hermitian structure, from brackets."""
     model = s.model
     n = model.n
-    if isinstance(s, AlmostContact):
-        phi = s.phi
-        d_eta = s.d_eta()
-        xi = s.xi
-    else:
-        phi = s.j
-        d_eta = None
-        xi = None
+    phi = s.phi
+    d_eta, xi = (s.d_eta(), s.xi) if isinstance(s, AlmostContact) else (None, None)
     cols = _columns(phi)  # cols[j] = phi(e_j) coefficients
 
-    def bracket_vec(u, v):
+    def bracket(u, v):
         out = [Q(0)] * n
-        for a in range(n):
-            if not u[a]:
-                continue
-            for b in range(n):
-                if not v[b]:
-                    continue
-                coeff = u[a] * v[b]
-                for c in range(n):
-                    if model.c[a][b][c]:
-                        out[c] += coeff * model.c[a][b][c]
+        for a, cu in _support(u):
+            for b, cv in _support(v):
+                for k, c in enumerate(model.c[a][b]):
+                    if c:
+                        out[k] += cu * cv * c
         return out
 
-    basis = [[Q(1) if k == i else Q(0) for k in range(n)] for i in range(n)]
     table = [[[Q(0)] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            term = bracket_vec(cols[i], cols[j])
-            br = bracket_vec(basis[i], basis[j])
-            phi2_br = apply_matrix(phi, apply_matrix(phi, br))
+            term = bracket(cols[i], cols[j])
+            phi2_br = apply_matrix(phi, apply_matrix(phi, model.c[i][j]))
             term = [a + b for a, b in zip(term, phi2_br)]
-            t1 = apply_matrix(phi, bracket_vec(cols[i], basis[j]))
-            t2 = apply_matrix(phi, bracket_vec(basis[i], cols[j]))
+            t1 = apply_matrix(phi, bracket(cols[i], j))
+            t2 = apply_matrix(phi, bracket(i, cols[j]))
             term = [a - b - c for a, b, c in zip(term, t1, t2)]
             if d_eta is not None:
                 de = d_eta.eval(i + 1, j + 1)
@@ -244,28 +251,10 @@ def pullback3(a: Form, matrix) -> Form:
     """(X,Y,Z) -> a(MX, MY, MZ) for a linear map M (columns = images)."""
     if a.degree != 3:
         raise DegreeError("pullback3 expects a 3-form")
-    n = a.n
+    table = _table3(a)
     cols = _columns(matrix)
-    terms = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                val = Q(0)
-                for x in range(n):
-                    cx = cols[i - 1][x]
-                    if not cx:
-                        continue
-                    for y in range(n):
-                        cy = cols[j - 1][y]
-                        if not cy:
-                            continue
-                        for z in range(n):
-                            cz = cols[k - 1][z]
-                            if cz:
-                                val += cx * cy * cz * a.eval(x + 1, y + 1, z + 1)
-                if val:
-                    terms[(i, j, k)] = val
-    return Form(n, 3, terms)
+    return Form(a.n, 3, {b: _trilinear(table, *(cols[k - 1] for k in b))
+                         for b in combinations(range(1, a.n + 1), 3)})
 
 
 def contact_torsion(s: AlmostContact) -> Form:
@@ -301,7 +290,7 @@ def hermitian_torsion(s: AlmostHermitian) -> Form:
         raise NoSkewConnection("nijenhuis-not-skew")
     omega = s.kaehler_form()
     d_omega = d_form(s.model, omega)
-    return -pullback3(d_omega, s.j) + nij.as_form()
+    return -pullback3(d_omega, s.phi) + nij.as_form()
 
 
 def torsion_uniqueness_certificate(s) -> bool:
@@ -324,7 +313,7 @@ def _uniqueness_response(s):
     """The response matrix of `torsion_uniqueness_certificate`, times 2 L, as integers."""
     n = s.model.n
     contact = isinstance(s, AlmostContact)
-    phi = s.phi if contact else s.j
+    phi = s.phi
     eta = s.eta.vector_components() if contact else []
     den = 1
     for x in [x for row in phi for x in row] + eta:
@@ -356,18 +345,9 @@ def _dense_blades(n, degree):
 def structure_parallel_residuals(s, t: Form):
     """Max residuals of nabla g = nabla (eta, xi, phi | J) = 0 under the torsion connection."""
     conn = with_torsion(s.model, t)
-    n = s.model.n
-    phi = s.phi if isinstance(s, AlmostContact) else s.j
-    res = Q(0)
-    for i in range(n):
-        # nabla_i phi as a matrix: [nabla, phi] in coefficients
-        for j in range(n):
-            for k in range(n):
-                val = sum(phi[l][j] * conn.omega[i][l][k] for l in range(n))
-                val -= sum(conn.omega[i][j][l] * phi[k][l] for l in range(n))
-                res = max(res, abs(val))
+    res = max(abs(v) for plane in _nabla_endo(conn, s.phi) for row in plane for v in row)
     if isinstance(s, AlmostContact):
-        for i in range(1, n + 1):
+        for i in range(1, s.n + 1):
             da = nabla_form(conn, i, s.eta)
             res = max(res, max((abs(c) for c in da.terms.values()), default=Q(0)))
     return res
@@ -378,17 +358,8 @@ def structure_parallel_residuals(s, t: Form):
 # ---------------------------------------------------------------------------
 
 def _nabla_phi(s: AlmostContact):
-    lc = levi_civita(s.model)
-    n = s.n
-    phi = s.phi
-    out = [[[Q(0)] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                val = sum(phi[l][j] * lc.omega[i][l][k] for l in range(n))
-                val -= sum(lc.omega[i][j][l] * phi[k][l] for l in range(n))
-                out[i][j][k] = val  # g((nabla_i phi) e_j, e_k)
-    return out
+    """g((nabla^g_i phi) e_j, e_k) as table[i][j][k]."""
+    return _nabla_endo(levi_civita(s.model), s.phi)
 
 
 def contact_general_identities(s: AlmostContact) -> dict:
@@ -396,48 +367,16 @@ def contact_general_identities(s: AlmostContact) -> dict:
     model = s.model
     n = s.n
     lc = levi_civita(model)
-    phi = s.phi
-    cols = _columns(phi)
+    cols = _columns(s.phi)
     eta_vec = s.eta.vector_components()
     xi = s.xi
-    f = s.fundamental_form()
-    df = d_form(model, f)
+    df_t = _table3(d_form(model, s.fundamental_form()))
     de = s.d_eta()
-    nij = nijenhuis(s)
+    nij_t = nijenhuis(s).table
     n2 = n2_tensor(s)
     np_ = _nabla_phi(s)
-    nabla_eta = [[-sum(lc.omega[i][j][l] * eta_vec[l] for l in range(n))
-                  for j in range(n)] for i in range(n)]
+    nabla_eta = [lc.nabla_vector(i, eta_vec) for i in range(1, n + 1)]
     killing = s.killing_matrix()
-
-    def df_eval(u, v, w):
-        """dF on arbitrary coefficient vectors."""
-        val = Q(0)
-        for a in range(n):
-            if not u[a]:
-                continue
-            for b in range(n):
-                if not v[b]:
-                    continue
-                for c in range(n):
-                    if w[c]:
-                        val += u[a] * v[b] * w[c] * df.eval(a + 1, b + 1, c + 1)
-        return val
-
-    basis = [[Q(1) if t == i else Q(0) for t in range(n)] for i in range(n)]
-
-    def nij_vec(u, v, w):
-        val = Q(0)
-        for a in range(n):
-            if not u[a]:
-                continue
-            for b in range(n):
-                if not v[b]:
-                    continue
-                for c in range(n):
-                    if w[c]:
-                        val += u[a] * v[b] * w[c] * nij.table[a][b][c]
-        return val
 
     res = {k: Q(0) for k in ("covariant-derivative-of-phi", "phi-phi-symmetry",
                              "xi-derivative", "nijenhuis-phi-phi",
@@ -446,9 +385,9 @@ def contact_general_identities(s: AlmostContact) -> dict:
         for y in range(n):
             for z in range(n):
                 lhs = 2 * np_[x][y][z]
-                rhs = (df_eval(basis[x], cols[y], cols[z])
-                       - df.eval(x + 1, y + 1, z + 1)
-                       + nij_vec(basis[y], basis[z], cols[x])
+                rhs = (_trilinear(df_t, x, cols[y], cols[z])
+                       - df_t[x][y][z]
+                       + _trilinear(nij_t, y, z, cols[x])
                        + eta_vec[x] * n2[y][z])
                 rhs += eta_vec[z] * sum(cols[y][a] * de.eval(a + 1, x + 1)
                                         for a in range(n))
@@ -463,15 +402,15 @@ def contact_general_identities(s: AlmostContact) -> dict:
                         - eta_vec[z] * sum(nabla_eta[x][a] * cols[y][a] for a in range(n)))
                 res["phi-phi-symmetry"] = max(res["phi-phi-symmetry"], abs(lhs2 - rhs2))
 
-                lhs4 = nij.table[x][y][z]
-                rhs4 = (-nij_vec(cols[x], cols[y], basis[z])
-                        + eta_vec[x] * nij_vec(xi, basis[y], basis[z])
-                        + eta_vec[y] * nij_vec(basis[x], xi, basis[z]))
+                lhs4 = nij_t[x][y][z]
+                rhs4 = (-_trilinear(nij_t, cols[x], cols[y], z)
+                        + eta_vec[x] * _trilinear(nij_t, xi, y, z)
+                        + eta_vec[y] * _trilinear(nij_t, x, xi, z))
                 res["nijenhuis-phi-phi"] = max(res["nijenhuis-phi-phi"], abs(lhs4 - rhs4))
 
-                rhs5 = (-nij_vec(cols[x], basis[y], cols[z])
-                        + eta_vec[z] * nij_vec(xi, basis[x], basis[y])
-                        - eta_vec[x] * nij_vec(xi, cols[y], cols[z]))
+                rhs5 = (-_trilinear(nij_t, cols[x], y, cols[z])
+                        + eta_vec[z] * _trilinear(nij_t, xi, x, y)
+                        - eta_vec[x] * _trilinear(nij_t, xi, cols[y], cols[z]))
                 res["nijenhuis-phi-mixed"] = max(res["nijenhuis-phi-mixed"], abs(lhs4 - rhs5))
 
     for x in range(n):
@@ -489,45 +428,22 @@ def nijenhuis_gradient_identities(s: AlmostContact) -> dict:
     n = s.n
     cols = _columns(s.phi)
     eta_vec = s.eta.vector_components()
-    df = d_form(s.model, s.fundamental_form())
+    df_t = _table3(d_form(s.model, s.fundamental_form()))
     nij = nijenhuis(s)
     np_ = _nabla_phi(s)
     killing = s.killing_matrix()
-    basis = [[Q(1) if t == i else Q(0) for t in range(n)] for i in range(n)]
-
-    def df_eval(u, v, w):
-        val = Q(0)
-        for a in range(n):
-            if u[a]:
-                for b in range(n):
-                    if v[b]:
-                        for c in range(n):
-                            if w[c]:
-                                val += u[a] * v[b] * w[c] * df.eval(a + 1, b + 1, c + 1)
-        return val
-
-    def nij_vec(u, v, w):
-        val = Q(0)
-        for a in range(n):
-            if u[a]:
-                for b in range(n):
-                    if v[b]:
-                        for c in range(n):
-                            if w[c]:
-                                val += u[a] * v[b] * w[c] * nij.table[a][b][c]
-        return val
 
     res = {"df-minus": Q(0), "nijenhuis-from-gradient": Q(0)}
     for x in range(n):
         for y in range(n):
             for z in range(n):
-                dfm = (df_eval(basis[x], cols[y], cols[z])
-                       + df_eval(cols[x], basis[y], cols[z])
-                       + df_eval(cols[x], cols[y], basis[z])
-                       - df.eval(x + 1, y + 1, z + 1))
-                rhs = (-nij_vec(basis[x], basis[y], cols[z])
-                       - nij_vec(basis[y], basis[z], cols[x])
-                       - nij_vec(basis[z], basis[x], cols[y]))
+                dfm = (_trilinear(df_t, x, cols[y], cols[z])
+                       + _trilinear(df_t, cols[x], y, cols[z])
+                       + _trilinear(df_t, cols[x], cols[y], z)
+                       - df_t[x][y][z])
+                rhs = (-_trilinear(nij.table, x, y, cols[z])
+                       - _trilinear(nij.table, y, z, cols[x])
+                       - _trilinear(nij.table, z, x, cols[y]))
                 res["df-minus"] = max(res["df-minus"], abs(dfm - rhs))
 
                 lhs = nij.table[x][y][z]
@@ -556,51 +472,25 @@ def nijenhuis_xi_identities(s: AlmostContact) -> dict:
     cols = _columns(s.phi)
     xi = s.xi
     n2 = n2_tensor(s)
-    f = s.fundamental_form()
-    df = d_form(s.model, f)
+    df_t = _table3(d_form(s.model, s.fundamental_form()))
     de = s.d_eta()
-    lc = levi_civita(s.model)
-
-    def nij_vec(u, v, w):
-        val = Q(0)
-        for a in range(n):
-            if u[a]:
-                for b in range(n):
-                    if v[b]:
-                        for c in range(n):
-                            if w[c]:
-                                val += u[a] * v[b] * w[c] * nij.table[a][b][c]
-        return val
-
-    def df_vec(u, v, w):
-        val = Q(0)
-        for a in range(n):
-            if u[a]:
-                for b in range(n):
-                    if v[b]:
-                        for c in range(n):
-                            if w[c]:
-                                val += u[a] * v[b] * w[c] * df.eval(a + 1, b + 1, c + 1)
-        return val
-
-    basis = [[Q(1) if t == i else Q(0) for t in range(n)] for i in range(n)]
     res = Q(0)
     common = []
     for x in range(n):
         for y in range(n):
             vals = [
-                nij_vec(cols[x], basis[y], xi),
-                nij_vec(basis[x], cols[y], xi),
+                _trilinear(nij.table, cols[x], y, xi),
+                _trilinear(nij.table, x, cols[y], xi),
                 n2[x][y],
-                df_vec(basis[x], basis[y], xi),
-                -df_vec(cols[x], cols[y], xi),
+                _trilinear(df_t, x, y, xi),
+                -_trilinear(df_t, cols[x], cols[y], xi),
             ]
             for v in vals[1:]:
                 res = max(res, abs(v - vals[0]))
             common.append(vals[0])
     # nabla^g_xi xi = xi -| d eta = 0
-    nab_xi = [sum(xi[i] * xi[j] * lc.omega[i][j][k] for i in range(n) for j in range(n))
-              for k in range(n)]
+    killing = s.killing_matrix()
+    nab_xi = [sum(xi[i] * killing[i][k] for i in range(n)) for k in range(n)]
     xi_de = interior(Form.from_vector(n, xi), de)
     res_xi = max([abs(v) for v in nab_xi] + [abs(c) for c in xi_de.terms.values()] or [Q(0)])
     return {"chain-residual": res, "reeb-geodesic": res_xi,
@@ -622,8 +512,7 @@ def ricci_form_package(s, t: Form):
     """
     model = s.model
     n = model.n
-    phi = s.phi if isinstance(s, AlmostContact) else s.j
-    cols = _columns(phi)
+    cols = _columns(s.phi)
     conn = with_torsion(model, t)
     table = curvature(conn)
     dt = d_form(model, t)
@@ -674,14 +563,12 @@ def holonomy_reduction_residual(s, t: Form):
     """
     model = s.model
     n = model.n
-    phi = s.phi if isinstance(s, AlmostContact) else s.j
-    cols = _columns(phi)
+    cols = _columns(s.phi)
     conn = with_torsion(model, t)
     table = curvature(conn)
     rho, one_form, lam = ricci_form_package(s, t)
-    # invariant one-form: (nabla_i w)(e_j) = -sum_k omega_ijk w_k
-    nabla_w = [[-sum(conn.omega[i][j][k] * one_form[k] for k in range(n))
-                for j in range(n)] for i in range(n)]
+    # invariant one-form: (nabla_i w)(e_j) = sum_k w_k omega_ikj
+    nabla_w = [conn.nabla_vector(i, one_form) for i in range(1, n + 1)]
     res = Q(0)
     for x in range(n):
         for y in range(n):
@@ -713,8 +600,7 @@ def sasakian_ricci_package(s: AlmostContact) -> dict:
     out["lambda-is-16(1-k)F"] = all(
         lam[x][y] == 16 * (1 - k) * f.eval(x + 1, y + 1)
         for x in range(n) for y in range(n))
-    nabla_w = [[-sum(conn.omega[i][j][kk] * one_form[kk] for kk in range(n))
-                for j in range(n)] for i in range(n)]
+    nabla_w = [conn.nabla_vector(i, one_form) for i in range(1, n + 1)]
     out["one-form-parallel"] = all(not nabla_w[i][j] for i in range(n) for j in range(n))
     eta_vec = s.eta.vector_components()
     ttc = tt_contraction(t)

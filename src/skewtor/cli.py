@@ -7,8 +7,8 @@ import json
 import sys
 from fractions import Fraction
 
-from . import acskit, clifford, g2
-from .errors import FormParseError, NoSkewConnection, SkewtorError
+from . import clifford, g2
+from .errors import NoSkewConnection, SkewtorError
 from .formexpr import parse_form, parse_homogeneous, render_form
 from .liegeom import curvature, with_torsion
 from .modelfile import entry_to_dict, find_model
@@ -80,24 +80,10 @@ def cmd_verify(args):
     return 0 if report.ok else 1
 
 
-def _structure_torsion(entry):
-    kind = entry.structure["kind"]
-    if kind == "g2":
-        return g2.torsion_form(g2.G2Structure(entry.model))
-    if kind == "contact":
-        s = acskit.AlmostContact(entry.model, entry.structure["xi"],
-                                 entry.structure["eta"], entry.structure["phi"])
-        return acskit.contact_torsion(s)
-    if kind == "hermitian":
-        s = acskit.AlmostHermitian(entry.model, entry.structure["J"])
-        return acskit.hermitian_torsion(s)
-    raise SkewtorError(f"model '{entry.name}' carries no structure")
-
-
 def cmd_torsion(args):
     entry = find_model(args.model)
     try:
-        t = _structure_torsion(entry)
+        t = entry.characteristic_torsion()
     except NoSkewConnection as err:
         return _fail(f"no compatible connection with skew torsion ({err.reason})", 1)
     print(f"T = {render_form(t)}")
@@ -107,7 +93,7 @@ def cmd_torsion(args):
 def cmd_ricci(args):
     entry = find_model(args.model)
     try:
-        t = _structure_torsion(entry)
+        t = entry.characteristic_torsion()
     except NoSkewConnection as err:
         return _fail(f"no compatible connection with skew torsion ({err.reason})", 1)
     table = curvature(with_torsion(entry.model, t))
@@ -202,8 +188,6 @@ def main(argv=None):
                 "decompose": cmd_decompose, "spin-eig": cmd_spin_eig}
     try:
         return handlers[args.command](args)
-    except FormParseError as err:
-        return _fail(str(err))
     except SkewtorError as err:
         return _fail(str(err))
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 from .errors import DegreeError, DimensionMismatch
 from .forms import Form
 from .linalg import (CQ, charpoly, is_hermitian, mat_identity, mat_mul,
-                     mat_vec, nullspace, rational_roots)
+                     mat_vec, nullspace, rational_roots, solve)
 
 Q = Fraction
 
@@ -45,12 +45,16 @@ class GammaRep:
         self.gammas = gammas
         self.dim = len(gammas[0])
 
-    def volume_scalar(self):
-        """The scalar by which Gamma_1...Gamma_n acts (odd n only)."""
+    def volume(self):
+        """The matrix of the volume element Gamma_1...Gamma_n."""
         vol = self.gammas[0]
         for g in self.gammas[1:]:
             vol = mat_mul(vol, g)
-        return vol[0][0]
+        return vol
+
+    def volume_scalar(self):
+        """The scalar by which the volume element acts (odd n only)."""
+        return self.volume()[0][0]
 
 
 @lru_cache(maxsize=None)
@@ -211,28 +215,18 @@ def spin_endo_5d(t: Form, x: Form):
 def restrict(matrix, basis):
     """Matrix of an endomorphism restricted to an invariant subspace basis."""
     size = len(basis)
-    images = [mat_vec(matrix, v) for v in basis]
-    cols = [[basis[j][i] for j in range(size)] for i in range(len(basis[0]))]
-    sols = _solve_in_span(basis, images)
-    return [[sols[j][i] for j in range(size)] for i in range(size)]
-
-
-def _solve_in_span(basis, images):
-    from .linalg import solve
-    matrix = [[basis[j][i] for j in range(len(basis))] for i in range(len(basis[0]))]
-    sols = solve(matrix, images)
+    span = [[basis[j][i] for j in range(size)] for i in range(len(basis[0]))]
+    sols = solve(span, [mat_vec(matrix, v) for v in basis])
     if any(s is None for s in sols):
         raise ValueError("subspace is not invariant")
-    return sols
+    return [[sols[j][i] for j in range(size)] for i in range(size)]
 
 
 def half_spinor_bases(rep: GammaRep):
     """Eigenbases of the volume element on an even-dimensional module (+i, -i)."""
     if rep.n % 2:
         raise DimensionMismatch("half modules exist in even dimensions")
-    vol = rep.gammas[0]
-    for g in rep.gammas[1:]:
-        vol = mat_mul(vol, g)
+    vol = rep.volume()
     plus, minus = [], []
     size = rep.dim
     for lam, bucket in ((CQ(0, 1), plus), (CQ(0, -1), minus)):

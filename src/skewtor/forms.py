@@ -306,29 +306,34 @@ def sigma_t_quadratic(t: Form) -> Form:
     return Form(n, 4, terms)
 
 
+def derivation(a: Form, image_degree: int, image) -> Form:
+    """Extend a map e^m -> image(m) on the coframe to `a` as a graded derivation.
+
+    Sums (-1)^pos image(m) ^ rest over the blades of `a`, where m sits at
+    position pos and rest is the blade without it.  The sign is right both for
+    1-form images (a derivation) and for 2-form images (an antiderivation such
+    as d), because an even image commutes with every factor it passes.
+    """
+    out = Form(a.n, a.degree + image_degree - 1)
+    for blade, coeff in a.terms.items():
+        for pos, m in enumerate(blade):
+            rest = Form(a.n, a.degree - 1, {blade[:pos] + blade[pos + 1:]:
+                                            -coeff if pos % 2 else coeff})
+            out = out + wedge(image(m), rest)
+    return out
+
+
 def so_action(alpha: Form, a: Form) -> Form:
     """Derivation action of a 2-form (an so(n) element) on a form.
 
-    On the coframe, e^m maps to sum_k alpha(e_m, e_k) e^k; the sign is pinned
-    so that the canonical dimension-7 identity rho(Z -| w3)(w3) = -3 (Z -| *w3)
-    holds (enforced by the test suite).
+    On the coframe, e^m maps to e_m -| alpha = sum_k alpha(e_m, e_k) e^k; the
+    sign is pinned so that the canonical dimension-7 identity
+    rho(Z -| w3)(w3) = -3 (Z -| *w3) holds (enforced by the test suite).
     """
     alpha._check_same_space(a)
     if alpha.degree != 2:
         raise DegreeError("so(n) elements are 2-forms")
-    n = a.n
-    out = Form(n, a.degree)
-    for blade, coeff in a.terms.items():
-        for pos, m in enumerate(blade):
-            sign = Q(-1) ** pos
-            rest = blade[:pos] + blade[pos + 1:]
-            repl = Form(n, 1, {(k,): alpha.eval(m, k) for k in range(1, n + 1)
-                               if alpha.eval(m, k)})
-            piece = repl.scale(sign * coeff)
-            for k in rest:
-                piece = wedge(piece, Form.basis_vector(n, k))
-            out = out + piece
-    return out
+    return derivation(a, 1, lambda m: contract(alpha, m))
 
 
 def all_blades(n: int, degree: int):

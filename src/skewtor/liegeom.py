@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .clifford import GammaRep, act_form, common_kernel
 from .errors import DegreeError, DimensionMismatch, StructureError
-from .forms import Form, contract, sigma_t, wedge
+from .forms import Form, contract, derivation, sigma_t, wedge
 from .linalg import (CQ, mat_add, mat_identity, mat_mul, mat_scale, mat_sub,
                      mat_vec)
 
@@ -53,19 +53,7 @@ def d_form(model: LieModel, a: Form) -> Form:
     """Chevalley-Eilenberg differential of an invariant form."""
     if a.n != model.n:
         raise DimensionMismatch("form does not live on this model")
-    n = model.n
-    out = Form(n, a.degree + 1)
-    for blade, coeff in a.terms.items():
-        for pos, i in enumerate(blade):
-            sign = Q(-1) ** pos
-            rest = blade[:pos] + blade[pos + 1:]
-            piece = model.d_coframe[i - 1].scale(sign * coeff)
-            for k in rest:
-                piece = wedge(piece, Form.basis_vector(n, k))
-            # wedge the d(e_i) factor back into its original slot: the sign
-            # bookkeeping above moved it to the front already
-            out = out + piece
-    return out
+    return derivation(a, 2, lambda i: model.d_coframe[i - 1])
 
 
 class ConnectionData:
@@ -129,21 +117,9 @@ def with_torsion(model: LieModel, t: Form) -> ConnectionData:
 
 def nabla_form(conn: ConnectionData, i: int, a: Form) -> Form:
     """Covariant derivative nabla_{e_i} of an invariant form."""
-    n = conn.model.n
-    out = Form(n, a.degree)
-    for blade, coeff in a.terms.items():
-        for pos, j in enumerate(blade):
-            sign = Q(-1) ** pos
-            rest = blade[:pos] + blade[pos + 1:]
-            # nabla_{e_i} e^j = sum_k omega_ijk e^k
-            repl = Form(n, 1, {(k,): conn.omega[i - 1][j - 1][k - 1]
-                               for k in range(1, n + 1)
-                               if conn.omega[i - 1][j - 1][k - 1]})
-            piece = repl.scale(sign * coeff)
-            for k in rest:
-                piece = wedge(piece, Form.basis_vector(n, k))
-            out = out + piece
-    return out
+    # nabla_{e_i} e^j = sum_k omega_ijk e^k
+    omega = conn.omega[i - 1]
+    return derivation(a, 1, lambda j: Form.from_vector(conn.model.n, omega[j - 1]))
 
 
 def d_via_connection(model: LieModel, a: Form) -> Form:

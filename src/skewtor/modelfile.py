@@ -73,30 +73,24 @@ def entry_from_dict(doc: dict) -> ModelEntry:
                      "phi": matrix_from_rows(s["phi"])}
     elif kind == "hermitian":
         structure = {"kind": "hermitian", "J": matrix_from_rows(s["J"])}
-    else:
+    elif kind == "none":
         structure = {"kind": "none"}
+    else:
+        raise SkewtorError(f"field structure.kind: unknown kind {kind!r} "
+                           f"(have: g2, contact, hermitian, none)")
     entry = ModelEntry(model, structure, notes=doc.get("notes", ""))
-    _validate_structure(entry)
+    if kind != "none":
+        entry.structure_object()  # enforces the structure's invariants at load
     return entry
-
-
-def _validate_structure(entry: ModelEntry):
-    """Construct the structure object once so its invariants are enforced at load."""
-    s = entry.structure
-    if s["kind"] == "g2":
-        from .g2 import G2Structure
-        G2Structure(entry.model, s["omega3"])
-    elif s["kind"] == "contact":
-        from .acskit import AlmostContact
-        AlmostContact(entry.model, s["xi"], s["eta"], s["phi"])
-    elif s["kind"] == "hermitian":
-        from .acskit import AlmostHermitian
-        AlmostHermitian(entry.model, s["J"])
 
 
 def load_file(path: str) -> ModelEntry:
     with open(path, "r", encoding="utf-8") as fh:
-        return entry_from_dict(json.load(fh))
+        doc = json.load(fh)
+    try:
+        return entry_from_dict(doc)
+    except SkewtorError as err:
+        raise SkewtorError(f"{path}: {err}") from err
 
 
 def search_paths():

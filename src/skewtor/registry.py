@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import SkewtorError
 from .forms import Form
 from .liegeom import LieModel
 
@@ -64,6 +65,31 @@ class ModelEntry:
     @property
     def name(self):
         return self.model.name
+
+    def structure_object(self):
+        """The registered structure, built (and its invariants checked) from its data."""
+        from . import acskit, g2
+        s = self.structure
+        if s["kind"] == "g2":
+            return g2.G2Structure(self.model, s["omega3"])
+        if s["kind"] == "contact":
+            return acskit.AlmostContact(self.model, s["xi"], s["eta"], s["phi"])
+        if s["kind"] == "hermitian":
+            return acskit.AlmostHermitian(self.model, s["J"])
+        raise SkewtorError(f"model '{self.name}' carries no structure")
+
+    def characteristic_torsion(self) -> Form:
+        """Torsion of the structure's unique connection with totally skew torsion.
+
+        Raises NoSkewConnection when the structure admits none.
+        """
+        from . import acskit, g2
+        s = self.structure_object()
+        if isinstance(s, g2.G2Structure):
+            return g2.torsion_form(s)
+        if isinstance(s, acskit.AlmostContact):
+            return acskit.contact_torsion(s)
+        return acskit.hermitian_torsion(s)
 
 
 def _forms(n, term_dicts):

@@ -21,7 +21,8 @@ from .liegeom import (codiff, curvature, curvature_identity_residuals, d_form,
                       dirac_torsion_anticommutator_residual, levi_civita,
                       nabla_form, parallel_spinor_field_equations,
                       parallel_spinors, tt_contraction, with_torsion)
-from .linalg import int_array, int_matmul, mat_eq_zero, mat_vec
+from .linalg import (CQ, int_array, int_matmul, mat_add, mat_eq_zero, mat_mul,
+                     mat_vec, nullspace)
 from .registry import canonical_omega3, registry
 from .reporting import Report, check, merge, skip
 
@@ -31,38 +32,14 @@ SUITES = ("exterior", "clifford", "section2", "slformula", "g2",
           "equivariant", "contact", "hermitian", "examples")
 
 
-def contact_structure(name):
-    e = registry()[name]
-    s = e.structure
-    return acskit.AlmostContact(e.model, s["xi"], s["eta"], s["phi"])
-
-def hermitian_structure(name):
-    e = registry()[name]
-    return acskit.AlmostHermitian(e.model, e.structure["J"])
-
-def g2_structure(name):
-    return g2.G2Structure(registry()[name].model)
-
-
-def characteristic_torsion(name):
-    """The model's characteristic torsion under its registered structure."""
-    e = registry()[name]
-    kind = e.structure["kind"]
-    if kind == "g2":
-        return g2.torsion_form(g2_structure(name))
-    if kind == "contact":
-        return acskit.contact_torsion(contact_structure(name))
-    if kind == "hermitian":
-        return acskit.hermitian_torsion(hermitian_structure(name))
-    raise NoSkewConnection("no-structure")
-
-
 def admissible_models():
     """(name, torsion) for every registered model whose structure admits one."""
     out = []
-    for name in sorted(registry()):
+    for name, entry in sorted(registry().items()):
+        if entry.structure["kind"] == "none":
+            continue
         try:
-            out.append((name, characteristic_torsion(name)))
+            out.append((name, entry.characteristic_torsion()))
         except NoSkewConnection:
             continue
     return out
@@ -142,7 +119,6 @@ def suite_clifford() -> Report:
         rep = clifford.build_rep(n)
         for i in range(n):
             for j in range(i, n):
-                from .linalg import mat_mul, mat_add
                 anti = mat_add(mat_mul(rep.gammas[i], rep.gammas[j]),
                                mat_mul(rep.gammas[j], rep.gammas[i]))
                 want = -2 if i == j else 0
@@ -209,20 +185,15 @@ def suite_clifford() -> Report:
                         clifford.kernel_conditions_5d(t0, x_plus, "minus")
                         and not clifford.kernel_conditions_5d(t0, x_minus, "minus"),
                         provenance="stated"))
-    plus, minus = clifford.half_spinor_bases(clifford.build_rep(6))
-    endo = clifford.act_form(clifford.build_rep(6),
-                             [Form.blade(6, 1, 2, 3, 4) + Form.blade(6, 1, 2, 5, 6)
-                              + Form.blade(6, 3, 4, 5, 6), Form.scalar(6, 3)])
-    ok_half = all(clifford.eigen_report(clifford.restrict(endo, basis)).multiset()
-                  == [Q(0), Q(4), Q(4), Q(4)] for basis in (plus, minus))
+    plus, minus = acskit.half_module_endomorphism_spectrum(1)
     checks.append(check("clifford.half-module-spectrum", "Lemma 10.7",
-                        ok_half, expected="(0, 4, 4, 4) per half module",
+                        plus == [Q(0), Q(4), Q(4), Q(4)] == minus,
+                        expected="(0, 4, 4, 4) per half module",
                         provenance="stated"))
     return Report("clifford", checks)
 
 
 def _minus7_spinor(rep7):
-    from .linalg import nullspace, CQ
     act = clifford.act_form(rep7, canonical_omega3())
     shifted = [[act[i][j] + (CQ(7) if i == j else CQ(0)) for j in range(8)]
                for i in range(8)]
@@ -305,7 +276,7 @@ def suite_g2() -> Report:
     g2_names = [name for name in sorted(registry())
                 if registry()[name].structure["kind"] == "g2"]
     for name in g2_names:
-        s = g2_structure(name)
+        s = registry()[name].structure_object()
         cls = g2.classify(s)
         checks.append(check(f"g2.{name}.classify", "type components",
                             cls.admits_connection()
@@ -385,9 +356,9 @@ def suite_equivariant() -> Report:
                         provenance="stated"))
     checks.append(check("equivariant.traceless-image", "Cor 4.5(1) 27-part",
                         rc["traceless-image-contained"], provenance="stated"))
+    sigma0 = equivar.sigma0_constant()
     checks.append(check("equivariant.sigma0-constant", "Prop 4.6",
-                        equivar.sigma0_constant() == Q(2, 3),
-                        value=equivar.sigma0_constant(), expected="2/3",
+                        sigma0 == Q(2, 3), value=sigma0, expected="2/3",
                         provenance="stated"))
     checks.append(check("equivariant.sigma-solution", "closed-form connection map",
                         equivar.sigma_solution_identity(), provenance="stated"))
@@ -438,7 +409,7 @@ def suite_contact() -> Report:
     contact_names = [name for name in sorted(registry())
                      if registry()[name].structure["kind"] == "contact"]
     for name in contact_names:
-        s = contact_structure(name)
+        s = registry()[name].structure_object()
         gi = acskit.contact_general_identities(s)
         checks.append(check(f"contact.{name}.general-identities",
                             "pre-existence identities",
@@ -511,7 +482,7 @@ def suite_contact() -> Report:
             checks.append(check(f"contact.{name}.normal-torsion", "Thm 8.4(2)",
                                 t == want, expected="T = eta ^ d eta + d^phi F",
                                 provenance="stated"))
-    s5 = contact_structure("heis5")
+    s5 = registry()["heis5"].structure_object()
     t5 = acskit.contact_torsion(s5)
     conn5 = with_torsion(s5.model, t5)
     table = curvature(conn5)
@@ -540,7 +511,7 @@ def suite_hermitian() -> Report:
     for name in sorted(registry()):
         if registry()[name].structure["kind"] != "hermitian":
             continue
-        h = hermitian_structure(name)
+        h = registry()[name].structure_object()
         nij = acskit.nijenhuis(h)
         try:
             t = acskit.hermitian_torsion(h)
@@ -597,8 +568,7 @@ def suite_examples() -> Report:
     checks.append(check("examples.heis7.dw3", "worked example tables",
                         dw3 == e(1, 2, 3, 4) + e(2, 4, 6, 7) + e(1, 2, 5, 6)
                         - e(2, 3, 5, 7), value=dw3, provenance="stated"))
-    s7 = g2_structure("heis7")
-    t7 = g2.torsion_form(s7)
+    t7 = registry()["heis7"].characteristic_torsion()
     t_expected = -(e(5, 6, 7) - e(1, 3, 5) + e(3, 4, 7) + e(1, 4, 6))
     checks.append(check("examples.heis7.torsion", "worked example tables",
                         t7 == t_expected, value=t7, provenance="stated"))
@@ -668,8 +638,7 @@ def suite_examples() -> Report:
     checks.append(check("examples.solv7.dw3", "worked example tables",
                         dw3s == e(1, 3, 4, 7, c=2) - e(1, 5, 6, 7, c=2),
                         value=dw3s, provenance="stated"))
-    s7b = g2_structure("solv7")
-    t7b = g2.torsion_form(s7b)
+    t7b = registry()["solv7"].characteristic_torsion()
     checks.append(check("examples.solv7.torsion", "worked example tables",
                         t7b == e(2, 5, 6, c=2) - e(2, 3, 4, c=2),
                         value=t7b, expected="2 e2^e5^e6 - 2 e2^e3^e4",
@@ -714,15 +683,14 @@ def suite_examples() -> Report:
     checks.append(skip("examples.solv7.harmonic-bound", "Cor 6.6",
                        "compact quotient estimate"))
 
-    s5 = contact_structure("heis5")
-    t5 = acskit.contact_torsion(s5)
+    t5 = registry()["heis5"].characteristic_torsion()
     rep5 = clifford.build_rep(5)
     spec5 = clifford.eigen_report(clifford.act_form(rep5, t5))
     checks.append(check("examples.heis5.spinor-spectrum", "contact eigenvalues",
                         spec5.multiset() == [Q(-4), Q(0), Q(0), Q(4)],
                         value=spec5.as_pairs(), expected="(-4,0,0,4)",
                         provenance="stated"))
-    conn5 = with_torsion(s5.model, t5)
+    conn5 = with_torsion(registry()["heis5"].model, t5)
     basis5 = parallel_spinors(conn5, rep5)
     checks.append(check("examples.heis5.parallel-spinors",
                         "Example 7.7 kernel-type spinors",

@@ -31,7 +31,7 @@ def _line(num, text):
 
 
 def _g2_torsion(name):
-    return g2.torsion_form(g2.G2Structure(registry()[name].model))
+    return registry()[name].characteristic_torsion()
 
 
 def test_c01_heis7_tables():

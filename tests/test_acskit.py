@@ -21,14 +21,15 @@ from skewtor.registry import registry, standard_phi_matrix
 
 
 def contact(name):
-    e = registry()[name]
-    return AlmostContact(e.model, e.structure["xi"], e.structure["eta"],
-                         e.structure["phi"])
+    s = registry()[name].structure_object()
+    assert isinstance(s, AlmostContact)
+    return s
 
 
 def hermitian(name):
-    e = registry()[name]
-    return AlmostHermitian(e.model, e.structure["J"])
+    s = registry()[name].structure_object()
+    assert isinstance(s, AlmostHermitian)
+    return s
 
 
 def test_structure_invariants_enforced():
@@ -126,7 +127,7 @@ def test_torsion_uniqueness_certificates():
 def _response_by_loops(s):
     """Reference response matrix: the per-entry Fraction loops over dT = e_b."""
     n = s.model.n
-    phi = s.phi if isinstance(s, AlmostContact) else s.j
+    phi = s.phi
     eta = s.eta.vector_components() if isinstance(s, AlmostContact) else None
     columns = []
     for b in combinations(range(1, n + 1), 3):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -164,3 +165,36 @@ def test_out_of_scope_statements_are_skip_listed(all_report):
     for anchor in ("Thm 3.4", "Thm 5.3", "Thm 5.6", "Thm 10.8",
                    "Cor 6.3", "Cor 6.6"):
         assert anchor in skips, anchor
+
+
+def test_verify_all_json_is_byte_identical(all_report):
+    # the SHA-256 of `skewtor verify all --json`; a change to any check id,
+    # status or value string changes it
+    digest = hashlib.sha256((all_report.to_json() + "\n").encode()).hexdigest()
+    assert digest == "05bf1ab9a788902e2ff9207d31b634d209d1b2be7179990819cbf039314b427f"
+
+
+def _write_model(tmp_path, monkeypatch, name, structure):
+    doc = entry_to_dict(registry()["abelian5"])
+    doc["name"] = name
+    doc["structure"] = structure
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setenv("SKEWTOR_MODEL_PATH", str(tmp_path))
+    return path
+
+
+def test_cli_unknown_structure_kind_is_an_input_error(tmp_path, monkeypatch, capsys):
+    path = _write_model(tmp_path, monkeypatch, "fruit5", {"kind": "banana"})
+    assert main(["models", "show", "fruit5"]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "structure.kind" in err and "banana" in err
+
+
+def test_cli_structureless_model_has_no_torsion(tmp_path, monkeypatch, capsys):
+    _write_model(tmp_path, monkeypatch, "bare5", {"kind": "none"})
+    assert main(["models", "show", "bare5"]) == 0
+    assert json.loads(capsys.readouterr().out)["structure"] == {"kind": "none"}
+    for command in ("torsion", "ricci"):
+        assert main([command, "bare5"]) == 2
+        assert "carries no structure" in capsys.readouterr().err

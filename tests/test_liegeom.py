@@ -75,6 +75,7 @@ def test_d_is_an_antiderivation(heis7, solv7, heis5):
     rng = random.Random(31)
     for model in (heis7, solv7, heis5):
         n = model.n
+        conn = with_torsion(model, random_form(n, 3, rng, span=3))
         for p_deg in (1, 2):
             for q_deg in (1, 2):
                 a = random_form(n, p_deg, rng, span=3)
@@ -83,6 +84,10 @@ def test_d_is_an_antiderivation(heis7, solv7, heis5):
                 rhs = wedge(d_form(model, a), b) \
                     + wedge(a, d_form(model, b)).scale(Q(-1) ** p_deg)
                 assert lhs == rhs
+                # nabla_{e_i} under a torsion connection is an even derivation
+                for i in range(1, n + 1):
+                    assert nabla_form(conn, i, wedge(a, b)) == \
+                        wedge(nabla_form(conn, i, a), b) + wedge(a, nabla_form(conn, i, b))
 
 
 def test_codiff_examples(heis7, solv7, heis5):
