@@ -10,6 +10,7 @@ for the nearly-parallel and Ricci-flat special cases.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DegreeError, NoSkewConnection, StructureError
 from .forms import (Form, all_blades, contract, hodge, inner, interior,
@@ -35,6 +36,11 @@ class G2Structure:
             # v1 accepts structures only in an adapted frame
             raise StructureError("3-form must be the canonical one in this frame")
         self.star_omega3 = hodge(self.omega3)
+
+    @cached_property
+    def torsion_class(self) -> "TorsionClass":
+        """The intrinsic-derivative components, classified once per structure."""
+        return classify(self)
 
 
 def project2(a: Form, omega3: Form | None = None):
@@ -141,7 +147,7 @@ def torsion_form(s: G2Structure) -> Form:
     T = (1/6)(d w3, *w3) w3 - *d w3 + *(beta ^ w3); raises NoSkewConnection
     when the 2-form obstruction component is present.
     """
-    cls = classify(s)
+    cls = s.torsion_class
     if not cls.admits_connection():
         raise NoSkewConnection("two-form-component",
                                "the structure has a 2-form-type derivative component")
@@ -178,7 +184,7 @@ def ricci_via_dt(s: G2Structure, t: Form):
 
 def torsion_component_identity(s: G2Structure) -> bool:
     """T = -(lambda/6) w3 - gamma27 - (1/4)(beta -| *w3) as an exact identity."""
-    cls = classify(s)
+    cls = s.torsion_class
     t = torsion_form(s)
     beta_form = Form.from_vector(7, cls.beta)
     rhs = (s.omega3.scale(-cls.lam / 6) - cls.gamma27
@@ -188,7 +194,7 @@ def torsion_component_identity(s: G2Structure) -> bool:
 
 def dw3_decomposition_identity(s: G2Structure) -> bool:
     """d w3 = -lambda (*w3) + *gamma27 + (3/4)(beta ^ w3) on the model."""
-    cls = classify(s)
+    cls = s.torsion_class
     beta_form = Form.from_vector(7, cls.beta)
     lhs = d_form(s.model, s.omega3)
     rhs = (s.star_omega3.scale(-cls.lam) + hodge(cls.gamma27)
@@ -198,7 +204,7 @@ def dw3_decomposition_identity(s: G2Structure) -> bool:
 
 def codiff_identity(s: G2Structure) -> bool:
     """delta(w3) = -(beta -| w3)."""
-    cls = classify(s)
+    cls = s.torsion_class
     beta_form = Form.from_vector(7, cls.beta)
     return codiff(s.model, s.omega3) == -interior(beta_form, s.omega3)
 
@@ -367,7 +373,7 @@ def ricci_flat_conditions(s: G2Structure, t: Form) -> dict:
     coclosed class they must all hold or all fail together.
     """
     model = s.model
-    cls = classify(s)
+    cls = s.torsion_class
     if any(cls.beta):
         raise StructureError("conditions stated for coclosed structures only")
     conn = with_torsion(model, t)

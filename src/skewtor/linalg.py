@@ -1,20 +1,183 @@
 """Exact linear algebra: rationals, Gaussian rationals, and certified big-matrix ranks.
 
-Small systems (spinor modules, curvature tables) run a straightforward
-fraction-free/field elimination.  The large representation-theoretic matrices
-(up to 196 x 196) use integer arithmetic plus a mod-p elimination whose result
-is promoted to an exact statement by a separate certificate, never trusted on
-its own.
+Invariant tensors (structure constants, connection coefficients, curvature,
+the tensors of forms) are exact dense `Tensor`s, and every identity over them
+is one einsum contraction.  Small systems (spinor modules) run a
+straightforward fraction-free/field elimination.  The large
+representation-theoretic matrices (up to 196 x 196) use integer arithmetic
+plus a mod-p elimination whose result is promoted to an exact statement by a
+separate certificate, never trusted on its own.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from itertools import combinations, permutations
+from math import gcd, lcm, prod
 
 import numpy as np
 
+from .errors import DegreeError, DimensionMismatch
+from .forms import Form
+
 Q = Fraction
+
+
+# ---------------------------------------------------------------------------
+# exact dense tensors
+# ---------------------------------------------------------------------------
+
+class Tensor:
+    """Exact dense tensor: an object array of Python-int numerators over one denominator.
+
+    The pair is kept reduced (denominator positive and coprime to the
+    numerators as a whole), so equal tensors have equal numerators and
+    denominators.  A Tensor is never changed after it is built.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=1):
+        num = np.asarray(num, dtype=object)
+        g = gcd(den, *num.flat)
+        if g != 1:
+            num, den = np.asarray(num // g, dtype=object), den // g
+        self.num = num
+        self.den = den
+
+    @staticmethod
+    def of(values) -> "Tensor":
+        """Tensor of nested lists (or an array) of rationals; a Tensor is returned as is."""
+        if isinstance(values, Tensor):
+            return values
+        arr = np.asarray(values, dtype=object)
+        entries = [Q(x) for x in arr.flat]
+        den = lcm(1, *(x.denominator for x in entries))
+        nums = [x.numerator * (den // x.denominator) for x in entries]
+        return Tensor(np.array(nums, dtype=object).reshape(arr.shape), den)
+
+    @staticmethod
+    def identity(n: int) -> "Tensor":
+        return Tensor(np.eye(n, dtype=object))
+
+    @staticmethod
+    def of_form(form: Form) -> "Tensor":
+        """The tensor a(e_i1, .., e_ip) of a form, indexed from 0."""
+        stacked = Tensor.of_forms([form])
+        return Tensor(stacked.num[0], stacked.den)
+
+    @staticmethod
+    def of_forms(forms) -> "Tensor":
+        """Tensors of forms of one degree, stacked on a leading axis: [k, i1, .., ip]."""
+        n, degree = forms[0].n, forms[0].degree
+        if any(f.n != n for f in forms):
+            raise DimensionMismatch("forms of different dimension")
+        if any(f.degree != degree for f in forms):
+            raise DegreeError("forms of different degree")
+        signed, _, blades = _blade_layout(n, degree)
+        index = {b: c for c, b in enumerate(blades)}
+        den = lcm(1, *(x.denominator for f in forms for x in f.terms.values()))
+        rows = []
+        for f in forms:
+            row = [0] * len(blades)
+            for blade, x in f.terms.items():
+                row[index[blade]] = x.numerator * (den // x.denominator)
+            rows.append(row + [-x for x in row] + [0])
+        num = np.array(rows, dtype=object)[:, signed]
+        return Tensor(num.reshape((len(forms),) + (n,) * degree), den)
+
+    def to_form(self) -> Form:
+        """The form with this tensor's entries on ascending indices (for a skew tensor)."""
+        n, degree = len(self.num), self.num.ndim
+        _, ascending, blades = _blade_layout(n, degree)
+        flat = self.num.reshape(-1)
+        return Form(n, degree, {b: Q(flat[p], self.den)
+                                for b, p in zip(blades, ascending) if flat[p]})
+
+    @staticmethod
+    def einsum(spec: str, *operands: "Tensor") -> "Tensor":
+        """Exact contraction of tensors, written as for numpy.einsum."""
+        num = np.einsum(spec, *(t.num for t in operands), optimize=True)
+        return Tensor(num, prod(t.den for t in operands))
+
+    def __add__(self, other: "Tensor") -> "Tensor":
+        den = lcm(self.den, other.den)
+        return Tensor(self.num * (den // self.den) + other.num * (den // other.den), den)
+
+    def __sub__(self, other: "Tensor") -> "Tensor":
+        return self + (-other)
+
+    def __neg__(self) -> "Tensor":
+        return Tensor(-self.num, self.den)
+
+    def __mul__(self, factor) -> "Tensor":
+        """Scaling by a rational number."""
+        f = Q(factor)
+        return Tensor(self.num * f.numerator, self.den * f.denominator)
+
+    def __eq__(self, other):
+        """Exact equality with a Tensor or with nested lists of rationals."""
+        if isinstance(other, (list, tuple)):
+            other = Tensor.of(other)
+        if not isinstance(other, Tensor):
+            return NotImplemented
+        return (self.den == other.den and self.num.shape == other.num.shape
+                and bool((self.num == other.num).all()))
+
+    __hash__ = None
+
+    def is_zero(self) -> bool:
+        return not any(self.num.flat)
+
+    def max_abs(self) -> Fraction:
+        return Q(max(map(abs, self.num.flat), default=0), self.den)
+
+    def __getitem__(self, index):
+        """A Fraction for a full index, else the sub-tensor."""
+        part = self.num[index]
+        return Tensor(part, self.den) if isinstance(part, np.ndarray) else Q(part, self.den)
+
+    def __len__(self):
+        return len(self.num)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __repr__(self):
+        return f"Tensor(shape {self.num.shape}, denominator {self.den})"
+
+
+def blade_tensors(n, degree):
+    """Stacked dense int64 tensors of the unit blades: sign(perm) at each permuted index."""
+    blades = list(combinations(range(n), degree))
+    out = np.zeros((len(blades),) + (n,) * degree, dtype=np.int64)
+    for perm in permutations(range(degree)):
+        sign = -1 if sum(perm[i] > perm[j] for i in range(degree)
+                         for j in range(i + 1, degree)) % 2 else 1
+        for c, blade in enumerate(blades):
+            out[(c,) + tuple(blade[k] for k in perm)] = sign
+    return out
+
+
+@lru_cache(maxsize=None)
+def _blade_layout(n, degree):
+    """Where the unit blades of a degree sit in a flattened dense tensor.
+
+    Returns (signed, ascending, blades): the blade tensors read as a gather
+    index, which is c where blade c has sign +1, C + c where it has sign -1
+    and 2 C where no blade is (C blades in all); the flat position of each
+    blade's ascending index; and the 1-based blades in order.
+    """
+    tensors = blade_tensors(n, degree).reshape(-1, n ** degree)
+    count = len(tensors)
+    c, pos = np.nonzero(tensors)
+    signed = np.full(n ** degree, 2 * count)
+    signed[pos] = np.where(tensors[c, pos] > 0, c, count + c)
+    blades = list(combinations(range(n), degree))
+    ascending = tuple(sum(i * n ** (degree - 1 - k) for k, i in enumerate(b)) for b in blades)
+    signed.flags.writeable = False
+    return signed, ascending, tuple(tuple(i + 1 for i in b) for b in blades)
 
 
 class CQ:

@@ -29,7 +29,9 @@ def matrix_to_rows(m):
     return [[str(x) for x in row] for row in m]
 
 
-def matrix_from_rows(rows):
+def matrix_from_rows(rows, n):
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise ValueError(f"expected a {n} x {n} matrix")
     return [[Fraction(x) for x in row] for row in rows]
 
 
@@ -56,37 +58,66 @@ def entry_to_dict(entry: ModelEntry) -> dict:
     return doc
 
 
-def entry_from_dict(doc: dict) -> ModelEntry:
+def _field(name, read, *args):
+    """read(*args), with a malformed or missing value raised as a SkewtorError naming the field."""
+    try:
+        return read(*args)
+    except KeyError as err:
+        raise SkewtorError(f"field {name}: missing {err}") from err
+    except (AttributeError, IndexError, TypeError, ValueError, ZeroDivisionError) as err:
+        raise SkewtorError(f"field {name}: {err}") from err
+
+
+def _dimension(doc):
     n = int(doc["dim"])
+    if not 2 <= n <= 8:
+        raise ValueError(f"{n} is outside the supported dimensions 2..8")
+    return n
+
+
+def _coframe(doc, n):
     d_coframe = [Form(n, 2)] * n
-    d_coframe = list(d_coframe)
     for i, pairs in doc["coframe_d"]:
+        if not 1 <= int(i) <= n:
+            raise ValueError(f"coframe index {i} is outside 1..{n}")
         d_coframe[int(i) - 1] = form_from_pairs(pairs, n, 2)
-    model = LieModel(n, d_coframe, name=doc.get("name", ""))
-    s = doc.get("structure", {"kind": "none"})
+    return d_coframe
+
+
+def _structure(s, n):
     kind = s.get("kind", "none")
     if kind == "g2":
-        structure = {"kind": "g2", "omega3": form_from_pairs(s["omega3"], n, 3)}
-    elif kind == "contact":
-        structure = {"kind": "contact", "xi": int(s["xi"]),
-                     "eta": form_from_pairs(s["eta"], n, 1),
-                     "phi": matrix_from_rows(s["phi"])}
-    elif kind == "hermitian":
-        structure = {"kind": "hermitian", "J": matrix_from_rows(s["J"])}
-    elif kind == "none":
-        structure = {"kind": "none"}
-    else:
-        raise SkewtorError(f"field structure.kind: unknown kind {kind!r} "
-                           f"(have: g2, contact, hermitian, none)")
+        return {"kind": "g2", "omega3": form_from_pairs(s["omega3"], n, 3)}
+    if kind == "contact":
+        return {"kind": "contact", "xi": int(s["xi"]),
+                "eta": form_from_pairs(s["eta"], n, 1),
+                "phi": matrix_from_rows(s["phi"], n)}
+    if kind == "hermitian":
+        return {"kind": "hermitian", "J": matrix_from_rows(s["J"], n)}
+    if kind == "none":
+        return {"kind": "none"}
+    raise SkewtorError(f"field structure.kind: unknown kind {kind!r} "
+                       f"(have: g2, contact, hermitian, none)")
+
+
+def entry_from_dict(doc: dict) -> ModelEntry:
+    if not isinstance(doc, dict):
+        raise SkewtorError("a model file holds one JSON object")
+    n = _field("dim", _dimension, doc)
+    model = LieModel(n, _field("coframe_d", _coframe, doc, n), name=doc.get("name", ""))
+    structure = _field("structure", _structure, doc.get("structure", {"kind": "none"}), n)
     entry = ModelEntry(model, structure, notes=doc.get("notes", ""))
-    if kind != "none":
+    if structure["kind"] != "none":
         entry.structure_object()  # enforces the structure's invariants at load
     return entry
 
 
 def load_file(path: str) -> ModelEntry:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as err:  # malformed JSON or UTF-8
+        raise SkewtorError(f"{path}: not a JSON document ({err})") from err
     try:
         return entry_from_dict(doc)
     except SkewtorError as err:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -174,6 +175,23 @@ def test_verify_all_json_is_byte_identical(all_report):
     assert digest == "05bf1ab9a788902e2ff9207d31b634d209d1b2be7179990819cbf039314b427f"
 
 
+def test_check_values_are_python_scalars(all_run):
+    # fmt renders a numpy.bool_ as "True" where a bool gives "true", and a
+    # numpy integer is no Fraction: values reach a Check as Python objects
+    def leaves(value):
+        if isinstance(value, dict):
+            return [x for v in value.values() for x in leaves(v)]
+        if isinstance(value, (list, tuple)):
+            return [x for v in value for x in leaves(v)]
+        return [value]
+
+    _, raw = all_run
+    assert len(raw) == 259
+    for check_id, value, expected in raw:
+        for leaf in leaves(value) + leaves(expected):
+            assert type(leaf) in (bool, int, Fraction, str, Form), (check_id, leaf)
+
+
 def _write_model(tmp_path, monkeypatch, name, structure):
     doc = entry_to_dict(registry()["abelian5"])
     doc["name"] = name
@@ -198,3 +216,28 @@ def test_cli_structureless_model_has_no_torsion(tmp_path, monkeypatch, capsys):
     for command in ("torsion", "ricci"):
         assert main([command, "bare5"]) == 2
         assert "carries no structure" in capsys.readouterr().err
+
+
+def _abelian5_text(edit):
+    doc = entry_to_dict(registry()["abelian5"])
+    edit(doc)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text, field", [
+    (_abelian5_text(lambda d: d.pop("dim")), "field dim: missing"),
+    (_abelian5_text(lambda d: d["coframe_d"].append([5, [[[2, 1], "1"]]])),
+     "field coframe_d: blade (2, 1) not ascending"),
+    (_abelian5_text(lambda d: d["coframe_d"].append([5, [[[1, 2], "2/0"]]])),
+     "field coframe_d"),
+    ("{\"dim\": 5, \"coframe_d\": [", "not a JSON document"),
+    (_abelian5_text(lambda d: d.update(dim=9)), "field dim: 9 is outside"),
+], ids=["missing-dim", "descending-blade", "zero-denominator", "invalid-json", "dim-9"])
+def test_cli_malformed_model_file_is_an_input_error(tmp_path, monkeypatch, capsys,
+                                                    text, field):
+    path = tmp_path / "broken5.json"
+    path.write_text(text)
+    monkeypatch.setenv("SKEWTOR_MODEL_PATH", str(tmp_path))
+    assert main(["models", "show", "broken5"]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and field in err, err

@@ -1,13 +1,17 @@
 import random
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from skewtor.linalg import (CQ, certified_eigenspace_dims, certify_annihilation,
-                            charpoly, fraction_rows_to_int, int_nullspace,
-                            int_rank, invert, is_hermitian, krylov_min_poly,
-                            mat_mul, mat_vec, nullspace, poly_eval, rank,
-                            rank_mod_p, rational_roots, solve, _PRIMES)
+from skewtor.forms import Form
+from skewtor.linalg import (CQ, Tensor, certified_eigenspace_dims,
+                            certify_annihilation, charpoly, fraction_rows_to_int,
+                            int_nullspace, int_rank, invert, is_hermitian,
+                            krylov_min_poly, mat_mul, mat_vec, nullspace,
+                            poly_eval, rank, rank_mod_p, rational_roots, solve,
+                            _PRIMES)
 
 
 def qm(rows):
@@ -112,3 +116,59 @@ def test_certify_rejects_nondiagonalizable():
     jordan = [[1, 1], [0, 1]]
     assert not certify_annihilation(jordan, [1])
     assert certify_annihilation(jordan, [1, 1])  # (A-1)^2 = 0 holds
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def forms(draw):
+    n = draw(st.integers(min_value=2, max_value=8))
+    # a dense tensor has n^degree entries: every degree up to n = 6, and up
+    # to 5 for n = 7, 8 (the program's tensors have degree <= 4)
+    degree = draw(st.integers(min_value=1, max_value=n).filter(
+        lambda p: n ** p <= 50_000))
+    blades = list(combinations(range(1, n + 1), degree))
+    terms = draw(st.dictionaries(st.sampled_from(blades), rationals, max_size=6))
+    return Form(n, degree, terms)
+
+
+@settings(max_examples=120, deadline=None)
+@given(f=forms(), g=forms())
+def test_form_tensor_round_trip(f, g):
+    # the scalar of degree 0 has no axis to carry n, so degrees start at 1
+    t = Tensor.of_form(f)
+    assert t.num.shape == (f.n,) * f.degree
+    assert t.to_form() == f
+    for blade in f.terms:
+        for perm in (blade[::-1], blade[1:] + blade[:1]):
+            assert t[tuple(k - 1 for k in perm)] == f.eval(*perm)
+    assert t.is_zero() == f.is_zero()
+    assert t.max_abs() == max(map(abs, f.terms.values()), default=0)
+    if (g.n, g.degree) == (f.n, f.degree):
+        stacked = Tensor.of_forms([f, g])
+        assert stacked[0] == t and stacked[1].to_form() == g
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tensor_arithmetic_matches_fraction_loops(data):
+    rows, mid, cols = (data.draw(st.integers(1, 4)) for _ in range(3))
+    a = data.draw(st.lists(st.lists(rationals, min_size=mid, max_size=mid),
+                           min_size=rows, max_size=rows))
+    b = data.draw(st.lists(st.lists(rationals, min_size=cols, max_size=cols),
+                           min_size=mid, max_size=mid))
+    c = data.draw(st.lists(st.lists(rationals, min_size=mid, max_size=mid),
+                           min_size=rows, max_size=rows))
+    q = data.draw(rationals)
+    ta, tb, tc = Tensor.of(a), Tensor.of(b), Tensor.of(c)
+    assert Tensor.einsum("ij,jk->ik", ta, tb) == mat_mul(a, b)
+    assert ta + tc == [[x + y for x, y in zip(ra, rc)] for ra, rc in zip(a, c)]
+    assert ta - tc == [[x - y for x, y in zip(ra, rc)] for ra, rc in zip(a, c)]
+    assert ta * q == [[q * x for x in row] for row in a]
+    assert -ta == [[-x for x in row] for row in a]
+    assert (ta == tc) == (a == c)
+    assert ta.max_abs() == max(abs(x) for row in a for x in row)
+    assert [[ta[i, j] for j in range(mid)] for i in range(rows)] == a
+    assert all(type(x) is Q for row in ta for x in row)
+    assert Tensor.einsum("ij,ij->", ta, ta)[()] == sum(x * x for row in a for x in row)
