@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import DegreeError, DimensionMismatch
 from .forms import Form
-from .linalg import (CQ, charpoly, is_hermitian, mat_identity, mat_mul,
-                     mat_vec, nullspace, rational_roots, solve)
+from .linalg import (CQ, charpoly, is_hermitian, mat_mul, mat_vec, nullspace,
+                     rational_roots, solve)
 
 Q = Fraction
 
@@ -37,13 +38,36 @@ def _itimes(m):
     return [[CQ(0, 1) * x for x in row] for row in m]
 
 
+# i^k as (re, im)
+_UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
 class GammaRep:
-    """Gamma matrices of Cl(n) acting on C^(2^floor(n/2))."""
+    """Gamma matrices of Cl(n) acting on C^(2^floor(n/2)).
+
+    Every product of gamma matrices is a signed monomial matrix: row r holds
+    i^phases[r] in column cols[r] and zeros elsewhere.  `monomial(blade)`
+    gives (cols, phases) of the product over a blade, derived once from
+    `gammas`.
+    """
 
     def __init__(self, n, gammas):
         self.n = n
         self.gammas = gammas
         self.dim = len(gammas[0])
+        self._monomials = {(): (tuple(range(self.dim)), (0,) * self.dim)}
+        self._monomials.update({(i,): _monomial_of(g) for i, g in enumerate(gammas, 1)})
+
+    def monomial(self, blade):
+        """(cols, phases) of Gamma_i1 ... Gamma_ik for an ascending blade (i1, ..., ik)."""
+        mono = self._monomials.get(blade)
+        if mono is None:
+            cols, phases = self.monomial(blade[:-1])
+            g_cols, g_phases = self._monomials[blade[-1:]]
+            mono = (tuple(g_cols[c] for c in cols),
+                    tuple((p + g_phases[c]) % 4 for p, c in zip(phases, cols)))
+            self._monomials[blade] = mono
+        return mono
 
     def volume(self):
         """The matrix of the volume element Gamma_1...Gamma_n."""
@@ -55,6 +79,13 @@ class GammaRep:
     def volume_scalar(self):
         """The scalar by which the volume element acts (odd n only)."""
         return self.volume()[0][0]
+
+
+def _monomial_of(matrix):
+    """(cols, phases) of a matrix with one entry i^k per row."""
+    cols = [next(j for j, x in enumerate(row) if x) for row in matrix]
+    phases = [_UNITS.index((row[c].re, row[c].im)) for row, c in zip(matrix, cols)]
+    return tuple(cols), tuple(phases)
 
 
 @lru_cache(maxsize=None)
@@ -88,24 +119,26 @@ def build_rep(n: int) -> GammaRep:
 
 
 def act_form(rep: GammaRep, form) -> list:
-    """Clifford action of a form (or an iterable of homogeneous parts)."""
+    """Clifford action of a form (or an iterable of homogeneous parts).
+
+    Each blade adds its coefficient times i^phase at one entry per row, in
+    integers over the common denominator of the coefficients.
+    """
     parts = [form] if isinstance(form, Form) else list(form)
-    size = rep.dim
-    out = [[CQ(0)] * size for _ in range(size)]
     for part in parts:
         if part.n != rep.n:
             raise DimensionMismatch("form dimension does not match the spin module")
+    den = lcm(1, *(c.denominator for part in parts for c in part.terms.values()))
+    size = rep.dim
+    acc = [[0, 0] for _ in range(size * size)]
+    for part in parts:
         for blade, coeff in part.terms.items():
-            m = mat_identity(size, CQ(1), CQ(0))
-            for i in blade:
-                m = mat_mul(m, rep.gammas[i - 1])
-            c = CQ(coeff)
-            for a in range(size):
-                row_m, row_o = m[a], out[a]
-                for b in range(size):
-                    if row_m[b]:
-                        row_o[b] = row_o[b] + c * row_m[b]
-    return out
+            num = coeff.numerator * (den // coeff.denominator)
+            cols, phases = rep.monomial(blade)
+            for r, (c, p) in enumerate(zip(cols, phases)):
+                acc[r * size + c][p % 2] += num if p < 2 else -num
+    return [[CQ(Q(re, den), Q(im, den)) for re, im in acc[r * size:(r + 1) * size]]
+            for r in range(size)]
 
 
 class EigenReport:
@@ -137,11 +170,10 @@ def eigen_report(matrix) -> EigenReport:
     size = len(matrix)
     coeffs = charpoly(matrix)
     pairs, residual = rational_roots(coeffs)
-    pairs = [(v if isinstance(v, Fraction) else v.re, m) for v, m in pairs]
     total = sum(m for _, m in pairs) + (len(residual) - 1 if residual else 0)
     if total != size:
         raise RuntimeError("spectrum bookkeeping lost degrees")
-    return EigenReport(size, sorted(pairs), residual, is_hermitian(matrix))
+    return EigenReport(size, pairs, residual, is_hermitian(matrix))
 
 
 def common_kernel(endos, dim=None):

@@ -238,6 +238,14 @@ def _field_endomorphism(model: LieModel, t: Form, dt: Form, scal, rep: GammaRep)
                           Form.scalar(model.n, scal / 4)])
 
 
+def torsion_derivative_action(rep: GammaRep, t: Form, lams):
+    """sum_k (e_k -| T) . Lambda_k, the torsion term of both Dirac identities."""
+    out = [[CQ(0)] * rep.dim for _ in range(rep.dim)]
+    for k, lam in enumerate(lams, 1):
+        out = mat_add(out, mat_mul(act_form(rep, contract(t, k)), lam))
+    return out
+
+
 def dirac_square_residual(model: LieModel, t: Form, rep: GammaRep):
     """Matrix residual of the Dirac-square (Weitzenboeck) identity on invariant spinors.
 
@@ -265,8 +273,7 @@ def dirac_square_residual(model: LieModel, t: Form, rep: GammaRep):
 
     rhs = mat_add(lap, _field_endomorphism(model, t, d_form(model, t),
                                            curvature(conn).scal, rep))
-    for k in range(n):
-        rhs = mat_sub(rhs, mat_mul(act_form(rep, contract(t, k + 1)), lams[k]))
+    rhs = mat_sub(rhs, torsion_derivative_action(rep, t, lams))
     return mat_sub(d2, rhs)
 
 
@@ -274,15 +281,13 @@ def dirac_torsion_anticommutator_residual(model: LieModel, t: Form, rep: GammaRe
     """Residual of D T + T D = dT + delta(T) - 2 sigma^T - 2 sum e_i-|T nabla_i."""
     conn = with_torsion(model, t)
     lams = spinor_connection(conn, rep)
-    n = model.n
     d = _dirac(rep, lams)
     tm = act_form(rep, t)
     lhs = mat_add(mat_mul(d, tm), mat_mul(tm, d))
     rhs = act_form(rep, d_form(model, t))
     rhs = mat_add(rhs, act_form(rep, codiff(model, t)))
     rhs = mat_sub(rhs, mat_scale(act_form(rep, sigma_t(t)), CQ(2)))
-    for i in range(n):
-        rhs = mat_sub(rhs, mat_scale(mat_mul(act_form(rep, contract(t, i + 1)), lams[i]), CQ(2)))
+    rhs = mat_sub(rhs, mat_scale(torsion_derivative_action(rep, t, lams), CQ(2)))
     return mat_sub(lhs, rhs)
 
 

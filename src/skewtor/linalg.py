@@ -251,15 +251,12 @@ class CQ:
 
 
 I = CQ(0, 1)
+_ZERO = Q(0)
 
 
 # ---------------------------------------------------------------------------
 # generic dense matrices (list-of-lists over Fraction or CQ)
 # ---------------------------------------------------------------------------
-
-def mat_zero(rows, cols, zero=Q(0)):
-    return [[zero] * cols for _ in range(rows)]
-
 
 def mat_identity(n, one=Q(1), zero=Q(0)):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
@@ -305,30 +302,26 @@ def mat_vec(a, v):
     return out
 
 
-def mat_trace(a):
-    t = a[0][0] - a[0][0]
-    for i in range(len(a)):
-        t = t + a[i][i]
-    return t
-
-
 def mat_eq_zero(a):
     return all(not x for row in a for x in row)
 
 
-def mat_conj_transpose(a):
-    return [[a[i][j].conj() if isinstance(a[i][j], CQ) else a[i][j]
-             for i in range(len(a))] for j in range(len(a[0]))]
-
-
 def is_hermitian(a):
-    n = len(a)
-    for i in range(n):
-        for j in range(n):
-            x, y = CQ.of(a[i][j]), CQ.of(a[j][i])
-            if x.re != y.re or x.im != -y.im:
-                return False
-    return True
+    _, re, im = _gaussian_ints(a)
+    return bool((re == re.T).all() and (im == -im.T).all())
+
+
+def _gaussian_ints(matrix):
+    """(d, re, im) with matrix = (re + i im) / d and d the least common denominator.
+
+    `re` and `im` are object arrays of Python ints; entries may be Fraction or CQ.
+    """
+    pairs = [(x.re, x.im) if isinstance(x, CQ) else (Q(x), _ZERO)
+             for row in matrix for x in row]
+    d = lcm(*(q.denominator for pair in pairs for q in pair))
+    nums = np.array([[q.numerator * (d // q.denominator) for q in pair] for pair in pairs],
+                    dtype=object).reshape(len(matrix), -1, 2)
+    return d, nums[..., 0], nums[..., 1]
 
 
 def rref(matrix, pivot_limit=None):
@@ -440,20 +433,33 @@ def invert(matrix):
 def charpoly(matrix):
     """Monic characteristic polynomial det(xI - A), coefficients highest first.
 
-    Faddeev-LeVerrier; exact over Fraction or CQ entries.
+    Faddeev-LeVerrier on d A = R + i J with integer R, J (d clears every
+    denominator).  The coefficients C_k of det(xI - d A) lie in Z[i], so each
+    division by k is exact; A has the coefficients C_k / d^k, returned as CQ
+    for CQ input and as Fraction otherwise.
     """
     n = len(matrix)
-    probe = matrix[0][0]
-    one = CQ(1) if isinstance(probe, CQ) else Q(1)
-    zero = one - one
-    coeffs = [one]
-    m = mat_identity(n, one, zero)
+    d, a_re, a_im = _gaussian_ints(matrix)
+    a_re, a_im, a_sum = int_array(a_re), int_array(a_im), int_array(a_re + a_im)
+    m_re, m_im = np.identity(n, dtype=int).astype(object), np.zeros((n, n), dtype=object)
+    coeffs = [(1, 0)]
     for k in range(1, n + 1):
-        am = mat_mul(matrix, m)
-        ck = -(mat_trace(am) / k)
-        coeffs.append(ck)
-        m = [[am[i][j] + (ck if i == j else zero) for j in range(n)] for i in range(n)]
-    return coeffs
+        # (R + iJ)(P + iQ) from the three products RP, JQ, (R + J)(P + Q)
+        rp, jq = _product(a_re, m_re), _product(a_im, m_im)
+        p_re, p_im = rp - jq, _product(a_sum, m_re + m_im) - rp - jq
+        c_re, c_im = -(sum(p_re.diagonal()) // k), -(sum(p_im.diagonal()) // k)
+        coeffs.append((c_re, c_im))
+        m_re, m_im = p_re, p_im
+        m_re[np.diag_indices(n)] += c_re
+        m_im[np.diag_indices(n)] += c_im
+    if isinstance(matrix[0][0], CQ):
+        return [CQ(Q(re, d ** k), Q(im, d ** k)) for k, (re, im) in enumerate(coeffs)]
+    return [Q(re, d ** k) for k, (re, _) in enumerate(coeffs)]
+
+
+def _product(a, b):
+    """int_matmul as an object array, so that sums of products cannot overflow int64."""
+    return int_matmul(a, b).astype(object)
 
 
 def poly_eval(coeffs, x):
@@ -461,14 +467,6 @@ def poly_eval(coeffs, x):
     for c in coeffs:
         acc = acc * x + c
     return acc
-
-
-def poly_divide_root(coeffs, root):
-    """Synthetic division by (x - root); assumes the remainder is zero."""
-    out = [coeffs[0]]
-    for c in coeffs[1:-1]:
-        out.append(c + out[-1] * root)
-    return out
 
 
 def _real_coeffs(coeffs):
@@ -486,64 +484,90 @@ def _real_coeffs(coeffs):
 def rational_roots(coeffs):
     """All rational roots with multiplicity, plus the non-splitting residual.
 
-    `coeffs` is monic-or-not, highest degree first, Fraction or CQ entries.
-    Returns (sorted [(root, multiplicity)], residual_coeffs as Fractions or
-    original scalars when the polynomial has non-real coefficients).
+    `coeffs` runs from the (nonzero) leading coefficient down, as Fraction or
+    CQ.  A polynomial with a non-real coefficient is returned whole as the
+    residual.  Otherwise p = lead * (x^n + b_1 x^(n-1) + ... + b_n) is cleared
+    by a small d with every d^k b_k integral: q(y) = d^n p(y/d) / lead is
+    monic over Z, so its rational roots are integers that divide its constant
+    term and lie within Fujiwara's bound 2 max |q_k|^(1/k) (each k-th root
+    rounded up to a power of two); Horner's rule tests each one.  Returns (sorted [(Fraction root,
+    multiplicity)], residual), where the residual is p divided by the roots
+    found, in the caller's scalar type, or None when p splits.
     """
-    work = list(coeffs)
+    if len(coeffs) < 2:
+        return [], None
+    real = _real_coeffs(coeffs)
+    if real is None:
+        return [], list(coeffs)
+    lead = real[0]
+    monic = [c / lead for c in real[1:]]
+    d = _clearing_scale(monic)
+    q = [1] + [int(c * d ** k) for k, c in enumerate(monic, 1)]
     roots = {}
-    # candidate roots come from the real representative; complex evaluation
-    # still decides membership exactly
-    while len(work) > 1:
-        real = _real_coeffs(work)
-        if real is None:
-            break
-        den = 1
-        for c in real:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for c in real]
-        while ints and ints[0] == 0:
-            ints = ints[1:]
-        if not ints or len(ints) == 1:
-            break
-        if ints[-1] == 0:
-            root = Q(0)
-        else:
-            root = None
-            lead, const = abs(ints[0]), abs(ints[-1])
-            for p in _divisors(const):
-                for q in _divisors(lead):
-                    for cand in (Q(p, q), Q(-p, q)):
-                        if not poly_eval(work, _like(work[0], cand)):
-                            root = cand
-                            break
-                    if root is not None:
-                        break
-                if root is not None:
-                    break
-        if root is None:
-            break
-        roots[root] = roots.get(root, 0) + 1
-        work = poly_divide_root(work, _like(work[0], root))
-    residual = work if len(work) > 1 else None
-    return sorted(roots.items()), residual
+    while len(q) > 1 and not q[-1]:
+        roots[0] = roots.get(0, 0) + 1
+        q.pop()
+    if len(q) > 1:
+        bound = max(1 << (-(-abs(c).bit_length() // k) + 1) for k, c in enumerate(q[1:], 1))
+        const = abs(q[-1])
+        for r in range(1, min(bound, const) + 1):
+            if const % r:
+                continue
+            for y in (r, -r):
+                quotient = _divide_root(q, y)
+                while quotient is not None:
+                    roots[y] = roots.get(y, 0) + 1
+                    q = quotient
+                    quotient = _divide_root(q, y) if len(q) > 1 else None
+            if len(q) == 1:
+                break
+    pairs = sorted((Q(y, d), m) for y, m in roots.items())
+    if len(q) == 1:
+        return pairs, None
+    like = CQ if isinstance(coeffs[0], CQ) else Q
+    return pairs, [like(lead * Q(c, d ** k)) for k, c in enumerate(q)]
 
 
-def _like(sample, value):
-    return CQ(value) if isinstance(sample, CQ) else Q(value)
+def _divide_root(q, y):
+    """Quotient of the integer polynomial q by (x - y), or None when q(y) != 0 (Horner)."""
+    out = [q[0]]
+    for c in q[1:]:
+        out.append(out[-1] * y + c)
+    return None if out.pop() else out
 
 
-def _divisors(n):
-    n = abs(n)
-    small, large = [], []
+def _clearing_scale(coeffs):
+    """A small d with d^k * coeffs[k - 1] integral for every k.
+
+    Over a coprime basis of the denominators, d = prod b^max_k ceil(e_kb / k),
+    where e_kb is the exponent of b in the k-th denominator; this is the least
+    such d whenever each basis element b is squarefree.
+    """
+    dens = [c.denominator for c in coeffs]
     d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    for b in _coprime_basis(dens):
+        need = 0
+        for k, den in enumerate(dens, 1):
+            e = 0
+            while den % b == 0:
+                den //= b
+                e += 1
+            need = max(need, -(-e // k))
+        d *= b ** need
+    return d
+
+
+def _coprime_basis(numbers):
+    """Pairwise coprime integers > 1 of which every number is a product of powers."""
+    basis = [m for m in set(numbers) if m > 1]
+    while True:
+        pair = next(((a, b) for a, b in combinations(basis, 2) if gcd(a, b) > 1), None)
+        if pair is None:
+            return basis
+        a, b = pair
+        g = gcd(a, b)
+        basis = [m for m in basis if m not in pair]
+        basis.extend({m for m in (a // g, g, b // g) if m > 1} - set(basis))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -129,6 +130,26 @@ def test_cli_spin_eig(capsys):
     out = capsys.readouterr().out
     assert "-4 x1, 0 x2, 4 x1" in out
     assert main(["spin-eig", "5", "2*e1^%e2"]) == 2
+
+
+@pytest.mark.parametrize("coeff", ["100", "1000"])
+def test_cli_spin_eig_large_coefficients_finish(capsys, coeff):
+    # a divisor search up to the square root of the constant term (10^16 and
+    # 10^24 here) took 17.6 s for 100 and did not finish for 1000
+    start = time.process_time()
+    assert main(["spin-eig", "7", f"{coeff}*e1^e2^e3"]) == 0
+    assert time.process_time() - start < 5
+    assert capsys.readouterr().out == (f"eigenvalues: -{coeff} x4, {coeff} x4\n"
+                                       "hermitian: True\n")
+
+
+def test_cli_spin_eig_fractional_residual(capsys):
+    assert main(["spin-eig", "7", "1/2*e1^e2^e3 + 1/3*e4^e5^e6"]) == 0
+    assert capsys.readouterr().out == (
+        "eigenvalues: \n"
+        "residual factor (highest first): "
+        "[1, 0, -13/9, 0, 169/216, 0, -2197/11664, 0, 28561/1679616]\n"
+        "hermitian: True\n")
 
 
 def test_cli_decompose(capsys):

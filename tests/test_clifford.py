@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewtor.clifford import (CQ, act_form, build_rep, common_kernel,
                               eigen_report, half_spinor_bases,
                               kernel_conditions_5d, restrict, spin_endo_5d,
                               spinor_5d)
 from skewtor.forms import Form, contract, hodge, random_form, wedge
-from skewtor.linalg import invert, mat_add, mat_mul, mat_vec
+from skewtor.linalg import (charpoly, invert, is_hermitian, mat_add, mat_identity,
+                            mat_mul, mat_scale, mat_vec, poly_eval)
 from skewtor.registry import canonical_omega3
 
 
@@ -149,3 +152,73 @@ def test_inhomogeneous_action_adds_scalar():
     scalar_only = act_form(rep, Form.scalar(6, Q(5, 2)))
     assert all(scalar_only[i][j] == (CQ(Q(5, 2)) if i == j else CQ(0))
                for i in range(8) for j in range(8))
+
+
+def _act_form_by_gamma_products(rep, parts):
+    """Reference action: each blade as a chain of dense CQ gamma-matrix products."""
+    size = rep.dim
+    out = [[CQ(0)] * size for _ in range(size)]
+    for part in parts:
+        for blade, coeff in part.terms.items():
+            m = mat_identity(size, CQ(1), CQ(0))
+            for i in blade:
+                m = mat_mul(m, rep.gammas[i - 1])
+            out = mat_add(out, mat_scale(m, CQ(coeff)))
+    return out
+
+
+def _charpoly_by_fractions(matrix):
+    """Reference Faddeev-LeVerrier over the matrix's own scalars (Fraction or CQ)."""
+    n = len(matrix)
+    one = CQ(1) if isinstance(matrix[0][0], CQ) else Q(1)
+    zero = one - one
+    coeffs = [one]
+    m = mat_identity(n, one, zero)
+    for k in range(1, n + 1):
+        am = mat_mul(matrix, m)
+        ck = -(sum((am[i][i] for i in range(n)), zero) / k)
+        coeffs.append(ck)
+        m = [[am[i][j] + (ck if i == j else zero) for j in range(n)] for i in range(n)]
+    return coeffs
+
+
+@st.composite
+def mixed_forms(draw):
+    """A form on R^n (n = 2..8) as one to three homogeneous parts of distinct degrees."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    degrees = draw(st.lists(st.integers(min_value=0, max_value=n), min_size=1,
+                            max_size=3, unique=True))
+    coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    return [Form(n, p, draw(st.dictionaries(
+        st.sampled_from(list(combinations(range(1, n + 1), p))), coeffs, max_size=5)))
+        for p in degrees]
+
+
+@settings(max_examples=60, deadline=None)
+@given(parts=mixed_forms())
+def test_monomial_action_and_integer_charpoly_match_references(parts):
+    rep = build_rep(parts[0].n)
+    m = act_form(rep, parts)
+    assert m == _act_form_by_gamma_products(rep, parts)
+    coeffs = charpoly(m)
+    assert all(isinstance(c, CQ) for c in coeffs)
+    assert coeffs == _charpoly_by_fractions(m)
+    real = [[x.re + 2 * x.im for x in row] for row in m]
+    coeffs = charpoly(real)
+    assert all(type(c) is Q for c in coeffs)
+    assert coeffs == _charpoly_by_fractions(real)
+    assert is_hermitian(m) == all(m[i][j] == m[j][i].conj()
+                                  for i in range(rep.dim) for j in range(rep.dim))
+
+
+@settings(max_examples=60, deadline=None)
+@given(parts=mixed_forms())
+def test_multiplicities_and_residual_fill_the_module(parts):
+    rep = build_rep(parts[0].n)
+    m = act_form(rep, parts)
+    report = eigen_report(m)
+    residual_degree = len(report.residual) - 1 if report.residual else 0
+    assert sum(mult for _, mult in report.pairs) + residual_degree == rep.dim
+    # each reported eigenvalue is a root of the reference characteristic polynomial
+    reference = _charpoly_by_fractions(m)
+    assert all(not poly_eval(reference, CQ(value)) for value, _ in report.pairs)

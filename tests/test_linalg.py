@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as Q
 from itertools import combinations
 
@@ -79,6 +80,46 @@ def test_rational_roots_with_residual():
     assert roots == [(Q(0), 1), (Q(3), 2)]
     assert residual == [Q(1), Q(0), Q(-2)]
     assert poly_eval(residual, Q(3)) == 7
+
+
+def _poly_mul(p, q):
+    out = [Q(0)] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(roots=st.lists(st.fractions(min_value=-40, max_value=40, max_denominator=9),
+                      max_size=7),
+       b=st.fractions(min_value=-20, max_value=20, max_denominator=12),
+       gap=st.fractions(min_value=Q(1, 12), max_value=30, max_denominator=12),
+       lead=st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool),
+       with_quadratic=st.booleans(), as_cq=st.booleans())
+def test_rational_roots_of_split_times_irreducible(roots, b, gap, lead, with_quadratic,
+                                                   as_cq):
+    # x^2 + b x + c with c > b^2 / 4 has no real root, so it is irreducible over Q
+    quadratic = [Q(1), b, b * b / 4 + gap] if with_quadratic else [Q(1)]
+    poly = [lead * c for c in quadratic]
+    for r in roots:
+        poly = _poly_mul(poly, [Q(1), -r])
+    if as_cq:
+        poly = [CQ(c) for c in poly]
+    found, residual = rational_roots(poly)
+    assert found == sorted(Counter(roots).items())
+    assert all(type(r) is Q for r, _ in found)
+    if with_quadratic:
+        assert residual == [lead * c for c in quadratic]
+        assert all(type(c) is (CQ if as_cq else Q) for c in residual)
+    else:
+        assert residual is None
+
+
+def test_rational_roots_leave_non_real_polynomials_whole():
+    # x^2 - i x has the rational root 0, but a non-real polynomial is not searched
+    poly = [CQ(1), CQ(0, -1), CQ(0)]
+    assert rational_roots(poly) == ([], poly)
 
 
 def test_integer_echelon_tools():
