@@ -6,6 +6,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import clifford, g2
 from .errors import NoSkewConnection, SkewtorError
@@ -139,7 +140,9 @@ def cmd_spin_eig(args):
     return 0
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process and reused by every `main` call."""
     parser = argparse.ArgumentParser(
         prog="skewtor",
         description="exact workbench for metric connections with totally "

@@ -10,32 +10,26 @@ Conventions, pinned by the identities the test suite enforces:
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import lcm
+from operator import matmul
+
+import numpy as np
 
 from .errors import DegreeError, DimensionMismatch
 from .forms import Form
-from .linalg import (CQ, charpoly, is_hermitian, mat_mul, mat_vec, nullspace,
-                     rational_roots, solve)
+from .linalg import CQ, GaussTensor, charpoly, is_hermitian, nullspace, rational_roots, solve
 
-Q = Fraction
-
-_S1 = ((CQ(0), CQ(1)), (CQ(1), CQ(0)))
-_S2 = ((CQ(0), CQ(0, -1)), (CQ(0, 1), CQ(0)))
-_S3 = ((CQ(1), CQ(0)), (CQ(0), CQ(-1)))
-_ID2 = ((CQ(1), CQ(0)), (CQ(0), CQ(1)))
-
-
-def _kron(a, b):
-    nb = len(b)
-    size = len(a) * nb
-    return [[a[i // nb][j // nb] * b[i % nb][j % nb] for j in range(size)]
-            for i in range(size)]
+_S3 = np.diag([1, -1])
+_ID2 = np.eye(2, dtype=int)
+_ZERO2 = np.zeros((2, 2), dtype=int)
+# (re, im) of i sigma_1 and of i sigma_2, with the Pauli matrices
+# sigma_1 = [[0, 1], [1, 0]], sigma_2 = [[0, -i], [i, 0]], sigma_3 = _S3
+_I_SIGMA = ((_ZERO2, np.array([[0, 1], [1, 0]])), (np.array([[0, 1], [-1, 0]]), _ZERO2))
 
 
-def _itimes(m):
-    return [[CQ(0, 1) * x for x in row] for row in m]
+def _kron(mats):
+    return reduce(np.kron, mats)
 
 
 # i^k as (re, im)
@@ -43,7 +37,7 @@ _UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
 class GammaRep:
-    """Gamma matrices of Cl(n) acting on C^(2^floor(n/2)).
+    """Gamma matrices of Cl(n) acting on C^(2^floor(n/2)), as GaussTensors.
 
     Every product of gamma matrices is a signed monomial matrix: row r holds
     i^phases[r] in column cols[r] and zeros elsewhere.  `monomial(blade)`
@@ -71,20 +65,14 @@ class GammaRep:
 
     def volume(self):
         """The matrix of the volume element Gamma_1...Gamma_n."""
-        vol = self.gammas[0]
-        for g in self.gammas[1:]:
-            vol = mat_mul(vol, g)
-        return vol
-
-    def volume_scalar(self):
-        """The scalar by which the volume element acts (odd n only)."""
-        return self.volume()[0][0]
+        return reduce(matmul, self.gammas)
 
 
-def _monomial_of(matrix):
+def _monomial_of(gamma):
     """(cols, phases) of a matrix with one entry i^k per row."""
-    cols = [next(j for j, x in enumerate(row) if x) for row in matrix]
-    phases = [_UNITS.index((row[c].re, row[c].im)) for row, c in zip(matrix, cols)]
+    cols = [next(j for j in range(len(gamma)) if gamma.re[r, j] or gamma.im[r, j])
+            for r in range(len(gamma))]
+    phases = [_UNITS.index((gamma.re[r, c], gamma.im[r, c])) for r, c in enumerate(cols)]
     return tuple(cols), tuple(phases)
 
 
@@ -93,32 +81,26 @@ def build_rep(n: int) -> GammaRep:
     if not 2 <= n <= 8:
         raise DimensionMismatch("spin modules provided for dimensions 2..8")
     half = n // 2
+    # sigma_3^(k-1) (x) i sigma_1|2 (x) Id^(half-k); odd n adds i sigma_3^half
     gammas = []
     for k in range(1, half + 1):
         pre = [_S3] * (k - 1)
         post = [_ID2] * (half - k)
-        for mid in (_itimes(_S1), _itimes(_S2)):
-            mats = pre + [mid] + post
-            out = mats[0]
-            for m in mats[1:]:
-                out = _kron(out, m)
-            gammas.append([list(r) for r in out])
+        for re, im in _I_SIGMA:
+            gammas.append(GaussTensor.of_parts(_kron(pre + [re] + post), _kron(pre + [im] + post)))
     if n % 2:
-        out = _S3
-        for _ in range(half - 1):
-            out = _kron(out, _S3)
-        gammas.append(_itimes(out))
+        gammas.append(GaussTensor.of_parts(np.zeros((2 ** half,) * 2, dtype=int),
+                                           _kron([_S3] * half)))
         rep = GammaRep(n, gammas)
         target = CQ(1) if n % 4 == 3 else CQ(0, -1)
-        if rep.volume_scalar() != target:
-            gammas = [[[-x for x in row] for row in g] for g in gammas]
-            rep = GammaRep(n, gammas)
-        assert rep.volume_scalar() == target
+        if rep.volume()[0, 0] != target:
+            rep = GammaRep(n, [-g for g in gammas])
+        assert rep.volume()[0, 0] == target
         return rep
     return GammaRep(n, gammas)
 
 
-def act_form(rep: GammaRep, form) -> list:
+def act_form(rep: GammaRep, form) -> GaussTensor:
     """Clifford action of a form (or an iterable of homogeneous parts).
 
     Each blade adds its coefficient times i^phase at one entry per row, in
@@ -137,8 +119,7 @@ def act_form(rep: GammaRep, form) -> list:
             cols, phases = rep.monomial(blade)
             for r, (c, p) in enumerate(zip(cols, phases)):
                 acc[r * size + c][p % 2] += num if p < 2 else -num
-    return [[CQ(Q(re, den), Q(im, den)) for re, im in acc[r * size:(r + 1) * size]]
-            for r in range(size)]
+    return GaussTensor(np.array(acc, dtype=object).reshape(size, size, 2), den)
 
 
 class EigenReport:
@@ -166,7 +147,7 @@ class EigenReport:
         return f"EigenReport({body})"
 
 
-def eigen_report(matrix) -> EigenReport:
+def eigen_report(matrix: GaussTensor) -> EigenReport:
     size = len(matrix)
     coeffs = charpoly(matrix)
     pairs, residual = rational_roots(coeffs)
@@ -176,19 +157,24 @@ def eigen_report(matrix) -> EigenReport:
     return EigenReport(size, pairs, residual, is_hermitian(matrix))
 
 
-def common_kernel(endos, dim=None):
-    """Exact basis of the intersection of kernels; empty input gives the full module."""
+def common_kernel(endos, dim=None) -> GaussTensor:
+    """Exact basis (as rows) of the intersection of kernels; empty input gives the full module."""
     endos = list(endos)
     if not endos:
         if dim is None:
             raise ValueError("dimension required for an empty kernel problem")
-        return [[CQ(1) if i == j else CQ(0) for i in range(dim)] for j in range(dim)]
+        return GaussTensor.identity(dim)
     size = len(endos[0])
     for m in endos:
         if len(m) != size:
             raise DimensionMismatch("spin endomorphism sizes differ")
-    stacked = [row for m in endos for row in m]
-    return nullspace(stacked, one=CQ(1))
+    return _kernel_rows([row for m in endos for row in m.tolist()], size)
+
+
+def _kernel_rows(matrix, size) -> GaussTensor:
+    """Kernel basis of a CQ matrix with `size` columns, as the rows of a GaussTensor."""
+    basis = nullspace(matrix, one=CQ(1))
+    return GaussTensor.of(np.array(basis, dtype=object).reshape(len(basis), size))
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +189,9 @@ def spinor_5d(which: str):
     "minus": rank-two kernel type, Reeb direction acts by -i.
     """
     if which == "plus":
-        return [CQ(1), CQ(0), CQ(0), CQ(0)]
+        return GaussTensor.of([1, 0, 0, 0])
     if which == "minus":
-        return [CQ(0), CQ(1), CQ(0), CQ(0)]
+        return GaussTensor.of([0, 1, 0, 0])
     raise ValueError("which must be 'plus' or 'minus'")
 
 
@@ -244,25 +230,20 @@ def spin_endo_5d(t: Form, x: Form):
     return act_form(rep, [t, x])
 
 
-def restrict(matrix, basis):
-    """Matrix of an endomorphism restricted to an invariant subspace basis."""
-    size = len(basis)
-    span = [[basis[j][i] for j in range(size)] for i in range(len(basis[0]))]
-    sols = solve(span, [mat_vec(matrix, v) for v in basis])
+def restrict(matrix: GaussTensor, basis: GaussTensor) -> GaussTensor:
+    """Matrix of an endomorphism restricted to an invariant subspace (basis as rows)."""
+    cols = basis.T
+    sols = solve(cols.tolist(), (matrix @ cols).T.tolist())
     if any(s is None for s in sols):
         raise ValueError("subspace is not invariant")
-    return [[sols[j][i] for j in range(size)] for i in range(size)]
+    return GaussTensor.of(sols).T
 
 
 def half_spinor_bases(rep: GammaRep):
-    """Eigenbases of the volume element on an even-dimensional module (+i, -i)."""
+    """Eigenbases (as rows) of the volume element on an even-dimensional module (+i, -i)."""
     if rep.n % 2:
         raise DimensionMismatch("half modules exist in even dimensions")
     vol = rep.volume()
-    plus, minus = [], []
-    size = rep.dim
-    for lam, bucket in ((CQ(0, 1), plus), (CQ(0, -1), minus)):
-        shifted = [[vol[i][j] - (lam if i == j else CQ(0)) for j in range(size)]
-                   for i in range(size)]
-        bucket.extend(nullspace(shifted, one=CQ(1)))
-    return plus, minus
+    eye = GaussTensor.identity(rep.dim)
+    return tuple(_kernel_rows((vol - eye * lam).tolist(), rep.dim)
+                 for lam in (CQ(0, 1), CQ(0, -1)))

@@ -20,10 +20,10 @@ import numpy as np
 
 from .errors import StructureError
 from .forms import Form, contract, inner, so_action, wedge
-from .linalg import (certified_eigenspace_dims, certify_annihilation,
+from .linalg import (Tensor, certified_eigenspace_dims, certify_annihilation,
                      fraction_rows_to_int, int_abs_max, int_matmul,
-                     int_nullspace, int_rank, krylov_min_poly, mat_vec,
-                     poly_eval, rank_mod_p, solve, _PRIMES)
+                     int_nullspace, int_rank, krylov_min_poly, poly_eval,
+                     rank_mod_p, solve, _PRIMES)
 from .registry import canonical_omega3
 
 Q = Fraction
@@ -319,39 +319,32 @@ def calibration_table():
     table["7"] = value
 
     c3, s3 = sp.casimir("lambda3")
-    w3vec = [int(x) for x in _blade_vector(canonical_omega3(), BLADES3)]
-    img = mat_vec([[Q(x) for x in row] for row in c3], [Q(v) for v in w3vec])
-    if any(img):
+    c3 = Tensor(c3)
+    w3vec = Tensor.of(_blade_vector(canonical_omega3(), BLADES3))
+    if not Tensor.einsum("ij,j->i", c3, w3vec).is_zero():
         raise StructureError("Casimir does not kill the invariant 3-form")
     table["1"] = Q(0)
 
     c2, s2 = sp.casimir("lambda2")
     xi = sp.algebra.basis[0]
-    vec = _blade_vector(xi, BLADES2)
-    img = mat_vec([[Q(x) for x in row] for row in c2], vec)
-    lam14 = _eigen_scalar(img, vec)
+    lam14 = _eigen_scalar(Tensor(c2), _blade_vector(xi, BLADES2))
     table["14"] = lam14 / s2
 
     from .g2 import project3
     probe = project3(Form(7, 3, {(1, 2, 3): Q(1)}))[2]
-    vec27 = _blade_vector(probe, BLADES3)
-    img27 = mat_vec([[Q(x) for x in row] for row in c3], vec27)
-    lam27 = _eigen_scalar(img27, vec27)
+    lam27 = _eigen_scalar(c3, _blade_vector(probe, BLADES3))
     table["27"] = lam27 / s3
     return table
 
 
-def _eigen_scalar(image, vec):
-    lam = None
-    for a, b in zip(image, vec):
-        if b:
-            cand = Q(a) / Q(b)
-            if lam is None:
-                lam = cand
-            elif lam != cand:
-                raise StructureError("probe vector is not an eigenvector")
-        elif a:
-            raise StructureError("probe vector is not an eigenvector")
+def _eigen_scalar(matrix, vec):
+    """The eigenvalue of an integer matrix (a Tensor) on a nonzero probe vector."""
+    vec = Tensor.of(vec)
+    image = Tensor.einsum("ij,j->i", matrix, vec)
+    k = next(i for i, x in enumerate(vec) if x)
+    lam = image[k] / vec[k]
+    if image != vec * lam:
+        raise StructureError("probe vector is not an eigenvector")
     return lam
 
 

@@ -2,7 +2,8 @@
 
 Coefficients are rationals ("3", "-1/2"); blades are wedge-joined frame
 labels ("e1^e3^e5"); a bare coefficient is a scalar term.  Whitespace is
-free.  Errors carry the offending position.
+free.  Errors carry the offending position: among them a zero denominator
+and a sign or '*' with no term after it.
 """
 
 from __future__ import annotations
@@ -20,15 +21,13 @@ def parse_form(text: str, n: int) -> list:
     """Parse into homogeneous Forms (one per degree present, ascending)."""
     pos = 0
     terms = []  # (coeff, [indices])
-    expect_term = True
     sign = 1
     coeff = None
     blade = None
+    pending = None  # ("sign" or "'*'", position) of an operator still waiting for its term
 
-    def flush(at):
+    def flush():
         nonlocal sign, coeff, blade
-        if coeff is None and blade is None:
-            raise FormParseError("empty term", at)
         c = Fraction(coeff) if coeff is not None else Fraction(1)
         terms.append((sign * c, blade or []))
         sign, coeff, blade = 1, None, None
@@ -40,20 +39,24 @@ def parse_form(text: str, n: int) -> list:
                 raise FormParseError("unrecognized token", pos)
             break
         if m.group("sign"):
-            if not expect_term or coeff is not None or blade is not None:
-                flush(pos)
+            if pending and pending[0] == "'*'":
+                raise FormParseError("dangling '*'", pending[1])
+            if coeff is not None or blade is not None:
+                flush()
             if m.group("sign") == "-":
                 sign = -sign
-            expect_term = True
+            pending = ("sign", m.start("sign"))
         elif m.group("rat"):
             if coeff is not None or blade is not None:
                 raise FormParseError("unexpected number", pos)
+            if not int(m.group("rat").partition("/")[2] or 1):
+                raise FormParseError("zero denominator", m.start("rat"))
             coeff = m.group("rat")
-            expect_term = False
+            pending = None
         elif m.group("star"):
             if coeff is None or blade is not None:
                 raise FormParseError("misplaced '*'", pos)
-            expect_term = False
+            pending = ("'*'", m.start("star"))
         else:
             if blade is not None:
                 raise FormParseError("unexpected blade", pos)
@@ -62,10 +65,12 @@ def parse_form(text: str, n: int) -> list:
                 if not 1 <= k <= n:
                     raise FormParseError(f"index e{k} outside 1..{n}", pos)
             blade = indices
-            expect_term = False
+            pending = None
         pos = m.end()
+    if pending:
+        raise FormParseError(f"dangling {pending[0]}", pending[1])
     if coeff is not None or blade is not None:
-        flush(pos)
+        flush()
     elif not terms:
         raise FormParseError("empty expression", 0)
 

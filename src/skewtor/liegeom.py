@@ -13,7 +13,7 @@ from fractions import Fraction
 from .clifford import GammaRep, act_form, common_kernel
 from .errors import DegreeError, DimensionMismatch, StructureError
 from .forms import Form, contract, derivation, sigma_t, wedge
-from .linalg import CQ, Tensor, mat_add, mat_mul, mat_scale, mat_sub, mat_vec
+from .linalg import Tensor
 
 Q = Fraction
 
@@ -209,20 +209,19 @@ def spinor_connection(conn: ConnectionData, rep: GammaRep):
     return [act_form(rep, plane.to_form().scale(Q(1, 2))) for plane in conn.omega]
 
 
-def _dirac(rep: GammaRep, lams):
-    """D = sum_i Gamma_i Lambda_i from the spin connection."""
-    size = rep.dim
-    out = [[CQ(0)] * size for _ in range(size)]
-    for gamma, lam in zip(rep.gammas, lams):
-        out = mat_add(out, mat_mul(gamma, lam))
-    return out
+def _sum_products(lefts, rights):
+    """sum_k lefts[k] rights[k] of spinor endomorphisms."""
+    products = [a @ b for a, b in zip(lefts, rights)]
+    return sum(products[1:], products[0])
 
 
 def dirac_matrix(conn: ConnectionData, rep: GammaRep):
-    return _dirac(rep, spinor_connection(conn, rep))
+    """D = sum_i Gamma_i Lambda_i from the spin connection."""
+    return _sum_products(rep.gammas, spinor_connection(conn, rep))
 
 
 def parallel_spinors(conn: ConnectionData, rep: GammaRep):
+    """Basis (as rows) of the invariant spinors with nabla psi = 0."""
     return common_kernel(spinor_connection(conn, rep), dim=rep.dim)
 
 
@@ -231,81 +230,66 @@ def lc_trace_vector(model: LieModel) -> Tensor:
     return Tensor.einsum("iik->k", levi_civita(model).omega)
 
 
-def _field_endomorphism(model: LieModel, t: Form, dt: Form, scal, rep: GammaRep):
-    """(3/4) dT - (1/2) sigma^T + (1/2) delta(T) + Scal/4 acting on spinors."""
-    return act_form(rep, [dt.scale(Q(3, 4)) - sigma_t(t).scale(Q(1, 2)),
-                          codiff(model, t).scale(Q(1, 2)),
-                          Form.scalar(model.n, scal / 4)])
+class SpinorData:
+    """The spinor side of the torsion connection of (model, T), built once.
 
-
-def torsion_derivative_action(rep: GammaRep, t: Form, lams):
-    """sum_k (e_k -| T) . Lambda_k, the torsion term of both Dirac identities."""
-    out = [[CQ(0)] * rep.dim for _ in range(rep.dim)]
-    for k, lam in enumerate(lams, 1):
-        out = mat_add(out, mat_mul(act_form(rep, contract(t, k)), lam))
-    return out
-
-
-def dirac_square_residual(model: LieModel, t: Form, rep: GammaRep):
-    """Matrix residual of the Dirac-square (Weitzenboeck) identity on invariant spinors.
-
-    D^2 = nabla*nabla + (3/4) dT - (1/2) sigma^T + (1/2) delta(T)
-          - sum e_k-|T nabla_k + Scal/4 must vanish identically; returns the
-    residual matrix.  The 1/2 on the codifferential term is forced: it is the
-    unique coefficient under which the identity closes exactly on models whose
-    torsion is not coclosed, and the only one consistent with the
-    parallel-spinor corollary (all verified by the test suite).
+    The three identities below share the connection, its curvature, the spin
+    connection Lambda_i, the Dirac operator D = sum_i Gamma_i Lambda_i and
+    the torsion term sum_k (e_k -| T) . Lambda_k of both Dirac identities.
     """
-    conn = with_torsion(model, t)
-    lams = spinor_connection(conn, rep)
-    size = rep.dim
-    n = model.n
-    dirac = _dirac(rep, lams)
-    d2 = mat_mul(dirac, dirac)
 
-    lap = [[CQ(0)] * size for _ in range(size)]
-    for i in range(n):
-        lap = mat_sub(lap, mat_mul(lams[i], lams[i]))
-    v = lc_trace_vector(model)
-    for k in range(n):
-        if v[k]:
-            lap = mat_add(lap, mat_scale(lams[k], CQ(v[k])))
+    def __init__(self, model: LieModel, t: Form, rep: GammaRep):
+        self.model, self.t, self.rep = model, t, rep
+        self.conn = with_torsion(model, t)
+        self.table = curvature(self.conn)
+        self.lams = spinor_connection(self.conn, rep)
+        self.dirac = _sum_products(rep.gammas, self.lams)
+        self.dt = d_form(model, t)
+        self.delta_t = codiff(model, t)
+        self.torsion_term = _sum_products(
+            [act_form(rep, contract(t, k)) for k in range(1, model.n + 1)], self.lams)
+        # (3/4) dT - (1/2) sigma^T + (1/2) delta(T) + Scal/4
+        self.field = act_form(rep, [self.dt.scale(Q(3, 4)) - sigma_t(t).scale(Q(1, 2)),
+                                    self.delta_t.scale(Q(1, 2)),
+                                    Form.scalar(model.n, self.table.scal / 4)])
 
-    rhs = mat_add(lap, _field_endomorphism(model, t, d_form(model, t),
-                                           curvature(conn).scal, rep))
-    rhs = mat_sub(rhs, torsion_derivative_action(rep, t, lams))
-    return mat_sub(d2, rhs)
+    def square_residual(self):
+        """Matrix residual of the Dirac-square (Weitzenboeck) identity on invariant spinors.
 
+        D^2 = nabla*nabla + (3/4) dT - (1/2) sigma^T + (1/2) delta(T)
+              - sum e_k-|T nabla_k + Scal/4 must vanish identically.  The 1/2 on
+        the codifferential term is forced: it is the unique coefficient under
+        which the identity closes exactly on models whose torsion is not
+        coclosed, and the only one consistent with the parallel-spinor
+        corollary (all verified by the test suite).
+        """
+        lap = -_sum_products(self.lams, self.lams)
+        v = lc_trace_vector(self.model)
+        for k, lam in enumerate(self.lams):
+            if v[k]:
+                lap = lap + lam * v[k]
+        return self.dirac @ self.dirac - (lap + self.field - self.torsion_term)
 
-def dirac_torsion_anticommutator_residual(model: LieModel, t: Form, rep: GammaRep):
-    """Residual of D T + T D = dT + delta(T) - 2 sigma^T - 2 sum e_i-|T nabla_i."""
-    conn = with_torsion(model, t)
-    lams = spinor_connection(conn, rep)
-    d = _dirac(rep, lams)
-    tm = act_form(rep, t)
-    lhs = mat_add(mat_mul(d, tm), mat_mul(tm, d))
-    rhs = act_form(rep, d_form(model, t))
-    rhs = mat_add(rhs, act_form(rep, codiff(model, t)))
-    rhs = mat_sub(rhs, mat_scale(act_form(rep, sigma_t(t)), CQ(2)))
-    rhs = mat_sub(rhs, mat_scale(torsion_derivative_action(rep, t, lams), CQ(2)))
-    return mat_sub(lhs, rhs)
+    def anticommutator_residual(self):
+        """Residual of D T + T D = dT + delta(T) - 2 sigma^T - 2 sum e_i-|T nabla_i."""
+        tm = act_form(self.rep, self.t)
+        lhs = self.dirac @ tm + tm @ self.dirac
+        rhs = act_form(self.rep, [self.dt, self.delta_t, sigma_t(self.t).scale(-2)])
+        return lhs - (rhs - self.torsion_term * 2)
 
+    def field_equations(self):
+        """Residual vectors of both field equations on each invariant parallel spinor.
 
-def parallel_spinor_field_equations(model: LieModel, t: Form, rep: GammaRep):
-    """Residual vectors of both field equations on each invariant parallel spinor.
+        First: (3/4 dT - 1/2 sigma^T + 1/2 delta(T) + Scal/4) psi = 0.
+        Second: (1/2 X-|dT + nabla_X T - Ric(X)) psi = 0 for every coframe X.
+        Returns the parallel spinors (as rows) and, per spinor, both residuals.
+        """
+        n, rep = self.model.n, self.rep
+        basis = common_kernel(self.lams, dim=rep.dim)
+        second = [act_form(rep, [contract(self.dt, i).scale(Q(1, 2))
+                                 + nabla_form(self.conn, i, self.t),
+                                 -Form.from_vector(n, self.table.ric[i - 1])])
+                  for i in range(1, n + 1)]
+        residuals = [(self.field @ psi, [op @ psi for op in second]) for psi in basis]
+        return basis, residuals
 
-    First: (3/4 dT - 1/2 sigma^T + 1/2 delta(T) + Scal/4) psi = 0.
-    Second: (1/2 X-|dT + nabla_X T - Ric(X)) psi = 0 for every coframe X.
-    """
-    conn = with_torsion(model, t)
-    basis = parallel_spinors(conn, rep)
-    n = model.n
-    dt = d_form(model, t)
-    table = curvature(conn)
-    first = _field_endomorphism(model, t, dt, table.scal, rep)
-    second = [act_form(rep, [contract(dt, i).scale(Q(1, 2)) + nabla_form(conn, i, t),
-                             -Form.from_vector(n, table.ric[i - 1])])
-              for i in range(1, n + 1)]
-    residuals = [(mat_vec(first, psi), [mat_vec(op, psi) for op in second])
-                 for psi in basis]
-    return basis, residuals

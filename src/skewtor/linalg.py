@@ -2,8 +2,10 @@
 
 Invariant tensors (structure constants, connection coefficients, curvature,
 the tensors of forms) are exact dense `Tensor`s, and every identity over them
-is one einsum contraction.  Small systems (spinor modules) run a
-straightforward fraction-free/field elimination.  The large
+is one einsum contraction.  Spinor endomorphisms and spinors are exact
+dense `GaussTensor`s, the same layout with an imaginary part, multiplied by
+integer matrix products.  Small systems (spinor kernels) run a
+straightforward field elimination over `CQ`.  The large
 representation-theoretic matrices (up to 196 x 196) use integer arithmetic
 plus a mod-p elimination whose result is promoted to an exact statement by a
 separate certificate, never trusted on its own.
@@ -103,13 +105,13 @@ class Tensor:
 
     def __add__(self, other: "Tensor") -> "Tensor":
         den = lcm(self.den, other.den)
-        return Tensor(self.num * (den // self.den) + other.num * (den // other.den), den)
+        return type(self)(self.num * (den // self.den) + other.num * (den // other.den), den)
 
     def __sub__(self, other: "Tensor") -> "Tensor":
         return self + (-other)
 
     def __neg__(self) -> "Tensor":
-        return Tensor(-self.num, self.den)
+        return type(self)(-self.num, self.den)
 
     def __mul__(self, factor) -> "Tensor":
         """Scaling by a rational number."""
@@ -119,7 +121,7 @@ class Tensor:
     def __eq__(self, other):
         """Exact equality with a Tensor or with nested lists of rationals."""
         if isinstance(other, (list, tuple)):
-            other = Tensor.of(other)
+            other = type(self).of(other)
         if not isinstance(other, Tensor):
             return NotImplemented
         return (self.den == other.den and self.num.shape == other.num.shape
@@ -145,7 +147,7 @@ class Tensor:
         return (self[i] for i in range(len(self)))
 
     def __repr__(self):
-        return f"Tensor(shape {self.num.shape}, denominator {self.den})"
+        return f"{type(self).__name__}(shape {self.num.shape}, denominator {self.den})"
 
 
 def blade_tensors(n, degree):
@@ -205,9 +207,6 @@ class CQ:
         o = CQ.of(other)
         return CQ(self.re - o.re, self.im - o.im)
 
-    def __rsub__(self, other):
-        return CQ.of(other) - self
-
     def __mul__(self, other):
         o = CQ.of(other)
         return CQ(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
@@ -221,9 +220,6 @@ class CQ:
             raise ZeroDivisionError("division by zero Gaussian rational")
         return CQ((self.re * o.re + self.im * o.im) / d,
                   (self.im * o.re - self.re * o.im) / d)
-
-    def __rtruediv__(self, other):
-        return CQ.of(other) / self
 
     def __neg__(self):
         return CQ(-self.re, -self.im)
@@ -241,88 +237,105 @@ class CQ:
     def __hash__(self):
         return hash((self.re, self.im))
 
-    def is_real(self):
-        return not self.im
-
     def __repr__(self):
         if not self.im:
             return str(self.re)
         return f"({self.re}{'+' if self.im >= 0 else '-'}{abs(self.im)}i)"
 
 
-I = CQ(0, 1)
 _ZERO = Q(0)
 
 
 # ---------------------------------------------------------------------------
-# generic dense matrices (list-of-lists over Fraction or CQ)
+# exact dense Gaussian-rational tensors (spinor endomorphisms and spinors)
 # ---------------------------------------------------------------------------
 
-def mat_identity(n, one=Q(1), zero=Q(0)):
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+class GaussTensor(Tensor):
+    """Exact dense Gaussian-rational tensor: a Tensor whose last axis holds (re, im).
 
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, s):
-    return [[s * x for x in row] for row in a]
-
-
-def mat_mul(a, b):
-    zero = a[0][0] - a[0][0]
-    cols_b = list(zip(*b))
-    out = []
-    for row in a:
-        out_row = []
-        for col in cols_b:
-            acc = zero
-            for x, y in zip(row, col):
-                if x and y:
-                    acc = acc + x * y
-            out_row.append(acc)
-        out.append(out_row)
-    return out
-
-
-def mat_vec(a, v):
-    zero = a[0][0] - a[0][0]
-    out = []
-    for row in a:
-        acc = zero
-        for x, y in zip(row, v):
-            if x and y:
-                acc = acc + x * y
-        out.append(acc)
-    return out
-
-
-def mat_eq_zero(a):
-    return all(not x for row in a for x in row)
-
-
-def is_hermitian(a):
-    _, re, im = _gaussian_ints(a)
-    return bool((re == re.T).all() and (im == -im.T).all())
-
-
-def _gaussian_ints(matrix):
-    """(d, re, im) with matrix = (re + i im) / d and d the least common denominator.
-
-    `re` and `im` are object arrays of Python ints; entries may be Fraction or CQ.
+    The numerators of both parts share the one reduced denominator, so equal
+    tensors are equal entry-wise, and +, -, ==, `is_zero`, `len` and
+    iteration are the Tensor ones.  Matrices and vectors multiply with `@`
+    by three integer products (Gauss's trick); a full index gives a CQ.
+    einsum and the form conversions are for real tensors only.
     """
-    pairs = [(x.re, x.im) if isinstance(x, CQ) else (Q(x), _ZERO)
-             for row in matrix for x in row]
-    d = lcm(*(q.denominator for pair in pairs for q in pair))
-    nums = np.array([[q.numerator * (d // q.denominator) for q in pair] for pair in pairs],
-                    dtype=object).reshape(len(matrix), -1, 2)
-    return d, nums[..., 0], nums[..., 1]
 
+    __slots__ = ()
+
+    @staticmethod
+    def of(values) -> "GaussTensor":
+        """GaussTensor of nested lists (or an array) of rationals and CQs."""
+        if isinstance(values, GaussTensor):
+            return values
+        arr = np.asarray(values, dtype=object)
+        pairs = [q for x in arr.flat
+                 for q in ((x.re, x.im) if isinstance(x, CQ) else (Q(x), _ZERO))]
+        den = lcm(1, *(q.denominator for q in pairs))
+        nums = [q.numerator * (den // q.denominator) for q in pairs]
+        return GaussTensor(np.array(nums, dtype=object).reshape(arr.shape + (2,)), den)
+
+    @staticmethod
+    def of_parts(re, im, den=1) -> "GaussTensor":
+        """(re + i im) / den from integer arrays of one shape."""
+        return GaussTensor(np.stack([np.asarray(re, dtype=object),
+                                     np.asarray(im, dtype=object)], axis=-1), den)
+
+    @staticmethod
+    def identity(n: int) -> "GaussTensor":
+        return GaussTensor.of_parts(np.eye(n, dtype=int), np.zeros((n, n), dtype=int))
+
+    @property
+    def re(self):
+        return self.num[..., 0]
+
+    @property
+    def im(self):
+        return self.num[..., 1]
+
+    @property
+    def T(self) -> "GaussTensor":
+        """The transpose of a matrix (without conjugation)."""
+        return GaussTensor(self.num.transpose(1, 0, 2), self.den)
+
+    def __matmul__(self, other: "GaussTensor") -> "GaussTensor":
+        """(R + iJ)(P + iQ) from the three integer products RP, JQ, (R + J)(P + Q)."""
+        rp, jq = _product(self.re, other.re), _product(self.im, other.im)
+        cross = _product(self.re + self.im, other.re + other.im)
+        return GaussTensor.of_parts(rp - jq, cross - rp - jq, self.den * other.den)
+
+    def __mul__(self, factor) -> "GaussTensor":
+        """Scaling by a rational or Gaussian rational number."""
+        f = CQ.of(factor)
+        den = lcm(f.re.denominator, f.im.denominator)
+        a, b = int(f.re * den), int(f.im * den)
+        return GaussTensor.of_parts(self.re * a - self.im * b, self.re * b + self.im * a,
+                                    self.den * den)
+
+    def __getitem__(self, index):
+        """A CQ for a full index, else the sub-tensor."""
+        part = self.num[index]
+        if part.ndim > 1:
+            return GaussTensor(part, self.den)
+        return CQ(Q(part[0], self.den), Q(part[1], self.den))
+
+    def tolist(self):
+        """Nested lists of CQ entries, the scalars of `rref`, `nullspace` and `solve`."""
+        flat = [CQ(Q(re, self.den), Q(im, self.den)) for re, im in self.num.reshape(-1, 2)]
+        return np.array(flat, dtype=object).reshape(self.num.shape[:-1]).tolist()
+
+
+def _product(a, b):
+    """int_matmul as an object array, so that sums of products cannot overflow int64."""
+    return int_matmul(a, b).astype(object)
+
+
+def is_hermitian(a: GaussTensor) -> bool:
+    return bool((a.re == a.re.T).all() and (a.im == -a.im.T).all())
+
+
+# ---------------------------------------------------------------------------
+# field elimination over Q and Q(i)
+# ---------------------------------------------------------------------------
 
 def rref(matrix, pivot_limit=None):
     """Reduced row echelon form over any exact field; returns (rows, pivot_cols).
@@ -430,36 +443,24 @@ def invert(matrix):
 # characteristic polynomial & rational roots
 # ---------------------------------------------------------------------------
 
-def charpoly(matrix):
-    """Monic characteristic polynomial det(xI - A), coefficients highest first.
+def charpoly(matrix: GaussTensor):
+    """Monic characteristic polynomial det(xI - A) as CQ coefficients, highest first.
 
-    Faddeev-LeVerrier on d A = R + i J with integer R, J (d clears every
-    denominator).  The coefficients C_k of det(xI - d A) lie in Z[i], so each
-    division by k is exact; A has the coefficients C_k / d^k, returned as CQ
-    for CQ input and as Fraction otherwise.
+    Faddeev-LeVerrier on the integral d A (d the denominator of A): the
+    coefficients C_k of det(xI - d A) lie in Z[i], so each division by k is
+    exact, and A has the coefficients C_k / d^k.
     """
-    n = len(matrix)
-    d, a_re, a_im = _gaussian_ints(matrix)
-    a_re, a_im, a_sum = int_array(a_re), int_array(a_im), int_array(a_re + a_im)
-    m_re, m_im = np.identity(n, dtype=int).astype(object), np.zeros((n, n), dtype=object)
+    n, d = len(matrix), matrix.den
+    scaled = GaussTensor(matrix.num)
+    eye = np.eye(n, dtype=int).astype(object)[..., None]
+    m = GaussTensor.identity(n)
     coeffs = [(1, 0)]
     for k in range(1, n + 1):
-        # (R + iJ)(P + iQ) from the three products RP, JQ, (R + J)(P + Q)
-        rp, jq = _product(a_re, m_re), _product(a_im, m_im)
-        p_re, p_im = rp - jq, _product(a_sum, m_re + m_im) - rp - jq
-        c_re, c_im = -(sum(p_re.diagonal()) // k), -(sum(p_im.diagonal()) // k)
-        coeffs.append((c_re, c_im))
-        m_re, m_im = p_re, p_im
-        m_re[np.diag_indices(n)] += c_re
-        m_im[np.diag_indices(n)] += c_im
-    if isinstance(matrix[0][0], CQ):
-        return [CQ(Q(re, d ** k), Q(im, d ** k)) for k, (re, im) in enumerate(coeffs)]
-    return [Q(re, d ** k) for k, (re, _) in enumerate(coeffs)]
-
-
-def _product(a, b):
-    """int_matmul as an object array, so that sums of products cannot overflow int64."""
-    return int_matmul(a, b).astype(object)
+        p = scaled @ m
+        c = -(np.trace(p.num) // k)   # (re, im) of C_k
+        coeffs.append(tuple(c))
+        m = GaussTensor(p.num + eye * c)
+    return [CQ(Q(re, d ** k), Q(im, d ** k)) for k, (re, im) in enumerate(coeffs)]
 
 
 def poly_eval(coeffs, x):

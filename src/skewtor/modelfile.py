@@ -64,12 +64,26 @@ def _field(name, read, *args):
         return read(*args)
     except KeyError as err:
         raise SkewtorError(f"field {name}: missing {err}") from err
-    except (AttributeError, IndexError, TypeError, ValueError, ZeroDivisionError) as err:
+    except (AttributeError, IndexError, OverflowError, TypeError, ValueError,
+            ZeroDivisionError) as err:
         raise SkewtorError(f"field {name}: {err}") from err
 
 
+def _integer(value):
+    """A JSON integer as is; a bool, a float or a string is an error."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
+def _text(value):
+    if not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a string")
+    return value
+
+
 def _dimension(doc):
-    n = int(doc["dim"])
+    n = _integer(doc["dim"])
     if not 2 <= n <= 8:
         raise ValueError(f"{n} is outside the supported dimensions 2..8")
     return n
@@ -78,9 +92,9 @@ def _dimension(doc):
 def _coframe(doc, n):
     d_coframe = [Form(n, 2)] * n
     for i, pairs in doc["coframe_d"]:
-        if not 1 <= int(i) <= n:
+        if not 1 <= _integer(i) <= n:
             raise ValueError(f"coframe index {i} is outside 1..{n}")
-        d_coframe[int(i) - 1] = form_from_pairs(pairs, n, 2)
+        d_coframe[i - 1] = form_from_pairs(pairs, n, 2)
     return d_coframe
 
 
@@ -89,7 +103,7 @@ def _structure(s, n):
     if kind == "g2":
         return {"kind": "g2", "omega3": form_from_pairs(s["omega3"], n, 3)}
     if kind == "contact":
-        return {"kind": "contact", "xi": int(s["xi"]),
+        return {"kind": "contact", "xi": _integer(s["xi"]),
                 "eta": form_from_pairs(s["eta"], n, 1),
                 "phi": matrix_from_rows(s["phi"], n)}
     if kind == "hermitian":
@@ -104,9 +118,10 @@ def entry_from_dict(doc: dict) -> ModelEntry:
     if not isinstance(doc, dict):
         raise SkewtorError("a model file holds one JSON object")
     n = _field("dim", _dimension, doc)
-    model = LieModel(n, _field("coframe_d", _coframe, doc, n), name=doc.get("name", ""))
+    name = _field("name", _text, doc.get("name", ""))
+    model = LieModel(n, _field("coframe_d", _coframe, doc, n), name=name)
     structure = _field("structure", _structure, doc.get("structure", {"kind": "none"}), n)
-    entry = ModelEntry(model, structure, notes=doc.get("notes", ""))
+    entry = ModelEntry(model, structure, notes=_field("notes", _text, doc.get("notes", "")))
     if structure["kind"] != "none":
         entry.structure_object()  # enforces the structure's invariants at load
     return entry

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -16,13 +17,10 @@ from . import acskit, clifford, equivar, g2
 from .forms import (Form, contract, hodge, inner, random_form, sigma_t,
                     sigma_t_quadratic, volume_form, wedge)
 from .errors import NoSkewConnection
-from .liegeom import (codiff, curvature, curvature_identity_residuals, d_form,
-                      dirac_square_residual,
-                      dirac_torsion_anticommutator_residual, levi_civita,
-                      nabla_form, parallel_spinor_field_equations,
-                      parallel_spinors, tt_contraction, with_torsion)
-from .linalg import (CQ, int_array, int_matmul, mat_add, mat_eq_zero, mat_mul,
-                     mat_vec, nullspace)
+from .liegeom import (SpinorData, codiff, curvature, curvature_identity_residuals,
+                      d_form, levi_civita, nabla_form, parallel_spinors,
+                      tt_contraction, with_torsion)
+from .linalg import GaussTensor, int_array, int_matmul
 from .registry import canonical_omega3, registry
 from .reporting import Report, check, merge, skip
 
@@ -117,16 +115,12 @@ def suite_clifford() -> Report:
     ok = True
     for n in range(2, 9):
         rep = clifford.build_rep(n)
+        gammas, minus_two = rep.gammas, GaussTensor.identity(rep.dim) * -2
         for i in range(n):
             for j in range(i, n):
-                anti = mat_add(mat_mul(rep.gammas[i], rep.gammas[j]),
-                               mat_mul(rep.gammas[j], rep.gammas[i]))
-                want = -2 if i == j else 0
-                for a in range(rep.dim):
-                    for b in range(rep.dim):
-                        expect = want if a == b else 0
-                        if anti[a][b] != clifford.CQ(expect):
-                            ok = False
+                anti = gammas[i] @ gammas[j] + gammas[j] @ gammas[i]
+                if not (anti == minus_two if i == j else anti.is_zero()):
+                    ok = False
     checks.append(check("clifford.relations", "defining relations", ok,
                         provenance="trivial"))
     rep7 = clifford.build_rep(7)
@@ -140,9 +134,9 @@ def suite_clifford() -> Report:
     sw3 = hodge(w3)
     ok4 = True
     for i in range(1, 8):
-        lhs = mat_vec(clifford.act_form(rep7, contract(sw3, i)), psi0)
-        rhs = mat_vec(clifford.act_form(rep7, Form.basis_vector(7, i)), psi0)
-        ok4 = ok4 and all(l == clifford.CQ(4) * r for l, r in zip(lhs, rhs))
+        lhs = clifford.act_form(rep7, contract(sw3, i)) @ psi0
+        rhs = clifford.act_form(rep7, Form.basis_vector(7, i)) @ psi0
+        ok4 = ok4 and lhs == rhs * 4
     checks.append(check("clifford.contraction-action", "(X -| *w3) psi = 4 X psi",
                         ok4, provenance="stated"))
     rep5 = clifford.build_rep(5)
@@ -153,10 +147,9 @@ def suite_clifford() -> Report:
                         spec5.multiset() == [Q(-4), Q(0), Q(0), Q(4)],
                         value=spec5.as_pairs(), expected="(-4, 0, 0, 4)",
                         provenance="stated"))
-    ident = [[clifford.CQ(1) if i == j else clifford.CQ(0) for j in range(8)]
-             for i in range(8)]
     checks.append(check("clifford.identity-spectrum", "spectrum bookkeeping",
-                        clifford.eigen_report(ident).pairs == [(Q(1), 8)],
+                        clifford.eigen_report(GaussTensor.identity(8)).pairs
+                        == [(Q(1), 8)],
                         provenance="trivial"))
     checks.append(check("clifford.empty-kernel", "common kernel conventions",
                         len(clifford.common_kernel([], dim=8)) == 8,
@@ -168,7 +161,7 @@ def suite_clifford() -> Report:
         x = random_form(5, 1, rng, span=4)
         endo = clifford.spin_endo_5d(t, x)
         for which in ("plus", "minus"):
-            member = all(not c for c in mat_vec(endo, clifford.spinor_5d(which)))
+            member = (endo @ clifford.spinor_5d(which)).is_zero()
             if member != clifford.kernel_conditions_5d(t, x, which):
                 ok_kc = False
     checks.append(check("clifford.kernel-conditions", "Lemmas 7.2 / 7.5",
@@ -185,7 +178,7 @@ def suite_clifford() -> Report:
                         clifford.kernel_conditions_5d(t0, x_plus, "minus")
                         and not clifford.kernel_conditions_5d(t0, x_minus, "minus"),
                         provenance="stated"))
-    plus, minus = acskit.half_module_endomorphism_spectrum(1)
+    plus, minus = _lemma_10_7()
     checks.append(check("clifford.half-module-spectrum", "Lemma 10.7",
                         plus == [Q(0), Q(4), Q(4), Q(4)] == minus,
                         expected="(0, 4, 4, 4) per half module",
@@ -193,11 +186,15 @@ def suite_clifford() -> Report:
     return Report("clifford", checks)
 
 
+@lru_cache(maxsize=None)
+def _lemma_10_7():
+    """The half-module spectra of Lemma 10.7, which the clifford and hermitian suites share."""
+    return acskit.half_module_endomorphism_spectrum(1)
+
+
 def _minus7_spinor(rep7):
-    act = clifford.act_form(rep7, canonical_omega3())
-    shifted = [[act[i][j] + (CQ(7) if i == j else CQ(0)) for j in range(8)]
-               for i in range(8)]
-    return nullspace(shifted, one=CQ(1))[0]
+    shifted = clifford.act_form(rep7, canonical_omega3()) + GaussTensor.identity(8) * 7
+    return clifford.common_kernel([shifted])[0]
 
 
 def suite_section2() -> Report:
@@ -224,18 +221,16 @@ def suite_slformula() -> Report:
     checks = []
     for name, torsion in admissible_models():
         model = registry()[name].model
-        rep = clifford.build_rep(model.n)
-        r1 = dirac_square_residual(model, torsion, rep)
+        spin = SpinorData(model, torsion, clifford.build_rep(model.n))
         checks.append(check(f"slformula.{name}.square", "Thm 3.1",
-                            mat_eq_zero(r1), expected="zero matrix",
+                            spin.square_residual().is_zero(), expected="zero matrix",
                             provenance="stated"))
-        r2 = dirac_torsion_anticommutator_residual(model, torsion, rep)
         checks.append(check(f"slformula.{name}.anticommutator", "Thm 3.3",
-                            mat_eq_zero(r2), expected="zero matrix",
-                            provenance="stated"))
-        basis, residuals = parallel_spinor_field_equations(model, torsion, rep)
-        flat = all(all(not c for c in r1_) and all(not c for vec in r2_ for c in vec)
-                   for r1_, r2_ in residuals)
+                            spin.anticommutator_residual().is_zero(),
+                            expected="zero matrix", provenance="stated"))
+        basis, residuals = spin.field_equations()
+        flat = all(first.is_zero() and all(r.is_zero() for r in second)
+                   for first, second in residuals)
         checks.append(check(f"slformula.{name}.parallel-field-equations",
                             "Cor 3.2", flat,
                             value=f"{len(basis)} parallel spinors",
@@ -547,7 +542,7 @@ def suite_hermitian() -> Report:
         pack = acskit.nearly_kaehler_identities(a)
         checks.append(check(f"hermitian.nearly-kaehler.{a}", "Prop 10.4 / Cor 10.6",
                             all(pack.values()), value=pack, provenance="stated"))
-    plus, minus = acskit.half_module_endomorphism_spectrum(1)
+    plus, minus = _lemma_10_7()
     checks.append(check("hermitian.half-module-spectrum", "Lemma 10.7",
                         plus == [Q(0), Q(4), Q(4), Q(4)] == minus,
                         value=[plus, minus], expected="(0,4,4,4) twice",
@@ -624,8 +619,7 @@ def suite_examples() -> Report:
     tm7 = clifford.act_form(rep7, t7)
     checks.append(check("examples.heis7.parallel-spinors", "Cor 6.2",
                         len(basis7) == 4
-                        and all(all(not c for c in mat_vec(tm7, psi))
-                                for psi in basis7),
+                        and all((tm7 @ psi).is_zero() for psi in basis7),
                         value=len(basis7), expected=4, provenance="stated"))
     checks.append(skip("examples.heis7.harmonic-bound", "Cor 6.3",
                        "compact quotient estimate"))
@@ -677,8 +671,7 @@ def suite_examples() -> Report:
     tm7b = clifford.act_form(rep7, t7b)
     checks.append(check("examples.solv7.parallel-spinors", "Cor 6.5",
                         len(basis7b) == 2
-                        and all(all(not c for c in mat_vec(tm7b, psi))
-                                for psi in basis7b),
+                        and all((tm7b @ psi).is_zero() for psi in basis7b),
                         value=len(basis7b), expected=2, provenance="stated"))
     checks.append(skip("examples.solv7.harmonic-bound", "Cor 6.6",
                        "compact quotient estimate"))

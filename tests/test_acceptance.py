@@ -13,12 +13,11 @@ import pytest
 from skewtor import acskit, clifford, equivar, g2
 from skewtor.forms import Form, contract, hodge, random_form, sigma_t, wedge
 from skewtor.errors import NoSkewConnection
-from skewtor.liegeom import (codiff, curvature, curvature_identity_residuals,
-                             d_form, dirac_square_residual,
-                             dirac_torsion_anticommutator_residual,
-                             levi_civita, nabla_form, parallel_spinors,
-                             tt_contraction, with_torsion)
-from skewtor.linalg import mat_eq_zero, mat_vec
+from skewtor.liegeom import (SpinorData, codiff, curvature,
+                             curvature_identity_residuals, d_form, levi_civita,
+                             nabla_form, parallel_spinors, tt_contraction,
+                             with_torsion)
+from skewtor.linalg import GaussTensor
 from skewtor.registry import canonical_omega3, registry
 
 W3 = canonical_omega3()
@@ -69,7 +68,7 @@ def test_c02_heis7_spinor_side():
     basis = parallel_spinors(with_torsion(model, t), rep)
     assert len(basis) == 4
     tm = clifford.act_form(rep, t)
-    assert all(all(not c for c in mat_vec(tm, psi)) for psi in basis)
+    assert all((tm @ psi).is_zero() for psi in basis)
     _line(2, "heis7: eigenvalue multisets exact; 4 parallel spinors killed by T")
 
 
@@ -94,7 +93,7 @@ def test_c03_solv7_tables():
     basis = parallel_spinors(with_torsion(model, t), rep)
     assert len(basis) == 2
     tm = clifford.act_form(rep, t)
-    assert all(all(not c for c in mat_vec(tm, psi)) for psi in basis)
+    assert all((tm @ psi).is_zero() for psi in basis)
     _line(3, "solv7: coclosed w3; T, dT, Scal, multisets; 2 parallel spinors")
 
 
@@ -118,8 +117,9 @@ def test_c05_operator_identities():
         model = registry()[name].model
         t = names[name]
         rep = clifford.build_rep(model.n)
-        assert mat_eq_zero(dirac_square_residual(model, t, rep)), name
-        assert mat_eq_zero(dirac_torsion_anticommutator_residual(model, t, rep)), name
+        spin = SpinorData(model, t, rep)
+        assert spin.square_residual().is_zero(), name
+        assert spin.anticommutator_residual().is_zero(), name
     _line(5, "Dirac-square and anticommutator identities are zero matrices")
 
 
@@ -166,13 +166,12 @@ def test_c09_spinor_identities():
     spectrum = clifford.eigen_report(clifford.act_form(rep, W3))
     assert spectrum.pairs == [(Q(-7), 1), (Q(1), 7)]
     from skewtor.linalg import CQ, nullspace
-    act = clifford.act_form(rep, W3)
-    shifted = [[act[i][j] + (CQ(7) if i == j else CQ(0)) for j in range(8)]
-               for i in range(8)]
-    (psi0,) = nullspace(shifted, one=CQ(1))
+    shifted = clifford.act_form(rep, W3) + GaussTensor.identity(8) * 7
+    (psi0,) = nullspace(shifted.tolist(), one=CQ(1))
+    psi0 = GaussTensor.of(psi0)
     for i in range(1, 8):
-        lhs = mat_vec(clifford.act_form(rep, contract(SW3, i)), psi0)
-        rhs = mat_vec(clifford.act_form(rep, Form.basis_vector(7, i)), psi0)
+        lhs = clifford.act_form(rep, contract(SW3, i)) @ psi0
+        rhs = clifford.act_form(rep, Form.basis_vector(7, i)) @ psi0
         assert all(l == CQ(4) * r for l, r in zip(lhs, rhs))
     pack = g2.nearly_parallel_identities(6)
     assert pack["quarter-tt-contraction"]      # (3/72) lambda^2 delta
@@ -204,7 +203,7 @@ def test_c10_sasakian_package():
         x1 = random_form(5, 1, rng, span=4)
         endo = clifford.spin_endo_5d(t3, x1)
         for which in ("plus", "minus"):
-            member = all(not c for c in mat_vec(endo, clifford.spinor_5d(which)))
+            member = (endo @ clifford.spinor_5d(which)).is_zero()
             assert member == clifford.kernel_conditions_5d(t3, x1, which)
     hol = acskit.holonomy_reduction_residual(s, t)
     assert hol["identity-residual"] == 0

@@ -1,12 +1,19 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
+import os
+import tempfile
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from skewtor import cli
 from skewtor.cli import main
-from skewtor.errors import FormParseError
+from skewtor.errors import FormParseError, SkewtorError
 from skewtor.formexpr import parse_form, parse_homogeneous, render_form
 from skewtor.forms import Form
 from skewtor.modelfile import entry_from_dict, entry_to_dict, find_model
@@ -189,6 +196,20 @@ def test_out_of_scope_statements_are_skip_listed(all_report):
         assert anchor in skips, anchor
 
 
+def test_lemma_10_7_is_computed_once_for_both_suites(monkeypatch):
+    from skewtor import acskit, suites
+    calls = []
+    spectrum = acskit.half_module_endomorphism_spectrum
+    monkeypatch.setattr(acskit, "half_module_endomorphism_spectrum",
+                        lambda a: calls.append(a) or spectrum(a))
+    suites._lemma_10_7.cache_clear()
+    checks = {c.id: c.status for name in ("clifford", "hermitian")
+              for c in run_suite(name).checks}
+    assert calls == [1]
+    assert checks["clifford.half-module-spectrum"] == "PASS"
+    assert checks["hermitian.half-module-spectrum"] == "PASS"
+
+
 def test_verify_all_json_is_byte_identical(all_report):
     # the SHA-256 of `skewtor verify all --json`; a change to any check id,
     # status or value string changes it
@@ -253,7 +274,13 @@ def _abelian5_text(edit):
      "field coframe_d"),
     ("{\"dim\": 5, \"coframe_d\": [", "not a JSON document"),
     (_abelian5_text(lambda d: d.update(dim=9)), "field dim: 9 is outside"),
-], ids=["missing-dim", "descending-blade", "zero-denominator", "invalid-json", "dim-9"])
+    (_abelian5_text(lambda d: d.update(dim=5.5)), "field dim: 5.5 is not an integer"),
+    (_abelian5_text(lambda d: d.update(dim=True)), "field dim: True is not an integer"),
+    (_abelian5_text(lambda d: d.update(name=["x"])), "field name: ['x'] is not a string"),
+    (_abelian5_text(lambda d: d["coframe_d"].append([5, [[[1, 2], float("inf")]]])),
+     "field coframe_d: cannot convert Infinity"),
+], ids=["missing-dim", "descending-blade", "zero-denominator", "invalid-json", "dim-9",
+        "float-dim", "bool-dim", "list-name", "infinite-coefficient"])
 def test_cli_malformed_model_file_is_an_input_error(tmp_path, monkeypatch, capsys,
                                                     text, field):
     path = tmp_path / "broken5.json"
@@ -262,3 +289,104 @@ def test_cli_malformed_model_file_is_an_input_error(tmp_path, monkeypatch, capsy
     assert main(["models", "show", "broken5"]) == 2
     err = capsys.readouterr().err
     assert str(path) in err and field in err, err
+
+
+@pytest.mark.parametrize("argv, position", [
+    (["spin-eig", "7", "--", "1/0*e1^e2"], 0),
+    (["decompose", "heis7", "--", "1/0*e1^e2"], 0),
+    (["spin-eig", "7", "e1^e2+"], 5),
+    (["spin-eig", "7", "e1^e2 - "], 6),
+    (["spin-eig", "7", "2*+e1"], 1),
+], ids=["zero-denominator-spin-eig", "zero-denominator-decompose", "trailing-sign",
+        "trailing-sign-space", "dangling-star"])
+def test_cli_form_parse_errors_exit_2(capsys, argv, position):
+    assert main(argv) == 2
+    assert f"(at position {position})" in capsys.readouterr().err
+    with pytest.raises(FormParseError) as err:
+        parse_form(argv[-1], 7)
+    assert err.value.position == position
+
+
+def test_cli_builds_its_parser_once(capsys):
+    cli.build_parser.cache_clear()
+    outputs = []
+    for argv in (["spin-eig", "5", "2*e1^e2^e5 + 2*e3^e4^e5"], ["torsion", "heis5"]) * 2:
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[:2] == outputs[2:]
+    assert cli.build_parser.cache_info().misses == 1
+
+
+# ---------------------------------------------------------------------------
+# fuzzed model documents: mutations of `skewtor models show <name>` output
+# ---------------------------------------------------------------------------
+
+_SHOWN = {name: entry_to_dict(entry) for name, entry in registry().items()}
+
+_json_scalars = (st.none() | st.booleans() | st.integers(-3, 12)
+                 | st.floats(-10, 10) | st.floats(allow_nan=True, allow_infinity=True)
+                 | st.sampled_from(["1/0", "0", "-1/2", "x", "", "2", "e1", "g2", "contact",
+                                    "hermitian", "none"]))
+_rationals = st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/4", "1/0", "7/3"])
+_json_values = st.recursive(
+    _json_scalars,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(
+        st.sampled_from(["kind", "dim", "xi", "eta", "phi", "J", "omega3", "name"]),
+        kids, max_size=3),
+    max_leaves=8)
+
+
+def _paths(value, prefix=()):
+    yield prefix
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _paths(item, prefix + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _paths(item, prefix + (index,))
+
+
+@st.composite
+def fuzzed_model_docs(draw):
+    """A shown model document with one to three fields, blades, coefficients or
+    matrix entries dropped or replaced by other JSON values."""
+    doc = copy.deepcopy(_SHOWN[draw(st.sampled_from(sorted(_SHOWN)))])
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        path = draw(st.sampled_from(paths[1:] + paths[:1]))   # the whole document last
+        if not path:
+            doc = draw(_json_values)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        old = parent[path[-1]]
+        if draw(st.integers(0, 2)) == 0:
+            del parent[path[-1]]
+        elif isinstance(old, int) and not isinstance(old, bool) and draw(st.booleans()):
+            parent[path[-1]] = draw(st.integers(-1, 9))   # another index or dimension
+        elif isinstance(old, str) and draw(st.booleans()):
+            parent[path[-1]] = draw(_rationals)            # another coefficient
+        else:
+            parent[path[-1]] = draw(_json_values)
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=fuzzed_model_docs())
+def test_fuzzed_model_documents_raise_only_skewtor_errors(doc):
+    try:
+        entry_from_dict(doc)
+    except SkewtorError:
+        pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=fuzzed_model_docs())
+def test_cli_models_show_on_fuzzed_files_exits_0_or_2(doc):
+    with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as mp:
+        with open(os.path.join(directory, "fuzzed.json"), "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        mp.setenv("SKEWTOR_MODEL_PATH", directory)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["models", "show", "fuzzed"]) in (0, 2)

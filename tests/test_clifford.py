@@ -10,9 +10,10 @@ from skewtor.clifford import (CQ, act_form, build_rep, common_kernel,
                               kernel_conditions_5d, restrict, spin_endo_5d,
                               spinor_5d)
 from skewtor.forms import Form, contract, hodge, random_form, wedge
-from skewtor.linalg import (charpoly, invert, is_hermitian, mat_add, mat_identity,
-                            mat_mul, mat_scale, mat_vec, poly_eval)
+from skewtor.linalg import GaussTensor, charpoly, invert, is_hermitian, poly_eval
 from skewtor.registry import canonical_omega3
+
+from cq_reference import act_form_by_gamma_products, charpoly_by_fractions
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -21,8 +22,7 @@ def test_clifford_relations(n):
     assert rep.dim == 2 ** (n // 2)
     for i in range(n):
         for j in range(i, n):
-            anti = mat_add(mat_mul(rep.gammas[i], rep.gammas[j]),
-                           mat_mul(rep.gammas[j], rep.gammas[i]))
+            anti = rep.gammas[i] @ rep.gammas[j] + rep.gammas[j] @ rep.gammas[i]
             want = CQ(-2) if i == j else CQ(0)
             assert all(anti[a][b] == (want if a == b else CQ(0))
                        for a in range(rep.dim) for b in range(rep.dim))
@@ -42,7 +42,7 @@ def test_act_form_algebra_map_on_disjoint_blades():
     a = Form.blade(7, 1, 3)
     b = Form.blade(7, 2, 5, 6)
     lhs = act_form(rep, wedge(a, b))
-    rhs = mat_mul(act_form(rep, a), act_form(rep, b))
+    rhs = act_form(rep, a) @ act_form(rep, b)
     assert lhs == rhs
 
 
@@ -54,16 +54,15 @@ def test_omega3_spectrum_and_normalizations():
     assert report.hermitian
     # the simple eigenvector satisfies the contraction identity
     from skewtor.linalg import nullspace
-    act = act_form(rep, w3)
-    shifted = [[act[i][j] + (CQ(7) if i == j else CQ(0)) for j in range(8)]
-               for i in range(8)]
-    (psi0,) = nullspace(shifted, one=CQ(1))
+    shifted = act_form(rep, w3) + GaussTensor.identity(8) * 7
+    (psi0,) = nullspace(shifted.tolist(), one=CQ(1))
+    psi0 = GaussTensor.of(psi0)
     sw3 = hodge(w3)
-    assert all(mat_vec(act_form(rep, sw3), psi0)[k] == CQ(-7) * psi0[k]
+    assert all((act_form(rep, sw3) @ psi0)[k] == CQ(-7) * psi0[k]
                for k in range(8))
     for i in range(1, 8):
-        lhs = mat_vec(act_form(rep, contract(sw3, i)), psi0)
-        rhs = mat_vec(act_form(rep, Form.basis_vector(7, i)), psi0)
+        lhs = act_form(rep, contract(sw3, i)) @ psi0
+        rhs = act_form(rep, Form.basis_vector(7, i)) @ psi0
         assert all(l == CQ(4) * r for l, r in zip(lhs, rhs))
 
 
@@ -85,16 +84,16 @@ def test_eigen_multiset_invariant_under_conjugation():
          for _ in range(4)]
     g[0][0] = g[0][0] + CQ(7)
     ginv = invert(g)
-    conj = mat_mul(mat_mul(g, m), ginv)
+    conj = GaussTensor.of(g) @ m @ GaussTensor.of(ginv)
     assert eigen_report(conj).pairs == eigen_report(m).pairs
 
 
 def test_common_kernel_conventions():
     assert len(common_kernel([], dim=8)) == 8
     rep = build_rep(5)
-    g12 = mat_mul(rep.gammas[0], rep.gammas[1])
-    g34 = mat_mul(rep.gammas[2], rep.gammas[3])
-    s = mat_add(g12, g34)
+    g12 = rep.gammas[0] @ rep.gammas[1]
+    g34 = rep.gammas[2] @ rep.gammas[3]
+    s = g12 + g34
     ker = common_kernel([s])
     assert len(ker) == 2
 
@@ -106,7 +105,7 @@ def test_kernel_conditions_match_membership():
         x = random_form(5, 1, rng, span=4)
         endo = spin_endo_5d(t, x)
         for which in ("plus", "minus"):
-            member = all(not c for c in mat_vec(endo, spinor_5d(which)))
+            member = (endo @ spinor_5d(which)).is_zero()
             assert member == kernel_conditions_5d(t, x, which)
 
 
@@ -154,34 +153,6 @@ def test_inhomogeneous_action_adds_scalar():
                for i in range(8) for j in range(8))
 
 
-def _act_form_by_gamma_products(rep, parts):
-    """Reference action: each blade as a chain of dense CQ gamma-matrix products."""
-    size = rep.dim
-    out = [[CQ(0)] * size for _ in range(size)]
-    for part in parts:
-        for blade, coeff in part.terms.items():
-            m = mat_identity(size, CQ(1), CQ(0))
-            for i in blade:
-                m = mat_mul(m, rep.gammas[i - 1])
-            out = mat_add(out, mat_scale(m, CQ(coeff)))
-    return out
-
-
-def _charpoly_by_fractions(matrix):
-    """Reference Faddeev-LeVerrier over the matrix's own scalars (Fraction or CQ)."""
-    n = len(matrix)
-    one = CQ(1) if isinstance(matrix[0][0], CQ) else Q(1)
-    zero = one - one
-    coeffs = [one]
-    m = mat_identity(n, one, zero)
-    for k in range(1, n + 1):
-        am = mat_mul(matrix, m)
-        ck = -(sum((am[i][i] for i in range(n)), zero) / k)
-        coeffs.append(ck)
-        m = [[am[i][j] + (ck if i == j else zero) for j in range(n)] for i in range(n)]
-    return coeffs
-
-
 @st.composite
 def mixed_forms(draw):
     """A form on R^n (n = 2..8) as one to three homogeneous parts of distinct degrees."""
@@ -199,14 +170,14 @@ def mixed_forms(draw):
 def test_monomial_action_and_integer_charpoly_match_references(parts):
     rep = build_rep(parts[0].n)
     m = act_form(rep, parts)
-    assert m == _act_form_by_gamma_products(rep, parts)
+    assert m == act_form_by_gamma_products(rep, parts)
     coeffs = charpoly(m)
     assert all(isinstance(c, CQ) for c in coeffs)
-    assert coeffs == _charpoly_by_fractions(m)
+    assert coeffs == charpoly_by_fractions(m.tolist())
     real = [[x.re + 2 * x.im for x in row] for row in m]
-    coeffs = charpoly(real)
-    assert all(type(c) is Q for c in coeffs)
-    assert coeffs == _charpoly_by_fractions(real)
+    coeffs = charpoly(GaussTensor.of(real))
+    assert all(isinstance(c, CQ) and not c.im for c in coeffs)
+    assert coeffs == charpoly_by_fractions(real)
     assert is_hermitian(m) == all(m[i][j] == m[j][i].conj()
                                   for i in range(rep.dim) for j in range(rep.dim))
 
@@ -220,5 +191,5 @@ def test_multiplicities_and_residual_fill_the_module(parts):
     residual_degree = len(report.residual) - 1 if report.residual else 0
     assert sum(mult for _, mult in report.pairs) + residual_degree == rep.dim
     # each reported eigenvalue is a root of the reference characteristic polynomial
-    reference = _charpoly_by_fractions(m)
+    reference = charpoly_by_fractions(m.tolist())
     assert all(not poly_eval(reference, CQ(value)) for value, _ in report.pairs)

@@ -6,14 +6,12 @@ import pytest
 from skewtor.clifford import act_form, build_rep
 from skewtor.errors import DegreeError, NoSkewConnection, StructureError
 from skewtor.forms import Form, hodge, random_form, sigma_t, wedge
-from skewtor.liegeom import (LieModel, codiff, curvature,
+from skewtor.liegeom import (LieModel, SpinorData, codiff, curvature,
                              curvature_identity_residuals, d_form,
-                             d_via_connection, dirac_square_residual,
-                             dirac_torsion_anticommutator_residual,
-                             lc_trace_vector, levi_civita, nabla_form,
-                             parallel_spinor_field_equations, parallel_spinors,
-                             tt_contraction, with_torsion)
-from skewtor.linalg import mat_eq_zero, mat_vec
+                             d_via_connection, lc_trace_vector, levi_civita,
+                             nabla_form, parallel_spinors, tt_contraction,
+                             with_torsion)
+from skewtor.linalg import GaussTensor
 from skewtor.registry import canonical_omega3, registry
 
 
@@ -184,37 +182,36 @@ def test_trace_vector_computed_not_assumed(solv7, heis7):
     v = lc_trace_vector(hyper)
     assert any(v)
     rep2 = build_rep(2)
-    assert mat_eq_zero(dirac_square_residual(hyper, Form(2, 3), rep2))
+    assert SpinorData(hyper, Form(2, 3), rep2).square_residual().is_zero()
     # a 4-dim variant where the trace direction carries spin-connection content
     aff4 = LieModel(4, [Form(4, 2), Form(4, 2, {(1, 2): Q(1)}), Form(4, 2),
                         Form(4, 2, {(1, 3): Q(-1)})], name="aff4")
     assert lc_trace_vector(aff4) == [Q(-1), Q(0), Q(0), Q(0)]
     rep4 = build_rep(4)
     t0 = Form(4, 3)
-    assert mat_eq_zero(dirac_square_residual(aff4, t0, rep4))
-    assert mat_eq_zero(dirac_torsion_anticommutator_residual(aff4, t0, rep4))
+    spin = SpinorData(aff4, t0, rep4)
+    assert spin.square_residual().is_zero()
+    assert spin.anticommutator_residual().is_zero()
     # and a torsion whose codifferential does not vanish: the identity still
     # closes exactly, which pins the 1/2 on the codifferential term
     t1 = Form(4, 3, {(1, 2, 3): Q(1)})
     assert not codiff(aff4, t1).is_zero()
-    assert mat_eq_zero(dirac_square_residual(aff4, t1, rep4))
-    assert mat_eq_zero(dirac_torsion_anticommutator_residual(aff4, t1, rep4))
+    spin = SpinorData(aff4, t1, rep4)
+    assert spin.square_residual().is_zero()
+    assert spin.anticommutator_residual().is_zero()
     res = curvature_identity_residuals(aff4, t1)
     assert all(v == 0 for v in res.values())
     # dropping the trace term breaks the identity
     from skewtor.liegeom import dirac_matrix, spinor_connection
-    from skewtor.linalg import (CQ, mat_add, mat_identity, mat_mul, mat_scale,
-                                mat_sub)
     conn = with_torsion(aff4, t0)
     lam = spinor_connection(conn, rep4)
-    d2 = mat_mul(dirac_matrix(conn, rep4), dirac_matrix(conn, rep4))
-    lap_no_trace = [[CQ(0)] * rep4.dim for _ in range(rep4.dim)]
+    d2 = dirac_matrix(conn, rep4) @ dirac_matrix(conn, rep4)
+    lap_no_trace = GaussTensor.identity(rep4.dim) * 0
     for i in range(4):
-        lap_no_trace = mat_sub(lap_no_trace, mat_mul(lam[i], lam[i]))
+        lap_no_trace = lap_no_trace - lam[i] @ lam[i]
     scal = curvature(conn).scal
-    rhs = mat_add(lap_no_trace, mat_scale(mat_identity(rep4.dim, CQ(1), CQ(0)),
-                                          CQ(Q(scal, 4))))
-    assert not mat_eq_zero(mat_sub(d2, rhs))
+    rhs = lap_no_trace + GaussTensor.identity(rep4.dim) * Q(scal, 4)
+    assert not (d2 - rhs).is_zero()
 
 
 def test_section2_identities_zero(heis7, solv7, heis5):
@@ -241,14 +238,15 @@ def test_operator_identities_and_parallel_counts(heis7, solv7, heis5):
     ]
     for model, t, count in cases:
         rep = build_rep(model.n)
-        assert mat_eq_zero(dirac_square_residual(model, t, rep))
-        assert mat_eq_zero(dirac_torsion_anticommutator_residual(model, t, rep))
+        spin = SpinorData(model, t, rep)
+        assert spin.square_residual().is_zero()
+        assert spin.anticommutator_residual().is_zero()
         conn = with_torsion(model, t)
         basis = parallel_spinors(conn, rep)
         assert len(basis) == count
         tm = act_form(rep, t)
-        assert all(all(not c for c in mat_vec(tm, psi)) for psi in basis)
-        _, residuals = parallel_spinor_field_equations(model, t, rep)
+        assert all((tm @ psi).is_zero() for psi in basis)
+        _, residuals = spin.field_equations()
         for r1, r2 in residuals:
             assert all(not c for c in r1)
             assert all(not c for vec in r2 for c in vec)
@@ -259,8 +257,9 @@ def test_abelian_operator_identities():
         model = registry()[name].model
         rep = build_rep(model.n)
         t = Form(model.n, 3)
-        assert mat_eq_zero(dirac_square_residual(model, t, rep))
-        assert mat_eq_zero(dirac_torsion_anticommutator_residual(model, t, rep))
+        spin = SpinorData(model, t, rep)
+        assert spin.square_residual().is_zero()
+        assert spin.anticommutator_residual().is_zero()
         assert len(parallel_spinors(with_torsion(model, t), rep)) == rep.dim
 
 

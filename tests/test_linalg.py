@@ -2,17 +2,19 @@ import random
 from collections import Counter
 from fractions import Fraction as Q
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewtor.forms import Form
-from skewtor.linalg import (CQ, Tensor, certified_eigenspace_dims,
+from skewtor.linalg import (CQ, GaussTensor, Tensor, certified_eigenspace_dims,
                             certify_annihilation, charpoly, fraction_rows_to_int,
                             int_nullspace, int_rank, invert, is_hermitian,
-                            krylov_min_poly, mat_mul, mat_vec, nullspace,
-                            poly_eval, rank, rank_mod_p, rational_roots, solve,
-                            _PRIMES)
+                            krylov_min_poly, nullspace, poly_eval, rank,
+                            rank_mod_p, rational_roots, solve, _PRIMES)
+
+from cq_reference import mat_add, mat_mul, mat_scale
 
 
 def qm(rows):
@@ -36,7 +38,7 @@ def test_rref_rank_nullspace():
     assert rank(a) == 2
     ker = nullspace(a)
     assert len(ker) == 1
-    assert all(x == 0 for x in mat_vec(a, ker[0]))
+    assert Tensor.einsum("ij,j->i", Tensor.of(a), Tensor.of(ker[0])).is_zero()
 
 
 def test_solve_multiple_rhs():
@@ -54,12 +56,12 @@ def test_invert_round_trip():
         inv = invert(a)
     except ZeroDivisionError:
         pytest.skip("random matrix happened to be singular")
-    prod = mat_mul(a, inv)
+    prod = Tensor.einsum("ij,jk->ik", Tensor.of(a), Tensor.of(inv))
     assert all(prod[i][j] == (1 if i == j else 0) for i in range(5) for j in range(5))
 
 
 def test_charpoly_and_roots_complex():
-    m = [[CQ(1), CQ(0, 1)], [CQ(0, -1), CQ(1)]]
+    m = GaussTensor.of([[CQ(1), CQ(0, 1)], [CQ(0, -1), CQ(1)]])
     assert is_hermitian(m)
     roots, residual = rational_roots(charpoly(m))
     assert residual is None
@@ -213,3 +215,47 @@ def test_tensor_arithmetic_matches_fraction_loops(data):
     assert [[ta[i, j] for j in range(mid)] for i in range(rows)] == a
     assert all(type(x) is Q for row in ta for x in row)
     assert Tensor.einsum("ij,ij->", ta, ta)[()] == sum(x * x for row in a for x in row)
+
+
+gaussian_rationals = st.builds(lambda re, im, den: CQ(Q(re, den), Q(im, den)),
+                               st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 6))
+
+
+def _cq_matrix(data, rows, cols):
+    return data.draw(st.lists(st.lists(gaussian_rationals, min_size=cols, max_size=cols),
+                              min_size=rows, max_size=rows))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_gauss_tensor_arithmetic_matches_cq_lists(data):
+    rows, mid, cols = (data.draw(st.integers(1, 16)) for _ in range(3))
+    a, b, c = _cq_matrix(data, rows, mid), _cq_matrix(data, mid, cols), _cq_matrix(data, rows, mid)
+    v = _cq_matrix(data, mid, 1)
+    z, q = data.draw(gaussian_rationals), data.draw(rationals)
+    ga, gb, gc = GaussTensor.of(a), GaussTensor.of(b), GaussTensor.of(c)
+    assert ga.tolist() == a and [[ga[i, j] for j in range(mid)] for i in range(rows)] == a
+    assert ga @ gb == mat_mul(a, b)
+    assert ga @ GaussTensor.of([row[0] for row in v]) == [row[0] for row in mat_mul(a, v)]
+    assert ga + gc == mat_add(a, c)
+    assert ga - gc == mat_add(a, mat_scale(c, CQ(-1)))
+    assert -ga == mat_scale(a, CQ(-1))
+    assert ga * z == mat_scale(a, z)
+    assert ga * q == mat_scale(a, CQ(q))
+    assert ga.T == [list(col) for col in zip(*a)]
+    assert (ga == gc) == (a == c)
+    assert (ga - ga).is_zero() and (ga.is_zero() == all(not x for row in a for x in row))
+    # the denominator is the least one: equal tensors have equal parts
+    assert ga.den == lcm(1, *(p.denominator for row in a for x in row for p in (x.re, x.im)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_is_hermitian_matches_conjugate_transpose(data):
+    n = data.draw(st.integers(1, 8))
+    a = _cq_matrix(data, n, n)
+    herm = mat_add(a, [[a[j][i].conj() for j in range(n)] for i in range(n)])
+    for m in (a, herm, mat_scale(herm, CQ(0, 1))):
+        want = all(m[i][j] == m[j][i].conj() for i in range(n) for j in range(n))
+        assert is_hermitian(GaussTensor.of(m)) == want
+    assert is_hermitian(GaussTensor.of(herm))
