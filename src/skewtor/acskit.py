@@ -15,10 +15,10 @@ import numpy as np
 
 from .equivar import full_column_rank_certificate
 from .errors import DegreeError, NoSkewConnection, StructureError
-from .forms import Form, interior, sigma_t, wedge
+from .forms import Form, all_blades, blade_tensors, interior, sigma_t, wedge
 from .liegeom import (LieModel, curvature, d_form, levi_civita,
                       tt_contraction, with_torsion)
-from .linalg import Tensor, blade_tensors
+from .linalg import Tensor
 
 Q = Fraction
 ein = Tensor.einsum
@@ -403,13 +403,14 @@ def tanno_deform(s: AlmostContact, a2) -> AlmostContact:
     weights = [2 if i == xi_index else 1 for i in range(n)]
     new_d = []
     for i in range(n):
-        terms = {}
-        for (a, b), coeff in s.model.d_coframe[i].terms.items():
+        d = s.model.d_coframe[i]
+        values = []
+        for (a, b), coeff in zip(all_blades(n, 2), d.num):
             expo = weights[a - 1] + weights[b - 1] - weights[i]
-            if expo % 2:
+            if coeff and expo % 2:
                 raise StructureError("deformation leaves the rational frame")
-            terms[(a, b)] = coeff * a2 ** (expo // 2)
-        new_d.append(Form(n, 2, terms))
+            values.append(coeff * a2 ** (expo // 2))
+        new_d.append(Form.of_rationals(n, 2, values).scale(Q(1, d.den)))
     model = LieModel(n, new_d, name=f"{s.model.name}-tanno")
     return AlmostContact(model, xi_index + 1, Form.basis_vector(n, xi_index + 1), s.phi)
 

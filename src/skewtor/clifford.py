@@ -17,7 +17,7 @@ from operator import matmul
 import numpy as np
 
 from .errors import DegreeError, DimensionMismatch
-from .forms import Form
+from .forms import Form, all_blades
 from .linalg import CQ, GaussTensor, charpoly, is_hermitian, nullspace, rational_roots, solve
 
 _S3 = np.diag([1, -1])
@@ -110,12 +110,14 @@ def act_form(rep: GammaRep, form) -> GaussTensor:
     for part in parts:
         if part.n != rep.n:
             raise DimensionMismatch("form dimension does not match the spin module")
-    den = lcm(1, *(c.denominator for part in parts for c in part.terms.values()))
+    den = lcm(1, *(part.den for part in parts))
     size = rep.dim
     acc = [[0, 0] for _ in range(size * size)]
     for part in parts:
-        for blade, coeff in part.terms.items():
-            num = coeff.numerator * (den // coeff.denominator)
+        for blade, x in zip(all_blades(part.n, part.degree), part.num):
+            if not x:
+                continue
+            num = x * (den // part.den)
             cols, phases = rep.monomial(blade)
             for r, (c, p) in enumerate(zip(cols, phases)):
                 acc[r * size + c][p % 2] += num if p < 2 else -num

@@ -19,7 +19,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .errors import StructureError
-from .forms import Form, contract, inner, so_action, wedge
+from .forms import Form, contract, derivation, inner, interior, so_action, wedge
 from .linalg import (Tensor, certified_eigenspace_dims, certify_annihilation,
                      fraction_rows_to_int, int_abs_max, int_matmul,
                      int_nullspace, int_rank, krylov_min_poly, poly_eval,
@@ -29,7 +29,6 @@ from .registry import canonical_omega3
 Q = Fraction
 
 BLADES2 = list(combinations(range(1, 8), 2))
-BLADES3 = list(combinations(range(1, 8), 3))
 S2_PAIRS = [(i, j) for i in range(1, 8) for j in range(i, 8)]
 
 _G2_EQUATIONS = [
@@ -43,14 +42,6 @@ _G2_EQUATIONS = [
 ]
 
 
-def _form_from_blade_vector(vec, blades, degree):
-    return Form(7, degree, {b: v for b, v in zip(blades, vec) if v})
-
-
-def _blade_vector(form, blades):
-    return [form.terms.get(b, Q(0)) for b in blades]
-
-
 class G2Algebra:
     """Integer orthogonal basis of the stabilizer algebra inside the 2-forms."""
 
@@ -59,7 +50,7 @@ class G2Algebra:
         kernel = int_nullspace(fraction_rows_to_int(eq_matrix))
         if len(kernel) != 14:
             raise StructureError("stabilizer equations do not cut out 14 dimensions")
-        raw = [_form_from_blade_vector(v, BLADES2, 2) for v in kernel]
+        raw = [Form.of_numerators(7, 2, v) for v in fraction_rows_to_int(kernel)]
         self.basis = _orthogonalize(raw)
         self.norms = [inner(x, x) for x in self.basis]
         self.endos = np.stack([_int_endo(x) for x in self.basis])
@@ -73,9 +64,7 @@ class G2Algebra:
         The basis is orthogonal, so the coefficients are the projections.
         """
         coords = [inner(alpha, x) / norm for x, norm in zip(self.basis, self.norms)]
-        span = Form(7, 2)
-        for c, x in zip(coords, self.basis):
-            span = span + x.scale(c)
+        span = sum((x.scale(c) for c, x in zip(coords, self.basis)), Form.zero(7, 2))
         return coords if span == alpha else None
 
     def closure_residuals(self):
@@ -96,33 +85,19 @@ def _orthogonalize(forms):
             g = g - h.scale(inner(g, h) / inner(h, h))
         if g.is_zero():
             raise StructureError("dependent basis in orthogonalization")
-        den = 1
-        for c in g.terms.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-        g = g.scale(den)
-        content = 0
-        for c in g.terms.values():
-            content = gcd(content, int(c))
-        if content > 1:
-            g = g.scale(Q(1, content))
-        out.append(g)
+        content = gcd(*g.num)
+        out.append(Form.of_numerators(g.n, g.degree, [x // content for x in g.num]))
     return out
 
 
 def bracket_2forms(a: Form, b: Form) -> Form:
-    """Commutator of two 2-forms under their skew-endomorphism identification."""
-    ma = endo_of_2form(a)
-    mb = endo_of_2form(b)
-    n = 7
-    comm = [[sum(ma[i][k] * mb[k][j] - mb[i][k] * ma[k][j] for k in range(n))
-             for j in range(n)] for i in range(n)]
-    terms = {}
-    for u in range(7):
-        for v in range(u + 1, 7):
-            val = comm[v][u]
-            if val:
-                terms[(u + 1, v + 1)] = val
-    return Form(7, 2, terms)
+    """Commutator of two 2-forms under their skew-endomorphism identification.
+
+    The endomorphism of a 2-form is the transpose of its tensor, so the
+    tensor of [A, B] is b a - a b for the tensors a, b of the two forms.
+    """
+    ta, tb = Tensor.of_form(a), Tensor.of_form(b)
+    return (Tensor.einsum("ik,kj->ij", tb, ta) - Tensor.einsum("ik,kj->ij", ta, tb)).to_form()
 
 
 def endo_of_2form(alpha: Form):
@@ -137,35 +112,21 @@ def endo_of_2form(alpha: Form):
 
 def _int_endo(alpha: Form):
     """endo_of_2form of a 2-form with integer coefficients, as an int64 array."""
-    a = np.zeros((alpha.n, alpha.n), dtype=np.int64)
-    for (u, v), c in alpha.terms.items():
-        if c.denominator != 1:
-            raise StructureError("generator 2-form has a non-integral coefficient")
-        a[v - 1, u - 1] = c.numerator
-        a[u - 1, v - 1] = -c.numerator
-    return a
+    if alpha.den != 1:
+        raise StructureError("generator 2-form has a non-integral coefficient")
+    return Tensor.of_form(alpha).num.T.astype(np.int64)
 
 
-def _blade_action(a, degree):
-    """Derivation action of e^m -> sum_k a[k, m] e^k on the degree-p blades.
+def _form_action(xi, degree):
+    """so_action of an integral generator 2-form on the degree-p forms, as an int64 matrix.
 
-    Replacing e^m at position `pos` of a blade by e^k and sorting gives the
-    sign (-1)^(pos + #{r in the rest : r < k}).
+    Column c is the derivation image of blade c, with the images e_m -| xi
+    computed once.
     """
-    blades = list(combinations(range(1, 8), degree))
-    index = {b: r for r, b in enumerate(blades)}
-    out = np.zeros((len(blades), len(blades)), dtype=np.int64)
-    for c, blade in enumerate(blades):
-        for pos, m in enumerate(blade):
-            rest = blade[:pos] + blade[pos + 1:]
-            for k in range(1, 8):
-                coeff = a[k - 1, m - 1]
-                if not coeff or k in rest:
-                    continue
-                below = sum(1 for r in rest if r < k)
-                sign = -1 if (pos + below) % 2 else 1
-                out[index[tuple(sorted(rest + (k,)))], c] += sign * coeff
-    return out
+    images = [contract(xi, m) for m in range(1, 8)]
+    columns = [derivation(Form.blade(7, *b), 1, lambda m: images[m - 1]).num
+               for b in combinations(range(1, 8), degree)]
+    return np.array(columns, dtype=np.int64).T
 
 
 _S2_ROWS = np.array([y - 1 for y, _ in S2_PAIRS])
@@ -221,12 +182,13 @@ class Spaces:
         self.m_norms = [inner(mu, mu) for mu in self.m_basis]
         self._cache = {}
 
-    def _action(self, space: str, a):
-        """Action of the coframe endomorphism a of an algebra element, as (rho, d)."""
+    def _action(self, space: str, k: int):
+        """Action of the k-th algebra basis element, as (rho, d)."""
+        a = self.algebra.endos[k]
         if space == "lambda1":
             return a, 1
         if space in ("lambda2", "lambda3", "lambda4"):
-            return _blade_action(a, int(space[-1])), 1
+            return _form_action(self.algebra.basis[k], int(space[-1])), 1
         if space == "r7_s2":
             return _tensor_action(a, _s2_action(a), 1), 1
         if space in ("r7_m", "r7_g2"):
@@ -244,8 +206,8 @@ class Spaces:
         Yields (rho, d) with rho an int64 matrix; the action is rho / d, with
         d the least common denominator of its entries.
         """
-        for a in self.algebra.endos:
-            yield self._action(space, a)
+        for k in range(len(self.algebra.basis)):
+            yield self._action(space, k)
 
     def dimension(self, space: str) -> int:
         return {"lambda1": 7, "lambda2": 21, "lambda3": 35, "lambda4": 35,
@@ -320,26 +282,26 @@ def calibration_table():
 
     c3, s3 = sp.casimir("lambda3")
     c3 = Tensor(c3)
-    w3vec = Tensor.of(_blade_vector(canonical_omega3(), BLADES3))
+    w3 = canonical_omega3()
+    w3vec = Tensor(w3.num, w3.den)
     if not Tensor.einsum("ij,j->i", c3, w3vec).is_zero():
         raise StructureError("Casimir does not kill the invariant 3-form")
     table["1"] = Q(0)
 
     c2, s2 = sp.casimir("lambda2")
     xi = sp.algebra.basis[0]
-    lam14 = _eigen_scalar(Tensor(c2), _blade_vector(xi, BLADES2))
+    lam14 = _eigen_scalar(Tensor(c2), Tensor(xi.num, xi.den))
     table["14"] = lam14 / s2
 
     from .g2 import project3
-    probe = project3(Form(7, 3, {(1, 2, 3): Q(1)}))[2]
-    lam27 = _eigen_scalar(c3, _blade_vector(probe, BLADES3))
+    probe = project3(Form.blade(7, 1, 2, 3))[2]
+    lam27 = _eigen_scalar(c3, Tensor(probe.num, probe.den))
     table["27"] = lam27 / s3
     return table
 
 
 def _eigen_scalar(matrix, vec):
-    """The eigenvalue of an integer matrix (a Tensor) on a nonzero probe vector."""
-    vec = Tensor.of(vec)
+    """The eigenvalue of an integer matrix on a nonzero probe vector (both Tensors)."""
     image = Tensor.einsum("ij,j->i", matrix, vec)
     k = next(i for i, x in enumerate(vec) if x)
     lam = image[k] / vec[k]
@@ -578,39 +540,29 @@ def rank_certificates():
     return out
 
 
+def _symmetrized(parts):
+    """The Tensor [x, y, z] -> p_z(x, y) + p_y(x, z) of seven 2-forms p_1 .. p_7."""
+    t = Tensor.of_forms(parts)
+    return Tensor.einsum("zxy->xyz", t) + Tensor.einsum("yxz->xyz", t)
+
+
 def sigma0_constant():
     """Exact proportionality constant between Phi(Sigma_0(.)) and Psi on vector types."""
     from .g2 import pr_g2
     w3 = canonical_omega3()
     constant = None
     for g in range(1, 8):
-        gamma = Form.basis_vector(7, g)
-        kappa = contract(w3, g)
-        a_kappa = endo_of_2form(kappa)
-        phi_vals = []
-        psi_vals = []
-        pr_cache = [pr_g2(wedge(gamma, Form.basis_vector(7, y))) for y in range(1, 8)]
-        for x in range(1, 8):
-            for y in range(1, 8):
-                for z in range(y, 8):
-                    phi_vals.append(pr_cache[z - 1].eval(x, y) + pr_cache[y - 1].eval(x, z))
-                    # Psi on the embedded vector type: Gamma(Y) = (A_kappa Y) -| w3
-                    val = Q(0)
-                    for v in range(1, 8):
-                        if a_kappa[v - 1][y - 1]:
-                            val += a_kappa[v - 1][y - 1] * w3.eval(v, x, z)
-                        if a_kappa[v - 1][z - 1]:
-                            val += a_kappa[v - 1][z - 1] * w3.eval(v, x, y)
-                    psi_vals.append(val)
-        for pv, sv in zip(phi_vals, psi_vals):
-            if sv:
-                cand = pv / sv
-                if constant is None:
-                    constant = cand
-                elif constant != cand:
-                    raise StructureError("map pair is not proportional")
-            elif pv:
-                raise StructureError("map pair is not proportional")
+        gamma, kappa = Form.basis_vector(7, g), contract(w3, g)
+        phi = _symmetrized([pr_g2(wedge(gamma, Form.basis_vector(7, y))) for y in range(1, 8)])
+        # Psi on the embedded vector type: Gamma(Y) = (A_kappa Y) -| w3
+        psi = _symmetrized([interior(contract(kappa, y), w3) for y in range(1, 8)])
+        if psi.is_zero():
+            raise StructureError("Psi vanishes on a vector type")
+        k = np.unravel_index(np.flatnonzero(psi.num)[0], psi.num.shape)
+        cand = phi[k] / psi[k]
+        if phi != psi * cand or constant not in (None, cand):
+            raise StructureError("map pair is not proportional")
+        constant = cand
     return constant
 
 
@@ -624,9 +576,9 @@ def sigma_solution_identity(max_gamma=6):
     from .g2 import pr_g2, pr_m, spanning_27
     cases = []
     for gamma27 in spanning_27()[:max_gamma]:
-        cases.append((Form(7, 1), gamma27))
+        cases.append((Form.zero(7, 1), gamma27))
     for b in range(1, 8):
-        cases.append((Form.basis_vector(7, b), Form(7, 3)))
+        cases.append((Form.basis_vector(7, b), Form.zero(7, 3)))
     cases.append((Form.basis_vector(7, 2), spanning_27()[0]))
     for beta, gamma27 in cases:
         sig = []
@@ -636,11 +588,6 @@ def sigma_solution_identity(max_gamma=6):
             sig.append(pr_g2(arg).scale(Q(-1, 2)))
             emb.append(pr_m(wedge(beta, Form.basis_vector(7, y))).scale(Q(1, 4))
                        + pr_m(contract(gamma27, y)).scale(Q(1, 2)))
-        for x in range(1, 8):
-            for y in range(1, 8):
-                for z in range(y, 8):
-                    phi_val = sig[z - 1].eval(x, y) + sig[y - 1].eval(x, z)
-                    psi_val = emb[y - 1].eval(x, z) + emb[z - 1].eval(x, y)
-                    if phi_val != psi_val:
-                        return False
+        if _symmetrized(sig) != _symmetrized(emb):
+            return False
     return True

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb, lcm
 
 from .errors import FormParseError
-from .forms import Form
+from .forms import Form, _locate
 
 _TOKEN = re.compile(r"\s*(?:(?P<sign>[+-])|(?P<rat>\d+(?:/\d+)?)|(?P<blade>e\d+(?:\s*\^\s*e\d+)*)|(?P<star>\*))")
 
@@ -74,13 +75,18 @@ def parse_form(text: str, n: int) -> list:
     elif not terms:
         raise FormParseError("empty expression", 0)
 
-    by_degree = {}
+    # one numerator vector per degree, over the lcm of its terms' denominators
+    dens = {}
     for c, indices in terms:
-        d = len(indices)
-        f = by_degree.get(d, Form(n, d)) + Form.blade(n, *indices, coeff=c)
-        by_degree[d] = f
-    return [by_degree[d] for d in sorted(by_degree) if not by_degree[d].is_zero()] \
-        or [Form(n, 0)]
+        dens[len(indices)] = lcm(dens.get(len(indices), 1), c.denominator)
+    vectors = {d: [0] * comb(n, d) for d in dens}
+    for c, indices in terms:
+        sign, pos = _locate(n, tuple(indices))
+        if sign:
+            d = len(indices)
+            vectors[d][pos] += sign * c.numerator * (dens[d] // c.denominator)
+    parts = [Form.of_numerators(n, d, vectors[d], dens[d]) for d in sorted(dens)]
+    return [f for f in parts if not f.is_zero()] or [Form.zero(n, 0)]
 
 
 def parse_homogeneous(text: str, n: int, degree=None) -> Form:
@@ -97,7 +103,7 @@ def render_form(f: Form) -> str:
     if f.is_zero():
         return "0"
     bits = []
-    for blade, c in sorted(f.terms.items()):
+    for blade, c in f.terms.items():
         mono = "^".join(f"e{k}" for k in blade)
         if not mono:
             bits.append(str(c))

@@ -10,13 +10,14 @@ for the nearly-parallel and Ricci-flat special cases.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import DegreeError, NoSkewConnection, StructureError
 from .forms import (Form, all_blades, contract, hodge, inner, interior,
                     sigma_t, so_action, wedge)
 from .liegeom import (LieModel, codiff, curvature, d_form, levi_civita,
                       nabla_form, tt_contraction, with_torsion)
+from .linalg import Tensor
 from .registry import canonical_omega3
 
 Q = Fraction
@@ -43,6 +44,26 @@ class G2Structure:
         return classify(self)
 
 
+@lru_cache(maxsize=None)
+def _projectors(omega3: Form | None, degree: int):
+    """The orthogonal projections onto the 7-part of 2-forms, or onto the scalar and
+    7-parts of 3-forms, as exact matrices sum_k v_k v_k^T / |v_k|^2 over the
+    e_i -| w3, or over w3 and over the e_i -| *w3."""
+    w3 = omega3 if omega3 is not None else canonical_omega3()
+    spans = ([[contract(w3, i) for i in range(1, 8)]] if degree == 2
+             else [[w3], [contract(hodge(w3), i) for i in range(1, 8)]])
+    outer = [[Tensor.einsum("i,j->ij", Tensor(v.num, v.den), Tensor(v.num, v.den))
+              * (1 / inner(v, v)) for v in span] for span in spans]
+    return [sum(parts[1:], parts[0]) for parts in outer]
+
+
+def _parts(a: Form, omega3):
+    """The projections of `a` by `_projectors`."""
+    images = (Tensor.einsum("ij,j->i", p, Tensor(a.num, a.den))
+              for p in _projectors(omega3, a.degree))
+    return [Form.of_numerators(7, a.degree, x.num.tolist(), x.den) for x in images]
+
+
 def project2(a: Form, omega3: Form | None = None):
     """Split a 2-form into its 7- and 14-dimensional eigenparts.
 
@@ -51,11 +72,7 @@ def project2(a: Form, omega3: Form | None = None):
     """
     if a.degree != 2 or a.n != 7:
         raise DegreeError("project2 expects a 2-form on the 7-frame")
-    w3 = omega3 if omega3 is not None else canonical_omega3()
-    part7 = Form(7, 2)
-    for i in range(1, 8):
-        ci = contract(w3, i)
-        part7 = part7 + ci.scale(Q(1, 3) * inner(ci, a))
+    part7, = _parts(a, omega3)
     return part7, a - part7
 
 
@@ -63,13 +80,7 @@ def project3(a: Form, omega3: Form | None = None):
     """Split a 3-form into scalar, vector and traceless parts (1 + 7 + 27)."""
     if a.degree != 3 or a.n != 7:
         raise DegreeError("project3 expects a 3-form on the 7-frame")
-    w3 = omega3 if omega3 is not None else canonical_omega3()
-    sw3 = hodge(w3)
-    part1 = w3.scale(Q(1, 7) * inner(a, w3))
-    part7 = Form(7, 3)
-    for i in range(1, 8):
-        ci = contract(sw3, i)
-        part7 = part7 + ci.scale(Q(1, 4) * inner(a, ci))
+    part1, part7 = _parts(a, omega3)
     return part1, part7, a - part1 - part7
 
 
@@ -126,17 +137,12 @@ def classify(s: G2Structure) -> TorsionClass:
         nab = nabla_form(lc, i, w3)
         z = [Q(-1, 12) * inner(nab, contract(sw3, j)) for j in range(1, 8)]
         # exactness guard: the derivative must lie in the 7-dimensional orbit part
-        recon = Form(7, 3)
-        for j in range(1, 8):
-            if z[j - 1]:
-                recon = recon + contract(sw3, j).scale(-3 * z[j - 1])
-        if recon != nab:
+        if interior(Form.from_vector(7, z), sw3).scale(-3) != nab:
             raise StructureError("derivative of the 3-form left the vector-type orbit")
         gamma.append(z)
 
-    skew = Form(7, 2, {(i + 1, j + 1): gamma[i][j] - gamma[j][i]
-                       for i in range(7) for j in range(i + 1, 7)
-                       if gamma[i][j] != gamma[j][i]})
+    skew = Form.of_rationals(7, 2, [gamma[i - 1][j - 1] - gamma[j - 1][i - 1]
+                                    for i, j in all_blades(7, 2)])
     obstruction14 = project2(skew, w3)[1]
     return TorsionClass(lam, beta, gamma27, obstruction14)
 
@@ -158,11 +164,6 @@ def torsion_form(s: G2Structure) -> Form:
     t = (w3.scale(Q(1, 6) * inner(dw3, s.star_omega3)) - hodge(dw3)
          + hodge(wedge(beta_form, w3)))
     return t
-
-
-def characteristic_connection(s: G2Structure):
-    t = torsion_form(s)
-    return with_torsion(s.model, t), t
 
 
 def ricci_via_dt(s: G2Structure, t: Form):
@@ -217,7 +218,7 @@ def spanning_27() -> list:
     """A spanning set of the 27-dimensional 3-form type (from projected blades)."""
     out = []
     for blade in all_blades(7, 3):
-        part27 = project3(Form(7, 3, {blade: Q(1)}))[2]
+        part27 = project3(Form.blade(7, *blade))[2]
         if not part27.is_zero():
             out.append(part27)
     return out
@@ -232,31 +233,25 @@ def derivation_constant_identities():
     sw3 = hodge(w3)
     out = {}
 
+    ci_w = [contract(w3, i) for i in range(1, 8)]
+    ci_sw = [contract(sw3, i) for i in range(1, 8)]
+
+    def contraction_sum(part, build):
+        """sum_{i,j} <part(j), e_i -| w3> build(j, e_i -| *w3)."""
+        total = Form.zero(7, 0)
+        for j in range(1, 8):
+            part_j = part(j)
+            for cw, csw in zip(ci_w, ci_sw):
+                coeff = inner(part_j, cw)
+                if coeff:
+                    total = total + build(j, csw).scale(coeff)
+        return total
+
     def beta_sum(beta_form, build):
-        total = None
-        for i in range(1, 8):
-            ci_w = contract(w3, i)
-            ci_sw = contract(sw3, i)
-            for j in range(1, 8):
-                coeff = inner(wedge(beta_form, Form.basis_vector(7, j)), ci_w)
-                if not coeff:
-                    continue
-                piece = build(j, ci_sw).scale(coeff)
-                total = piece if total is None else total + piece
-        return total if total is not None else Form(7, 0)
+        return contraction_sum(lambda j: wedge(beta_form, Form.basis_vector(7, j)), build)
 
     def gamma_sum(gamma, build):
-        total = None
-        for i in range(1, 8):
-            ci_w = contract(w3, i)
-            ci_sw = contract(sw3, i)
-            for j in range(1, 8):
-                coeff = inner(contract(gamma, j), ci_w)
-                if not coeff:
-                    continue
-                piece = build(j, ci_sw).scale(coeff)
-                total = piece if total is None else total + piece
-        return total if total is not None else Form(7, 0)
+        return contraction_sum(lambda j: contract(gamma, j), build)
 
     inter = lambda j, f: contract(f, j)
     wedge_j = lambda j, f: wedge(Form.basis_vector(7, j), f)
@@ -302,27 +297,16 @@ def tbeta_form(beta_form: Form) -> Form:
                     + (1/8)(g(beta,Y) g(X,Z) - g(beta,X) g(Y,Z));
     total skewness of the table is verified, not assumed.
     """
-    w3 = canonical_omega3()
-    bvec = beta_form.vector_components()
-    prm = [pr_m(wedge(beta_form, Form.basis_vector(7, x)), w3) for x in range(1, 8)]
-
-    def value(x, y, z):
-        val = Q(3, 8) * (prm[y - 1].eval(x, z) - prm[x - 1].eval(y, z))
-        val += Q(1, 8) * (bvec[y - 1] * (1 if x == z else 0)
-                          - bvec[x - 1] * (1 if y == z else 0))
-        return val
-
-    terms = {}
-    for x in range(1, 8):
-        for y in range(x + 1, 8):
-            for z in range(y + 1, 8):
-                v = value(x, y, z)
-                if (value(y, x, z) != -v or value(x, z, y) != -v
-                        or value(z, y, x) != -v):
-                    raise StructureError("vector-type torsion table is not skew")
-                if v:
-                    terms[(x, y, z)] = v
-    return Form(7, 3, terms)
+    ein = Tensor.einsum
+    beta, g = Tensor.of_form(beta_form), Tensor.identity(7)
+    # prm[x, y, z] = pr_m(beta ^ e_x)(e_y, e_z)
+    prm = Tensor.of_forms([pr_m(wedge(beta_form, Form.basis_vector(7, x)))
+                           for x in range(1, 8)])
+    table = ((ein("yxz->xyz", prm) - prm) * Q(3, 8)
+             + (ein("y,xz->xyz", beta, g) - ein("x,yz->xyz", beta, g)) * Q(1, 8))
+    if any(ein(spec, table) != -table for spec in ("yxz->xyz", "xzy->xyz", "zyx->xyz")):
+        raise StructureError("vector-type torsion table is not skew")
+    return table.to_form()
 
 
 # ---------------------------------------------------------------------------

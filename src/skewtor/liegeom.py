@@ -28,7 +28,7 @@ class LieModel:
             if d.n != n or (not d.is_zero() and d.degree != 2):
                 raise DegreeError("structure forms must be invariant 2-forms")
         self.n = n
-        self.d_coframe = [Form(n, 2, d.terms) for d in d_coframe]
+        self.d_coframe = [d if d.degree == 2 else Form.zero(n, 2) for d in d_coframe]
         self.name = name
         # c[i, j, k]: [e_i, e_j] = sum_k c[i, j, k] e_k, from de_k(e_i,e_j) = -c_ijk
         self.c = -Tensor.einsum("kij->ijk", Tensor.of_forms(self.d_coframe))
@@ -95,18 +95,16 @@ def with_torsion(model: LieModel, t: Form) -> ConnectionData:
 def nabla_form(conn: ConnectionData, i: int, a: Form) -> Form:
     """Covariant derivative nabla_{e_i} of an invariant form."""
     # nabla_{e_i} e^j = sum_k omega_ijk e^k
-    images = [Form.from_vector(conn.model.n, row) for row in conn.omega[i - 1]]
-    return derivation(a, 1, lambda j: images[j - 1])
+    n, omega = conn.model.n, conn.omega
+    return derivation(a, 1, lambda j: Form.of_numerators(n, 1, omega.num[i - 1, j - 1].tolist(),
+                                                         omega.den))
 
 
 def d_via_connection(model: LieModel, a: Form) -> Form:
     """d(a) = sum_i e_i ^ nabla^g_{e_i} a; agrees with the CE differential."""
-    lc = levi_civita(model)
-    n = model.n
-    out = Form(n, a.degree + 1)
-    for i in range(1, n + 1):
-        out = out + wedge(Form.basis_vector(n, i), nabla_form(lc, i, a))
-    return out
+    lc, n = levi_civita(model), model.n
+    return sum((wedge(Form.basis_vector(n, i), nabla_form(lc, i, a)) for i in range(1, n + 1)),
+               Form.zero(n, a.degree + 1))
 
 
 def codiff(model_or_conn, a: Form) -> Form:
@@ -114,10 +112,8 @@ def codiff(model_or_conn, a: Form) -> Form:
     conn = model_or_conn if isinstance(model_or_conn, ConnectionData) \
         else levi_civita(model_or_conn)
     n = conn.model.n
-    out = Form(n, max(a.degree - 1, 0))
-    for i in range(1, n + 1):
-        out = out + contract(nabla_form(conn, i, a), i)
-    return -out
+    return -sum((contract(nabla_form(conn, i, a), i) for i in range(1, n + 1)),
+                Form.zero(n, max(a.degree - 1, 0)))
 
 
 class CurvatureTable:

@@ -14,14 +14,13 @@ separate certificate, never trusted on its own.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from math import gcd, lcm, prod
 
 import numpy as np
 
 from .errors import DegreeError, DimensionMismatch
-from .forms import Form
+from .forms import Form, _blade_layout
 
 Q = Fraction
 
@@ -77,14 +76,11 @@ class Tensor:
             raise DimensionMismatch("forms of different dimension")
         if any(f.degree != degree for f in forms):
             raise DegreeError("forms of different degree")
-        signed, _, blades = _blade_layout(n, degree)
-        index = {b: c for c, b in enumerate(blades)}
-        den = lcm(1, *(x.denominator for f in forms for x in f.terms.values()))
+        signed, _ = _blade_layout(n, degree)
+        den = lcm(*(f.den for f in forms))
         rows = []
         for f in forms:
-            row = [0] * len(blades)
-            for blade, x in f.terms.items():
-                row[index[blade]] = x.numerator * (den // x.denominator)
+            row = [x * (den // f.den) for x in f.num]
             rows.append(row + [-x for x in row] + [0])
         num = np.array(rows, dtype=object)[:, signed]
         return Tensor(num.reshape((len(forms),) + (n,) * degree), den)
@@ -92,10 +88,8 @@ class Tensor:
     def to_form(self) -> Form:
         """The form with this tensor's entries on ascending indices (for a skew tensor)."""
         n, degree = len(self.num), self.num.ndim
-        _, ascending, blades = _blade_layout(n, degree)
-        flat = self.num.reshape(-1)
-        return Form(n, degree, {b: Q(flat[p], self.den)
-                                for b, p in zip(blades, ascending) if flat[p]})
+        _, ascending = _blade_layout(n, degree)
+        return Form.of_numerators(n, degree, self.num.reshape(-1)[ascending].tolist(), self.den)
 
     @staticmethod
     def einsum(spec: str, *operands: "Tensor") -> "Tensor":
@@ -148,38 +142,6 @@ class Tensor:
 
     def __repr__(self):
         return f"{type(self).__name__}(shape {self.num.shape}, denominator {self.den})"
-
-
-def blade_tensors(n, degree):
-    """Stacked dense int64 tensors of the unit blades: sign(perm) at each permuted index."""
-    blades = list(combinations(range(n), degree))
-    out = np.zeros((len(blades),) + (n,) * degree, dtype=np.int64)
-    for perm in permutations(range(degree)):
-        sign = -1 if sum(perm[i] > perm[j] for i in range(degree)
-                         for j in range(i + 1, degree)) % 2 else 1
-        for c, blade in enumerate(blades):
-            out[(c,) + tuple(blade[k] for k in perm)] = sign
-    return out
-
-
-@lru_cache(maxsize=None)
-def _blade_layout(n, degree):
-    """Where the unit blades of a degree sit in a flattened dense tensor.
-
-    Returns (signed, ascending, blades): the blade tensors read as a gather
-    index, which is c where blade c has sign +1, C + c where it has sign -1
-    and 2 C where no blade is (C blades in all); the flat position of each
-    blade's ascending index; and the 1-based blades in order.
-    """
-    tensors = blade_tensors(n, degree).reshape(-1, n ** degree)
-    count = len(tensors)
-    c, pos = np.nonzero(tensors)
-    signed = np.full(n ** degree, 2 * count)
-    signed[pos] = np.where(tensors[c, pos] > 0, c, count + c)
-    blades = list(combinations(range(n), degree))
-    ascending = tuple(sum(i * n ** (degree - 1 - k) for k, i in enumerate(b)) for b in blades)
-    signed.flags.writeable = False
-    return signed, ascending, tuple(tuple(i + 1 for i in b) for b in blades)
 
 
 class CQ:

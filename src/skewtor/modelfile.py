@@ -15,13 +15,20 @@ ENV_PATH = "SKEWTOR_MODEL_PATH"
 
 
 def form_to_pairs(f: Form):
-    return [[list(blade), str(coeff)] for blade, coeff in sorted(f.terms.items())]
+    return [[list(blade), str(coeff)] for blade, coeff in f.terms.items()]
 
 
 def form_from_pairs(pairs, n, degree):
+    """The form of [[blade, "p/q"], ...]; a float coefficient or a repeated blade is an error."""
     terms = {}
     for indices, coeff in pairs:
-        terms[tuple(indices)] = Fraction(coeff)
+        c = Fraction(coeff)
+        if isinstance(coeff, (bool, float)):
+            raise TypeError(f"coefficient {coeff!r} is not exact; write it as a \"p/q\" string")
+        blade = tuple(indices)
+        if blade in terms:
+            raise ValueError(f"blade {blade} appears twice")
+        terms[blade] = c
     return Form(n, degree, terms)
 
 
@@ -90,7 +97,7 @@ def _dimension(doc):
 
 
 def _coframe(doc, n):
-    d_coframe = [Form(n, 2)] * n
+    d_coframe = [Form.zero(n, 2)] * n
     for i, pairs in doc["coframe_d"]:
         if not 1 <= _integer(i) <= n:
             raise ValueError(f"coframe index {i} is outside 1..{n}")

@@ -22,14 +22,6 @@ def canonical_omega3() -> Form:
             + f(3, 4, 7) + f(5, 6, 7))
 
 
-def standard_omega(n: int) -> Form:
-    """e_1^e_2 + e_3^e_4 + ... on an even-dimensional frame."""
-    out = Form(n, 2)
-    for k in range(1, n, 2):
-        out = out + Form.blade(n, k, k + 1)
-    return out
-
-
 def standard_j_matrix(n: int, flips=()):
     """Block-diagonal complex structure J e_{2k-1} = e_{2k} (columns), optionally
     reversing the orientation of the planes listed in `flips` (1-based plane index)."""
@@ -98,7 +90,7 @@ def _forms(n, term_dicts):
 
 
 def _abelian(n):
-    return LieModel(n, [Form(n, 2)] * n, name=f"abelian{n}")
+    return LieModel(n, [Form.zero(n, 2)] * n, name=f"abelian{n}")
 
 
 def build_registry():
@@ -181,7 +173,7 @@ def build_registry():
     # is pure vector type (nonzero codifferential direction, zero scaling and
     # traceless parts)
     hyper7 = LieModel(7, [Form(7, 2, {(i, 7): Q(1)}) for i in range(1, 7)]
-                      + [Form(7, 2)], name="hyper7")
+                      + [Form.zero(7, 2)], name="hyper7")
     reg["hyper7"] = ModelEntry(hyper7, {"kind": "g2",
                                         "omega3": canonical_omega3()},
                                notes="pure vector-type torsion fixture")

@@ -30,8 +30,12 @@ SUITES = ("exterior", "clifford", "section2", "slformula", "g2",
           "equivariant", "contact", "hermitian", "examples")
 
 
+@lru_cache(maxsize=None)
 def admissible_models():
-    """(name, torsion) for every registered model whose structure admits one."""
+    """(name, torsion) for every registered model whose structure admits one.
+
+    Computed once per process, like the registry, for every suite that asks.
+    """
     out = []
     for name, entry in sorted(registry().items()):
         if entry.structure["kind"] == "none":
@@ -40,7 +44,7 @@ def admissible_models():
             out.append((name, entry.characteristic_torsion()))
         except NoSkewConnection:
             continue
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

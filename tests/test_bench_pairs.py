@@ -1,0 +1,43 @@
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+
+from bench_pairs import summarize  # noqa: E402
+
+SPECS = [{"name": "report_s", "better": "lower", "bound": 0.25},
+         {"name": "ok_share", "better": "higher", "bound": 0.05}]
+
+
+def _run(side, seed, report_s, ok_share, workload="verify-all", trace=0):
+    metrics = {"report_s": {"value": report_s, "unit": "s"},
+               "ok_share": {"value": ok_share, "unit": "share"}}
+    return {"side": side, "workload": workload, "seed": seed, "seconds": 20, "trace": trace,
+            "exit": 0, "wall_s": 1.0, "result": {"correct": True, "metrics": metrics}}
+
+
+def test_summary_of_canned_pairs():
+    runs = []
+    for seed, (parent, change) in enumerate([(3.0, 2.0), (3.2, 2.1), (2.9, 3.0),
+                                              (3.1, 2.2), (3.0, 2.4)], start=21):
+        order = [("parent", parent), ("change", change)]
+        for side, value in order if seed % 2 else order[::-1]:
+            runs.append(_run(side, seed, value, 1.0 if side == "parent" else 0.9))
+    # a traced run, an unpaired run and a run without a result are left out
+    runs.append(_run("change", 3, 0.1, 1.0, trace=1))
+    runs.append(_run("change", 99, 0.1, 1.0))
+    runs.append(dict(_run("parent", 21, 0.1, 1.0), seed=98, result=None))
+
+    summary = summarize(runs, SPECS)
+    report = summary["verify-all"]["report_s"]
+    assert report["pairs"] == 5
+    assert report["parent_median"] == 3.0 and report["change_median"] == 2.2
+    assert report["parent_q1_q3"] == [3.0, 3.1]
+    assert report["change_q1_q3"] == [2.1, 2.4]
+    assert report["change_wins"] == 4 and report["ties"] == 0
+    assert report["relative_change"] == round((2.2 - 3.0) / 3.0, 4)
+    assert report["worse_than_bound"] is False
+
+    ok = summary["verify-all"]["ok_share"]
+    assert ok["change_wins"] == 0 and ok["relative_change"] == -0.1
+    assert ok["worse_than_bound"] is True   # higher is better: a 10% fall exceeds 5%

@@ -210,6 +210,20 @@ def test_lemma_10_7_is_computed_once_for_both_suites(monkeypatch):
     assert checks["hermitian.half-module-spectrum"] == "PASS"
 
 
+def test_admissible_models_are_computed_once_for_both_suites(monkeypatch):
+    from skewtor import registry, suites
+    calls = []
+    torsion = registry.ModelEntry.characteristic_torsion
+    monkeypatch.setattr(registry.ModelEntry, "characteristic_torsion",
+                        lambda entry: calls.append(entry) or torsion(entry))
+    suites.admissible_models.cache_clear()
+    statuses = {c.status for name in ("section2", "slformula")
+                for c in run_suite(name).checks}
+    assert len(calls) == 14
+    assert "FAIL" not in statuses
+    assert isinstance(suites.admissible_models(), tuple)
+
+
 def test_verify_all_json_is_byte_identical(all_report):
     # the SHA-256 of `skewtor verify all --json`; a change to any check id,
     # status or value string changes it
@@ -279,8 +293,13 @@ def _abelian5_text(edit):
     (_abelian5_text(lambda d: d.update(name=["x"])), "field name: ['x'] is not a string"),
     (_abelian5_text(lambda d: d["coframe_d"].append([5, [[[1, 2], float("inf")]]])),
      "field coframe_d: cannot convert Infinity"),
+    (_abelian5_text(lambda d: d["coframe_d"].append([5, [[[1, 2], 0.1]]])),
+     "field coframe_d: coefficient 0.1 is not exact"),
+    (_abelian5_text(lambda d: d["coframe_d"].append([5, [[[1, 2], "1"], [[1, 2], "2"]]])),
+     "field coframe_d: blade (1, 2) appears twice"),
 ], ids=["missing-dim", "descending-blade", "zero-denominator", "invalid-json", "dim-9",
-        "float-dim", "bool-dim", "list-name", "infinite-coefficient"])
+        "float-dim", "bool-dim", "list-name", "infinite-coefficient", "float-coefficient",
+        "duplicate-blade"])
 def test_cli_malformed_model_file_is_an_input_error(tmp_path, monkeypatch, capsys,
                                                     text, field):
     path = tmp_path / "broken5.json"

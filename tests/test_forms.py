@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction as Q
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import forms_reference as ref
 from skewtor.errors import DegreeError, DimensionMismatch
-from skewtor.forms import (Form, contract, hodge, inner, interior,
+from skewtor.formexpr import render_form
+from skewtor.forms import (Form, contract, derivation, hodge, inner, interior,
                            random_form, sigma_t, sigma_t_quadratic, so_action,
                            volume_form, wedge)
 from skewtor.registry import canonical_omega3
@@ -155,3 +159,66 @@ def test_blade_normalization_and_eval():
     assert f.eval(1, 2) == -3
     assert f.eval(2, 1) == 3
     assert f.eval(1, 1) == 0
+
+
+# ---------------------------------------------------------------------------
+# the dense tables against the sparse per-term reference algorithms
+# ---------------------------------------------------------------------------
+
+# mostly zeros and small rationals; some numerators above 2^63, which no
+# fixed-width integer could hold
+_coefficient = st.one_of(
+    st.just(Q(0)), st.just(Q(0)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    st.builds(Q, st.integers(2 ** 63, 2 ** 70) | st.integers(-2 ** 70, -2 ** 63),
+              st.integers(1, 6)))
+
+
+def _coefficients(n, p):
+    blades = list(combinations(range(1, n + 1), p))
+    return st.lists(_coefficient, min_size=len(blades), max_size=len(blades)).map(
+        lambda cs: {b: c for b, c in zip(blades, cs) if c})
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=2, max_value=8))
+def test_dense_tables_match_sparse_reference(data, n):
+    p = data.draw(st.integers(0, n), label="p")
+    q = data.draw(st.integers(0, n), label="q")
+    ta, tb, tc = (data.draw(_coefficients(n, d)) for d in (p, q, p))
+    tx = data.draw(_coefficients(n, 1))
+    a, b, c, x = Form(n, p, ta), Form(n, q, tb), Form(n, p, tc), Form(n, 1, tx)
+    assert a.terms == ta and gcd(a.den, *a.num) == 1 and a.den > 0
+    assert render_form(a) == ref.render(ta)
+    assert wedge(a, b).degree == p + q and wedge(a, b).terms == ref.wedge(ta, tb)
+    assert interior(x, a).terms == ref.interior(tx, ta)
+    for i in range(1, n + 1):
+        assert contract(a, i).terms == ref.interior({(i,): Q(1)}, ta)
+    assert hodge(a).degree == n - p and hodge(a).terms == ref.hodge(ta, n)
+    assert inner(a, c) == ref.inner(ta, tc)
+    for degree in (1, 2):
+        images = [data.draw(_coefficients(n, degree)) for _ in range(n)]
+        image_forms = [Form(n, degree, t) for t in images]
+        assert (derivation(a, degree, lambda m: image_forms[m - 1]).terms
+                == ref.derivation(ta, lambda m: images[m - 1]))
+    if p == 3:
+        assert sigma_t(a).terms == ref.sigma_t(ta, n)
+    # every result is reduced, so equal forms have equal numerators
+    for r in (wedge(a, b), interior(x, a), hodge(a), a + c, a - c, a.scale(Q(2, 3))):
+        assert r.den > 0 and gcd(r.den, *r.num) == 1
+    # == and hash: equal exactly when the reference dicts are
+    same = Form(n, p, dict(reversed(list(ta.items()))))
+    for other, t_other in ((c, tc), (same, ta), ((a + b) - b if p == q else a, ta)):
+        assert (a == other) == (ta == t_other)
+        assert a != other or hash(a) == hash(other)
+    # the zero form is degree-agnostic
+    zero_p, zero_q = a - a, Form.zero(n, q)
+    assert zero_p == zero_q and hash(zero_p) == hash(zero_q)
+    assert (a == zero_q) == (not ta)
+
+
+def test_denominator_is_reduced():
+    half = Form.blade(5, 1, 2, coeff=Q(1, 2))
+    assert half.scale(2) == Form.blade(5, 1, 2)
+    assert (half + half).den == 1 and (half + half).num == Form.blade(5, 1, 2).num
+    assert Form(5, 2, {(1, 2): Q(2, 3), (3, 4): Q(4, 3)}).den == 3
