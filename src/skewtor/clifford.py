@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import DegreeError, DimensionMismatch
 from .forms import Form, all_blades
-from .linalg import CQ, GaussTensor, charpoly, is_hermitian, nullspace, rational_roots, solve
+from .linalg import (CQ, GaussTensor, Tensor, charpoly, is_hermitian, nullspace, rank,
+                     rational_roots, solve)
 
 _S3 = np.diag([1, -1])
 _ID2 = np.eye(2, dtype=int)
@@ -170,13 +171,8 @@ def common_kernel(endos, dim=None) -> GaussTensor:
     for m in endos:
         if len(m) != size:
             raise DimensionMismatch("spin endomorphism sizes differ")
-    return _kernel_rows([row for m in endos for row in m.tolist()], size)
-
-
-def _kernel_rows(matrix, size) -> GaussTensor:
-    """Kernel basis of a CQ matrix with `size` columns, as the rows of a GaussTensor."""
-    basis = nullspace(matrix, one=CQ(1))
-    return GaussTensor.of(np.array(basis, dtype=object).reshape(len(basis), size))
+    # the kernels do not depend on the denominators, so the numerators are stacked
+    return nullspace(GaussTensor(np.concatenate([m.num for m in endos])))
 
 
 # ---------------------------------------------------------------------------
@@ -197,33 +193,66 @@ def spinor_5d(which: str):
     raise ValueError("which must be 'plus' or 'minus'")
 
 
+# Each condition is c(first) + sign * s * c(second) = 0, with s = +1 for
+# "plus" and -1 for "minus", on the coefficients c of t (3-blades) and x
+# (1-blades); the fifth is x_5 = 0 alone.
+_KERNEL_CONDITIONS = (
+    ((1,), (2, 3, 4), 1), ((2,), (1, 3, 4), -1), ((3,), (1, 2, 4), 1),
+    ((4,), (1, 2, 3), -1), ((5,), None, 0), ((1, 2, 5), (3, 4, 5), 1),
+    ((2, 3, 5), (1, 4, 5), 1), ((2, 4, 5), (1, 3, 5), -1),
+)
+# the 15 coordinates of (t, x): the 3-blades of R^5 in blade order, then e_1 .. e_5
+_COORDINATES = tuple(all_blades(5, 3)) + tuple(all_blades(5, 1))
+
+
+def kernel_condition_rows(which: str):
+    """The closed-form conditions of `kernel_conditions_5d` as an 8 x 15 integer matrix.
+
+    Columns are the coordinates of (t, x) in `_COORDINATES` order.  The
+    "plus" variant carries the sign pattern x_1 = -t_234, the "minus"
+    variant x_1 = +t_234.
+    """
+    s = 1 if which == "plus" else -1 if which == "minus" else None
+    if s is None:
+        raise ValueError("which must be 'plus' or 'minus'")
+    rows = np.zeros((len(_KERNEL_CONDITIONS), len(_COORDINATES)), dtype=int)
+    for r, (first, second, sign) in enumerate(_KERNEL_CONDITIONS):
+        rows[r, _COORDINATES.index(first)] = 1
+        if second:
+            rows[r, _COORDINATES.index(second)] = sign * s
+    return rows
+
+
 def kernel_conditions_5d(t: Form, x: Form, which: str) -> bool:
     """Closed-form test for the distinguished spinor to lie in ker(t . + x .).
 
-    `t` is a 3-form and `x` a 1-form on R^5.  The "plus" variant carries the
-    sign pattern x_1 = -t_234, the "minus" variant x_1 = +t_234; both variants
-    are certified against direct kernel membership by the test suite.
+    `t` is a 3-form and `x` a 1-form on R^5; the test is that every row of
+    `kernel_condition_rows` vanishes on their coefficients.
     """
     if t.n != 5 or x.n != 5:
         raise DimensionMismatch("dimension-5 conditions")
     if t.degree != 3 or x.degree != 1:
         raise DegreeError("expected a 3-form and a 1-form")
-    s = 1 if which == "plus" else -1 if which == "minus" else None
-    if s is None:
-        raise ValueError("which must be 'plus' or 'minus'")
-    tc = t.coeff
-    xc = {i: x.coeff(i) for i in range(1, 6)}
-    eqs = [
-        xc[1] + s * tc(2, 3, 4),
-        xc[2] - s * tc(1, 3, 4),
-        xc[3] + s * tc(1, 2, 4),
-        xc[4] - s * tc(1, 2, 3),
-        xc[5],
-        tc(1, 2, 5) + s * tc(3, 4, 5),
-        tc(2, 3, 5) + s * tc(1, 4, 5),
-        tc(2, 4, 5) - s * tc(1, 3, 5),
-    ]
-    return all(not e for e in eqs)
+    coords = np.array([v * x.den for v in t.num] + [v * t.den for v in x.num], dtype=object)
+    return not (kernel_condition_rows(which) @ coords).any()
+
+
+def kernel_conditions_are_membership(which: str) -> bool:
+    """Exact proof that `kernel_conditions_5d` is kernel membership, for every (t, x).
+
+    Both are linear conditions on the 15 coordinates of (t, x): membership is
+    the vanishing of the real and imaginary parts of spin_endo_5d(t, x) psi,
+    linear in (t, x) with one column per unit coordinate.  Two sets of
+    linear conditions cut out the same subspace exactly when each and their
+    union have one rank.
+    """
+    psi = spinor_5d(which)
+    units = [(Form.blade(5, *b), Form.zero(5, 1)) if len(b) == 3
+             else (Form.zero(5, 3), Form.blade(5, *b)) for b in _COORDINATES]
+    member = np.stack([(spin_endo_5d(t, x) @ psi).num.reshape(-1) for t, x in units], axis=1)
+    closed = kernel_condition_rows(which)
+    ranks = {rank(Tensor(m)) for m in (member, closed, np.vstack([member, closed]))}
+    return len(ranks) == 1
 
 
 def spin_endo_5d(t: Form, x: Form):
@@ -235,10 +264,11 @@ def spin_endo_5d(t: Form, x: Form):
 def restrict(matrix: GaussTensor, basis: GaussTensor) -> GaussTensor:
     """Matrix of an endomorphism restricted to an invariant subspace (basis as rows)."""
     cols = basis.T
-    sols = solve(cols.tolist(), (matrix @ cols).T.tolist())
+    sols = solve(cols, (matrix @ cols).T)
     if any(s is None for s in sols):
         raise ValueError("subspace is not invariant")
-    return GaussTensor.of(sols).T
+    den = lcm(*(s.den for s in sols))
+    return GaussTensor(np.stack([s.num * (den // s.den) for s in sols], axis=1), den)
 
 
 def half_spinor_bases(rep: GammaRep):
@@ -247,5 +277,4 @@ def half_spinor_bases(rep: GammaRep):
         raise DimensionMismatch("half modules exist in even dimensions")
     vol = rep.volume()
     eye = GaussTensor.identity(rep.dim)
-    return tuple(_kernel_rows((vol - eye * lam).tolist(), rep.dim)
-                 for lam in (CQ(0, 1), CQ(0, -1)))
+    return tuple(nullspace(vol - eye * lam) for lam in (CQ(0, 1), CQ(0, -1)))

@@ -21,9 +21,8 @@ import numpy as np
 from .errors import StructureError
 from .forms import Form, contract, derivation, inner, interior, so_action, wedge
 from .linalg import (Tensor, certified_eigenspace_dims, certify_annihilation,
-                     fraction_rows_to_int, int_abs_max, int_matmul,
-                     int_nullspace, int_rank, krylov_min_poly, poly_eval,
-                     rank_mod_p, solve, _PRIMES)
+                     int_abs_max, int_matmul, krylov_min_poly, nullspace, rank,
+                     rank_mod_p, rational_roots, solve, _PRIMES)
 from .registry import canonical_omega3
 
 Q = Fraction
@@ -46,11 +45,10 @@ class G2Algebra:
     """Integer orthogonal basis of the stabilizer algebra inside the 2-forms."""
 
     def __init__(self):
-        eq_matrix = [[Q(e.get(b, 0)) for b in BLADES2] for e in _G2_EQUATIONS]
-        kernel = int_nullspace(fraction_rows_to_int(eq_matrix))
+        kernel = nullspace([[e.get(b, 0) for b in BLADES2] for e in _G2_EQUATIONS])
         if len(kernel) != 14:
             raise StructureError("stabilizer equations do not cut out 14 dimensions")
-        raw = [Form.of_numerators(7, 2, v) for v in fraction_rows_to_int(kernel)]
+        raw = [Form.of_numerators(7, 2, v) for v in kernel.num.tolist()]
         self.basis = _orthogonalize(raw)
         self.norms = [inner(x, x) for x in self.basis]
         self.endos = np.stack([_int_endo(x) for x in self.basis])
@@ -320,13 +318,14 @@ def casimir_spectrum(space: str):
     def matvec(v):
         return (cmat_obj @ np.array(v, dtype=object)).tolist()
 
-    gershgorin = max(sum(abs(x) for x in row) for row in cmat)
     roots = None
     for seeds in (3, 6, 12):
-        minpoly = krylov_min_poly(matvec, n, seeds=seeds)
-        roots = _integer_roots_monic(minpoly, gershgorin)
-        if roots is None:
-            raise StructureError("Casimir minimal polynomial does not split over Z")
+        pairs, residual = rational_roots(krylov_min_poly(matvec, n, seeds=seeds))
+        if residual is not None or any(m > 1 or r.denominator != 1 for r, m in pairs):
+            # not diagonalizable over Q with integral eigenvalues
+            raise StructureError("Casimir minimal polynomial does not split over Z "
+                                 "into simple roots")
+        roots = [int(r) for r, _ in pairs]
         if certify_annihilation(cmat, roots):
             break
         roots = None  # candidate was a proper divisor: add Krylov seeds
@@ -335,34 +334,6 @@ def casimir_spectrum(space: str):
     dims = certified_eigenspace_dims(cmat, roots)
     return sorted(((Q(r, scale), d) for r, d in zip(roots, dims) if d),
                   key=lambda p: p[0]), scale
-
-
-def _integer_roots_monic(coeffs, bound):
-    """Roots of a monic rational polynomial: all must be integral, simple, and
-    within the given spectral bound; returns None otherwise.
-
-    Candidates are screened with a vectorized Horner pass mod two primes over
-    the interval [-bound, bound], then confirmed exactly.
-    """
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
-    if ints[0] != den:
-        return None
-    cand = np.arange(-bound, bound + 1, dtype=np.int64)
-    mask = np.ones(cand.shape, dtype=bool)
-    for p in _PRIMES[:2]:
-        acc = np.zeros(cand.shape, dtype=np.int64)
-        cp = cand % p
-        for c in ints:
-            acc = (acc * cp + c) % p
-        mask &= acc == 0
-    survivors = [int(x) for x in cand[mask]]
-    roots = [r for r in survivors if not poly_eval(coeffs, Q(r))]
-    if len(roots) != len(coeffs) - 1:
-        return None  # non-integral or repeated roots: not diagonalizable over Q
-    return roots
 
 
 def casimir_decompose(space: str) -> IsotypicReport:
@@ -422,7 +393,7 @@ def psi_matrix():
 
 
 def isotypic_basis_r7_m(label: str):
-    """Exact basis vectors of one isotypic component of R^7 (x) m (49-dim)."""
+    """Exact basis of one isotypic component of R^7 (x) m (49-dim), as the rows of a Tensor."""
     sp = spaces()
     cmat, scale = sp.casimir("r7_m")
     lam = calibration_table()[label] * scale
@@ -430,7 +401,7 @@ def isotypic_basis_r7_m(label: str):
         raise StructureError("calibration scalar does not clear the scale")
     shifted = [[cmat[i][j] - (int(lam) if i == j else 0) for j in range(49)]
                for i in range(49)]
-    return int_nullspace(shifted)
+    return nullspace(Tensor(shifted))
 
 
 def full_column_rank_certificate(matrix, cols):
@@ -438,77 +409,12 @@ def full_column_rank_certificate(matrix, cols):
 
     A mod-p rank is a lower bound on the rank over Q, so reaching `cols`
     mod one of three primes proves it; only when all three fall short is the
-    rank settled by exact integer elimination.
+    rank settled by exact elimination.
     """
     for p in _PRIMES[:3]:
         if rank_mod_p(matrix, p) == cols:
             return True
-    return int_rank([[int(x) for x in row] for row in matrix]) == cols
-
-
-def solve_tall_exact(matrix, rhs_list):
-    """Exact consistency + solutions of a tall integer system A x = b.
-
-    Pivot rows are suggested mod p, the square subsystem is solved exactly,
-    and each candidate is verified against every row.
-    """
-    m, n = len(matrix), len(matrix[0])
-    p = _PRIMES[0]
-    # locate n independent rows mod p
-    work = (np.array(matrix, dtype=object) % p).astype(np.int64)
-    r = 0
-    rows_order = []
-    row_ids = list(range(m))
-    for c in range(n):
-        pivot = None
-        for k in range(r, m):
-            if work[k, c] % p:
-                pivot = k
-                break
-        if pivot is None:
-            continue
-        work[[r, pivot]] = work[[pivot, r]]
-        row_ids[r], row_ids[pivot] = row_ids[pivot], row_ids[r]
-        inv = pow(int(work[r, c]), p - 2, p)
-        work[r] = (work[r] * inv) % p
-        for k in range(m):
-            if k != r and work[k, c]:
-                work[k] = (work[k] - work[k, c] * work[r]) % p
-        rows_order.append(row_ids[r])
-        r += 1
-        if r == n:
-            break
-    if r < n:
-        raise StructureError("coefficient matrix lost full column rank")
-    square = [[Q(matrix[i][j]) for j in range(n)] for i in rows_order]
-    rhs_sub = [[Q(b[i]) for i in rows_order] for b in rhs_list]
-    sols = solve(square, rhs_sub)
-
-    def verifies(x, b):
-        for i in range(m):
-            acc = Q(0)
-            row = matrix[i]
-            for j in range(n):
-                if row[j] and x[j]:
-                    acc += row[j] * x[j]
-            if acc != b[i]:
-                return False
-        return True
-
-    out = []
-    slow = None
-    for idx, (b, x) in enumerate(zip(rhs_list, sols)):
-        if x is not None and verifies(x, b):
-            out.append(x)
-            continue
-        # the mod-p pivot rows were unlucky: settle this column exactly
-        if slow is None:
-            slow = solve([[Q(v) for v in row] for row in matrix],
-                         [[Q(v) for v in b_] for b_ in rhs_list])
-        x_exact = slow[idx]
-        out.append(x_exact if x_exact is not None and verifies(x_exact, b)
-                   else None)
-    return out
+    return rank(Tensor(matrix)) == cols
 
 
 def rank_certificates():
@@ -518,10 +424,10 @@ def rank_certificates():
     out["phi-injective"] = full_column_rank_certificate(phi, 98)
 
     # every statement below is invariant under rescaling the isotypic basis
-    # vectors, so each is cleared to a primitive integer vector
+    # vectors, so each is read as its integer numerators
     psi = psi_matrix()
     basis14 = isotypic_basis_r7_m("14")
-    cols14 = int_matmul(psi, np.array(fraction_rows_to_int(basis14), dtype=object).T)
+    cols14 = int_matmul(psi, basis14.num.T)
     combined = np.hstack([np.array(phi, dtype=object), cols14.astype(object)])
     out["psi-14-dimension"] = len(basis14) == 14
     out["images-meet-trivially"] = full_column_rank_certificate(combined, 98 + 14)
@@ -531,11 +437,10 @@ def rank_certificates():
     basis27 = isotypic_basis_r7_m("27")
     out["scalar-block-dimension"] = len(basis1) == 1
     out["traceless-block-dimension"] = len(basis27) == 27
-    rhs = int_matmul(psi, np.array(fraction_rows_to_int(basis1 + basis27), dtype=object).T)
-    rhs = rhs.T.tolist()
-    sols = solve_tall_exact(phi, rhs)
+    rhs = int_matmul(psi, np.vstack([basis1.num, basis27.num]).T)
+    sols = solve(Tensor(phi), Tensor(rhs.T))
     out["scalar-image-contained"] = sols[0] is not None
-    out["scalar-image-solution-zero"] = sols[0] is not None and not any(sols[0])
+    out["scalar-image-solution-zero"] = sols[0] is not None and sols[0].is_zero()
     out["traceless-image-contained"] = all(s is not None for s in sols[1:])
     return out
 

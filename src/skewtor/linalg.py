@@ -4,11 +4,12 @@ Invariant tensors (structure constants, connection coefficients, curvature,
 the tensors of forms) are exact dense `Tensor`s, and every identity over them
 is one einsum contraction.  Spinor endomorphisms and spinors are exact
 dense `GaussTensor`s, the same layout with an imaginary part, multiplied by
-integer matrix products.  Small systems (spinor kernels) run a
-straightforward field elimination over `CQ`.  The large
-representation-theoretic matrices (up to 196 x 196) use integer arithmetic
-plus a mod-p elimination whose result is promoted to an exact statement by a
-separate certificate, never trusted on its own.
+integer matrix products.  Every exact rank, kernel and solve runs one
+fraction-free Gauss-Jordan elimination over Z on the integer numerators; a
+Gaussian system enters it with each entry a + bi as the real block
+[[a, -b], [b, a]].  The large representation-theoretic matrices (up to
+196 x 196) are first tried by a mod-p elimination, whose result is promoted
+to an exact statement by a separate certificate, never trusted on its own.
 """
 
 from __future__ import annotations
@@ -281,7 +282,7 @@ class GaussTensor(Tensor):
         return CQ(Q(part[0], self.den), Q(part[1], self.den))
 
     def tolist(self):
-        """Nested lists of CQ entries, the scalars of `rref`, `nullspace` and `solve`."""
+        """Nested lists of CQ entries."""
         flat = [CQ(Q(re, self.den), Q(im, self.den)) for re, im in self.num.reshape(-1, 2)]
         return np.array(flat, dtype=object).reshape(self.num.shape[:-1]).tolist()
 
@@ -296,109 +297,108 @@ def is_hermitian(a: GaussTensor) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# field elimination over Q and Q(i)
+# exact elimination over Z and Z[i]
 # ---------------------------------------------------------------------------
 
-def rref(matrix, pivot_limit=None):
-    """Reduced row echelon form over any exact field; returns (rows, pivot_cols).
+def _eliminate(a, limit):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of an integer object array.
 
-    The input is copied; entries need +,-,*,/ and truthiness.  Columns at or
-    beyond `pivot_limit` are reduced but never chosen as pivots (augmented
-    right-hand sides).
+    Columns at or beyond `limit` are reduced but never chosen as pivots
+    (augmented right-hand sides).  Returns (rows, pivot_cols, d) with d > 0:
+    every pivot entry of `rows` equals d, and rows / d is the reduced row
+    echelon form.  Each step divides exactly by the previous pivot
+    (Sylvester's identity), so every entry stays a minor of the input.  The
+    input array is left as it is.
     """
-    rows = [list(r) for r in matrix]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    limit = n if pivot_limit is None else pivot_limit
-    pivots = []
-    r = 0
+    a, pivots, d = a.copy(), [], 1
     for c in range(limit):
-        pivot_row = next((k for k in range(r, m) if rows[k][c]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        piv = rows[r][c]
-        rows[r] = [x / piv for x in rows[r]]
-        for k in range(m):
-            if k != r and rows[k][c]:
-                f = rows[k][c]
-                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
+        r = len(pivots)
+        if r == len(a):
             break
-    return rows, pivots
+        below = np.flatnonzero(a[r:, c])
+        if not below.size:
+            continue
+        k = r + int(below[0])
+        if k != r:
+            a[[r, k]] = a[[k, r]]
+        row, p = a[r].copy(), a[r, c]
+        hit = np.flatnonzero(a[:, c])
+        update = (a[hit] * p - np.outer(a[hit, c], row)) // d
+        if p != d:
+            a = a * p // d    # rows with a zero in column c only rescale
+        a[hit] = update
+        a[r] = row
+        pivots.append(c)
+        d = p
+    if d < 0:
+        a, d = -a, -d
+    return a, pivots, d
 
 
-def rank(matrix):
-    if not matrix:
-        return 0
-    return len(rref(matrix)[1])
+def _system(matrix):
+    """An exact matrix as a Tensor (or GaussTensor), with its integer real form.
 
-
-def nullspace(matrix, one=Q(1)):
-    """Exact kernel basis (list of column vectors) of a matrix over a field."""
-    if not matrix:
-        return []
-    rows, pivots = rref(matrix)
-    n = len(matrix[0])
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    zero = one - one
-    for fc in free:
-        v = [zero] * n
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
-        basis.append(v)
-    return basis
-
-
-def solve(matrix, rhs_cols):
-    """Solve A x = b for each b in rhs_cols (one particular solution each).
-
-    Returns a list of solution vectors, with None for inconsistent systems.
-    Eliminates the matrix once for all right-hand sides.
+    The real form of a Tensor is its numerators.  A GaussTensor's entry a + bi
+    becomes the block [[a, -b], [b, a]], with columns interleaved (re, im),
+    so that the real elimination of the block matrix is the elimination over
+    Q(i): its pivots come in pairs (2c, 2c + 1), and a real vector read as
+    interleaved (re, im) pairs is a Gaussian one.
     """
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    k = len(rhs_cols)
-    aug = [list(matrix[i]) + [rhs_cols[j][i] for j in range(k)] for i in range(m)]
-    rows, pivots = rref(aug, pivot_limit=n)
-    zero = matrix[0][0] - matrix[0][0]
-    piv = list(enumerate(pivots))
+    t = matrix if isinstance(matrix, Tensor) else Tensor.of(matrix)
+    if not isinstance(t, GaussTensor):
+        return t, t.num
+    (m, n), re, im = t.re.shape, t.re, t.im
+    blocks = np.empty((m, 2, n, 2), dtype=object)
+    blocks[:, 0, :, 0], blocks[:, 0, :, 1] = re, -im
+    blocks[:, 1, :, 0], blocks[:, 1, :, 1] = im, re
+    return t, blocks.reshape(2 * m, 2 * n)
+
+
+def rank(matrix) -> int:
+    """Exact rank of a matrix: a Tensor, a GaussTensor or nested lists of rationals."""
+    t, a = _system(matrix)
+    pivots = _eliminate(a, a.shape[1])[1]
+    return len(pivots) // (2 if isinstance(t, GaussTensor) else 1)
+
+
+def nullspace(matrix):
+    """Exact kernel basis of a matrix, as the rows of a Tensor (GaussTensor for Gaussian input).
+
+    The basis vector of free column f is 1 at f and 0 at the other free
+    columns (the reduced-echelon normalisation); over Q(i) the free columns
+    are the even free columns of the real form.
+    """
+    t, a = _system(matrix)
+    rows, pivots, d = _eliminate(a, a.shape[1])
+    step = 2 if isinstance(t, GaussTensor) else 1
+    free = sorted(set(range(0, a.shape[1], step)) - set(pivots))
+    basis = np.zeros((len(free), a.shape[1]), dtype=object)
+    for k, f in enumerate(free):
+        basis[k, f] = d
+        basis[k, pivots] = -rows[:len(pivots), f]
+    return type(t)(basis.reshape((len(free),) + t.num.shape[1:]), d)
+
+
+def solve(matrix, rhs):
+    """One solution of A x = b for each row b of `rhs`, or None where there is none.
+
+    `rhs` is of the same kind as the matrix.  The matrix is eliminated once,
+    with every right-hand side as an extra column; each solution is a vector
+    of that kind, zero at the free columns.
+    """
+    t, a = _system(matrix)
+    b = rhs if isinstance(rhs, Tensor) else type(t).of(rhs)
+    n = a.shape[1]
+    rows, pivots, d = _eliminate(np.hstack([a * b.den, b.num.reshape(len(b), -1).T * t.den]), n)
     sols = []
-    for j in range(k):
-        col = n + j
-        consistent = True
-        for r in range(len(rows)):
-            if rows[r][col] and all(not rows[r][c] for c in range(n)):
-                consistent = False
-                break
-        if not consistent:
+    for col in rows[:, n:].T:
+        if any(col[len(pivots):]):
             sols.append(None)
             continue
-        x = [zero] * n
-        for r, pc in piv:
-            x[pc] = rows[r][col]
-        sols.append(x)
+        x = np.zeros(n, dtype=object)
+        x[pivots] = col[:len(pivots)]
+        sols.append(type(t)(x.reshape(t.num.shape[1:]), d))
     return sols
-
-
-def invert(matrix):
-    n = len(matrix)
-    # build identity in the same field by probing a nonzero entry
-    probe = next((x for row in matrix for x in row if x), None)
-    if probe is None:
-        raise ZeroDivisionError("singular matrix")
-    one = probe / probe
-    zero = probe - probe
-    aug = [list(matrix[i]) + [one if i == j else zero for j in range(n)]
-           for i in range(n)]
-    rows, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ZeroDivisionError("singular matrix")
-    return [row[n:] for row in rows[:n]]
 
 
 # ---------------------------------------------------------------------------
@@ -423,13 +423,6 @@ def charpoly(matrix: GaussTensor):
         coeffs.append(tuple(c))
         m = GaussTensor(p.num + eye * c)
     return [CQ(Q(re, d ** k), Q(im, d ** k)) for k, (re, im) in enumerate(coeffs)]
-
-
-def poly_eval(coeffs, x):
-    acc = coeffs[0] - coeffs[0]
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
 
 
 def _real_coeffs(coeffs):
@@ -534,85 +527,8 @@ def _coprime_basis(numbers):
 
 
 # ---------------------------------------------------------------------------
-# integer matrices: exact echelon, mod-p elimination, certified spectra
+# integer matrices: mod-p elimination, certified spectra
 # ---------------------------------------------------------------------------
-
-def fraction_rows_to_int(matrix):
-    """Clear denominators row by row; preserves row space and kernel."""
-    out = []
-    for row in matrix:
-        den = 1
-        for x in row:
-            q = Q(x)
-            den = den * q.denominator // gcd(den, q.denominator)
-        ints = [int(Q(x) * den) for x in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
-    return out
-
-
-def int_echelon(matrix):
-    """Integer row echelon with per-row gcd reduction; returns (rows, pivot_cols)."""
-    rows = [list(r) for r in matrix]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(n):
-        # smallest nonzero pivot keeps the integers from exploding
-        best = None
-        for k in range(r, m):
-            v = rows[k][c]
-            if v and (best is None or abs(v) < abs(rows[best][c])):
-                best = k
-        if best is None:
-            continue
-        rows[r], rows[best] = rows[best], rows[r]
-        piv = rows[r][c]
-        for k in range(r + 1, m):
-            v = rows[k][c]
-            if not v:
-                continue
-            g = gcd(piv, v)
-            a, b = piv // g, v // g
-            new = [a * x - b * y for x, y in zip(rows[k], rows[r])]
-            g2 = 0
-            for x in new:
-                g2 = gcd(g2, x)
-            if g2 > 1:
-                new = [x // g2 for x in new]
-            rows[k] = new
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return rows[:r], pivots
-
-
-def int_rank(matrix):
-    return len(int_echelon(matrix)[1])
-
-
-def int_nullspace(matrix):
-    """Exact rational kernel basis of an integer matrix."""
-    ech, pivots = int_echelon(matrix)
-    n = len(matrix[0]) if matrix else 0
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Q(0)] * n
-        v[fc] = Q(1)
-        for r in range(len(ech) - 1, -1, -1):
-            pc = pivots[r]
-            s = sum(Q(ech[r][c]) * v[c] for c in range(pc + 1, n) if v[c])
-            v[pc] = -s / ech[r][pc]
-        basis.append(v)
-    return basis
-
 
 _PRIMES = [2097143, 2097133, 2097131, 2097097, 2097091, 2097083, 2097047,
            2097041, 2097031, 2097023, 2097013, 2096993]
@@ -677,8 +593,8 @@ def krylov_min_poly(matvec, n, seeds=3, rng=None):
 
     Returns Fraction coefficients (highest first).  The result always divides
     the true minimal polynomial; equality must be certified separately.
-    Dependence detection runs mod p; the dependence itself is solved and
-    verified exactly, so a bad prime only costs extra iterations.
+    Dependence detection runs mod p; the dependence itself is solved exactly
+    over all rows, so a bad prime only costs extra iterations.
     """
     import random
     rng = rng or random.Random(20240811)
@@ -695,27 +611,13 @@ def _krylov_single(matvec, n, v):
     vecs = [list(v)]
     while len(vecs) <= n + 1:
         vecs.append(matvec(vecs[-1]))
-        cols = len(vecs)
-        modm = [[vecs[j][i] % p for j in range(cols)] for i in range(n)]
-        if rank_mod_p(modm, p) == cols:
+        if rank_mod_p(vecs, p) == len(vecs):
             continue
-        # dependence suspected: solve sum c_j v_j = 0 with c_last = 1 exactly
-        # on pivot rows of the first cols-1 vectors, then verify on all rows
-        lead = [[Q(vecs[j][i]) for j in range(cols - 1)] for i in range(n)]
-        sol = solve(lead, [[-Q(vecs[-1][i]) for i in range(n)]])[0]
-        if sol is None:
-            continue
-        residual_ok = True
-        for i in range(n):
-            acc = Q(vecs[-1][i])
-            for j in range(cols - 1):
-                if sol[j] and vecs[j][i]:
-                    acc += sol[j] * vecs[j][i]
-            if acc:
-                residual_ok = False
-                break
-        if residual_ok:
-            return [Q(1)] + [sol[j] for j in range(cols - 2, -1, -1)]
+        # dependence suspected: solve sum c_j v_j = -v_last exactly (over all rows)
+        lead = Tensor(np.array(vecs[:-1], dtype=object).T)
+        sol = solve(lead, Tensor(-np.array(vecs[-1:], dtype=object)))[0]
+        if sol is not None:
+            return [Q(1)] + [sol[j] for j in range(len(vecs) - 2, -1, -1)]
     raise RuntimeError("krylov failed to terminate")
 
 

@@ -1,7 +1,8 @@
-"""Reference spinor linear algebra on nested lists of CQ (or Fraction) entries.
+"""Reference linear algebra on nested lists of CQ (or Fraction) entries.
 
-These are the list-matrix loops that `GaussTensor` replaced in the program,
-kept here to compare the integer kernels against entry for entry.
+These are the list-matrix loops that `GaussTensor` and the fraction-free
+elimination replaced in the program, kept here to compare the integer
+kernels against entry for entry.
 """
 
 from fractions import Fraction as Q
@@ -51,6 +52,14 @@ def act_form_by_gamma_products(rep, parts):
     return out
 
 
+def poly_eval(coeffs, x):
+    """Horner's rule over the coefficients' own scalars, highest first."""
+    acc = coeffs[0] - coeffs[0]
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
+
+
 def charpoly_by_fractions(matrix):
     """Reference Faddeev-LeVerrier over the matrix's own scalars (Fraction or CQ)."""
     n = len(matrix)
@@ -64,3 +73,89 @@ def charpoly_by_fractions(matrix):
         coeffs.append(ck)
         m = [[am[i][j] + (ck if i == j else zero) for j in range(n)] for i in range(n)]
     return coeffs
+
+
+def rref(matrix, pivot_limit=None):
+    """Reduced row echelon form over any exact field; returns (rows, pivot_cols).
+
+    The input is copied; entries need +,-,*,/ and truthiness.  Columns at or
+    beyond `pivot_limit` are reduced but never chosen as pivots (augmented
+    right-hand sides).
+    """
+    rows = [list(r) for r in matrix]
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    limit = n if pivot_limit is None else pivot_limit
+    pivots = []
+    r = 0
+    for c in range(limit):
+        pivot_row = next((k for k in range(r, m) if rows[k][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        piv = rows[r][c]
+        rows[r] = [x / piv for x in rows[r]]
+        for k in range(m):
+            if k != r and rows[k][c]:
+                f = rows[k][c]
+                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return rows, pivots
+
+
+def rank(matrix):
+    if not matrix:
+        return 0
+    return len(rref(matrix)[1])
+
+
+def nullspace(matrix, one=Q(1)):
+    """Exact kernel basis (list of column vectors) of a matrix over a field."""
+    if not matrix:
+        return []
+    rows, pivots = rref(matrix)
+    n = len(matrix[0])
+    free = [c for c in range(n) if c not in pivots]
+    basis = []
+    zero = one - one
+    for fc in free:
+        v = [zero] * n
+        v[fc] = one
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][fc]
+        basis.append(v)
+    return basis
+
+
+def solve(matrix, rhs_cols):
+    """Solve A x = b for each b in rhs_cols (one particular solution each).
+
+    Returns a list of solution vectors, with None for inconsistent systems.
+    Eliminates the matrix once for all right-hand sides.
+    """
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    k = len(rhs_cols)
+    aug = [list(matrix[i]) + [rhs_cols[j][i] for j in range(k)] for i in range(m)]
+    rows, pivots = rref(aug, pivot_limit=n)
+    zero = matrix[0][0] - matrix[0][0]
+    piv = list(enumerate(pivots))
+    sols = []
+    for j in range(k):
+        col = n + j
+        consistent = True
+        for r in range(len(rows)):
+            if rows[r][col] and all(not rows[r][c] for c in range(n)):
+                consistent = False
+                break
+        if not consistent:
+            sols.append(None)
+            continue
+        x = [zero] * n
+        for r, pc in piv:
+            x[pc] = rows[r][col]
+        sols.append(x)
+    return sols

@@ -5,15 +5,16 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skewtor import clifford
 from skewtor.clifford import (CQ, act_form, build_rep, common_kernel,
                               eigen_report, half_spinor_bases,
-                              kernel_conditions_5d, restrict, spin_endo_5d,
-                              spinor_5d)
+                              kernel_conditions_5d, kernel_conditions_are_membership,
+                              restrict, spin_endo_5d, spinor_5d)
 from skewtor.forms import Form, contract, hodge, random_form, wedge
-from skewtor.linalg import GaussTensor, charpoly, invert, is_hermitian, poly_eval
+from skewtor.linalg import GaussTensor, charpoly, is_hermitian, solve
 from skewtor.registry import canonical_omega3
 
-from cq_reference import act_form_by_gamma_products, charpoly_by_fractions
+from cq_reference import act_form_by_gamma_products, charpoly_by_fractions, poly_eval
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -55,7 +56,7 @@ def test_omega3_spectrum_and_normalizations():
     # the simple eigenvector satisfies the contraction identity
     from skewtor.linalg import nullspace
     shifted = act_form(rep, w3) + GaussTensor.identity(8) * 7
-    (psi0,) = nullspace(shifted.tolist(), one=CQ(1))
+    (psi0,) = nullspace(shifted)
     psi0 = GaussTensor.of(psi0)
     sw3 = hodge(w3)
     assert all((act_form(rep, sw3) @ psi0)[k] == CQ(-7) * psi0[k]
@@ -83,7 +84,8 @@ def test_eigen_multiset_invariant_under_conjugation():
     g = [[CQ(rng.randint(-3, 3), rng.randint(-2, 2)) for _ in range(4)]
          for _ in range(4)]
     g[0][0] = g[0][0] + CQ(7)
-    ginv = invert(g)
+    cols = solve(GaussTensor.of(g), GaussTensor.identity(4))
+    ginv = [[col[i] for col in cols] for i in range(4)]
     conj = GaussTensor.of(g) @ m @ GaussTensor.of(ginv)
     assert eigen_report(conj).pairs == eigen_report(m).pairs
 
@@ -107,6 +109,15 @@ def test_kernel_conditions_match_membership():
         for which in ("plus", "minus"):
             member = (endo @ spinor_5d(which)).is_zero()
             assert member == kernel_conditions_5d(t, x, which)
+
+
+def test_kernel_conditions_are_membership_exactly(monkeypatch):
+    assert kernel_conditions_are_membership("plus")
+    assert kernel_conditions_are_membership("minus")
+    # the rank comparison sees a wrong sign pattern: the other variant's rows
+    plus_rows = clifford.kernel_condition_rows("plus")
+    monkeypatch.setattr(clifford, "kernel_condition_rows", lambda which: plus_rows)
+    assert not kernel_conditions_are_membership("minus")
 
 
 def test_kernel_conditions_signed_samples():

@@ -5,6 +5,7 @@ from math import lcm
 import numpy as np
 import pytest
 
+from skewtor import equivar
 from skewtor.equivar import (bracket_2forms, calibration_table,
                              casimir_decompose, casimir_spectrum,
                              full_column_rank_certificate,
@@ -12,7 +13,8 @@ from skewtor.equivar import (bracket_2forms, calibration_table,
                              rank_certificates, sigma0_constant,
                              sigma_solution_identity, spaces)
 from skewtor.forms import Form, contract, so_action
-from skewtor.linalg import rank_mod_p, _PRIMES
+from skewtor.errors import StructureError
+from skewtor.linalg import poly_mul, rank_mod_p, _PRIMES
 from skewtor.registry import canonical_omega3
 
 
@@ -84,6 +86,25 @@ def test_casimir_64_eigenvalue_cross_check():
     val64_g2 = next(v for v, d in pairs_g2 if d == 64)
     val64_s2 = next(v for v, d in pairs_s2 if d == 64)
     assert val64_g2 == val64_s2
+
+
+def test_casimir_spectrum_refuses_all_but_simple_integral_roots(sp, monkeypatch):
+    # the lambda1 Casimir is lam Id, so (x - lam) f annihilates it for every
+    # f: only the root guard, not the certificate, can refuse a candidate
+    cmat, scale = sp.casimir("lambda1")
+    lam = cmat[0][0]
+    root = [Q(1), Q(-lam)]
+
+    def spectrum(f):
+        poly = poly_mul(root, f)
+        monkeypatch.setattr(equivar, "krylov_min_poly", lambda matvec, n, seeds: poly)
+        return casimir_spectrum("lambda1")
+
+    assert spectrum([Q(1), Q(0)])[0] == [(Q(lam, scale), 7)]
+    # a repeated root, a non-integral root, an irreducible factor
+    for f in (root, [Q(1), Q(-1, 2)], [Q(1), Q(0), Q(1)]):
+        with pytest.raises(StructureError, match="simple roots"):
+            spectrum(f)
 
 
 def test_map_shapes(sp):
