@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import DegreeError, DimensionMismatch
 from .forms import Form, all_blades
-from .linalg import (CQ, GaussTensor, Tensor, charpoly, is_hermitian, nullspace, rank,
-                     rational_roots, solve)
+from .linalg import (CQ, GaussTensor, Tensor, charpoly, int_matmul, is_hermitian,
+                     nullspace, rank, rational_roots, solve)
 
 _S3 = np.diag([1, -1])
 _ID2 = np.eye(2, dtype=int)
@@ -234,7 +234,7 @@ def kernel_conditions_5d(t: Form, x: Form, which: str) -> bool:
     if t.degree != 3 or x.degree != 1:
         raise DegreeError("expected a 3-form and a 1-form")
     coords = np.array([v * x.den for v in t.num] + [v * t.den for v in x.num], dtype=object)
-    return not (kernel_condition_rows(which) @ coords).any()
+    return not int_matmul(kernel_condition_rows(which), coords).any()
 
 
 def kernel_conditions_are_membership(which: str) -> bool:

@@ -13,8 +13,10 @@ Everything is assembled in explicit integer coordinates:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
+from types import MappingProxyType
 
 import numpy as np
 
@@ -141,7 +143,7 @@ def _s2_action(a):
     w = np.zeros((len(S2_PAIRS), 7, 7), dtype=np.int64)
     w[np.arange(len(S2_PAIRS)), _S2_ROWS, _S2_COLS] = 1
     w[np.arange(len(S2_PAIRS)), _S2_COLS, _S2_ROWS] = 1
-    image = a @ w + w @ a.T
+    image = int_matmul(a, w) + int_matmul(w, a.T)
     return image[:, _S2_ROWS, _S2_COLS].T
 
 
@@ -153,7 +155,7 @@ def _ad_action(a, basis, norms):
     Returns (rho, d, closed): rho / d is the action on the projections, and
     closed[c] says whether [a, X_c] equals its projection, i.e. lies in the span.
     """
-    comm = a @ basis - basis @ a
+    comm = int_matmul(a, basis) - int_matmul(basis, a)
     num = np.einsum("cuv,juv->jc", comm, basis)
     den = np.array([[2 * int(norm)] for norm in norms], dtype=np.int64)
     g = np.gcd(num, den)
@@ -216,6 +218,8 @@ class Spaces:
 
         The Casimir is sum_a rho_a^2 / |xi_a|^2; with rho_a = N_a / d_a each
         term is N_a^2 / w_a, w_a = d_a^2 |xi_a|^2, and L = lcm of the w_a.
+        C' is a read-only int64 array (object if its entries leave int64),
+        built once per module and shared by every caller.
         """
         if space in self._cache:
             return self._cache[space]
@@ -231,8 +235,39 @@ class Spaces:
                 total, sq = total.astype(object), sq.astype(object)
             total = total * k + sq * f
             scale = grown
-        self._cache[space] = (total.tolist(), scale)
+        total.flags.writeable = False
+        self._cache[space] = (total, scale)
         return self._cache[space]
+
+    @cached_property
+    def calibration(self):
+        """Exact Casimir scalars on the four small irreducibles, derived once."""
+        table = {}
+        c1, s1 = self.casimir("lambda1")
+        c1 = Tensor(c1, s1)
+        value = c1[0, 0]
+        if c1 != Tensor.identity(7) * value:
+            raise StructureError("Casimir is not scalar on the vector module")
+        table["7"] = value
+
+        c3, s3 = self.casimir("lambda3")
+        c3 = Tensor(c3)
+        w3 = canonical_omega3()
+        w3vec = Tensor(w3.num, w3.den)
+        if not Tensor.einsum("ij,j->i", c3, w3vec).is_zero():
+            raise StructureError("Casimir does not kill the invariant 3-form")
+        table["1"] = Q(0)
+
+        c2, s2 = self.casimir("lambda2")
+        xi = self.algebra.basis[0]
+        lam14 = _eigen_scalar(Tensor(c2), Tensor(xi.num, xi.den))
+        table["14"] = lam14 / s2
+
+        from .g2 import project3
+        probe = project3(Form.blade(7, 1, 2, 3))[2]
+        lam27 = _eigen_scalar(c3, Tensor(probe.num, probe.den))
+        table["27"] = lam27 / s3
+        return MappingProxyType(table)
 
 
 _SPACES = None
@@ -268,34 +303,8 @@ class IsotypicReport:
 
 
 def calibration_table():
-    """Exact Casimir scalars on the four small irreducibles, derived on the spot."""
-    sp = spaces()
-    table = {}
-
-    c1, s1 = sp.casimir("lambda1")
-    value = Q(c1[0][0], s1)
-    if any(Q(c1[i][j], s1) != (value if i == j else 0) for i in range(7) for j in range(7)):
-        raise StructureError("Casimir is not scalar on the vector module")
-    table["7"] = value
-
-    c3, s3 = sp.casimir("lambda3")
-    c3 = Tensor(c3)
-    w3 = canonical_omega3()
-    w3vec = Tensor(w3.num, w3.den)
-    if not Tensor.einsum("ij,j->i", c3, w3vec).is_zero():
-        raise StructureError("Casimir does not kill the invariant 3-form")
-    table["1"] = Q(0)
-
-    c2, s2 = sp.casimir("lambda2")
-    xi = sp.algebra.basis[0]
-    lam14 = _eigen_scalar(Tensor(c2), Tensor(xi.num, xi.den))
-    table["14"] = lam14 / s2
-
-    from .g2 import project3
-    probe = project3(Form.blade(7, 1, 2, 3))[2]
-    lam27 = _eigen_scalar(c3, Tensor(probe.num, probe.den))
-    table["27"] = lam27 / s3
-    return table
+    """Exact Casimir scalars on the four small irreducibles (`Spaces.calibration`)."""
+    return spaces().calibration
 
 
 def _eigen_scalar(matrix, vec):
@@ -313,10 +322,9 @@ def casimir_spectrum(space: str):
     sp = spaces()
     cmat, scale = sp.casimir(space)
     n = sp.dimension(space)
-    cmat_obj = np.array(cmat, dtype=object)
 
     def matvec(v):
-        return (cmat_obj @ np.array(v, dtype=object)).tolist()
+        return int_matmul(cmat, v).tolist()
 
     roots = None
     for seeds in (3, 6, 12):
@@ -379,7 +387,7 @@ def _map_matrix(endos):
     for r, (y, z) in enumerate(S2_PAIRS):
         out[:, r, z - 1, :] += values[:, :, y - 1].T
         out[:, r, y - 1, :] += values[:, :, z - 1].T
-    return out.reshape(7 * len(S2_PAIRS), 7 * len(endos)).tolist()
+    return out.reshape(7 * len(S2_PAIRS), 7 * len(endos))
 
 
 def phi_matrix():
@@ -399,9 +407,7 @@ def isotypic_basis_r7_m(label: str):
     lam = calibration_table()[label] * scale
     if lam.denominator != 1:
         raise StructureError("calibration scalar does not clear the scale")
-    shifted = [[cmat[i][j] - (int(lam) if i == j else 0) for j in range(49)]
-               for i in range(49)]
-    return nullspace(Tensor(shifted))
+    return nullspace(Tensor(cmat) - Tensor.identity(49) * lam)
 
 
 def full_column_rank_certificate(matrix, cols):
@@ -428,7 +434,7 @@ def rank_certificates():
     psi = psi_matrix()
     basis14 = isotypic_basis_r7_m("14")
     cols14 = int_matmul(psi, basis14.num.T)
-    combined = np.hstack([np.array(phi, dtype=object), cols14.astype(object)])
+    combined = np.hstack([phi, cols14])
     out["psi-14-dimension"] = len(basis14) == 14
     out["images-meet-trivially"] = full_column_rank_certificate(combined, 98 + 14)
 

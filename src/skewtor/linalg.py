@@ -4,7 +4,11 @@ Invariant tensors (structure constants, connection coefficients, curvature,
 the tensors of forms) are exact dense `Tensor`s, and every identity over them
 is one einsum contraction.  Spinor endomorphisms and spinors are exact
 dense `GaussTensor`s, the same layout with an imaginary part, multiplied by
-integer matrix products.  Every exact rank, kernel and solve runs one
+integer matrix products.  Every dense integer matrix product in the program
+is `int_matmul`: float64 BLAS when the a-priori bound n max|a| max|b| < 2^53
+makes every partial sum an integer that a double holds exactly (the
+word-size technique of FFLAS-FFPACK), Python integers otherwise, so a float
+only ever carries such an integer.  Every exact rank, kernel and solve runs one
 fraction-free Gauss-Jordan elimination over Z on the integer numerators; a
 Gaussian system enters it with each entry a + bi as the real block
 [[a, -b], [b, a]].  The large representation-theoretic matrices (up to
@@ -262,8 +266,8 @@ class GaussTensor(Tensor):
 
     def __matmul__(self, other: "GaussTensor") -> "GaussTensor":
         """(R + iJ)(P + iQ) from the three integer products RP, JQ, (R + J)(P + Q)."""
-        rp, jq = _product(self.re, other.re), _product(self.im, other.im)
-        cross = _product(self.re + self.im, other.re + other.im)
+        rp, jq = int_matmul(self.re, other.re), int_matmul(self.im, other.im)
+        cross = int_matmul(self.re + self.im, other.re + other.im)
         return GaussTensor.of_parts(rp - jq, cross - rp - jq, self.den * other.den)
 
     def __mul__(self, factor) -> "GaussTensor":
@@ -285,11 +289,6 @@ class GaussTensor(Tensor):
         """Nested lists of CQ entries."""
         flat = [CQ(Q(re, self.den), Q(im, self.den)) for re, im in self.num.reshape(-1, 2)]
         return np.array(flat, dtype=object).reshape(self.num.shape[:-1]).tolist()
-
-
-def _product(a, b):
-    """int_matmul as an object array, so that sums of products cannot overflow int64."""
-    return int_matmul(a, b).astype(object)
 
 
 def is_hermitian(a: GaussTensor) -> bool:
@@ -540,8 +539,7 @@ def rank_mod_p(matrix, p):
     Always a lower bound for the rationals' rank; callers must certify before
     claiming exactness.
     """
-    a = np.array(matrix, dtype=object) % p
-    a = a.astype(np.int64)
+    a = (np.asarray(matrix) % p).astype(np.int64)
     m, n = a.shape
     r = 0
     for c in range(n):
@@ -564,27 +562,28 @@ def rank_mod_p(matrix, p):
 
 
 def int_matmul(a, b):
-    """Exact product of integer matrices as an array, guarding int64 overflow.
+    """Exact product of integer matrices (or stacks of them, or a matrix and a vector).
 
-    The product is int64 when an a-priori entry bound fits, else an object
-    array of Python integers.
+    With n the inner dimension, every partial sum of the product is bounded
+    by n max|a| max|b|.  Below 2^53 each one is an integer that a double
+    holds exactly, whatever order BLAS sums in, so the product runs in
+    float64 and comes back as int64.  The bound is read from the float images
+    of the entries: an integer converts exactly when its image is below 2^53,
+    and a larger image fails the bound.  Otherwise, or when an entry is
+    beyond float range, the product runs on Python integers and comes back as
+    an object array.
     """
-    a, b = int_array(a), int_array(b)
-    if a.shape[1] * int_abs_max(a) * int_abs_max(b) < 2 ** 62:
-        return a.astype(np.int64) @ b.astype(np.int64)
-    return a.astype(object) @ b.astype(object)
-
-
-def int_array(a):
-    """Integer matrix as an int64 array when its entries fit, else an object array."""
-    if isinstance(a, np.ndarray) and a.dtype == np.int64:
-        return a
-    a = np.asarray(a, dtype=object)
-    return a.astype(np.int64) if int_abs_max(a) < 2 ** 62 else a
+    try:
+        fa, fb = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    except OverflowError:
+        fa = None
+    if fa is not None and fa.shape[-1] * int_abs_max(fa) * int_abs_max(fb) < 2 ** 53:
+        return (fa @ fb).astype(np.int64)
+    return np.asarray(a, dtype=object) @ np.asarray(b, dtype=object)
 
 
 def int_abs_max(a):
-    """Largest absolute entry of an integer array as a Python int, at least 1."""
+    """Largest absolute entry of an array of integers (of any dtype) as a Python int, at least 1."""
     return max(1, int(np.abs(a).max())) if a.size else 1
 
 
@@ -664,11 +663,13 @@ def certify_annihilation(int_matrix, int_roots):
     """Exact proof that prod_k (A - r_k I) = 0 for an integer matrix A.
 
     Runs the product mod enough primes that CRT covers an a-priori entry
-    bound, so a zero residue everywhere implies the exact zero matrix.
+    bound, so a zero residue everywhere implies the exact zero matrix.  Each
+    step multiplies two matrices of residues below p < 2^21, so for n < 2048
+    `int_matmul` keeps the whole chain in float64.
     """
-    a = np.array(int_matrix, dtype=object)
-    n = a.shape[0]
-    max_a = max(1, int(np.abs(a).max()))
+    a = np.asarray(int_matrix)
+    n = len(a)
+    max_a = int_abs_max(a)
     bound = max_a + max((abs(r) for r in int_roots), default=0)
     for r in int_roots:
         bound *= n * (max_a + abs(r))
@@ -682,12 +683,12 @@ def certify_annihilation(int_matrix, int_roots):
             break
     else:
         raise RuntimeError("prime pool exhausted for certificate")
+    eye = np.eye(n, dtype=np.int64)
     for p in primes:
-        acc = np.eye(n, dtype=np.int64)
         ap = (a % p).astype(np.int64)
+        acc = eye
         for r in int_roots:
-            term = (ap - (r % p) * np.eye(n, dtype=np.int64)) % p
-            acc = (acc @ term) % p
+            acc = int_matmul(acc, (ap - (r % p) * eye) % p) % p
         if np.any(acc):
             return False
     return True
@@ -701,13 +702,12 @@ def certified_eigenspace_dims(int_matrix, eigs_scaled):
     lower bounds for rational ranks, so when the resulting kernel dimensions
     add up to the full dimension each one is exact.
     """
-    n = len(int_matrix)
-    a = np.array(int_matrix, dtype=object)
+    a = np.asarray(int_matrix)
+    n = len(a)
+    eye = np.eye(n, dtype=np.int64)
     for p in _PRIMES:
-        dims = []
-        for lam in eigs_scaled:
-            shifted = a - lam * np.eye(n, dtype=object)
-            dims.append(n - rank_mod_p(shifted.tolist(), p))
+        ap = (a % p).astype(np.int64)
+        dims = [n - rank_mod_p(ap - (lam % p) * eye, p) for lam in eigs_scaled]
         if sum(dims) == n:
             return dims
     raise RuntimeError("no prime certified the eigenspace dimensions")

@@ -20,7 +20,7 @@ from .errors import NoSkewConnection
 from .liegeom import (SpinorData, codiff, curvature, curvature_identity_residuals,
                       d_form, levi_civita, nabla_form, parallel_spinors,
                       tt_contraction, with_torsion)
-from .linalg import GaussTensor, int_array, int_matmul
+from .linalg import GaussTensor, int_abs_max, int_matmul
 from .registry import canonical_omega3, registry
 from .reporting import Report, check, merge, skip
 
@@ -377,21 +377,26 @@ def _equivariance_residual_zero(sp):
     """Exact intertwining check on all 14 generators.
 
     With rho = N / d on each module, Phi rho_g2 = rho_s2 Phi becomes the
-    integer identity d_s2 Phi N_g2 = d_g2 N_s2 Phi; likewise for Psi and the
-    Casimir.
+    integer identity Phi (d_s2 N_g2) = (d_g2 N_s2) Phi; likewise for Psi and
+    the Casimir.  Each scale enters an operand, so the bound of `int_matmul`
+    covers it.
     """
-    phi = np.array(equivar.phi_matrix(), dtype=np.int64)
-    psi = np.array(equivar.psi_matrix(), dtype=np.int64)
-    cas = int_array(sp.casimir("r7_s2")[0])
+    phi, psi = equivar.phi_matrix(), equivar.psi_matrix()
+    cas = sp.casimir("r7_s2")[0]
     for (g2_rho, g2_d), (m_rho, m_d), (s2_rho, s2_d) in zip(
             sp.generators("r7_g2"), sp.generators("r7_m"), sp.generators("r7_s2")):
-        if np.any(int_matmul(phi, g2_rho) * s2_d - int_matmul(s2_rho, phi) * g2_d):
+        if np.any(int_matmul(phi, _scaled(g2_rho, s2_d)) - int_matmul(_scaled(s2_rho, g2_d), phi)):
             return False
-        if np.any(int_matmul(psi, m_rho) * s2_d - int_matmul(s2_rho, psi) * m_d):
+        if np.any(int_matmul(psi, _scaled(m_rho, s2_d)) - int_matmul(_scaled(s2_rho, m_d), psi)):
             return False
         if np.any(int_matmul(cas, s2_rho) - int_matmul(s2_rho, cas)):
             return False
     return True
+
+
+def _scaled(rho, d):
+    """The integer matrix d rho, on Python integers where int64 could wrap."""
+    return (rho if int_abs_max(rho) * d < 2 ** 63 else rho.astype(object)) * d
 
 
 def suite_contact() -> Report:

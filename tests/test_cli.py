@@ -224,6 +224,21 @@ def test_admissible_models_are_computed_once_for_both_suites(monkeypatch):
     assert isinstance(suites.admissible_models(), tuple)
 
 
+def test_calibration_table_is_built_once_per_spaces(monkeypatch):
+    # casimir_decompose reads it once per module and isotypic_basis_r7_m once
+    # per label: the two eigenvector probes run once for the whole suite
+    from skewtor import equivar
+    calls = []
+    scalar = equivar._eigen_scalar
+    monkeypatch.setattr(equivar, "_eigen_scalar",
+                        lambda matrix, vec: calls.append(vec) or scalar(matrix, vec))
+    monkeypatch.setattr(equivar, "_SPACES", equivar.Spaces())
+    statuses = {c.status for c in run_suite("equivariant").checks}
+    assert len(calls) == 2
+    assert "FAIL" not in statuses
+    assert equivar.calibration_table() is equivar.spaces().calibration
+
+
 def test_verify_all_json_is_byte_identical(all_report):
     # the SHA-256 of `skewtor verify all --json`; a change to any check id,
     # status or value string changes it

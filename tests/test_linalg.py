@@ -1,16 +1,21 @@
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction as Q
 from itertools import combinations
 from math import lcm
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewtor.forms import Form
 from skewtor.linalg import (CQ, GaussTensor, Tensor, certified_eigenspace_dims,
-                            certify_annihilation, charpoly, is_hermitian,
-                            krylov_min_poly, nullspace, rank,
+                            certify_annihilation, charpoly, int_abs_max, int_matmul,
+                            is_hermitian, krylov_min_poly, nullspace, rank,
                             rank_mod_p, rational_roots, solve, _PRIMES)
 
 import cq_reference
@@ -202,6 +207,124 @@ def test_certify_rejects_nondiagonalizable():
     assert certify_annihilation(jordan, [1, 1])  # (A-1)^2 = 0 holds
 
 
+def _school_product(a, b, m, n, k):
+    """The m x k product of nested lists of Python integers, by the school-book loop."""
+    return [[sum(a[i][t] * b[t][j] for t in range(n)) for j in range(k)] for i in range(m)]
+
+
+@st.composite
+def product_operands(draw):
+    """(a, b, m, n, k, float_branch): integer matrices around the kernel's 2^53 bound.
+
+    One entry of a is +-A and one of b is +-B, the others anywhere in
+    [-A, A] and [-B, B], so n A B is the kernel's bound (each maximum taken
+    as at least 1).  The classes put it
+    far below 2^53, just below it, just above it, or the entries beyond
+    int64 (2^63) or beyond float range (2^1100); shapes may be empty.
+    """
+    m, n, k = (draw(st.integers(0, 5)) for _ in range(3))
+    kind = draw(st.sampled_from(["small", "below", "above", "int64", "huge"]))
+    if kind == "small":
+        big_a, big_b = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    elif kind in ("below", "above"):
+        big_a = draw(st.integers(1, 2 ** 40))
+        big_b = (2 ** 53 - 1) // (max(n, 1) * big_a) + (kind == "above")
+    else:
+        low = 2 ** 63 if kind == "int64" else 2 ** 1100
+        big_a, big_b = draw(st.integers(low, 2 * low)), draw(st.integers(1, 2 ** 70))
+
+    def matrix(rows, cols, big):
+        entries = st.one_of(st.sampled_from([big, -big]), st.integers(-big, big))
+        flat = draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
+        if flat:
+            flat[draw(st.integers(0, len(flat) - 1))] = draw(st.sampled_from([big, -big]))
+        return [flat[r * cols:(r + 1) * cols] for r in range(rows)]
+
+    a, b = matrix(m, n, big_a), matrix(n, k, big_b)
+    max_a, max_b = (max([1] + [abs(v) for row in x for v in row]) for x in (a, b))
+    return a, b, m, n, k, n * max_a * max_b < 2 ** 53 and max(max_a, max_b) < 2 ** 1023
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_operands(), st.booleans())
+def test_int_matmul_matches_object_product(operands, as_int64):
+    a, b, m, n, k, float_branch = operands
+    arrays = [np.array(x, dtype=object).reshape(shape) for x, shape in ((a, (m, n)), (b, (n, k)))]
+    if as_int64 and all(int_abs_max(x) < 2 ** 63 for x in arrays):
+        arrays = [x.astype(np.int64) for x in arrays]
+    got = int_matmul(*arrays)
+    assert got.shape == (m, k)
+    assert got.dtype == (np.int64 if float_branch else object)
+    assert got.tolist() == _school_product(a, b, m, n, k)
+    if k:
+        # a vector on the right is the first column
+        assert int_matmul(arrays[0], arrays[1][:, 0]).tolist() == [row[0] for row in got.tolist()]
+
+
+def test_int_matmul_bound_edge():
+    # every entry at its maximum: each product entry is the bound n A B itself,
+    # the largest below 2^53 (float branch) and then the least above it
+    n, big_a = 3, 2 ** 26
+    for big_b, dtype in (((2 ** 53 - 1) // (n * big_a), np.int64),
+                         ((2 ** 53 - 1) // (n * big_a) + 1, object)):
+        a = np.full((2, n), big_a, dtype=np.int64)
+        b = np.full((n, 2), big_b, dtype=np.int64)
+        got = int_matmul(a, b)
+        assert got.dtype == dtype
+        assert got.tolist() == [[n * big_a * big_b] * 2] * 2
+    # 2^53 + 1 has no double: the float branch must not be taken
+    odd = np.array([[2 ** 53 + 1]], dtype=np.int64)
+    assert int_matmul(odd, np.array([[1]])).tolist() == [[2 ** 53 + 1]]
+    ones = np.ones((4, 3), dtype=np.int64)
+    assert int_matmul(np.zeros((0, 4), dtype=np.int64), ones).shape == (0, 3)
+    assert int_matmul(np.ones((2, 0), dtype=np.int64), ones[:0]).tolist() == [[0] * 3] * 2
+
+
+def _annihilates(a, roots):
+    """prod_k (A - r_k I) == 0, by a pure-Python product on Python integers."""
+    n = len(a)
+    acc = [[int(i == j) for j in range(n)] for i in range(n)]
+    for r in roots:
+        term = [[a[i][j] - (r if i == j else 0) for j in range(n)] for i in range(n)]
+        acc = _school_product(acc, term, n, n, n)
+    return not any(x for row in acc for x in row)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_certify_annihilation_matches_python_product(data):
+    # A = E T E^-1 for an upper triangular T and elementary similarities E:
+    # its diagonal (with multiplicity) annihilates A by Cayley-Hamilton, the
+    # distinct diagonal values exactly when A is diagonalizable, and a list
+    # with one value dropped or shifted usually not at all
+    n = data.draw(st.integers(1, 4))
+    size = data.draw(st.sampled_from([3, 2 ** 30]))
+    diag = data.draw(st.lists(st.integers(-size, size), min_size=n, max_size=n))
+    a = [[diag[i] if i == j else data.draw(st.integers(-size, size)) if j > i else 0
+          for j in range(n)] for i in range(n)]
+    for _ in range(data.draw(st.integers(0, 2)) if n > 1 else 0):
+        i, j = data.draw(st.permutations(range(n)))[:2]
+        c = data.draw(st.integers(-3, 3))
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        for row in a:
+            row[j] -= c * row[i]
+    distinct = sorted(set(diag))
+    lists = [diag, distinct, distinct[1:], [distinct[0] + 1] + distinct[1:]]
+    for roots in lists:
+        for matrix in (a, np.array(a, dtype=np.int64)):
+            assert certify_annihilation(matrix, roots) == _annihilates(a, roots), roots
+    assert certify_annihilation(a, diag)
+
+
+def test_certify_annihilation_beyond_int64():
+    # entries above 2^63 take the object residues; the chain is still float64
+    big = 2 ** 70 + 3
+    a = [[big, 1], [0, -big]]
+    assert certify_annihilation(a, [big, -big]) and _annihilates(a, [big, -big])
+    assert not certify_annihilation(a, [big, -big + 1]) and not _annihilates(a, [big, -big + 1])
+    assert certify_annihilation([[big, 0], [0, big]], [big])
+
+
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
 
@@ -300,3 +423,21 @@ def test_is_hermitian_matches_conjugate_transpose(data):
         want = all(m[i][j] == m[j][i].conj() for i in range(n) for j in range(n))
         assert is_hermitian(GaussTensor.of(m)) == want
     assert is_hermitian(GaussTensor.of(herm))
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_import_pins_blas_to_one_thread():
+    # a fresh interpreter whose environment leaves the BLAS thread count open:
+    # `import skewtor` must fix it to one before numpy loads, and the 196 x 196
+    # Casimir products must then start no thread
+    import skewtor
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = str(Path(skewtor.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import skewtor\n"
+            "from skewtor.equivar import casimir_spectrum\n"
+            "casimir_spectrum('r7_s2')\n"
+            "print(next(line for line in open('/proc/self/status') if line.startswith('Threads')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300, check=True).stdout
+    assert out.split() == ["Threads:", "1"]
