@@ -47,15 +47,20 @@ class _EndoStructure:
 
 
 class AlmostContact(_EndoStructure):
-    """Odd-dimensional metric structure (xi, eta, phi) with exact compatibility checks."""
+    """Odd-dimensional metric structure (xi, eta, phi) with exact compatibility checks.
 
-    def __init__(self, model: LieModel, xi, eta: Form, phi):
+    The Reeb vector xi is the frame vector e_xi_index (1-based).
+    """
+
+    kind = "contact"
+
+    def __init__(self, model: LieModel, xi_index: int, eta: Form, phi):
         n = model.n
         if n % 2 == 0:
             raise DegreeError("contact structures live in odd dimensions")
         self.model = model
-        self.xi = xi = Tensor.of([int(k == xi - 1) for k in range(n)]
-                                 if isinstance(xi, int) else xi)
+        self.xi_index = xi_index
+        self.xi = xi = Tensor.of([int(k == xi_index - 1) for k in range(n)])
         self.eta = eta
         self.phi = phi = Tensor.of(phi)
         eta_vec = Tensor.of(eta.vector_components())
@@ -85,9 +90,14 @@ class AlmostContact(_EndoStructure):
         k = self.killing_matrix()
         return k == -ein("ij->ji", k)
 
+    def characteristic_torsion(self) -> Form:
+        return contact_torsion(self)
+
 
 class AlmostHermitian(_EndoStructure):
     """Even-dimensional metric structure with an orthogonal complex matrix J."""
+
+    kind = "hermitian"
 
     def __init__(self, model: LieModel, j):
         n = model.n
@@ -103,6 +113,9 @@ class AlmostHermitian(_EndoStructure):
 
     # Omega(X,Y) = g(X, J(Y))
     kaehler_form = _EndoStructure.fundamental_form
+
+    def characteristic_torsion(self) -> Form:
+        return hermitian_torsion(self)
 
 
 class NijTensor:
@@ -396,11 +409,8 @@ def tanno_deform(s: AlmostContact, a2) -> AlmostContact:
     t = contact_torsion(s)
     if t != wedge(s.eta, s.d_eta()):
         raise StructureError("deformation defined for Sasakian input")
-    n = s.n
-    xi_index = next(i for i in range(n) if s.xi[i])
-    if s.eta != Form.basis_vector(n, xi_index + 1):
-        raise StructureError("deformation tracked only for coframe-aligned eta")
-    weights = [2 if i == xi_index else 1 for i in range(n)]
+    n, xi_index = s.n, s.xi_index
+    weights = [2 if i == xi_index - 1 else 1 for i in range(n)]
     new_d = []
     for i in range(n):
         d = s.model.d_coframe[i]
@@ -412,7 +422,7 @@ def tanno_deform(s: AlmostContact, a2) -> AlmostContact:
             values.append(coeff * a2 ** (expo // 2))
         new_d.append(Form.of_rationals(n, 2, values).scale(Q(1, d.den)))
     model = LieModel(n, new_d, name=f"{s.model.name}-tanno")
-    return AlmostContact(model, xi_index + 1, Form.basis_vector(n, xi_index + 1), s.phi)
+    return AlmostContact(model, xi_index, s.eta, s.phi)
 
 
 # ---------------------------------------------------------------------------

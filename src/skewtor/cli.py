@@ -60,8 +60,7 @@ def cmd_models(args):
     if args.action == "list":
         for name in sorted(registry()):
             entry = registry()[name]
-            kind = entry.structure["kind"]
-            print(f"{name:<12} dim {entry.model.n}  structure {kind:<9} {entry.notes}")
+            print(f"{name:<12} dim {entry.model.n}  structure {entry.kind:<9} {entry.notes}")
         return 0
     entry = find_model(args.name)
     print(json.dumps(entry_to_dict(entry), indent=2))

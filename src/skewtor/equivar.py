@@ -12,6 +12,7 @@ Everything is assembled in explicit integer coordinates:
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -22,10 +23,10 @@ import numpy as np
 
 from .errors import StructureError
 from .forms import Form, contract, derivation, inner, interior, so_action, wedge
+from .g2 import canonical_omega3
 from .linalg import (Tensor, certified_eigenspace_dims, certify_annihilation,
                      int_abs_max, int_matmul, krylov_min_poly, nullspace, rank,
                      rank_mod_p, rational_roots, solve, _PRIMES)
-from .registry import canonical_omega3
 
 Q = Fraction
 
@@ -302,11 +303,6 @@ class IsotypicReport:
         return f"IsotypicReport({self.space}: {body})"
 
 
-def calibration_table():
-    """Exact Casimir scalars on the four small irreducibles (`Spaces.calibration`)."""
-    return spaces().calibration
-
-
 def _eigen_scalar(matrix, vec):
     """The eigenvalue of an integer matrix on a nonzero probe vector (both Tensors)."""
     image = Tensor.einsum("ij,j->i", matrix, vec)
@@ -326,19 +322,23 @@ def casimir_spectrum(space: str):
     def matvec(v):
         return int_matmul(cmat, v).tolist()
 
-    roots = None
-    for seeds in (3, 6, 12):
-        pairs, residual = rational_roots(krylov_min_poly(matvec, n, seeds=seeds))
+    # with simple integral roots, the lcm of the vectors' minimal polynomials
+    # has the union of their roots; each new vector can only add roots
+    rng = random.Random(20240811)
+    roots = set()
+    for _ in range(12):
+        v = [rng.randint(1, 9) for _ in range(n)]
+        pairs, residual = rational_roots(krylov_min_poly(matvec, v))
         if residual is not None or any(m > 1 or r.denominator != 1 for r, m in pairs):
             # not diagonalizable over Q with integral eigenvalues
             raise StructureError("Casimir minimal polynomial does not split over Z "
                                  "into simple roots")
-        roots = [int(r) for r, _ in pairs]
-        if certify_annihilation(cmat, roots):
+        roots.update(int(r) for r, _ in pairs)
+        if certify_annihilation(cmat, sorted(roots)):
             break
-        roots = None  # candidate was a proper divisor: add Krylov seeds
-    if roots is None:
+    else:
         raise StructureError("minimal polynomial candidate failed certification")
+    roots = sorted(roots)
     dims = certified_eigenspace_dims(cmat, roots)
     return sorted(((Q(r, scale), d) for r, d in zip(roots, dims) if d),
                   key=lambda p: p[0]), scale
@@ -351,7 +351,7 @@ def casimir_decompose(space: str) -> IsotypicReport:
     purely by dimension count; anything else raises.
     """
     pairs, scale = casimir_spectrum(space)
-    calib = calibration_table()
+    calib = spaces().calibration
     by_value = {v: k for k, v in calib.items()}
     entries = []
     leftovers = []
@@ -404,7 +404,7 @@ def isotypic_basis_r7_m(label: str):
     """Exact basis of one isotypic component of R^7 (x) m (49-dim), as the rows of a Tensor."""
     sp = spaces()
     cmat, scale = sp.casimir("r7_m")
-    lam = calibration_table()[label] * scale
+    lam = sp.calibration[label] * scale
     if lam.denominator != 1:
         raise StructureError("calibration scalar does not clear the scale")
     return nullspace(Tensor(cmat) - Tensor.identity(49) * lam)

@@ -89,14 +89,11 @@ def parse_form(text: str, n: int) -> list:
     return [f for f in parts if not f.is_zero()] or [Form.zero(n, 0)]
 
 
-def parse_homogeneous(text: str, n: int, degree=None) -> Form:
+def parse_homogeneous(text: str, n: int) -> Form:
     parts = parse_form(text, n)
     if len(parts) != 1:
         raise FormParseError("expected a homogeneous form", 0)
-    f = parts[0]
-    if degree is not None and f.degree != degree and not f.is_zero():
-        raise FormParseError(f"expected degree {degree}, got {f.degree}", 0)
-    return f
+    return parts[0]
 
 
 def render_form(f: Form) -> str:

@@ -18,24 +18,26 @@ from .forms import (Form, all_blades, contract, hodge, inner, interior,
 from .liegeom import (LieModel, codiff, curvature, d_form, levi_civita,
                       nabla_form, tt_contraction, with_torsion)
 from .linalg import Tensor
-from .registry import canonical_omega3
 
 Q = Fraction
 
 
-class G2Structure:
-    """A 7-dimensional model carrying the canonical positive 3-form."""
+def canonical_omega3() -> Form:
+    f = lambda *ix, c=1: Form.blade(7, *ix, coeff=c)
+    return (f(1, 2, 7) + f(1, 3, 5) - f(1, 4, 6) - f(2, 3, 6) - f(2, 4, 5)
+            + f(3, 4, 7) + f(5, 6, 7))
 
-    def __init__(self, model: LieModel, omega3: Form | None = None):
+
+class G2Structure:
+    """A 7-dimensional model carrying the canonical positive 3-form (an adapted frame)."""
+
+    kind = "g2"
+
+    def __init__(self, model: LieModel):
         if model.n != 7:
             raise DegreeError("these structures live on 7-dimensional frames")
         self.model = model
-        self.omega3 = omega3 if omega3 is not None else canonical_omega3()
-        if inner(self.omega3, self.omega3) != 7:
-            raise StructureError("3-form is not normalized like the canonical one")
-        if self.omega3 != canonical_omega3():
-            # v1 accepts structures only in an adapted frame
-            raise StructureError("3-form must be the canonical one in this frame")
+        self.omega3 = canonical_omega3()
         self.star_omega3 = hodge(self.omega3)
 
     @cached_property
@@ -43,13 +45,16 @@ class G2Structure:
         """The intrinsic-derivative components, classified once per structure."""
         return classify(self)
 
+    def characteristic_torsion(self) -> Form:
+        return torsion_form(self)
+
 
 @lru_cache(maxsize=None)
-def _projectors(omega3: Form | None, degree: int):
+def _projectors(degree: int):
     """The orthogonal projections onto the 7-part of 2-forms, or onto the scalar and
     7-parts of 3-forms, as exact matrices sum_k v_k v_k^T / |v_k|^2 over the
     e_i -| w3, or over w3 and over the e_i -| *w3."""
-    w3 = omega3 if omega3 is not None else canonical_omega3()
+    w3 = canonical_omega3()
     spans = ([[contract(w3, i) for i in range(1, 8)]] if degree == 2
              else [[w3], [contract(hodge(w3), i) for i in range(1, 8)]])
     outer = [[Tensor.einsum("i,j->ij", Tensor(v.num, v.den), Tensor(v.num, v.den))
@@ -57,14 +62,14 @@ def _projectors(omega3: Form | None, degree: int):
     return [sum(parts[1:], parts[0]) for parts in outer]
 
 
-def _parts(a: Form, omega3):
+def _parts(a: Form):
     """The projections of `a` by `_projectors`."""
     images = (Tensor.einsum("ij,j->i", p, Tensor(a.num, a.den))
-              for p in _projectors(omega3, a.degree))
+              for p in _projectors(a.degree))
     return [Form.of_numerators(7, a.degree, x.num.tolist(), x.den) for x in images]
 
 
-def project2(a: Form, omega3: Form | None = None):
+def project2(a: Form):
     """Split a 2-form into its 7- and 14-dimensional eigenparts.
 
     part7 satisfies *(w3 ^ part7) = 2 part7, part14 satisfies
@@ -72,25 +77,25 @@ def project2(a: Form, omega3: Form | None = None):
     """
     if a.degree != 2 or a.n != 7:
         raise DegreeError("project2 expects a 2-form on the 7-frame")
-    part7, = _parts(a, omega3)
+    part7, = _parts(a)
     return part7, a - part7
 
 
-def project3(a: Form, omega3: Form | None = None):
+def project3(a: Form):
     """Split a 3-form into scalar, vector and traceless parts (1 + 7 + 27)."""
     if a.degree != 3 or a.n != 7:
         raise DegreeError("project3 expects a 3-form on the 7-frame")
-    part1, part7 = _parts(a, omega3)
+    part1, part7 = _parts(a)
     return part1, part7, a - part1 - part7
 
 
-def pr_m(a: Form, omega3: Form | None = None) -> Form:
+def pr_m(a: Form) -> Form:
     """Orthogonal projection of a 2-form onto the span of the e_i -| w3."""
-    return project2(a, omega3)[0]
+    return project2(a)[0]
 
 
-def pr_g2(a: Form, omega3: Form | None = None) -> Form:
-    return project2(a, omega3)[1]
+def pr_g2(a: Form) -> Form:
+    return project2(a)[1]
 
 
 class TorsionClass:
@@ -143,7 +148,7 @@ def classify(s: G2Structure) -> TorsionClass:
 
     skew = Form.of_rationals(7, 2, [gamma[i - 1][j - 1] - gamma[j - 1][i - 1]
                                     for i, j in all_blades(7, 2)])
-    obstruction14 = project2(skew, w3)[1]
+    obstruction14 = project2(skew)[1]
     return TorsionClass(lam, beta, gamma27, obstruction14)
 
 

@@ -587,28 +587,17 @@ def int_abs_max(a):
     return max(1, int(np.abs(a).max())) if a.size else 1
 
 
-def krylov_min_poly(matvec, n, seeds=3, rng=None):
-    """Monic minimal-polynomial candidate of an integer operator via Krylov spans.
+def krylov_min_poly(matvec, v):
+    """Monic minimal polynomial of the integer vector v under an integer operator.
 
-    Returns Fraction coefficients (highest first).  The result always divides
-    the true minimal polynomial; equality must be certified separately.
-    Dependence detection runs mod p; the dependence itself is solved exactly
-    over all rows, so a bad prime only costs extra iterations.
+    Returns Fraction coefficients (highest first).  It divides the operator's
+    minimal polynomial; equality must be certified separately.  Dependence
+    detection runs mod p; the dependence itself is solved exactly over all
+    rows, so a bad prime only costs extra iterations.
     """
-    import random
-    rng = rng or random.Random(20240811)
-    poly = [Q(1)]
-    for seed in range(seeds):
-        v = [rng.randint(1, 9) for _ in range(n)]
-        mp = _krylov_single(matvec, n, v)
-        poly = poly_lcm(poly, mp)
-    return poly
-
-
-def _krylov_single(matvec, n, v):
     p = _PRIMES[0]
     vecs = [list(v)]
-    while len(vecs) <= n + 1:
+    while len(vecs) <= len(v) + 1:
         vecs.append(matvec(vecs[-1]))
         if rank_mod_p(vecs, p) == len(vecs):
             continue
@@ -618,45 +607,6 @@ def _krylov_single(matvec, n, v):
         if sol is not None:
             return [Q(1)] + [sol[j] for j in range(len(vecs) - 2, -1, -1)]
     raise RuntimeError("krylov failed to terminate")
-
-
-def poly_lcm(p, q):
-    g = poly_gcd(p, q)
-    quo, _ = poly_divmod(p, g)
-    out = poly_mul(quo, q)
-    return [c / out[0] for c in out]
-
-
-def poly_mul(p, q):
-    out = [Q(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if not a:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
-def poly_divmod(p, q):
-    p = list(p)
-    quo = []
-    while len(p) >= len(q):
-        f = p[0] / q[0]
-        quo.append(f)
-        p = [a - f * b for a, b in zip(p[1:], q[1:])] + p[len(q):]
-    return (quo or [Q(0)]), (p or [Q(0)])
-
-
-def poly_gcd(p, q):
-    a, b = list(p), list(q)
-    while any(b):
-        _, r = poly_divmod(a, b)
-        while len(r) > 1 and not r[0]:
-            r = r[1:]
-        a, b = b, r
-        if len(b) == 1 and not b[0]:
-            break
-    return [c / a[0] for c in a]
 
 
 def certify_annihilation(int_matrix, int_roots):

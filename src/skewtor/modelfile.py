@@ -6,8 +6,10 @@ import json
 import os
 from fractions import Fraction
 
+from .acskit import AlmostContact, AlmostHermitian
 from .errors import SkewtorError
 from .forms import Form
+from .g2 import G2Structure, canonical_omega3
 from .liegeom import LieModel
 from .registry import ModelEntry, registry
 
@@ -33,6 +35,7 @@ def form_from_pairs(pairs, n, degree):
 
 
 def matrix_to_rows(m):
+    """Rows of "p/q" strings of a matrix (nested lists or a Tensor)."""
     return [[str(x) for x in row] for row in m]
 
 
@@ -52,16 +55,13 @@ def entry_to_dict(entry: ModelEntry) -> dict:
         "notes": entry.notes,
     }
     s = entry.structure
-    if s["kind"] == "g2":
-        doc["structure"] = {"kind": "g2", "omega3": form_to_pairs(s["omega3"])}
-    elif s["kind"] == "contact":
-        doc["structure"] = {"kind": "contact", "xi": s["xi"],
-                            "eta": form_to_pairs(s["eta"]),
-                            "phi": matrix_to_rows(s["phi"])}
-    elif s["kind"] == "hermitian":
-        doc["structure"] = {"kind": "hermitian", "J": matrix_to_rows(s["J"])}
-    else:
-        doc["structure"] = {"kind": "none"}
+    fields = doc["structure"] = {"kind": entry.kind}
+    if isinstance(s, G2Structure):
+        fields["omega3"] = form_to_pairs(s.omega3)
+    elif isinstance(s, AlmostContact):
+        fields.update(xi=s.xi_index, eta=form_to_pairs(s.eta), phi=matrix_to_rows(s.phi))
+    elif isinstance(s, AlmostHermitian):
+        fields["J"] = matrix_to_rows(s.phi)
     return doc
 
 
@@ -105,18 +105,22 @@ def _coframe(doc, n):
     return d_coframe
 
 
-def _structure(s, n):
-    kind = s.get("kind", "none")
+def _structure(s, model):
+    """The validated structure of a model file's "structure" object, or None."""
+    kind, n = s.get("kind", "none"), model.n
     if kind == "g2":
-        return {"kind": "g2", "omega3": form_from_pairs(s["omega3"], n, 3)}
+        structure = G2Structure(model)
+        if form_from_pairs(s["omega3"], n, 3) != canonical_omega3():
+            # structures are accepted only in an adapted frame
+            raise ValueError("omega3 must be the canonical 3-form of the frame")
+        return structure
     if kind == "contact":
-        return {"kind": "contact", "xi": _integer(s["xi"]),
-                "eta": form_from_pairs(s["eta"], n, 1),
-                "phi": matrix_from_rows(s["phi"], n)}
+        return AlmostContact(model, _integer(s["xi"]), form_from_pairs(s["eta"], n, 1),
+                             matrix_from_rows(s["phi"], n))
     if kind == "hermitian":
-        return {"kind": "hermitian", "J": matrix_from_rows(s["J"], n)}
+        return AlmostHermitian(model, matrix_from_rows(s["J"], n))
     if kind == "none":
-        return {"kind": "none"}
+        return None
     raise SkewtorError(f"field structure.kind: unknown kind {kind!r} "
                        f"(have: g2, contact, hermitian, none)")
 
@@ -127,18 +131,17 @@ def entry_from_dict(doc: dict) -> ModelEntry:
     n = _field("dim", _dimension, doc)
     name = _field("name", _text, doc.get("name", ""))
     model = LieModel(n, _field("coframe_d", _coframe, doc, n), name=name)
-    structure = _field("structure", _structure, doc.get("structure", {"kind": "none"}), n)
-    entry = ModelEntry(model, structure, notes=_field("notes", _text, doc.get("notes", "")))
-    if structure["kind"] != "none":
-        entry.structure_object()  # enforces the structure's invariants at load
-    return entry
+    structure = _field("structure", _structure, doc.get("structure", {"kind": "none"}), model)
+    return ModelEntry(model, structure, notes=_field("notes", _text, doc.get("notes", "")))
 
 
 def load_file(path: str) -> ModelEntry:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except ValueError as err:  # malformed JSON or UTF-8
+    except OSError as err:  # a directory, or no read permission
+        raise SkewtorError(f"{path}: cannot read the file ({err.strerror or err})") from err
+    except (ValueError, RecursionError) as err:  # malformed JSON or UTF-8, or nested too deep
         raise SkewtorError(f"{path}: not a JSON document ({err})") from err
     try:
         return entry_from_dict(doc)

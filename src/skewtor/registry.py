@@ -1,6 +1,6 @@
 """Embedded model registry: the worked examples plus synthetic branch fixtures.
 
-Every entry couples a LieModel with the geometric structure whose
+Every entry couples a LieModel with the validated geometric structure whose
 characteristic connection the suites exercise.  Structure data uses exact
 rationals; phi / J matrices are column-action matrices (phi(e_j) is column j).
 """
@@ -9,29 +9,23 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .acskit import AlmostContact, AlmostHermitian
 from .errors import SkewtorError
 from .forms import Form
+from .g2 import G2Structure
 from .liegeom import LieModel
 
 Q = Fraction
 
 
-def canonical_omega3() -> Form:
-    f = lambda *ix, c=1: Form.blade(7, *ix, coeff=c)
-    return (f(1, 2, 7) + f(1, 3, 5) - f(1, 4, 6) - f(2, 3, 6) - f(2, 4, 5)
-            + f(3, 4, 7) + f(5, 6, 7))
-
-
-def standard_j_matrix(n: int, flips=()):
-    """Block-diagonal complex structure J e_{2k-1} = e_{2k} (columns), optionally
-    reversing the orientation of the planes listed in `flips` (1-based plane index)."""
+def standard_j_matrix(n: int):
+    """Block-diagonal complex structure J e_{2k-1} = e_{2k} (columns)."""
     j = [[Q(0)] * n for _ in range(n)]
-    for plane, k in enumerate(range(0, n, 2), start=1):
-        s = -1 if plane in flips else 1
-        # J e_{k+1} = -s e_{k+2}, J e_{k+2} = s e_{k+1}: the Kaehler form
-        # Omega(X,Y) = g(X, JY) is then s (e_{k+1} ^ e_{k+2}) on each plane
-        j[k + 1][k] = Q(-s)
-        j[k][k + 1] = Q(s)
+    for k in range(0, n, 2):
+        # J e_{k+1} = -e_{k+2}, J e_{k+2} = e_{k+1}: the Kaehler form
+        # Omega(X,Y) = g(X, JY) is then e_{k+1} ^ e_{k+2} on each plane
+        j[k + 1][k] = Q(-1)
+        j[k][k + 1] = Q(1)
     return j
 
 
@@ -48,40 +42,35 @@ def standard_phi_matrix(n: int):
     return phi
 
 
+def _standard_contact(model: LieModel) -> AlmostContact:
+    """Reeb vector e_n, eta = e^n and the standard phi on the first n - 1 directions."""
+    n = model.n
+    return AlmostContact(model, n, Form.basis_vector(n, n), standard_phi_matrix(n))
+
+
 class ModelEntry:
     def __init__(self, model, structure, notes=""):
         self.model = model
-        self.structure = structure   # dict: {"kind": "g2"|"contact"|"hermitian"|"none", ...}
+        # G2Structure | AlmostContact | AlmostHermitian, validated; None for a bare model
+        self.structure = structure
         self.notes = notes
 
     @property
     def name(self):
         return self.model.name
 
-    def structure_object(self):
-        """The registered structure, built (and its invariants checked) from its data."""
-        from . import acskit, g2
-        s = self.structure
-        if s["kind"] == "g2":
-            return g2.G2Structure(self.model, s["omega3"])
-        if s["kind"] == "contact":
-            return acskit.AlmostContact(self.model, s["xi"], s["eta"], s["phi"])
-        if s["kind"] == "hermitian":
-            return acskit.AlmostHermitian(self.model, s["J"])
-        raise SkewtorError(f"model '{self.name}' carries no structure")
+    @property
+    def kind(self):
+        return "none" if self.structure is None else self.structure.kind
 
     def characteristic_torsion(self) -> Form:
         """Torsion of the structure's unique connection with totally skew torsion.
 
         Raises NoSkewConnection when the structure admits none.
         """
-        from . import acskit, g2
-        s = self.structure_object()
-        if isinstance(s, g2.G2Structure):
-            return g2.torsion_form(s)
-        if isinstance(s, acskit.AlmostContact):
-            return acskit.contact_torsion(s)
-        return acskit.hermitian_torsion(s)
+        if self.structure is None:
+            raise SkewtorError(f"model '{self.name}' carries no structure")
+        return self.structure.characteristic_torsion()
 
 
 def _forms(n, term_dicts):
@@ -103,7 +92,7 @@ def build_registry():
         {(1, 3): 1, (6, 7): -1},
         {}, {},
     ]), name="heis7")
-    reg["heis7"] = ModelEntry(heis7, {"kind": "g2", "omega3": canonical_omega3()},
+    reg["heis7"] = ModelEntry(heis7, G2Structure(heis7),
                               notes="cocalibrated, pure 27-type torsion")
 
     # 7-dim solvable model (complex solvable N^6 x R)
@@ -115,33 +104,21 @@ def build_registry():
         {(2, 5): -1, (1, 6): -1},
         {},
     ]), name="solv7")
-    reg["solv7"] = ModelEntry(solv7, {"kind": "g2", "omega3": canonical_omega3()},
+    reg["solv7"] = ModelEntry(solv7, G2Structure(solv7),
                               notes="cocalibrated, pure 27-type torsion")
 
-    for n in (5, 6, 7):
-        entry = ModelEntry(_abelian(n), {"kind": "none"})
-        if n == 7:
-            entry.structure = {"kind": "g2", "omega3": canonical_omega3()}
-        elif n == 6:
-            entry.structure = {"kind": "hermitian", "J": standard_j_matrix(6)}
-        else:
-            entry.structure = {
-                "kind": "contact", "xi": 5,
-                "eta": Form.basis_vector(5, 5),
-                "phi": standard_phi_matrix(5),
-            }
-        reg[f"abelian{n}"] = entry
+    abelian5, abelian6, abelian7 = map(_abelian, (5, 6, 7))
+    reg["abelian5"] = ModelEntry(abelian5, _standard_contact(abelian5))
+    reg["abelian6"] = ModelEntry(abelian6, AlmostHermitian(abelian6, standard_j_matrix(6)))
+    reg["abelian7"] = ModelEntry(abelian7, G2Structure(abelian7))
 
     # 5-dim Heisenberg Sasakian model, d(eta) = 2(e12 + e34)
     heis5 = LieModel(5, _forms(5, [
         {}, {}, {}, {},
         {(1, 2): 2, (3, 4): 2},
     ]), name="heis5")
-    reg["heis5"] = ModelEntry(heis5, {
-        "kind": "contact", "xi": 5,
-        "eta": Form.basis_vector(5, 5),
-        "phi": standard_phi_matrix(5),
-    }, notes="Sasakian; torsion eta ^ d(eta)")
+    reg["heis5"] = ModelEntry(heis5, _standard_contact(heis5),
+                              notes="Sasakian; torsion eta ^ d(eta)")
 
     # 5-dim product of the 3-dim Heisenberg group with R^2: normal, Killing
     # Reeb field, but not contact-metric (2F != d(eta))
@@ -149,11 +126,8 @@ def build_registry():
         {}, {}, {}, {},
         {(1, 2): 2},
     ]), name="heis3x2")
-    reg["heis3x2"] = ModelEntry(heis3x2, {
-        "kind": "contact", "xi": 5,
-        "eta": Form.basis_vector(5, 5),
-        "phi": standard_phi_matrix(5),
-    }, notes="normal non-Sasakian branch fixture")
+    reg["heis3x2"] = ModelEntry(heis3x2, _standard_contact(heis3x2),
+                                notes="normal non-Sasakian branch fixture")
 
     # 4-dim Kodaira-Thurston type nilmanifold: symplectic (d Omega = 0) but the
     # compatible J is non-integrable with non-skew Nijenhuis tensor
@@ -161,21 +135,18 @@ def build_registry():
         {}, {}, {},
         {(1, 2): 1},
     ]), name="kt4")
-    reg["kt4"] = ModelEntry(kt4, {
-        "kind": "hermitian",
-        "J": [[Q(0), Q(0), Q(1), Q(0)],
-              [Q(0), Q(0), Q(0), Q(1)],
-              [Q(-1), Q(0), Q(0), Q(0)],
-              [Q(0), Q(-1), Q(0), Q(0)]],
-    }, notes="almost-Kaehler non-Kaehler error fixture")
+    reg["kt4"] = ModelEntry(kt4, AlmostHermitian(kt4, [[Q(0), Q(0), Q(1), Q(0)],
+                                                       [Q(0), Q(0), Q(0), Q(1)],
+                                                       [Q(-1), Q(0), Q(0), Q(0)],
+                                                       [Q(0), Q(-1), Q(0), Q(0)]]),
+                            notes="almost-Kaehler non-Kaehler error fixture")
 
     # rank-one solvable extension: de_i = e_i ^ e7; its characteristic torsion
     # is pure vector type (nonzero codifferential direction, zero scaling and
     # traceless parts)
     hyper7 = LieModel(7, [Form(7, 2, {(i, 7): Q(1)}) for i in range(1, 7)]
                       + [Form.zero(7, 2)], name="hyper7")
-    reg["hyper7"] = ModelEntry(hyper7, {"kind": "g2",
-                                        "omega3": canonical_omega3()},
+    reg["hyper7"] = ModelEntry(hyper7, G2Structure(hyper7),
                                notes="pure vector-type torsion fixture")
 
     # contact metric but non-normal: the bracket twist makes the Nijenhuis
@@ -185,21 +156,15 @@ def build_registry():
         {(1, 3): 1},
         {(1, 2): 2, (3, 4): 2},
     ]), name="cm5twist")
-    reg["cm5twist"] = ModelEntry(cm5twist, {
-        "kind": "contact", "xi": 5,
-        "eta": Form.basis_vector(5, 5),
-        "phi": standard_phi_matrix(5),
-    }, notes="contact-metric non-normal error fixture")
+    reg["cm5twist"] = ModelEntry(cm5twist, _standard_contact(cm5twist),
+                                 notes="contact-metric non-normal error fixture")
 
     # normal, Killing Reeb field, d(eta) = 0, with a genuinely nonzero d^phi F
     twist5 = LieModel(5, _forms(5, [
         {(3, 4): 1}, {}, {}, {}, {},
     ]), name="twist5")
-    reg["twist5"] = ModelEntry(twist5, {
-        "kind": "contact", "xi": 5,
-        "eta": Form.basis_vector(5, 5),
-        "phi": standard_phi_matrix(5),
-    }, notes="normal non-contact-metric fixture, torsion = d^phi F")
+    reg["twist5"] = ModelEntry(twist5, _standard_contact(twist5),
+                               notes="normal non-contact-metric fixture, torsion = d^phi F")
 
     # SU(2) x SU(2): bi-invariant metric, factor-swapping J; the Nijenhuis
     # tensor is nonzero but totally skew, torsion = the Cartan 3-form
@@ -211,7 +176,7 @@ def build_registry():
     for k in range(3):
         j_swap[k + 3][k] = Q(1)
         j_swap[k][k + 3] = Q(-1)
-    reg["su2su2"] = ModelEntry(su2su2, {"kind": "hermitian", "J": j_swap},
+    reg["su2su2"] = ModelEntry(su2su2, AlmostHermitian(su2su2, j_swap),
                                notes="non-integrable skew-Nijenhuis fixture")
 
     su2su2xr = LieModel(7, _forms(7, [
@@ -222,11 +187,9 @@ def build_registry():
     for k in range(3):
         phi_swap[k + 3][k] = Q(1)
         phi_swap[k][k + 3] = Q(-1)
-    reg["su2su2xr"] = ModelEntry(su2su2xr, {
-        "kind": "contact", "xi": 7,
-        "eta": Form.basis_vector(7, 7),
-        "phi": phi_swap,
-    }, notes="skew nonzero Nijenhuis contact fixture")
+    reg["su2su2xr"] = ModelEntry(
+        su2su2xr, AlmostContact(su2su2xr, 7, Form.basis_vector(7, 7), phi_swap),
+        notes="skew nonzero Nijenhuis contact fixture")
 
     # 6-dim solvable complex group N^6 with its integrable J (G_1 hermitian)
     solv6 = LieModel(6, _forms(6, [
@@ -236,8 +199,7 @@ def build_registry():
         {(1, 5): -1, (2, 6): 1},
         {(2, 5): -1, (1, 6): -1},
     ]), name="solv6")
-    reg["solv6"] = ModelEntry(solv6, {"kind": "hermitian",
-                                      "J": standard_j_matrix(6)},
+    reg["solv6"] = ModelEntry(solv6, AlmostHermitian(solv6, standard_j_matrix(6)),
                               notes="integrable non-Kaehler hermitian fixture")
 
     return reg

@@ -21,13 +21,19 @@ from .liegeom import (SpinorData, codiff, curvature, curvature_identity_residual
                       d_form, levi_civita, nabla_form, parallel_spinors,
                       tt_contraction, with_torsion)
 from .linalg import GaussTensor, int_abs_max, int_matmul
-from .registry import canonical_omega3, registry
+from .registry import registry
 from .reporting import Report, check, merge, skip
 
 Q = Fraction
 
 SUITES = ("exterior", "clifford", "section2", "slformula", "g2",
           "equivariant", "contact", "hermitian", "examples")
+
+
+def _registered(cls):
+    """(name, structure) for every registered model whose structure is a `cls`, by name."""
+    return [(name, entry.structure) for name, entry in sorted(registry().items())
+            if isinstance(entry.structure, cls)]
 
 
 @lru_cache(maxsize=None)
@@ -38,7 +44,7 @@ def admissible_models():
     """
     out = []
     for name, entry in sorted(registry().items()):
-        if entry.structure["kind"] == "none":
+        if entry.structure is None:
             continue
         try:
             out.append((name, entry.characteristic_torsion()))
@@ -59,7 +65,7 @@ def suite_exterior() -> Report:
                         wedge(de, de) == Form.blade(5, 1, 2, 3, 4, coeff=8),
                         value=wedge(de, de), expected="8*e1^e2^e3^e4",
                         provenance="stated"))
-    w3 = canonical_omega3()
+    w3 = g2.canonical_omega3()
     checks.append(check("exterior.wedge.odd-square", "graded commutativity",
                         wedge(w3, w3).is_zero(), provenance="trivial"))
     checks.append(check("exterior.interior.basis", "notation",
@@ -128,7 +134,7 @@ def suite_clifford() -> Report:
     checks.append(check("clifford.relations", "defining relations", ok,
                         provenance="trivial"))
     rep7 = clifford.build_rep(7)
-    w3 = canonical_omega3()
+    w3 = g2.canonical_omega3()
     spectrum = clifford.eigen_report(clifford.act_form(rep7, w3))
     checks.append(check("clifford.omega3-spectrum", "Thm 5.1 spinor normalization",
                         spectrum.pairs == [(Q(-7), 1), (Q(1), 7)],
@@ -188,7 +194,7 @@ def _lemma_10_7():
 
 
 def _minus7_spinor(rep7):
-    shifted = clifford.act_form(rep7, canonical_omega3()) + GaussTensor.identity(8) * 7
+    shifted = clifford.act_form(rep7, g2.canonical_omega3()) + GaussTensor.identity(8) * 7
     return clifford.common_kernel([shifted])[0]
 
 
@@ -242,7 +248,7 @@ def suite_g2() -> Report:
     for key, ok in cons.items():
         checks.append(check(f"g2.constants.{key}", "derivation constants",
                             ok, provenance="stated"))
-    w3 = canonical_omega3()
+    w3 = g2.canonical_omega3()
     rng = random.Random(23)
     a = random_form(7, 2, rng)
     p7, p14 = g2.project2(a)
@@ -263,10 +269,7 @@ def suite_g2() -> Report:
                         and wedge(p27, w3).is_zero()
                         and wedge(p27, hodge(w3)).is_zero(),
                         provenance="derived"))
-    g2_names = [name for name in sorted(registry())
-                if registry()[name].structure["kind"] == "g2"]
-    for name in g2_names:
-        s = registry()[name].structure_object()
+    for name, s in _registered(g2.G2Structure):
         cls = s.torsion_class
         checks.append(check(f"g2.{name}.classify", "type components",
                             cls.admits_connection()
@@ -322,7 +325,7 @@ def suite_equivariant() -> Report:
                         sp.algebra.coordinates(Form.blade(7, 1, 2)
                                                - Form.blade(7, 3, 4)) is not None,
                         provenance="derived"))
-    w3 = canonical_omega3()
+    w3 = g2.canonical_omega3()
     m_sample = contract(w3, 1)
     checks.append(check("equivariant.complement-orthogonal", "m vs algebra",
                         sp.algebra.coordinates(m_sample) is None,
@@ -401,10 +404,7 @@ def _scaled(rho, d):
 
 def suite_contact() -> Report:
     checks = []
-    contact_names = [name for name in sorted(registry())
-                     if registry()[name].structure["kind"] == "contact"]
-    for name in contact_names:
-        s = registry()[name].structure_object()
+    for name, s in _registered(acskit.AlmostContact):
         gi = acskit.contact_general_identities(s)
         checks.append(check(f"contact.{name}.general-identities",
                             "pre-existence identities",
@@ -477,7 +477,7 @@ def suite_contact() -> Report:
             checks.append(check(f"contact.{name}.normal-torsion", "Thm 8.4(2)",
                                 t == want, expected="T = eta ^ d eta + d^phi F",
                                 provenance="stated"))
-    s5 = registry()["heis5"].structure_object()
+    s5 = registry()["heis5"].structure
     t5 = acskit.contact_torsion(s5)
     conn5 = with_torsion(s5.model, t5)
     table = curvature(conn5)
@@ -503,10 +503,7 @@ def suite_contact() -> Report:
 
 def suite_hermitian() -> Report:
     checks = []
-    for name in sorted(registry()):
-        if registry()[name].structure["kind"] != "hermitian":
-            continue
-        h = registry()[name].structure_object()
+    for name, h in _registered(acskit.AlmostHermitian):
         nij = acskit.nijenhuis(h)
         try:
             t = acskit.hermitian_torsion(h)
@@ -555,7 +552,7 @@ def suite_hermitian() -> Report:
 
 def suite_examples() -> Report:
     checks = []
-    w3 = canonical_omega3()
+    w3 = g2.canonical_omega3()
     e = lambda *ix, c=1: Form.blade(7, *ix, coeff=c)
 
     heis7 = registry()["heis7"].model

@@ -52,6 +52,15 @@ def act_form_by_gamma_products(rep, parts):
     return out
 
 
+def poly_mul(p, q):
+    """Product of two polynomials with Fraction coefficients, highest first."""
+    out = [Q(0)] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
 def poly_eval(coeffs, x):
     """Horner's rule over the coefficients' own scalars, highest first."""
     acc = coeffs[0] - coeffs[0]

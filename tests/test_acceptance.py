@@ -13,12 +13,13 @@ import pytest
 from skewtor import acskit, clifford, equivar, g2
 from skewtor.forms import Form, contract, hodge, random_form, sigma_t, wedge
 from skewtor.errors import NoSkewConnection
+from skewtor.g2 import canonical_omega3
 from skewtor.liegeom import (SpinorData, codiff, curvature,
                              curvature_identity_residuals, d_form, levi_civita,
                              nabla_form, parallel_spinors, tt_contraction,
                              with_torsion)
 from skewtor.linalg import GaussTensor
-from skewtor.registry import canonical_omega3, registry
+from skewtor.registry import registry
 
 W3 = canonical_omega3()
 SW3 = hodge(W3)
@@ -182,9 +183,7 @@ def test_c09_spinor_identities():
 
 
 def test_c10_sasakian_package():
-    e = registry()["heis5"]
-    s = acskit.AlmostContact(e.model, e.structure["xi"], e.structure["eta"],
-                             e.structure["phi"])
+    s = registry()["heis5"].structure
     t = acskit.contact_torsion(s)
     assert t == wedge(s.eta, s.d_eta())
     assert sigma_t(t).scale(2) == d_form(s.model, t) == \
@@ -217,9 +216,7 @@ def test_c10_sasakian_package():
 
 def test_c11_contact_hermitian_suites():
     for name in ("heis5", "heis3x2", "twist5", "abelian5", "su2su2xr"):
-        e = registry()[name]
-        s = acskit.AlmostContact(e.model, e.structure["xi"], e.structure["eta"],
-                                 e.structure["phi"])
+        s = registry()[name].structure
         gi = acskit.contact_general_identities(s)
         assert all(v == 0 for v in gi.values()), name
         pi = acskit.nijenhuis_gradient_identities(s)
@@ -227,17 +224,13 @@ def test_c11_contact_hermitian_suites():
         lem = acskit.nijenhuis_xi_identities(s)
         assert lem["chain-residual"] == 0 and lem["reeb-geodesic"] == 0
     # branch behavior
-    e = registry()["heis5"]
-    s = acskit.AlmostContact(e.model, e.structure["xi"], e.structure["eta"],
-                             e.structure["phi"])
+    s = registry()["heis5"].structure
     assert acskit.contact_torsion(s) == wedge(s.eta, s.d_eta())
-    e = registry()["kt4"]
-    h = acskit.AlmostHermitian(e.model, e.structure["J"])
+    h = registry()["kt4"].structure
     with pytest.raises(NoSkewConnection):
         acskit.hermitian_torsion(h)
     for name in ("solv6", "su2su2", "abelian6"):
-        e = registry()[name]
-        h = acskit.AlmostHermitian(e.model, e.structure["J"])
+        h = registry()[name].structure
         t = acskit.hermitian_torsion(h)
         assert acskit.structure_parallel_residuals(h, t) == 0, name
     pack = acskit.nearly_kaehler_identities(1)

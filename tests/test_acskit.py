@@ -17,29 +17,28 @@ from skewtor.errors import NoSkewConnection, StructureError
 from skewtor.forms import Form, sigma_t, wedge
 from skewtor.liegeom import (codiff, curvature, d_form, levi_civita,
                              nabla_form, with_torsion)
-from skewtor.registry import registry, standard_phi_matrix
+from skewtor.registry import registry, standard_j_matrix, standard_phi_matrix
 
 
 def contact(name):
-    s = registry()[name].structure_object()
+    s = registry()[name].structure
     assert isinstance(s, AlmostContact)
     return s
 
 
 def hermitian(name):
-    s = registry()[name].structure_object()
+    s = registry()[name].structure
     assert isinstance(s, AlmostHermitian)
     return s
 
 
 def test_structure_invariants_enforced():
     e = registry()["heis5"]
-    bad_phi = [row[:] for row in e.structure["phi"]]
+    bad_phi = standard_phi_matrix(5)
     bad_phi[0][1] = Q(2)
     with pytest.raises(StructureError):
-        AlmostContact(e.model, 5, e.structure["eta"], bad_phi)
-    j = registry()["abelian6"].structure["J"]
-    bad_j = [row[:] for row in j]
+        AlmostContact(e.model, 5, e.structure.eta, bad_phi)
+    bad_j = standard_j_matrix(6)
     bad_j[0][1] = Q(0)
     with pytest.raises(StructureError):
         AlmostHermitian(registry()["abelian6"].model, bad_j)
@@ -155,7 +154,7 @@ def _rotated_contact(name):
     r[0][0], r[0][2], r[2][0], r[2][2] = Q(3, 5), Q(-4, 5), Q(4, 5), Q(3, 5)
     phi = [[sum(r[i][a] * s.phi[a][b] * r[j][b] for a in range(n) for b in range(n))
             for j in range(n)] for i in range(n)]
-    return AlmostContact(s.model, s.xi, s.eta, phi)
+    return AlmostContact(s.model, s.xi_index, s.eta, phi)
 
 
 @pytest.mark.parametrize("make, name, scale", [

@@ -65,7 +65,7 @@ def test_model_file_round_trip(tmp_path):
         text = json.dumps(doc)
         entry = entry_from_dict(json.loads(text))
         assert entry.model.d_coframe == registry()[name].model.d_coframe
-        assert entry.structure["kind"] == registry()[name].structure["kind"]
+        assert entry.kind == registry()[name].kind
 
 
 def test_model_file_rejects_invalid_structure():
@@ -236,7 +236,8 @@ def test_calibration_table_is_built_once_per_spaces(monkeypatch):
     statuses = {c.status for c in run_suite("equivariant").checks}
     assert len(calls) == 2
     assert "FAIL" not in statuses
-    assert equivar.calibration_table() is equivar.spaces().calibration
+    table = equivar.spaces().calibration
+    assert equivar.spaces().calibration is table and len(calls) == 2
 
 
 def test_verify_all_json_is_byte_identical(all_report):
@@ -287,6 +288,94 @@ def test_cli_structureless_model_has_no_torsion(tmp_path, monkeypatch, capsys):
     for command in ("torsion", "ricci"):
         assert main([command, "bare5"]) == 2
         assert "carries no structure" in capsys.readouterr().err
+
+
+def test_model_file_rejects_a_non_canonical_g2_form(tmp_path, monkeypatch, capsys):
+    doc = entry_to_dict(registry()["abelian7"])
+    doc["name"] = "scaled7"
+    doc["structure"]["omega3"] = [[blade, str(2 * Fraction(c))]
+                                  for blade, c in doc["structure"]["omega3"]]
+    path = tmp_path / "scaled7.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setenv("SKEWTOR_MODEL_PATH", str(tmp_path))
+    for command in (["models", "show"], ["torsion"]):
+        assert main(command + ["scaled7"]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "field structure" in err and "omega3" in err
+
+
+@pytest.mark.parametrize("make", [
+    lambda path: path.mkdir(),                              # a directory
+    lambda path: path.write_text("[" * 100_000),            # nested past the stack
+], ids=["directory", "deep-nesting"])
+def test_unreadable_model_file_is_an_input_error(tmp_path, monkeypatch, capsys, make):
+    path = tmp_path / "broken5.json"
+    make(path)
+    monkeypatch.setenv("SKEWTOR_MODEL_PATH", str(tmp_path))
+    for command in (["models", "show"], ["torsion"]):
+        assert main(command + ["broken5"]) == 2
+        assert str(path) in capsys.readouterr().err
+
+
+# SHA-256 of stdout + stderr, with the exit code, of each command on every
+# registry model; pinned when the structures became validated objects
+_REGISTRY_OUTPUTS = {
+    "models list": (0, "e8ac528bce3a228e9003d70dccb58bb04cea6faaf288ca14d02ce4b74674891d"),
+    "models show abelian5": (0, "46ba85c63c2d7ccc022b2cb50816d78f96215551ef651f956066cef905e06f74"),
+    "torsion abelian5": (0, "6785a9f06455b59268a74360a9ccc7b5bf8462c41d02160b1d9ecad42d59b511"),
+    "ricci abelian5": (0, "ecf0f6689b56fecf9fbc3b0f90fbf050459fbc9793d7cdca2db2b173ffc9a693"),
+    "models show abelian6": (0, "545595aae4d46bbed51996e73e47ae47f14149d29a535a21fb119d1c265cbce7"),
+    "torsion abelian6": (0, "6785a9f06455b59268a74360a9ccc7b5bf8462c41d02160b1d9ecad42d59b511"),
+    "ricci abelian6": (0, "038e1523b135e33da6cc8c5e3e2543516009da6e6630dbd943c3c58e48116491"),
+    "models show abelian7": (0, "efd7e4287385a4bea6bdd992b8d6d267bd5222084b0aee14a59c5fa16a0e3d56"),
+    "torsion abelian7": (0, "6785a9f06455b59268a74360a9ccc7b5bf8462c41d02160b1d9ecad42d59b511"),
+    "ricci abelian7": (0, "7b140cf2477350eaee768029ab21037e9a1d56157cb78f42d1118e3ed7414a96"),
+    "models show cm5twist": (0, "ecba5e89a5a8f836423bf1eb481366a27e356c9f8f130252ce1c8475449ada11"),
+    "torsion cm5twist": (1, "13c5530dcd89767936b8560b59518c9545fe960f7099d194e535e36b77eef212"),
+    "ricci cm5twist": (1, "13c5530dcd89767936b8560b59518c9545fe960f7099d194e535e36b77eef212"),
+    "models show heis3x2": (0, "5695ca75a150e9d4a85c0b1b1082e77e016f0a50e96d67bd59abc6bef5dbdbd9"),
+    "torsion heis3x2": (0, "db2f3ca617f4847d52fa8d0d307435b5fbd066693d5aade4e5114418e1694b0a"),
+    "ricci heis3x2": (0, "60e70d5ee058882432846ab867f2316f44d1df395458f28fb6c973b81e4cc372"),
+    "models show heis5": (0, "f4abace1ba39dc19851bcfa566fa8006733eca307f36d93c8da8d512e665ca01"),
+    "torsion heis5": (0, "31456d384a265c7c02cea1c2c0202d8aa7b584ea63cf70188711c74ba8862e4d"),
+    "ricci heis5": (0, "ce67ea964ff437a05ca2ca972f6a4423be621456eda5a8d026d52a52578a0951"),
+    "models show heis7": (0, "53e0e284b56aaf7290e26bd4a305a5ae2579145b3ec4ccd05d87805703851852"),
+    "torsion heis7": (0, "b709633dffc95093df6aa1d2bc3bfa01dd7c69814399f3531f28fa825a7925a3"),
+    "ricci heis7": (0, "adfd38b0ab374c8979c843c88f786f361b8dbf5173667d8fbb81680166a2d92e"),
+    "models show hyper7": (0, "398c1a3c9aca5e8b5c739b55955b170f74d748be2414181786941cc954fb9387"),
+    "torsion hyper7": (0, "6f2aee329b9f0793fa88295b7695c75921a0ddd2938ce9ea4f610941ba10dbf6"),
+    "ricci hyper7": (0, "680f568228f282367a264ae1ee769ab00f3bbc20d07d3255b31a5c552a760b21"),
+    "models show kt4": (0, "e061a3d03a4511102b51d4c98e903ddb3d2cc5f014a093d65768f2b7b318bea1"),
+    "torsion kt4": (1, "13c5530dcd89767936b8560b59518c9545fe960f7099d194e535e36b77eef212"),
+    "ricci kt4": (1, "13c5530dcd89767936b8560b59518c9545fe960f7099d194e535e36b77eef212"),
+    "models show solv6": (0, "2a97555404aa51e07a998866cf773fa5849967c24ac6442bc9844e193f62b3fa"),
+    "torsion solv6": (0, "3a7d1052c96187c45f97d98399e2aeb672932d40b0358650b4540e5fd4b64d1a"),
+    "ricci solv6": (0, "d6bc28a77365901a682dfc7064bba63634c60d9f1347fd93889f2b04d9443133"),
+    "models show solv7": (0, "54bedc7058b9c32908bc03bca6da66bc58405ce16826fa62af173181d95a2294"),
+    "torsion solv7": (0, "3a7d1052c96187c45f97d98399e2aeb672932d40b0358650b4540e5fd4b64d1a"),
+    "ricci solv7": (0, "b8fdefb265f4187d8233995391c91bdc7eb8768c6de6411dcc67d0635f352b15"),
+    "models show su2su2": (0, "24b1ac38fe00dcaabf8ab3576124cd0d7ede2c4e2c11e8436a66d571ab75576b"),
+    "torsion su2su2": (0, "86c70c2a17f42a766dda4c392f285a9aeadd484d807055e54cc29b6d56db4950"),
+    "ricci su2su2": (0, "038e1523b135e33da6cc8c5e3e2543516009da6e6630dbd943c3c58e48116491"),
+    "models show su2su2xr": (0, "3b0ff03425094b130fcb5889973eaec2d69b81f868a06199a9a669e2fdca1cfa"),
+    "torsion su2su2xr": (0, "86c70c2a17f42a766dda4c392f285a9aeadd484d807055e54cc29b6d56db4950"),
+    "ricci su2su2xr": (0, "7b140cf2477350eaee768029ab21037e9a1d56157cb78f42d1118e3ed7414a96"),
+    "models show twist5": (0, "e2d50b4030ac2ff02e5bd0a08d242497f562c419b843e9341f9a6025a3c752fb"),
+    "torsion twist5": (0, "eff348f87144207cda3324947eff7c34633333061ac42f3709565f3adfd1e5b9"),
+    "ricci twist5": (0, "d12daae502c71f6b37d06212ca1fe0ae2248fff44e809eb48854f4719fff1564"),
+}
+
+
+def test_registry_model_outputs_are_pinned(capsys):
+    commands = [["models", "list"]] + [
+        command + [name] for name in sorted(registry())
+        for command in (["models", "show"], ["torsion"], ["ricci"])]
+    assert len(commands) == len(_REGISTRY_OUTPUTS)
+    for command in commands:
+        code = main(command)
+        out = capsys.readouterr()
+        digest = hashlib.sha256((out.out + out.err).encode()).hexdigest()
+        assert (code, digest) == _REGISTRY_OUTPUTS[" ".join(command)], command
 
 
 def _abelian5_text(edit):

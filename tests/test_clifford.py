@@ -11,8 +11,8 @@ from skewtor.clifford import (CQ, act_form, build_rep, common_kernel,
                               kernel_conditions_5d, kernel_conditions_are_membership,
                               restrict, spin_endo_5d, spinor_5d)
 from skewtor.forms import Form, contract, hodge, random_form, wedge
+from skewtor.g2 import canonical_omega3
 from skewtor.linalg import GaussTensor, charpoly, is_hermitian, solve
-from skewtor.registry import canonical_omega3
 
 from cq_reference import act_form_by_gamma_products, charpoly_by_fractions, poly_eval
 

@@ -6,16 +6,17 @@ import numpy as np
 import pytest
 
 from skewtor import equivar
-from skewtor.equivar import (bracket_2forms, calibration_table,
-                             casimir_decompose, casimir_spectrum,
+from skewtor.equivar import (bracket_2forms, casimir_decompose, casimir_spectrum,
                              full_column_rank_certificate,
                              isotypic_basis_r7_m, phi_matrix, psi_matrix,
                              rank_certificates, sigma0_constant,
                              sigma_solution_identity, spaces)
 from skewtor.forms import Form, contract, so_action
 from skewtor.errors import StructureError
-from skewtor.linalg import poly_mul, rank_mod_p, _PRIMES
-from skewtor.registry import canonical_omega3
+from skewtor.g2 import canonical_omega3
+from skewtor.linalg import rank_mod_p, _PRIMES
+
+from cq_reference import poly_mul
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +61,7 @@ def test_complement_equivariance(sp):
 
 
 def test_calibration_values(sp):
-    calib = calibration_table()
+    calib = sp.calibration
     assert calib["1"] == 0
     assert len({calib["1"], calib["7"], calib["14"], calib["27"]}) == 4
 
@@ -97,7 +98,7 @@ def test_casimir_spectrum_refuses_all_but_simple_integral_roots(sp, monkeypatch)
 
     def spectrum(f):
         poly = poly_mul(root, f)
-        monkeypatch.setattr(equivar, "krylov_min_poly", lambda matvec, n, seeds: poly)
+        monkeypatch.setattr(equivar, "krylov_min_poly", lambda matvec, v: poly)
         return casimir_spectrum("lambda1")
 
     assert spectrum([Q(1), Q(0)])[0] == [(Q(lam, scale), 7)]
@@ -105,6 +106,29 @@ def test_casimir_spectrum_refuses_all_but_simple_integral_roots(sp, monkeypatch)
     for f in (root, [Q(1), Q(-1, 2)], [Q(1), Q(0), Q(1)]):
         with pytest.raises(StructureError, match="simple roots"):
             spectrum(f)
+
+
+def test_casimir_spectrum_adds_vectors_until_certified(sp, monkeypatch):
+    # a vector orthogonal to every eigenspace but the first shows only part of
+    # the spectrum: the roots of later vectors join it until the certificate
+    # passes, and twelve vectors that never certify are an error
+    cmat, scale = sp.casimir("lambda1")
+    lam = cmat[0][0]
+    polys = [[Q(1)], [Q(1)], [Q(1), Q(-lam)]]
+    calls = []
+
+    def stub(matvec, v):
+        calls.append(v)
+        return polys[min(len(calls), len(polys)) - 1]
+
+    monkeypatch.setattr(equivar, "krylov_min_poly", stub)
+    assert casimir_spectrum("lambda1")[0] == [(Q(lam, scale), 7)]
+    assert len(calls) == 3 and len({tuple(v) for v in calls}) == 3
+    polys[-1] = [Q(1)]
+    calls.clear()
+    with pytest.raises(StructureError, match="failed certification"):
+        casimir_spectrum("lambda1")
+    assert len(calls) == 12
 
 
 def test_map_shapes(sp):
@@ -128,7 +152,7 @@ def test_isotypic_bases_exact(sp):
     basis14 = isotypic_basis_r7_m("14")
     assert len(basis14) == 14
     cmat, scale = sp.casimir("r7_m")
-    lam = calibration_table()["14"] * scale
+    lam = sp.calibration["14"] * scale
     for v in basis14:
         image = [sum(Q(cmat[i][j]) * v[j] for j in range(49)) for i in range(49)]
         assert image == [lam * x for x in v]

@@ -12,7 +12,7 @@ from skewtor.formexpr import render_form
 from skewtor.forms import (Form, contract, derivation, hodge, inner, interior,
                            random_form, sigma_t, sigma_t_quadratic, so_action,
                            volume_form, wedge)
-from skewtor.registry import canonical_omega3
+from skewtor.g2 import canonical_omega3
 
 
 def blade(n, *ix, c=1):

@@ -3,26 +3,21 @@ from fractions import Fraction as Q
 
 import pytest
 
-from skewtor.errors import NoSkewConnection, StructureError
+from skewtor.errors import NoSkewConnection
 from skewtor.forms import Form, contract, hodge, inner, random_form, wedge
-from skewtor.g2 import (G2Structure, classify, codiff_identity,
-                        derivation_constant_identities,
+from skewtor.g2 import (G2Structure, canonical_omega3, classify,
+                        codiff_identity, derivation_constant_identities,
                         dw3_decomposition_identity, nearly_parallel_identities,
                         pr_g2, pr_m, project2, project3, ricci_flat_conditions,
                         ricci_via_dt, spanning_27, tbeta_form,
                         torsion_component_identity, torsion_form)
 from skewtor.liegeom import (LieModel, codiff, curvature, d_form,
                              nabla_form, with_torsion)
-from skewtor.registry import canonical_omega3, registry
+from skewtor.registry import registry
 
 
 W3 = canonical_omega3()
 SW3 = hodge(W3)
-
-
-def test_structure_validation():
-    with pytest.raises(StructureError):
-        G2Structure(registry()["heis7"].model, W3.scale(2))
 
 
 def test_project2_properties():

@@ -6,13 +6,14 @@ import pytest
 from skewtor.clifford import act_form, build_rep
 from skewtor.errors import DegreeError, NoSkewConnection, StructureError
 from skewtor.forms import Form, hodge, random_form, sigma_t, wedge
+from skewtor.g2 import canonical_omega3
 from skewtor.liegeom import (LieModel, SpinorData, codiff, curvature,
                              curvature_identity_residuals, d_form,
                              d_via_connection, lc_trace_vector, levi_civita,
                              nabla_form, parallel_spinors, tt_contraction,
                              with_torsion)
 from skewtor.linalg import GaussTensor
-from skewtor.registry import canonical_omega3, registry
+from skewtor.registry import registry
 
 
 @pytest.fixture(scope="module")

@@ -19,7 +19,7 @@ from skewtor.linalg import (CQ, GaussTensor, Tensor, certified_eigenspace_dims,
                             rank_mod_p, rational_roots, solve, _PRIMES)
 
 import cq_reference
-from cq_reference import mat_add, mat_mul, mat_scale, poly_eval
+from cq_reference import mat_add, mat_mul, mat_scale, poly_eval, poly_mul
 
 
 def qm(rows):
@@ -116,26 +116,12 @@ def test_charpoly_and_roots_complex():
 
 def test_rational_roots_with_residual():
     # (x^2 - 2)(x - 3)^2 x
-    def pm(p, q):
-        out = [Q(0)] * (len(p) + len(q) - 1)
-        for i, x in enumerate(p):
-            for j, y in enumerate(q):
-                out[i + j] += x * y
-        return out
-
+    pm = poly_mul
     poly = pm(pm(pm([Q(1), Q(0), Q(-2)], [Q(1), Q(-3)]), [Q(1), Q(-3)]), [Q(1), Q(0)])
     roots, residual = rational_roots(poly)
     assert roots == [(Q(0), 1), (Q(3), 2)]
     assert residual == [Q(1), Q(0), Q(-2)]
     assert poly_eval(residual, Q(3)) == 7
-
-
-def _poly_mul(p, q):
-    out = [Q(0)] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        for j, y in enumerate(q):
-            out[i + j] += x * y
-    return out
 
 
 @settings(max_examples=100, deadline=None)
@@ -151,7 +137,7 @@ def test_rational_roots_of_split_times_irreducible(roots, b, gap, lead, with_qua
     quadratic = [Q(1), b, b * b / 4 + gap] if with_quadratic else [Q(1)]
     poly = [lead * c for c in quadratic]
     for r in roots:
-        poly = _poly_mul(poly, [Q(1), -r])
+        poly = poly_mul(poly, [Q(1), -r])
     if as_cq:
         poly = [CQ(c) for c in poly]
     found, residual = rational_roots(poly)
@@ -193,9 +179,10 @@ def test_krylov_certificates_diagonalizable():
     def matvec(v):
         return [sum(d[i][j] * v[j] for j in range(4)) for i in range(4)]
 
-    mp = krylov_min_poly(matvec, 4)
-    # minimal polynomial (x-1)(x-2)(x-5)
-    assert mp == [Q(1), Q(-8), Q(17), Q(-10)]
+    # a vector with a component in every eigenspace has the minimal
+    # polynomial (x-1)(x-2)(x-5); one in two of them has (x-1)(x-5)
+    assert krylov_min_poly(matvec, [1, 2, 3, 4]) == [Q(1), Q(-8), Q(17), Q(-10)]
+    assert krylov_min_poly(matvec, [1, 2, 0, 4]) == [Q(1), Q(-6), Q(5)]
     assert certify_annihilation(d, [1, 2, 5])
     assert not certify_annihilation(d, [1, 2])
     assert certified_eigenspace_dims(d, [1, 2, 5]) == [2, 1, 1]
