@@ -49,31 +49,29 @@ class _EndoStructure:
 class AlmostContact(_EndoStructure):
     """Odd-dimensional metric structure (xi, eta, phi) with exact compatibility checks.
 
-    The Reeb vector xi is the frame vector e_xi_index (1-based).
+    The Reeb vector xi is the frame vector e_xi_index (1-based), and eta is
+    its metric dual, the coframe 1-form e^xi_index.
     """
 
     kind = "contact"
 
-    def __init__(self, model: LieModel, xi_index: int, eta: Form, phi):
+    def __init__(self, model: LieModel, xi_index: int, phi):
         n = model.n
         if n % 2 == 0:
             raise DegreeError("contact structures live in odd dimensions")
+        if not 1 <= xi_index <= n:
+            raise StructureError(f"Reeb index {xi_index} is outside 1..{n}")
         self.model = model
         self.xi_index = xi_index
         self.xi = xi = Tensor.of([int(k == xi_index - 1) for k in range(n)])
-        self.eta = eta
+        self.eta = Form.basis_vector(n, xi_index)
         self.phi = phi = Tensor.of(phi)
-        eta_vec = Tensor.of(eta.vector_components())
         one = Tensor.identity(n)
-        if ein("i,i->", eta_vec, xi)[()] != 1:
-            raise StructureError("eta(xi) must be 1")
-        if eta_vec != xi:
-            raise StructureError("xi must be metric-dual to eta in this frame")
         if not ein("ij,j->i", phi, xi).is_zero():
             raise StructureError("phi must kill xi")
-        if ein("ik,kj->ij", phi, phi) != ein("i,j->ij", xi, eta_vec) - one:
+        if ein("ik,kj->ij", phi, phi) != ein("i,j->ij", xi, xi) - one:
             raise StructureError("phi^2 must be -Id + eta (x) xi")
-        if ein("ki,kj->ij", phi, phi) != one - ein("i,j->ij", eta_vec, eta_vec):
+        if ein("ki,kj->ij", phi, phi) != one - ein("i,j->ij", xi, xi):
             raise StructureError("phi must be metric-compatible")
 
     def d_eta(self) -> Form:
@@ -180,9 +178,9 @@ def contact_torsion(s: AlmostContact) -> Form:
     df = d_form(model, f)
     dphi_f = -pullback3(df, s.phi)
     n_form = nij.as_form()
-    xi_form = Form.from_vector(s.n, s.xi)
+    # xi -| N contracts with xi through its metric dual eta
     t = (wedge(s.eta, d_eta) + dphi_f + n_form
-         - wedge(s.eta, interior(xi_form, n_form)))
+         - wedge(s.eta, interior(s.eta, n_form)))
     return t
 
 
@@ -241,7 +239,7 @@ def structure_parallel_residuals(s, t: Form):
     conn = with_torsion(s.model, t)
     res = _nabla_endo(conn, s.phi).max_abs()
     if isinstance(s, AlmostContact):
-        res = max(res, conn.nabla_vector(s.eta.vector_components()).max_abs())
+        res = max(res, conn.nabla_vector(s.xi).max_abs())
     return res
 
 
@@ -257,7 +255,7 @@ def contact_general_identities(s: AlmostContact) -> dict:
     model = s.model
     lc = levi_civita(model)
     p, xi = s.phi, s.xi
-    eta = Tensor.of(s.eta.vector_components())
+    eta = xi    # in the orthonormal frame the metric dual has the same components
     df = Tensor.of_form(d_form(model, s.fundamental_form()))
     de = Tensor.of_form(s.d_eta())
     nij = nijenhuis(s).table
@@ -287,7 +285,7 @@ def contact_general_identities(s: AlmostContact) -> dict:
 def nijenhuis_gradient_identities(s: AlmostContact) -> dict:
     """Both displayed reconstructions of dF^- and N from covariant data."""
     p = s.phi
-    eta = Tensor.of(s.eta.vector_components())
+    eta = s.xi
     df = Tensor.of_form(d_form(s.model, s.fundamental_form()))
     nij = nijenhuis(s).table
     nabla_phi = _nabla_endo(levi_civita(s.model), p)
@@ -378,7 +376,7 @@ def sasakian_ricci_package(s: AlmostContact) -> dict:
     conn = with_torsion(model, t)
     rho, one_form, lam = ricci_form_package(s, t)
     one = Tensor.identity(n)
-    eta = Tensor.of(s.eta.vector_components())
+    eta = s.xi
     eta2 = ein("x,y->xy", eta, eta)
     out = {}
     out["lambda-is-16(1-k)F"] = lam == Tensor.of_form(s.fundamental_form()) * (16 * (1 - k))
@@ -422,7 +420,7 @@ def tanno_deform(s: AlmostContact, a2) -> AlmostContact:
             values.append(coeff * a2 ** (expo // 2))
         new_d.append(Form.of_rationals(n, 2, values).scale(Q(1, d.den)))
     model = LieModel(n, new_d, name=f"{s.model.name}-tanno")
-    return AlmostContact(model, xi_index, s.eta, s.phi)
+    return AlmostContact(model, xi_index, s.phi)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ Conventions, pinned by the identities the test suite enforces:
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache, reduce
 from math import lcm
 from operator import matmul
@@ -131,7 +132,7 @@ class EigenReport:
     def __init__(self, size, pairs, residual, hermitian):
         self.size = size
         self.pairs = pairs            # sorted [(Fraction eigenvalue, multiplicity)]
-        self.residual = residual      # remaining charpoly factor (coeffs) or None
+        self.residual = residual      # remaining charpoly factor (CQs if not real) or None
         self.hermitian = hermitian
 
     def multiset(self):
@@ -151,9 +152,14 @@ class EigenReport:
 
 
 def eigen_report(matrix: GaussTensor) -> EigenReport:
-    size = len(matrix)
+    size, d = len(matrix), matrix.den
     coeffs = charpoly(matrix)
-    pairs, residual = rational_roots(coeffs)
+    if any(im for _, im in coeffs):
+        # a non-real polynomial is not searched: it is the residual whole
+        pairs, residual = [], [CQ(Fraction(re, d ** k), Fraction(im, d ** k))
+                               for k, (re, im) in enumerate(coeffs)]
+    else:
+        pairs, residual = rational_roots([re for re, _ in coeffs], d)
     total = sum(m for _, m in pairs) + (len(residual) - 1 if residual else 0)
     if total != size:
         raise RuntimeError("spectrum bookkeeping lost degrees")

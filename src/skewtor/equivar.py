@@ -328,8 +328,11 @@ def casimir_spectrum(space: str):
     roots = set()
     for _ in range(12):
         v = [rng.randint(1, 9) for _ in range(n)]
-        pairs, residual = rational_roots(krylov_min_poly(matvec, v))
-        if residual is not None or any(m > 1 or r.denominator != 1 for r, m in pairs):
+        poly = krylov_min_poly(matvec, v)
+        # integral roots make a monic polynomial integral
+        integral = all(c.denominator == 1 for c in poly)
+        pairs, residual = rational_roots([int(c) for c in poly], 1) if integral else ([], poly)
+        if residual is not None or any(m > 1 for _, m in pairs):
             # not diagonalizable over Q with integral eigenvalues
             raise StructureError("Casimir minimal polynomial does not split over Z "
                                  "into simple roots")

@@ -11,15 +11,18 @@ word-size technique of FFLAS-FFPACK), Python integers otherwise, so a float
 only ever carries such an integer.  Every exact rank, kernel and solve runs one
 fraction-free Gauss-Jordan elimination over Z on the integer numerators; a
 Gaussian system enters it with each entry a + bi as the real block
-[[a, -b], [b, a]].  The large representation-theoretic matrices (up to
-196 x 196) are first tried by a mod-p elimination, whose result is promoted
-to an exact statement by a separate certificate, never trusted on its own.
+[[a, -b], [b, a]].  A spectrum is read from the characteristic polynomial
+of the integral d A (d the denominator of A) over Z[i]; for a real one its
+rational roots are y / d for the integer roots y of that monic integer
+polynomial, found by a divisor search and Horner's rule.  The large
+representation-theoretic matrices (up to 196 x 196) are first tried by a
+mod-p elimination, whose result is promoted to an exact statement by a
+separate certificate, never trusted on its own.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm, prod
 
 import numpy as np
@@ -99,7 +102,7 @@ class Tensor:
     @staticmethod
     def einsum(spec: str, *operands: "Tensor") -> "Tensor":
         """Exact contraction of tensors, written as for numpy.einsum."""
-        num = np.einsum(spec, *(t.num for t in operands), optimize=True)
+        num = np.einsum(spec, *(t.num for t in operands), optimize=len(operands) > 2)
         return Tensor(num, prod(t.den for t in operands))
 
     def __add__(self, other: "Tensor") -> "Tensor":
@@ -405,13 +408,13 @@ def solve(matrix, rhs):
 # ---------------------------------------------------------------------------
 
 def charpoly(matrix: GaussTensor):
-    """Monic characteristic polynomial det(xI - A) as CQ coefficients, highest first.
+    """Coefficients of det(yI - dA) as (re, im) int pairs, highest first.
 
-    Faddeev-LeVerrier on the integral d A (d the denominator of A): the
-    coefficients C_k of det(xI - d A) lie in Z[i], so each division by k is
-    exact, and A has the coefficients C_k / d^k.
+    d is the denominator of A, so A has the characteristic polynomial
+    sum_k C_k x^(n-k) / d^k.  Faddeev-LeVerrier runs on the integral dA: every
+    C_k lies in Z[i], so each division by k is exact.
     """
-    n, d = len(matrix), matrix.den
+    n = len(matrix)
     scaled = GaussTensor(matrix.num)
     eye = np.eye(n, dtype=int).astype(object)[..., None]
     m = GaussTensor.identity(n)
@@ -419,46 +422,23 @@ def charpoly(matrix: GaussTensor):
     for k in range(1, n + 1):
         p = scaled @ m
         c = -(np.trace(p.num) // k)   # (re, im) of C_k
-        coeffs.append(tuple(c))
+        coeffs.append((int(c[0]), int(c[1])))
         m = GaussTensor(p.num + eye * c)
-    return [CQ(Q(re, d ** k), Q(im, d ** k)) for k, (re, im) in enumerate(coeffs)]
+    return coeffs
 
 
-def _real_coeffs(coeffs):
-    real = []
-    for c in coeffs:
-        if isinstance(c, CQ):
-            if c.im:
-                return None
-            real.append(c.re)
-        else:
-            real.append(Q(c))
-    return real
+def rational_roots(q, d):
+    """The rational roots with multiplicity of sum_k q_k x^(n-k) / d^k, and its residual.
 
-
-def rational_roots(coeffs):
-    """All rational roots with multiplicity, plus the non-splitting residual.
-
-    `coeffs` runs from the (nonzero) leading coefficient down, as Fraction or
-    CQ.  A polynomial with a non-real coefficient is returned whole as the
-    residual.  Otherwise p = lead * (x^n + b_1 x^(n-1) + ... + b_n) is cleared
-    by a small d with every d^k b_k integral: q(y) = d^n p(y/d) / lead is
-    monic over Z, so its rational roots are integers that divide its constant
-    term and lie within Fujiwara's bound 2 max |q_k|^(1/k) (each k-th root
-    rounded up to a power of two); Horner's rule tests each one.  Returns (sorted [(Fraction root,
-    multiplicity)], residual), where the residual is p divided by the roots
-    found, in the caller's scalar type, or None when p splits.
+    `q` is a monic integer polynomial in y = d x (highest first) and d > 0,
+    so the rational roots are y / d for the integer roots y of q.  Each y
+    divides q's constant term and lies within Fujiwara's bound
+    2 max |q_k|^(1/k) (each k-th root rounded up to a power of two); Horner's
+    rule tests each one.  Returns (sorted [(Fraction root, multiplicity)],
+    residual), where the residual is the monic factor left by the roots
+    found, as Fractions c_k / d^k, or None when the polynomial splits.
     """
-    if len(coeffs) < 2:
-        return [], None
-    real = _real_coeffs(coeffs)
-    if real is None:
-        return [], list(coeffs)
-    lead = real[0]
-    monic = [c / lead for c in real[1:]]
-    d = _clearing_scale(monic)
-    q = [1] + [int(c * d ** k) for k, c in enumerate(monic, 1)]
-    roots = {}
+    q, roots = list(q), {}
     while len(q) > 1 and not q[-1]:
         roots[0] = roots.get(0, 0) + 1
         q.pop()
@@ -479,8 +459,7 @@ def rational_roots(coeffs):
     pairs = sorted((Q(y, d), m) for y, m in roots.items())
     if len(q) == 1:
         return pairs, None
-    like = CQ if isinstance(coeffs[0], CQ) else Q
-    return pairs, [like(lead * Q(c, d ** k)) for k, c in enumerate(q)]
+    return pairs, [Q(c, d ** k) for k, c in enumerate(q)]
 
 
 def _divide_root(q, y):
@@ -489,40 +468,6 @@ def _divide_root(q, y):
     for c in q[1:]:
         out.append(out[-1] * y + c)
     return None if out.pop() else out
-
-
-def _clearing_scale(coeffs):
-    """A small d with d^k * coeffs[k - 1] integral for every k.
-
-    Over a coprime basis of the denominators, d = prod b^max_k ceil(e_kb / k),
-    where e_kb is the exponent of b in the k-th denominator; this is the least
-    such d whenever each basis element b is squarefree.
-    """
-    dens = [c.denominator for c in coeffs]
-    d = 1
-    for b in _coprime_basis(dens):
-        need = 0
-        for k, den in enumerate(dens, 1):
-            e = 0
-            while den % b == 0:
-                den //= b
-                e += 1
-            need = max(need, -(-e // k))
-        d *= b ** need
-    return d
-
-
-def _coprime_basis(numbers):
-    """Pairwise coprime integers > 1 of which every number is a product of powers."""
-    basis = [m for m in set(numbers) if m > 1]
-    while True:
-        pair = next(((a, b) for a, b in combinations(basis, 2) if gcd(a, b) > 1), None)
-        if pair is None:
-            return basis
-        a, b = pair
-        g = gcd(a, b)
-        basis = [m for m in basis if m not in pair]
-        basis.extend({m for m in (a // g, g, b // g) if m > 1} - set(basis))
 
 
 # ---------------------------------------------------------------------------

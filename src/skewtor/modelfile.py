@@ -115,8 +115,10 @@ def _structure(s, model):
             raise ValueError("omega3 must be the canonical 3-form of the frame")
         return structure
     if kind == "contact":
-        return AlmostContact(model, _integer(s["xi"]), form_from_pairs(s["eta"], n, 1),
-                             matrix_from_rows(s["phi"], n))
+        structure = AlmostContact(model, _integer(s["xi"]), matrix_from_rows(s["phi"], n))
+        if form_from_pairs(s["eta"], n, 1) != structure.eta:
+            raise ValueError(f"eta must be e{structure.xi_index}, the dual of the Reeb vector")
+        return structure
     if kind == "hermitian":
         return AlmostHermitian(model, matrix_from_rows(s["J"], n))
     if kind == "none":

@@ -44,8 +44,7 @@ def standard_phi_matrix(n: int):
 
 def _standard_contact(model: LieModel) -> AlmostContact:
     """Reeb vector e_n, eta = e^n and the standard phi on the first n - 1 directions."""
-    n = model.n
-    return AlmostContact(model, n, Form.basis_vector(n, n), standard_phi_matrix(n))
+    return AlmostContact(model, model.n, standard_phi_matrix(model.n))
 
 
 class ModelEntry:
@@ -188,7 +187,7 @@ def build_registry():
         phi_swap[k + 3][k] = Q(1)
         phi_swap[k][k + 3] = Q(-1)
     reg["su2su2xr"] = ModelEntry(
-        su2su2xr, AlmostContact(su2su2xr, 7, Form.basis_vector(7, 7), phi_swap),
+        su2su2xr, AlmostContact(su2su2xr, 7, phi_swap),
         notes="skew nonzero Nijenhuis contact fixture")
 
     # 6-dim solvable complex group N^6 with its integrable J (G_1 hermitian)

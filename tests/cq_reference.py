@@ -53,8 +53,8 @@ def act_form_by_gamma_products(rep, parts):
 
 
 def poly_mul(p, q):
-    """Product of two polynomials with Fraction coefficients, highest first."""
-    out = [Q(0)] * (len(p) + len(q) - 1)
+    """Product of two polynomials with int or Fraction coefficients, highest first."""
+    out = [p[0] - p[0]] * (len(p) + len(q) - 1)
     for i, x in enumerate(p):
         for j, y in enumerate(q):
             out[i + j] += x * y

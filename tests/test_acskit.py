@@ -37,7 +37,12 @@ def test_structure_invariants_enforced():
     bad_phi = standard_phi_matrix(5)
     bad_phi[0][1] = Q(2)
     with pytest.raises(StructureError):
-        AlmostContact(e.model, 5, e.structure.eta, bad_phi)
+        AlmostContact(e.model, 5, bad_phi)
+    # eta is the coframe dual of the Reeb vector, so an index outside the frame has none
+    for xi_index in (0, 6):
+        with pytest.raises(StructureError, match="outside 1..5"):
+            AlmostContact(e.model, xi_index, standard_phi_matrix(5))
+    assert e.structure.eta == Form.basis_vector(5, 5)
     bad_j = standard_j_matrix(6)
     bad_j[0][1] = Q(0)
     with pytest.raises(StructureError):
@@ -154,7 +159,7 @@ def _rotated_contact(name):
     r[0][0], r[0][2], r[2][0], r[2][2] = Q(3, 5), Q(-4, 5), Q(4, 5), Q(3, 5)
     phi = [[sum(r[i][a] * s.phi[a][b] * r[j][b] for a in range(n) for b in range(n))
             for j in range(n)] for i in range(n)]
-    return AlmostContact(s.model, s.xi_index, s.eta, phi)
+    return AlmostContact(s.model, s.xi_index, phi)
 
 
 @pytest.mark.parametrize("make, name, scale", [
@@ -228,7 +233,7 @@ def test_tanno_rejects_non_sasakian():
     d = [Form(5, 2), Form(5, 2), Form(5, 2), Form(5, 2, {(1, 2): Q(1)}),
          Form(5, 2, {(1, 2): Q(2)})]
     model = LieModel(5, d, name="normal-twist")
-    s = AlmostContact(model, 5, Form.basis_vector(5, 5), standard_phi_matrix(5))
+    s = AlmostContact(model, 5, standard_phi_matrix(5))
     assert nijenhuis(s).is_zero() and s.xi_is_killing()
     with pytest.raises(StructureError):
         tanno_deform(s, Q(4, 3))

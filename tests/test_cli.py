@@ -150,13 +150,34 @@ def test_cli_spin_eig_large_coefficients_finish(capsys, coeff):
                                        "hermitian: True\n")
 
 
-def test_cli_spin_eig_fractional_residual(capsys):
-    assert main(["spin-eig", "7", "1/2*e1^e2^e3 + 1/3*e4^e5^e6"]) == 0
-    assert capsys.readouterr().out == (
-        "eigenvalues: \n"
-        "residual factor (highest first): "
-        "[1, 0, -13/9, 0, 169/216, 0, -2197/11664, 0, 28561/1679616]\n"
-        "hermitian: True\n")
+@pytest.mark.parametrize("dim, expr, out", [
+    ("7", "1/2*e1^e2^e3 + 1/3*e4^e5^e6",
+     "eigenvalues: \n"
+     "residual factor (highest first): "
+     "[1, 0, -13/9, 0, 169/216, 0, -2197/11664, 0, 28561/1679616]\n"
+     "hermitian: True\n"),
+    ("5", "12/9*e1^e2^e3^e5 + 5*e4 + 1/9*e2^e3^e4 + 5*e5",
+     "eigenvalues: \n"
+     "residual factor (highest first): "
+     "[1, 0, (7810/81-80/3i), 0, (14090149/6561-312560/243i)]\n"
+     "hermitian: False\n"),
+    ("5", "3*e1^e4^e5 - 1/3",
+     "eigenvalues: -10/3 x2, 8/3 x2\n"
+     "hermitian: True\n"),
+    ("3", "e1 + 1/2*e1^e2^e3",
+     "eigenvalues: \n"
+     "residual factor (highest first): [1, -1, 5/4]\n"
+     "hermitian: False\n"),
+    ("7", "1/1000*e1^e2^e3 + e4^e5^e6^e7",
+     "eigenvalues: -1001/1000 x4, 1001/1000 x4\n"
+     "hermitian: True\n"),
+], ids=["real-residual-7", "gaussian-residual-5", "fractional-roots-5", "real-residual-3",
+        "scale-1000-7"])
+def test_cli_spin_eig_fractional_residual(capsys, dim, expr, out):
+    # pinned spectra of forms with fractional coefficients: real and Gaussian
+    # residuals, fractional roots, and a scale of 1000
+    assert main(["spin-eig", dim, expr]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_cli_decompose(capsys):
@@ -302,6 +323,27 @@ def test_model_file_rejects_a_non_canonical_g2_form(tmp_path, monkeypatch, capsy
         assert main(command + ["scaled7"]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and "field structure" in err and "omega3" in err
+
+
+@pytest.mark.parametrize("field, value, words", [
+    ("eta", [[[5], "2"]], ("field structure", "eta", "e5")),
+    ("eta", [[[4], "1"]], ("field structure", "eta", "e5")),
+    ("eta", [[[5], "-1"]], ("field structure", "eta", "e5")),
+    ("xi", 6, ("Reeb index 6", "outside 1..5")),
+], ids=["scaled-eta", "other-eta", "negated-eta", "xi-outside-frame"])
+def test_model_file_eta_must_be_the_dual_of_the_reeb_vector(tmp_path, monkeypatch, capsys,
+                                                            field, value, words):
+    doc = entry_to_dict(registry()["heis5"])
+    assert doc["structure"]["eta"] == [[[5], "1"]]
+    doc["name"] = "custom5"
+    doc["structure"][field] = value
+    path = tmp_path / "custom5.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setenv("SKEWTOR_MODEL_PATH", str(tmp_path))
+    for command in (["models", "show"], ["torsion"]):
+        assert main(command + ["custom5"]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and all(w in err for w in words), err
 
 
 @pytest.mark.parametrize("make", [

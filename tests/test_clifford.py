@@ -182,13 +182,17 @@ def test_monomial_action_and_integer_charpoly_match_references(parts):
     rep = build_rep(parts[0].n)
     m = act_form(rep, parts)
     assert m == act_form_by_gamma_products(rep, parts)
+    # charpoly holds the integer coefficients of det(yI - dA), d the denominator
     coeffs = charpoly(m)
-    assert all(isinstance(c, CQ) for c in coeffs)
-    assert coeffs == charpoly_by_fractions(m.tolist())
+    assert all(type(re) is int and type(im) is int for re, im in coeffs)
+    assert [CQ(re, im) for re, im in coeffs] == \
+        [c * m.den ** k for k, c in enumerate(charpoly_by_fractions(m.tolist()))]
     real = [[x.re + 2 * x.im for x in row] for row in m]
-    coeffs = charpoly(GaussTensor.of(real))
-    assert all(isinstance(c, CQ) and not c.im for c in coeffs)
-    assert coeffs == charpoly_by_fractions(real)
+    real_m = GaussTensor.of(real)
+    coeffs = charpoly(real_m)
+    assert all(type(re) is int and im == 0 for re, im in coeffs)
+    assert [re for re, _ in coeffs] == \
+        [c * real_m.den ** k for k, c in enumerate(charpoly_by_fractions(real))]
     assert is_hermitian(m) == all(m[i][j] == m[j][i].conj()
                                   for i in range(rep.dim) for j in range(rep.dim))
 

@@ -10,8 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import sympy
+from hypothesis import example, given, settings, strategies as st
 
+from skewtor.clifford import eigen_report
 from skewtor.forms import Form
 from skewtor.linalg import (CQ, GaussTensor, Tensor, certified_eigenspace_dims,
                             certify_annihilation, charpoly, int_abs_max, int_matmul,
@@ -109,51 +111,76 @@ def test_invert_round_trip():
 def test_charpoly_and_roots_complex():
     m = GaussTensor.of([[CQ(1), CQ(0, 1)], [CQ(0, -1), CQ(1)]])
     assert is_hermitian(m)
-    roots, residual = rational_roots(charpoly(m))
-    assert residual is None
-    assert [(r if isinstance(r, Q) else r.re, k) for r, k in roots] == [(Q(0), 1), (Q(2), 1)]
+    assert charpoly(m) == [(1, 0), (-2, 0), (0, 0)]
+    assert rational_roots([re for re, _ in charpoly(m)], m.den) == ([(Q(0), 1), (Q(2), 1)], None)
+    # charpoly is det(yI - dA) for the denominator d of A: halving A keeps it
+    half = m * Q(1, 2)
+    assert half.den == 2 and charpoly(half) == charpoly(m)
+    assert rational_roots([re for re, _ in charpoly(half)], 2) == ([(Q(0), 1), (Q(1), 1)], None)
 
 
 def test_rational_roots_with_residual():
-    # (x^2 - 2)(x - 3)^2 x
-    pm = poly_mul
-    poly = pm(pm(pm([Q(1), Q(0), Q(-2)], [Q(1), Q(-3)]), [Q(1), Q(-3)]), [Q(1), Q(0)])
-    roots, residual = rational_roots(poly)
+    # (y^2 - 2)(y - 3)^2 y, read with the scales 1 and 2
+    q = poly_mul(poly_mul(poly_mul([1, 0, -2], [1, -3]), [1, -3]), [1, 0])
+    roots, residual = rational_roots(q, 1)
     assert roots == [(Q(0), 1), (Q(3), 2)]
     assert residual == [Q(1), Q(0), Q(-2)]
     assert poly_eval(residual, Q(3)) == 7
+    roots, residual = rational_roots(q, 2)
+    assert roots == [(Q(0), 1), (Q(3, 2), 2)]
+    assert residual == [Q(1), Q(0), Q(-1, 2)]
+
+
+def _split_by_sympy(q, d):
+    """The rational roots with multiplicity and the monic residual of sum_k q_k x^(n-k) / d^k."""
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([sympy.Rational(c, d ** k) for k, c in enumerate(q)], x)
+    roots, rest = Counter(), sympy.Poly(1, x)
+    for factor, mult in poly.factor_list()[1]:
+        if factor.degree() == 1:
+            a, b = factor.all_coeffs()
+            root = -b / a
+            roots[Q(int(root.p), int(root.q))] += mult
+        else:
+            rest *= factor ** mult
+    residual = [Q(int(c.p), int(c.q)) for c in rest.monic().all_coeffs()]
+    return sorted(roots.items()), residual if len(residual) > 1 else None
 
 
 @settings(max_examples=100, deadline=None)
-@given(roots=st.lists(st.fractions(min_value=-40, max_value=40, max_denominator=9),
-                      max_size=7),
-       b=st.fractions(min_value=-20, max_value=20, max_denominator=12),
-       gap=st.fractions(min_value=Q(1, 12), max_value=30, max_denominator=12),
-       lead=st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool),
-       with_quadratic=st.booleans(), as_cq=st.booleans())
-def test_rational_roots_of_split_times_irreducible(roots, b, gap, lead, with_quadratic,
-                                                   as_cq):
-    # x^2 + b x + c with c > b^2 / 4 has no real root, so it is irreducible over Q
-    quadratic = [Q(1), b, b * b / 4 + gap] if with_quadratic else [Q(1)]
-    poly = [lead * c for c in quadratic]
-    for r in roots:
-        poly = poly_mul(poly, [Q(1), -r])
-    if as_cq:
-        poly = [CQ(c) for c in poly]
-    found, residual = rational_roots(poly)
-    assert found == sorted(Counter(roots).items())
+@given(ys=st.lists(st.integers(min_value=-480, max_value=480), max_size=7),
+       d=st.integers(min_value=1, max_value=12),
+       b=st.integers(min_value=-20, max_value=20),
+       gap=st.integers(min_value=1, max_value=30),
+       with_quadratic=st.booleans())
+@example(ys=[0, 0, 6, 6, -7], d=12, b=1, gap=1, with_quadratic=True)
+@example(ys=[5, 0, 5, 5], d=10, b=0, gap=1, with_quadratic=False)
+def test_rational_roots_of_split_times_irreducible(ys, d, b, gap, with_quadratic):
+    # y^2 + b y + c with c > b^2 / 4 has no real root, so it is irreducible over Q
+    quadratic = [1, b, b * b // 4 + gap] if with_quadratic else [1]
+    q = quadratic
+    for y in ys:
+        q = poly_mul(q, [1, -y])
+    found, residual = rational_roots(q, d)
+    assert found == sorted(Counter(Q(y, d) for y in ys).items())
+    assert (found, residual) == _split_by_sympy(q, d)
     assert all(type(r) is Q for r, _ in found)
     if with_quadratic:
-        assert residual == [lead * c for c in quadratic]
-        assert all(type(c) is (CQ if as_cq else Q) for c in residual)
+        assert residual == [Q(c, d ** k) for k, c in enumerate(quadratic)]
+        assert all(type(c) is Q for c in residual)
     else:
         assert residual is None
 
 
 def test_rational_roots_leave_non_real_polynomials_whole():
-    # x^2 - i x has the rational root 0, but a non-real polynomial is not searched
-    poly = [CQ(1), CQ(0, -1), CQ(0)]
-    assert rational_roots(poly) == ([], poly)
+    # y^2 - i y has the rational root 0, but a non-real polynomial is not
+    # searched: eigen_report returns it whole, scaled back by d^k
+    m = GaussTensor.of([[CQ(0), CQ(0)], [CQ(0), CQ(0, Q(1, 2))]])
+    assert charpoly(m) == [(1, 0), (0, -1), (0, 0)]
+    report = eigen_report(m)
+    assert report.pairs == []
+    assert report.residual == [CQ(1), CQ(0, Q(-1, 2)), CQ(0)]
+    assert all(type(c) is CQ for c in report.residual)
 
 
 def test_integer_echelon_tools():
