@@ -9,7 +9,6 @@ pack of the 6-dimensional nearly Kaehler algebra.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from .errors import DegreeError, NoSkewConnection, StructureError
 from .forms import Form, all_blades, blade_tensors, interior, sigma_t, wedge
 from .liegeom import (LieModel, curvature, d_form, levi_civita,
                       tt_contraction, with_torsion)
-from .linalg import Tensor
+from .linalg import Tensor, int_matmul
 
 Q = Fraction
 ein = Tensor.einsum
@@ -214,23 +213,19 @@ def torsion_uniqueness_certificate(s) -> bool:
 
 
 def _uniqueness_response(s):
-    """The response matrix of `torsion_uniqueness_certificate`, times 2 L, as integers."""
-    n = s.model.n
-    contact = isinstance(s, AlmostContact)
-    phi = s.phi
-    eta = s.eta.vector_components() if contact else []
-    den = 1
-    for x in [x for row in phi for x in row] + eta:
-        den = lcm(den, x.denominator)
-    dtype = np.int64 if 2 * n * den < 2 ** 62 else object
-    p = np.array([[int(x * den) for x in row] for row in phi], dtype=dtype)
-    blades = blade_tensors(n, 3).astype(dtype)
-    response = [np.einsum("lj,cilk->cijk", p, blades)
-                - np.einsum("cijl,kl->cijk", blades, p)]
-    if contact:
-        e = np.array([int(x * den) for x in eta], dtype=dtype)
-        response.append(np.einsum("cijl,l->cij", blades, e)[..., None])
-    matrix = np.concatenate([r.reshape(len(blades), n, -1) for r in response], axis=2)
+    """The response matrix of `torsion_uniqueness_certificate`, times 2 L, as integers.
+
+    L is the denominator of phi (eta = e^xi needs none).  Row [i, j, k] of a
+    blade dT is sum_l phi[l, j] dT(i, l, k) - dT(i, j, l) phi[k, l], and
+    sum_l dT(i, j, l) eta[l] for contact input.
+    """
+    p = s.phi.num
+    blades = blade_tensors(s.model.n, 3)
+    response = [np.swapaxes(int_matmul(np.swapaxes(blades, 2, 3), p), 2, 3)
+                - int_matmul(blades, p.T)]
+    if isinstance(s, AlmostContact):
+        response.append(int_matmul(blades, s.xi.num * s.phi.den)[..., None])
+    matrix = np.concatenate([r.reshape(len(blades), s.model.n, -1) for r in response], axis=2)
     return matrix.reshape(len(blades), -1).T
 
 

@@ -103,7 +103,7 @@ class TorsionClass:
 
     def __init__(self, lam, beta, gamma27, obstruction14):
         self.lam = lam                  # Fraction
-        self.beta = beta                # coefficient list (vector)
+        self.beta = beta                # Form, degree 1
         self.gamma27 = gamma27          # Form, degree 3, traceless part
         self.obstruction14 = obstruction14  # Form, degree 2; zero iff connection exists
 
@@ -113,42 +113,44 @@ class TorsionClass:
     def as_dict(self):
         from .modelfile import form_to_pairs
         return {"lambda": str(self.lam),
-                "beta": [str(x) for x in self.beta],
+                "beta": [str(x) for x in self.beta.vector_components()],
                 "gamma27": form_to_pairs(self.gamma27),
                 "obstruction14": form_to_pairs(self.obstruction14)}
+
+
+@lru_cache(maxsize=None)
+def _dense():
+    """The dense tensors W[i, j, k] of w3 and S[i, j, k, l] of *w3."""
+    w3 = canonical_omega3()
+    return Tensor.of_form(w3), Tensor.of_form(hodge(w3))
 
 
 def classify(s: G2Structure) -> TorsionClass:
     """Recover (lambda, beta, gamma27, obstruction) from the Riemannian derivative.
 
-    lambda and beta come from the inner-product formulas
-    lambda = -(1/7)(d w3, *w3) and delta(w3) = -(beta -| w3); gamma27 from
-    gamma27 = *d w3 + lambda w3 - (3/4) *(beta ^ w3).  The obstruction is the
-    14-part of the skew component of the derivative's coefficient matrix.
+    With N[i] = nabla^g_{e_i} w3: lambda = -(1/7)(d w3, *w3); beta comes from
+    delta(w3) = -(beta -| w3), delta(w3) = -N[i, i] summed over i, as
+    beta_i = -(1/6) delta(w3)_jk W_ijk; gamma27 = *d w3 + lambda w3 - (3/4) *(beta ^ w3).
+    The coefficient matrix gamma of N[i] = -3 (Z_i -| *w3) is
+    gamma[i, j] = (Z_i)_j = -(1/72) N_iabc S_jabc, and the obstruction is
+    the 14-part of its skew component.
     """
+    ein = Tensor.einsum
     model = s.model
-    w3, sw3 = s.omega3, s.star_omega3
+    w3 = s.omega3
+    big_w, big_s = _dense()
     dw3 = d_form(model, w3)
-    lam = Q(-1, 7) * inner(dw3, sw3)
-    delta_w3 = codiff(model, w3)
-    beta = [Q(-1, 3) * inner(delta_w3, contract(w3, i)) for i in range(1, 8)]
-    beta_form = Form.from_vector(7, beta)
-    gamma27 = hodge(dw3) + w3.scale(lam) - hodge(wedge(beta_form, w3)).scale(Q(3, 4))
-
-    # coefficient matrix gamma: nabla^g_{e_i} w3 = -3 (Z_i -| *w3), gamma[i][j] = (Z_i)_j
+    lam = Q(-1, 7) * inner(dw3, s.star_omega3)
     lc = levi_civita(model)
-    gamma = []
-    for i in range(1, 8):
-        nab = nabla_form(lc, i, w3)
-        z = [Q(-1, 12) * inner(nab, contract(sw3, j)) for j in range(1, 8)]
-        # exactness guard: the derivative must lie in the 7-dimensional orbit part
-        if interior(Form.from_vector(7, z), sw3).scale(-3) != nab:
-            raise StructureError("derivative of the 3-form left the vector-type orbit")
-        gamma.append(z)
+    nab = Tensor.of_forms([nabla_form(lc, i, w3) for i in range(1, 8)])
+    beta = (ein("jjab,iab->i", nab, big_w) * Q(1, 6)).to_form()
+    gamma27 = hodge(dw3) + w3.scale(lam) - hodge(wedge(beta, w3)).scale(Q(3, 4))
 
-    skew = Form.of_rationals(7, 2, [gamma[i - 1][j - 1] - gamma[j - 1][i - 1]
-                                    for i, j in all_blades(7, 2)])
-    obstruction14 = project2(skew)[1]
+    gamma = ein("iabc,jabc->ij", nab, big_s) * Q(-1, 72)
+    # exactness guard: the derivative must lie in the 7-dimensional orbit part
+    if ein("ij,jabc->iabc", gamma * -3, big_s) != nab:
+        raise StructureError("derivative of the 3-form left the vector-type orbit")
+    obstruction14 = project2((gamma - ein("ij->ji", gamma)).to_form())[1]
     return TorsionClass(lam, beta, gamma27, obstruction14)
 
 
@@ -162,57 +164,43 @@ def torsion_form(s: G2Structure) -> Form:
     if not cls.admits_connection():
         raise NoSkewConnection("two-form-component",
                                "the structure has a 2-form-type derivative component")
-    model = s.model
     w3 = s.omega3
-    dw3 = d_form(model, w3)
-    beta_form = Form.from_vector(7, cls.beta)
-    t = (w3.scale(Q(1, 6) * inner(dw3, s.star_omega3)) - hodge(dw3)
-         + hodge(wedge(beta_form, w3)))
-    return t
+    dw3 = d_form(s.model, w3)
+    return (w3.scale(Q(1, 6) * inner(dw3, s.star_omega3)) - hodge(dw3)
+            + hodge(wedge(cls.beta, w3)))
 
 
-def ricci_via_dt(s: G2Structure, t: Form):
+def ricci_via_dt(s: G2Structure, t: Form) -> Tensor:
     """Ricci tensor of the characteristic connection from the contraction formula.
 
-    Ric(e_i) = (1/2) sum_j (e_i -| dT + 2 nabla_{e_i} T, e_j -| *w3) e_j.
+    Ric(e_i) = (1/2) sum_j (e_i -| dT + 2 nabla_{e_i} T, e_j -| *w3) e_j,
+    that is (1/12) (dT + 2 nabla T)_iabc S_jabc.
     """
-    model = s.model
-    sw3 = s.star_omega3
-    conn = with_torsion(model, t)
-    dt = d_form(model, t)
-    table = []
-    for i in range(1, 8):
-        row_form = contract(dt, i) + nabla_form(conn, i, t).scale(2)
-        table.append([Q(1, 2) * inner(row_form, contract(sw3, j))
-                      for j in range(1, 8)])
-    return table
+    conn = with_torsion(s.model, t)
+    nab_t = Tensor.of_forms([nabla_form(conn, i, t) for i in range(1, 8)])
+    dt = Tensor.of_form(d_form(s.model, t))
+    return Tensor.einsum("iabc,jabc->ij", dt + nab_t * 2, _dense()[1]) * Q(1, 12)
 
 
 def torsion_component_identity(s: G2Structure) -> bool:
     """T = -(lambda/6) w3 - gamma27 - (1/4)(beta -| *w3) as an exact identity."""
     cls = s.torsion_class
-    t = torsion_form(s)
-    beta_form = Form.from_vector(7, cls.beta)
     rhs = (s.omega3.scale(-cls.lam / 6) - cls.gamma27
-           - interior(beta_form, s.star_omega3).scale(Q(1, 4)))
-    return t == rhs
+           - interior(cls.beta, s.star_omega3).scale(Q(1, 4)))
+    return torsion_form(s) == rhs
 
 
 def dw3_decomposition_identity(s: G2Structure) -> bool:
     """d w3 = -lambda (*w3) + *gamma27 + (3/4)(beta ^ w3) on the model."""
     cls = s.torsion_class
-    beta_form = Form.from_vector(7, cls.beta)
-    lhs = d_form(s.model, s.omega3)
     rhs = (s.star_omega3.scale(-cls.lam) + hodge(cls.gamma27)
-           + wedge(beta_form, s.omega3).scale(Q(3, 4)))
-    return lhs == rhs
+           + wedge(cls.beta, s.omega3).scale(Q(3, 4)))
+    return d_form(s.model, s.omega3) == rhs
 
 
 def codiff_identity(s: G2Structure) -> bool:
     """delta(w3) = -(beta -| w3)."""
-    cls = s.torsion_class
-    beta_form = Form.from_vector(7, cls.beta)
-    return codiff(s.model, s.omega3) == -interior(beta_form, s.omega3)
+    return codiff(s.model, s.omega3) == -interior(s.torsion_class.beta, s.omega3)
 
 
 # ---------------------------------------------------------------------------
@@ -229,69 +217,51 @@ def spanning_27() -> list:
     return out
 
 
+def _wedge_sums(c: Tensor) -> list:
+    """The 4-forms sum_ij c[k, i, j] e_j ^ (e_i -| *w3), one per k."""
+    sw3 = hodge(canonical_omega3())
+    star = [contract(sw3, i) for i in range(1, 8)]
+    return [sum((wedge(row.to_form(), s) for row, s in zip(ck, star)), Form.zero(7, 4))
+            for ck in c]
+
+
 def derivation_constant_identities():
     """Residuals of the displayed contraction constants; all must be zero.
 
-    Keys name the identity; values are True/False (exact equality of forms).
+    Keys name the identity; values are True/False (exact equality of tensors
+    or forms).  A family of vector or traceless types enters as its
+    coefficients c[k, i, j] = (part_k(e_j), e_i -| w3), with part_k(e_j) =
+    beta_k ^ e_j or e_j -| gamma_k, and is summed against e_i -| *w3 by
+    contraction, sum_ij c e_j -| (e_i -| *w3), and by wedge,
+    sum_ij c e_j ^ (e_i -| *w3).
     """
+    ein = Tensor.einsum
     w3 = canonical_omega3()
-    sw3 = hodge(w3)
+    big_w, big_s = _dense()
+    unit = Tensor.identity(7)
     out = {}
 
-    ci_w = [contract(w3, i) for i in range(1, 8)]
-    ci_sw = [contract(sw3, i) for i in range(1, 8)]
+    # beta = e_b for all seven b at once: (e_b ^ e_j, e_i -| w3) = W[i, b, j]
+    c_beta = ein("ibj->bij", big_w)
+    vectors = [Form.basis_vector(7, b) for b in range(1, 8)]
+    out["beta-contraction-is-minus-4"] = ein("kij,ijxy->kxy", c_beta, big_s) == big_w * -4
+    out["beta-wedge-is-minus-3"] = _wedge_sums(c_beta) == [wedge(v, w3).scale(-3)
+                                                           for v in vectors]
+    out["star-beta-wedge"] = (Tensor.of_forms([hodge(wedge(v, w3)) for v in vectors])
+                              == -big_s)
+    out["t-beta-is-quarter-contraction"] = (Tensor.of_forms([tbeta_form(v) for v in vectors])
+                                            == big_s * Q(-1, 4))
 
-    def contraction_sum(part, build):
-        """sum_{i,j} <part(j), e_i -| w3> build(j, e_i -| *w3)."""
-        total = Form.zero(7, 0)
-        for j in range(1, 8):
-            part_j = part(j)
-            for cw, csw in zip(ci_w, ci_sw):
-                coeff = inner(part_j, cw)
-                if coeff:
-                    total = total + build(j, csw).scale(coeff)
-        return total
+    span = spanning_27()
+    c_gamma = ein("kjab,iab->kij", Tensor.of_forms(span), big_w) * Q(1, 2)
+    out["gamma27-contraction-vanishes"] = ein("kij,ijxy->kxy", c_gamma, big_s).is_zero()
+    out["gamma27-wedge-is-minus-2-star"] = _wedge_sums(c_gamma) == [hodge(g).scale(-2)
+                                                                    for g in span]
 
-    def beta_sum(beta_form, build):
-        return contraction_sum(lambda j: wedge(beta_form, Form.basis_vector(7, j)), build)
-
-    def gamma_sum(gamma, build):
-        return contraction_sum(lambda j: contract(gamma, j), build)
-
-    inter = lambda j, f: contract(f, j)
-    wedge_j = lambda j, f: wedge(Form.basis_vector(7, j), f)
-
-    ok_a = ok_d = ok_e = ok_f = True
-    for b in range(1, 8):
-        beta_form = Form.basis_vector(7, b)
-        lhs = beta_sum(beta_form, inter)
-        ok_a = ok_a and lhs == contract(w3, b).scale(-4)
-        lhs_d = beta_sum(beta_form, wedge_j)
-        ok_d = ok_d and lhs_d == wedge(beta_form, w3).scale(-3)
-        ok_e = ok_e and hodge(wedge(beta_form, w3)) == -contract(sw3, b)
-        ok_f = ok_f and tbeta_form(beta_form) == contract(sw3, b).scale(Q(-1, 4))
-    out["beta-contraction-is-minus-4"] = ok_a
-    out["beta-wedge-is-minus-3"] = ok_d
-    out["star-beta-wedge"] = ok_e
-    out["t-beta-is-quarter-contraction"] = ok_f
-
-    ok_b = ok_c = True
-    for gamma in spanning_27():
-        ok_b = ok_b and gamma_sum(gamma, inter).is_zero()
-        ok_c = ok_c and gamma_sum(gamma, wedge_j) == hodge(gamma).scale(-2)
-    out["gamma27-contraction-vanishes"] = ok_b
-    out["gamma27-wedge-is-minus-2-star"] = ok_c
-
-    ok_rho = all(so_action(contract(w3, z), w3) == contract(sw3, z).scale(-3)
-                 for z in range(1, 8))
-    out["two-form-action-constant-minus-3"] = ok_rho
-
-    ok_g1 = all(inner(contract(w3, i), contract(w3, j)) == (3 if i == j else 0)
-                for i in range(1, 8) for j in range(1, 8))
-    ok_g2 = all(inner(contract(sw3, i), contract(sw3, j)) == (4 if i == j else 0)
-                for i in range(1, 8) for j in range(1, 8))
-    out["gram-3-delta"] = ok_g1
-    out["gram-4-delta"] = ok_g2
+    out["two-form-action-constant-minus-3"] = (
+        Tensor.of_forms([so_action(contract(w3, z), w3) for z in range(1, 8)]) == big_s * -3)
+    out["gram-3-delta"] = ein("iab,jab->ij", big_w, big_w) * Q(1, 2) == unit * 3
+    out["gram-4-delta"] = ein("iabc,jabc->ij", big_s, big_s) * Q(1, 6) == unit * 4
     return out
 
 
@@ -326,31 +296,20 @@ def nearly_parallel_identities(lam) -> dict:
     """
     lam = Q(lam)
     w3 = canonical_omega3()
-    sw3 = hodge(w3)
     t = w3.scale(-lam / 6)
-    dt = sw3.scale(lam * lam / 6)
-    ttc = tt_contraction(t)
+    dt = hodge(w3).scale(lam * lam / 6)
+    unit = Tensor.identity(7)
+    quarter_tt = tt_contraction(t) * Q(1, 4)
+    # (1/2)(e_i -| dT, e_j -| *w3)
+    half_dt = Tensor.einsum("iabc,jabc->ij", Tensor.of_form(dt), _dense()[1]) * Q(1, 12)
+    ric_g = unit * (Q(27, 72) * lam * lam)
     out = {}
-    out["quarter-tt-contraction"] = all(
-        Q(1, 4) * ttc[i][j] == (Q(3, 72) * lam * lam if i == j else 0)
-        for i in range(7) for j in range(7))
-    out["half-dt-contraction"] = all(
-        Q(1, 2) * inner(contract(dt, i + 1), contract(sw3, j + 1))
-        == (Q(24, 72) * lam * lam if i == j else 0)
-        for i in range(7) for j in range(7))
-    ric_g = [[Q(27, 72) * lam * lam if i == j else Q(0) for j in range(7)]
-             for i in range(7)]
+    out["quarter-tt-contraction"] = quarter_tt == unit * (Q(3, 72) * lam * lam)
+    out["half-dt-contraction"] = half_dt == unit * (Q(24, 72) * lam * lam)
     # string-equation balance: Ric^g - TT/4 - (dT contraction)/2 = 0 with
     # parallel coclosed torsion
-    out["ricci-balance"] = all(
-        ric_g[i][j] - Q(1, 4) * ttc[i][j]
-        - Q(1, 2) * inner(contract(dt, i + 1), contract(sw3, j + 1)) == 0
-        for i in range(7) for j in range(7))
-    tstar = t.scale(3)
-    ttc_star = tt_contraction(tstar)
-    out["string-equation-with-3t"] = all(
-        ric_g[i][j] - Q(1, 4) * ttc_star[i][j] == 0
-        for i in range(7) for j in range(7))
+    out["ricci-balance"] = (ric_g - quarter_tt - half_dt).is_zero()
+    out["string-equation-with-3t"] = ric_g == tt_contraction(t.scale(3)) * Q(1, 4)
     out["two-sigma-equals-dt"] = sigma_t(t).scale(2) == dt
     return out
 
@@ -363,7 +322,7 @@ def ricci_flat_conditions(s: G2Structure, t: Form) -> dict:
     """
     model = s.model
     cls = s.torsion_class
-    if any(cls.beta):
+    if not cls.beta.is_zero():
         raise StructureError("conditions stated for coclosed structures only")
     conn = with_torsion(model, t)
     table = curvature(conn)
@@ -373,7 +332,7 @@ def ricci_flat_conditions(s: G2Structure, t: Form) -> dict:
     cubic = d_form(model, hodge(dw3)) + dw3.scale(Q(7, 6) * cls.lam)
     wedge_id = wedge(hodge(dw3) + s.omega3.scale(Q(7, 6) * cls.lam), dw3)
     conditions = {
-        "ricci-vanishes": all(x == 0 for row in table.ric for x in row),
+        "ricci-vanishes": table.ric.is_zero(),
         "torsion-closed": dt.is_zero(),
         "torsion-coclosed": delta_t.is_zero(),
         "cubic-equation": cubic.is_zero(),

@@ -20,14 +20,21 @@ def form_to_pairs(f: Form):
     return [[list(blade), str(coeff)] for blade, coeff in f.terms.items()]
 
 
+def _exact(value):
+    """A JSON integer or "p/q" string as a Fraction; a bool or a float is an error."""
+    c = Fraction(value)
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"coefficient {value!r} is not exact; write it as a \"p/q\" string")
+    return c
+
+
 def form_from_pairs(pairs, n, degree):
-    """The form of [[blade, "p/q"], ...]; a float coefficient or a repeated blade is an error."""
+    """The form of [[blade, "p/q"], ...]; a non-integer index, an inexact coefficient or a
+    repeated blade is an error."""
     terms = {}
     for indices, coeff in pairs:
-        c = Fraction(coeff)
-        if isinstance(coeff, (bool, float)):
-            raise TypeError(f"coefficient {coeff!r} is not exact; write it as a \"p/q\" string")
-        blade = tuple(indices)
+        c = _exact(coeff)
+        blade = tuple(_integer(i) for i in indices)
         if blade in terms:
             raise ValueError(f"blade {blade} appears twice")
         terms[blade] = c
@@ -42,7 +49,7 @@ def matrix_to_rows(m):
 def matrix_from_rows(rows, n):
     if len(rows) != n or any(len(row) != n for row in rows):
         raise ValueError(f"expected a {n} x {n} matrix")
-    return [[Fraction(x) for x in row] for row in rows]
+    return [[_exact(x) for x in row] for row in rows]
 
 
 def entry_to_dict(entry: ModelEntry) -> dict:
@@ -97,12 +104,15 @@ def _dimension(doc):
 
 
 def _coframe(doc, n):
-    d_coframe = [Form.zero(n, 2)] * n
+    d_coframe = {}
     for i, pairs in doc["coframe_d"]:
         if not 1 <= _integer(i) <= n:
             raise ValueError(f"coframe index {i} is outside 1..{n}")
-        d_coframe[i - 1] = form_from_pairs(pairs, n, 2)
-    return d_coframe
+        d = form_from_pairs(pairs, n, 2)
+        if i in d_coframe:
+            raise ValueError(f"coframe index {i} is listed twice")
+        d_coframe[i] = d
+    return [d_coframe.get(i, Form.zero(n, 2)) for i in range(1, n + 1)]
 
 
 def _structure(s, model):

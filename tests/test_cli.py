@@ -420,10 +420,14 @@ def test_registry_model_outputs_are_pinned(capsys):
         assert (code, digest) == _REGISTRY_OUTPUTS[" ".join(command)], command
 
 
-def _abelian5_text(edit):
-    doc = entry_to_dict(registry()["abelian5"])
+def _model_text(name, edit):
+    doc = entry_to_dict(registry()[name])
     edit(doc)
     return json.dumps(doc)
+
+
+def _abelian5_text(edit):
+    return _model_text("abelian5", edit)
 
 
 @pytest.mark.parametrize("text, field", [
@@ -443,9 +447,24 @@ def _abelian5_text(edit):
      "field coframe_d: coefficient 0.1 is not exact"),
     (_abelian5_text(lambda d: d["coframe_d"].append([5, [[[1, 2], "1"], [[1, 2], "2"]]])),
      "field coframe_d: blade (1, 2) appears twice"),
+    (_abelian5_text(lambda d: d.update(coframe_d=[[3, [[[True, 2], "1"]]]])),
+     "field coframe_d: True is not an integer"),
+    (_abelian5_text(lambda d: d.update(coframe_d=[[3, [[[1.0, 2], "1"]]]])),
+     "field coframe_d: 1.0 is not an integer"),
+    (_abelian5_text(lambda d: d["structure"]["phi"][0].__setitem__(1, True)),
+     "field structure: coefficient True is not exact"),
+    (_abelian5_text(lambda d: d["structure"]["phi"][0].__setitem__(1, 1.0)),
+     "field structure: coefficient 1.0 is not exact"),
+    (_model_text("abelian6", lambda d: d["structure"]["J"][0].__setitem__(1, True)),
+     "field structure: coefficient True is not exact"),
+    (_model_text("abelian6", lambda d: d["structure"]["J"][0].__setitem__(1, 1.0)),
+     "field structure: coefficient 1.0 is not exact"),
+    (_abelian5_text(lambda d: d.update(coframe_d=[[3, [[[1, 2], "1"]]], [3, []]])),
+     "field coframe_d: coframe index 3 is listed twice"),
 ], ids=["missing-dim", "descending-blade", "zero-denominator", "invalid-json", "dim-9",
         "float-dim", "bool-dim", "list-name", "infinite-coefficient", "float-coefficient",
-        "duplicate-blade"])
+        "duplicate-blade", "bool-blade-index", "float-blade-index", "bool-phi-entry",
+        "float-phi-entry", "bool-j-entry", "float-j-entry", "repeated-coframe-index"])
 def test_cli_malformed_model_file_is_an_input_error(tmp_path, monkeypatch, capsys,
                                                     text, field):
     path = tmp_path / "broken5.json"

@@ -5,7 +5,7 @@ import pytest
 
 from skewtor.errors import NoSkewConnection
 from skewtor.forms import Form, contract, hodge, inner, random_form, wedge
-from skewtor.g2 import (G2Structure, canonical_omega3, classify,
+from skewtor.g2 import (G2Structure, _wedge_sums, canonical_omega3, classify,
                         codiff_identity, derivation_constant_identities,
                         dw3_decomposition_identity, nearly_parallel_identities,
                         pr_g2, pr_m, project2, project3, ricci_flat_conditions,
@@ -13,7 +13,11 @@ from skewtor.g2 import (G2Structure, canonical_omega3, classify,
                         torsion_component_identity, torsion_form)
 from skewtor.liegeom import (LieModel, codiff, curvature, d_form,
                              nabla_form, with_torsion)
+from skewtor.linalg import Tensor
 from skewtor.registry import registry
+
+from g2_reference import (classify_by_loops, constant_identities_by_loops,
+                          contraction_sums, ricci_by_loops)
 
 
 W3 = canonical_omega3()
@@ -66,7 +70,7 @@ def test_classify_and_torsion_contract(name, pure27):
     cls = classify(s)
     assert cls.admits_connection()
     assert cls.lam == 0
-    assert not any(cls.beta)
+    assert cls.beta.is_zero()
     assert cls.gamma27.is_zero() != pure27
     assert wedge(cls.gamma27, W3).is_zero()
     assert wedge(cls.gamma27, SW3).is_zero()
@@ -83,13 +87,12 @@ def test_vector_type_model():
     cls = classify(s)
     assert cls.admits_connection()
     assert cls.lam == 0
-    assert cls.beta == [Q(0)] * 6 + [Q(-4)]
+    assert cls.beta.vector_components() == [Q(0)] * 6 + [Q(-4)]
     assert cls.gamma27.is_zero()
     t = torsion_form(s)
     # pure vector type: T = -(1/4)(beta -| *w3)
-    beta_form = Form.from_vector(7, cls.beta)
     from skewtor.forms import interior
-    assert t == interior(beta_form, SW3).scale(Q(-1, 4))
+    assert t == interior(cls.beta, SW3).scale(Q(-1, 4))
     conn = with_torsion(s.model, t)
     assert all(nabla_form(conn, i, W3).is_zero() for i in range(1, 8))
     assert ricci_via_dt(s, t) == curvature(conn).ric
@@ -103,7 +106,7 @@ def test_nonzero_scaling_component_model():
     cls = classify(s)
     assert cls.admits_connection()
     assert cls.lam == Q(-2, 7)
-    assert not any(cls.beta)
+    assert cls.beta.is_zero()
     t = torsion_form(s)
     conn = with_torsion(s.model, t)
     assert all(nabla_form(conn, i, W3).is_zero() for i in range(1, 8))
@@ -221,3 +224,54 @@ def test_ricci_flat_conditions_consistency():
     t = torsion_form(heis)
     e = lambda *ix, c=1: Form.blade(7, *ix, coeff=c)
     assert d_form(heis.model, t) == e(1, 3, 6, 7, c=-4)
+
+
+# ---------------------------------------------------------------------------
+# the dense contractions against the per-entry Fraction loops they replaced
+# ---------------------------------------------------------------------------
+
+def _scaled(model, c):
+    """The rational homothety de_i -> c de_i; d^2 = 0 is quadratic, so Jacobi still holds."""
+    return LieModel(7, [d.scale(c) for d in model.d_coframe], name=f"{model.name}*{c}")
+
+
+_OBSTRUCTED = {
+    "mixed": [Form(7, 2, {(i, 7): Q(w)}) for i, w in zip(range(1, 7), (1, 1, 2, 2, 3, 3))]
+    + [Form(7, 2)],
+    "obstructed": [Form(7, 2)] * 6 + [Form(7, 2, {(1, 3): Q(1)})],
+}
+
+
+@pytest.mark.parametrize("c", [1, 2, -1, Q(1, 3)])
+@pytest.mark.parametrize("name", ["abelian7", "heis7", "hyper7", "solv7", "mixed", "obstructed"])
+def test_classify_and_ricci_match_fraction_loops(name, c):
+    base = (LieModel(7, _OBSTRUCTED[name], name=name) if name in _OBSTRUCTED
+            else registry()[name].model)
+    s = G2Structure(_scaled(base, c))
+    lam, beta, gamma, obstruction = classify_by_loops(s)
+    cls = classify(s)
+    assert cls.lam == lam
+    assert cls.beta.vector_components() == beta
+    assert cls.obstruction14 == obstruction
+    assert cls.admits_connection() == (name not in _OBSTRUCTED)
+    assert cls.gamma27 == (hodge(d_form(s.model, W3)) + W3.scale(lam)
+                           - hodge(wedge(Form.from_vector(7, beta), W3)).scale(Q(3, 4)))
+    # the contraction formula entry for entry, also off the characteristic torsion,
+    # where the table is not symmetric
+    torsions = [torsion_form(s)] if cls.admits_connection() else []
+    for t in torsions + [random_form(7, 3, random.Random(7))]:
+        assert ricci_via_dt(s, t) == ricci_by_loops(s, t)
+
+
+def test_constant_identities_match_fraction_loops():
+    assert derivation_constant_identities() == constant_identities_by_loops()
+    # the wedge sums, family member by family member
+    w = Tensor.of_form(W3)
+    sums = [contraction_sums(lambda j, b=b: wedge(Form.basis_vector(7, b),
+                                                 Form.basis_vector(7, j)))[1]
+            for b in range(1, 8)]
+    assert _wedge_sums(Tensor.einsum("ibj->bij", w)) == sums
+    span = spanning_27()
+    c_gamma = Tensor.einsum("kjab,iab->kij", Tensor.of_forms(span), w) * Q(1, 2)
+    assert _wedge_sums(c_gamma) == [contraction_sums(lambda j, g=g: contract(g, j))[1]
+                                    for g in span]
