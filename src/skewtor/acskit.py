@@ -9,14 +9,14 @@ pack of the 6-dimensional nearly Kaehler algebra.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .equivar import full_column_rank_certificate
 from .errors import DegreeError, NoSkewConnection, StructureError
 from .forms import Form, all_blades, blade_tensors, interior, sigma_t, wedge
-from .liegeom import (LieModel, curvature, d_form, levi_civita,
-                      tt_contraction, with_torsion)
+from .liegeom import LieModel, SkewTorsionStructure, d_form, tt_contraction
 from .linalg import Tensor, int_matmul
 
 Q = Fraction
@@ -28,7 +28,7 @@ def _nabla_endo(conn, phi):
     return ein("lj,ilk->ijk", phi, conn.omega) - ein("ijl,kl->ijk", conn.omega, phi)
 
 
-class _EndoStructure:
+class _EndoStructure(SkewTorsionStructure):
     """A metric structure given by an endomorphism `phi` of the invariant frame.
 
     `phi` is the contact endomorphism or the almost complex structure J, a
@@ -40,9 +40,19 @@ class _EndoStructure:
     def n(self):
         return self.model.n
 
+    @cached_property
+    def nijenhuis(self) -> "NijTensor":
+        """The integrability tensor, built once by the module function `nijenhuis`."""
+        return nijenhuis(self)
+
     def fundamental_form(self) -> Form:
         """F(X,Y) = g(X, phi(Y)) as a 2-form."""
         return self.phi.to_form()
+
+    @cached_property
+    def d_fundamental(self) -> Form:
+        """dF, computed once."""
+        return d_form(self.model, self.fundamental_form())
 
 
 class AlmostContact(_EndoStructure):
@@ -81,13 +91,18 @@ class AlmostContact(_EndoStructure):
 
     def killing_matrix(self) -> Tensor:
         """K[i, j] = g(nabla^g_{e_i} xi, e_j); xi is Killing iff K is skew."""
-        return levi_civita(self.model).nabla_vector(self.xi)
+        return self.model.levi_civita.nabla_vector(self.xi)
 
     def xi_is_killing(self) -> bool:
-        k = self.killing_matrix()
-        return k == -ein("ij->ji", k)
+        """Whether ad_xi, A[i, j] = g([xi, e_i], e_j), is skew.
 
-    def characteristic_torsion(self) -> Form:
+        K + K^T = -(A + A^T), so this is the skewness of `killing_matrix`
+        read from the brackets, without the Levi-Civita connection.
+        """
+        ad = ein("k,kij->ij", self.xi, self.model.c)
+        return ad == -ein("ij->ji", ad)
+
+    def _torsion(self) -> Form:
         return contact_torsion(self)
 
 
@@ -111,7 +126,7 @@ class AlmostHermitian(_EndoStructure):
     # Omega(X,Y) = g(X, J(Y))
     kaehler_form = _EndoStructure.fundamental_form
 
-    def characteristic_torsion(self) -> Form:
+    def _torsion(self) -> Form:
         return hermitian_torsion(self)
 
 
@@ -166,16 +181,13 @@ def contact_torsion(s: AlmostContact) -> Form:
     T = eta ^ d(eta) + d^phi F + N - eta ^ (xi -| N), defined when N is
     totally skew and xi is a Killing field.
     """
-    nij = nijenhuis(s)
+    nij = s.nijenhuis
     if not nij.totally_skew:
         raise NoSkewConnection("nijenhuis-not-skew")
     if not s.xi_is_killing():
         raise NoSkewConnection("xi-not-killing")
-    model = s.model
     d_eta = s.d_eta()
-    f = s.fundamental_form()
-    df = d_form(model, f)
-    dphi_f = -pullback3(df, s.phi)
+    dphi_f = -pullback3(s.d_fundamental, s.phi)
     n_form = nij.as_form()
     # xi -| N contracts with xi through its metric dual eta
     t = (wedge(s.eta, d_eta) + dphi_f + n_form
@@ -188,12 +200,10 @@ def hermitian_torsion(s: AlmostHermitian) -> Form:
 
     T(X,Y,Z) = -d(Omega)(JX, JY, JZ) + N(X,Y,Z); exists iff N is a 3-form.
     """
-    nij = nijenhuis(s)
+    nij = s.nijenhuis
     if not nij.totally_skew:
         raise NoSkewConnection("nijenhuis-not-skew")
-    omega = s.kaehler_form()
-    d_omega = d_form(s.model, omega)
-    return -pullback3(d_omega, s.phi) + nij.as_form()
+    return -pullback3(s.d_fundamental, s.phi) + nij.as_form()
 
 
 def torsion_uniqueness_certificate(s) -> bool:
@@ -229,9 +239,9 @@ def _uniqueness_response(s):
     return matrix.reshape(len(blades), -1).T
 
 
-def structure_parallel_residuals(s, t: Form):
-    """Max residuals of nabla g = nabla (eta, xi, phi | J) = 0 under the torsion connection."""
-    conn = with_torsion(s.model, t)
+def structure_parallel_residuals(s):
+    """Max residuals of nabla g = nabla (eta, xi, phi | J) = 0 under the structure's connection."""
+    conn = s.connection
     res = _nabla_endo(conn, s.phi).max_abs()
     if isinstance(s, AlmostContact):
         res = max(res, conn.nabla_vector(s.xi).max_abs())
@@ -247,13 +257,12 @@ def structure_parallel_residuals(s, t: Form):
 
 def contact_general_identities(s: AlmostContact) -> dict:
     """The five displayed compatibility identities; values are max residuals."""
-    model = s.model
-    lc = levi_civita(model)
+    lc = s.model.levi_civita
     p, xi = s.phi, s.xi
     eta = xi    # in the orthonormal frame the metric dual has the same components
-    df = Tensor.of_form(d_form(model, s.fundamental_form()))
+    df = Tensor.of_form(s.d_fundamental)
     de = Tensor.of_form(s.d_eta())
-    nij = nijenhuis(s).table
+    nij = s.nijenhuis.table
     nabla_phi = _nabla_endo(lc, p)
     nabla_eta = lc.nabla_vector(eta)
 
@@ -281,9 +290,9 @@ def nijenhuis_gradient_identities(s: AlmostContact) -> dict:
     """Both displayed reconstructions of dF^- and N from covariant data."""
     p = s.phi
     eta = s.xi
-    df = Tensor.of_form(d_form(s.model, s.fundamental_form()))
-    nij = nijenhuis(s).table
-    nabla_phi = _nabla_endo(levi_civita(s.model), p)
+    df = Tensor.of_form(s.d_fundamental)
+    nij = s.nijenhuis.table
+    nabla_phi = _nabla_endo(s.model.levi_civita, p)
     killing = s.killing_matrix()
 
     df_minus = (ein("xab,ay,bz->xyz", df, p, p) + ein("ayb,ax,bz->xyz", df, p, p)
@@ -299,13 +308,10 @@ def nijenhuis_gradient_identities(s: AlmostContact) -> dict:
 
 def nijenhuis_xi_identities(s: AlmostContact) -> dict:
     """The chained equalities along the Reeb direction (requires skew N, Killing xi)."""
-    nij = nijenhuis(s)
-    if not nij.totally_skew:
-        raise NoSkewConnection("nijenhuis-not-skew")
-    if not s.xi_is_killing():
-        raise NoSkewConnection("xi-not-killing")
+    s.torsion   # raises NoSkewConnection unless N is skew and xi Killing
+    nij = s.nijenhuis
     p, xi = s.phi, s.xi
-    df = Tensor.of_form(d_form(s.model, s.fundamental_form()))
+    df = Tensor.of_form(s.d_fundamental)
     de = Tensor.of_form(s.d_eta())
     # N(phi X, Y, xi) = N(X, phi Y, xi) = N2(X, Y) = dF(X, Y, xi) = -dF(phi X, phi Y, xi)
     common = ein("ayc,ax,c->xy", nij.table, p, xi)
@@ -322,7 +328,7 @@ def nijenhuis_xi_identities(s: AlmostContact) -> dict:
 # Ricci forms and the holonomy-reduction identities
 # ---------------------------------------------------------------------------
 
-def ricci_form_package(s, t: Form):
+def ricci_form_package(s):
     """(rho, torsion one-form, dT contraction) of the characteristic connection.
 
     For contact input the one-form is omega(X) = -(1/2) sum T(X, e_i, phi e_i);
@@ -331,26 +337,25 @@ def ricci_form_package(s, t: Form):
     is the normalization under which the Ricci-form identity and the Sasakian
     value 16(1-k)F hold exactly (the test suite pins both).
     """
-    p = s.phi
-    rho = ein("ai,xyia->xy", p, curvature(with_torsion(s.model, t)).r) * Q(1, 2)
-    lam = ein("ai,xyia->xy", p, Tensor.of_form(d_form(s.model, t)))
-    one_form = ein("ai,xia->x", p, Tensor.of_form(t)) * Q(-1, 2)
+    p, conn = s.phi, s.connection
+    rho = ein("ai,xyia->xy", p, conn.curvature.r) * Q(1, 2)
+    lam = ein("ai,xyia->xy", p, Tensor.of_form(conn.dt))
+    one_form = ein("ai,xia->x", p, Tensor.of_form(s.torsion)) * Q(-1, 2)
     if isinstance(s, AlmostHermitian):
         one_form = ein("bx,b->x", p, one_form)
     return rho, one_form, lam
 
 
-def holonomy_reduction_residual(s, t: Form):
+def holonomy_reduction_residual(s):
     """Residual of the Ricci-form identity; also reports whether rho vanishes.
 
     Contact: rho(X,Y) = Ric(X, phi Y) - (nabla_X omega)(Y) + lambda(X,Y)/4.
     Hermitian: rho(X,Y) = Ric(X, J Y) + (nabla_X theta)(J Y) + lambda(X,Y)/4.
     """
-    p = s.phi
-    conn = with_torsion(s.model, t)
-    rho, one_form, lam = ricci_form_package(s, t)
+    p, conn = s.phi, s.connection
+    rho, one_form, lam = ricci_form_package(s)
     nabla_w = conn.nabla_vector(one_form)
-    rhs = ein("ay,xa->xy", p, curvature(conn).ric) + lam * Q(1, 4)
+    rhs = ein("ay,xa->xy", p, conn.curvature.ric) + lam * Q(1, 4)
     if isinstance(s, AlmostContact):
         rhs = rhs - nabla_w
     else:
@@ -364,12 +369,11 @@ def sasakian_ricci_package(s: AlmostContact) -> dict:
         raise StructureError("package stated for contact metric structures")
     n = s.n
     k = (n - 1) // 2
-    t = contact_torsion(s)
+    t = s.torsion
     if t != wedge(s.eta, s.d_eta()):
         raise StructureError("Sasakian torsion must be eta ^ d eta")
-    model = s.model
-    conn = with_torsion(model, t)
-    rho, one_form, lam = ricci_form_package(s, t)
+    conn = s.connection
+    rho, one_form, lam = ricci_form_package(s)
     one = Tensor.identity(n)
     eta = s.xi
     eta2 = ein("x,y->xy", eta, eta)
@@ -380,12 +384,11 @@ def sasakian_ricci_package(s: AlmostContact) -> dict:
     out["tt-contraction"] = ttc == one * 8 + eta2 * (8 * (k - 1))
     ric_target = (one - eta2) * (4 * (k - 1))
     ricg_target = one * (2 * (2 * k - 1)) - eta2 * (2 * (k - 1))
-    out["ricci-condition-holds"] = curvature(conn).ric == ric_target
-    out["riemannian-condition-holds"] = curvature(levi_civita(model)).ric == ricg_target
+    out["ricci-condition-holds"] = conn.curvature.ric == ric_target
+    out["riemannian-condition-holds"] = s.model.levi_civita.curvature.ric == ricg_target
     # the two conditions are equivalent through Ric^g = Ric^nabla + TT/4
     out["conditions-equivalent"] = ric_target + ttc * Q(1, 4) == ricg_target
-    dt = d_form(model, t)
-    out["integrability-scale"] = Q(1, 2) * dt.eval(1, 2, 3, 4)
+    out["integrability-scale"] = Q(1, 2) * conn.dt.eval(1, 2, 3, 4)
     out["matches-4(k-1)"] = out["integrability-scale"] == 4 * (k - 1)
     return out
 
@@ -399,8 +402,7 @@ def tanno_deform(s: AlmostContact, a2) -> AlmostContact:
     a2 = Q(a2)
     if a2 <= 0:
         raise StructureError("deformation parameter must be positive")
-    t = contact_torsion(s)
-    if t != wedge(s.eta, s.d_eta()):
+    if s.torsion != wedge(s.eta, s.d_eta()):
         raise StructureError("deformation defined for Sasakian input")
     n, xi_index = s.n, s.xi_index
     weights = [2 if i == xi_index - 1 else 1 for i in range(n)]

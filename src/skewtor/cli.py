@@ -11,7 +11,6 @@ from functools import lru_cache
 from . import clifford, g2
 from .errors import NoSkewConnection, SkewtorError
 from .formexpr import parse_form, parse_homogeneous, render_form
-from .liegeom import curvature, with_torsion
 from .modelfile import entry_to_dict, find_model
 from .registry import registry
 from .reporting import fmt
@@ -80,23 +79,19 @@ def cmd_verify(args):
     return 0 if report.ok else 1
 
 
-def cmd_torsion(args):
+def cmd_characteristic(args):
+    """`torsion` prints the structure's torsion, `ricci` the Ricci table of its connection."""
     entry = find_model(args.model)
+    if entry.structure is None:
+        return _fail(f"model '{entry.name}' carries no structure")
     try:
-        t = entry.characteristic_torsion()
+        t = entry.structure.torsion
     except NoSkewConnection as err:
         return _fail(f"no compatible connection with skew torsion ({err.reason})", 1)
-    print(f"T = {render_form(t)}")
-    return 0
-
-
-def cmd_ricci(args):
-    entry = find_model(args.model)
-    try:
-        t = entry.characteristic_torsion()
-    except NoSkewConnection as err:
-        return _fail(f"no compatible connection with skew torsion ({err.reason})", 1)
-    table = curvature(with_torsion(entry.model, t))
+    if args.command == "torsion":
+        print(f"T = {render_form(t)}")
+        return 0
+    table = entry.structure.connection.curvature
     print("Ric (characteristic connection):")
     for row in table.ric:
         print("  [" + ", ".join(fmt(x) for x in row) + "]")
@@ -186,7 +181,7 @@ def main(argv=None):
         parser.print_help()
         return 2
     handlers = {"models": cmd_models, "verify": cmd_verify,
-                "torsion": cmd_torsion, "ricci": cmd_ricci,
+                "torsion": cmd_characteristic, "ricci": cmd_characteristic,
                 "decompose": cmd_decompose, "spin-eig": cmd_spin_eig}
     try:
         return handlers[args.command](args)

@@ -22,8 +22,9 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import StructureError
-from .forms import Form, contract, derivation, inner, interior, so_action, wedge
-from .g2 import canonical_omega3
+from .forms import (Form, blade_tensors, contract, derivation, inner, interior,
+                    so_action, wedge)
+from .g2 import _projectors, canonical_omega3, project3, spanning_27
 from .linalg import (Tensor, certified_eigenspace_dims, certify_annihilation,
                      int_abs_max, int_matmul, krylov_min_poly, nullspace, rank,
                      rank_mod_p, rational_roots, solve, _PRIMES)
@@ -210,10 +211,6 @@ class Spaces:
         for k in range(len(self.algebra.basis)):
             yield self._action(space, k)
 
-    def dimension(self, space: str) -> int:
-        return {"lambda1": 7, "lambda2": 21, "lambda3": 35, "lambda4": 35,
-                "r7_m": 49, "r7_g2": 98, "r7_s2": 196}[space]
-
     def casimir(self, space: str):
         """Integer matrix C' = L * Casimir plus the exact scale L.
 
@@ -224,11 +221,10 @@ class Spaces:
         """
         if space in self._cache:
             return self._cache[space]
-        n = self.dimension(space)
-        total, scale = np.zeros((n, n), dtype=np.int64), 1
-        for (rho, d), norm in zip(self.generators(space), self.algebra.norms):
-            weight = d * d * int(norm)
-            sq = int_matmul(rho, rho)
+        terms = ((int_matmul(rho, rho), d * d * int(norm))
+                 for (rho, d), norm in zip(self.generators(space), self.algebra.norms))
+        total, scale = next(terms)
+        for sq, weight in terms:
             grown = lcm(scale, weight)
             k, f = grown // scale, grown // weight
             if (total.dtype == object or sq.dtype == object
@@ -264,7 +260,6 @@ class Spaces:
         lam14 = _eigen_scalar(Tensor(c2), Tensor(xi.num, xi.den))
         table["14"] = lam14 / s2
 
-        from .g2 import project3
         probe = project3(Form.blade(7, 1, 2, 3))[2]
         lam27 = _eigen_scalar(c3, Tensor(probe.num, probe.den))
         table["27"] = lam27 / s3
@@ -317,7 +312,7 @@ def casimir_spectrum(space: str):
     """Certified (eigenvalue, dimension) pairs of the Casimir on a module."""
     sp = spaces()
     cmat, scale = sp.casimir(space)
-    n = sp.dimension(space)
+    n = len(cmat)
 
     def matvec(v):
         return int_matmul(cmat, v).tolist()
@@ -454,29 +449,41 @@ def rank_certificates():
     return out
 
 
-def _symmetrized(parts):
-    """The Tensor [x, y, z] -> p_z(x, y) + p_y(x, z) of seven 2-forms p_1 .. p_7."""
-    t = Tensor.of_forms(parts)
-    return Tensor.einsum("zxy->xyz", t) + Tensor.einsum("yxz->xyz", t)
+def _coefficients(table) -> Tensor:
+    """The [case, k, blade] coefficients of a table of 2-forms."""
+    den = lcm(*(f.den for row in table for f in row))
+    return Tensor([[[x * (den // f.den) for x in f.num] for f in row] for row in table], den)
+
+
+def _pr_m(coeffs) -> Tensor:
+    """pr_m of every row of [case, k, blade] coefficients, by the cached 21 x 21 projector."""
+    return Tensor.einsum("ckb,ab->cka", coeffs, _projectors(2)[0])
+
+
+def _symmetrized(coeffs):
+    """[case, x, y, z] -> p_z(x, y) + p_y(x, z) of [case, k, blade] coefficients of 2-forms p_k."""
+    t = Tensor.einsum("ckb,bxy->ckxy", coeffs, Tensor(blade_tensors(7, 2).astype(object)))
+    return Tensor.einsum("czxy->cxyz", t) + Tensor.einsum("cyxz->cxyz", t)
 
 
 def sigma0_constant():
-    """Exact proportionality constant between Phi(Sigma_0(.)) and Psi on vector types."""
-    from .g2 import pr_g2
+    """Exact proportionality constant between Phi(Sigma_0(.)) and Psi on vector types.
+
+    On the vector type of e_g, Sigma_0(Y) = pr_g2(e_g ^ Y) and the embedded
+    Gamma(Y) = (A_kappa Y) -| w3 with kappa = e_g -| w3; all seven g at once.
+    """
     w3 = canonical_omega3()
-    constant = None
-    for g in range(1, 8):
-        gamma, kappa = Form.basis_vector(7, g), contract(w3, g)
-        phi = _symmetrized([pr_g2(wedge(gamma, Form.basis_vector(7, y))) for y in range(1, 8)])
-        # Psi on the embedded vector type: Gamma(Y) = (A_kappa Y) -| w3
-        psi = _symmetrized([interior(contract(kappa, y), w3) for y in range(1, 8)])
-        if psi.is_zero():
-            raise StructureError("Psi vanishes on a vector type")
-        k = np.unravel_index(np.flatnonzero(psi.num)[0], psi.num.shape)
-        cand = phi[k] / psi[k]
-        if phi != psi * cand or constant not in (None, cand):
-            raise StructureError("map pair is not proportional")
-        constant = cand
+    e = [Form.basis_vector(7, k) for k in range(1, 8)]
+    sigma = _coefficients([[wedge(g, y) for y in e] for g in e])
+    phi = _symmetrized(sigma - _pr_m(sigma))
+    psi = _symmetrized(_coefficients([[interior(contract(contract(w3, g), y), w3)
+                                       for y in range(1, 8)] for g in range(1, 8)]))
+    if any(p.is_zero() for p in psi):
+        raise StructureError("Psi vanishes on a vector type")
+    k = np.unravel_index(np.flatnonzero(psi.num)[0], psi.num.shape)
+    constant = phi[k] / psi[k]
+    if phi != psi * constant:
+        raise StructureError("map pair is not proportional")
     return constant
 
 
@@ -487,19 +494,15 @@ def sigma_solution_identity():
     traceless part (embedded as (1/2) pr_m(. -| Gamma27));
     Sigma(Gamma)(Y) = -(1/2) pr_g2(Y -| Gamma27 - (1/4) beta ^ Y).  Both sides
     are linear in (beta, Gamma27), so the seven e_b and the whole of
-    `spanning_27()` prove it.
+    `spanning_27()` prove it, all at once as [case, Y, blade] coefficients.
     """
-    from .g2 import pr_g2, pr_m, spanning_27
     cases = ([(Form.zero(7, 1), gamma27) for gamma27 in spanning_27()]
              + [(Form.basis_vector(7, b), Form.zero(7, 3)) for b in range(1, 8)])
-    for beta, gamma27 in cases:
-        sig = []
-        emb = []
-        for y in range(1, 8):
-            arg = contract(gamma27, y) - wedge(beta, Form.basis_vector(7, y)).scale(Q(1, 4))
-            sig.append(pr_g2(arg).scale(Q(-1, 2)))
-            emb.append(pr_m(wedge(beta, Form.basis_vector(7, y))).scale(Q(1, 4))
-                       + pr_m(contract(gamma27, y)).scale(Q(1, 2)))
-        if _symmetrized(sig) != _symmetrized(emb):
-            return False
-    return True
+    contracted = _coefficients([[contract(gamma27, y) for y in range(1, 8)]
+                                for _, gamma27 in cases])
+    wedged = _coefficients([[wedge(beta, Form.basis_vector(7, y)) for y in range(1, 8)]
+                            for beta, _ in cases])
+    arg = contracted - wedged * Q(1, 4)
+    sig = (arg - _pr_m(arg)) * Q(-1, 2)
+    emb = _pr_m(wedged * Q(1, 4) + contracted * Q(1, 2))
+    return _symmetrized(sig) == _symmetrized(emb)

@@ -15,8 +15,8 @@ from functools import cached_property, lru_cache
 from .errors import DegreeError, NoSkewConnection, StructureError
 from .forms import (Form, all_blades, contract, hodge, inner, interior,
                     sigma_t, so_action, wedge)
-from .liegeom import (LieModel, codiff, curvature, d_form, levi_civita,
-                      nabla_form, tt_contraction, with_torsion)
+from .liegeom import (ConnectionData, LieModel, SkewTorsionStructure, codiff, d_form,
+                      nabla_form, tt_contraction)
 from .linalg import Tensor
 
 Q = Fraction
@@ -28,7 +28,7 @@ def canonical_omega3() -> Form:
             + f(3, 4, 7) + f(5, 6, 7))
 
 
-class G2Structure:
+class G2Structure(SkewTorsionStructure):
     """A 7-dimensional model carrying the canonical positive 3-form (an adapted frame)."""
 
     kind = "g2"
@@ -45,7 +45,7 @@ class G2Structure:
         """The intrinsic-derivative components, classified once per structure."""
         return classify(self)
 
-    def characteristic_torsion(self) -> Form:
+    def _torsion(self) -> Form:
         return torsion_form(self)
 
 
@@ -141,7 +141,7 @@ def classify(s: G2Structure) -> TorsionClass:
     big_w, big_s = _dense()
     dw3 = d_form(model, w3)
     lam = Q(-1, 7) * inner(dw3, s.star_omega3)
-    lc = levi_civita(model)
+    lc = model.levi_civita
     nab = Tensor.of_forms([nabla_form(lc, i, w3) for i in range(1, 8)])
     beta = (ein("jjab,iab->i", nab, big_w) * Q(1, 6)).to_form()
     gamma27 = hodge(dw3) + w3.scale(lam) - hodge(wedge(beta, w3)).scale(Q(3, 4))
@@ -170,16 +170,14 @@ def torsion_form(s: G2Structure) -> Form:
             + hodge(wedge(cls.beta, w3)))
 
 
-def ricci_via_dt(s: G2Structure, t: Form) -> Tensor:
-    """Ricci tensor of the characteristic connection from the contraction formula.
+def ricci_via_dt(conn: ConnectionData) -> Tensor:
+    """Ricci tensor of a 7-dimensional torsion connection from the contraction formula.
 
     Ric(e_i) = (1/2) sum_j (e_i -| dT + 2 nabla_{e_i} T, e_j -| *w3) e_j,
     that is (1/12) (dT + 2 nabla T)_iabc S_jabc.
     """
-    conn = with_torsion(s.model, t)
-    nab_t = Tensor.of_forms([nabla_form(conn, i, t) for i in range(1, 8)])
-    dt = Tensor.of_form(d_form(s.model, t))
-    return Tensor.einsum("iabc,jabc->ij", dt + nab_t * 2, _dense()[1]) * Q(1, 12)
+    dt = Tensor.of_form(conn.dt)
+    return Tensor.einsum("iabc,jabc->ij", dt + conn.nabla_t * 2, _dense()[1]) * Q(1, 12)
 
 
 def torsion_component_identity(s: G2Structure) -> bool:
@@ -187,7 +185,7 @@ def torsion_component_identity(s: G2Structure) -> bool:
     cls = s.torsion_class
     rhs = (s.omega3.scale(-cls.lam / 6) - cls.gamma27
            - interior(cls.beta, s.star_omega3).scale(Q(1, 4)))
-    return torsion_form(s) == rhs
+    return s.torsion == rhs
 
 
 def dw3_decomposition_identity(s: G2Structure) -> bool:
@@ -200,7 +198,7 @@ def dw3_decomposition_identity(s: G2Structure) -> bool:
 
 def codiff_identity(s: G2Structure) -> bool:
     """delta(w3) = -(beta -| w3)."""
-    return codiff(s.model, s.omega3) == -interior(s.torsion_class.beta, s.omega3)
+    return codiff(s.model.levi_civita, s.omega3) == -interior(s.torsion_class.beta, s.omega3)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +312,7 @@ def nearly_parallel_identities(lam) -> dict:
     return out
 
 
-def ricci_flat_conditions(s: G2Structure, t: Form) -> dict:
+def ricci_flat_conditions(s: G2Structure) -> dict:
     """The equivalent vanishing conditions for the characteristic Ricci tensor.
 
     Reports each condition separately plus their mutual consistency; for the
@@ -324,17 +322,14 @@ def ricci_flat_conditions(s: G2Structure, t: Form) -> dict:
     cls = s.torsion_class
     if not cls.beta.is_zero():
         raise StructureError("conditions stated for coclosed structures only")
-    conn = with_torsion(model, t)
-    table = curvature(conn)
-    dt = d_form(model, t)
-    delta_t = codiff(model, t)
+    conn = s.connection
     dw3 = d_form(model, s.omega3)
     cubic = d_form(model, hodge(dw3)) + dw3.scale(Q(7, 6) * cls.lam)
     wedge_id = wedge(hodge(dw3) + s.omega3.scale(Q(7, 6) * cls.lam), dw3)
     conditions = {
-        "ricci-vanishes": table.ric.is_zero(),
-        "torsion-closed": dt.is_zero(),
-        "torsion-coclosed": delta_t.is_zero(),
+        "ricci-vanishes": conn.curvature.ric.is_zero(),
+        "torsion-closed": conn.dt.is_zero(),
+        "torsion-coclosed": conn.delta_t.is_zero(),
         "cubic-equation": cubic.is_zero(),
     }
     conditions["consistent"] = (conditions["ricci-vanishes"]

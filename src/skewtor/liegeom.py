@@ -9,9 +9,10 @@ over the structure constants.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .clifford import GammaRep, act_form, common_kernel
-from .errors import DegreeError, DimensionMismatch, StructureError
+from .errors import DegreeError, DimensionMismatch, NoSkewConnection, StructureError
 from .forms import Form, contract, derivation, sigma_t, wedge
 from .linalg import Tensor
 
@@ -39,6 +40,11 @@ class LieModel:
     def jacobi_residuals(self):
         return [d_form(self, d) for d in self.d_coframe]
 
+    @cached_property
+    def levi_civita(self) -> "ConnectionData":
+        """The Levi-Civita connection, built once by the module function `levi_civita`."""
+        return levi_civita(self)
+
     def bracket(self, i, j):
         """[e_i, e_j] as a coefficient list."""
         return list(self.c[i - 1, j - 1])
@@ -55,14 +61,41 @@ def d_form(model: LieModel, a: Form) -> Form:
 
 
 class ConnectionData:
-    """Metric connection coefficients omega[i, j, k] = g(nabla_{e_i} e_j, e_k), 0-based."""
+    """Metric connection coefficients omega[i, j, k] = g(nabla_{e_i} e_j, e_k), 0-based.
 
-    def __init__(self, model, omega, source):
+    `torsion` is the totally skew torsion 3-form, None for Levi-Civita.  The
+    curvature table and, for a torsion connection, dT, delta(T) and the
+    stacked nabla T are computed on first use and shared by every reader;
+    none of them may be written into.  Each cache calls its module function
+    by name at call time, so a wrapper installed on the module sees the call.
+    """
+
+    def __init__(self, model, omega, torsion=None):
         self.model = model
         self.omega = omega           # Tensor of shape (n, n, n)
-        self.source = source         # "levi-civita" or "torsion"
+        self.torsion = torsion
+        self.source = "levi-civita" if torsion is None else "torsion"   # keys bench/spans.py
         if omega != -Tensor.einsum("ijk->ikj", omega):
             raise StructureError("connection is not metric")
+
+    @cached_property
+    def curvature(self) -> "CurvatureTable":
+        return curvature(self)
+
+    @cached_property
+    def dt(self) -> Form:
+        return d_form(self.model, self.torsion)
+
+    @cached_property
+    def delta_t(self) -> Form:
+        """The Levi-Civita codifferential of the torsion."""
+        return codiff(self.model.levi_civita, self.torsion)
+
+    @cached_property
+    def nabla_t(self) -> Tensor:
+        """[i, a, b, c] = (nabla_{e_i} T)(e_a, e_b, e_c)."""
+        return Tensor.of_forms([nabla_form(self, i, self.torsion)
+                                for i in range(1, self.model.n + 1)])
 
     def nabla_vector(self, v) -> Tensor:
         """[i, k]: the coefficients of nabla_{e_i} of an invariant vector field v."""
@@ -77,7 +110,7 @@ def levi_civita(model: LieModel) -> ConnectionData:
     """Unique metric torsion-free connection of the invariant orthonormal frame."""
     c = model.c
     omega = (c - Tensor.einsum("jki->ijk", c) + Tensor.einsum("kij->ijk", c)) * Q(1, 2)
-    return ConnectionData(model, omega, "levi-civita")
+    return ConnectionData(model, omega)
 
 
 def with_torsion(model: LieModel, t: Form) -> ConnectionData:
@@ -86,10 +119,40 @@ def with_torsion(model: LieModel, t: Form) -> ConnectionData:
         raise DegreeError("torsion must be a 3-form")
     if t.n != model.n:
         raise DimensionMismatch("torsion does not live on this model")
-    omega = levi_civita(model).omega + Tensor.of_form(t) * Q(1, 2)
-    conn = ConnectionData(model, omega, "torsion")
-    conn.torsion = t
-    return conn
+    return ConnectionData(model, model.levi_civita.omega + Tensor.of_form(t) * Q(1, 2), t)
+
+
+class SkewTorsionStructure:
+    """A metric structure, which carries at most one connection with totally skew torsion.
+
+    A subclass computes that torsion in `_torsion`, with the module function
+    of its kind, and raises NoSkewConnection when there is none.  `torsion`
+    runs it once, a failure included, and `connection` builds the connection
+    once.
+    """
+
+    @cached_property
+    def _torsion_or_error(self):
+        try:
+            return self._torsion()
+        except NoSkewConnection as err:
+            return err
+
+    def admits_connection(self) -> bool:
+        return not isinstance(self._torsion_or_error, NoSkewConnection)
+
+    @property
+    def torsion(self) -> Form:
+        """The characteristic torsion; raises NoSkewConnection when the structure has none."""
+        t = self._torsion_or_error
+        if isinstance(t, NoSkewConnection):
+            raise NoSkewConnection(t.reason, str(t))
+        return t
+
+    @cached_property
+    def connection(self) -> ConnectionData:
+        """The characteristic connection, with torsion `torsion`."""
+        return with_torsion(self.model, self.torsion)
 
 
 def nabla_form(conn: ConnectionData, i: int, a: Form) -> Form:
@@ -102,15 +165,13 @@ def nabla_form(conn: ConnectionData, i: int, a: Form) -> Form:
 
 def d_via_connection(model: LieModel, a: Form) -> Form:
     """d(a) = sum_i e_i ^ nabla^g_{e_i} a; agrees with the CE differential."""
-    lc, n = levi_civita(model), model.n
+    lc, n = model.levi_civita, model.n
     return sum((wedge(Form.basis_vector(n, i), nabla_form(lc, i, a)) for i in range(1, n + 1)),
                Form.zero(n, a.degree + 1))
 
 
-def codiff(model_or_conn, a: Form) -> Form:
-    """Codifferential -sum_i e_i -| nabla_{e_i} a (Levi-Civita by default)."""
-    conn = model_or_conn if isinstance(model_or_conn, ConnectionData) \
-        else levi_civita(model_or_conn)
+def codiff(conn: ConnectionData, a: Form) -> Form:
+    """Codifferential -sum_i e_i -| nabla_{e_i} a of a connection."""
     n = conn.model.n
     return -sum((contract(nabla_form(conn, i, a), i) for i in range(1, n + 1)),
                 Form.zero(n, max(a.degree - 1, 0)))
@@ -151,22 +212,21 @@ def tt_contraction(t: Form) -> Tensor:
 # curvature-identity verification (torsion connection against Levi-Civita)
 # ---------------------------------------------------------------------------
 
-def curvature_identity_residuals(model: LieModel, t: Form):
-    """Residuals of the six displayed torsion-curvature identities.
+def curvature_identity_residuals(conn: ConnectionData):
+    """Residuals of the six displayed torsion-curvature identities of a torsion connection.
 
     Returns a dict name -> max |residual| as Fractions (0 means the identity
     holds exactly on every index tuple).  Tensors are indexed [x, y, z, v].
     """
-    n = model.n
-    conn = with_torsion(model, t)
     ein = Tensor.einsum
+    t = conn.torsion
     tt = Tensor.of_form(t)
-    dt = Tensor.of_form(d_form(model, t))
+    dt = Tensor.of_form(conn.dt)
     sig = Tensor.of_form(sigma_t(t))
-    delta_t = codiff(model, t)
-    nab_t = Tensor.of_forms([nabla_form(conn, i, t) for i in range(1, n + 1)])
-    rt = curvature(conn)
-    rg = curvature(levi_civita(model))
+    delta_t = conn.delta_t
+    nab_t = conn.nabla_t
+    rt = conn.curvature
+    rg = conn.model.levi_civita.curvature
 
     cyclic = nab_t + ein("yzxv->xyzv", nab_t) + ein("zxyv->xyzv", nab_t)
     nab_v = ein("vxyz->xyzv", nab_t)
@@ -223,31 +283,28 @@ def parallel_spinors(conn: ConnectionData, rep: GammaRep):
 
 def lc_trace_vector(model: LieModel) -> Tensor:
     """V = sum_i nabla^g_{e_i} e_i (nonzero off unimodular-type models)."""
-    return Tensor.einsum("iik->k", levi_civita(model).omega)
+    return Tensor.einsum("iik->k", model.levi_civita.omega)
 
 
 class SpinorData:
-    """The spinor side of the torsion connection of (model, T), built once.
+    """The spinor side of a torsion connection, built once.
 
     The three identities below share the connection, its curvature, the spin
     connection Lambda_i, the Dirac operator D = sum_i Gamma_i Lambda_i and
     the torsion term sum_k (e_k -| T) . Lambda_k of both Dirac identities.
     """
 
-    def __init__(self, model: LieModel, t: Form, rep: GammaRep):
-        self.model, self.t, self.rep = model, t, rep
-        self.conn = with_torsion(model, t)
-        self.table = curvature(self.conn)
-        self.lams = spinor_connection(self.conn, rep)
+    def __init__(self, conn: ConnectionData, rep: GammaRep):
+        self.conn, self.rep = conn, rep
+        self.model, self.t = conn.model, conn.torsion
+        self.lams = spinor_connection(conn, rep)
         self.dirac = _sum_products(rep.gammas, self.lams)
-        self.dt = d_form(model, t)
-        self.delta_t = codiff(model, t)
         self.torsion_term = _sum_products(
-            [act_form(rep, contract(t, k)) for k in range(1, model.n + 1)], self.lams)
+            [act_form(rep, contract(self.t, k)) for k in range(1, self.model.n + 1)], self.lams)
         # (3/4) dT - (1/2) sigma^T + (1/2) delta(T) + Scal/4
-        self.field = act_form(rep, [self.dt.scale(Q(3, 4)) - sigma_t(t).scale(Q(1, 2)),
-                                    self.delta_t.scale(Q(1, 2)),
-                                    Form.scalar(model.n, self.table.scal / 4)])
+        self.field = act_form(rep, [conn.dt.scale(Q(3, 4)) - sigma_t(self.t).scale(Q(1, 2)),
+                                    conn.delta_t.scale(Q(1, 2)),
+                                    Form.scalar(self.model.n, conn.curvature.scal / 4)])
 
     def square_residual(self):
         """Matrix residual of the Dirac-square (Weitzenboeck) identity on invariant spinors.
@@ -270,7 +327,7 @@ class SpinorData:
         """Residual of D T + T D = dT + delta(T) - 2 sigma^T - 2 sum e_i-|T nabla_i."""
         tm = act_form(self.rep, self.t)
         lhs = self.dirac @ tm + tm @ self.dirac
-        rhs = act_form(self.rep, [self.dt, self.delta_t, sigma_t(self.t).scale(-2)])
+        rhs = act_form(self.rep, [self.conn.dt, self.conn.delta_t, sigma_t(self.t).scale(-2)])
         return lhs - (rhs - self.torsion_term * 2)
 
     def field_equations(self):
@@ -280,11 +337,11 @@ class SpinorData:
         Second: (1/2 X-|dT + nabla_X T - Ric(X)) psi = 0 for every coframe X.
         Returns the parallel spinors (as rows) and, per spinor, both residuals.
         """
-        n, rep = self.model.n, self.rep
+        n, rep, conn = self.model.n, self.rep, self.conn
         basis = common_kernel(self.lams, dim=rep.dim)
-        second = [act_form(rep, [contract(self.dt, i).scale(Q(1, 2))
-                                 + nabla_form(self.conn, i, self.t),
-                                 -Form.from_vector(n, self.table.ric[i - 1])])
+        second = [act_form(rep, [contract(conn.dt, i).scale(Q(1, 2))
+                                 + conn.nabla_t[i - 1].to_form(),
+                                 -Form.from_vector(n, conn.curvature.ric[i - 1])])
                   for i in range(1, n + 1)]
         residuals = [(self.field @ psi, [op @ psi for op in second]) for psi in basis]
         return basis, residuals

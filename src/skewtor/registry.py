@@ -10,7 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .acskit import AlmostContact, AlmostHermitian
-from .errors import SkewtorError
 from .forms import Form
 from .g2 import G2Structure
 from .liegeom import LieModel
@@ -61,15 +60,6 @@ class ModelEntry:
     @property
     def kind(self):
         return "none" if self.structure is None else self.structure.kind
-
-    def characteristic_torsion(self) -> Form:
-        """Torsion of the structure's unique connection with totally skew torsion.
-
-        Raises NoSkewConnection when the structure admits none.
-        """
-        if self.structure is None:
-            raise SkewtorError(f"model '{self.name}' carries no structure")
-        return self.structure.characteristic_torsion()
 
 
 def _forms(n, term_dicts):

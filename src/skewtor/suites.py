@@ -17,17 +17,13 @@ from . import acskit, clifford, equivar, g2
 from .forms import (Form, contract, hodge, inner, random_form, sigma_t,
                     sigma_t_quadratic, volume_form, wedge)
 from .errors import NoSkewConnection
-from .liegeom import (SpinorData, codiff, curvature, curvature_identity_residuals,
-                      d_form, levi_civita, nabla_form, parallel_spinors,
-                      tt_contraction, with_torsion)
+from .liegeom import (SkewTorsionStructure, SpinorData, codiff, curvature_identity_residuals,
+                      d_form, nabla_form, parallel_spinors, tt_contraction, with_torsion)
 from .linalg import GaussTensor, Tensor, int_abs_max, int_matmul
 from .registry import registry
 from .reporting import Report, check, merge, skip
 
 Q = Fraction
-
-SUITES = ("exterior", "clifford", "section2", "slformula", "g2",
-          "equivariant", "contact", "hermitian", "examples")
 
 
 def _registered(cls):
@@ -41,21 +37,9 @@ def _diag(*values) -> Tensor:
     return Tensor.of(np.diag(np.array(values, dtype=object)))
 
 
-@lru_cache(maxsize=None)
 def admissible_models():
-    """(name, torsion) for every registered model whose structure admits one.
-
-    Computed once per process, like the registry, for every suite that asks.
-    """
-    out = []
-    for name, entry in sorted(registry().items()):
-        if entry.structure is None:
-            continue
-        try:
-            out.append((name, entry.characteristic_torsion()))
-        except NoSkewConnection:
-            continue
-    return tuple(out)
+    """(name, structure) for every registered structure with a connection with skew torsion."""
+    return [(name, s) for name, s in _registered(SkewTorsionStructure) if s.admits_connection()]
 
 
 # ---------------------------------------------------------------------------
@@ -206,15 +190,14 @@ def _minus7_spinor(rep7):
 def suite_section2() -> Report:
     checks = []
     abelian5 = registry()["abelian5"].model
-    res = curvature_identity_residuals(abelian5, Form(5, 3, {(1, 2, 3): Q(1)}))
+    res = curvature_identity_residuals(with_torsion(abelian5, Form(5, 3, {(1, 2, 3): Q(1)})))
     checks.append(check("section2.abelian-decomposable", "flat sanity case",
                         all(v == 0 for v in res.values()), value=res,
                         provenance="trivial"))
-    for name, torsion in admissible_models():
-        if torsion.is_zero():
+    for name, s in admissible_models():
+        if s.torsion.is_zero():
             continue
-        model = registry()[name].model
-        res = curvature_identity_residuals(model, torsion)
+        res = curvature_identity_residuals(s.connection)
         for key, val in res.items():
             checks.append(check(f"section2.{name}.{key}",
                                 "curvature-torsion identities",
@@ -225,9 +208,8 @@ def suite_section2() -> Report:
 
 def suite_slformula() -> Report:
     checks = []
-    for name, torsion in admissible_models():
-        model = registry()[name].model
-        spin = SpinorData(model, torsion, clifford.build_rep(model.n))
+    for name, s in admissible_models():
+        spin = SpinorData(s.connection, clifford.build_rep(s.model.n))
         checks.append(check(f"slformula.{name}.square", "Thm 3.1",
                             spin.square_residual().is_zero(), expected="zero matrix",
                             provenance="stated"))
@@ -282,10 +264,9 @@ def suite_g2() -> Report:
                             and wedge(cls.gamma27, hodge(w3)).is_zero(),
                             value=cls.as_dict(), provenance="derived"))
         checks.append(check(f"g2.{name}.cocalibrated", "coclosed 3-form",
-                            codiff(s.model, w3).is_zero() == cls.beta.is_zero(),
+                            codiff(s.model.levi_civita, w3).is_zero() == cls.beta.is_zero(),
                             provenance="stated"))
-        t = g2.torsion_form(s)
-        conn = with_torsion(s.model, t)
+        conn = s.connection
         checks.append(check(f"g2.{name}.parallel", "Thm 4.7 / Thm 4.8 contract",
                             all(nabla_form(conn, i, w3).is_zero()
                                 for i in range(1, 8)),
@@ -295,12 +276,10 @@ def suite_g2() -> Report:
         checks.append(check(f"g2.{name}.dw3-split", "derivative split",
                             g2.dw3_decomposition_identity(s)
                             and g2.codiff_identity(s), provenance="stated"))
-        ric_a = g2.ricci_via_dt(s, t)
-        ric_b = curvature(conn).ric
         checks.append(check(f"g2.{name}.ricci-cross-oracle", "Thm 5.1",
-                            ric_a == ric_b, provenance="stated"))
+                            g2.ricci_via_dt(conn) == conn.curvature.ric, provenance="stated"))
         if cls.beta.is_zero():
-            cond = g2.ricci_flat_conditions(s, t)
+            cond = g2.ricci_flat_conditions(s)
             checks.append(check(f"g2.{name}.flatness-conditions", "Thm 5.4",
                                 cond["consistent"]
                                 and cond["wedge-identity-when-flat"],
@@ -419,27 +398,23 @@ def suite_contact() -> Report:
         checks.append(check(f"contact.{name}.gradient-identities", "Prop 8.1",
                             all(v == 0 for v in pi.values()), value=pi,
                             provenance="stated"))
-        nij = acskit.nijenhuis(s)
-        f = s.fundamental_form()
-        if d_form(s.model, f).is_zero():
+        nij = s.nijenhuis
+        if s.d_fundamental.is_zero():
             checks.append(check(f"contact.{name}.closed-form-normal",
                                 "Thm 8.4 preamble: dF = 0 forces N = 0",
                                 (not nij.totally_skew) or nij.is_zero(),
                                 provenance="stated"))
         try:
-            t = acskit.contact_torsion(s)
-            admissible = True
+            t = s.torsion
         except NoSkewConnection as err:
-            admissible = False
             checks.append(check(f"contact.{name}.connection-rejected",
                                 "Thm 8.2 existence",
                                 err.reason in ("nijenhuis-not-skew",
                                                "xi-not-killing"),
                                 value=err.reason, provenance="stated"))
-        if not admissible:
             continue
         checks.append(check(f"contact.{name}.structure-parallel", "Thm 8.2",
-                            acskit.structure_parallel_residuals(s, t) == 0,
+                            acskit.structure_parallel_residuals(s) == 0,
                             expected="nabla eta = nabla phi = 0",
                             provenance="stated"))
         checks.append(check(f"contact.{name}.uniqueness", "Thm 8.2 uniqueness",
@@ -450,7 +425,7 @@ def suite_contact() -> Report:
         checks.append(check(f"contact.{name}.xi-identities", "Lemma 8.3",
                             lem["chain-residual"] == 0 and lem["reeb-geodesic"] == 0,
                             value=lem, provenance="stated"))
-        hol = acskit.holonomy_reduction_residual(s, t)
+        hol = acskit.holonomy_reduction_residual(s)
         checks.append(check(f"contact.{name}.ricci-form-identity", "Prop 9.1",
                             hol["identity-residual"] == 0, value=hol,
                             provenance="stated"))
@@ -458,14 +433,12 @@ def suite_contact() -> Report:
             checks.append(check(f"contact.{name}.sasakian-torsion", "Thm 8.4(1)",
                                 t == wedge(s.eta, s.d_eta()),
                                 expected="T = eta ^ d eta", provenance="stated"))
-            conn = with_torsion(s.model, t)
+            conn = s.connection
             checks.append(check(f"contact.{name}.torsion-parallel", "Prop 7.1",
-                                all(nabla_form(conn, i, t).is_zero()
-                                    for i in range(1, s.n + 1))
-                                and codiff(s.model, t).is_zero(),
+                                conn.nabla_t.is_zero() and conn.delta_t.is_zero(),
                                 provenance="stated"))
             checks.append(check(f"contact.{name}.sigma-dt", "Prop 7.1",
-                                sigma_t(t).scale(2) == d_form(s.model, t)
+                                sigma_t(t).scale(2) == conn.dt
                                 == wedge(s.d_eta(), s.d_eta()),
                                 provenance="stated"))
             sas = acskit.sasakian_ricci_package(s)
@@ -475,28 +448,23 @@ def suite_contact() -> Report:
                                 and sas["conditions-equivalent"]
                                 and sas["matches-4(k-1)"],
                                 value=sas, provenance="stated"))
-        elif acskit.nijenhuis(s).is_zero():
-            f = s.fundamental_form()
-            df = d_form(s.model, f)
-            want = wedge(s.eta, s.d_eta()) + (-acskit.pullback3(df, s.phi))
+        elif nij.is_zero():
+            want = wedge(s.eta, s.d_eta()) + (-acskit.pullback3(s.d_fundamental, s.phi))
             checks.append(check(f"contact.{name}.normal-torsion", "Thm 8.4(2)",
                                 t == want, expected="T = eta ^ d eta + d^phi F",
                                 provenance="stated"))
     s5 = registry()["heis5"].structure
-    t5 = acskit.contact_torsion(s5)
-    conn5 = with_torsion(s5.model, t5)
-    table = curvature(conn5)
+    table = s5.connection.curvature
     checks.append(check("contact.heis5.ricci", "contact example tables",
                         table.ric_diag() == [Q(-4)] * 4 + [Q(0)]
-                        and curvature(levi_civita(s5.model)).ric_diag()
+                        and s5.model.levi_civita.curvature.ric_diag()
                         == [Q(-2)] * 4 + [Q(4)],
                         value=table.ric_diag(),
                         expected="diag(-4,-4,-4,-4,0)", provenance="stated"))
     deformed = acskit.tanno_deform(s5, Q(4, 3))
     checks.append(check("contact.heis5.tanno", "deformation (Remark 9.3)",
                         deformed.is_contact_metric()
-                        and acskit.contact_torsion(deformed)
-                        == wedge(deformed.eta, deformed.d_eta()),
+                        and deformed.torsion == wedge(deformed.eta, deformed.d_eta()),
                         expected="deformed structure stays Sasakian",
                         provenance="derived"))
     ident = acskit.tanno_deform(s5, 1)
@@ -509,37 +477,29 @@ def suite_contact() -> Report:
 def suite_hermitian() -> Report:
     checks = []
     for name, h in _registered(acskit.AlmostHermitian):
-        nij = acskit.nijenhuis(h)
         try:
-            t = acskit.hermitian_torsion(h)
-            checks.append(check(f"hermitian.{name}.structure-parallel", "Thm 10.1",
-                                acskit.structure_parallel_residuals(h, t) == 0,
-                                expected="nabla J = 0", provenance="stated"))
-            checks.append(check(f"hermitian.{name}.uniqueness",
-                                "Thm 10.1 uniqueness",
-                                acskit.torsion_uniqueness_certificate(h),
-                                expected="parallelism system has full rank",
-                                provenance="stated"))
-            hol = acskit.holonomy_reduction_residual(h, t)
-            checks.append(check(f"hermitian.{name}.ricci-form-identity",
-                                "Thm 10.5 identity",
-                                hol["identity-residual"] == 0, value=hol,
-                                provenance="stated"))
-            conn = with_torsion(h.model, t)
-            parallel_t = all(nabla_form(conn, i, t).is_zero()
-                             for i in range(1, h.n + 1))
-            if not nij.is_zero():
-                checks.append(check(f"hermitian.{name}.torsion-parallel",
-                                    "Cor 10.3 analogue", parallel_t
-                                    and codiff(h.model, t).is_zero(),
-                                    provenance="derived"))
+            conn = h.connection
         except NoSkewConnection as err:
-            omega = h.kaehler_form()
-            almost_kaehler = d_form(h.model, omega).is_zero()
+            almost_kaehler = h.d_fundamental.is_zero()
             checks.append(check(f"hermitian.{name}.connection-rejected",
                                 "Cor 10.2" if almost_kaehler else "Thm 10.1",
                                 err.reason == "nijenhuis-not-skew",
                                 value=err.reason, provenance="stated"))
+            continue
+        checks.append(check(f"hermitian.{name}.structure-parallel", "Thm 10.1",
+                            acskit.structure_parallel_residuals(h) == 0,
+                            expected="nabla J = 0", provenance="stated"))
+        checks.append(check(f"hermitian.{name}.uniqueness", "Thm 10.1 uniqueness",
+                            acskit.torsion_uniqueness_certificate(h),
+                            expected="parallelism system has full rank",
+                            provenance="stated"))
+        hol = acskit.holonomy_reduction_residual(h)
+        checks.append(check(f"hermitian.{name}.ricci-form-identity", "Thm 10.5 identity",
+                            hol["identity-residual"] == 0, value=hol, provenance="stated"))
+        if not h.nijenhuis.is_zero():
+            checks.append(check(f"hermitian.{name}.torsion-parallel", "Cor 10.3 analogue",
+                                conn.nabla_t.is_zero() and conn.delta_t.is_zero(),
+                                provenance="derived"))
     for a in (1, 2, Q(1, 3)):
         pack = acskit.nearly_kaehler_identities(a)
         checks.append(check(f"hermitian.nearly-kaehler.{a}", "Prop 10.4 / Cor 10.6",
@@ -555,6 +515,12 @@ def suite_hermitian() -> Report:
     return Report("hermitian", checks)
 
 
+def _spinor_endo_forms(conn):
+    """The 4-forms dT/4 + sigma^T/2 and 3 dT/4 - sigma^T/2 of Lemmas 6.1 and 6.4."""
+    sig = sigma_t(conn.torsion)
+    return conn.dt.scale(Q(1, 4)) + sig.scale(Q(1, 2)), conn.dt.scale(Q(3, 4)) - sig.scale(Q(1, 2))
+
+
 def suite_examples() -> Report:
     checks = []
     w3 = g2.canonical_omega3()
@@ -565,16 +531,16 @@ def suite_examples() -> Report:
     checks.append(check("examples.heis7.dw3", "worked example tables",
                         dw3 == e(1, 2, 3, 4) + e(2, 4, 6, 7) + e(1, 2, 5, 6)
                         - e(2, 3, 5, 7), value=dw3, provenance="stated"))
-    t7 = registry()["heis7"].characteristic_torsion()
+    conn7 = registry()["heis7"].structure.connection
+    t7 = conn7.torsion
     t_expected = -(e(5, 6, 7) - e(1, 3, 5) + e(3, 4, 7) + e(1, 4, 6))
     checks.append(check("examples.heis7.torsion", "worked example tables",
                         t7 == t_expected, value=t7, provenance="stated"))
-    dt7 = d_form(heis7, t7)
+    dt7 = conn7.dt
     checks.append(check("examples.heis7.dt", "worked example tables",
                         dt7 == e(1, 3, 6, 7, c=-4), value=dt7,
                         expected="-4 e1^e3^e6^e7", provenance="stated"))
-    conn7 = with_torsion(heis7, t7)
-    tab7 = curvature(conn7)
+    tab7 = conn7.curvature
     checks.append(check("examples.heis7.ricci", "worked example tables",
                         tab7.ric == _diag(-2, 0, -2, 0, 0, -2, -2),
                         value=tab7.ric_diag(),
@@ -586,18 +552,15 @@ def suite_examples() -> Report:
     checks.append(check("examples.heis7.tt", "worked example tables",
                         ttc == _diag(4, 0, 4, 4, 4, 4, 4),
                         expected="diag(4,0,4,4,4,4,4)", provenance="stated"))
-    tabg7 = curvature(levi_civita(heis7))
+    tabg7 = heis7.levi_civita.curvature
     checks.append(check("examples.heis7.riemannian-ricci", "worked example tables",
                         tabg7.ric_diag() == [Q(-1), Q(0), Q(-1), Q(1), Q(1),
                                              Q(-1), Q(-1)],
                         value=tabg7.ric_diag(),
                         expected="diag(-1,0,-1,1,1,-1,-1)", provenance="stated"))
     rep7 = clifford.build_rep(7)
-    sig7 = sigma_t(t7)
-    e61a = clifford.eigen_report(clifford.act_form(
-        rep7, dt7.scale(Q(1, 4)) + sig7.scale(Q(1, 2))))
-    e61b = clifford.eigen_report(clifford.act_form(
-        rep7, dt7.scale(Q(3, 4)) - sig7.scale(Q(1, 2))))
+    four7 = _spinor_endo_forms(conn7)
+    e61a, e61b = (clifford.eigen_report(clifford.act_form(rep7, f)) for f in four7)
     want61 = sorted([Q(2), Q(-4), Q(2), Q(0), Q(2), Q(0), Q(2), Q(-4)])
     checks.append(check("examples.heis7.spinor-endos", "Lemma 6.1",
                         e61a.multiset() == want61 and e61b.multiset() == want61,
@@ -605,10 +568,8 @@ def suite_examples() -> Report:
                         expected="(2,-4,2,0,2,0,2,-4) twice as multisets",
                         provenance="stated"))
     checks.append(check("examples.heis7.four-forms", "worked example tables",
-                        dt7.scale(Q(1, 4)) + sig7.scale(Q(1, 2))
-                        == e(1, 3, 6, 7, c=-2) + e(3, 4, 5, 6) - e(1, 4, 5, 7)
-                        and dt7.scale(Q(3, 4)) - sig7.scale(Q(1, 2))
-                        == e(1, 3, 6, 7, c=-2) - e(3, 4, 5, 6) + e(1, 4, 5, 7),
+                        four7 == (e(1, 3, 6, 7, c=-2) + e(3, 4, 5, 6) - e(1, 4, 5, 7),
+                                  e(1, 3, 6, 7, c=-2) - e(3, 4, 5, 6) + e(1, 4, 5, 7)),
                         expected="both displayed 4-forms verbatim",
                         provenance="stated"))
     basis7 = parallel_spinors(conn7, rep7)
@@ -622,31 +583,28 @@ def suite_examples() -> Report:
 
     solv7 = registry()["solv7"].model
     checks.append(check("examples.solv7.cocalibrated", "worked example tables",
-                        codiff(solv7, w3).is_zero(),
+                        codiff(solv7.levi_civita, w3).is_zero(),
                         expected="delta(w3) = 0", provenance="stated"))
     dw3s = d_form(solv7, w3)
     checks.append(check("examples.solv7.dw3", "worked example tables",
                         dw3s == e(1, 3, 4, 7, c=2) - e(1, 5, 6, 7, c=2),
                         value=dw3s, provenance="stated"))
-    t7b = registry()["solv7"].characteristic_torsion()
+    conn7b = registry()["solv7"].structure.connection
+    t7b = conn7b.torsion
     checks.append(check("examples.solv7.torsion", "worked example tables",
                         t7b == e(2, 5, 6, c=2) - e(2, 3, 4, c=2),
                         value=t7b, expected="2 e2^e5^e6 - 2 e2^e3^e4",
                         provenance="stated"))
-    dt7b = d_form(solv7, t7b)
+    dt7b = conn7b.dt
     checks.append(check("examples.solv7.dt", "worked example tables",
                         dt7b == e(1, 2, 5, 6, c=-4) + e(1, 2, 3, 4, c=-4),
                         value=dt7b, provenance="stated"))
-    conn7b = with_torsion(solv7, t7b)
     checks.append(check("examples.solv7.scal", "worked example tables",
-                        curvature(conn7b).scal == -16,
-                        value=curvature(conn7b).scal, expected=-16,
+                        conn7b.curvature.scal == -16,
+                        value=conn7b.curvature.scal, expected=-16,
                         provenance="stated"))
-    sig7b = sigma_t(t7b)
-    e64a = clifford.eigen_report(clifford.act_form(
-        rep7, dt7b.scale(Q(1, 4)) + sig7b.scale(Q(1, 2))))
-    e64b = clifford.eigen_report(clifford.act_form(
-        rep7, dt7b.scale(Q(3, 4)) - sig7b.scale(Q(1, 2))))
+    four7b = _spinor_endo_forms(conn7b)
+    e64a, e64b = (clifford.eigen_report(clifford.act_form(rep7, f)) for f in four7b)
     checks.append(check("examples.solv7.spinor-endos", "Lemma 6.4",
                         e64a.multiset() == sorted([Q(4), Q(4), Q(-2), Q(-2),
                                                    Q(-2), Q(-2), Q(0), Q(0)])
@@ -655,12 +613,10 @@ def suite_examples() -> Report:
                         value=[e64a.as_pairs(), e64b.as_pairs()],
                         provenance="stated"))
     checks.append(check("examples.solv7.four-forms", "worked example tables",
-                        dt7b.scale(Q(1, 4)) + sig7b.scale(Q(1, 2))
-                        == e(1, 2, 5, 6, c=-1) + e(1, 2, 3, 4, c=-1)
-                        + e(3, 4, 5, 6, c=-2)
-                        and dt7b.scale(Q(3, 4)) - sig7b.scale(Q(1, 2))
-                        == e(1, 2, 5, 6, c=-3) + e(1, 2, 3, 4, c=-3)
-                        + e(3, 4, 5, 6, c=2),
+                        four7b == (e(1, 2, 5, 6, c=-1) + e(1, 2, 3, 4, c=-1)
+                                   + e(3, 4, 5, 6, c=-2),
+                                   e(1, 2, 5, 6, c=-3) + e(1, 2, 3, 4, c=-3)
+                                   + e(3, 4, 5, 6, c=2)),
                         expected="both displayed 4-forms verbatim",
                         provenance="stated"))
     basis7b = parallel_spinors(conn7b, rep7)
@@ -672,26 +628,27 @@ def suite_examples() -> Report:
     checks.append(skip("examples.solv7.harmonic-bound", "Cor 6.6",
                        "compact quotient estimate"))
 
-    t5 = registry()["heis5"].characteristic_torsion()
+    conn5 = registry()["heis5"].structure.connection
+    t5 = conn5.torsion
     rep5 = clifford.build_rep(5)
     spec5 = clifford.eigen_report(clifford.act_form(rep5, t5))
     checks.append(check("examples.heis5.spinor-spectrum", "contact eigenvalues",
                         spec5.multiset() == [Q(-4), Q(0), Q(0), Q(4)],
                         value=spec5.as_pairs(), expected="(-4,0,0,4)",
                         provenance="stated"))
-    conn5 = with_torsion(registry()["heis5"].model, t5)
     basis5 = parallel_spinors(conn5, rep5)
     checks.append(check("examples.heis5.parallel-spinors",
                         "Example 7.7 kernel-type spinors",
                         len(basis5) == 2, value=len(basis5), expected=2,
                         provenance="derived"))
     checks.append(check("examples.heis5.ricci", "contact example tables",
-                        curvature(conn5).ric_diag() == [Q(-4)] * 4 + [Q(0)],
+                        conn5.curvature.ric_diag() == [Q(-4)] * 4 + [Q(0)],
                         expected="diag(-4,-4,-4,-4,0)", provenance="stated"))
     return Report("examples", checks)
 
 
-_SUITE_FUNCS = {
+# the suites in report order: `run_suite("all")` runs them in this order
+SUITES = {
     "exterior": suite_exterior,
     "clifford": suite_clifford,
     "section2": suite_section2,
@@ -706,7 +663,5 @@ _SUITE_FUNCS = {
 
 def run_suite(name: str) -> Report:
     if name == "all":
-        return merge("all", [_SUITE_FUNCS[s]() for s in SUITES])
-    if name not in _SUITE_FUNCS:
-        raise KeyError(name)
-    return _SUITE_FUNCS[name]()
+        return merge("all", [suite() for suite in SUITES.values()])
+    return SUITES[name]()

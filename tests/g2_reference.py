@@ -24,7 +24,7 @@ def classify_by_loops(s):
     model = s.model
     w3, sw3 = s.omega3, s.star_omega3
     lam = Q(-1, 7) * inner(d_form(model, w3), sw3)
-    delta_w3 = codiff(model, w3)
+    delta_w3 = codiff(levi_civita(model), w3)
     beta = [Q(-1, 3) * inner(delta_w3, contract(w3, i)) for i in range(1, 8)]
     lc = levi_civita(model)
     gamma = []

@@ -31,7 +31,7 @@ def _line(num, text):
 
 
 def _g2_torsion(name):
-    return registry()[name].characteristic_torsion()
+    return registry()[name].structure.torsion
 
 
 def test_c01_heis7_tables():
@@ -75,7 +75,7 @@ def test_c02_heis7_spinor_side():
 
 def test_c03_solv7_tables():
     model = registry()["solv7"].model
-    assert codiff(model, W3).is_zero()
+    assert codiff(levi_civita(model), W3).is_zero()
     t = _g2_torsion("solv7")
     assert t == E(2, 5, 6, c=2) - E(2, 3, 4, c=2)
     dt = d_form(model, t)
@@ -101,9 +101,8 @@ def test_c03_solv7_tables():
 def test_c04_curvature_identity_suite():
     from skewtor.suites import admissible_models
     count = 0
-    for name, torsion in admissible_models():
-        model = registry()[name].model
-        res = curvature_identity_residuals(model, torsion)
+    for name, s in admissible_models():
+        res = curvature_identity_residuals(s.connection)
         assert all(v == 0 for v in res.values()), (name, res)
         count += 1
     assert count >= 8
@@ -116,9 +115,8 @@ def test_c05_operator_identities():
     names = dict(admissible_models())
     for name in ("heis5", "heis7", "solv7", "abelian5", "abelian6", "abelian7"):
         model = registry()[name].model
-        t = names[name]
         rep = clifford.build_rep(model.n)
-        spin = SpinorData(model, t, rep)
+        spin = SpinorData(names[name].connection, rep)
         assert spin.square_residual().is_zero(), name
         assert spin.anticommutator_residual().is_zero(), name
     _line(5, "Dirac-square and anticommutator identities are zero matrices")
@@ -157,7 +155,7 @@ def test_c08_torsion_contract_and_ricci_oracle():
         t = g2.torsion_form(s)
         conn = with_torsion(s.model, t)
         assert all(nabla_form(conn, i, W3).is_zero() for i in range(1, 8)), name
-        assert g2.ricci_via_dt(s, t) == curvature(conn).ric, name
+        assert g2.ricci_via_dt(conn) == curvature(conn).ric, name
     _line(8, "torsion makes w3 parallel; contraction Ricci equals curvature "
              "Ricci entrywise")
 
@@ -190,7 +188,7 @@ def test_c10_sasakian_package():
         wedge(s.d_eta(), s.d_eta())
     conn = with_torsion(s.model, t)
     assert all(nabla_form(conn, i, t).is_zero() for i in range(1, 6))
-    assert codiff(s.model, t).is_zero()
+    assert codiff(levi_civita(s.model), t).is_zero()
     assert curvature(conn).ric_diag() == [Q(-4)] * 4 + [Q(0)]
     assert curvature(levi_civita(s.model)).ric_diag() == [Q(-2)] * 4 + [Q(4)]
     rep = clifford.build_rep(5)
@@ -204,7 +202,7 @@ def test_c10_sasakian_package():
         for which in ("plus", "minus"):
             member = (endo @ clifford.spinor_5d(which)).is_zero()
             assert member == clifford.kernel_conditions_5d(t3, x1, which)
-    hol = acskit.holonomy_reduction_residual(s, t)
+    hol = acskit.holonomy_reduction_residual(s)
     assert hol["identity-residual"] == 0
     sas = acskit.sasakian_ricci_package(s)
     assert sas["lambda-is-16(1-k)F"] and sas["tt-contraction"]
@@ -232,7 +230,7 @@ def test_c11_contact_hermitian_suites():
     for name in ("solv6", "su2su2", "abelian6"):
         h = registry()[name].structure
         t = acskit.hermitian_torsion(h)
-        assert acskit.structure_parallel_residuals(h, t) == 0, name
+        assert acskit.structure_parallel_residuals(h) == 0, name
     pack = acskit.nearly_kaehler_identities(1)
     assert all(pack.values()), pack
     plus, minus = acskit.half_module_endomorphism_spectrum(1)

@@ -15,8 +15,9 @@ from skewtor.acskit import (AlmostContact, AlmostHermitian,
                             _uniqueness_response)
 from skewtor.errors import NoSkewConnection, StructureError
 from skewtor.forms import Form, sigma_t, wedge
-from skewtor.liegeom import (codiff, curvature, d_form, levi_civita,
+from skewtor.liegeom import (LieModel, codiff, curvature, d_form, levi_civita,
                              nabla_form, with_torsion)
+from skewtor.linalg import Tensor
 from skewtor.registry import registry, standard_j_matrix, standard_phi_matrix
 
 
@@ -30,6 +31,24 @@ def hermitian(name):
     s = registry()[name].structure
     assert isinstance(s, AlmostHermitian)
     return s
+
+
+def test_killing_test_from_brackets_matches_the_connection():
+    # xi_is_killing reads ad_xi; it agrees with the skewness of K = nabla^g xi on
+    # every registry structure and on a homothety model, whose xi is not Killing
+    # while its Nijenhuis tensor is skew, so the existence test rejects it for xi
+    homothety = LieModel(5, [Form(5, 2, {(i, 5): Q(1)}) for i in range(1, 5)]
+                         + [Form.zero(5, 2)], name="homothety5")
+    h = AlmostContact(homothety, 5, standard_phi_matrix(5))
+    structures = [e.structure for e in registry().values()
+                  if isinstance(e.structure, AlmostContact)] + [h]
+    for s in structures:
+        k = s.killing_matrix()
+        assert s.xi_is_killing() == (k == -Tensor.einsum("ij->ji", k)), s.model.name
+    assert h.nijenhuis.totally_skew and not h.xi_is_killing()
+    with pytest.raises(NoSkewConnection) as err:
+        h.torsion
+    assert err.value.reason == "xi-not-killing"
 
 
 def test_structure_invariants_enforced():
@@ -56,10 +75,10 @@ def test_sasakian_fixture():
     assert nijenhuis(s).is_zero()
     t = contact_torsion(s)
     assert t == wedge(s.eta, s.d_eta())
-    assert structure_parallel_residuals(s, t) == 0
+    assert structure_parallel_residuals(s) == 0
     conn = with_torsion(s.model, t)
     assert all(nabla_form(conn, i, t).is_zero() for i in range(1, 6))
-    assert codiff(s.model, t).is_zero()
+    assert codiff(levi_civita(s.model), t).is_zero()
     assert sigma_t(t).scale(2) == d_form(s.model, t) == \
         wedge(s.d_eta(), s.d_eta())
     assert curvature(conn).ric_diag() == [Q(-4)] * 4 + [Q(0)]
@@ -103,7 +122,7 @@ def test_normal_branch_torsion_formula():
         df = d_form(s.model, s.fundamental_form())
         want = wedge(s.eta, s.d_eta()) - pullback3(df, s.phi)
         assert t == want
-        assert structure_parallel_residuals(s, t) == 0
+        assert structure_parallel_residuals(s) == 0
     assert not (-pullback3(d_form(contact("twist5").model,
                                   contact("twist5").fundamental_form()),
                            contact("twist5").phi)).is_zero()
@@ -115,7 +134,7 @@ def test_skew_nonzero_nijenhuis_contact_fixture():
     assert nij.totally_skew and not nij.is_zero()
     assert s.xi_is_killing()
     t = contact_torsion(s)
-    assert structure_parallel_residuals(s, t) == 0
+    assert structure_parallel_residuals(s) == 0
     lem = nijenhuis_xi_identities(s)
     assert lem["chain-residual"] == 0 and lem["reeb-geodesic"] == 0
 
@@ -181,11 +200,11 @@ def test_xi_identities_on_admissible_models():
 def test_ricci_form_package_sasakian_values():
     s = contact("heis5")
     t = contact_torsion(s)
-    rho, one_form, lam = ricci_form_package(s, t)
+    rho, one_form, lam = ricci_form_package(s)
     f = s.fundamental_form()
     assert all(lam[x][y] == -16 * f.eval(x + 1, y + 1)
                for x in range(5) for y in range(5))
-    hol = holonomy_reduction_residual(s, t)
+    hol = holonomy_reduction_residual(s)
     assert hol["identity-residual"] == 0
     # the parallel spinors here are the kernel type, not the extreme type the
     # trace-form criterion detects, so rho does not vanish on this model
@@ -196,7 +215,7 @@ def test_prop91_residual_zero_on_contact_models():
     for name in ("heis5", "heis3x2", "twist5", "abelian5", "su2su2xr"):
         s = contact(name)
         t = contact_torsion(s)
-        hol = holonomy_reduction_residual(s, t)
+        hol = holonomy_reduction_residual(s)
         assert hol["identity-residual"] == 0, name
 
 
@@ -245,8 +264,8 @@ def test_hermitian_fixtures():
     assert nijenhuis(h).is_zero()
     t = hermitian_torsion(h)
     assert not t.is_zero()
-    assert structure_parallel_residuals(h, t) == 0
-    hol = holonomy_reduction_residual(h, t)
+    assert structure_parallel_residuals(h) == 0
+    hol = holonomy_reduction_residual(h)
     assert hol["identity-residual"] == 0
 
 
@@ -267,12 +286,12 @@ def test_compact_group_hermitian_fixture():
     t = hermitian_torsion(h)
     e = lambda *ix, c=1: Form.blade(6, *ix, coeff=c)
     assert t == e(1, 2, 3, c=-2) + e(4, 5, 6, c=-2)
-    assert structure_parallel_residuals(h, t) == 0
+    assert structure_parallel_residuals(h) == 0
     conn = with_torsion(h.model, t)
     # parallel and coclosed torsion, like the nearly Kaehler class
     assert all(nabla_form(conn, i, t).is_zero() for i in range(1, 7))
-    assert codiff(h.model, t).is_zero()
-    hol = holonomy_reduction_residual(h, t)
+    assert codiff(levi_civita(h.model), t).is_zero()
+    hol = holonomy_reduction_residual(h)
     assert hol["identity-residual"] == 0
     assert hol["rho-vanishes"]
 

@@ -231,18 +231,51 @@ def test_lemma_10_7_is_computed_once_for_both_suites(monkeypatch):
     assert checks["hermitian.half-module-spectrum"] == "PASS"
 
 
-def test_admissible_models_are_computed_once_for_both_suites(monkeypatch):
-    from skewtor import registry, suites
-    calls = []
-    torsion = registry.ModelEntry.characteristic_torsion
-    monkeypatch.setattr(registry.ModelEntry, "characteristic_torsion",
-                        lambda entry: calls.append(entry) or torsion(entry))
-    suites.admissible_models.cache_clear()
-    statuses = {c.status for name in ("section2", "slformula")
-                for c in run_suite(name).checks}
-    assert len(calls) == 14
-    assert "FAIL" not in statuses
-    assert isinstance(suites.admissible_models(), tuple)
+def test_run_suite_all_builds_each_connection_once(monkeypatch):
+    # on a fresh registry, `verify all` computes each structure's torsion, each
+    # model's Levi-Civita connection and each connection's curvature at most once
+    import importlib
+    from collections import Counter
+    from skewtor import acskit, g2, liegeom
+    model_key = lambda model: (model.n, tuple(model.d_coframe))
+    counts = Counter()
+
+    def count(module, name, key):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda arg: counts.update([(name, key(arg))]) or fn(arg))
+
+    torsion_functions = ((g2, "torsion_form"), (acskit, "contact_torsion"),
+                         (acskit, "hermitian_torsion"))
+    for module, name in torsion_functions:
+        count(module, name, lambda s: s)
+    count(liegeom, "levi_civita", model_key)
+    count(liegeom, "curvature", lambda conn: (model_key(conn.model), conn.torsion))
+    registry_module = importlib.import_module("skewtor.registry")
+    monkeypatch.setattr(registry_module, "_REGISTRY", None)
+    assert run_suite("all").ok
+    entries = registry_module._REGISTRY.values()
+    assert max(counts.values()) == 1, [key[0] for key, n in counts.items() if n > 1]
+    # the 14 registry structures and the Tanno deformation of heis5
+    names = {name for _, name in torsion_functions}
+    assert sum(n for (name, _), n in counts.items() if name in names) == 15
+    monkeypatch.undo()
+    # every cached table equals a fresh one: no reader wrote into a shared array
+    fresh = 0
+    for entry in entries:
+        cached = [entry.model.__dict__.get("levi_civita"),
+                  getattr(entry.structure, "__dict__", {}).get("connection")]
+        for conn in cached:
+            if conn is None or "curvature" not in conn.__dict__:
+                continue
+            rebuilt = (liegeom.levi_civita(entry.model) if conn.torsion is None
+                       else liegeom.with_torsion(entry.model, conn.torsion))
+            table = liegeom.curvature(rebuilt)
+            assert conn.omega == rebuilt.omega, entry.name
+            assert (conn.curvature.r, conn.curvature.ric, conn.curvature.scal) \
+                == (table.r, table.ric, table.scal), entry.name
+            fresh += 1
+    assert fresh >= 20
 
 
 def test_calibration_table_is_built_once_per_spaces(monkeypatch):

@@ -95,7 +95,7 @@ def test_vector_type_model():
     assert t == interior(cls.beta, SW3).scale(Q(-1, 4))
     conn = with_torsion(s.model, t)
     assert all(nabla_form(conn, i, W3).is_zero() for i in range(1, 8))
-    assert ricci_via_dt(s, t) == curvature(conn).ric
+    assert ricci_via_dt(conn) == curvature(conn).ric
     assert torsion_component_identity(s)
     assert dw3_decomposition_identity(s) and codiff_identity(s)
 
@@ -111,7 +111,7 @@ def test_nonzero_scaling_component_model():
     conn = with_torsion(s.model, t)
     assert all(nabla_form(conn, i, W3).is_zero() for i in range(1, 8))
     assert torsion_component_identity(s)
-    assert ricci_via_dt(s, t) == curvature(conn).ric
+    assert ricci_via_dt(conn) == curvature(conn).ric
 
 
 def test_mixed_weight_model_is_obstructed():
@@ -149,12 +149,12 @@ def test_ricci_cross_oracle(name):
     s = G2Structure(registry()[name].model)
     t = torsion_form(s)
     table = curvature(with_torsion(s.model, t))
-    assert ricci_via_dt(s, t) == table.ric
+    assert ricci_via_dt(with_torsion(s.model, t)) == table.ric
 
 
 def test_heis7_ricci_value():
     s = G2Structure(registry()["heis7"].model)
-    rv = ricci_via_dt(s, torsion_form(s))
+    rv = ricci_via_dt(with_torsion(s.model, torsion_form(s)))
     assert [rv[i][i] for i in range(7)] == [Q(-2), Q(0), Q(-2), Q(0), Q(0),
                                             Q(-2), Q(-2)]
 
@@ -213,7 +213,7 @@ def test_ricci_flat_conditions_consistency():
     for name in ("heis7", "solv7", "abelian7"):
         s = G2Structure(registry()[name].model)
         t = torsion_form(s)
-        cond = ricci_flat_conditions(s, t)
+        cond = ricci_flat_conditions(s)
         assert cond["consistent"], (name, cond)
         assert cond["wedge-identity-when-flat"]
         if name == "abelian7":
@@ -260,7 +260,7 @@ def test_classify_and_ricci_match_fraction_loops(name, c):
     # where the table is not symmetric
     torsions = [torsion_form(s)] if cls.admits_connection() else []
     for t in torsions + [random_form(7, 3, random.Random(7))]:
-        assert ricci_via_dt(s, t) == ricci_by_loops(s, t)
+        assert ricci_via_dt(with_torsion(s.model, t)) == ricci_by_loops(s, t)
 
 
 def test_constant_identities_match_fraction_loops():

@@ -91,11 +91,11 @@ def test_d_is_an_antiderivation(heis7, solv7, heis5):
 
 def test_codiff_examples(heis7, solv7, heis5):
     w3 = canonical_omega3()
-    assert codiff(solv7, w3).is_zero()
+    assert codiff(levi_civita(solv7), w3).is_zero()
     eta = Form.basis_vector(5, 5)
     t = wedge(eta, d_form(heis5, eta))
-    assert codiff(heis5, t).is_zero()
-    assert codiff(heis5, Form.scalar(5, 3)).is_zero()
+    assert codiff(levi_civita(heis5), t).is_zero()
+    assert codiff(levi_civita(heis5), Form.scalar(5, 3)).is_zero()
 
 
 def test_codiff_against_hodge_composite(heis7, solv7, heis5):
@@ -107,7 +107,7 @@ def test_codiff_against_hodge_composite(heis7, solv7, heis5):
             a = random_form(n, p, rng, span=3)
             sign = Q(-1) ** (n * (p + 1) + 1)
             composite = hodge(d_form(model, hodge(a))).scale(sign)
-            assert codiff(model, a) == composite
+            assert codiff(levi_civita(model), a) == composite
 
 
 def test_levi_civita_properties(heis5):
@@ -183,24 +183,24 @@ def test_trace_vector_computed_not_assumed(solv7, heis7):
     v = lc_trace_vector(hyper)
     assert any(v)
     rep2 = build_rep(2)
-    assert SpinorData(hyper, Form(2, 3), rep2).square_residual().is_zero()
+    assert SpinorData(with_torsion(hyper, Form(2, 3)), rep2).square_residual().is_zero()
     # a 4-dim variant where the trace direction carries spin-connection content
     aff4 = LieModel(4, [Form(4, 2), Form(4, 2, {(1, 2): Q(1)}), Form(4, 2),
                         Form(4, 2, {(1, 3): Q(-1)})], name="aff4")
     assert lc_trace_vector(aff4) == [Q(-1), Q(0), Q(0), Q(0)]
     rep4 = build_rep(4)
     t0 = Form(4, 3)
-    spin = SpinorData(aff4, t0, rep4)
+    spin = SpinorData(with_torsion(aff4, t0), rep4)
     assert spin.square_residual().is_zero()
     assert spin.anticommutator_residual().is_zero()
     # and a torsion whose codifferential does not vanish: the identity still
     # closes exactly, which pins the 1/2 on the codifferential term
     t1 = Form(4, 3, {(1, 2, 3): Q(1)})
-    assert not codiff(aff4, t1).is_zero()
-    spin = SpinorData(aff4, t1, rep4)
+    assert not codiff(levi_civita(aff4), t1).is_zero()
+    spin = SpinorData(with_torsion(aff4, t1), rep4)
     assert spin.square_residual().is_zero()
     assert spin.anticommutator_residual().is_zero()
-    res = curvature_identity_residuals(aff4, t1)
+    res = curvature_identity_residuals(with_torsion(aff4, t1))
     assert all(v == 0 for v in res.values())
     # dropping the trace term breaks the identity
     from skewtor.liegeom import dirac_matrix, spinor_connection
@@ -225,7 +225,7 @@ def test_section2_identities_zero(heis7, solv7, heis5):
         (registry()["abelian5"].model, Form(5, 3, {(1, 2, 3): Q(1)})),
     ]
     for model, t in cases:
-        res = curvature_identity_residuals(model, t)
+        res = curvature_identity_residuals(with_torsion(model, t))
         assert all(v == 0 for v in res.values()), (model.name, res)
 
 
@@ -239,7 +239,7 @@ def test_operator_identities_and_parallel_counts(heis7, solv7, heis5):
     ]
     for model, t, count in cases:
         rep = build_rep(model.n)
-        spin = SpinorData(model, t, rep)
+        spin = SpinorData(with_torsion(model, t), rep)
         assert spin.square_residual().is_zero()
         assert spin.anticommutator_residual().is_zero()
         conn = with_torsion(model, t)
@@ -258,7 +258,7 @@ def test_abelian_operator_identities():
         model = registry()[name].model
         rep = build_rep(model.n)
         t = Form(model.n, 3)
-        spin = SpinorData(model, t, rep)
+        spin = SpinorData(with_torsion(model, t), rep)
         assert spin.square_residual().is_zero()
         assert spin.anticommutator_residual().is_zero()
         assert len(parallel_spinors(with_torsion(model, t), rep)) == rep.dim
@@ -304,7 +304,7 @@ def _identity_residuals_by_loops(model, t, torsion_tables, lc_tables):
     conn = with_torsion(model, t)
     dt = d_form(model, t)
     sig = sigma_t(t)
-    delta_t = codiff(model, t)
+    delta_t = codiff(levi_civita(model), t)
     nab_t = [nabla_form(conn, i, t) for i in range(1, n + 1)]
     rt, rt_ric, _ = torsion_tables
     rg, rg_ric, _ = lc_tables
@@ -356,7 +356,7 @@ def _torsions(name):
     entry = registry()[name]
     out = [random_form(entry.model.n, 3, random.Random(name), span=2)]
     try:
-        out.append(entry.characteristic_torsion())
+        out.append(entry.structure.torsion)
     except NoSkewConnection:
         pass
     return out
@@ -378,7 +378,7 @@ def test_dense_tables_match_fraction_loops(name):
         table = curvature(conn)
         assert (table.r, table.ric, table.scal) == tables
         if t is not None:
-            assert curvature_identity_residuals(model, t) == \
+            assert curvature_identity_residuals(with_torsion(model, t)) == \
                 _identity_residuals_by_loops(model, t, tables, lc_tables)
             assert tt_contraction(t) == [
                 [sum(t.eval(i, m, k) * t.eval(j, m, k) for m in range(1, n + 1)
