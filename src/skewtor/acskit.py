@@ -83,11 +83,13 @@ class AlmostContact(_EndoStructure):
         if ein("ki,kj->ij", phi, phi) != one - ein("i,j->ij", xi, xi):
             raise StructureError("phi must be metric-compatible")
 
+    @cached_property
     def d_eta(self) -> Form:
+        """d eta, computed once."""
         return d_form(self.model, self.eta)
 
     def is_contact_metric(self) -> bool:
-        return self.fundamental_form().scale(2) == self.d_eta()
+        return self.fundamental_form().scale(2) == self.d_eta
 
     def killing_matrix(self) -> Tensor:
         """K[i, j] = g(nabla^g_{e_i} xi, e_j); xi is Killing iff K is skew."""
@@ -157,13 +159,13 @@ def nijenhuis(s) -> NijTensor:
     table = (ein("ai,bj,abk->ijk", p, p, c) + ein("kl,lm,ijm->ijk", p, p, c)
              - ein("kl,ai,ajl->ijk", p, p, c) - ein("kl,bj,ibl->ijk", p, p, c))
     if isinstance(s, AlmostContact):
-        table = table + ein("ij,k->ijk", Tensor.of_form(s.d_eta()), s.xi)
+        table = table + ein("ij,k->ijk", Tensor.of_form(s.d_eta), s.xi)
     return NijTensor(table)
 
 
 def n2_tensor(s: AlmostContact) -> Tensor:
     """N2(X,Y) = d(eta)(phi X, Y) + d(eta)(X, phi Y)."""
-    de = Tensor.of_form(s.d_eta())
+    de = Tensor.of_form(s.d_eta)
     return ein("ai,aj->ij", s.phi, de) + ein("aj,ia->ij", s.phi, de)
 
 
@@ -186,13 +188,11 @@ def contact_torsion(s: AlmostContact) -> Form:
         raise NoSkewConnection("nijenhuis-not-skew")
     if not s.xi_is_killing():
         raise NoSkewConnection("xi-not-killing")
-    d_eta = s.d_eta()
     dphi_f = -pullback3(s.d_fundamental, s.phi)
     n_form = nij.as_form()
     # xi -| N contracts with xi through its metric dual eta
-    t = (wedge(s.eta, d_eta) + dphi_f + n_form
-         - wedge(s.eta, interior(s.eta, n_form)))
-    return t
+    return (wedge(s.eta, s.d_eta) + dphi_f + n_form
+            - wedge(s.eta, interior(s.eta, n_form)))
 
 
 def hermitian_torsion(s: AlmostHermitian) -> Form:
@@ -261,7 +261,7 @@ def contact_general_identities(s: AlmostContact) -> dict:
     p, xi = s.phi, s.xi
     eta = xi    # in the orthonormal frame the metric dual has the same components
     df = Tensor.of_form(s.d_fundamental)
-    de = Tensor.of_form(s.d_eta())
+    de = Tensor.of_form(s.d_eta)
     nij = s.nijenhuis.table
     nabla_phi = _nabla_endo(lc, p)
     nabla_eta = lc.nabla_vector(eta)
@@ -312,7 +312,7 @@ def nijenhuis_xi_identities(s: AlmostContact) -> dict:
     nij = s.nijenhuis
     p, xi = s.phi, s.xi
     df = Tensor.of_form(s.d_fundamental)
-    de = Tensor.of_form(s.d_eta())
+    de = Tensor.of_form(s.d_eta)
     # N(phi X, Y, xi) = N(X, phi Y, xi) = N2(X, Y) = dF(X, Y, xi) = -dF(phi X, phi Y, xi)
     common = ein("ayc,ax,c->xy", nij.table, p, xi)
     chain = [ein("xbc,by,c->xy", nij.table, p, xi), n2_tensor(s),
@@ -370,7 +370,7 @@ def sasakian_ricci_package(s: AlmostContact) -> dict:
     n = s.n
     k = (n - 1) // 2
     t = s.torsion
-    if t != wedge(s.eta, s.d_eta()):
+    if t != wedge(s.eta, s.d_eta):
         raise StructureError("Sasakian torsion must be eta ^ d eta")
     conn = s.connection
     rho, one_form, lam = ricci_form_package(s)
@@ -402,7 +402,7 @@ def tanno_deform(s: AlmostContact, a2) -> AlmostContact:
     a2 = Q(a2)
     if a2 <= 0:
         raise StructureError("deformation parameter must be positive")
-    if s.torsion != wedge(s.eta, s.d_eta()):
+    if s.torsion != wedge(s.eta, s.d_eta):
         raise StructureError("deformation defined for Sasakian input")
     n, xi_index = s.n, s.xi_index
     weights = [2 if i == xi_index - 1 else 1 for i in range(n)]

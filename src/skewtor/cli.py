@@ -127,9 +127,8 @@ def cmd_spin_eig(args):
     report = clifford.eigen_report(clifford.act_form(rep, parts))
     values = ", ".join(f"{fmt(v)} x{m}" for v, m in report.pairs)
     print(f"eigenvalues: {values}")
-    if report.residual:
-        print(f"residual factor (highest first): "
-              f"[{', '.join(fmt(c) for c in report.residual)}]")
+    if report.residual is not None:
+        print(f"residual factor (highest first): {report.residual}")
     print(f"hermitian: {report.hermitian}")
     return 0
 

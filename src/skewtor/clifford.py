@@ -10,7 +10,6 @@ Conventions, pinned by the identities the test suite enforces:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, reduce
 from math import lcm
 from operator import matmul
@@ -19,8 +18,8 @@ import numpy as np
 
 from .errors import DegreeError, DimensionMismatch
 from .forms import Form, all_blades
-from .linalg import (CQ, GaussTensor, Tensor, charpoly, int_matmul, is_hermitian,
-                     nullspace, rank, rational_roots, solve)
+from .linalg import (GaussTensor, Tensor, charpoly, int_matmul, is_hermitian, nullspace,
+                     rank, rational_roots, solve, unscaled)
 
 _S3 = np.diag([1, -1])
 _ID2 = np.eye(2, dtype=int)
@@ -94,10 +93,10 @@ def build_rep(n: int) -> GammaRep:
         gammas.append(GaussTensor.of_parts(np.zeros((2 ** half,) * 2, dtype=int),
                                            _kron([_S3] * half)))
         rep = GammaRep(n, gammas)
-        target = CQ(1) if n % 4 == 3 else CQ(0, -1)
-        if rep.volume()[0, 0] != target:
+        target = [1, 0] if n % 4 == 3 else [0, -1]   # (re, im) of +1 or -i
+        if rep.volume().num[0, 0].tolist() != target:
             rep = GammaRep(n, [-g for g in gammas])
-        assert rep.volume()[0, 0] == target
+        assert rep.volume().num[0, 0].tolist() == target
         return rep
     return GammaRep(n, gammas)
 
@@ -132,7 +131,7 @@ class EigenReport:
     def __init__(self, size, pairs, residual, hermitian):
         self.size = size
         self.pairs = pairs            # sorted [(Fraction eigenvalue, multiplicity)]
-        self.residual = residual      # remaining charpoly factor (CQs if not real) or None
+        self.residual = residual      # remaining charpoly factor (a GaussTensor vector) or None
         self.hermitian = hermitian
 
     def multiset(self):
@@ -146,7 +145,7 @@ class EigenReport:
 
     def __repr__(self):
         body = ", ".join(f"{v} x{m}" for v, m in self.pairs)
-        if self.residual:
+        if self.residual is not None:
             body += f"; residual degree {len(self.residual) - 1}"
         return f"EigenReport({body})"
 
@@ -154,13 +153,12 @@ class EigenReport:
 def eigen_report(matrix: GaussTensor) -> EigenReport:
     size, d = len(matrix), matrix.den
     coeffs = charpoly(matrix)
-    if any(im for _, im in coeffs):
+    if coeffs.im.any():
         # a non-real polynomial is not searched: it is the residual whole
-        pairs, residual = [], [CQ(Fraction(re, d ** k), Fraction(im, d ** k))
-                               for k, (re, im) in enumerate(coeffs)]
+        pairs, residual = [], unscaled(coeffs, d)
     else:
-        pairs, residual = rational_roots([re for re, _ in coeffs], d)
-    total = sum(m for _, m in pairs) + (len(residual) - 1 if residual else 0)
+        pairs, residual = rational_roots(coeffs.re.tolist(), d)
+    total = sum(m for _, m in pairs) + (0 if residual is None else len(residual) - 1)
     if total != size:
         raise RuntimeError("spectrum bookkeeping lost degrees")
     return EigenReport(size, pairs, residual, is_hermitian(matrix))
@@ -192,10 +190,8 @@ def spinor_5d(which: str):
              the contact 3-form action);
     "minus": rank-two kernel type, Reeb direction acts by -i.
     """
-    if which == "plus":
-        return GaussTensor.of([1, 0, 0, 0])
-    if which == "minus":
-        return GaussTensor.of([0, 1, 0, 0])
+    if which in ("plus", "minus"):
+        return GaussTensor.identity(4)[("plus", "minus").index(which)]
     raise ValueError("which must be 'plus' or 'minus'")
 
 
@@ -281,6 +277,5 @@ def half_spinor_bases(rep: GammaRep):
     """Eigenbases (as rows) of the volume element on an even-dimensional module (+i, -i)."""
     if rep.n % 2:
         raise DimensionMismatch("half modules exist in even dimensions")
-    vol = rep.volume()
-    eye = GaussTensor.identity(rep.dim)
-    return tuple(nullspace(vol - eye * lam) for lam in (CQ(0, 1), CQ(0, -1)))
+    vol, eye = rep.volume(), np.eye(rep.dim, dtype=int)
+    return tuple(nullspace(vol - GaussTensor.of_parts(0 * eye, s * eye)) for s in (1, -1))

@@ -1,8 +1,8 @@
 """Representation-theoretic engine for the 14-dimensional stabilizer algebra.
 
 Everything is assembled in explicit integer coordinates:
-  * the stabilizer algebra g as the solution space of the seven linear blade
-    equations, orthogonalized over the rationals;
+  * the stabilizer algebra g as the 2-forms orthogonal to the seven e_i -| w3,
+    orthogonalized over the rationals;
   * the equivariant maps Phi (from R^7 (x) g) and Psi (from R^7 (x) m) into
     R^7 (x) S^2(R^7)), as integer matrices with exact rank certificates;
   * the Casimir operator of each relevant module with certified eigenspace
@@ -31,32 +31,22 @@ from .linalg import (Tensor, certified_eigenspace_dims, certify_annihilation,
 
 Q = Fraction
 
-BLADES2 = list(combinations(range(1, 8), 2))
 S2_PAIRS = [(i, j) for i in range(1, 8) for j in range(i, 8)]
-
-_G2_EQUATIONS = [
-    {(1, 2): 1, (3, 4): 1, (5, 6): 1},
-    {(1, 3): -1, (2, 4): 1, (6, 7): -1},
-    {(1, 4): 1, (2, 3): 1, (5, 7): 1},
-    {(1, 6): 1, (2, 5): 1, (3, 7): -1},
-    {(1, 5): 1, (2, 6): -1, (4, 7): -1},
-    {(1, 7): 1, (3, 6): 1, (4, 5): 1},
-    {(2, 7): 1, (3, 5): 1, (4, 6): -1},
-]
 
 
 class G2Algebra:
     """Integer orthogonal basis of the stabilizer algebra inside the 2-forms."""
 
     def __init__(self):
-        kernel = nullspace([[e.get(b, 0) for b in BLADES2] for e in _G2_EQUATIONS])
+        # the 2-forms orthogonal to every e_i -| w3, i = 1..7
+        w3 = canonical_omega3()
+        kernel = nullspace([contract(w3, i).num for i in range(1, 8)])
         if len(kernel) != 14:
             raise StructureError("stabilizer equations do not cut out 14 dimensions")
         raw = [Form.of_numerators(7, 2, v) for v in kernel.num.tolist()]
         self.basis = _orthogonalize(raw)
         self.norms = [inner(x, x) for x in self.basis]
         self.endos = np.stack([_int_endo(x) for x in self.basis])
-        w3 = canonical_omega3()
         if any(not so_action(x, w3).is_zero() for x in self.basis):
             raise StructureError("stabilizer basis does not annihilate the 3-form")
 

@@ -82,20 +82,27 @@ class ConnectionData:
     def curvature(self) -> "CurvatureTable":
         return curvature(self)
 
+    @property
+    def skew_torsion(self) -> Form:
+        """The torsion 3-form that the torsion tables read; StructureError for Levi-Civita."""
+        if self.torsion is None:
+            raise StructureError("the Levi-Civita connection has no torsion form")
+        return self.torsion
+
     @cached_property
     def dt(self) -> Form:
-        return d_form(self.model, self.torsion)
+        return d_form(self.model, self.skew_torsion)
 
     @cached_property
     def delta_t(self) -> Form:
         """The Levi-Civita codifferential of the torsion."""
-        return codiff(self.model.levi_civita, self.torsion)
+        return codiff(self.model.levi_civita, self.skew_torsion)
 
     @cached_property
     def nabla_t(self) -> Tensor:
         """[i, a, b, c] = (nabla_{e_i} T)(e_a, e_b, e_c)."""
-        return Tensor.of_forms([nabla_form(self, i, self.torsion)
-                                for i in range(1, self.model.n + 1)])
+        t = self.skew_torsion
+        return Tensor.of_forms([nabla_form(self, i, t) for i in range(1, self.model.n + 1)])
 
     def nabla_vector(self, v) -> Tensor:
         """[i, k]: the coefficients of nabla_{e_i} of an invariant vector field v."""
@@ -219,7 +226,7 @@ def curvature_identity_residuals(conn: ConnectionData):
     holds exactly on every index tuple).  Tensors are indexed [x, y, z, v].
     """
     ein = Tensor.einsum
-    t = conn.torsion
+    t = conn.skew_torsion
     tt = Tensor.of_form(t)
     dt = Tensor.of_form(conn.dt)
     sig = Tensor.of_form(sigma_t(t))
@@ -296,7 +303,7 @@ class SpinorData:
 
     def __init__(self, conn: ConnectionData, rep: GammaRep):
         self.conn, self.rep = conn, rep
-        self.model, self.t = conn.model, conn.torsion
+        self.model, self.t = conn.model, conn.skew_torsion
         self.lams = spinor_connection(conn, rep)
         self.dirac = _sum_products(rep.gammas, self.lams)
         self.torsion_term = _sum_products(

@@ -2,21 +2,21 @@
 
 Invariant tensors (structure constants, connection coefficients, curvature,
 the tensors of forms) are exact dense `Tensor`s, and every identity over them
-is one einsum contraction.  Spinor endomorphisms and spinors are exact
-dense `GaussTensor`s, the same layout with an imaginary part, multiplied by
-integer matrix products.  Every dense integer matrix product in the program
-is `int_matmul`: float64 BLAS when the a-priori bound n max|a| max|b| < 2^53
-makes every partial sum an integer that a double holds exactly (the
-word-size technique of FFLAS-FFPACK), Python integers otherwise, so a float
-only ever carries such an integer.  Every exact rank, kernel and solve runs one
-fraction-free Gauss-Jordan elimination over Z on the integer numerators; a
-Gaussian system enters it with each entry a + bi as the real block
-[[a, -b], [b, a]].  A spectrum is read from the characteristic polynomial
-of the integral d A (d the denominator of A) over Z[i]; for a real one its
-rational roots are y / d for the integer roots y of that monic integer
-polynomial, found by a divisor search and Horner's rule.  The large
-representation-theoretic matrices (up to 196 x 196) are first tried by a
-mod-p elimination, whose result is promoted to an exact statement by a
+is one einsum contraction.  Spinor endomorphisms, spinors and characteristic
+polynomials are exact dense `GaussTensor`s, the same layout with an imaginary
+part and the one Gaussian type, multiplied by integer matrix products.  Every
+dense integer matrix product in the program is `int_matmul`: float64 BLAS when
+the a-priori bound n max|a| max|b| < 2^53 makes every partial sum an integer
+that a double holds exactly (the word-size technique of FFLAS-FFPACK), Python
+integers otherwise, so a float only ever carries such an integer.  Every exact
+rank, kernel and solve runs one fraction-free Gauss-Jordan elimination over Z
+on the integer numerators; a Gaussian system enters it with each entry a + bi
+as the real block [[a, -b], [b, a]].  A spectrum is read from the
+characteristic polynomial of the integral d A (d the denominator of A) over
+Z[i]; for a real one its rational roots are y / d for the integer roots y of
+that monic integer polynomial, found by a divisor search and Horner's rule.
+The large representation-theoretic matrices (up to 196 x 196) are first tried
+by a mod-p elimination, whose result is promoted to an exact statement by a
 separate certificate, never trusted on its own.
 """
 
@@ -118,14 +118,20 @@ class Tensor:
     def __mul__(self, factor) -> "Tensor":
         """Scaling by a rational number."""
         f = Q(factor)
-        return Tensor(self.num * f.numerator, self.den * f.denominator)
+        return type(self)(self.num * f.numerator, self.den * f.denominator)
 
     def __eq__(self, other):
-        """Exact equality with a Tensor or with nested lists of rationals."""
+        """Exact equality with a tensor of the same kind; a real Tensor also takes nested lists.
+
+        Nested lists are read as rationals, so a GaussTensor compared with
+        them raises TypeError, as with any tensor of the other kind.
+        """
         if isinstance(other, (list, tuple)):
-            other = type(self).of(other)
+            other = Tensor.of(other)
         if not isinstance(other, Tensor):
             return NotImplemented
+        if type(other) is not type(self):
+            raise TypeError(f"a {type(self).__name__} is compared with a {type(other).__name__}")
         return (self.den == other.den and self.num.shape == other.num.shape
                 and bool((self.num == other.num).all()))
 
@@ -138,9 +144,9 @@ class Tensor:
         return Q(max(map(abs, self.num.flat), default=0), self.den)
 
     def __getitem__(self, index):
-        """A Fraction for a full index, else the sub-tensor."""
+        """A Fraction for a full index of a real Tensor, else a tensor of this kind."""
         part = self.num[index]
-        return Tensor(part, self.den) if isinstance(part, np.ndarray) else Q(part, self.den)
+        return type(self)(part, self.den) if isinstance(part, np.ndarray) else Q(part, self.den)
 
     def __len__(self):
         return len(self.num)
@@ -152,70 +158,6 @@ class Tensor:
         return f"{type(self).__name__}(shape {self.num.shape}, denominator {self.den})"
 
 
-class CQ:
-    """Gaussian rational a + b*i with exact Fraction components."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = Q(re)
-        self.im = Q(im)
-
-    @staticmethod
-    def of(x):
-        if isinstance(x, CQ):
-            return x
-        return CQ(x)
-
-    def __add__(self, other):
-        o = CQ.of(other)
-        return CQ(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = CQ.of(other)
-        return CQ(self.re - o.re, self.im - o.im)
-
-    def __mul__(self, other):
-        o = CQ.of(other)
-        return CQ(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = CQ.of(other)
-        d = o.re * o.re + o.im * o.im
-        if not d:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return CQ((self.re * o.re + self.im * o.im) / d,
-                  (self.im * o.re - self.re * o.im) / d)
-
-    def __neg__(self):
-        return CQ(-self.re, -self.im)
-
-    def conj(self):
-        return CQ(self.re, -self.im)
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __eq__(self, other):
-        o = CQ.of(other) if isinstance(other, (CQ, int, Fraction)) else None
-        return o is not None and self.re == o.re and self.im == o.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __repr__(self):
-        if not self.im:
-            return str(self.re)
-        return f"({self.re}{'+' if self.im >= 0 else '-'}{abs(self.im)}i)"
-
-
-_ZERO = Q(0)
-
-
 # ---------------------------------------------------------------------------
 # exact dense Gaussian-rational tensors (spinor endomorphisms and spinors)
 # ---------------------------------------------------------------------------
@@ -224,25 +166,16 @@ class GaussTensor(Tensor):
     """Exact dense Gaussian-rational tensor: a Tensor whose last axis holds (re, im).
 
     The numerators of both parts share the one reduced denominator, so equal
-    tensors are equal entry-wise, and +, -, ==, `is_zero`, `len` and
-    iteration are the Tensor ones.  Matrices and vectors multiply with `@`
-    by three integer products (Gauss's trick); a full index gives a CQ.
-    einsum and the form conversions are for real tensors only.
+    tensors are equal entry-wise, and +, -, rational scaling, ==, `is_zero`,
+    `len`, indexing and iteration are the Tensor ones; a GaussTensor has no
+    truth value.  A full index gives a scalar of shape (2,), whose `str` is
+    `a` when it is real, else `(a+bi)` or `(a-bi)`; a vector prints as the
+    list of its scalars.  Matrices and vectors multiply with `@` by three integer
+    products (Gauss's trick).  einsum and the form conversions are for real
+    tensors only.
     """
 
     __slots__ = ()
-
-    @staticmethod
-    def of(values) -> "GaussTensor":
-        """GaussTensor of nested lists (or an array) of rationals and CQs."""
-        if isinstance(values, GaussTensor):
-            return values
-        arr = np.asarray(values, dtype=object)
-        pairs = [q for x in arr.flat
-                 for q in ((x.re, x.im) if isinstance(x, CQ) else (Q(x), _ZERO))]
-        den = lcm(1, *(q.denominator for q in pairs))
-        nums = [q.numerator * (den // q.denominator) for q in pairs]
-        return GaussTensor(np.array(nums, dtype=object).reshape(arr.shape + (2,)), den)
 
     @staticmethod
     def of_parts(re, im, den=1) -> "GaussTensor":
@@ -273,25 +206,17 @@ class GaussTensor(Tensor):
         cross = int_matmul(self.re + self.im, other.re + other.im)
         return GaussTensor.of_parts(rp - jq, cross - rp - jq, self.den * other.den)
 
-    def __mul__(self, factor) -> "GaussTensor":
-        """Scaling by a rational or Gaussian rational number."""
-        f = CQ.of(factor)
-        den = lcm(f.re.denominator, f.im.denominator)
-        a, b = int(f.re * den), int(f.im * den)
-        return GaussTensor.of_parts(self.re * a - self.im * b, self.re * b + self.im * a,
-                                    self.den * den)
+    def __bool__(self):
+        raise TypeError("a GaussTensor has no truth value; use is_zero()")
 
-    def __getitem__(self, index):
-        """A CQ for a full index, else the sub-tensor."""
-        part = self.num[index]
-        if part.ndim > 1:
-            return GaussTensor(part, self.den)
-        return CQ(Q(part[0], self.den), Q(part[1], self.den))
-
-    def tolist(self):
-        """Nested lists of CQ entries."""
-        flat = [CQ(Q(re, self.den), Q(im, self.den)) for re, im in self.num.reshape(-1, 2)]
-        return np.array(flat, dtype=object).reshape(self.num.shape[:-1]).tolist()
+    def __str__(self):
+        """A scalar as `a`, `(a+bi)` or `(a-bi)`; a vector as the list of its scalars."""
+        if self.num.ndim > 2:
+            return repr(self)
+        flat = self.num.reshape(-1).tolist()
+        text = [f"({Q(re, self.den)}{'+' if im >= 0 else '-'}{Q(abs(im), self.den)}i)" if im
+                else str(Q(re, self.den)) for re, im in zip(flat[::2], flat[1::2])]
+        return text[0] if self.num.ndim == 1 else f"[{', '.join(text)}]"
 
 
 def is_hermitian(a: GaussTensor) -> bool:
@@ -346,7 +271,7 @@ def _system(matrix):
     Q(i): its pivots come in pairs (2c, 2c + 1), and a real vector read as
     interleaved (re, im) pairs is a Gaussian one.
     """
-    t = matrix if isinstance(matrix, Tensor) else Tensor.of(matrix)
+    t = Tensor.of(matrix)
     if not isinstance(t, GaussTensor):
         return t, t.num
     (m, n), re, im = t.re.shape, t.re, t.im
@@ -384,12 +309,14 @@ def nullspace(matrix):
 def solve(matrix, rhs):
     """One solution of A x = b for each row b of `rhs`, or None where there is none.
 
-    `rhs` is of the same kind as the matrix.  The matrix is eliminated once,
-    with every right-hand side as an extra column; each solution is a vector
-    of that kind, zero at the free columns.
+    `rhs` is of the same kind as the matrix (nested lists are rationals).  The
+    matrix is eliminated once, with every right-hand side as an extra column;
+    each solution is a vector of that kind, zero at the free columns.
     """
     t, a = _system(matrix)
-    b = rhs if isinstance(rhs, Tensor) else type(t).of(rhs)
+    b = Tensor.of(rhs)
+    if type(b) is not type(t):
+        raise TypeError(f"a {type(t).__name__} system has {type(b).__name__} right-hand sides")
     n = a.shape[1]
     rows, pivots, d = _eliminate(np.hstack([a * b.den, b.num.reshape(len(b), -1).T * t.den]), n)
     sols = []
@@ -407,8 +334,8 @@ def solve(matrix, rhs):
 # characteristic polynomial & rational roots
 # ---------------------------------------------------------------------------
 
-def charpoly(matrix: GaussTensor):
-    """Coefficients of det(yI - dA) as (re, im) int pairs, highest first.
+def charpoly(matrix: GaussTensor) -> GaussTensor:
+    """Coefficients of det(yI - dA) over Z[i] as a GaussTensor vector, highest first.
 
     d is the denominator of A, so A has the characteristic polynomial
     sum_k C_k x^(n-k) / d^k.  Faddeev-LeVerrier runs on the integral dA: every
@@ -418,13 +345,19 @@ def charpoly(matrix: GaussTensor):
     scaled = GaussTensor(matrix.num)
     eye = np.eye(n, dtype=int).astype(object)[..., None]
     m = GaussTensor.identity(n)
-    coeffs = [(1, 0)]
+    coeffs = [np.array([1, 0], dtype=object)]
     for k in range(1, n + 1):
         p = scaled @ m
-        c = -(np.trace(p.num) // k)   # (re, im) of C_k
-        coeffs.append((int(c[0]), int(c[1])))
-        m = GaussTensor(p.num + eye * c)
-    return coeffs
+        coeffs.append(-(np.trace(p.num) // k))   # (re, im) of C_k
+        m = GaussTensor(p.num + eye * coeffs[-1])
+    return GaussTensor(np.stack(coeffs))
+
+
+def unscaled(q: GaussTensor, d) -> GaussTensor:
+    """The coefficients q_k / d^k of sum_k q_k x^(n-k) / d^k, a polynomial given in y = d x."""
+    n = len(q) - 1
+    powers = np.array([d ** (n - k) for k in range(n + 1)], dtype=object)[:, None]
+    return GaussTensor(q.num * powers, d ** n)
 
 
 def rational_roots(q, d):
@@ -436,7 +369,8 @@ def rational_roots(q, d):
     2 max |q_k|^(1/k) (each k-th root rounded up to a power of two); Horner's
     rule tests each one.  Returns (sorted [(Fraction root, multiplicity)],
     residual), where the residual is the monic factor left by the roots
-    found, as Fractions c_k / d^k, or None when the polynomial splits.
+    found, as the GaussTensor coefficient vector of `unscaled`, or None when
+    the polynomial splits.
     """
     q, roots = list(q), {}
     while len(q) > 1 and not q[-1]:
@@ -459,7 +393,7 @@ def rational_roots(q, d):
     pairs = sorted((Q(y, d), m) for y, m in roots.items())
     if len(q) == 1:
         return pairs, None
-    return pairs, [Q(c, d ** k) for k, c in enumerate(q)]
+    return pairs, unscaled(GaussTensor.of_parts(q, [0] * len(q)), d)
 
 
 def _divide_root(q, y):

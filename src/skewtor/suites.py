@@ -431,7 +431,7 @@ def suite_contact() -> Report:
                             provenance="stated"))
         if s.is_contact_metric():
             checks.append(check(f"contact.{name}.sasakian-torsion", "Thm 8.4(1)",
-                                t == wedge(s.eta, s.d_eta()),
+                                t == wedge(s.eta, s.d_eta),
                                 expected="T = eta ^ d eta", provenance="stated"))
             conn = s.connection
             checks.append(check(f"contact.{name}.torsion-parallel", "Prop 7.1",
@@ -439,7 +439,7 @@ def suite_contact() -> Report:
                                 provenance="stated"))
             checks.append(check(f"contact.{name}.sigma-dt", "Prop 7.1",
                                 sigma_t(t).scale(2) == conn.dt
-                                == wedge(s.d_eta(), s.d_eta()),
+                                == wedge(s.d_eta, s.d_eta),
                                 provenance="stated"))
             sas = acskit.sasakian_ricci_package(s)
             checks.append(check(f"contact.{name}.sasakian-package", "Thm 9.2",
@@ -449,7 +449,7 @@ def suite_contact() -> Report:
                                 and sas["matches-4(k-1)"],
                                 value=sas, provenance="stated"))
         elif nij.is_zero():
-            want = wedge(s.eta, s.d_eta()) + (-acskit.pullback3(s.d_fundamental, s.phi))
+            want = wedge(s.eta, s.d_eta) + (-acskit.pullback3(s.d_fundamental, s.phi))
             checks.append(check(f"contact.{name}.normal-torsion", "Thm 8.4(2)",
                                 t == want, expected="T = eta ^ d eta + d^phi F",
                                 provenance="stated"))
@@ -464,7 +464,7 @@ def suite_contact() -> Report:
     deformed = acskit.tanno_deform(s5, Q(4, 3))
     checks.append(check("contact.heis5.tanno", "deformation (Remark 9.3)",
                         deformed.is_contact_metric()
-                        and deformed.torsion == wedge(deformed.eta, deformed.d_eta()),
+                        and deformed.torsion == wedge(deformed.eta, deformed.d_eta),
                         expected="deformed structure stays Sasakian",
                         provenance="derived"))
     ident = acskit.tanno_deform(s5, 1)

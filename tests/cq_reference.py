@@ -2,12 +2,92 @@
 
 These are the list-matrix loops that `GaussTensor` and the fraction-free
 elimination replaced in the program, kept here to compare the integer
-kernels against entry for entry.
+kernels against entry for entry.  `CQ` is the reference's own Gaussian
+rational, independent of the program; `parts` and `entries` convert nested
+lists of it to and from the integer parts over one denominator that a
+`GaussTensor` holds.
 """
 
 from fractions import Fraction as Q
+from math import lcm
 
-from skewtor.linalg import CQ
+import numpy as np
+
+
+class CQ:
+    """Gaussian rational a + b*i with exact Fraction components."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = Q(re)
+        self.im = Q(im)
+
+    @staticmethod
+    def of(x):
+        return x if isinstance(x, CQ) else CQ(x)
+
+    def __add__(self, other):
+        o = CQ.of(other)
+        return CQ(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = CQ.of(other)
+        return CQ(self.re - o.re, self.im - o.im)
+
+    def __mul__(self, other):
+        o = CQ.of(other)
+        return CQ(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = CQ.of(other)
+        d = o.re * o.re + o.im * o.im
+        if not d:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        return CQ((self.re * o.re + self.im * o.im) / d,
+                  (self.im * o.re - self.re * o.im) / d)
+
+    def __neg__(self):
+        return CQ(-self.re, -self.im)
+
+    def conj(self):
+        return CQ(self.re, -self.im)
+
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
+
+    def __eq__(self, other):
+        o = CQ.of(other) if isinstance(other, (CQ, int, Q)) else None
+        return o is not None and self.re == o.re and self.im == o.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __repr__(self):
+        if not self.im:
+            return str(self.re)
+        return f"({self.re}{'+' if self.im >= 0 else '-'}{abs(self.im)}i)"
+
+
+def parts(values):
+    """(re, im, den): integer arrays and one denominator of nested lists of CQs or rationals."""
+    arr = np.asarray(values, dtype=object)
+    pairs = [CQ.of(x) for x in arr.flat]
+    den = lcm(1, *(q.denominator for x in pairs for q in (x.re, x.im)))
+    re, im = ([int(getattr(x, part) * den) for x in pairs] for part in ("re", "im"))
+    return (np.array(re, dtype=object).reshape(arr.shape),
+            np.array(im, dtype=object).reshape(arr.shape), den)
+
+
+def entries(num, den):
+    """Nested lists of CQs of an integer array whose last axis holds (re, im), over den."""
+    num = np.asarray(num, dtype=object)
+    flat = [CQ(Q(re, den), Q(im, den)) for re, im in num.reshape(-1, 2)]
+    return np.array(flat, dtype=object).reshape(num.shape[:-1]).tolist()
 
 
 def mat_identity(n, one=Q(1), zero=Q(0)):
@@ -41,7 +121,7 @@ def mat_mul(a, b):
 def act_form_by_gamma_products(rep, parts):
     """Reference action: each blade as a chain of dense CQ gamma-matrix products."""
     size = rep.dim
-    gammas = [g.tolist() for g in rep.gammas]
+    gammas = [entries(g.num, g.den) for g in rep.gammas]
     out = [[CQ(0)] * size for _ in range(size)]
     for part in parts:
         for blade, coeff in part.terms.items():

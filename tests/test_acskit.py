@@ -74,13 +74,13 @@ def test_sasakian_fixture():
     assert s.xi_is_killing()
     assert nijenhuis(s).is_zero()
     t = contact_torsion(s)
-    assert t == wedge(s.eta, s.d_eta())
+    assert t == wedge(s.eta, s.d_eta)
     assert structure_parallel_residuals(s) == 0
     conn = with_torsion(s.model, t)
     assert all(nabla_form(conn, i, t).is_zero() for i in range(1, 6))
     assert codiff(levi_civita(s.model), t).is_zero()
     assert sigma_t(t).scale(2) == d_form(s.model, t) == \
-        wedge(s.d_eta(), s.d_eta())
+        wedge(s.d_eta, s.d_eta)
     assert curvature(conn).ric_diag() == [Q(-4)] * 4 + [Q(0)]
     assert curvature(levi_civita(s.model)).ric_diag() == [Q(-2)] * 4 + [Q(4)]
 
@@ -120,7 +120,7 @@ def test_normal_branch_torsion_formula():
         assert not s.is_contact_metric()
         t = contact_torsion(s)
         df = d_form(s.model, s.fundamental_form())
-        want = wedge(s.eta, s.d_eta()) - pullback3(df, s.phi)
+        want = wedge(s.eta, s.d_eta) - pullback3(df, s.phi)
         assert t == want
         assert structure_parallel_residuals(s) == 0
     assert not (-pullback3(d_form(contact("twist5").model,
@@ -239,7 +239,7 @@ def test_tanno_deformation():
     deformed = tanno_deform(s, Q(4, 3))
     assert deformed.is_contact_metric()
     t = contact_torsion(deformed)
-    assert t == wedge(deformed.eta, deformed.d_eta())
+    assert t == wedge(deformed.eta, deformed.d_eta)
     with pytest.raises(StructureError):
         tanno_deform(s, -1)
     with pytest.raises(StructureError):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewtor import clifford
-from skewtor.clifford import (CQ, act_form, build_rep, common_kernel,
+from skewtor.clifford import (act_form, build_rep, common_kernel,
                               eigen_report, half_spinor_bases,
                               kernel_conditions_5d, kernel_conditions_are_membership,
                               restrict, spin_endo_5d, spinor_5d)
@@ -14,7 +14,18 @@ from skewtor.forms import Form, contract, hodge, random_form, wedge
 from skewtor.g2 import canonical_omega3
 from skewtor.linalg import GaussTensor, charpoly, is_hermitian, solve
 
-from cq_reference import act_form_by_gamma_products, charpoly_by_fractions, poly_eval
+from cq_reference import (CQ, act_form_by_gamma_products, charpoly_by_fractions, entries,
+                          parts as cq_parts, poly_eval)
+
+
+def gauss(values):
+    """The GaussTensor of nested lists of reference CQs (or rationals)."""
+    return GaussTensor.of_parts(*cq_parts(values))
+
+
+def cq(tensor):
+    """The reference CQs of a GaussTensor, as nested lists."""
+    return entries(tensor.num, tensor.den)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -23,7 +34,7 @@ def test_clifford_relations(n):
     assert rep.dim == 2 ** (n // 2)
     for i in range(n):
         for j in range(i, n):
-            anti = rep.gammas[i] @ rep.gammas[j] + rep.gammas[j] @ rep.gammas[i]
+            anti = cq(rep.gammas[i] @ rep.gammas[j] + rep.gammas[j] @ rep.gammas[i])
             want = CQ(-2) if i == j else CQ(0)
             assert all(anti[a][b] == (want if a == b else CQ(0))
                        for a in range(rep.dim) for b in range(rep.dim))
@@ -32,7 +43,7 @@ def test_clifford_relations(n):
 @pytest.mark.parametrize("n", (5, 6, 7))
 def test_gammas_anti_hermitian(n):
     rep = build_rep(n)
-    for g in rep.gammas:
+    for g in map(cq, rep.gammas):
         for a in range(rep.dim):
             for b in range(rep.dim):
                 assert g[a][b] == -g[b][a].conj()
@@ -57,14 +68,12 @@ def test_omega3_spectrum_and_normalizations():
     from skewtor.linalg import nullspace
     shifted = act_form(rep, w3) + GaussTensor.identity(8) * 7
     (psi0,) = nullspace(shifted)
-    psi0 = GaussTensor.of(psi0)
     sw3 = hodge(w3)
-    assert all((act_form(rep, sw3) @ psi0)[k] == CQ(-7) * psi0[k]
-               for k in range(8))
+    assert act_form(rep, sw3) @ psi0 == psi0 * -7
     for i in range(1, 8):
         lhs = act_form(rep, contract(sw3, i)) @ psi0
         rhs = act_form(rep, Form.basis_vector(7, i)) @ psi0
-        assert all(l == CQ(4) * r for l, r in zip(lhs, rhs))
+        assert lhs == rhs * 4
 
 
 def test_contact_form_spectrum_dim5():
@@ -84,9 +93,9 @@ def test_eigen_multiset_invariant_under_conjugation():
     g = [[CQ(rng.randint(-3, 3), rng.randint(-2, 2)) for _ in range(4)]
          for _ in range(4)]
     g[0][0] = g[0][0] + CQ(7)
-    cols = solve(GaussTensor.of(g), GaussTensor.identity(4))
+    cols = [cq(col) for col in solve(gauss(g), GaussTensor.identity(4))]
     ginv = [[col[i] for col in cols] for i in range(4)]
-    conj = GaussTensor.of(g) @ m @ GaussTensor.of(ginv)
+    conj = gauss(g) @ m @ gauss(ginv)
     assert eigen_report(conj).pairs == eigen_report(m).pairs
 
 
@@ -159,7 +168,7 @@ def test_hermiticity_tracks_degree_mod_four():
 
 def test_inhomogeneous_action_adds_scalar():
     rep = build_rep(6)
-    scalar_only = act_form(rep, Form.scalar(6, Q(5, 2)))
+    scalar_only = cq(act_form(rep, Form.scalar(6, Q(5, 2))))
     assert all(scalar_only[i][j] == (CQ(Q(5, 2)) if i == j else CQ(0))
                for i in range(8) for j in range(8))
 
@@ -181,19 +190,20 @@ def mixed_forms(draw):
 def test_monomial_action_and_integer_charpoly_match_references(parts):
     rep = build_rep(parts[0].n)
     m = act_form(rep, parts)
-    assert m == act_form_by_gamma_products(rep, parts)
+    assert m == gauss(act_form_by_gamma_products(rep, parts))
+    entries_m = cq(m)
     # charpoly holds the integer coefficients of det(yI - dA), d the denominator
     coeffs = charpoly(m)
-    assert all(type(re) is int and type(im) is int for re, im in coeffs)
-    assert [CQ(re, im) for re, im in coeffs] == \
-        [c * m.den ** k for k, c in enumerate(charpoly_by_fractions(m.tolist()))]
-    real = [[x.re + 2 * x.im for x in row] for row in m]
-    real_m = GaussTensor.of(real)
+    assert type(coeffs) is GaussTensor and coeffs.den == 1
+    assert all(type(x) is int for x in coeffs.num.flat)
+    assert cq(coeffs) == [c * m.den ** k for k, c in enumerate(charpoly_by_fractions(entries_m))]
+    real = [[x.re + 2 * x.im for x in row] for row in entries_m]
+    real_m = gauss(real)
     coeffs = charpoly(real_m)
-    assert all(type(re) is int and im == 0 for re, im in coeffs)
-    assert [re for re, _ in coeffs] == \
+    assert all(type(x) is int for x in coeffs.num.flat) and not coeffs.im.any()
+    assert coeffs.re.tolist() == \
         [c * real_m.den ** k for k, c in enumerate(charpoly_by_fractions(real))]
-    assert is_hermitian(m) == all(m[i][j] == m[j][i].conj()
+    assert is_hermitian(m) == all(entries_m[i][j] == entries_m[j][i].conj()
                                   for i in range(rep.dim) for j in range(rep.dim))
 
 
@@ -203,8 +213,8 @@ def test_multiplicities_and_residual_fill_the_module(parts):
     rep = build_rep(parts[0].n)
     m = act_form(rep, parts)
     report = eigen_report(m)
-    residual_degree = len(report.residual) - 1 if report.residual else 0
+    residual_degree = 0 if report.residual is None else len(report.residual) - 1
     assert sum(mult for _, mult in report.pairs) + residual_degree == rep.dim
     # each reported eigenvalue is a root of the reference characteristic polynomial
-    reference = charpoly_by_fractions(m.tolist())
+    reference = charpoly_by_fractions(cq(m))
     assert all(not poly_eval(reference, CQ(value)) for value, _ in report.pairs)

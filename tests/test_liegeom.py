@@ -125,6 +125,16 @@ def test_levi_civita_properties(heis5):
         [Q(0), Q(0), Q(0), Q(0), Q(-1)]
 
 
+@pytest.mark.parametrize("read", [
+    lambda lc: lc.dt, lambda lc: lc.delta_t, lambda lc: lc.nabla_t,
+    curvature_identity_residuals, lambda lc: SpinorData(lc, build_rep(5))],
+    ids=["dt", "delta_t", "nabla_t", "curvature_identity_residuals", "SpinorData"])
+def test_torsion_tables_of_levi_civita_raise(read):
+    # the Levi-Civita connection has no torsion form to read
+    with pytest.raises(StructureError, match="no torsion form"):
+        read(registry()["heis5"].model.levi_civita)
+
+
 def test_levi_civita_uniqueness(heis7):
     # adding any nonzero metric-compatible perturbation breaks torsion-freeness
     lc = levi_civita(heis7)
@@ -249,8 +259,8 @@ def test_operator_identities_and_parallel_counts(heis7, solv7, heis5):
         assert all((tm @ psi).is_zero() for psi in basis)
         _, residuals = spin.field_equations()
         for r1, r2 in residuals:
-            assert all(not c for c in r1)
-            assert all(not c for vec in r2 for c in vec)
+            assert r1.is_zero()
+            assert all(vec.is_zero() for vec in r2)
 
 
 def test_abelian_operator_identities():

@@ -15,20 +15,41 @@ from hypothesis import example, given, settings, strategies as st
 
 from skewtor.clifford import eigen_report
 from skewtor.forms import Form
-from skewtor.linalg import (CQ, GaussTensor, Tensor, certified_eigenspace_dims,
+from skewtor.linalg import (GaussTensor, Tensor, certified_eigenspace_dims,
                             certify_annihilation, charpoly, int_abs_max, int_matmul,
                             is_hermitian, krylov_min_poly, nullspace, rank,
                             rank_mod_p, rational_roots, solve, _PRIMES)
+from skewtor.reporting import fmt
 
 import cq_reference
-from cq_reference import mat_add, mat_mul, mat_scale, poly_eval, poly_mul
+from cq_reference import (CQ, entries, mat_add, mat_identity, mat_mul, mat_scale, parts,
+                          poly_eval, poly_mul)
 
 
 def qm(rows):
     return [[Q(x) for x in row] for row in rows]
 
 
+def gauss(values):
+    """The GaussTensor of nested lists of reference CQs (or rationals)."""
+    return GaussTensor.of_parts(*parts(values))
+
+
+def cq(tensor):
+    """The reference CQs of a GaussTensor, as nested lists (one CQ for a scalar)."""
+    return entries(tensor.num, tensor.den)
+
+
+def real_coeffs(poly):
+    """The Fraction coefficients of a real GaussTensor coefficient vector (None stays None)."""
+    if poly is None:
+        return None
+    assert type(poly) is GaussTensor and not poly.im.any()
+    return [Q(x, poly.den) for x in poly.re]
+
+
 def test_gaussian_rational_field_ops():
+    # the reference scalar that the Gaussian kernels are compared against
     a = CQ(Q(1, 2), Q(3))
     b = CQ(2, -1)
     assert a + b == CQ(Q(5, 2), 2)
@@ -83,17 +104,17 @@ def exact_systems(draw):
 @settings(max_examples=80, deadline=None)
 @given(exact_systems())
 def test_elimination_matches_field_reference(system):
-    gauss, a, rhs = system
-    kind, one = (GaussTensor, CQ(1)) if gauss else (Tensor, Q(1))
-    assert rank(kind.of(a)) == cq_reference.rank(a)
-    kernel, want = nullspace(kind.of(a)), cq_reference.nullspace(a, one=one)
+    is_gauss, a, rhs = system
+    of, one = (gauss, CQ(1)) if is_gauss else (Tensor.of, Q(1))
+    assert rank(of(a)) == cq_reference.rank(a)
+    kernel, want = nullspace(of(a)), cq_reference.nullspace(a, one=one)
     assert len(kernel) == len(want)
-    assert not want or kernel == kind.of(want)
-    sols, wanted = solve(kind.of(a), kind.of(rhs)), cq_reference.solve(a, rhs)
+    assert not want or kernel == of(want)
+    sols, wanted = solve(of(a), of(rhs)), cq_reference.solve(a, rhs)
     assert len(sols) == len(wanted)
     for x, ref in zip(sols, wanted):
         assert (x is None) == (ref is None)
-        assert x is None or x == kind.of(ref)
+        assert x is None or x == of(ref)
 
 
 def test_invert_round_trip():
@@ -109,14 +130,15 @@ def test_invert_round_trip():
 
 
 def test_charpoly_and_roots_complex():
-    m = GaussTensor.of([[CQ(1), CQ(0, 1)], [CQ(0, -1), CQ(1)]])
+    m = GaussTensor.of_parts([[1, 0], [0, 1]], [[0, 1], [-1, 0]])
     assert is_hermitian(m)
-    assert charpoly(m) == [(1, 0), (-2, 0), (0, 0)]
-    assert rational_roots([re for re, _ in charpoly(m)], m.den) == ([(Q(0), 1), (Q(2), 1)], None)
+    assert type(charpoly(m)) is GaussTensor
+    assert charpoly(m) == GaussTensor.of_parts([1, -2, 0], [0, 0, 0])
+    assert rational_roots(charpoly(m).re.tolist(), m.den) == ([(Q(0), 1), (Q(2), 1)], None)
     # charpoly is det(yI - dA) for the denominator d of A: halving A keeps it
     half = m * Q(1, 2)
-    assert half.den == 2 and charpoly(half) == charpoly(m)
-    assert rational_roots([re for re, _ in charpoly(half)], 2) == ([(Q(0), 1), (Q(1), 1)], None)
+    assert type(half) is GaussTensor and half.den == 2 and charpoly(half) == charpoly(m)
+    assert rational_roots(charpoly(half).re.tolist(), 2) == ([(Q(0), 1), (Q(1), 1)], None)
 
 
 def test_rational_roots_with_residual():
@@ -124,11 +146,11 @@ def test_rational_roots_with_residual():
     q = poly_mul(poly_mul(poly_mul([1, 0, -2], [1, -3]), [1, -3]), [1, 0])
     roots, residual = rational_roots(q, 1)
     assert roots == [(Q(0), 1), (Q(3), 2)]
-    assert residual == [Q(1), Q(0), Q(-2)]
-    assert poly_eval(residual, Q(3)) == 7
+    assert real_coeffs(residual) == [Q(1), Q(0), Q(-2)]
+    assert poly_eval(cq(residual), CQ(3)) == 7
     roots, residual = rational_roots(q, 2)
     assert roots == [(Q(0), 1), (Q(3, 2), 2)]
-    assert residual == [Q(1), Q(0), Q(-1, 2)]
+    assert real_coeffs(residual) == [Q(1), Q(0), Q(-1, 2)]
 
 
 def _split_by_sympy(q, d):
@@ -163,11 +185,10 @@ def test_rational_roots_of_split_times_irreducible(ys, d, b, gap, with_quadratic
         q = poly_mul(q, [1, -y])
     found, residual = rational_roots(q, d)
     assert found == sorted(Counter(Q(y, d) for y in ys).items())
-    assert (found, residual) == _split_by_sympy(q, d)
+    assert (found, real_coeffs(residual)) == _split_by_sympy(q, d)
     assert all(type(r) is Q for r, _ in found)
     if with_quadratic:
-        assert residual == [Q(c, d ** k) for k, c in enumerate(quadratic)]
-        assert all(type(c) is Q for c in residual)
+        assert real_coeffs(residual) == [Q(c, d ** k) for k, c in enumerate(quadratic)]
     else:
         assert residual is None
 
@@ -175,12 +196,12 @@ def test_rational_roots_of_split_times_irreducible(ys, d, b, gap, with_quadratic
 def test_rational_roots_leave_non_real_polynomials_whole():
     # y^2 - i y has the rational root 0, but a non-real polynomial is not
     # searched: eigen_report returns it whole, scaled back by d^k
-    m = GaussTensor.of([[CQ(0), CQ(0)], [CQ(0), CQ(0, Q(1, 2))]])
-    assert charpoly(m) == [(1, 0), (0, -1), (0, 0)]
+    m = gauss([[CQ(0), CQ(0)], [CQ(0), CQ(0, Q(1, 2))]])
+    assert charpoly(m) == GaussTensor.of_parts([1, 0, 0], [0, -1, 0])
     report = eigen_report(m)
     assert report.pairs == []
-    assert report.residual == [CQ(1), CQ(0, Q(-1, 2)), CQ(0)]
-    assert all(type(c) is CQ for c in report.residual)
+    assert type(report.residual) is GaussTensor
+    assert cq(report.residual) == [CQ(1), CQ(0, Q(-1, 2)), CQ(0)]
 
 
 def test_integer_echelon_tools():
@@ -411,20 +432,50 @@ def test_gauss_tensor_arithmetic_matches_cq_lists(data):
     a, b, c = _cq_matrix(data, rows, mid), _cq_matrix(data, mid, cols), _cq_matrix(data, rows, mid)
     v = _cq_matrix(data, mid, 1)
     z, q = data.draw(gaussian_rationals), data.draw(rationals)
-    ga, gb, gc = GaussTensor.of(a), GaussTensor.of(b), GaussTensor.of(c)
-    assert ga.tolist() == a and [[ga[i, j] for j in range(mid)] for i in range(rows)] == a
-    assert ga @ gb == mat_mul(a, b)
-    assert ga @ GaussTensor.of([row[0] for row in v]) == [row[0] for row in mat_mul(a, v)]
-    assert ga + gc == mat_add(a, c)
-    assert ga - gc == mat_add(a, mat_scale(c, CQ(-1)))
-    assert -ga == mat_scale(a, CQ(-1))
-    assert ga * z == mat_scale(a, z)
-    assert ga * q == mat_scale(a, CQ(q))
-    assert ga.T == [list(col) for col in zip(*a)]
+    ga, gb, gc = gauss(a), gauss(b), gauss(c)
+    assert cq(ga) == a and [[cq(ga[i, j]) for j in range(mid)] for i in range(rows)] == a
+    assert all(ga[i, j].num.shape == (2,) for j in range(mid) for i in range(rows))
+    assert ga @ gb == gauss(mat_mul(a, b))
+    assert ga @ gauss([row[0] for row in v]) == gauss([row[0] for row in mat_mul(a, v)])
+    assert ga + gc == gauss(mat_add(a, c))
+    assert ga - gc == gauss(mat_add(a, mat_scale(c, CQ(-1))))
+    assert -ga == gauss(mat_scale(a, CQ(-1)))
+    # a Gaussian factor multiplies as a scalar matrix, a rational one by `*`
+    assert ga @ gauss(mat_scale(mat_identity(mid, CQ(1), CQ(0)), z)) == gauss(mat_scale(a, z))
+    assert ga * q == gauss(mat_scale(a, CQ(q))) and type(ga * q) is GaussTensor
+    assert ga.T == gauss([list(col) for col in zip(*a)])
     assert (ga == gc) == (a == c)
     assert (ga - ga).is_zero() and (ga.is_zero() == all(not x for row in a for x in row))
     # the denominator is the least one: equal tensors have equal parts
     assert ga.den == lcm(1, *(p.denominator for row in a for x in row for p in (x.re, x.im)))
+
+
+@pytest.mark.parametrize("re, im, den, text", [
+    (0, 0, 1, "0"), (-5, 0, 2, "-5/2"), (0, 1, 1, "(0+1i)"), (0, -1, 2, "(0-1/2i)"),
+    (1, -6, 2, "(1/2-3i)")])
+def test_gaussian_scalar_str(re, im, den, text):
+    # spin-eig prints its residual coefficients this way, as CQ printed them
+    scalar = GaussTensor.of_parts([[0, re]], [[0, im]], den)[0, 1]
+    assert type(scalar) is GaussTensor and scalar.num.shape == (2,)
+    assert str(scalar) == fmt(scalar) == text == repr(CQ(Q(re, den), Q(im, den)))
+    assert str(GaussTensor.of_parts([den, re], [0, im], den)) == f"[1, {text}]"
+
+
+def test_gauss_tensor_with_a_list_raises():
+    # a list holds rationals: neither a comparison nor a Gaussian solve reads it
+    # silently, and a Gaussian scalar has no truth value
+    eye = GaussTensor.identity(2)
+    with pytest.raises(TypeError):
+        eye == [[1, 0], [0, 1]]
+    with pytest.raises(TypeError):
+        eye[0] != [1, 0]
+    with pytest.raises(TypeError):
+        eye == Tensor.identity(2)
+    with pytest.raises(TypeError):
+        bool(eye[0, 0])
+    with pytest.raises(TypeError):
+        solve(eye, [[1, 0]])
+    assert Tensor.identity(2) == [[1, 0], [0, 1]]
 
 
 @settings(max_examples=40, deadline=None)
@@ -435,8 +486,8 @@ def test_is_hermitian_matches_conjugate_transpose(data):
     herm = mat_add(a, [[a[j][i].conj() for j in range(n)] for i in range(n)])
     for m in (a, herm, mat_scale(herm, CQ(0, 1))):
         want = all(m[i][j] == m[j][i].conj() for i in range(n) for j in range(n))
-        assert is_hermitian(GaussTensor.of(m)) == want
-    assert is_hermitian(GaussTensor.of(herm))
+        assert is_hermitian(gauss(m)) == want
+    assert is_hermitian(gauss(herm))
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
