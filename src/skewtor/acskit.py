@@ -219,7 +219,7 @@ def torsion_uniqueness_certificate(s) -> bool:
     certified mod p, with exact elimination only if that falls short.
     """
     matrix = _uniqueness_response(s)
-    return full_column_rank_certificate(matrix, matrix.shape[1])
+    return full_column_rank_certificate(matrix)
 
 
 def _uniqueness_response(s):
@@ -480,12 +480,11 @@ def nearly_kaehler_identities(a) -> dict:
 
 def half_module_endomorphism_spectrum(a):
     """Eigenvalues of the parallel-spinor integrability endomorphism per half module."""
-    from .clifford import act_form, build_rep, eigen_report, half_spinor_bases, restrict
+    from .clifford import act_form, eigen_report, half_spinor_bases, restrict
     a = Q(a)
-    rep = build_rep(6)
     four_form = (Form.blade(6, 1, 2, 3, 4) + Form.blade(6, 1, 2, 5, 6)
                  + Form.blade(6, 3, 4, 5, 6)).scale(a)
-    endo = act_form(rep, [four_form, Form.scalar(6, 3 * a)])
-    plus, minus = half_spinor_bases(rep)
+    endo = act_form([four_form, Form.scalar(6, 3 * a)])
+    plus, minus = half_spinor_bases(6)
     return (eigen_report(restrict(endo, plus)).multiset(),
             eigen_report(restrict(endo, minus)).multiset())

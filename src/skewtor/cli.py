@@ -122,9 +122,7 @@ def cmd_spin_eig(args):
     n = args.dim
     if not 2 <= n <= 8:
         return _fail("spin modules provided for dimensions 2..8")
-    parts = parse_form(args.expr, n)
-    rep = clifford.build_rep(n)
-    report = clifford.eigen_report(clifford.act_form(rep, parts))
+    report = clifford.eigen_report(clifford.act_form(parse_form(args.expr, n)))
     values = ", ".join(f"{fmt(v)} x{m}" for v, m in report.pairs)
     print(f"eigenvalues: {values}")
     if report.residual is not None:

@@ -101,16 +101,16 @@ def build_rep(n: int) -> GammaRep:
     return GammaRep(n, gammas)
 
 
-def act_form(rep: GammaRep, form) -> GaussTensor:
-    """Clifford action of a form (or an iterable of homogeneous parts).
+def act_form(form) -> GaussTensor:
+    """Clifford action on Delta_n of a form (or an iterable of homogeneous parts of one n).
 
     Each blade adds its coefficient times i^phase at one entry per row, in
     integers over the common denominator of the coefficients.
     """
     parts = [form] if isinstance(form, Form) else list(form)
-    for part in parts:
-        if part.n != rep.n:
-            raise DimensionMismatch("form dimension does not match the spin module")
+    if any(part.n != parts[0].n for part in parts):
+        raise DimensionMismatch("form parts of different dimension")
+    rep = build_rep(parts[0].n)
     den = lcm(1, *(part.den for part in parts))
     size = rep.dim
     acc = [[0, 0] for _ in range(size * size)]
@@ -243,7 +243,7 @@ def kernel_conditions_are_membership(which: str) -> bool:
     """Exact proof that `kernel_conditions_5d` is kernel membership, for every (t, x).
 
     Both are linear conditions on the 15 coordinates of (t, x): membership is
-    the vanishing of the real and imaginary parts of spin_endo_5d(t, x) psi,
+    the vanishing of the real and imaginary parts of (t . + x .) psi,
     linear in (t, x) with one column per unit coordinate.  Two sets of
     linear conditions cut out the same subspace exactly when each and their
     union have one rank.
@@ -251,16 +251,10 @@ def kernel_conditions_are_membership(which: str) -> bool:
     psi = spinor_5d(which)
     units = [(Form.blade(5, *b), Form.zero(5, 1)) if len(b) == 3
              else (Form.zero(5, 3), Form.blade(5, *b)) for b in _COORDINATES]
-    member = np.stack([(spin_endo_5d(t, x) @ psi).num.reshape(-1) for t, x in units], axis=1)
+    member = np.stack([(act_form([t, x]) @ psi).num.reshape(-1) for t, x in units], axis=1)
     closed = kernel_condition_rows(which)
     ranks = {rank(Tensor(m)) for m in (member, closed, np.vstack([member, closed]))}
     return len(ranks) == 1
-
-
-def spin_endo_5d(t: Form, x: Form):
-    """The endomorphism sum(t_ijk e_i e_j e_k) + sum(x_i e_i) on Delta_5."""
-    rep = build_rep(5)
-    return act_form(rep, [t, x])
 
 
 def restrict(matrix: GaussTensor, basis: GaussTensor) -> GaussTensor:
@@ -273,9 +267,10 @@ def restrict(matrix: GaussTensor, basis: GaussTensor) -> GaussTensor:
     return GaussTensor(np.stack([s.num * (den // s.den) for s in sols], axis=1), den)
 
 
-def half_spinor_bases(rep: GammaRep):
-    """Eigenbases (as rows) of the volume element on an even-dimensional module (+i, -i)."""
-    if rep.n % 2:
+def half_spinor_bases(n: int):
+    """Eigenbases (as rows) of the volume element on Delta_n for even n (+i, -i)."""
+    if n % 2:
         raise DimensionMismatch("half modules exist in even dimensions")
+    rep = build_rep(n)
     vol, eye = rep.volume(), np.eye(rep.dim, dtype=int)
     return tuple(nullspace(vol - GaussTensor.of_parts(0 * eye, s * eye)) for s in (1, -1))

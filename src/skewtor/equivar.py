@@ -82,28 +82,12 @@ def _orthogonalize(forms):
     return out
 
 
-def bracket_2forms(a: Form, b: Form) -> Form:
-    """Commutator of two 2-forms under their skew-endomorphism identification.
-
-    The endomorphism of a 2-form is the transpose of its tensor, so the
-    tensor of [A, B] is b a - a b for the tensors a, b of the two forms.
-    """
-    ta, tb = Tensor.of_form(a), Tensor.of_form(b)
-    return (Tensor.einsum("ik,kj->ij", tb, ta) - Tensor.einsum("ik,kj->ij", ta, tb)).to_form()
-
-
-def endo_of_2form(alpha: Form):
-    """Matrix A with A e_u = sum_v alpha(u, v) e_v, i.e. g(A u, v) = alpha(u, v)."""
-    n = alpha.n
-    return [[alpha.eval(u + 1, v + 1) for u in range(n)] for v in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # module actions as integer matrices
 # ---------------------------------------------------------------------------
 
 def _int_endo(alpha: Form):
-    """endo_of_2form of a 2-form with integer coefficients, as an int64 array."""
+    """The matrix A with A e_u = sum_v alpha(u, v) e_v of an integral 2-form, as int64."""
     if alpha.den != 1:
         raise StructureError("generator 2-form has a non-integral coefficient")
     return Tensor.of_form(alpha).num.T.astype(np.int64)
@@ -368,7 +352,7 @@ def _map_matrix(endos):
     """196 x 7k integer matrix with columns e^i (x) X_c and rows (x, y <= z).
 
     The entry is X_c(x, y) [z = i] + X_c(x, z) [y = i], for the k skew
-    matrices X_c = endo_of_2form(.) stacked in `endos`.
+    matrices X_c = _int_endo(.) stacked in `endos`.
     """
     values = endos.transpose(0, 2, 1)  # values[c, x, y] = X_c(x, y)
     out = np.zeros((7, len(S2_PAIRS), 7, len(endos)), dtype=np.int64)
@@ -398,13 +382,14 @@ def isotypic_basis_r7_m(label: str):
     return nullspace(Tensor(cmat) - Tensor.identity(49) * lam)
 
 
-def full_column_rank_certificate(matrix, cols):
-    """Exact statement rank = cols for an integer matrix.
+def full_column_rank_certificate(matrix):
+    """Exact statement that an integer matrix has full column rank.
 
-    A mod-p rank is a lower bound on the rank over Q, so reaching `cols`
-    mod one of three primes proves it; only when all three fall short is the
-    rank settled by exact elimination.
+    A mod-p rank is a lower bound on the rank over Q, so reaching the column
+    count mod one of three primes proves it; only when all three fall short
+    is the rank settled by exact elimination.
     """
+    cols = np.shape(matrix)[1]
     for p in _PRIMES[:3]:
         if rank_mod_p(matrix, p) == cols:
             return True
@@ -415,7 +400,7 @@ def rank_certificates():
     """Exact rank and containment certificates for the connection-existence theory."""
     phi = phi_matrix()
     out = {}
-    out["phi-injective"] = full_column_rank_certificate(phi, 98)
+    out["phi-injective"] = full_column_rank_certificate(phi)
 
     # every statement below is invariant under rescaling the isotypic basis
     # vectors, so each is read as its integer numerators
@@ -424,7 +409,7 @@ def rank_certificates():
     cols14 = int_matmul(psi, basis14.num.T)
     combined = np.hstack([phi, cols14])
     out["psi-14-dimension"] = len(basis14) == 14
-    out["images-meet-trivially"] = full_column_rank_certificate(combined, 98 + 14)
+    out["images-meet-trivially"] = full_column_rank_certificate(combined)
 
     # containment of the scalar- and 27-type images inside Im(Phi)
     basis1 = isotypic_basis_r7_m("1")

@@ -356,12 +356,10 @@ def hodge(a: Form) -> Form:
     return Form.of_numerators(n, n - p, out, a.den)
 
 
-def inner(a: Form, b: Form, strict: bool = False) -> Fraction:
+def inner(a: Form, b: Form) -> Fraction:
     """Blade-orthonormal pairing of equal-degree forms; degree mismatch gives 0."""
     a._check_same_space(b)
     if a.degree != b.degree:
-        if strict:
-            raise DegreeError("inner product of forms of different degree")
         return _ZERO
     return Q(sum(map(mul, a.num, b.num)), a.den * b.den)
 

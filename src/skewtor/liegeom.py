@@ -11,10 +11,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .clifford import GammaRep, act_form, common_kernel
+from .clifford import act_form, build_rep, common_kernel
 from .errors import DegreeError, DimensionMismatch, NoSkewConnection, StructureError
-from .forms import Form, contract, derivation, sigma_t, wedge
-from .linalg import Tensor
+from .forms import Form, contract, derivation, sigma_t
+from .linalg import GaussTensor, Tensor
 
 Q = Fraction
 
@@ -45,10 +45,6 @@ class LieModel:
         """The Levi-Civita connection, built once by the module function `levi_civita`."""
         return levi_civita(self)
 
-    def bracket(self, i, j):
-        """[e_i, e_j] as a coefficient list."""
-        return list(self.c[i - 1, j - 1])
-
     def __repr__(self):
         return f"LieModel({self.name or 'anon'}, dim {self.n})"
 
@@ -64,10 +60,11 @@ class ConnectionData:
     """Metric connection coefficients omega[i, j, k] = g(nabla_{e_i} e_j, e_k), 0-based.
 
     `torsion` is the totally skew torsion 3-form, None for Levi-Civita.  The
-    curvature table and, for a torsion connection, dT, delta(T) and the
-    stacked nabla T are computed on first use and shared by every reader;
-    none of them may be written into.  Each cache calls its module function
-    by name at call time, so a wrapper installed on the module sees the call.
+    curvature table, the spinor side and, for a torsion connection, dT,
+    delta(T) and the stacked nabla T are computed on first use and shared by
+    every reader; none of them may be written into.  Each cache calls its
+    module function (or class) by name at call time, so a wrapper installed
+    on the module sees the call.
     """
 
     def __init__(self, model, omega, torsion=None):
@@ -81,6 +78,10 @@ class ConnectionData:
     @cached_property
     def curvature(self) -> "CurvatureTable":
         return curvature(self)
+
+    @cached_property
+    def spinors(self) -> "SpinorData":
+        return SpinorData(self)
 
     @property
     def skew_torsion(self) -> Form:
@@ -107,10 +108,6 @@ class ConnectionData:
     def nabla_vector(self, v) -> Tensor:
         """[i, k]: the coefficients of nabla_{e_i} of an invariant vector field v."""
         return Tensor.einsum("ijk,j->ik", self.omega, Tensor.of(v))
-
-    def torsion_residual(self) -> Tensor:
-        """T(e_i,e_j) - (nabla_i e_j - nabla_j e_i - [e_i,e_j]) sanity table."""
-        return self.omega - Tensor.einsum("jik->ijk", self.omega) - self.model.c
 
 
 def levi_civita(model: LieModel) -> ConnectionData:
@@ -168,13 +165,6 @@ def nabla_form(conn: ConnectionData, i: int, a: Form) -> Form:
     n, omega = conn.model.n, conn.omega
     return derivation(a, 1, lambda j: Form.of_numerators(n, 1, omega.num[i - 1, j - 1].tolist(),
                                                          omega.den))
-
-
-def d_via_connection(model: LieModel, a: Form) -> Form:
-    """d(a) = sum_i e_i ^ nabla^g_{e_i} a; agrees with the CE differential."""
-    lc, n = model.levi_civita, model.n
-    return sum((wedge(Form.basis_vector(n, i), nabla_form(lc, i, a)) for i in range(1, n + 1)),
-               Form.zero(n, a.degree + 1))
 
 
 def codiff(conn: ConnectionData, a: Form) -> Form:
@@ -261,31 +251,10 @@ def curvature_identity_residuals(conn: ConnectionData):
 # invariant spinor calculus
 # ---------------------------------------------------------------------------
 
-def spinor_connection(conn: ConnectionData, rep: GammaRep):
-    """Endomorphisms Lambda_i with nabla_{e_i} psi = Lambda_i psi on invariant spinors.
-
-    Lambda_i is the Clifford action of the 2-form (1/2) omega_i, that is
-    (1/2) sum_{j<k} omega_ijk Gamma_j Gamma_k.
-    """
-    if rep.n != conn.model.n:
-        raise DimensionMismatch("spin module does not match the model")
-    return [act_form(rep, plane.to_form().scale(Q(1, 2))) for plane in conn.omega]
-
-
 def _sum_products(lefts, rights):
     """sum_k lefts[k] rights[k] of spinor endomorphisms."""
     products = [a @ b for a, b in zip(lefts, rights)]
     return sum(products[1:], products[0])
-
-
-def dirac_matrix(conn: ConnectionData, rep: GammaRep):
-    """D = sum_i Gamma_i Lambda_i from the spin connection."""
-    return _sum_products(rep.gammas, spinor_connection(conn, rep))
-
-
-def parallel_spinors(conn: ConnectionData, rep: GammaRep):
-    """Basis (as rows) of the invariant spinors with nabla psi = 0."""
-    return common_kernel(spinor_connection(conn, rep), dim=rep.dim)
 
 
 def lc_trace_vector(model: LieModel) -> Tensor:
@@ -294,24 +263,44 @@ def lc_trace_vector(model: LieModel) -> Tensor:
 
 
 class SpinorData:
-    """The spinor side of a torsion connection, built once.
+    """The spinor side of a metric connection on Delta_n, built once as `conn.spinors`.
 
-    The three identities below share the connection, its curvature, the spin
-    connection Lambda_i, the Dirac operator D = sum_i Gamma_i Lambda_i and
-    the torsion term sum_k (e_k -| T) . Lambda_k of both Dirac identities.
+    `lams` is the spin connection: nabla_{e_i} psi = Lambda_i psi on invariant
+    spinors, where Lambda_i is the Clifford action of the 2-form (1/2) omega_i,
+    that is (1/2) sum_{j<k} omega_ijk Gamma_j Gamma_k.  The Dirac operator
+    D = sum_i Gamma_i Lambda_i, the parallel spinors, the torsion term
+    sum_k (e_k -| T) . Lambda_k and the field endomorphism are computed on
+    first use.  The torsion term, the field endomorphism and the three
+    identities below read the torsion, so on a Levi-Civita connection they
+    raise StructureError.
     """
 
-    def __init__(self, conn: ConnectionData, rep: GammaRep):
-        self.conn, self.rep = conn, rep
-        self.model, self.t = conn.model, conn.skew_torsion
-        self.lams = spinor_connection(conn, rep)
-        self.dirac = _sum_products(rep.gammas, self.lams)
-        self.torsion_term = _sum_products(
-            [act_form(rep, contract(self.t, k)) for k in range(1, self.model.n + 1)], self.lams)
-        # (3/4) dT - (1/2) sigma^T + (1/2) delta(T) + Scal/4
-        self.field = act_form(rep, [conn.dt.scale(Q(3, 4)) - sigma_t(self.t).scale(Q(1, 2)),
-                                    conn.delta_t.scale(Q(1, 2)),
-                                    Form.scalar(self.model.n, conn.curvature.scal / 4)])
+    def __init__(self, conn: ConnectionData):
+        self.conn, self.model = conn, conn.model
+        self.lams = [act_form(plane.to_form().scale(Q(1, 2))) for plane in conn.omega]
+
+    @cached_property
+    def dirac(self) -> GaussTensor:
+        return _sum_products(build_rep(self.model.n).gammas, self.lams)
+
+    @cached_property
+    def parallel(self) -> GaussTensor:
+        """Basis (as rows) of the invariant spinors with nabla psi = 0."""
+        return common_kernel(self.lams)
+
+    @cached_property
+    def torsion_term(self) -> GaussTensor:
+        t = self.conn.skew_torsion
+        return _sum_products([act_form(contract(t, k)) for k in range(1, self.model.n + 1)],
+                             self.lams)
+
+    @cached_property
+    def field(self) -> GaussTensor:
+        """(3/4) dT - (1/2) sigma^T + (1/2) delta(T) + Scal/4."""
+        conn = self.conn
+        return act_form([conn.dt.scale(Q(3, 4)) - sigma_t(conn.skew_torsion).scale(Q(1, 2)),
+                         conn.delta_t.scale(Q(1, 2)),
+                         Form.scalar(self.model.n, conn.curvature.scal / 4)])
 
     def square_residual(self):
         """Matrix residual of the Dirac-square (Weitzenboeck) identity on invariant spinors.
@@ -332,9 +321,10 @@ class SpinorData:
 
     def anticommutator_residual(self):
         """Residual of D T + T D = dT + delta(T) - 2 sigma^T - 2 sum e_i-|T nabla_i."""
-        tm = act_form(self.rep, self.t)
+        t = self.conn.skew_torsion
+        tm = act_form(t)
         lhs = self.dirac @ tm + tm @ self.dirac
-        rhs = act_form(self.rep, [self.conn.dt, self.conn.delta_t, sigma_t(self.t).scale(-2)])
+        rhs = act_form([self.conn.dt, self.conn.delta_t, sigma_t(t).scale(-2)])
         return lhs - (rhs - self.torsion_term * 2)
 
     def field_equations(self):
@@ -344,12 +334,10 @@ class SpinorData:
         Second: (1/2 X-|dT + nabla_X T - Ric(X)) psi = 0 for every coframe X.
         Returns the parallel spinors (as rows) and, per spinor, both residuals.
         """
-        n, rep, conn = self.model.n, self.rep, self.conn
-        basis = common_kernel(self.lams, dim=rep.dim)
-        second = [act_form(rep, [contract(conn.dt, i).scale(Q(1, 2))
-                                 + conn.nabla_t[i - 1].to_form(),
-                                 -Form.from_vector(n, conn.curvature.ric[i - 1])])
+        n, conn = self.model.n, self.conn
+        second = [act_form([contract(conn.dt, i).scale(Q(1, 2)) + conn.nabla_t[i - 1].to_form(),
+                            -Form.from_vector(n, conn.curvature.ric[i - 1])])
                   for i in range(1, n + 1)]
-        residuals = [(self.field @ psi, [op @ psi for op in second]) for psi in basis]
-        return basis, residuals
+        residuals = [(self.field @ psi, [op @ psi for op in second]) for psi in self.parallel]
+        return self.parallel, residuals
 

@@ -37,12 +37,15 @@ Q = Fraction
 # exact dense tensors
 # ---------------------------------------------------------------------------
 
-class Tensor:
+class _Exact:
     """Exact dense tensor: an object array of Python-int numerators over one denominator.
 
     The pair is kept reduced (denominator positive and coprime to the
     numerators as a whole), so equal tensors have equal numerators and
-    denominators.  A Tensor is never changed after it is built.
+    denominators.  A tensor is never changed after it is built.  `Tensor`
+    (rational entries) and `GaussTensor` (Gaussian-rational entries) share
+    +, -, rational scaling, ==, `is_zero`, `len`, indexing and iteration;
+    each kind has only its own constructors and operations.
     """
 
     __slots__ = ("num", "den")
@@ -55,9 +58,66 @@ class Tensor:
         self.num = num
         self.den = den
 
+    def __add__(self, other):
+        den = lcm(self.den, other.den)
+        return type(self)(self.num * (den // self.den) + other.num * (den // other.den), den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)(-self.num, self.den)
+
+    def __mul__(self, factor):
+        """Scaling by a rational number."""
+        f = Q(factor)
+        return type(self)(self.num * f.numerator, self.den * f.denominator)
+
+    def __eq__(self, other):
+        """Exact equality with a tensor of the same kind; nested lists are read as a Tensor.
+
+        So a GaussTensor compared with nested lists raises TypeError, as with
+        any tensor of the other kind.
+        """
+        if isinstance(other, (list, tuple)):
+            other = Tensor.of(other)
+        if not isinstance(other, _Exact):
+            return NotImplemented
+        if type(other) is not type(self):
+            raise TypeError(f"a {type(self).__name__} is compared with a {type(other).__name__}")
+        return (self.den == other.den and self.num.shape == other.num.shape
+                and bool((self.num == other.num).all()))
+
+    __hash__ = None
+
+    def is_zero(self) -> bool:
+        return not any(self.num.flat)
+
+    def __getitem__(self, index):
+        """A Fraction for a full index of a real Tensor, else a tensor of this kind."""
+        part = self.num[index]
+        return type(self)(part, self.den) if isinstance(part, np.ndarray) else Q(part, self.den)
+
+    def __len__(self):
+        return len(self.num)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(shape {self.num.shape}, denominator {self.den})"
+
+
+class Tensor(_Exact):
+    """Exact dense tensor of rationals: the tensors of forms, their einsum contractions."""
+
+    __slots__ = ()
+
     @staticmethod
     def of(values) -> "Tensor":
         """Tensor of nested lists (or an array) of rationals; a Tensor is returned as is."""
+        if isinstance(values, GaussTensor):
+            raise TypeError("a GaussTensor has no real entries")
         if isinstance(values, Tensor):
             return values
         arr = np.asarray(values, dtype=object)
@@ -101,78 +161,30 @@ class Tensor:
 
     @staticmethod
     def einsum(spec: str, *operands: "Tensor") -> "Tensor":
-        """Exact contraction of tensors, written as for numpy.einsum."""
+        """Exact contraction of real tensors, written as for numpy.einsum."""
+        if any(type(t) is not Tensor for t in operands):
+            raise TypeError("einsum contracts real Tensors")
         num = np.einsum(spec, *(t.num for t in operands), optimize=len(operands) > 2)
         return Tensor(num, prod(t.den for t in operands))
 
-    def __add__(self, other: "Tensor") -> "Tensor":
-        den = lcm(self.den, other.den)
-        return type(self)(self.num * (den // self.den) + other.num * (den // other.den), den)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return self + (-other)
-
-    def __neg__(self) -> "Tensor":
-        return type(self)(-self.num, self.den)
-
-    def __mul__(self, factor) -> "Tensor":
-        """Scaling by a rational number."""
-        f = Q(factor)
-        return type(self)(self.num * f.numerator, self.den * f.denominator)
-
-    def __eq__(self, other):
-        """Exact equality with a tensor of the same kind; a real Tensor also takes nested lists.
-
-        Nested lists are read as rationals, so a GaussTensor compared with
-        them raises TypeError, as with any tensor of the other kind.
-        """
-        if isinstance(other, (list, tuple)):
-            other = Tensor.of(other)
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        if type(other) is not type(self):
-            raise TypeError(f"a {type(self).__name__} is compared with a {type(other).__name__}")
-        return (self.den == other.den and self.num.shape == other.num.shape
-                and bool((self.num == other.num).all()))
-
-    __hash__ = None
-
-    def is_zero(self) -> bool:
-        return not any(self.num.flat)
-
     def max_abs(self) -> Fraction:
         return Q(max(map(abs, self.num.flat), default=0), self.den)
-
-    def __getitem__(self, index):
-        """A Fraction for a full index of a real Tensor, else a tensor of this kind."""
-        part = self.num[index]
-        return type(self)(part, self.den) if isinstance(part, np.ndarray) else Q(part, self.den)
-
-    def __len__(self):
-        return len(self.num)
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-    def __repr__(self):
-        return f"{type(self).__name__}(shape {self.num.shape}, denominator {self.den})"
 
 
 # ---------------------------------------------------------------------------
 # exact dense Gaussian-rational tensors (spinor endomorphisms and spinors)
 # ---------------------------------------------------------------------------
 
-class GaussTensor(Tensor):
-    """Exact dense Gaussian-rational tensor: a Tensor whose last axis holds (re, im).
+class GaussTensor(_Exact):
+    """Exact dense Gaussian-rational tensor: the numerators' last axis holds (re, im).
 
     The numerators of both parts share the one reduced denominator, so equal
-    tensors are equal entry-wise, and +, -, rational scaling, ==, `is_zero`,
-    `len`, indexing and iteration are the Tensor ones; a GaussTensor has no
-    truth value.  A full index gives a scalar of shape (2,), whose `str` is
-    `a` when it is real, else `(a+bi)` or `(a-bi)`; a vector prints as the
-    list of its scalars.  Matrices and vectors multiply with `@` by three integer
-    products (Gauss's trick).  einsum and the form conversions are for real
-    tensors only.
+    tensors are equal entry-wise; a GaussTensor has no truth value.  A full
+    index gives a scalar of shape (2,), whose `str` is `a` when it is real,
+    else `(a+bi)` or `(a-bi)`; a vector prints as the list of its scalars.
+    Matrices and vectors multiply with `@` by three integer products (Gauss's
+    trick).  It has none of Tensor's real-only parts: `of`, einsum, `max_abs`
+    and the form conversions.
     """
 
     __slots__ = ()
@@ -271,7 +283,7 @@ def _system(matrix):
     Q(i): its pivots come in pairs (2c, 2c + 1), and a real vector read as
     interleaved (re, im) pairs is a Gaussian one.
     """
-    t = Tensor.of(matrix)
+    t = matrix if isinstance(matrix, GaussTensor) else Tensor.of(matrix)
     if not isinstance(t, GaussTensor):
         return t, t.num
     (m, n), re, im = t.re.shape, t.re, t.im
@@ -314,7 +326,7 @@ def solve(matrix, rhs):
     each solution is a vector of that kind, zero at the free columns.
     """
     t, a = _system(matrix)
-    b = Tensor.of(rhs)
+    b = rhs if isinstance(rhs, GaussTensor) else Tensor.of(rhs)
     if type(b) is not type(t):
         raise TypeError(f"a {type(t).__name__} system has {type(b).__name__} right-hand sides")
     n = a.shape[1]

@@ -14,11 +14,11 @@ from functools import lru_cache
 import numpy as np
 
 from . import acskit, clifford, equivar, g2
-from .forms import (Form, contract, hodge, inner, random_form, sigma_t,
+from .forms import (Form, all_blades, contract, hodge, inner, random_form, sigma_t,
                     sigma_t_quadratic, volume_form, wedge)
 from .errors import NoSkewConnection
-from .liegeom import (SkewTorsionStructure, SpinorData, codiff, curvature_identity_residuals,
-                      d_form, nabla_form, parallel_spinors, tt_contraction, with_torsion)
+from .liegeom import (SkewTorsionStructure, codiff, curvature_identity_residuals, d_form,
+                      nabla_form, tt_contraction, with_torsion)
 from .linalg import GaussTensor, Tensor, int_abs_max, int_matmul
 from .registry import registry
 from .reporting import Report, check, merge, skip
@@ -35,6 +35,11 @@ def _registered(cls):
 def _diag(*values) -> Tensor:
     """The diagonal matrix of the given rationals."""
     return Tensor.of(np.diag(np.array(values, dtype=object)))
+
+
+def _unit_blades(n, degree):
+    """The blades of one degree on R^n: a linear identity holds once it holds on each."""
+    return [Form.blade(n, *b) for b in all_blades(n, degree)]
 
 
 def admissible_models():
@@ -69,13 +74,8 @@ def suite_exterior() -> Report:
     checks.append(check("exterior.hodge.volume", "orientation",
                         hodge(Form.scalar(7, 1)) == volume_form(7),
                         provenance="trivial"))
-    rng = random.Random(11)
-    ok = True
-    for nn in range(2, 9):
-        for p in range(0, nn + 1):
-            a = random_form(nn, p, rng)
-            sign = Q(-1) ** (p * (nn - p))
-            ok = ok and hodge(hodge(a)) == a.scale(sign)
+    ok = all(hodge(hodge(a)) == a.scale(Q(-1) ** (p * (nn - p)))
+             for nn in range(2, 9) for p in range(nn + 1) for a in _unit_blades(nn, p))
     checks.append(check("exterior.hodge.involution", "star conventions", ok,
                         provenance="trivial"))
     sw3 = hodge(w3)
@@ -97,14 +97,15 @@ def suite_exterior() -> Report:
                         sigma_t(t5) == Form.blade(5, 1, 2, 3, 4, coeff=4)
                         and sigma_t(t5).scale(2) == wedge(de, de),
                         provenance="stated"))
+    rng = random.Random(11)
     ok_q = all(sigma_t(a) == sigma_t_quadratic(a)
                for a in (random_form(nn, 3, rng) for nn in (5, 6, 7, 8)))
     checks.append(check("exterior.sigma.two-definitions", "quadratic vs contraction form",
                         ok_q, provenance="derived"))
-    a = random_form(6, 2, rng)
-    b = random_form(6, 2, rng)
+    blades6 = _unit_blades(6, 2)
     checks.append(check("exterior.inner.wedge-volume", "(a,b) vol = a ^ *b",
-                        wedge(a, hodge(b)) == volume_form(6).scale(inner(a, b)),
+                        all(wedge(a, hodge(b)) == volume_form(6).scale(inner(a, b))
+                            for a in blades6 for b in blades6),
                         provenance="derived"))
     return Report("exterior", checks)
 
@@ -122,26 +123,24 @@ def suite_clifford() -> Report:
                     ok = False
     checks.append(check("clifford.relations", "defining relations", ok,
                         provenance="trivial"))
-    rep7 = clifford.build_rep(7)
     w3 = g2.canonical_omega3()
-    spectrum = clifford.eigen_report(clifford.act_form(rep7, w3))
+    spectrum = clifford.eigen_report(clifford.act_form(w3))
     checks.append(check("clifford.omega3-spectrum", "Thm 5.1 spinor normalization",
                         spectrum.pairs == [(Q(-7), 1), (Q(1), 7)],
                         value=spectrum.as_pairs(), expected="[-7 x1, +1 x7]",
                         provenance="stated"))
-    psi0 = _minus7_spinor(rep7)
+    psi0 = _minus7_spinor()
     sw3 = hodge(w3)
     ok4 = True
     for i in range(1, 8):
-        lhs = clifford.act_form(rep7, contract(sw3, i)) @ psi0
-        rhs = clifford.act_form(rep7, Form.basis_vector(7, i)) @ psi0
+        lhs = clifford.act_form(contract(sw3, i)) @ psi0
+        rhs = clifford.act_form(Form.basis_vector(7, i)) @ psi0
         ok4 = ok4 and lhs == rhs * 4
     checks.append(check("clifford.contraction-action", "(X -| *w3) psi = 4 X psi",
                         ok4, provenance="stated"))
-    rep5 = clifford.build_rep(5)
     eta = Form.basis_vector(5, 5)
     de = Form.blade(5, 1, 2, coeff=2) + Form.blade(5, 3, 4, coeff=2)
-    spec5 = clifford.eigen_report(clifford.act_form(rep5, wedge(eta, de)))
+    spec5 = clifford.eigen_report(clifford.act_form(wedge(eta, de)))
     checks.append(check("clifford.contact-spectrum", "contact 3-form eigenvalues",
                         spec5.multiset() == [Q(-4), Q(0), Q(0), Q(4)],
                         value=spec5.as_pairs(), expected="(-4, 0, 0, 4)",
@@ -182,8 +181,8 @@ def _lemma_10_7():
     return acskit.half_module_endomorphism_spectrum(1)
 
 
-def _minus7_spinor(rep7):
-    shifted = clifford.act_form(rep7, g2.canonical_omega3()) + GaussTensor.identity(8) * 7
+def _minus7_spinor():
+    shifted = clifford.act_form(g2.canonical_omega3()) + GaussTensor.identity(8) * 7
     return clifford.common_kernel([shifted])[0]
 
 
@@ -209,7 +208,7 @@ def suite_section2() -> Report:
 def suite_slformula() -> Report:
     checks = []
     for name, s in admissible_models():
-        spin = SpinorData(s.connection, clifford.build_rep(s.model.n))
+        spin = s.connection.spinors
         checks.append(check(f"slformula.{name}.square", "Thm 3.1",
                             spin.square_residual().is_zero(), expected="zero matrix",
                             provenance="stated"))
@@ -236,26 +235,24 @@ def suite_g2() -> Report:
         checks.append(check(f"g2.constants.{key}", "derivation constants",
                             ok, provenance="stated"))
     w3 = g2.canonical_omega3()
-    rng = random.Random(23)
-    a = random_form(7, 2, rng)
-    p7, p14 = g2.project2(a)
-    checks.append(check("g2.project2.eigen", "2-form type split",
-                        hodge(wedge(w3, p7)) == p7.scale(2)
-                        and hodge(wedge(w3, p14)) == -p14
-                        and p7 + p14 == a, provenance="derived"))
+    ok2 = True
+    for a in _unit_blades(7, 2):
+        p7, p14 = g2.project2(a)
+        ok2 = (ok2 and hodge(wedge(w3, p7)) == p7.scale(2) and hodge(wedge(w3, p14)) == -p14
+               and p7 + p14 == a)
+    checks.append(check("g2.project2.eigen", "2-form type split", ok2, provenance="derived"))
     checks.append(check("g2.project2.vector-type", "X -| w3 is pure 7-type",
                         g2.project2(contract(w3, 3))[1].is_zero(),
                         provenance="trivial"))
     checks.append(check("g2.project2.algebra-type", "algebra equations",
                         g2.project2(Form.blade(7, 1, 2) - Form.blade(7, 3, 4))[0].is_zero(),
                         provenance="derived"))
-    b = random_form(7, 3, rng)
-    p1, p7b, p27 = g2.project3(b)
-    checks.append(check("g2.project3.sum", "3-form type split",
-                        p1 + p7b + p27 == b
-                        and wedge(p27, w3).is_zero()
-                        and wedge(p27, hodge(w3)).is_zero(),
-                        provenance="derived"))
+    ok3 = True
+    for b in _unit_blades(7, 3):
+        p1, p7, p27 = g2.project3(b)
+        ok3 = (ok3 and p1 + p7 + p27 == b and wedge(p27, w3).is_zero()
+               and wedge(p27, hodge(w3)).is_zero())
+    checks.append(check("g2.project3.sum", "3-form type split", ok3, provenance="derived"))
     for name, s in _registered(g2.G2Structure):
         cls = s.torsion_class
         checks.append(check(f"g2.{name}.classify", "type components",
@@ -558,9 +555,8 @@ def suite_examples() -> Report:
                                              Q(-1), Q(-1)],
                         value=tabg7.ric_diag(),
                         expected="diag(-1,0,-1,1,1,-1,-1)", provenance="stated"))
-    rep7 = clifford.build_rep(7)
     four7 = _spinor_endo_forms(conn7)
-    e61a, e61b = (clifford.eigen_report(clifford.act_form(rep7, f)) for f in four7)
+    e61a, e61b = (clifford.eigen_report(clifford.act_form(f)) for f in four7)
     want61 = sorted([Q(2), Q(-4), Q(2), Q(0), Q(2), Q(0), Q(2), Q(-4)])
     checks.append(check("examples.heis7.spinor-endos", "Lemma 6.1",
                         e61a.multiset() == want61 and e61b.multiset() == want61,
@@ -572,8 +568,8 @@ def suite_examples() -> Report:
                                   e(1, 3, 6, 7, c=-2) - e(3, 4, 5, 6) + e(1, 4, 5, 7)),
                         expected="both displayed 4-forms verbatim",
                         provenance="stated"))
-    basis7 = parallel_spinors(conn7, rep7)
-    tm7 = clifford.act_form(rep7, t7)
+    basis7 = conn7.spinors.parallel
+    tm7 = clifford.act_form(t7)
     checks.append(check("examples.heis7.parallel-spinors", "Cor 6.2",
                         len(basis7) == 4
                         and all((tm7 @ psi).is_zero() for psi in basis7),
@@ -604,7 +600,7 @@ def suite_examples() -> Report:
                         value=conn7b.curvature.scal, expected=-16,
                         provenance="stated"))
     four7b = _spinor_endo_forms(conn7b)
-    e64a, e64b = (clifford.eigen_report(clifford.act_form(rep7, f)) for f in four7b)
+    e64a, e64b = (clifford.eigen_report(clifford.act_form(f)) for f in four7b)
     checks.append(check("examples.solv7.spinor-endos", "Lemma 6.4",
                         e64a.multiset() == sorted([Q(4), Q(4), Q(-2), Q(-2),
                                                    Q(-2), Q(-2), Q(0), Q(0)])
@@ -619,8 +615,8 @@ def suite_examples() -> Report:
                                    + e(3, 4, 5, 6, c=2)),
                         expected="both displayed 4-forms verbatim",
                         provenance="stated"))
-    basis7b = parallel_spinors(conn7b, rep7)
-    tm7b = clifford.act_form(rep7, t7b)
+    basis7b = conn7b.spinors.parallel
+    tm7b = clifford.act_form(t7b)
     checks.append(check("examples.solv7.parallel-spinors", "Cor 6.5",
                         len(basis7b) == 2
                         and all((tm7b @ psi).is_zero() for psi in basis7b),
@@ -630,13 +626,12 @@ def suite_examples() -> Report:
 
     conn5 = registry()["heis5"].structure.connection
     t5 = conn5.torsion
-    rep5 = clifford.build_rep(5)
-    spec5 = clifford.eigen_report(clifford.act_form(rep5, t5))
+    spec5 = clifford.eigen_report(clifford.act_form(t5))
     checks.append(check("examples.heis5.spinor-spectrum", "contact eigenvalues",
                         spec5.multiset() == [Q(-4), Q(0), Q(0), Q(4)],
                         value=spec5.as_pairs(), expected="(-4,0,0,4)",
                         provenance="stated"))
-    basis5 = parallel_spinors(conn5, rep5)
+    basis5 = conn5.spinors.parallel
     checks.append(check("examples.heis5.parallel-spinors",
                         "Example 7.7 kernel-type spinors",
                         len(basis5) == 2, value=len(basis5), expected=2,

@@ -14,10 +14,8 @@ from skewtor import acskit, clifford, equivar, g2
 from skewtor.forms import Form, contract, hodge, random_form, sigma_t, wedge
 from skewtor.errors import NoSkewConnection
 from skewtor.g2 import canonical_omega3
-from skewtor.liegeom import (SpinorData, codiff, curvature,
-                             curvature_identity_residuals, d_form, levi_civita,
-                             nabla_form, parallel_spinors, tt_contraction,
-                             with_torsion)
+from skewtor.liegeom import (codiff, curvature, curvature_identity_residuals, d_form,
+                             levi_civita, nabla_form, tt_contraction, with_torsion)
 from skewtor.linalg import GaussTensor
 from skewtor.registry import registry
 
@@ -59,16 +57,15 @@ def test_c02_heis7_spinor_side():
     t = _g2_torsion("heis7")
     dt = d_form(model, t)
     sig = sigma_t(t)
-    rep = clifford.build_rep(7)
-    m1 = clifford.eigen_report(clifford.act_form(rep, dt.scale(Q(1, 4))
+    m1 = clifford.eigen_report(clifford.act_form(dt.scale(Q(1, 4))
                                                  + sig.scale(Q(1, 2))))
-    m2 = clifford.eigen_report(clifford.act_form(rep, dt.scale(Q(3, 4))
+    m2 = clifford.eigen_report(clifford.act_form(dt.scale(Q(3, 4))
                                                  - sig.scale(Q(1, 2))))
     assert m1.multiset() == sorted([Q(2), Q(-4), Q(2), Q(0), Q(2), Q(0), Q(2), Q(-4)])
     assert m2.multiset() == sorted([Q(2), Q(0), Q(2), Q(-4), Q(2), Q(-4), Q(2), Q(0)])
-    basis = parallel_spinors(with_torsion(model, t), rep)
+    basis = with_torsion(model, t).spinors.parallel
     assert len(basis) == 4
-    tm = clifford.act_form(rep, t)
+    tm = clifford.act_form(t)
     assert all((tm @ psi).is_zero() for psi in basis)
     _line(2, "heis7: eigenvalue multisets exact; 4 parallel spinors killed by T")
 
@@ -81,19 +78,18 @@ def test_c03_solv7_tables():
     dt = d_form(model, t)
     assert dt == E(1, 2, 5, 6, c=-4) + E(1, 2, 3, 4, c=-4)
     assert curvature(with_torsion(model, t)).scal == -16
-    rep = clifford.build_rep(7)
     sig = sigma_t(t)
-    m1 = clifford.eigen_report(clifford.act_form(rep, dt.scale(Q(1, 4))
+    m1 = clifford.eigen_report(clifford.act_form(dt.scale(Q(1, 4))
                                                  + sig.scale(Q(1, 2))))
-    m2 = clifford.eigen_report(clifford.act_form(rep, dt.scale(Q(3, 4))
+    m2 = clifford.eigen_report(clifford.act_form(dt.scale(Q(3, 4))
                                                  - sig.scale(Q(1, 2))))
     assert m1.multiset() == sorted([Q(4), Q(4), Q(-2), Q(-2), Q(-2), Q(-2),
                                     Q(0), Q(0)])
     assert m2.multiset() == sorted([Q(4), Q(4), Q(2), Q(2), Q(2), Q(2),
                                     Q(-8), Q(-8)])
-    basis = parallel_spinors(with_torsion(model, t), rep)
+    basis = with_torsion(model, t).spinors.parallel
     assert len(basis) == 2
-    tm = clifford.act_form(rep, t)
+    tm = clifford.act_form(t)
     assert all((tm @ psi).is_zero() for psi in basis)
     _line(3, "solv7: coclosed w3; T, dT, Scal, multisets; 2 parallel spinors")
 
@@ -114,9 +110,7 @@ def test_c05_operator_identities():
     from skewtor.suites import admissible_models
     names = dict(admissible_models())
     for name in ("heis5", "heis7", "solv7", "abelian5", "abelian6", "abelian7"):
-        model = registry()[name].model
-        rep = clifford.build_rep(model.n)
-        spin = SpinorData(names[name].connection, rep)
+        spin = names[name].connection.spinors
         assert spin.square_residual().is_zero(), name
         assert spin.anticommutator_residual().is_zero(), name
     _line(5, "Dirac-square and anticommutator identities are zero matrices")
@@ -161,15 +155,14 @@ def test_c08_torsion_contract_and_ricci_oracle():
 
 
 def test_c09_spinor_identities():
-    rep = clifford.build_rep(7)
-    spectrum = clifford.eigen_report(clifford.act_form(rep, W3))
+    spectrum = clifford.eigen_report(clifford.act_form(W3))
     assert spectrum.pairs == [(Q(-7), 1), (Q(1), 7)]
     from skewtor.linalg import nullspace
-    shifted = clifford.act_form(rep, W3) + GaussTensor.identity(8) * 7
+    shifted = clifford.act_form(W3) + GaussTensor.identity(8) * 7
     (psi0,) = nullspace(shifted)
     for i in range(1, 8):
-        lhs = clifford.act_form(rep, contract(SW3, i)) @ psi0
-        rhs = clifford.act_form(rep, Form.basis_vector(7, i)) @ psi0
+        lhs = clifford.act_form(contract(SW3, i)) @ psi0
+        rhs = clifford.act_form(Form.basis_vector(7, i)) @ psi0
         assert lhs == rhs * 4
     pack = g2.nearly_parallel_identities(6)
     assert pack["quarter-tt-contraction"]      # (3/72) lambda^2 delta
@@ -190,14 +183,13 @@ def test_c10_sasakian_package():
     assert codiff(levi_civita(s.model), t).is_zero()
     assert curvature(conn).ric_diag() == [Q(-4)] * 4 + [Q(0)]
     assert curvature(levi_civita(s.model)).ric_diag() == [Q(-2)] * 4 + [Q(4)]
-    rep = clifford.build_rep(5)
-    assert clifford.eigen_report(clifford.act_form(rep, t)).multiset() == \
+    assert clifford.eigen_report(clifford.act_form(t)).multiset() == \
         [Q(-4), Q(0), Q(0), Q(4)]
     rng = random.Random(2024)
     for _ in range(200):
         t3 = random_form(5, 3, rng, span=4)
         x1 = random_form(5, 1, rng, span=4)
-        endo = clifford.spin_endo_5d(t3, x1)
+        endo = clifford.act_form([t3, x1])
         for which in ("plus", "minus"):
             member = (endo @ clifford.spinor_5d(which)).is_zero()
             assert member == clifford.kernel_conditions_5d(t3, x1, which)

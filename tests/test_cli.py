@@ -278,6 +278,40 @@ def test_run_suite_all_builds_each_connection_once(monkeypatch):
     assert fresh >= 20
 
 
+def test_run_suite_all_builds_each_spinor_side_once(monkeypatch):
+    # on a fresh registry, `verify all` computes the spin connection and the
+    # parallel-spinor basis of each torsion connection at most once
+    import importlib
+    from collections import Counter
+    from skewtor import clifford, liegeom
+    from skewtor.suites import admissible_models
+    built, kernels = [], Counter()
+    init, kernel = liegeom.SpinorData.__init__, liegeom.common_kernel
+    key = lambda endos: tuple((m.den, m.num.shape, tuple(m.num.flat)) for m in endos)
+
+    def counting_init(self, conn, *rest):
+        built.append(conn)
+        init(self, conn, *rest)
+
+    def counting_kernel(endos, *rest, **options):
+        endos = list(endos)
+        kernels[key(endos)] += 1
+        return kernel(endos, *rest, **options)
+
+    monkeypatch.setattr(liegeom.SpinorData, "__init__", counting_init)
+    for module in (clifford, liegeom):
+        monkeypatch.setattr(module, "common_kernel", counting_kernel)
+    monkeypatch.setattr(importlib.import_module("skewtor.registry"), "_REGISTRY", None)
+    assert run_suite("all").ok
+    # one spinor side per admissible structure, and one kernel per spinor side:
+    # structures with equal spin connections share a kernel input
+    conns = [s.connection for _, s in admissible_models()]
+    assert [sum(c is conn for c in built) for conn in conns] == [1] * len(conns)
+    assert len(built) == len(conns)
+    expected = Counter(key(conn.spinors.lams) for conn in conns)
+    assert {k: kernels[k] for k in expected} == expected
+
+
 def test_calibration_table_is_built_once_per_spaces(monkeypatch):
     # casimir_decompose reads it once per module and isotypic_basis_r7_m once
     # per label: the two eigenvector probes run once for the whole suite

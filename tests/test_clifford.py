@@ -9,7 +9,8 @@ from skewtor import clifford
 from skewtor.clifford import (act_form, build_rep, common_kernel,
                               eigen_report, half_spinor_bases,
                               kernel_conditions_5d, kernel_conditions_are_membership,
-                              restrict, spin_endo_5d, spinor_5d)
+                              restrict, spinor_5d)
+from skewtor.errors import DimensionMismatch
 from skewtor.forms import Form, contract, hodge, random_form, wedge
 from skewtor.g2 import canonical_omega3
 from skewtor.linalg import GaussTensor, charpoly, is_hermitian, solve
@@ -49,46 +50,54 @@ def test_gammas_anti_hermitian(n):
                 assert g[a][b] == -g[b][a].conj()
 
 
+def test_act_form_reads_the_module_of_its_dimension():
+    assert act_form(Form.scalar(5, 1)) == GaussTensor.identity(4)
+    assert act_form([Form.blade(6, 1), Form.blade(6, 2)]) == \
+        build_rep(6).gammas[0] + build_rep(6).gammas[1]
+    with pytest.raises(DimensionMismatch):
+        act_form([Form.blade(5, 1, 2), Form.blade(7, 1)])
+    with pytest.raises(DimensionMismatch):
+        act_form(Form.blade(9, 1))
+    with pytest.raises(DimensionMismatch):
+        half_spinor_bases(7)
+
+
 def test_act_form_algebra_map_on_disjoint_blades():
-    rep = build_rep(7)
     a = Form.blade(7, 1, 3)
     b = Form.blade(7, 2, 5, 6)
-    lhs = act_form(rep, wedge(a, b))
-    rhs = act_form(rep, a) @ act_form(rep, b)
+    lhs = act_form(wedge(a, b))
+    rhs = act_form(a) @ act_form(b)
     assert lhs == rhs
 
 
 def test_omega3_spectrum_and_normalizations():
-    rep = build_rep(7)
     w3 = canonical_omega3()
-    report = eigen_report(act_form(rep, w3))
+    report = eigen_report(act_form(w3))
     assert report.pairs == [(Q(-7), 1), (Q(1), 7)]
     assert report.hermitian
     # the simple eigenvector satisfies the contraction identity
     from skewtor.linalg import nullspace
-    shifted = act_form(rep, w3) + GaussTensor.identity(8) * 7
+    shifted = act_form(w3) + GaussTensor.identity(8) * 7
     (psi0,) = nullspace(shifted)
     sw3 = hodge(w3)
-    assert act_form(rep, sw3) @ psi0 == psi0 * -7
+    assert act_form(sw3) @ psi0 == psi0 * -7
     for i in range(1, 8):
-        lhs = act_form(rep, contract(sw3, i)) @ psi0
-        rhs = act_form(rep, Form.basis_vector(7, i)) @ psi0
+        lhs = act_form(contract(sw3, i)) @ psi0
+        rhs = act_form(Form.basis_vector(7, i)) @ psi0
         assert lhs == rhs * 4
 
 
 def test_contact_form_spectrum_dim5():
-    rep = build_rep(5)
     eta = Form.basis_vector(5, 5)
     de = Form.blade(5, 1, 2, coeff=2) + Form.blade(5, 3, 4, coeff=2)
-    report = eigen_report(act_form(rep, wedge(eta, de)))
+    report = eigen_report(act_form(wedge(eta, de)))
     assert report.multiset() == [Q(-4), Q(0), Q(0), Q(4)]
 
 
 def test_eigen_multiset_invariant_under_conjugation():
-    rep = build_rep(5)
     eta = Form.basis_vector(5, 5)
     de = Form.blade(5, 1, 2, coeff=2) + Form.blade(5, 3, 4, coeff=2)
-    m = act_form(rep, wedge(eta, de))
+    m = act_form(wedge(eta, de))
     rng = random.Random(3)
     g = [[CQ(rng.randint(-3, 3), rng.randint(-2, 2)) for _ in range(4)]
          for _ in range(4)]
@@ -114,7 +123,7 @@ def test_kernel_conditions_match_membership():
     for _ in range(200):
         t = random_form(5, 3, rng, span=4)
         x = random_form(5, 1, rng, span=4)
-        endo = spin_endo_5d(t, x)
+        endo = act_form([t, x])
         for which in ("plus", "minus"):
             member = (endo @ spinor_5d(which)).is_zero()
             assert member == kernel_conditions_5d(t, x, which)
@@ -140,11 +149,10 @@ def test_kernel_conditions_signed_samples():
 
 
 def test_half_module_spectrum_dim6():
-    rep = build_rep(6)
-    plus, minus = half_spinor_bases(rep)
+    plus, minus = half_spinor_bases(6)
     assert len(plus) == len(minus) == 4
-    endo = act_form(rep, [Form.blade(6, 1, 2, 3, 4) + Form.blade(6, 1, 2, 5, 6)
-                          + Form.blade(6, 3, 4, 5, 6), Form.scalar(6, 3)])
+    endo = act_form([Form.blade(6, 1, 2, 3, 4) + Form.blade(6, 1, 2, 5, 6)
+                     + Form.blade(6, 3, 4, 5, 6), Form.scalar(6, 3)])
     for basis in (plus, minus):
         assert eigen_report(restrict(endo, basis)).multiset() == \
             [Q(0), Q(4), Q(4), Q(4)]
@@ -153,7 +161,6 @@ def test_half_module_spectrum_dim6():
 def test_hermiticity_tracks_degree_mod_four():
     # blade actions are hermitian exactly for degrees 0, 3 mod 4
     from skewtor.linalg import is_hermitian
-    rep = build_rep(7)
     degree_forms = {
         1: Form.blade(7, 2),
         2: Form.blade(7, 1, 4),
@@ -161,14 +168,13 @@ def test_hermiticity_tracks_degree_mod_four():
         4: Form.blade(7, 2, 3, 5, 7),
     }
     for degree, form in degree_forms.items():
-        hermitian = is_hermitian(act_form(rep, form))
+        hermitian = is_hermitian(act_form(form))
         assert hermitian == (degree % 4 in (0, 3))
-    assert eigen_report(act_form(rep, Form.blade(7, 1, 2))).hermitian is False
+    assert eigen_report(act_form(Form.blade(7, 1, 2))).hermitian is False
 
 
 def test_inhomogeneous_action_adds_scalar():
-    rep = build_rep(6)
-    scalar_only = cq(act_form(rep, Form.scalar(6, Q(5, 2))))
+    scalar_only = cq(act_form(Form.scalar(6, Q(5, 2))))
     assert all(scalar_only[i][j] == (CQ(Q(5, 2)) if i == j else CQ(0))
                for i in range(8) for j in range(8))
 
@@ -189,7 +195,7 @@ def mixed_forms(draw):
 @given(parts=mixed_forms())
 def test_monomial_action_and_integer_charpoly_match_references(parts):
     rep = build_rep(parts[0].n)
-    m = act_form(rep, parts)
+    m = act_form(parts)
     assert m == gauss(act_form_by_gamma_products(rep, parts))
     entries_m = cq(m)
     # charpoly holds the integer coefficients of det(yI - dA), d the denominator
@@ -211,7 +217,7 @@ def test_monomial_action_and_integer_charpoly_match_references(parts):
 @given(parts=mixed_forms())
 def test_multiplicities_and_residual_fill_the_module(parts):
     rep = build_rep(parts[0].n)
-    m = act_form(rep, parts)
+    m = act_form(parts)
     report = eigen_report(m)
     residual_degree = 0 if report.residual is None else len(report.residual) - 1
     assert sum(mult for _, mult in report.pairs) + residual_degree == rep.dim

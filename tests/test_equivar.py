@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from skewtor import equivar
-from skewtor.equivar import (bracket_2forms, casimir_decompose, casimir_spectrum,
+from skewtor.equivar import (casimir_decompose, casimir_spectrum,
                              full_column_rank_certificate,
                              isotypic_basis_r7_m, phi_matrix, psi_matrix,
                              rank_certificates, sigma0_constant,
@@ -14,7 +14,7 @@ from skewtor.equivar import (bracket_2forms, casimir_decompose, casimir_spectrum
 from skewtor.forms import Form, contract, so_action
 from skewtor.errors import StructureError
 from skewtor.g2 import canonical_omega3
-from skewtor.linalg import rank_mod_p, _PRIMES
+from skewtor.linalg import Tensor, rank_mod_p, _PRIMES
 
 from cq_reference import poly_mul
 
@@ -22,6 +22,22 @@ from cq_reference import poly_mul
 @pytest.fixture(scope="module")
 def sp():
     return spaces()
+
+
+def bracket_2forms(a, b):
+    """Commutator of two 2-forms under their skew-endomorphism identification.
+
+    The endomorphism of a 2-form is the transpose of its tensor, so the
+    tensor of [A, B] is b a - a b for the tensors a, b of the two forms.
+    """
+    ta, tb = Tensor.of_form(a), Tensor.of_form(b)
+    return (Tensor.einsum("ik,kj->ij", tb, ta) - Tensor.einsum("ik,kj->ij", ta, tb)).to_form()
+
+
+def endo_of_2form(alpha):
+    """Matrix A with A e_u = sum_v alpha(u, v) e_v, i.e. g(A u, v) = alpha(u, v)."""
+    n = alpha.n
+    return [[alpha.eval(u + 1, v + 1) for u in range(n)] for v in range(n)]
 
 
 def test_algebra_dimension_and_closure(sp):
@@ -47,7 +63,6 @@ def test_bracket_consistency_with_derivation(sp):
 
 def test_complement_equivariance(sp):
     # [xi, Z -| w3] = (A_xi Z) -| w3 for algebra elements xi
-    from skewtor.equivar import endo_of_2form
     w3 = canonical_omega3()
     for xi in sp.algebra.basis[:3]:
         a = endo_of_2form(xi)
@@ -230,9 +245,9 @@ def test_full_column_rank_certificate_falls_back_to_exact_rank():
     big = _PRIMES[0] * _PRIMES[1] * _PRIMES[2]
     matrix = [[big, 0, 0], [0, 1, 0], [0, 0, 1], [big, 1, 1]]
     assert all(rank_mod_p(matrix, p) == 2 for p in _PRIMES[:3])
-    assert full_column_rank_certificate(matrix, 3)
+    assert full_column_rank_certificate(matrix)
 
 
 def test_full_column_rank_certificate_refuses_rank_deficient():
     matrix = [[1, 0, 1], [0, 1, 1], [2, 3, 5], [4, -1, 3]]
-    assert not full_column_rank_certificate(matrix, 3)
+    assert not full_column_rank_certificate(matrix)

@@ -100,8 +100,6 @@ def test_inner_basics():
     w3 = canonical_omega3()
     assert inner(w3, w3) == 7
     assert inner(blade(7, 1), blade(7, 1, 2)) == 0  # degree mismatch convention
-    with pytest.raises(DegreeError):
-        inner(blade(7, 1), blade(7, 1, 2), strict=True)
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,16 +3,14 @@ from fractions import Fraction as Q
 
 import pytest
 
-from skewtor.clifford import act_form, build_rep
+from skewtor.clifford import act_form
 from skewtor.errors import DegreeError, NoSkewConnection, StructureError
 from skewtor.forms import Form, hodge, random_form, sigma_t, wedge
 from skewtor.g2 import canonical_omega3
-from skewtor.liegeom import (LieModel, SpinorData, codiff, curvature,
-                             curvature_identity_residuals, d_form,
-                             d_via_connection, lc_trace_vector, levi_civita,
-                             nabla_form, parallel_spinors, tt_contraction,
-                             with_torsion)
-from skewtor.linalg import GaussTensor
+from skewtor.liegeom import (LieModel, codiff, curvature, curvature_identity_residuals,
+                             d_form, lc_trace_vector, levi_civita, nabla_form,
+                             tt_contraction, with_torsion)
+from skewtor.linalg import GaussTensor, Tensor
 from skewtor.registry import registry
 
 
@@ -47,9 +45,9 @@ def test_jacobi_zero_on_registry():
 
 def test_structure_constant_recovery(heis7):
     # de4 = e1^e6 + e3^e7 corresponds to [e1,e6] = -e4, [e3,e7] = -e4
-    assert heis7.bracket(1, 6)[3] == -1
-    assert heis7.bracket(3, 7)[3] == -1
-    assert heis7.bracket(6, 1)[3] == 1
+    assert heis7.c[0, 5, 3] == -1
+    assert heis7.c[2, 6, 3] == -1
+    assert heis7.c[5, 0, 3] == 1
 
 
 def test_d_matches_registry_values(heis7):
@@ -61,13 +59,25 @@ def test_d_matches_registry_values(heis7):
     assert d_form(heis7, Form.scalar(7, 5)).is_zero()
 
 
+def _d_via_connection(model, a):
+    """d(a) = sum_i e_i ^ nabla^g_{e_i} a, the reference for the CE differential."""
+    lc, n = model.levi_civita, model.n
+    return sum((wedge(Form.basis_vector(n, i), nabla_form(lc, i, a)) for i in range(1, n + 1)),
+               Form.zero(n, a.degree + 1))
+
+
+def _torsion_table(conn):
+    """T(e_i,e_j) - (nabla_i e_j - nabla_j e_i - [e_i,e_j]) sanity table, from omega and c."""
+    return conn.omega - Tensor.einsum("jik->ijk", conn.omega) - conn.model.c
+
+
 def test_d_squared_zero_and_connection_route(heis7, solv7, heis5):
     rng = random.Random(17)
     for model in (heis7, solv7, heis5):
         for degree in (1, 2, 3):
             a = random_form(model.n, degree, rng, span=3)
             assert d_form(model, d_form(model, a)).is_zero()
-            assert d_via_connection(model, a) == d_form(model, a)
+            assert _d_via_connection(model, a) == d_form(model, a)
 
 
 def test_d_is_an_antiderivation(heis7, solv7, heis5):
@@ -119,7 +129,7 @@ def test_levi_civita_properties(heis5):
             for k in range(n):
                 assert lc.omega[i][j][k] == -lc.omega[i][k][j]
     # torsion-free: nabla_i e_j - nabla_j e_i = [e_i, e_j]
-    assert lc.torsion_residual().is_zero()
+    assert _torsion_table(lc).is_zero()
     # the worked value nabla_{e1} e2 = -e5
     assert lc.nabla_vector([Q(1) if k == 1 else Q(0) for k in range(n)])[0] == \
         [Q(0), Q(0), Q(0), Q(0), Q(-1)]
@@ -127,12 +137,23 @@ def test_levi_civita_properties(heis5):
 
 @pytest.mark.parametrize("read", [
     lambda lc: lc.dt, lambda lc: lc.delta_t, lambda lc: lc.nabla_t,
-    curvature_identity_residuals, lambda lc: SpinorData(lc, build_rep(5))],
-    ids=["dt", "delta_t", "nabla_t", "curvature_identity_residuals", "SpinorData"])
+    curvature_identity_residuals, lambda lc: lc.spinors.square_residual(),
+    lambda lc: lc.spinors.anticommutator_residual(), lambda lc: lc.spinors.field_equations()],
+    ids=["dt", "delta_t", "nabla_t", "curvature_identity_residuals", "SpinorData",
+         "SpinorData.anticommutator", "SpinorData.field_equations"])
 def test_torsion_tables_of_levi_civita_raise(read):
     # the Levi-Civita connection has no torsion form to read
     with pytest.raises(StructureError, match="no torsion form"):
         read(registry()["heis5"].model.levi_civita)
+
+
+def test_spinor_side_of_levi_civita(heis5):
+    # the spin connection, Dirac operator and parallel spinors need no torsion;
+    # a Levi-Civita parallel spinor forces Ric = 0, and heis5 has Ric != 0
+    spin = heis5.levi_civita.spinors
+    assert spin is heis5.levi_civita.spinors
+    assert len(spin.lams) == 5 and len(spin.dirac) == 4
+    assert len(spin.parallel) == 0
 
 
 def test_levi_civita_uniqueness(heis7):
@@ -140,7 +161,7 @@ def test_levi_civita_uniqueness(heis7):
     lc = levi_civita(heis7)
     t = Form(7, 3, {(1, 2, 3): Q(1)})
     conn = with_torsion(heis7, t)
-    assert not conn.torsion_residual().is_zero()
+    assert not _torsion_table(conn).is_zero()
 
 
 def test_abelian_trivial():
@@ -192,36 +213,33 @@ def test_trace_vector_computed_not_assumed(solv7, heis7):
     hyper = LieModel(2, [Form(2, 2), Form(2, 2, {(1, 2): Q(1)})], name="aff2")
     v = lc_trace_vector(hyper)
     assert any(v)
-    rep2 = build_rep(2)
-    assert SpinorData(with_torsion(hyper, Form(2, 3)), rep2).square_residual().is_zero()
+    assert with_torsion(hyper, Form(2, 3)).spinors.square_residual().is_zero()
     # a 4-dim variant where the trace direction carries spin-connection content
     aff4 = LieModel(4, [Form(4, 2), Form(4, 2, {(1, 2): Q(1)}), Form(4, 2),
                         Form(4, 2, {(1, 3): Q(-1)})], name="aff4")
     assert lc_trace_vector(aff4) == [Q(-1), Q(0), Q(0), Q(0)]
-    rep4 = build_rep(4)
     t0 = Form(4, 3)
-    spin = SpinorData(with_torsion(aff4, t0), rep4)
+    spin = with_torsion(aff4, t0).spinors
     assert spin.square_residual().is_zero()
     assert spin.anticommutator_residual().is_zero()
     # and a torsion whose codifferential does not vanish: the identity still
     # closes exactly, which pins the 1/2 on the codifferential term
     t1 = Form(4, 3, {(1, 2, 3): Q(1)})
     assert not codiff(levi_civita(aff4), t1).is_zero()
-    spin = SpinorData(with_torsion(aff4, t1), rep4)
+    spin = with_torsion(aff4, t1).spinors
     assert spin.square_residual().is_zero()
     assert spin.anticommutator_residual().is_zero()
     res = curvature_identity_residuals(with_torsion(aff4, t1))
     assert all(v == 0 for v in res.values())
     # dropping the trace term breaks the identity
-    from skewtor.liegeom import dirac_matrix, spinor_connection
     conn = with_torsion(aff4, t0)
-    lam = spinor_connection(conn, rep4)
-    d2 = dirac_matrix(conn, rep4) @ dirac_matrix(conn, rep4)
-    lap_no_trace = GaussTensor.identity(rep4.dim) * 0
+    lam = conn.spinors.lams
+    d2 = conn.spinors.dirac @ conn.spinors.dirac
+    lap_no_trace = GaussTensor.identity(4) * 0
     for i in range(4):
         lap_no_trace = lap_no_trace - lam[i] @ lam[i]
     scal = curvature(conn).scal
-    rhs = lap_no_trace + GaussTensor.identity(rep4.dim) * Q(scal, 4)
+    rhs = lap_no_trace + GaussTensor.identity(4) * Q(scal, 4)
     assert not (d2 - rhs).is_zero()
 
 
@@ -248,14 +266,12 @@ def test_operator_identities_and_parallel_counts(heis7, solv7, heis5):
                       d_form(heis5, Form.basis_vector(5, 5))), 2),
     ]
     for model, t, count in cases:
-        rep = build_rep(model.n)
-        spin = SpinorData(with_torsion(model, t), rep)
+        spin = with_torsion(model, t).spinors
         assert spin.square_residual().is_zero()
         assert spin.anticommutator_residual().is_zero()
-        conn = with_torsion(model, t)
-        basis = parallel_spinors(conn, rep)
+        basis = spin.parallel
         assert len(basis) == count
-        tm = act_form(rep, t)
+        tm = act_form(t)
         assert all((tm @ psi).is_zero() for psi in basis)
         _, residuals = spin.field_equations()
         for r1, r2 in residuals:
@@ -266,12 +282,11 @@ def test_operator_identities_and_parallel_counts(heis7, solv7, heis5):
 def test_abelian_operator_identities():
     for name in ("abelian5", "abelian6", "abelian7"):
         model = registry()[name].model
-        rep = build_rep(model.n)
         t = Form(model.n, 3)
-        spin = SpinorData(with_torsion(model, t), rep)
+        spin = with_torsion(model, t).spinors
         assert spin.square_residual().is_zero()
         assert spin.anticommutator_residual().is_zero()
-        assert len(parallel_spinors(with_torsion(model, t), rep)) == rep.dim
+        assert len(spin.parallel) == 2 ** (model.n // 2)
 
 
 # ---------------------------------------------------------------------------

@@ -478,6 +478,34 @@ def test_gauss_tensor_with_a_list_raises():
     assert Tensor.identity(2) == [[1, 0], [0, 1]]
 
 
+def test_gauss_tensor_has_no_real_only_parts():
+    # Tensor and GaussTensor are siblings: the real constructors, einsum,
+    # max_abs and the form conversions refuse a Gaussian tensor instead of
+    # reading its (re, im) axis as real entries
+    eye = GaussTensor.identity(2)
+    assert not isinstance(eye, Tensor) and not isinstance(Tensor.identity(2), GaussTensor)
+    with pytest.raises(AttributeError):
+        GaussTensor.of([[1, 0]])
+    with pytest.raises(TypeError):
+        Tensor.of(eye)
+    with pytest.raises(TypeError):
+        Tensor.einsum("ijk->kji", eye)
+    with pytest.raises(AttributeError):
+        eye.max_abs()
+    with pytest.raises(AttributeError):
+        GaussTensor.of_form(Form.blade(2, 1, 2))
+    with pytest.raises(AttributeError):
+        GaussTensor.of_forms([Form.blade(2, 1, 2)])
+    with pytest.raises(AttributeError):
+        eye.to_form()
+    # the exact elimination keeps its results on both kinds
+    half = eye * Q(1, 2)
+    assert rank(half) == 2 and len(nullspace(half)) == 0
+    assert solve(half, eye[:1]) == [GaussTensor.of_parts([2, 0], [0, 0])]
+    assert rank(Tensor.of([[1, 2], [2, 4]])) == 1
+    assert nullspace(Tensor.of([[1, 2], [2, 4]])) == [[-2, 1]]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_is_hermitian_matches_conjugate_transpose(data):
