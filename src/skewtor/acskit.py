@@ -89,7 +89,7 @@ class AlmostContact(_EndoStructure):
         return d_form(self.model, self.eta)
 
     def is_contact_metric(self) -> bool:
-        return self.fundamental_form().scale(2) == self.d_eta
+        return self.fundamental_form() * 2 == self.d_eta
 
     def killing_matrix(self) -> Tensor:
         """K[i, j] = g(nabla^g_{e_i} xi, e_j); xi is Killing iff K is skew."""
@@ -216,10 +216,17 @@ def torsion_uniqueness_certificate(s) -> bool:
     one column per blade of dT and n^3 (+ n^2 with eta) rows; it is built
     from the signed permutations of each blade, scaled by 2 L to integers
     (L clears the denominators of phi and eta), and its full column rank is
-    certified mod p, with exact elimination only if that falls short.
+    certified mod p, with exact elimination only if that falls short.  The
+    matrix depends only on the frame (phi, and xi for contact input), so each
+    frame is certified once.
     """
-    matrix = _uniqueness_response(s)
-    return full_column_rank_certificate(matrix)
+    frame = (s.phi.den, tuple(s.phi.num.flat), getattr(s, "xi_index", None))
+    if frame not in _CERTIFICATES:
+        _CERTIFICATES[frame] = full_column_rank_certificate(_uniqueness_response(s))
+    return _CERTIFICATES[frame]
+
+
+_CERTIFICATES = {}
 
 
 def _uniqueness_response(s):
@@ -415,7 +422,7 @@ def tanno_deform(s: AlmostContact, a2) -> AlmostContact:
             if coeff and expo % 2:
                 raise StructureError("deformation leaves the rational frame")
             values.append(coeff * a2 ** (expo // 2))
-        new_d.append(Form.of_rationals(n, 2, values).scale(Q(1, d.den)))
+        new_d.append(Form.of_rationals(n, 2, values) * Q(1, d.den))
     model = LieModel(n, new_d, name=f"{s.model.name}-tanno")
     return AlmostContact(model, xi_index, s.phi)
 
@@ -445,17 +452,17 @@ def nearly_kaehler_identities(a) -> dict:
     out["tt-contraction-2ag"] = ttc_psi * Q(a, 2) == one * (2 * a)
     omega2 = wedge(omega, omega)
     out["two-sigma-is-dt"] = sigma_t(psi) == omega2
-    dt = omega2.scale(a)
+    dt = omega2 * a
     ric_nabla = one * (Q(5, 2) * a) - ttc_psi * (Q(1, 4) * Q(a, 2))
     out["ricci-reduction-2ag"] = ric_nabla == one * (2 * a)
     scal = ein("xx->", ric_nabla)[()]
     out["scal-12a"] = scal == 12 * a
-    sig = sigma_t(psi).scale(Q(a, 2))
-    lhs = dt.scale(Q(3, 4)) - sig.scale(Q(1, 2))
-    rhs = dt.scale(Q(1, 4)) + sig.scale(Q(1, 2))
+    sig = sigma_t(psi) * Q(a, 2)
+    lhs = dt * Q(3, 4) - sig * Q(1, 2)
+    rhs = dt * Q(1, 4) + sig * Q(1, 2)
     out["endomorphism-forms-agree"] = lhs == rhs
     target = (Form.blade(n, 1, 2, 3, 4) + Form.blade(n, 1, 2, 5, 6)
-              + Form.blade(n, 3, 4, 5, 6)).scale(a)
+              + Form.blade(n, 3, 4, 5, 6)) * a
     out["endomorphism-form-value"] = lhs == target
     # holonomy-reduction contraction: Ric(X,Y) = (1/4) sum dT(X, JY, e_i, J e_i),
     # with dT = a Omega ^ Omega
@@ -483,7 +490,7 @@ def half_module_endomorphism_spectrum(a):
     from .clifford import act_form, eigen_report, half_spinor_bases, restrict
     a = Q(a)
     four_form = (Form.blade(6, 1, 2, 3, 4) + Form.blade(6, 1, 2, 5, 6)
-                 + Form.blade(6, 3, 4, 5, 6)).scale(a)
+                 + Form.blade(6, 3, 4, 5, 6)) * a
     endo = act_form([four_form, Form.scalar(6, 3 * a)])
     plus, minus = half_spinor_bases(6)
     return (eigen_report(restrict(endo, plus)).multiset(),

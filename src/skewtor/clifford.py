@@ -11,13 +11,12 @@ Conventions, pinned by the identities the test suite enforces:
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from math import lcm
 from operator import matmul
 
 import numpy as np
 
 from .errors import DegreeError, DimensionMismatch
-from .forms import Form, all_blades
+from .forms import Form, all_blades, common_denominator
 from .linalg import (GaussTensor, Tensor, charpoly, int_matmul, is_hermitian, nullspace,
                      rank, rational_roots, solve, unscaled)
 
@@ -111,17 +110,16 @@ def act_form(form) -> GaussTensor:
     if any(part.n != parts[0].n for part in parts):
         raise DimensionMismatch("form parts of different dimension")
     rep = build_rep(parts[0].n)
-    den = lcm(1, *(part.den for part in parts))
+    nums, den = common_denominator(parts)
     size = rep.dim
     acc = [[0, 0] for _ in range(size * size)]
-    for part in parts:
-        for blade, x in zip(all_blades(part.n, part.degree), part.num):
+    for part, num in zip(parts, nums):
+        for blade, x in zip(all_blades(part.n, part.degree), num.tolist()):
             if not x:
                 continue
-            num = x * (den // part.den)
             cols, phases = rep.monomial(blade)
             for r, (c, p) in enumerate(zip(cols, phases)):
-                acc[r * size + c][p % 2] += num if p < 2 else -num
+                acc[r * size + c][p % 2] += x if p < 2 else -x
     return GaussTensor(np.array(acc, dtype=object).reshape(size, size, 2), den)
 
 
@@ -235,8 +233,8 @@ def kernel_conditions_5d(t: Form, x: Form, which: str) -> bool:
         raise DimensionMismatch("dimension-5 conditions")
     if t.degree != 3 or x.degree != 1:
         raise DegreeError("expected a 3-form and a 1-form")
-    coords = np.array([v * x.den for v in t.num] + [v * t.den for v in x.num], dtype=object)
-    return not int_matmul(kernel_condition_rows(which), coords).any()
+    nums, _ = common_denominator([t, x])
+    return not int_matmul(kernel_condition_rows(which), np.concatenate(nums)).any()
 
 
 def kernel_conditions_are_membership(which: str) -> bool:
@@ -263,8 +261,8 @@ def restrict(matrix: GaussTensor, basis: GaussTensor) -> GaussTensor:
     sols = solve(cols, (matrix @ cols).T)
     if any(s is None for s in sols):
         raise ValueError("subspace is not invariant")
-    den = lcm(*(s.den for s in sols))
-    return GaussTensor(np.stack([s.num * (den // s.den) for s in sols], axis=1), den)
+    nums, den = common_denominator(sols)
+    return GaussTensor(np.stack(nums, axis=1), den)
 
 
 def half_spinor_bases(n: int):

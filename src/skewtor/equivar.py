@@ -22,8 +22,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import StructureError
-from .forms import (Form, blade_tensors, contract, derivation, inner, interior,
-                    so_action, wedge)
+from .forms import (Form, blade_tensors, common_denominator, contract, derivation, inner,
+                    interior, so_action, wedge)
 from .g2 import _projectors, canonical_omega3, project3, spanning_27
 from .linalg import (Tensor, certified_eigenspace_dims, certify_annihilation,
                      int_abs_max, int_matmul, krylov_min_poly, nullspace, rank,
@@ -43,7 +43,7 @@ class G2Algebra:
         kernel = nullspace([contract(w3, i).num for i in range(1, 8)])
         if len(kernel) != 14:
             raise StructureError("stabilizer equations do not cut out 14 dimensions")
-        raw = [Form.of_numerators(7, 2, v) for v in kernel.num.tolist()]
+        raw = [Form.of_numerators(7, 2, v) for v in kernel.num]
         self.basis = _orthogonalize(raw)
         self.norms = [inner(x, x) for x in self.basis]
         self.endos = np.stack([_int_endo(x) for x in self.basis])
@@ -56,7 +56,7 @@ class G2Algebra:
         The basis is orthogonal, so the coefficients are the projections.
         """
         coords = [inner(alpha, x) / norm for x, norm in zip(self.basis, self.norms)]
-        span = sum((x.scale(c) for c, x in zip(coords, self.basis)), Form.zero(7, 2))
+        span = sum((x * c for c, x in zip(coords, self.basis)), Form.zero(7, 2))
         return coords if span == alpha else None
 
     def closure_residuals(self):
@@ -74,11 +74,10 @@ def _orthogonalize(forms):
     for f in forms:
         g = f
         for h in out:
-            g = g - h.scale(inner(g, h) / inner(h, h))
+            g = g - h * (inner(g, h) / inner(h, h))
         if g.is_zero():
             raise StructureError("dependent basis in orthogonalization")
-        content = gcd(*g.num)
-        out.append(Form.of_numerators(g.n, g.degree, [x // content for x in g.num]))
+        out.append(Form.of_numerators(g.n, g.degree, g.num // gcd(*g.num)))
     return out
 
 
@@ -426,8 +425,8 @@ def rank_certificates():
 
 def _coefficients(table) -> Tensor:
     """The [case, k, blade] coefficients of a table of 2-forms."""
-    den = lcm(*(f.den for row in table for f in row))
-    return Tensor([[[x * (den // f.den) for x in f.num] for f in row] for row in table], den)
+    nums, den = common_denominator([f for row in table for f in row])
+    return Tensor(np.stack(nums).reshape(len(table), len(table[0]), -1), den)
 
 
 def _pr_m(coeffs) -> Tensor:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 from .errors import FormParseError
 from .forms import Form, _locate
@@ -75,17 +75,14 @@ def parse_form(text: str, n: int) -> list:
     elif not terms:
         raise FormParseError("empty expression", 0)
 
-    # one numerator vector per degree, over the lcm of its terms' denominators
-    dens = {}
+    # one coefficient vector per degree
+    vectors = {}
     for c, indices in terms:
-        dens[len(indices)] = lcm(dens.get(len(indices), 1), c.denominator)
-    vectors = {d: [0] * comb(n, d) for d in dens}
-    for c, indices in terms:
+        vector = vectors.setdefault(len(indices), [0] * comb(n, len(indices)))
         sign, pos = _locate(n, tuple(indices))
         if sign:
-            d = len(indices)
-            vectors[d][pos] += sign * c.numerator * (dens[d] // c.denominator)
-    parts = [Form.of_numerators(n, d, vectors[d], dens[d]) for d in sorted(dens)]
+            vector[pos] += sign * c
+    parts = [Form.of_rationals(n, d, vectors[d]) for d in sorted(vectors)]
     return [f for f in parts if not f.is_zero()] or [Form.zero(n, 0)]
 
 

@@ -1,15 +1,22 @@
 """Exact exterior algebra over an orthonormal coframe of R^n (2 <= n <= 8).
 
+The module holds the exact base of every exact array in the program: an
+object array of Python-int numerators over one reduced positive denominator,
+with +, -, rational scaling by `*`, == and `is_zero`.  `numerators_of` is
+the one place where rationals become numerators, and `common_denominator`
+brings a list of exact arrays over one denominator.  `linalg.Tensor` and
+`linalg.GaussTensor` are kinds of this base, and so is a Form.
+
 A Form is a degree-homogeneous element with rational coefficients, stored
-densely: one Python-int numerator per blade of its degree over one positive
-denominator, reduced as `linalg.Tensor` is.  The blades of degree p are the
-ascending index tuples in `combinations(range(1, n + 1), p)` order, which is
-also sorted-blade order.  Indices are 1-based throughout, matching the frame
+densely: one numerator per blade of its degree.  The blades of degree p are
+the ascending index tuples in `combinations(range(1, n + 1), p)` order, which
+is also sorted-blade order.  Indices are 1-based throughout, matching the frame
 labels e_1 .. e_n.  The metric is the identity on the coframe and the volume
 blade e_1 ^ ... ^ e_n is the positive orientation.
 
 Every operation is an integer gather/scatter over a signed table, cached per
-(n, p) or (n, p, q) and built on first use.  A Fraction appears only where a
+(n, p) or (n, p, q) and built on first use; it reads the numerators once, as
+a list.  A Fraction appears only where a
 coefficient leaves the algebra: `coeff`, `eval`, `terms`,
 `vector_components` and `inner`.
 """
@@ -119,18 +126,88 @@ def _rational(x):
 
 
 # ---------------------------------------------------------------------------
+# exact arrays: integer numerators over one reduced denominator
+# ---------------------------------------------------------------------------
+
+def numerators_of(values):
+    """The integer numerators of rationals over their least common denominator: (list, den)."""
+    values = [_rational(c) for c in values]
+    den = lcm(1, *(c.denominator for c in values))
+    return [c.numerator * (den // c.denominator) for c in values], den
+
+
+def common_denominator(arrays):
+    """The numerators of a list of exact arrays over their least common denominator: (list, den)."""
+    den = lcm(*(a.den for a in arrays))
+    return [a.num if a.den == den else a.num * (den // a.den) for a in arrays], den
+
+
+class _Exact:
+    """Exact array: an object array of Python-int numerators over one denominator.
+
+    The pair is kept reduced (denominator positive and coprime to the
+    numerators as a whole), so equal arrays have equal numerators and
+    denominators.  An array is never changed after it is built.  `Form` and
+    `linalg`'s `Tensor` and `GaussTensor` are its kinds: they share +, -,
+    rational scaling, == and `is_zero`, and each result is built by `_like`,
+    so it keeps its kind (and a form its n and degree).
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=1):
+        num = np.asarray(num, dtype=object)
+        if den != 1:
+            g = gcd(den, *num.flat)
+            if g != 1:
+                num, den = np.asarray(num // g, dtype=object), den // g
+        self.num, self.den = num, den
+
+    def _like(self, num, den):
+        return type(self)(num, den)
+
+    def __add__(self, other):
+        den = lcm(self.den, other.den)
+        return self._like(self.num * (den // self.den) + other.num * (den // other.den), den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._like(-self.num, self.den)
+
+    def __mul__(self, factor):
+        """Scaling by a rational number."""
+        f = _rational(factor)
+        return self._like(self.num * f.numerator, self.den * f.denominator)
+
+    def __eq__(self, other):
+        """Exact equality within one kind; another kind, or a list, raises TypeError."""
+        if not isinstance(other, (_Exact, list, tuple)):
+            return NotImplemented
+        if type(other) is not type(self):
+            raise TypeError(f"a {type(self).__name__} is compared with a {type(other).__name__}")
+        return (self.den == other.den and self.num.shape == other.num.shape
+                and bool((self.num == other.num).all()))
+
+    __hash__ = None
+
+    def is_zero(self) -> bool:
+        return not any(self.num.flat)
+
+
+# ---------------------------------------------------------------------------
 # forms
 # ---------------------------------------------------------------------------
 
-class Form:
-    """Homogeneous exterior form: integer numerators on the blades over one denominator.
+class Form(_Exact):
+    """Homogeneous exterior form: the exact array of its coefficients in blade order.
 
-    The pair is kept reduced (denominator positive and coprime to the
-    numerators as a whole), so equal forms have equal numerators and
-    denominators.  A Form is never changed after it is built.
+    A form carries its dimension n and degree; the zero form equals the zero
+    form of every degree.
     """
 
-    __slots__ = ("n", "degree", "num", "den")
+    __slots__ = ("n", "degree")
 
     def __init__(self, n: int, degree: int, terms=None):
         """The form of a dict blade -> rational, each blade ascending in 1..n.
@@ -152,35 +229,32 @@ class Form:
             if tuple(blade) not in index:
                 raise ValueError(f"blade {blade} not ascending in 1..{n}")
             values[index[tuple(blade)]] = c
-        f = Form.of_rationals(n, degree, values)
-        self.n, self.degree, self.num, self.den = n, degree, f.num, f.den
+        self.n, self.degree = n, degree
+        super().__init__(*numerators_of(values))
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def of_numerators(n: int, degree: int, num, den: int = 1) -> "Form":
         """The form num / den, num in blade order and den positive; reduced, not validated."""
-        g = gcd(den, *num)
-        if g != 1:
-            num = [x // g for x in num]
-            den //= g
         f = object.__new__(Form)
-        f.n, f.degree, f.num, f.den = n, degree, tuple(num), den
+        f.n, f.degree = n, degree
+        _Exact.__init__(f, num, den)
         return f
 
     @staticmethod
     def of_rationals(n: int, degree: int, values) -> "Form":
         """The form with the rationals `values` on the blades, in blade order; not validated."""
-        values = [_rational(c) for c in values]
-        den = lcm(1, *(c.denominator for c in values))
-        return Form.of_numerators(n, degree, [c.numerator * (den // c.denominator)
-                                              for c in values], den)
+        return Form.of_numerators(n, degree, *numerators_of(values))
+
+    def _like(self, num, den):
+        return Form.of_numerators(self.n, self.degree, num, den)
 
     @staticmethod
     def zero(n: int, degree: int = 0) -> "Form":
         if degree < 0:
             raise DegreeError(f"degree {degree} out of range for dimension {n}")
-        return Form.of_numerators(n, degree, (0,) * comb(n, degree))
+        return Form.of_numerators(n, degree, [0] * comb(n, degree))
 
     @staticmethod
     def scalar(n: int, value) -> "Form":
@@ -210,14 +284,11 @@ class Form:
 
     # -- bookkeeping -------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not any(self.num)
-
     @property
     def terms(self) -> dict:
         """A new dict from each blade with a nonzero coefficient to that coefficient."""
         den = self.den
-        return {b: Q(x, den) for b, x in zip(_blades(self.n, self.degree), self.num) if x}
+        return {b: Q(x, den) for b, x in zip(_blades(self.n, self.degree), self.num.tolist()) if x}
 
     def coeff(self, *indices) -> Fraction:
         sign, pos = _locate(self.n, indices)
@@ -226,21 +297,21 @@ class Form:
     def vector_components(self):
         if self.degree != 1:
             raise DegreeError("vector components only defined for 1-forms")
-        return [Q(x, self.den) for x in self.num]
+        return [Q(x, self.den) for x in self.num.tolist()]
 
     def __eq__(self, other):
         if not isinstance(other, Form):
             return NotImplemented
         if self.n != other.n:
             return False
-        if self.is_zero() or other.is_zero():
+        if self.degree != other.degree:
             return self.is_zero() and other.is_zero()  # the zero form is degree-agnostic
-        return (self.degree, self.den, self.num) == (other.degree, other.den, other.num)
+        return super().__eq__(other)
 
     def __hash__(self):
         if self.is_zero():
             return hash((self.n, "zero"))
-        return hash((self.n, self.degree, self.den, self.num))
+        return hash((self.n, self.degree, self.den, tuple(self.num.tolist())))
 
     def __repr__(self):
         if self.is_zero():
@@ -254,36 +325,16 @@ class Form:
         if self.n != other.n:
             raise DimensionMismatch(f"dimension {self.n} vs {other.n}")
 
-    def _combine(self, other, sign):
-        """self + sign * other, where a zero summand is degree-agnostic."""
-        self._check_same_space(other)
-        if self.is_zero():
-            return other.scale(sign)
-        if other.is_zero():
-            return self
-        if self.degree != other.degree:
-            raise DegreeError("cannot add forms of different degree")
-        den = lcm(self.den, other.den)
-        a, b = den // self.den, den // other.den * sign
-        return Form.of_numerators(self.n, self.degree,
-                                  [x * a + y * b for x, y in zip(self.num, other.num)], den)
-
     def __add__(self, other):
-        return self._combine(other, 1)
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, factor) -> "Form":
-        f = _rational(factor)
-        return Form.of_numerators(self.n, self.degree, [x * f.numerator for x in self.num],
-                                  self.den * f.denominator)
-
-    def __rmul__(self, factor):
-        return self.scale(factor)
+        """The sum of forms on one R^n, where a zero summand is degree-agnostic."""
+        self._check_same_space(other)
+        if self.degree != other.degree:
+            if self.is_zero():
+                return other
+            if other.is_zero():
+                return self
+            raise DegreeError("cannot add forms of different degree")
+        return super().__add__(other)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -317,24 +368,18 @@ def wedge(a: Form, b: Form) -> Form:
     n, degree = a.n, a.degree + b.degree
     out = [0] * comb(n, degree)
     if degree <= n:
-        _wedge_into(out, a.num, b.num, _wedge_table(n, a.degree, b.degree))
+        _wedge_into(out, a.num.tolist(), b.num.tolist(), _wedge_table(n, a.degree, b.degree))
     return Form.of_numerators(n, degree, out, a.den * b.den)
 
 
 def interior(x: Form, a: Form) -> Form:
-    """Interior product X -| a for a coframe-coefficient vector X (a 1-form)."""
+    """Interior product X -| a of a vector X (a 1-form): the derivation e^m -> x_m."""
     x._check_same_space(a)
     if x.degree != 1:
         raise DegreeError("contraction direction must be a vector (1-form)")
-    n, p = a.n, a.degree
-    if p == 0:
-        return Form.zero(n, 0)
-    out = [0] * comb(n, p - 1)
-    for k, xk in enumerate(x.num, 1):
-        if xk:
-            for dst, y in enumerate(_contract(a.num, n, p, k)):
-                out[dst] += xk * y
-    return Form.of_numerators(n, p - 1, out, x.den * a.den)
+    if a.degree == 0:
+        return Form.zero(a.n, 0)
+    return derivation(a, 0, lambda m: Form.of_numerators(a.n, 0, x.num[m - 1:m], x.den))
 
 
 def contract(a: Form, i: int) -> Form:
@@ -343,7 +388,8 @@ def contract(a: Form, i: int) -> Form:
         raise ValueError(f"contraction index {i} outside 1..{a.n}")
     if a.degree == 0:
         return Form.zero(a.n, 0)
-    return Form.of_numerators(a.n, a.degree - 1, _contract(a.num, a.n, a.degree, i), a.den)
+    return Form.of_numerators(a.n, a.degree - 1, _contract(a.num.tolist(), a.n, a.degree, i),
+                              a.den)
 
 
 def hodge(a: Form) -> Form:
@@ -351,7 +397,7 @@ def hodge(a: Form) -> Form:
     if p > n:
         raise DegreeError(f"degree {p} out of range for dimension {n}")
     out = [0] * len(a.num)
-    for x, (dst, neg) in zip(a.num, _hodge_table(n, p)):
+    for x, (dst, neg) in zip(a.num.tolist(), _hodge_table(n, p)):
         out[dst] = -x if neg else x
     return Form.of_numerators(n, n - p, out, a.den)
 
@@ -361,21 +407,21 @@ def inner(a: Form, b: Form) -> Fraction:
     a._check_same_space(b)
     if a.degree != b.degree:
         return _ZERO
-    return Q(sum(map(mul, a.num, b.num)), a.den * b.den)
+    return Q(sum(map(mul, a.num.tolist(), b.num.tolist())), a.den * b.den)
 
 
 def volume_form(n: int) -> Form:
-    return Form.of_numerators(n, n, (1,))
+    return Form.of_numerators(n, n, [1])
 
 
 def sigma_t(t: Form) -> Form:
     """Torsion 4-form (1/2) sum_i (e_i -| T) ^ (e_i -| T) of a 3-form T."""
     if t.degree != 3:
         raise DegreeError("sigma_t expects a 3-form")
-    n = t.n
+    n, num = t.n, t.num.tolist()
     out = [0] * comb(n, 4)
     for i in range(1, n + 1):
-        ct = _contract(t.num, n, 3, i)
+        ct = _contract(num, n, 3, i)
         _wedge_into(out, ct, ct, _wedge_table(n, 2, 2))
     return Form.of_numerators(n, 4, out, 2 * t.den * t.den)
 
@@ -411,12 +457,12 @@ def derivation(a: Form, image_degree: int, image) -> Form:
         a._check_same_space(img)
         if img.degree != image_degree and not img.is_zero():
             raise DegreeError(f"image of degree {img.degree}, expected {image_degree}")
-    den = lcm(*(img.den for img in images))
-    table = _wedge_table(n, image_degree, p - 1)
-    for m, img in enumerate(images, 1):
-        if not img.is_zero():
-            _wedge_into(out, [y * (den // img.den) for y in img.num],
-                        _contract(a.num, n, p, m), table)
+    nums, den = common_denominator(images)
+    table, num = _wedge_table(n, image_degree, p - 1), a.num.tolist()
+    for m, img in enumerate(nums, 1):
+        img = img.tolist()
+        if any(img):
+            _wedge_into(out, img, _contract(num, n, p, m), table)
     return Form.of_numerators(n, degree, out, a.den * den)
 
 

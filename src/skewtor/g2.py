@@ -66,7 +66,7 @@ def _parts(a: Form):
     """The projections of `a` by `_projectors`."""
     images = (Tensor.einsum("ij,j->i", p, Tensor(a.num, a.den))
               for p in _projectors(a.degree))
-    return [Form.of_numerators(7, a.degree, x.num.tolist(), x.den) for x in images]
+    return [Form.of_numerators(7, a.degree, x.num, x.den) for x in images]
 
 
 def project2(a: Form):
@@ -144,7 +144,7 @@ def classify(s: G2Structure) -> TorsionClass:
     lc = model.levi_civita
     nab = Tensor.of_forms([nabla_form(lc, i, w3) for i in range(1, 8)])
     beta = (ein("jjab,iab->i", nab, big_w) * Q(1, 6)).to_form()
-    gamma27 = hodge(dw3) + w3.scale(lam) - hodge(wedge(beta, w3)).scale(Q(3, 4))
+    gamma27 = hodge(dw3) + w3 * lam - hodge(wedge(beta, w3)) * Q(3, 4)
 
     gamma = ein("iabc,jabc->ij", nab, big_s) * Q(-1, 72)
     # exactness guard: the derivative must lie in the 7-dimensional orbit part
@@ -166,7 +166,7 @@ def torsion_form(s: G2Structure) -> Form:
                                "the structure has a 2-form-type derivative component")
     w3 = s.omega3
     dw3 = d_form(s.model, w3)
-    return (w3.scale(Q(1, 6) * inner(dw3, s.star_omega3)) - hodge(dw3)
+    return (w3 * (Q(1, 6) * inner(dw3, s.star_omega3)) - hodge(dw3)
             + hodge(wedge(cls.beta, w3)))
 
 
@@ -183,16 +183,16 @@ def ricci_via_dt(conn: ConnectionData) -> Tensor:
 def torsion_component_identity(s: G2Structure) -> bool:
     """T = -(lambda/6) w3 - gamma27 - (1/4)(beta -| *w3) as an exact identity."""
     cls = s.torsion_class
-    rhs = (s.omega3.scale(-cls.lam / 6) - cls.gamma27
-           - interior(cls.beta, s.star_omega3).scale(Q(1, 4)))
+    rhs = (s.omega3 * (-cls.lam / 6) - cls.gamma27
+           - interior(cls.beta, s.star_omega3) * Q(1, 4))
     return s.torsion == rhs
 
 
 def dw3_decomposition_identity(s: G2Structure) -> bool:
     """d w3 = -lambda (*w3) + *gamma27 + (3/4)(beta ^ w3) on the model."""
     cls = s.torsion_class
-    rhs = (s.star_omega3.scale(-cls.lam) + hodge(cls.gamma27)
-           + wedge(cls.beta, s.omega3).scale(Q(3, 4)))
+    rhs = (s.star_omega3 * -cls.lam + hodge(cls.gamma27)
+           + wedge(cls.beta, s.omega3) * Q(3, 4))
     return d_form(s.model, s.omega3) == rhs
 
 
@@ -243,7 +243,7 @@ def derivation_constant_identities():
     c_beta = ein("ibj->bij", big_w)
     vectors = [Form.basis_vector(7, b) for b in range(1, 8)]
     out["beta-contraction-is-minus-4"] = ein("kij,ijxy->kxy", c_beta, big_s) == big_w * -4
-    out["beta-wedge-is-minus-3"] = _wedge_sums(c_beta) == [wedge(v, w3).scale(-3)
+    out["beta-wedge-is-minus-3"] = _wedge_sums(c_beta) == [wedge(v, w3) * -3
                                                            for v in vectors]
     out["star-beta-wedge"] = (Tensor.of_forms([hodge(wedge(v, w3)) for v in vectors])
                               == -big_s)
@@ -253,7 +253,7 @@ def derivation_constant_identities():
     span = spanning_27()
     c_gamma = ein("kjab,iab->kij", Tensor.of_forms(span), big_w) * Q(1, 2)
     out["gamma27-contraction-vanishes"] = ein("kij,ijxy->kxy", c_gamma, big_s).is_zero()
-    out["gamma27-wedge-is-minus-2-star"] = _wedge_sums(c_gamma) == [hodge(g).scale(-2)
+    out["gamma27-wedge-is-minus-2-star"] = _wedge_sums(c_gamma) == [hodge(g) * -2
                                                                     for g in span]
 
     out["two-form-action-constant-minus-3"] = (
@@ -294,8 +294,8 @@ def nearly_parallel_identities(lam) -> dict:
     """
     lam = Q(lam)
     w3 = canonical_omega3()
-    t = w3.scale(-lam / 6)
-    dt = hodge(w3).scale(lam * lam / 6)
+    t = w3 * (-lam / 6)
+    dt = hodge(w3) * (lam * lam / 6)
     unit = Tensor.identity(7)
     quarter_tt = tt_contraction(t) * Q(1, 4)
     # (1/2)(e_i -| dT, e_j -| *w3)
@@ -307,8 +307,8 @@ def nearly_parallel_identities(lam) -> dict:
     # string-equation balance: Ric^g - TT/4 - (dT contraction)/2 = 0 with
     # parallel coclosed torsion
     out["ricci-balance"] = (ric_g - quarter_tt - half_dt).is_zero()
-    out["string-equation-with-3t"] = ric_g == tt_contraction(t.scale(3)) * Q(1, 4)
-    out["two-sigma-equals-dt"] = sigma_t(t).scale(2) == dt
+    out["string-equation-with-3t"] = ric_g == tt_contraction(t * 3) * Q(1, 4)
+    out["two-sigma-equals-dt"] = sigma_t(t) * 2 == dt
     return out
 
 
@@ -324,8 +324,8 @@ def ricci_flat_conditions(s: G2Structure) -> dict:
         raise StructureError("conditions stated for coclosed structures only")
     conn = s.connection
     dw3 = d_form(model, s.omega3)
-    cubic = d_form(model, hodge(dw3)) + dw3.scale(Q(7, 6) * cls.lam)
-    wedge_id = wedge(hodge(dw3) + s.omega3.scale(Q(7, 6) * cls.lam), dw3)
+    cubic = d_form(model, hodge(dw3)) + dw3 * (Q(7, 6) * cls.lam)
+    wedge_id = wedge(hodge(dw3) + s.omega3 * (Q(7, 6) * cls.lam), dw3)
     conditions = {
         "ricci-vanishes": conn.curvature.ric.is_zero(),
         "torsion-closed": conn.dt.is_zero(),

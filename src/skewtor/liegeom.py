@@ -163,8 +163,7 @@ def nabla_form(conn: ConnectionData, i: int, a: Form) -> Form:
     """Covariant derivative nabla_{e_i} of an invariant form."""
     # nabla_{e_i} e^j = sum_k omega_ijk e^k
     n, omega = conn.model.n, conn.omega
-    return derivation(a, 1, lambda j: Form.of_numerators(n, 1, omega.num[i - 1, j - 1].tolist(),
-                                                         omega.den))
+    return derivation(a, 1, lambda j: Form.of_numerators(n, 1, omega.num[i - 1, j - 1], omega.den))
 
 
 def codiff(conn: ConnectionData, a: Form) -> Form:
@@ -277,7 +276,7 @@ class SpinorData:
 
     def __init__(self, conn: ConnectionData):
         self.conn, self.model = conn, conn.model
-        self.lams = [act_form(plane.to_form().scale(Q(1, 2))) for plane in conn.omega]
+        self.lams = [act_form(plane.to_form() * Q(1, 2)) for plane in conn.omega]
 
     @cached_property
     def dirac(self) -> GaussTensor:
@@ -298,8 +297,8 @@ class SpinorData:
     def field(self) -> GaussTensor:
         """(3/4) dT - (1/2) sigma^T + (1/2) delta(T) + Scal/4."""
         conn = self.conn
-        return act_form([conn.dt.scale(Q(3, 4)) - sigma_t(conn.skew_torsion).scale(Q(1, 2)),
-                         conn.delta_t.scale(Q(1, 2)),
+        return act_form([conn.dt * Q(3, 4) - sigma_t(conn.skew_torsion) * Q(1, 2),
+                         conn.delta_t * Q(1, 2),
                          Form.scalar(self.model.n, conn.curvature.scal / 4)])
 
     def square_residual(self):
@@ -324,7 +323,7 @@ class SpinorData:
         t = self.conn.skew_torsion
         tm = act_form(t)
         lhs = self.dirac @ tm + tm @ self.dirac
-        rhs = act_form([self.conn.dt, self.conn.delta_t, sigma_t(t).scale(-2)])
+        rhs = act_form([self.conn.dt, self.conn.delta_t, sigma_t(t) * -2])
         return lhs - (rhs - self.torsion_term * 2)
 
     def field_equations(self):
@@ -335,7 +334,7 @@ class SpinorData:
         Returns the parallel spinors (as rows) and, per spinor, both residuals.
         """
         n, conn = self.model.n, self.conn
-        second = [act_form([contract(conn.dt, i).scale(Q(1, 2)) + conn.nabla_t[i - 1].to_form(),
+        second = [act_form([contract(conn.dt, i) * Q(1, 2) + conn.nabla_t[i - 1].to_form(),
                             -Form.from_vector(n, conn.curvature.ric[i - 1])])
                   for i in range(1, n + 1)]
         residuals = [(self.field @ psi, [op @ psi for op in second]) for psi in self.parallel]

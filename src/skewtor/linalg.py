@@ -2,7 +2,10 @@
 
 Invariant tensors (structure constants, connection coefficients, curvature,
 the tensors of forms) are exact dense `Tensor`s, and every identity over them
-is one einsum contraction.  Spinor endomorphisms, spinors and characteristic
+is one einsum contraction.  `Tensor` and `GaussTensor` are kinds of the exact
+base of `forms` (reduction, +, -, rational scaling, ==), which `Form` shares,
+with indexing added; lists of them are brought over one denominator by
+`forms.common_denominator`.  Spinor endomorphisms, spinors and characteristic
 polynomials are exact dense `GaussTensor`s, the same layout with an imaginary
 part and the one Gaussian type, multiplied by integer matrix products.  Every
 dense integer matrix product in the program is `int_matmul`: float64 BLAS when
@@ -23,12 +26,12 @@ separate certificate, never trusted on its own.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import prod
 
 import numpy as np
 
 from .errors import DegreeError, DimensionMismatch
-from .forms import Form, _blade_layout
+from .forms import Form, _Exact, _blade_layout, common_denominator, numerators_of
 
 Q = Fraction
 
@@ -37,61 +40,10 @@ Q = Fraction
 # exact dense tensors
 # ---------------------------------------------------------------------------
 
-class _Exact:
-    """Exact dense tensor: an object array of Python-int numerators over one denominator.
+class _Array(_Exact):
+    """The exact base with `len`, indexing and iteration, shared by `Tensor` and `GaussTensor`."""
 
-    The pair is kept reduced (denominator positive and coprime to the
-    numerators as a whole), so equal tensors have equal numerators and
-    denominators.  A tensor is never changed after it is built.  `Tensor`
-    (rational entries) and `GaussTensor` (Gaussian-rational entries) share
-    +, -, rational scaling, ==, `is_zero`, `len`, indexing and iteration;
-    each kind has only its own constructors and operations.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=1):
-        num = np.asarray(num, dtype=object)
-        g = gcd(den, *num.flat)
-        if g != 1:
-            num, den = np.asarray(num // g, dtype=object), den // g
-        self.num = num
-        self.den = den
-
-    def __add__(self, other):
-        den = lcm(self.den, other.den)
-        return type(self)(self.num * (den // self.den) + other.num * (den // other.den), den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return type(self)(-self.num, self.den)
-
-    def __mul__(self, factor):
-        """Scaling by a rational number."""
-        f = Q(factor)
-        return type(self)(self.num * f.numerator, self.den * f.denominator)
-
-    def __eq__(self, other):
-        """Exact equality with a tensor of the same kind; nested lists are read as a Tensor.
-
-        So a GaussTensor compared with nested lists raises TypeError, as with
-        any tensor of the other kind.
-        """
-        if isinstance(other, (list, tuple)):
-            other = Tensor.of(other)
-        if not isinstance(other, _Exact):
-            return NotImplemented
-        if type(other) is not type(self):
-            raise TypeError(f"a {type(self).__name__} is compared with a {type(other).__name__}")
-        return (self.den == other.den and self.num.shape == other.num.shape
-                and bool((self.num == other.num).all()))
-
-    __hash__ = None
-
-    def is_zero(self) -> bool:
-        return not any(self.num.flat)
+    __slots__ = ()
 
     def __getitem__(self, index):
         """A Fraction for a full index of a real Tensor, else a tensor of this kind."""
@@ -108,7 +60,7 @@ class _Exact:
         return f"{type(self).__name__}(shape {self.num.shape}, denominator {self.den})"
 
 
-class Tensor(_Exact):
+class Tensor(_Array):
     """Exact dense tensor of rationals: the tensors of forms, their einsum contractions."""
 
     __slots__ = ()
@@ -121,10 +73,12 @@ class Tensor(_Exact):
         if isinstance(values, Tensor):
             return values
         arr = np.asarray(values, dtype=object)
-        entries = [Q(x) for x in arr.flat]
-        den = lcm(1, *(x.denominator for x in entries))
-        nums = [x.numerator * (den // x.denominator) for x in entries]
+        nums, den = numerators_of(arr.flat)
         return Tensor(np.array(nums, dtype=object).reshape(arr.shape), den)
+
+    def __eq__(self, other):
+        """Nested lists are read as a Tensor."""
+        return super().__eq__(Tensor.of(other) if isinstance(other, (list, tuple)) else other)
 
     @staticmethod
     def identity(n: int) -> "Tensor":
@@ -144,20 +98,17 @@ class Tensor(_Exact):
             raise DimensionMismatch("forms of different dimension")
         if any(f.degree != degree for f in forms):
             raise DegreeError("forms of different degree")
-        signed, _ = _blade_layout(n, degree)
-        den = lcm(*(f.den for f in forms))
-        rows = []
-        for f in forms:
-            row = [x * (den // f.den) for x in f.num]
-            rows.append(row + [-x for x in row] + [0])
-        num = np.array(rows, dtype=object)[:, signed]
-        return Tensor(num.reshape((len(forms),) + (n,) * degree), den)
+        nums, den = common_denominator(forms)
+        rows = np.stack(nums)
+        num = np.hstack([rows, -rows, np.zeros((len(rows), 1), dtype=object)])
+        return Tensor(num[:, _blade_layout(n, degree)[0]].reshape((len(rows),) + (n,) * degree),
+                      den)
 
     def to_form(self) -> Form:
         """The form with this tensor's entries on ascending indices (for a skew tensor)."""
         n, degree = len(self.num), self.num.ndim
-        _, ascending = _blade_layout(n, degree)
-        return Form.of_numerators(n, degree, self.num.reshape(-1)[ascending].tolist(), self.den)
+        ascending = self.num.reshape(-1)[_blade_layout(n, degree)[1]]
+        return Form.of_numerators(n, degree, ascending, self.den)
 
     @staticmethod
     def einsum(spec: str, *operands: "Tensor") -> "Tensor":
@@ -175,7 +126,7 @@ class Tensor(_Exact):
 # exact dense Gaussian-rational tensors (spinor endomorphisms and spinors)
 # ---------------------------------------------------------------------------
 
-class GaussTensor(_Exact):
+class GaussTensor(_Array):
     """Exact dense Gaussian-rational tensor: the numerators' last axis holds (re, im).
 
     The numerators of both parts share the one reduced denominator, so equal

@@ -74,7 +74,7 @@ def suite_exterior() -> Report:
     checks.append(check("exterior.hodge.volume", "orientation",
                         hodge(Form.scalar(7, 1)) == volume_form(7),
                         provenance="trivial"))
-    ok = all(hodge(hodge(a)) == a.scale(Q(-1) ** (p * (nn - p)))
+    ok = all(hodge(hodge(a)) == a * (Q(-1) ** (p * (nn - p)))
              for nn in range(2, 9) for p in range(nn + 1) for a in _unit_blades(nn, p))
     checks.append(check("exterior.hodge.involution", "star conventions", ok,
                         provenance="trivial"))
@@ -95,7 +95,7 @@ def suite_exterior() -> Report:
     t5 = wedge(eta5, de)
     checks.append(check("exterior.sigma.contact", "Prop 7.1",
                         sigma_t(t5) == Form.blade(5, 1, 2, 3, 4, coeff=4)
-                        and sigma_t(t5).scale(2) == wedge(de, de),
+                        and sigma_t(t5) * 2 == wedge(de, de),
                         provenance="stated"))
     rng = random.Random(11)
     ok_q = all(sigma_t(a) == sigma_t_quadratic(a)
@@ -104,7 +104,7 @@ def suite_exterior() -> Report:
                         ok_q, provenance="derived"))
     blades6 = _unit_blades(6, 2)
     checks.append(check("exterior.inner.wedge-volume", "(a,b) vol = a ^ *b",
-                        all(wedge(a, hodge(b)) == volume_form(6).scale(inner(a, b))
+                        all(wedge(a, hodge(b)) == volume_form(6) * inner(a, b)
                             for a in blades6 for b in blades6),
                         provenance="derived"))
     return Report("exterior", checks)
@@ -238,7 +238,7 @@ def suite_g2() -> Report:
     ok2 = True
     for a in _unit_blades(7, 2):
         p7, p14 = g2.project2(a)
-        ok2 = (ok2 and hodge(wedge(w3, p7)) == p7.scale(2) and hodge(wedge(w3, p14)) == -p14
+        ok2 = (ok2 and hodge(wedge(w3, p7)) == p7 * 2 and hodge(wedge(w3, p14)) == -p14
                and p7 + p14 == a)
     checks.append(check("g2.project2.eigen", "2-form type split", ok2, provenance="derived"))
     checks.append(check("g2.project2.vector-type", "X -| w3 is pure 7-type",
@@ -435,7 +435,7 @@ def suite_contact() -> Report:
                                 conn.nabla_t.is_zero() and conn.delta_t.is_zero(),
                                 provenance="stated"))
             checks.append(check(f"contact.{name}.sigma-dt", "Prop 7.1",
-                                sigma_t(t).scale(2) == conn.dt
+                                sigma_t(t) * 2 == conn.dt
                                 == wedge(s.d_eta, s.d_eta),
                                 provenance="stated"))
             sas = acskit.sasakian_ricci_package(s)
@@ -515,7 +515,7 @@ def suite_hermitian() -> Report:
 def _spinor_endo_forms(conn):
     """The 4-forms dT/4 + sigma^T/2 and 3 dT/4 - sigma^T/2 of Lemmas 6.1 and 6.4."""
     sig = sigma_t(conn.torsion)
-    return conn.dt.scale(Q(1, 4)) + sig.scale(Q(1, 2)), conn.dt.scale(Q(3, 4)) - sig.scale(Q(1, 2))
+    return conn.dt * Q(1, 4) + sig * Q(1, 2), conn.dt * Q(3, 4) - sig * Q(1, 2)
 
 
 def suite_examples() -> Report:

@@ -31,7 +31,7 @@ def classify_by_loops(s):
     for i in range(1, 8):
         nab = nabla_form(lc, i, w3)
         z = [Q(-1, 12) * inner(nab, contract(sw3, j)) for j in range(1, 8)]
-        if interior(Form.from_vector(7, z), sw3).scale(-3) != nab:
+        if interior(Form.from_vector(7, z), sw3) * -3 != nab:
             raise StructureError("derivative of the 3-form left the vector-type orbit")
         gamma.append(z)
     skew = Form.of_rationals(7, 2, [gamma[i - 1][j - 1] - gamma[j - 1][i - 1]
@@ -45,7 +45,7 @@ def ricci_by_loops(s, t):
     dt = d_form(s.model, t)
     table = []
     for i in range(1, 8):
-        row_form = contract(dt, i) + nabla_form(conn, i, t).scale(2)
+        row_form = contract(dt, i) + nabla_form(conn, i, t) * 2
         table.append([Q(1, 2) * inner(row_form, contract(s.star_omega3, j))
                       for j in range(1, 8)])
     return table
@@ -62,8 +62,8 @@ def contraction_sums(part):
         for i in range(1, 8):
             coeff = inner(part_j, contract(w3, i))
             if coeff:
-                inter = inter + contract(contract(sw3, i), j).scale(coeff)
-                wedged = wedged + wedge(Form.basis_vector(7, j), contract(sw3, i)).scale(coeff)
+                inter = inter + contract(contract(sw3, i), j) * coeff
+                wedged = wedged + wedge(Form.basis_vector(7, j), contract(sw3, i)) * coeff
     return inter, wedged
 
 
@@ -76,21 +76,21 @@ def constant_identities_by_loops():
                                                       Form.basis_vector(7, j)))
                  for b in range(1, 8)]
     out["beta-contraction-is-minus-4"] = all(
-        inter == contract(w3, b).scale(-4) for b, (inter, _) in enumerate(beta_sums, 1))
+        inter == contract(w3, b) * -4 for b, (inter, _) in enumerate(beta_sums, 1))
     out["beta-wedge-is-minus-3"] = all(
-        wedged == wedge(Form.basis_vector(7, b), w3).scale(-3)
+        wedged == wedge(Form.basis_vector(7, b), w3) * -3
         for b, (_, wedged) in enumerate(beta_sums, 1))
     out["star-beta-wedge"] = all(hodge(wedge(Form.basis_vector(7, b), w3)) == -contract(sw3, b)
                                  for b in range(1, 8))
     out["t-beta-is-quarter-contraction"] = all(
-        tbeta_form(Form.basis_vector(7, b)) == contract(sw3, b).scale(Q(-1, 4))
+        tbeta_form(Form.basis_vector(7, b)) == contract(sw3, b) * Q(-1, 4)
         for b in range(1, 8))
     gamma_sums = [(g, contraction_sums(lambda j, g=g: contract(g, j))) for g in spanning_27()]
     out["gamma27-contraction-vanishes"] = all(inter.is_zero() for _, (inter, _) in gamma_sums)
-    out["gamma27-wedge-is-minus-2-star"] = all(wedged == hodge(g).scale(-2)
+    out["gamma27-wedge-is-minus-2-star"] = all(wedged == hodge(g) * -2
                                                for g, (_, wedged) in gamma_sums)
     out["two-form-action-constant-minus-3"] = all(
-        so_action(contract(w3, z), w3) == contract(sw3, z).scale(-3) for z in range(1, 8))
+        so_action(contract(w3, z), w3) == contract(sw3, z) * -3 for z in range(1, 8))
     out["gram-3-delta"] = all(inner(contract(w3, i), contract(w3, j)) == (3 if i == j else 0)
                               for i in range(1, 8) for j in range(1, 8))
     out["gram-4-delta"] = all(inner(contract(sw3, i), contract(sw3, j)) == (4 if i == j else 0)

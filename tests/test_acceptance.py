@@ -57,10 +57,10 @@ def test_c02_heis7_spinor_side():
     t = _g2_torsion("heis7")
     dt = d_form(model, t)
     sig = sigma_t(t)
-    m1 = clifford.eigen_report(clifford.act_form(dt.scale(Q(1, 4))
-                                                 + sig.scale(Q(1, 2))))
-    m2 = clifford.eigen_report(clifford.act_form(dt.scale(Q(3, 4))
-                                                 - sig.scale(Q(1, 2))))
+    m1 = clifford.eigen_report(clifford.act_form(dt * Q(1, 4)
+                                                 + sig * Q(1, 2)))
+    m2 = clifford.eigen_report(clifford.act_form(dt * Q(3, 4)
+                                                 - sig * Q(1, 2)))
     assert m1.multiset() == sorted([Q(2), Q(-4), Q(2), Q(0), Q(2), Q(0), Q(2), Q(-4)])
     assert m2.multiset() == sorted([Q(2), Q(0), Q(2), Q(-4), Q(2), Q(-4), Q(2), Q(0)])
     basis = with_torsion(model, t).spinors.parallel
@@ -79,10 +79,10 @@ def test_c03_solv7_tables():
     assert dt == E(1, 2, 5, 6, c=-4) + E(1, 2, 3, 4, c=-4)
     assert curvature(with_torsion(model, t)).scal == -16
     sig = sigma_t(t)
-    m1 = clifford.eigen_report(clifford.act_form(dt.scale(Q(1, 4))
-                                                 + sig.scale(Q(1, 2))))
-    m2 = clifford.eigen_report(clifford.act_form(dt.scale(Q(3, 4))
-                                                 - sig.scale(Q(1, 2))))
+    m1 = clifford.eigen_report(clifford.act_form(dt * Q(1, 4)
+                                                 + sig * Q(1, 2)))
+    m2 = clifford.eigen_report(clifford.act_form(dt * Q(3, 4)
+                                                 - sig * Q(1, 2)))
     assert m1.multiset() == sorted([Q(4), Q(4), Q(-2), Q(-2), Q(-2), Q(-2),
                                     Q(0), Q(0)])
     assert m2.multiset() == sorted([Q(4), Q(4), Q(2), Q(2), Q(2), Q(2),
@@ -176,7 +176,7 @@ def test_c10_sasakian_package():
     s = registry()["heis5"].structure
     t = acskit.contact_torsion(s)
     assert t == wedge(s.eta, s.d_eta)
-    assert sigma_t(t).scale(2) == d_form(s.model, t) == \
+    assert sigma_t(t) * 2 == d_form(s.model, t) == \
         wedge(s.d_eta, s.d_eta)
     conn = with_torsion(s.model, t)
     assert all(nabla_form(conn, i, t).is_zero() for i in range(1, 6))

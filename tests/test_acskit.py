@@ -79,7 +79,7 @@ def test_sasakian_fixture():
     conn = with_torsion(s.model, t)
     assert all(nabla_form(conn, i, t).is_zero() for i in range(1, 6))
     assert codiff(levi_civita(s.model), t).is_zero()
-    assert sigma_t(t).scale(2) == d_form(s.model, t) == \
+    assert sigma_t(t) * 2 == d_form(s.model, t) == \
         wedge(s.d_eta, s.d_eta)
     assert curvature(conn).ric_diag() == [Q(-4)] * 4 + [Q(0)]
     assert curvature(levi_civita(s.model)).ric_diag() == [Q(-2)] * 4 + [Q(4)]

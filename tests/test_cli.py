@@ -312,6 +312,23 @@ def test_run_suite_all_builds_each_spinor_side_once(monkeypatch):
     assert {k: kernels[k] for k in expected} == expected
 
 
+def test_run_suite_all_certifies_each_frame_once(monkeypatch):
+    # on a fresh registry, `verify all` builds the torsion-uniqueness response
+    # matrix once per frame (phi, and xi for contact input): the certified
+    # structures share 4 frames
+    import importlib
+    from skewtor import acskit
+    built = []
+    response = acskit._uniqueness_response
+    monkeypatch.setattr(acskit, "_uniqueness_response", lambda s: built.append(s) or response(s))
+    monkeypatch.setattr(acskit, "_CERTIFICATES", {}, raising=False)
+    monkeypatch.setattr(importlib.import_module("skewtor.registry"), "_REGISTRY", None)
+    assert run_suite("all").ok
+    frames = {(tuple(s.phi.num.flat), s.phi.den, getattr(s, "xi_index", None)) for s in built}
+    assert len(frames) == 4
+    assert len(built) == 4
+
+
 def test_calibration_table_is_built_once_per_spaces(monkeypatch):
     # casimir_decompose reads it once per module and isotypic_basis_r7_m once
     # per label: the two eigenvector probes run once for the whole suite
@@ -485,6 +502,292 @@ def test_registry_model_outputs_are_pinned(capsys):
         out = capsys.readouterr()
         digest = hashlib.sha256((out.out + out.err).encode()).hexdigest()
         assert (code, digest) == _REGISTRY_OUTPUTS[" ".join(command)], command
+
+
+# SHA-256 of stdout + stderr, with the exit code, of the form paths: `decompose`
+# on the four G2 registry models (rational 2- and 3-forms, and the exit-2 cases
+# of degree 1, degree 4 and a 5-dimensional model), and `spin-eig` on a seeded
+# family of 100 forms (n = 2..8, degree 0-4, 1-6 blades, some out of order,
+# integer and small rational coefficients; each under 10 ms when pinned)
+_FORM_OUTPUTS = {
+    ("decompose", "abelian7", "1/2*e1^e2 - 3*e3^e4 + 2/3*e5^e6 + e1^e7"):
+        (0, "48ea275c1ae997a3b84491337bd32a8acc0e1bb64f98146cee254eb5a4ded00b"),
+    ("decompose", "abelian7", "e1^e2 + e3^e4 + e5^e6"):
+        (0, "2138ba1189fc7a3bd4fa587c7758730d2eba7a73ad94f5c1d6fb9e68faaa4a73"),
+    ("decompose", "abelian7", "-5/4*e2^e7 + 1/3*e1^e4"):
+        (0, "867930a383137cfa7759f04c7852f01fdb24d32986062e31ba4d7771c0cfd7a3"),
+    ("decompose", "abelian7", "e1^e2^e7 + e1^e3^e5 - e1^e4^e6 - 1/2*e2^e3^e4 + 3/5*e2^e5^e6"):
+        (0, "8b5e24b9bfc88dcc9e6241259a0c5a436c47be7b6259a5a55ab2e4d99ee2a493"),
+    ("decompose", "abelian7", "2/3*e1^e2^e3 - e4^e5^e6 + 7*e3^e6^e7"):
+        (0, "a33dc8fcef0be9d37475340c89edb0338f94c9da48b53179290d21e4f8111926"),
+    ("decompose", "abelian7", "1/7*e2^e4^e7"):
+        (0, "ff0cd037b730689e844bd07a312ef9fa9f68798ec5115d8afa9925cf60590377"),
+    ("decompose", "abelian7", "e1"):
+        (2, "410e9a64334ad1f60293f1f481ae6d2fa885fe6539fbd40958792c2b19729c97"),
+    ("decompose", "abelian7", "1/2*e1^e2^e3^e4"):
+        (2, "410e9a64334ad1f60293f1f481ae6d2fa885fe6539fbd40958792c2b19729c97"),
+    ("decompose", "heis7", "1/2*e1^e2 - 3*e3^e4 + 2/3*e5^e6 + e1^e7"):
+        (0, "48ea275c1ae997a3b84491337bd32a8acc0e1bb64f98146cee254eb5a4ded00b"),
+    ("decompose", "heis7", "e1^e2 + e3^e4 + e5^e6"):
+        (0, "2138ba1189fc7a3bd4fa587c7758730d2eba7a73ad94f5c1d6fb9e68faaa4a73"),
+    ("decompose", "heis7", "-5/4*e2^e7 + 1/3*e1^e4"):
+        (0, "867930a383137cfa7759f04c7852f01fdb24d32986062e31ba4d7771c0cfd7a3"),
+    ("decompose", "heis7", "e1^e2^e7 + e1^e3^e5 - e1^e4^e6 - 1/2*e2^e3^e4 + 3/5*e2^e5^e6"):
+        (0, "8b5e24b9bfc88dcc9e6241259a0c5a436c47be7b6259a5a55ab2e4d99ee2a493"),
+    ("decompose", "heis7", "2/3*e1^e2^e3 - e4^e5^e6 + 7*e3^e6^e7"):
+        (0, "a33dc8fcef0be9d37475340c89edb0338f94c9da48b53179290d21e4f8111926"),
+    ("decompose", "heis7", "1/7*e2^e4^e7"):
+        (0, "ff0cd037b730689e844bd07a312ef9fa9f68798ec5115d8afa9925cf60590377"),
+    ("decompose", "heis7", "e1"):
+        (2, "410e9a64334ad1f60293f1f481ae6d2fa885fe6539fbd40958792c2b19729c97"),
+    ("decompose", "heis7", "1/2*e1^e2^e3^e4"):
+        (2, "410e9a64334ad1f60293f1f481ae6d2fa885fe6539fbd40958792c2b19729c97"),
+    ("decompose", "hyper7", "1/2*e1^e2 - 3*e3^e4 + 2/3*e5^e6 + e1^e7"):
+        (0, "48ea275c1ae997a3b84491337bd32a8acc0e1bb64f98146cee254eb5a4ded00b"),
+    ("decompose", "hyper7", "e1^e2 + e3^e4 + e5^e6"):
+        (0, "2138ba1189fc7a3bd4fa587c7758730d2eba7a73ad94f5c1d6fb9e68faaa4a73"),
+    ("decompose", "hyper7", "-5/4*e2^e7 + 1/3*e1^e4"):
+        (0, "867930a383137cfa7759f04c7852f01fdb24d32986062e31ba4d7771c0cfd7a3"),
+    ("decompose", "hyper7", "e1^e2^e7 + e1^e3^e5 - e1^e4^e6 - 1/2*e2^e3^e4 + 3/5*e2^e5^e6"):
+        (0, "8b5e24b9bfc88dcc9e6241259a0c5a436c47be7b6259a5a55ab2e4d99ee2a493"),
+    ("decompose", "hyper7", "2/3*e1^e2^e3 - e4^e5^e6 + 7*e3^e6^e7"):
+        (0, "a33dc8fcef0be9d37475340c89edb0338f94c9da48b53179290d21e4f8111926"),
+    ("decompose", "hyper7", "1/7*e2^e4^e7"):
+        (0, "ff0cd037b730689e844bd07a312ef9fa9f68798ec5115d8afa9925cf60590377"),
+    ("decompose", "hyper7", "e1"):
+        (2, "410e9a64334ad1f60293f1f481ae6d2fa885fe6539fbd40958792c2b19729c97"),
+    ("decompose", "hyper7", "1/2*e1^e2^e3^e4"):
+        (2, "410e9a64334ad1f60293f1f481ae6d2fa885fe6539fbd40958792c2b19729c97"),
+    ("decompose", "solv7", "1/2*e1^e2 - 3*e3^e4 + 2/3*e5^e6 + e1^e7"):
+        (0, "48ea275c1ae997a3b84491337bd32a8acc0e1bb64f98146cee254eb5a4ded00b"),
+    ("decompose", "solv7", "e1^e2 + e3^e4 + e5^e6"):
+        (0, "2138ba1189fc7a3bd4fa587c7758730d2eba7a73ad94f5c1d6fb9e68faaa4a73"),
+    ("decompose", "solv7", "-5/4*e2^e7 + 1/3*e1^e4"):
+        (0, "867930a383137cfa7759f04c7852f01fdb24d32986062e31ba4d7771c0cfd7a3"),
+    ("decompose", "solv7", "e1^e2^e7 + e1^e3^e5 - e1^e4^e6 - 1/2*e2^e3^e4 + 3/5*e2^e5^e6"):
+        (0, "8b5e24b9bfc88dcc9e6241259a0c5a436c47be7b6259a5a55ab2e4d99ee2a493"),
+    ("decompose", "solv7", "2/3*e1^e2^e3 - e4^e5^e6 + 7*e3^e6^e7"):
+        (0, "a33dc8fcef0be9d37475340c89edb0338f94c9da48b53179290d21e4f8111926"),
+    ("decompose", "solv7", "1/7*e2^e4^e7"):
+        (0, "ff0cd037b730689e844bd07a312ef9fa9f68798ec5115d8afa9925cf60590377"),
+    ("decompose", "solv7", "e1"):
+        (2, "410e9a64334ad1f60293f1f481ae6d2fa885fe6539fbd40958792c2b19729c97"),
+    ("decompose", "solv7", "1/2*e1^e2^e3^e4"):
+        (2, "410e9a64334ad1f60293f1f481ae6d2fa885fe6539fbd40958792c2b19729c97"),
+    ("decompose", "heis5", "e1^e2"):
+        (2, "97a51fb3de278284d2a85e33fd6426493f888594e0a0f8db28c81f9ff77b060d"),
+    ("spin-eig", "2", "3*e2 - 7*e1"):
+        (0, "97b4afba1c3f23dfaea290d6ea53348ccb125a6997587aa4dc9e162bbdf72683"),
+    ("spin-eig", "3", "2*e1 + 5/4*e3 + 5/4*e2"):
+        (0, "ab5b94b55f55d6f7ca6bd0871209a2518e09a89d076450140de10cd1798b2af1"),
+    ("spin-eig", "4", "7*e4"):
+        (0, "c87f1f998fa542e9beaee25a8fe78bd080ff0241e629bf6df140caab7d07f196"),
+    ("spin-eig", "5", "3/5*e3 - 2/6*e5 + 3/2*e2"):
+        (0, "e3478e9fb8eae75518028bcc45dbcdc99ae83157e8626a6d5b9942feef1bb131"),
+    ("spin-eig", "6", "3*e1^e2^e4^e5 - e3^e1^e4^e6 + 3*e1^e2^e3^e6"):
+        (0, "940f9b22f3e86d725a6bc5b947f24b9161f0ba637b25d1e5bd649a26b6c5898d"),
+    ("spin-eig", "7", "1/6*e1^e3^e4 - 2*e4^e5^e6 - 1/3*e1^e2^e4 + e4^e1^e5 - 1/2*e6^e1^e7"):
+        (0, "feb5fb9c314615a10e0240b49aee1fbf49f0345acba3c41c89cfc3aaa0fc3b2d"),
+    ("spin-eig", "8", "1/2*e5 + 3*e2 - 7*e7 + e8 - e1 + 5/5*e4"):
+        (0, "3b4864c8556268e8e9a59a5b19a70a87ce1e0f4034e37b8e48ff17976a206304"),
+    ("spin-eig", "2", "3/2"):
+        (0, "88c43a741c9264b84edd1ff2e168fc50e33b240601056efab1b2ae0ab51d1652"),
+    ("spin-eig", "3", "4/5*e1^e2^e3"):
+        (0, "6ec8f2b29224b81f13789520363bb7e83641cbc12b547dda382262196a6cb705"),
+    ("spin-eig", "4", "3*e1^e3^e4 - 4/4*e2^e3^e4"):
+        (0, "13386c9ff620cecf190f45846c3549c1b5ad26d307000cae8ef92257aed95606"),
+    ("spin-eig", "5", "2/6"):
+        (0, "a46e3b76cf3e7b86542c23ddd585391cd963e2d83f034eca9a04f89f41c3dc42"),
+    ("spin-eig", "6", "1/4*e4 + 3*e5 + 5/3*e2 - 4/4*e6 - e1"):
+        (0, "382f58bddfeebf6df97d109b931e299471871144a938fbe6a0000407a873a6ba"),
+    ("spin-eig", "7", "2/2*e1 + 1/5*e6 + 5*e7 - 7*e2 + 5/6*e4 - 3*e3"):
+        (0, "81624645d0628041e206c2e8c9582431fc7fb403607e1292ca3f6d02e7b17986"),
+    ("spin-eig", "8", "2*e8 + 1/3*e6 + 5*e7 + 2/4*e2 + 1/3*e1 + e4"):
+        (0, "a7f68c7e3827a4d0469102fc8a809feedb3d43d9ee416465a453389973f81cd6"),
+    ("spin-eig", "2", "2"):
+        (0, "f7c8c5d23aa79dc90fff9edb028e336d80091261b82400caed784908a85dcf73"),
+    ("spin-eig", "3", "e2^e1^e3"):
+        (0, "c5c0fa181a90db9907658cd9f82c4a3588aa5cc95ac1e25315be5116c737e6ff"),
+    ("spin-eig", "4", "3*e3^e2^e4 - e1^e2^e3 - 3/2*e1^e2^e4"):
+        (0, "3eec3a74d14aea0929804c51cbe3fb2b16658244a718c962d08370027fa404ec"),
+    ("spin-eig", "5", "2/5*e1^e4"):
+        (0, "df802638b7d06a2662d682d470c3cd611b568e5dadc967336f2c463ca639d1de"),
+    ("spin-eig", "6", "1/3*e2^e3^e6"):
+        (0, "a6d5bf4a0e82c6dbaf8b67b9c7224851a0c134a8c94cef545c9699a5ede7b6a9"),
+    ("spin-eig", "7", "1/2*e2 + 5/6*e6 + 3/6*e5 + 3/5*e3 - 3/6*e4 + 2/6*e7"):
+        (0, "a34de7e7ae2a255e5bd3340bb058812495b878f4d93e956a5caeba05f4123405"),
+    ("spin-eig", "8", "1/4*e2^e5 + 5/5*e4^e7 - 3*e6^e5"):
+        (0, "dc7964c6817543b0e7730c85c9bfecd256f1ceff946751a9163fd6c4107e4c6b"),
+    ("spin-eig", "2", "4/2*e1 + 4/3*e2"):
+        (0, "cf1feb1795da2161e7f71d8ae8549fa0236c64639890ce8cede072a31fbc67c5"),
+    ("spin-eig", "3", "1/4*e2^e3 + 3/3*e1^e2"):
+        (0, "6998bc872fb27ebc4455e5aea63509a1e9a6bd2883aa834e1a11f1275c7f7927"),
+    ("spin-eig", "4", "7*e1"):
+        (0, "c87f1f998fa542e9beaee25a8fe78bd080ff0241e629bf6df140caab7d07f196"),
+    ("spin-eig", "5", "3*e2^e1^e4^e5"):
+        (0, "b30b2b259fcac74512e11c703f666299a2a12d2480c2d6c1d49252032be54116"),
+    ("spin-eig", "6", "4/2"):
+        (0, "73f206ec0002fba94f3ce1f5a547f0bb6683f8c97c2ea417cc21c362a393c16f"),
+    ("spin-eig", "7", "2/5*e6^e3^e7 + 7*e2^e6^e7 - 4/2*e2^e3^e4 - 3/5*e1^e5^e6 + 3*e2^e4^e5"):
+        (0, "9b60bed773b7e1b2169f2238b355beeaee2f0bcb184df2cc6e470efa49cf181c"),
+    ("spin-eig", "8", "e3^e5 + 3*e1^e2"):
+        (0, "04a21b3d08cfa6cafa67d412c1421669705d7b56182b1a3a949a5ba3ae01468d"),
+    ("spin-eig", "2", "e1^e2"):
+        (0, "c67c0a77b7b76b25af28d9484b871ed9b9ffd7ccd1bc10e228e6e7b43daaceba"),
+    ("spin-eig", "3", "e1^e3"):
+        (0, "c67c0a77b7b76b25af28d9484b871ed9b9ffd7ccd1bc10e228e6e7b43daaceba"),
+    ("spin-eig", "4", "4/2*e2^e3 + 2/2*e1^e4 + 5/3*e2^e4 + 2/6*e1^e2"):
+        (0, "e1caeb0fe064e91d425fb303977244c608204484be473421f291747ed75af8c7"),
+    ("spin-eig", "5", "3/4*e1^e2^e3 - 3/3*e2^e3^e5 + e3^e4^e5"):
+        (0, "ad5b31d92eba2bfcfdac2c91801eed67559832ec08485b33593b77b29b51422b"),
+    ("spin-eig", "6", "2*e1^e5^e6"):
+        (0, "478923a9b3fbea5edbae0ed393b912b97519cce1463de4778eb790d1a4a5bfb9"),
+    ("spin-eig", "7", "e4^e1^e6^e7 - 3/4*e3^e4^e6^e7"):
+        (0, "b4f30548160e077f9c52ef245777d45e25fdd601bb49032ca27f28d9844f7352"),
+    ("spin-eig", "8", "1/6*e1^e5^e6^e7 + e1^e2^e7^e8 - e3^e1^e7^e8"):
+        (0, "d0285d26304bf23f3877ad3c3fb9b47cfbe295f931521a465d5fd088bc0f73c1"),
+    ("spin-eig", "2", "1/2*e2^e1"):
+        (0, "31ac53e974d9e33201b60bffd6aa0cfc355d24766f5f56873717082f069c78bb"),
+    ("spin-eig", "3", "7*e1^e3 - e2^e1 + 5*e2^e3"):
+        (0, "420432960880c0ffc7be814974101cb92d9a5edbc969c77f3381234e67edaa3e"),
+    ("spin-eig", "4", "5/5*e3 - 4/3*e4 - 4/5*e2"):
+        (0, "139939d1c78d6eb3665eceac693930e15f83c3ba8eeefef4767708c95475bd8c"),
+    ("spin-eig", "5", "4/6*e2^e5 - 1/6*e5^e1"):
+        (0, "3066643c0a1a68dd18f853d91219cfbeb87c22031798042468014c524338719c"),
+    ("spin-eig", "6", "3/5*e1^e2^e3^e5 + 2/4*e1^e2^e3^e4 - 2*e3^e1^e5^e6 - 4/2*e1^e4^e5^e6"):
+        (0, "38a5d5ddab1ba2284040cee400d3dc4eeb9638b48cc38fc6399b79f86fe3612f"),
+    ("spin-eig", "7", "e6^e5^e7 - 2*e2^e4^e6"):
+        (0, "5e21ca7202928527af3e994c5f11eac7dc5c79e14114ece79ff8d28d32f04833"),
+    ("spin-eig", "8", "2/2*e1^e5^e6^e7"):
+        (0, "2dcd38225cebfde66090edd19235890fa25de923f3694c5fdeb0602346432b1d"),
+    ("spin-eig", "2", "1/5*e1 + 4/3*e2"):
+        (0, "b0e93a2ccea3ee67b8ffa6ecc0b762c294f22862285c581709a0f36926ad01aa"),
+    ("spin-eig", "3", "3/6"):
+        (0, "3ef2e530c475592c7e4d35b543bbc429ae72462e5de1d536407e6bfcc11d71d0"),
+    ("spin-eig", "4", "3/3"):
+        (0, "5d1d8529fa48f0ec7c5d10007c618f657369513e1451505c8e0e69d6b17e20ba"),
+    ("spin-eig", "5", "1/4*e1^e2^e4^e5 - 4/4*e1^e2^e3^e5 - 5/4*e1^e3^e4^e5"):
+        (0, "6c4f75ddcf71c0391656f837426fc51a34c04474926fe195e12e090b7f983a05"),
+    ("spin-eig", "6", "2*e1^e2^e3^e4 + 3*e2^e3^e5^e6 - 4/5*e2^e4^e5^e6"):
+        (0, "a582e3b3b7a3ee8d8ae49ff539a1ab637ff8167b6b067306ff8849f4b55cacff"),
+    ("spin-eig", "7", "2*e2^e4^e5 - e3^e4^e5"):
+        (0, "df94f64261bda4d91033cb7f83fd5f006aabeb41fc650ba771f91cd163fb76fe"),
+    ("spin-eig", "8", "7*e5^e1 + 3*e3^e7"):
+        (0, "0306b71b08cf55ccae97751ff59200612a87a140cc7345552a1b3edebbec3edf"),
+    ("spin-eig", "2", "e1 + 3/6*e2"):
+        (0, "bd5649e2cb5ac2bc9911b154319063693228de4e6a50178b1d367e3a31ed1568"),
+    ("spin-eig", "3", "e1^e2^e3"):
+        (0, "2373f7d6fe3b15b1b5402452c3d377aa5f6a3ef4123f44ad702235cde558637c"),
+    ("spin-eig", "4", "5"):
+        (0, "c7f9b20cf1c1f49b082e999a1d1c3d972e99d9729e1798635479c4442a4e0d4c"),
+    ("spin-eig", "5", "7*e3^e4^e5"):
+        (0, "a89ffae42d8e26991ddacd04611b6649b08ccd13a8811949c84f91d46aaa50b0"),
+    ("spin-eig", "6", "4/3*e2^e3 + 7*e1^e6 + e6^e3 + e1^e3 + 5*e5^e2"):
+        (0, "39a1e89df48d81778262291680cfe866991ea13be9bd94a9227673bec5168c3e"),
+    ("spin-eig", "7", "1/5"):
+        (0, "4f9a68e527e12c3f93eb4b8099c73bd7f8d36cbe71cc6d56d38ce38c625171b3"),
+    ("spin-eig", "8", "1/6"):
+        (0, "a4a3303d150487be4cb156b31024454e272647a4449a0aa11559f30423029a9b"),
+    ("spin-eig", "2", "1"):
+        (0, "2373f7d6fe3b15b1b5402452c3d377aa5f6a3ef4123f44ad702235cde558637c"),
+    ("spin-eig", "3", "5*e3^e1 + e1^e2 - 5*e2^e3"):
+        (0, "edfbca07a3b6ae67b51a435fee021e144d71a6b8c0b1248ea58175cd87199904"),
+    ("spin-eig", "4", "3/5*e3^e2^e4 - 5/3*e1^e2^e4 - 3*e1^e2^e3"):
+        (0, "25dfde98778155d11f3c701c51d83f2c08fdb39a20cabcebc612228900b78ae5"),
+    ("spin-eig", "5", "2*e5 - 3*e2 - 3/6*e4"):
+        (0, "c783f6f297653f0fe52532ccd069ade1992db25ca57752c9be5931b866f722f9"),
+    ("spin-eig", "6", "e1^e3^e4^e6 - 1/4*e2^e4^e5^e6"):
+        (0, "3c4c726a66001650fbe21a2c6ed8610ed4dfe046628110e50668de891349dac0"),
+    ("spin-eig", "7", "3/2*e4^e5 + 3/3*e1^e5"):
+        (0, "6143fe7771917fc092d04542dcb5ffd5ddf02a4ea3ba995e7e9b6de2a2f6ff47"),
+    ("spin-eig", "8",
+     "7*e1^e4^e6^e7 + 2*e1^e2^e4^e7 + 3/3*e3^e5^e6^e7 + e1^e3^e4^e8 - 1/6*e2^e3^e6^e8"):
+        (0, "f68ae655394551dd83aa182ab8b47ae2a27e298eed138469ebf592934fc29c85"),
+    ("spin-eig", "2", "5*e2^e1"):
+        (0, "c8604824d23de3b1d6e5e4eb0562113c34b3687b8646733af79ecb08f80770f0"),
+    ("spin-eig", "3", "3*e1^e3 - 5*e1^e2 + 3/6*e2^e3"):
+        (0, "a0d35d1c6ae2660ff85a33b258c29e4da0291e599153129c768803bfb88278e2"),
+    ("spin-eig", "4", "3/3*e2^e3^e4"):
+        (0, "8103a0a90d709fa1fc957b49b72aeb7ea38927c1b2ea954f080689a23d18ae89"),
+    ("spin-eig", "5",
+     "e1^e2^e3^e4 + 3*e1^e2^e4^e5 - 5/2*e3^e1^e4^e5 + 3/2*e2^e3^e4^e5 + 2*e1^e2^e3^e5"):
+        (0, "76969c89a234048fe3b7a5419b31e00247f44b26389d132d88ed733e27e9484d"),
+    ("spin-eig", "6", "5*e4^e5"):
+        (0, "f902e516f71da9e361a0ab939f2db5106f20b7d4fc87661522dd1d3397a67dd2"),
+    ("spin-eig", "7", "3*e3^e7 - 3/5*e2^e7"):
+        (0, "cf2f24a11f16ee4c72202a1668e690b7365dbe1d554ab3320eac7bcab6ccf707"),
+    ("spin-eig", "8", "2/4*e4 - 7*e8 + 1/5*e6"):
+        (0, "f23a15e839378076c923626fcc0f34a4aa1f0276e6beb80cb6a864409df14db3"),
+    ("spin-eig", "2", "3/4*e2 - 5/4*e1"):
+        (0, "5edde1143daf78610f851c76b6ab948b2838c1cfe053e997eae0c8a1c18e2e8c"),
+    ("spin-eig", "3", "3*e1^e2^e3"):
+        (0, "4d3270c3950a37a2d66ca6525ff4a0fa873e94dd85b86e824ac85329376d0588"),
+    ("spin-eig", "4", "4/3"):
+        (0, "45a952dfa653f5ebbd0b18d573a53bc18910e56076f9733b09ac0a49d5338be4"),
+    ("spin-eig", "5", "3*e1^e2^e3^e5"):
+        (0, "b30b2b259fcac74512e11c703f666299a2a12d2480c2d6c1d49252032be54116"),
+    ("spin-eig", "6", "2*e2^e1 - 4/3*e1^e3 + e4^e6"):
+        (0, "5b01862c87bfcaa5aaf2af38639af85bbe0abfa5b1899c217af323b5c03b7543"),
+    ("spin-eig", "7", "2"):
+        (0, "73f206ec0002fba94f3ce1f5a547f0bb6683f8c97c2ea417cc21c362a393c16f"),
+    ("spin-eig", "8", "3*e4^e5^e8 + 3*e4^e2^e8 - e2^e1^e8 + e1^e6^e8 + e1^e2^e4"):
+        (0, "8d6e517169e2cd09e0450d5e8a1b96b2efcf50b064c0afa8f3333349329f0722"),
+    ("spin-eig", "2", "e2 - 7*e1"):
+        (0, "8e84c85d119549ed9773481351091c4c3a866a64e3578112df53ad0cb7d6721b"),
+    ("spin-eig", "3", "1/5"):
+        (0, "96dfbe23e04b85709369c730834658d03b8474f0db16d1272d53c55ab15adb6d"),
+    ("spin-eig", "4", "3*e3 + 5/5*e2"):
+        (0, "ff72bc34ce6381b9839e7fd3ea0f06cb66593d2afbf88ff62102a13e3081298c"),
+    ("spin-eig", "5", "3/2"):
+        (0, "157e16761a990361350aa0017cbfdb51f1a9380eccfbb5a2f4ea6337da12ff5e"),
+    ("spin-eig", "6", "1/5*e1^e2^e3^e5 + e1^e4^e5^e6"):
+        (0, "e12506e23e4e9d3c2f9b35cd06a1ca75a3cbddc139d3b23a8e2d375bceb61b4d"),
+    ("spin-eig", "7", "e5^e2 + 2*e1^e3"):
+        (0, "bc049e7b33dc4f956eb5b21716269f4bda08ba53f072fddd2930b3051cc79725"),
+    ("spin-eig", "8", "1/4*e8"):
+        (0, "776ee5099d3e5cb3e1c815ebc35d0d5f6c5c7b0a7687fb5b2d90c7b054cda314"),
+    ("spin-eig", "2", "2/6*e1^e2"):
+        (0, "805e00fbb4d73617a2b755d4003f8352b51e24400f0753eee31c49d8ebcb2f4c"),
+    ("spin-eig", "3", "2*e1^e3 + 3*e1^e2 - e2^e3"):
+        (0, "f7a0c9e388e68e37fc48e47bbcad0a11186c0f15d400b650d85ab77716795411"),
+    ("spin-eig", "4", "2"):
+        (0, "5dec80caed2d55624bf25624ce1fc5243b0db6945bcb67f126acb1d35c753703"),
+    ("spin-eig", "5", "5*e1^e3^e4^e5 + 7*e1^e2^e3^e5"):
+        (0, "318dc3ba13ee9d6a21cd5053884e2a4f16599aeec2acf75a4dc2037c246148d3"),
+    ("spin-eig", "6", "7*e1^e2^e4"):
+        (0, "fb8cf68b71ba84a6d828eaa15600f099829a83c27b211ffa2d04c22da8b5e997"),
+    ("spin-eig", "7", "1/4*e7"):
+        (0, "06f732d8d2044f6ae672d746f2ccbe2ed1ad2bc295821755791b142a981f760a"),
+    ("spin-eig", "8",
+     "5/2*e2^e5^e6^e7 + 4/6*e1^e3^e6^e8 + 2/3*e4^e6^e7^e8 - 1/6*e1^e2^e4^e8 + 2/3*e4^e5^e6^e8"):
+        (0, "a4e3e372fd8cbb6c4c87acdff48a83151b394580720c6bcf7031f556d0ef2ca2"),
+    ("spin-eig", "2", "3/5*e1^e2"):
+        (0, "758323a53b2e40863780b8f0e3e12a4d2820c0c3ed900455d2939d0ea936bc95"),
+    ("spin-eig", "3", "2/3"):
+        (0, "02a142c24a77efd335234d23b6b3def31231b95228553229b2a4500c8158ac77"),
+    ("spin-eig", "4", "1/4"):
+        (0, "8780a5373dd70327acde4bc67e9b039e74513dc8940d9fd4cba5c22c335a05fb"),
+    ("spin-eig", "5", "4/2"):
+        (0, "5dec80caed2d55624bf25624ce1fc5243b0db6945bcb67f126acb1d35c753703"),
+    ("spin-eig", "6", "e3^e4^e6 - 7*e1^e5^e6 - 1/2*e1^e4^e6 + 4/6*e3^e1^e6 + 5/3*e2^e3^e5"):
+        (0, "48a42ea2cd39d3491dd3d1221a8814fcbf1fe56e5c6d890882b5a83b0591582a"),
+    ("spin-eig", "7", "1/2*e3^e6^e7 - 2*e4^e6^e7 - 7*e2^e6^e7 + 5/6*e3^e5^e7"):
+        (0, "00692eaf2dc54e8b6d6cb03c0486aaa4d94e887554e600b7d6ff16f6cd939909"),
+    ("spin-eig", "8", "3"):
+        (0, "2e52e093d0071514960354fb39195fce08877fb2d4339b4ee6a985878ef72563"),
+    ("spin-eig", "2", "e2"):
+        (0, "c67c0a77b7b76b25af28d9484b871ed9b9ffd7ccd1bc10e228e6e7b43daaceba"),
+    ("spin-eig", "3", "e1^e2"):
+        (0, "c67c0a77b7b76b25af28d9484b871ed9b9ffd7ccd1bc10e228e6e7b43daaceba"),
+}
+
+
+def test_form_outputs_are_pinned(capsys):
+    for command, pinned in _FORM_OUTPUTS.items():
+        code = main(list(command))
+        out = capsys.readouterr()
+        digest = hashlib.sha256((out.out + out.err).encode()).hexdigest()
+        assert (code, digest) == pinned, command
 
 
 def _model_text(name, edit):

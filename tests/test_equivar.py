@@ -71,7 +71,7 @@ def test_complement_equivariance(sp):
             image = Form(7, 2)
             for v in range(7):
                 if a[v][k - 1]:
-                    image = image + contract(w3, v + 1).scale(a[v][k - 1])
+                    image = image + contract(w3, v + 1) * (a[v][k - 1])
             assert br == image
 
 

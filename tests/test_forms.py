@@ -70,7 +70,7 @@ def test_interior_antiderivation(seed, n, p, q):
     b = random_form(n, q, rng, span=3)
     x = random_form(n, 1, rng, span=3)
     lhs = interior(x, wedge(a, b))
-    rhs = wedge(interior(x, a), b) + wedge(a, interior(x, b)).scale(Q(-1) ** p)
+    rhs = wedge(interior(x, a), b) + wedge(a, interior(x, b)) * (Q(-1) ** p)
     assert lhs == rhs
 
 
@@ -80,7 +80,7 @@ def test_interior_antiderivation(seed, n, p, q):
 def test_hodge_involution_sign(seed, n, p):
     p = min(p, n)
     a = random_form(n, p, random.Random(seed), span=4)
-    assert hodge(hodge(a)) == a.scale(Q(-1) ** (p * (n - p)))
+    assert hodge(hodge(a)) == a * (Q(-1) ** (p * (n - p)))
 
 
 def test_hodge_of_scalar_is_volume():
@@ -110,7 +110,7 @@ def test_inner_against_wedge_volume(seed, n, p):
     rng = random.Random(seed)
     a = random_form(n, p, rng, span=4)
     b = random_form(n, p, rng, span=4)
-    assert wedge(a, hodge(b)) == volume_form(n).scale(inner(a, b))
+    assert wedge(a, hodge(b)) == volume_form(n) * inner(a, b)
 
 
 def test_sigma_decomposable_vanishes():
@@ -122,7 +122,7 @@ def test_sigma_contact_value():
     de = blade(5, 1, 2, c=2) + blade(5, 3, 4, c=2)
     t = wedge(eta, de)
     assert sigma_t(t) == blade(5, 1, 2, 3, 4, c=4)
-    assert sigma_t(t).scale(2) == wedge(de, de)
+    assert sigma_t(t) * 2 == wedge(de, de)
 
 
 @settings(max_examples=30, deadline=None)
@@ -141,7 +141,7 @@ def test_so_action_derivation_and_pinning():
     w3 = canonical_omega3()
     sw3 = hodge(w3)
     for z in range(1, 8):
-        assert so_action(contract(w3, z), w3) == contract(sw3, z).scale(-3)
+        assert so_action(contract(w3, z), w3) == contract(sw3, z) * -3
     rng = random.Random(9)
     alpha = random_form(6, 2, rng, span=3)
     a = random_form(6, 2, rng, span=3)
@@ -163,19 +163,31 @@ def test_blade_normalization_and_eval():
 # the dense tables against the sparse per-term reference algorithms
 # ---------------------------------------------------------------------------
 
-# mostly zeros and small rationals; some numerators above 2^63, which no
-# fixed-width integer could hold
-_coefficient = st.one_of(
-    st.just(Q(0)), st.just(Q(0)),
-    st.fractions(min_value=-5, max_value=5, max_denominator=6),
-    st.builds(Q, st.integers(2 ** 63, 2 ** 70) | st.integers(-2 ** 70, -2 ** 63),
-              st.integers(1, 6)))
+# Each coefficient comes from a numerator code and a denominator code, drawn
+# as two flat lists per call.  A denominator code of 0 or above 6 gives a zero
+# (about half of the coefficients); 1..6 gives p/d with |p| <= 30, so every
+# fraction with |x| <= 5 and denominator <= 6; -6..-1 gives a numerator beyond
+# 2^63, which no fixed-width integer could hold, over -d.
+def _coefficient(p, d):
+    if d == 0 or d > 6:
+        return Q(0)
+    if d > 0:
+        return Q(p % 61 - 30, d)
+    return Q((2 ** 63 + p % 2 ** 70) * (1 if p >= 0 else -1), -d)
 
 
-def _coefficients(n, p):
+def _coefficients(n, p, count=1):
+    """`count` dicts blade -> coefficient of p-forms on R^n, from one draw."""
     blades = list(combinations(range(1, n + 1), p))
-    return st.lists(_coefficient, min_size=len(blades), max_size=len(blades)).map(
-        lambda cs: {b: c for b, c in zip(blades, cs) if c})
+    size = len(blades) * count
+
+    def split(codes):
+        nums, dens = codes
+        return [{b: c for b, c in zip(blades, map(_coefficient, nums[k::count], dens[k::count]))
+                 if c} for k in range(count)]
+
+    return st.tuples(st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=size, max_size=size),
+                     st.lists(st.integers(-6, 12), min_size=size, max_size=size)).map(split)
 
 
 @settings(max_examples=120, deadline=None)
@@ -183,8 +195,9 @@ def _coefficients(n, p):
 def test_dense_tables_match_sparse_reference(data, n):
     p = data.draw(st.integers(0, n), label="p")
     q = data.draw(st.integers(0, n), label="q")
-    ta, tb, tc = (data.draw(_coefficients(n, d)) for d in (p, q, p))
-    tx = data.draw(_coefficients(n, 1))
+    ta, tc = data.draw(_coefficients(n, p, 2))
+    (tb,) = data.draw(_coefficients(n, q))
+    (tx,) = data.draw(_coefficients(n, 1))
     a, b, c, x = Form(n, p, ta), Form(n, q, tb), Form(n, p, tc), Form(n, 1, tx)
     assert a.terms == ta and gcd(a.den, *a.num) == 1 and a.den > 0
     assert render_form(a) == ref.render(ta)
@@ -195,14 +208,14 @@ def test_dense_tables_match_sparse_reference(data, n):
     assert hodge(a).degree == n - p and hodge(a).terms == ref.hodge(ta, n)
     assert inner(a, c) == ref.inner(ta, tc)
     for degree in (1, 2):
-        images = [data.draw(_coefficients(n, degree)) for _ in range(n)]
+        images = data.draw(_coefficients(n, degree, n))
         image_forms = [Form(n, degree, t) for t in images]
         assert (derivation(a, degree, lambda m: image_forms[m - 1]).terms
                 == ref.derivation(ta, lambda m: images[m - 1]))
     if p == 3:
         assert sigma_t(a).terms == ref.sigma_t(ta, n)
     # every result is reduced, so equal forms have equal numerators
-    for r in (wedge(a, b), interior(x, a), hodge(a), a + c, a - c, a.scale(Q(2, 3))):
+    for r in (wedge(a, b), interior(x, a), hodge(a), a + c, a - c, a * Q(2, 3)):
         assert r.den > 0 and gcd(r.den, *r.num) == 1
     # == and hash: equal exactly when the reference dicts are
     same = Form(n, p, dict(reversed(list(ta.items()))))
@@ -217,6 +230,7 @@ def test_dense_tables_match_sparse_reference(data, n):
 
 def test_denominator_is_reduced():
     half = Form.blade(5, 1, 2, coeff=Q(1, 2))
-    assert half.scale(2) == Form.blade(5, 1, 2)
-    assert (half + half).den == 1 and (half + half).num == Form.blade(5, 1, 2).num
+    assert half * 2 == Form.blade(5, 1, 2)
+    whole = half + half
+    assert whole.den == 1 and whole.num.tolist() == Form.blade(5, 1, 2).num.tolist()
     assert Form(5, 2, {(1, 2): Q(2, 3), (3, 4): Q(4, 3)}).den == 3

@@ -30,7 +30,7 @@ def test_project2_properties():
         a = random_form(7, 2, rng)
         p7, p14 = project2(a)
         assert p7 + p14 == a
-        assert hodge(wedge(W3, p7)) == p7.scale(2)
+        assert hodge(wedge(W3, p7)) == p7 * 2
         assert hodge(wedge(W3, p14)) == -p14
         assert project2(p7)[0] == p7 and project2(p7)[1].is_zero()
         assert project2(p14)[1] == p14 and project2(p14)[0].is_zero()
@@ -92,7 +92,7 @@ def test_vector_type_model():
     t = torsion_form(s)
     # pure vector type: T = -(1/4)(beta -| *w3)
     from skewtor.forms import interior
-    assert t == interior(cls.beta, SW3).scale(Q(-1, 4))
+    assert t == interior(cls.beta, SW3) * Q(-1, 4)
     conn = with_torsion(s.model, t)
     assert all(nabla_form(conn, i, W3).is_zero() for i in range(1, 8))
     assert ricci_via_dt(conn) == curvature(conn).ric
@@ -166,9 +166,9 @@ def test_nearly_parallel_identity_pack():
     # the quoted factor-of-7 mismatch does not occur under the implemented
     # normalization: 6T = -(lambda) w3 = (1/7)(d w3, *w3) w3
     lam = Q(6)
-    t = W3.scale(-lam / 6)
-    dw3 = SW3.scale(-lam)
-    assert t.scale(6) == W3.scale(Q(1, 7) * inner(dw3, SW3))
+    t = W3 * (-lam / 6)
+    dw3 = SW3 * -lam
+    assert t * 6 == W3 * (Q(1, 7) * inner(dw3, SW3))
 
 
 def test_constant_identities_all_hold():
@@ -178,7 +178,7 @@ def test_constant_identities_all_hold():
 def test_tbeta_matches_contraction():
     for b in range(1, 8):
         beta = Form.basis_vector(7, b)
-        assert tbeta_form(beta) == contract(SW3, b).scale(Q(-1, 4))
+        assert tbeta_form(beta) == contract(SW3, b) * Q(-1, 4)
 
 
 def test_spanning_27_rank():
@@ -196,16 +196,16 @@ def test_displayed_four_forms_verbatim():
     heis = registry()["heis7"].model
     t = torsion_form(G2Structure(heis))
     dt, sig = d_form(heis, t), sigma_t(t)
-    assert dt.scale(Q(1, 4)) + sig.scale(Q(1, 2)) == \
+    assert dt * Q(1, 4) + sig * Q(1, 2) == \
         E(1, 3, 6, 7, c=-2) + E(3, 4, 5, 6) - E(1, 4, 5, 7)
-    assert dt.scale(Q(3, 4)) - sig.scale(Q(1, 2)) == \
+    assert dt * Q(3, 4) - sig * Q(1, 2) == \
         E(1, 3, 6, 7, c=-2) - E(3, 4, 5, 6) + E(1, 4, 5, 7)
     solv = registry()["solv7"].model
     t = torsion_form(G2Structure(solv))
     dt, sig = d_form(solv, t), sigma_t(t)
-    assert dt.scale(Q(1, 4)) + sig.scale(Q(1, 2)) == \
+    assert dt * Q(1, 4) + sig * Q(1, 2) == \
         E(1, 2, 5, 6, c=-1) + E(1, 2, 3, 4, c=-1) + E(3, 4, 5, 6, c=-2)
-    assert dt.scale(Q(3, 4)) - sig.scale(Q(1, 2)) == \
+    assert dt * Q(3, 4) - sig * Q(1, 2) == \
         E(1, 2, 5, 6, c=-3) + E(1, 2, 3, 4, c=-3) + E(3, 4, 5, 6, c=2)
 
 
@@ -232,7 +232,7 @@ def test_ricci_flat_conditions_consistency():
 
 def _scaled(model, c):
     """The rational homothety de_i -> c de_i; d^2 = 0 is quadratic, so Jacobi still holds."""
-    return LieModel(7, [d.scale(c) for d in model.d_coframe], name=f"{model.name}*{c}")
+    return LieModel(7, [d * c for d in model.d_coframe], name=f"{model.name}*{c}")
 
 
 _OBSTRUCTED = {
@@ -254,8 +254,8 @@ def test_classify_and_ricci_match_fraction_loops(name, c):
     assert cls.beta.vector_components() == beta
     assert cls.obstruction14 == obstruction
     assert cls.admits_connection() == (name not in _OBSTRUCTED)
-    assert cls.gamma27 == (hodge(d_form(s.model, W3)) + W3.scale(lam)
-                           - hodge(wedge(Form.from_vector(7, beta), W3)).scale(Q(3, 4)))
+    assert cls.gamma27 == (hodge(d_form(s.model, W3)) + W3 * lam
+                           - hodge(wedge(Form.from_vector(7, beta), W3)) * Q(3, 4))
     # the contraction formula entry for entry, also off the characteristic torsion,
     # where the table is not symmetric
     torsions = [torsion_form(s)] if cls.admits_connection() else []

@@ -91,7 +91,7 @@ def test_d_is_an_antiderivation(heis7, solv7, heis5):
                 b = random_form(n, q_deg, rng, span=3)
                 lhs = d_form(model, wedge(a, b))
                 rhs = wedge(d_form(model, a), b) \
-                    + wedge(a, d_form(model, b)).scale(Q(-1) ** p_deg)
+                    + wedge(a, d_form(model, b)) * (Q(-1) ** p_deg)
                 assert lhs == rhs
                 # nabla_{e_i} under a torsion connection is an even derivation
                 for i in range(1, n + 1):
@@ -116,7 +116,7 @@ def test_codiff_against_hodge_composite(heis7, solv7, heis5):
         for p in (1, 2, 3):
             a = random_form(n, p, rng, span=3)
             sign = Q(-1) ** (n * (p + 1) + 1)
-            composite = hodge(d_form(model, hodge(a))).scale(sign)
+            composite = hodge(d_form(model, hodge(a))) * sign
             assert codiff(levi_civita(model), a) == composite
 
 
