@@ -160,17 +160,25 @@ def build_parser():
 
     p_dec = sub.add_parser("decompose", help="type decomposition of a form")
     p_dec.add_argument("model")
-    p_dec.add_argument("expr")
+    p_dec.add_argument("expr", nargs="?")
 
     p_eig = sub.add_parser("spin-eig", help="exact spinor spectrum of a form")
     p_eig.add_argument("dim", type=int)
-    p_eig.add_argument("expr")
+    p_eig.add_argument("expr", nargs="?")
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    # argparse leaves over an expression that starts with a minus sign, such
+    # as "-e1^e2", as an unknown option; the first one left over is the expression
+    if getattr(args, "expr", "") is None and extra:
+        args.expr = extra.pop(0)
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    if getattr(args, "expr", "") is None:
+        parser.error("the following arguments are required: expr")
     if args.convention_ledger:
         print(CONVENTIONS, end="")
         return 0

@@ -16,21 +16,26 @@ rank, kernel and solve runs one fraction-free Gauss-Jordan elimination over Z
 on the integer numerators; a Gaussian system enters it with each entry a + bi
 as the real block [[a, -b], [b, a]].  A spectrum is read from the
 characteristic polynomial of the integral d A (d the denominator of A) over
-Z[i]; for a real one its rational roots are y / d for the integer roots y of
-that monic integer polynomial, found by a divisor search and Horner's rule.
-The large representation-theoretic matrices (up to 196 x 196) are first tried
-by a mod-p elimination, whose result is promoted to an exact statement by a
-separate certificate, never trusted on its own.
+Z[i], computed by one batched Faddeev-LeVerrier run over its images modulo
+primes p = 1 (mod 4) and rebuilt by the Chinese remainder theorem under a
+proven coefficient bound; for a real one its rational roots are y / d for
+the integer roots y of that monic integer polynomial, found by a divisor
+search and Horner's rule.  The large representation-theoretic matrices (up
+to 196 x 196) are first tried by a mod-p elimination, whose result is
+promoted to an exact statement by a separate certificate, never trusted on
+its own.  Every prime comes from one pool, the primes below 2^21 in
+descending order, sieved as far as it is read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from functools import cache
+from math import comb, isqrt, prod
 
 import numpy as np
 
-from .errors import DegreeError, DimensionMismatch
+from .errors import DegreeError, DimensionMismatch, SkewtorError
 from .forms import Form, _Exact, _blade_layout, common_denominator, numerators_of
 
 Q = Fraction
@@ -301,19 +306,57 @@ def charpoly(matrix: GaussTensor) -> GaussTensor:
     """Coefficients of det(yI - dA) over Z[i] as a GaussTensor vector, highest first.
 
     d is the denominator of A, so A has the characteristic polynomial
-    sum_k C_k x^(n-k) / d^k.  Faddeev-LeVerrier runs on the integral dA: every
-    C_k lies in Z[i], so each division by k is exact.
+    sum_k C_k x^(n-k) / d^k.  The C_k are computed modulo primes and rebuilt
+    by the Chinese remainder theorem under a proven bound:
+
+    - Bound.  With R the largest row sum of |Re| + |Im| over the numerators
+      of dA, every eigenvalue has |lambda| <= R (Gershgorin), so
+      |Re C_k|, |Im C_k| <= |C_k| <= C(n, k) R^k <= B, the largest of these.
+      The primes p = 1 (mod 4) of the pool are taken until their product M
+      exceeds 2B, so each part is the one residue mod M in [-B, B].
+    - Residues.  For each prime, with i_p^2 = -1 (mod p), the images
+      Re + i_p Im and Re - i_p Im of dA (the two maps Z[i] -> F_p) are
+      stacked, and one Faddeev-LeVerrier run over the whole stack gives
+      c+ = Re C_k + i_p Im C_k and c- = Re C_k - i_p Im C_k mod p.  Each
+      step is one `int_matmul` of matrices of entries below 2p, exact in
+      float64 as 2n p^2 < 2^53 (for n < 1024; `int_matmul` checks the bound
+      itself), and the division by k < p is a product with k^-1 mod p.
+    - Rebuild.  Re C_k = (c+ + c-) / 2 and Im C_k = (c+ - c-) / (2 i_p)
+      mod p, and the Chinese remainder theorem takes each part to its
+      residue mod M in [-B, B]: one product of the residues with weights.
     """
     n = len(matrix)
-    scaled = GaussTensor(matrix.num)
-    eye = np.eye(n, dtype=int).astype(object)[..., None]
-    m = GaussTensor.identity(n)
-    coeffs = [np.array([1, 0], dtype=object)]
+    radius = int(np.abs(matrix.num).sum(axis=(1, 2)).max())
+    bound = max(comb(n, k) * radius ** k for k in range(n + 1))
+    primes, modulus = _covering((p for p in _PRIMES if p % 4 == 1), bound)
+    ps = np.array(primes, dtype=np.int64)
+    roots = np.array([_sqrt_minus_one(p) for p in primes], dtype=np.int64)
+    # numerators beyond int64 are reduced as Python integers
+    num = matrix.num if radius >= 2 ** 62 else matrix.num.astype(np.int64)
+    parts = num[None] % ps.astype(num.dtype)[:, None, None, None]
+    re, i_im = parts[..., 0], parts[..., 1].astype(np.int64) * roots[:, None, None]
+    # images under i -> i_p, then under i -> -i_p; mods[j] is the prime of image j
+    mods = np.concatenate([ps, ps])
+    images = np.concatenate([re + i_im, re - i_im]).astype(np.int64) % mods[:, None, None]
+    inv = np.array([[pow(k, -1, p) for p in primes] * 2 for k in range(1, n + 1)], dtype=np.int64)
+    coeffs = np.ones((n + 1, len(mods)), dtype=np.int64)
+    m = images.copy()
     for k in range(1, n + 1):
-        p = scaled @ m
-        coeffs.append(-(np.trace(p.num) // k))   # (re, im) of C_k
-        m = GaussTensor(p.num + eye * coeffs[-1])
-    return GaussTensor(np.stack(coeffs))
+        if k > 1:
+            m = int_matmul(images, m) % mods[:, None, None]
+        coeffs[k] = -np.trace(m, axis1=1, axis2=2) % mods * inv[k - 1] % mods
+        # M + C_k I, left unreduced: its entries stay below 2p
+        m.reshape(len(mods), -1)[:, ::n + 1] += coeffs[k][:, None]
+    # the CRT idempotents e_j (1 mod p_j, 0 mod the other primes) with the
+    # rebuild folded in: Re C_k = sum_j (e_j / 2) (c+ + c-) and
+    # Im C_k = sum_j (e_j i_p / 2) (c- - c+), as 1 / i_p = -i_p (mod p)
+    idempotents = [modulus // p * pow(modulus // p, -1, p) for p in primes]
+    halves = [e * ((p + 1) // 2) for e, p in zip(idempotents, primes)]
+    turned = [h * int(i) for h, i in zip(halves, roots)]
+    weights = np.array([halves * 2, [-t for t in turned] + turned], dtype=object).T
+    values = coeffs.astype(object) @ weights % modulus
+    values[values > bound] -= modulus
+    return GaussTensor(values)
 
 
 def unscaled(q: GaussTensor, d) -> GaussTensor:
@@ -371,8 +414,79 @@ def _divide_root(q, y):
 # integer matrices: mod-p elimination, certified spectra
 # ---------------------------------------------------------------------------
 
-_PRIMES = [2097143, 2097133, 2097131, 2097097, 2097091, 2097083, 2097047,
-           2097041, 2097031, 2097023, 2097013, 2096993]
+class _PrimePool:
+    """The primes below 2^21 in descending order, sieved a block at a time as they are read.
+
+    Indexing, slicing and iteration sieve only as far as they read, so
+    nothing is computed at import.  The first twelve (2097143 down to
+    2096993) are the primes that `krylov_min_poly`,
+    `certified_eigenspace_dims` and `equivar` try.
+    """
+
+    _BLOCK = 1 << 12
+
+    def __init__(self):
+        self._primes, self._low, self._divisors = [], 1 << 21, None
+
+    def _extend(self) -> bool:
+        """Sieve the next block below the primes found so far; False once all are found."""
+        if self._low <= 2:
+            return False
+        if self._divisors is None:
+            self._divisors = _sieve(2, isqrt(self._low) + 1, range(2, 64))[::-1]
+        low = max(2, self._low - self._BLOCK)
+        self._primes.extend(_sieve(low, self._low, self._divisors))
+        self._low = low
+        return True
+
+    def __getitem__(self, index):
+        need = index.stop if isinstance(index, slice) else index + 1
+        while len(self._primes) < need and self._extend():
+            pass
+        return self._primes[index]
+
+    def __iter__(self):
+        k = 0
+        while k < len(self._primes) or self._extend():
+            yield self._primes[k]
+            k += 1
+
+
+def _sieve(low, high, divisors):
+    """The primes in [low, high), highest first, given all primes below sqrt(high) in `divisors`."""
+    keep = np.ones(high - low, dtype=bool)
+    for p in divisors:
+        if p * p >= high:
+            break
+        keep[max(p * p, -(-low // p) * p) - low::p] = False
+    return (np.flatnonzero(keep)[::-1] + low).tolist()
+
+
+_PRIMES = _PrimePool()
+
+
+def _covering(primes, bound):
+    """The leading primes of `primes` whose product M exceeds 2 * bound, and M.
+
+    Residues mod M tell apart all integers of [-bound, bound], so their
+    residues mod these primes fix each one.
+    """
+    chosen, modulus = [], 1
+    for p in primes:
+        chosen.append(p)
+        modulus *= p
+        if modulus > 2 * bound:
+            return chosen, modulus
+    raise SkewtorError(f"a bound of {bound.bit_length()} bits is beyond the primes below 2^21")
+
+
+@cache
+def _sqrt_minus_one(p):
+    """A square root of -1 modulo a prime p = 1 (mod 4): c^((p-1)/4) for a non-residue c."""
+    c = 2
+    while pow(c, (p - 1) // 2, p) != p - 1:
+        c += 1
+    return pow(c, (p - 1) // 4, p)
 
 
 def rank_mod_p(matrix, p):
@@ -465,16 +579,7 @@ def certify_annihilation(int_matrix, int_roots):
     bound = max_a + max((abs(r) for r in int_roots), default=0)
     for r in int_roots:
         bound *= n * (max_a + abs(r))
-    need = 2 * bound + 1
-    prod = 1
-    primes = []
-    for p in _PRIMES:
-        primes.append(p)
-        prod *= p
-        if prod >= need:
-            break
-    else:
-        raise RuntimeError("prime pool exhausted for certificate")
+    primes, _ = _covering(_PRIMES, bound)
     eye = np.eye(n, dtype=np.int64)
     for p in primes:
         ap = (a % p).astype(np.int64)
@@ -497,7 +602,7 @@ def certified_eigenspace_dims(int_matrix, eigs_scaled):
     a = np.asarray(int_matrix)
     n = len(a)
     eye = np.eye(n, dtype=np.int64)
-    for p in _PRIMES:
+    for p in _PRIMES[:12]:
         ap = (a % p).astype(np.int64)
         dims = [n - rank_mod_p(ap - (lam % p) * eye, p) for lam in eigs_scaled]
         if sum(dims) == n:

@@ -188,6 +188,37 @@ def test_cli_decompose(capsys):
     assert "part27 = 0" in out and "part7  = 0" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["spin-eig", "4", "-e1^e2"],
+    ["spin-eig", "7", "-3/2*e1^e2^e3+e4^e5^e6^e7"],
+    ["decompose", "heis7", "-e1^e2"],
+    ["decompose", "heis7", "-e1^e2^e7+2*e3^e4^e7"],
+], ids=["spin-eig-4", "spin-eig-7", "decompose-2-form", "decompose-3-form"])
+def test_cli_expression_may_start_with_a_minus_sign(capsys, argv):
+    # without a space, argparse reads "-e1^e2" as an option; it is the
+    # expression, with the output of the `--` form
+    assert main(argv[:2] + ["--", argv[2]]) == 0
+    expected = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("argv, code, words", [
+    (["spin-eig", "-h"], 0, "usage: skewtor spin-eig"),
+    (["decompose", "heis7", "-h"], 0, "usage: skewtor decompose"),
+    (["spin-eig", "4"], 2, "the following arguments are required: expr"),
+    (["decompose", "heis7"], 2, "the following arguments are required: expr"),
+    (["spin-eig", "4", "-e1^e2", "e3"], 2, "unrecognized arguments: e3"),
+    (["verify", "all", "--jsn"], 2, "unrecognized arguments: --jsn"),
+])
+def test_cli_help_and_argument_errors(capsys, argv, code, words):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == code
+    captured = capsys.readouterr()
+    assert words in captured.out + captured.err
+
+
 def test_cli_convention_ledger(capsys):
     assert main(["--convention-ledger"]) == 0
     out = capsys.readouterr().out

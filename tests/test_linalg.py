@@ -5,7 +5,7 @@ import sys
 from collections import Counter
 from fractions import Fraction as Q
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +141,57 @@ def test_charpoly_and_roots_complex():
     assert rational_roots(charpoly(half).re.tolist(), 2) == ([(Q(0), 1), (Q(1), 1)], None)
 
 
+def _coded_matrix(n, codes, big63, big1100, den):
+    """The n x n Gaussian matrix / den whose 2 n^2 numerators have the codes in -9..9.
+
+    0 is zero, 1-3 the value itself, 4-6 a multiple of big63 (beyond 2^63)
+    and 7-9 a multiple of big1100 (beyond 2^1100), with the code's sign.
+    """
+    scales = [1, 1, 1, 1, big63, big63, big63, big1100, big1100, big1100]
+    values = [((c > 0) - (c < 0)) * ((abs(c) - 1) % 3 + 1) * scales[abs(c)] for c in codes]
+    return GaussTensor(np.array(values, dtype=object).reshape(n, n, 2), den)
+
+
+@st.composite
+def gaussian_matrices(draw):
+    """A Gaussian matrix of size 1-8 with zeros, small entries and entries beyond 2^63 and 2^1100."""
+    n = draw(st.integers(1, 8))
+    codes = draw(st.lists(st.integers(-9, 9), min_size=2 * n * n, max_size=2 * n * n))
+    return _coded_matrix(n, codes, draw(st.integers(2 ** 63, 2 ** 64)),
+                         draw(st.integers(2 ** 1100, 2 ** 1101)), draw(st.sampled_from([1, 1, 6])))
+
+
+# the reference's cost grows as n^4 (about 4 s for a 16 x 16 matrix with
+# entries beyond 2^1100), so the drawn sizes stop at 8 and the largest spin
+# module's size 16 is one fixed example with every class of entry
+@settings(max_examples=25, deadline=None)
+@given(gaussian_matrices())
+@example(_coded_matrix(16, [7 * i % 19 - 9 for i in range(512)], 2 ** 63 + 1, 2 ** 1100 + 3, 1))
+def test_charpoly_matches_fraction_reference(m):
+    coeffs = charpoly(m)
+    assert type(coeffs) is GaussTensor and coeffs.den == 1
+    assert all(type(x) is int for x in coeffs.num.flat)
+    reference = cq_reference.charpoly_by_fractions(cq(m))
+    assert cq(coeffs) == [c * m.den ** k for k, c in enumerate(reference)]
+
+
+@pytest.mark.parametrize("radius", [1, 7, 2 ** 62, 2 ** 63, 2 ** 1100 + 1],
+                         ids=["1", "7", "2^62", "2^63", "2^1100+1"])
+def test_charpoly_of_scalar_matrices_meets_its_bound(radius):
+    # det(yI - sR I) = (y - sR)^n for s = +-1, +-i: every |C_k| = C(n, k) R^k
+    # equals its bound, and the largest one is the bound of the prime product
+    for n in (1, 2, 5, 16):
+        for re, im in ((radius, 0), (-radius, 0), (0, radius), (0, -radius)):
+            m = GaussTensor.of_parts(np.eye(n, dtype=object) * re, np.eye(n, dtype=object) * im)
+            expected, power = [], CQ(1)
+            for k in range(n + 1):
+                expected.append(comb(n, k) * power)
+                power = power * CQ(-re, -im)
+            coeffs = charpoly(m)
+            assert all(type(x) is int for x in coeffs.num.flat)
+            assert cq(coeffs) == expected, (n, re, im)
+
+
 def test_rational_roots_with_residual():
     # (y^2 - 2)(y - 3)^2 y, read with the scales 1 and 2
     q = poly_mul(poly_mul(poly_mul([1, 0, -2], [1, -3]), [1, -3]), [1, 0])
@@ -240,6 +291,28 @@ def test_certify_rejects_nondiagonalizable():
     jordan = [[1, 1], [0, 1]]
     assert not certify_annihilation(jordan, [1])
     assert certify_annihilation(jordan, [1, 1])  # (A-1)^2 = 0 holds
+
+
+def test_certify_annihilation_takes_the_primes_its_bound_needs():
+    # the bound of this product is about 2^409, beyond the twelve largest
+    # primes below 2^21 (about 2^252), so the certificate reads further
+    roots = [s * k * 2 ** 40 for k in range(1, 5) for s in (1, -1)]
+    a = np.diag(np.array(roots, dtype=object))
+    assert certify_annihilation(a, roots)
+    assert not certify_annihilation(a, roots[1:])
+
+
+def test_prime_pool_is_every_prime_below_2_21_descending():
+    # the first twelve are the primes the mod-p certificates try
+    assert _PRIMES[:12] == [2097143, 2097133, 2097131, 2097097, 2097091, 2097083, 2097047,
+                            2097041, 2097031, 2097023, 2097013, 2096993]
+    # the whole pool against a plain sieve of Eratosthenes
+    is_prime = np.ones(2 ** 21, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, 1449):
+        if is_prime[p]:
+            is_prime[p * p::p] = False
+    assert list(_PRIMES) == np.flatnonzero(is_prime)[::-1].tolist()
 
 
 def _school_product(a, b, m, n, k):
