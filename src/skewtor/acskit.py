@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import comb
 
 import numpy as np
 
 from .equivar import full_column_rank_certificate
 from .errors import DegreeError, NoSkewConnection, StructureError
-from .forms import Form, all_blades, blade_tensors, interior, sigma_t, wedge
+from .forms import Form, all_blades, dense, interior, sigma_t, wedge
 from .liegeom import LieModel, SkewTorsionStructure, d_form, tt_contraction
 from .linalg import Tensor, int_matmul
 
@@ -237,7 +238,7 @@ def _uniqueness_response(s):
     sum_l dT(i, j, l) eta[l] for contact input.
     """
     p = s.phi.num
-    blades = blade_tensors(s.model.n, 3)
+    blades = dense(np.eye(comb(s.model.n, 3), dtype=np.int64), s.model.n, 3)
     response = [np.swapaxes(int_matmul(np.swapaxes(blades, 2, 3), p), 2, 3)
                 - int_matmul(blades, p.T)]
     if isinstance(s, AlmostContact):

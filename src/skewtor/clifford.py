@@ -162,13 +162,8 @@ def eigen_report(matrix: GaussTensor) -> EigenReport:
     return EigenReport(size, pairs, residual, is_hermitian(matrix))
 
 
-def common_kernel(endos, dim=None) -> GaussTensor:
-    """Exact basis (as rows) of the intersection of kernels; empty input gives the full module."""
-    endos = list(endos)
-    if not endos:
-        if dim is None:
-            raise ValueError("dimension required for an empty kernel problem")
-        return GaussTensor.identity(dim)
+def common_kernel(endos) -> GaussTensor:
+    """Exact basis (as rows) of the intersection of the kernels of a list of endomorphisms."""
     size = len(endos[0])
     for m in endos:
         if len(m) != size:

@@ -15,14 +15,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from math import gcd, lcm
 from types import MappingProxyType
 
 import numpy as np
 
 from .errors import StructureError
-from .forms import (Form, blade_tensors, common_denominator, contract, derivation, inner,
+from .forms import (Form, all_blades, common_denominator, contract, dense, derivation, inner,
                     interior, so_action, wedge)
 from .g2 import _projectors, canonical_omega3, project3, spanning_27
 from .linalg import (Tensor, certified_eigenspace_dims, certify_annihilation,
@@ -100,7 +99,7 @@ def _form_action(xi, degree):
     """
     images = [contract(xi, m) for m in range(1, 8)]
     columns = [derivation(Form.blade(7, *b), 1, lambda m: images[m - 1]).num
-               for b in combinations(range(1, 8), degree)]
+               for b in all_blades(7, degree)]
     return np.array(columns, dtype=np.int64).T
 
 
@@ -436,7 +435,7 @@ def _pr_m(coeffs) -> Tensor:
 
 def _symmetrized(coeffs):
     """[case, x, y, z] -> p_z(x, y) + p_y(x, z) of [case, k, blade] coefficients of 2-forms p_k."""
-    t = Tensor.einsum("ckb,bxy->ckxy", coeffs, Tensor(blade_tensors(7, 2).astype(object)))
+    t = Tensor(dense(coeffs.num, 7, 2), coeffs.den)
     return Tensor.einsum("czxy->cxyz", t) + Tensor.einsum("cyxz->cxyz", t)
 
 

@@ -29,8 +29,7 @@ def parse_form(text: str, n: int) -> list:
 
     def flush():
         nonlocal sign, coeff, blade
-        c = Fraction(coeff) if coeff is not None else Fraction(1)
-        terms.append((sign * c, blade or []))
+        terms.append((sign * (coeff if coeff is not None else 1), blade or []))
         sign, coeff, blade = 1, None, None
 
     while pos < len(text):
@@ -50,9 +49,14 @@ def parse_form(text: str, n: int) -> list:
         elif m.group("rat"):
             if coeff is not None or blade is not None:
                 raise FormParseError("unexpected number", pos)
-            if not int(m.group("rat").partition("/")[2] or 1):
+            top, _, bottom = m.group("rat").partition("/")
+            try:
+                top, bottom = int(top), int(bottom or 1)
+            except ValueError:  # more digits than Python converts to an int
+                raise FormParseError("number too long", m.start("rat")) from None
+            if not bottom:
                 raise FormParseError("zero denominator", m.start("rat"))
-            coeff = m.group("rat")
+            coeff = Fraction(top, bottom)
             pending = None
         elif m.group("star"):
             if coeff is None or blade is not None:

@@ -14,11 +14,13 @@ is also sorted-blade order.  Indices are 1-based throughout, matching the frame
 labels e_1 .. e_n.  The metric is the identity on the coframe and the volume
 blade e_1 ^ ... ^ e_n is the positive orientation.
 
-Every operation is an integer gather/scatter over a signed table, cached per
-(n, p) or (n, p, q) and built on first use; it reads the numerators once, as
-a list.  A Fraction appears only where a
-coefficient leaves the algebra: `coeff`, `eval`, `terms`,
-`vector_components` and `inner`.
+The module alone knows how blades are ordered and signed.  Every operation
+is an integer gather/scatter over the one signed wedge table, cached per
+(n, p, q) and built on first use, and reads the numerators once, as a list:
+e_k -| blade and the Hodge star are rows of it.  `dense` is the one gather
+between blade coefficients and dense tensors, and `Form.of_dense` the one
+read back.  A Fraction appears only where a coefficient leaves the algebra:
+`eval`, `terms`, `vector_components` and `inner`.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ _ZERO = Q(0)
 
 
 # ---------------------------------------------------------------------------
-# the blade layout and the signed tables, each built on first use
+# the blade layout and the signed table, each built on first use
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -75,27 +77,6 @@ def _wedge_table(n, p, q):
 
 
 @lru_cache(maxsize=None)
-def _interior_table(n, p):
-    """Per k in 1..n: the (p-blade, (p-1)-blade, sign bit) of every e_k -| blade != 0."""
-    table = [[] for _ in range(n)]
-    for c, blade in enumerate(_blades(n, p)):
-        for pos, k in enumerate(blade):
-            rest = _index(n, p - 1)[blade[:pos] + blade[pos + 1:]]
-            table[k - 1].append((c, rest, pos % 2 == 1))
-    return tuple(map(tuple, table))
-
-
-@lru_cache(maxsize=None)
-def _hodge_table(n, p):
-    """Per p-blade: its complement's position and the sign bit of (blade, complement)."""
-    out = []
-    for blade in _blades(n, p):
-        rest = tuple(k for k in range(1, n + 1) if k not in blade)
-        out.append((_index(n, n - p)[rest], _sign_position(n, blade + rest)[0] < 0))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _blade_layout(n, degree):
     """Where the unit blades of a degree sit in a flattened dense tensor.
 
@@ -114,11 +95,16 @@ def _blade_layout(n, degree):
     return signed, ascending
 
 
-def blade_tensors(n, degree):
-    """Stacked dense int64 tensors of the unit blades: sign(perm) at each permuted index."""
-    eye = np.eye(comb(n, degree), dtype=np.int64)
-    rows = np.vstack([eye, -eye, np.zeros((1, len(eye)), dtype=np.int64)])
-    return rows[_blade_layout(n, degree)[0]].T.reshape((len(eye),) + (n,) * degree)
+def dense(coefficients, n: int, degree: int):
+    """The dense tensors of forms: blade coefficients on the last axis become
+    `degree` axes of length n, with sign(perm) at each permuted index.
+
+    Leading axes are kept, and so is the dtype (int64 or object).
+    """
+    c = np.asarray(coefficients)
+    zero = np.zeros(c.shape[:-1] + (1,), dtype=c.dtype)
+    signed = np.concatenate([c, -c, zero], axis=-1)[..., _blade_layout(n, degree)[0]]
+    return signed.reshape(c.shape[:-1] + (n,) * degree)
 
 
 def _rational(x):
@@ -243,6 +229,12 @@ class Form(_Exact):
         return f
 
     @staticmethod
+    def of_dense(num, den: int = 1) -> "Form":
+        """The form with the entries of a dense skew array num / den on its ascending indices."""
+        n, degree = len(num), num.ndim
+        return Form.of_numerators(n, degree, num.reshape(-1)[_blade_layout(n, degree)[1]], den)
+
+    @staticmethod
     def of_rationals(n: int, degree: int, values) -> "Form":
         """The form with the rationals `values` on the blades, in blade order; not validated."""
         return Form.of_numerators(n, degree, *numerators_of(values))
@@ -289,10 +281,6 @@ class Form(_Exact):
         """A new dict from each blade with a nonzero coefficient to that coefficient."""
         den = self.den
         return {b: Q(x, den) for b, x in zip(_blades(self.n, self.degree), self.num.tolist()) if x}
-
-    def coeff(self, *indices) -> Fraction:
-        sign, pos = _locate(self.n, indices)
-        return Q(sign * self.num[pos], self.den) if sign else _ZERO
 
     def vector_components(self):
         if self.degree != 1:
@@ -342,7 +330,8 @@ class Form(_Exact):
         """Value on the coframe vectors e_{i1}, .., e_{ip} (repeats give 0)."""
         if len(indices) != self.degree:
             raise DegreeError("wrong number of arguments")
-        return self.coeff(*indices)
+        sign, pos = _locate(self.n, indices)
+        return Q(sign * self.num[pos], self.den) if sign else _ZERO
 
 
 def _wedge_into(out, a, b, table):
@@ -356,10 +345,14 @@ def _wedge_into(out, a, b, table):
 
 
 def _contract(num, n, p, i):
-    """Numerators of e_i -| a for the numerators of a p-form a."""
+    """Numerators of e_i -| a for the numerators of a p-form a.
+
+    e_i ^ rest = +-blade exactly when e_i -| blade = +-rest, with the same
+    sign, so row i of the wedge table of degrees (1, p - 1) is the read.
+    """
     out = [0] * comb(n, p - 1)
-    for src, dst, neg in _interior_table(n, p)[i - 1]:
-        out[dst] = -num[src] if neg else num[src]
+    for rest, src, neg in _wedge_table(n, 1, p - 1)[i - 1]:
+        out[rest] = -num[src] if neg else num[src]
     return out
 
 
@@ -396,8 +389,9 @@ def hodge(a: Form) -> Form:
     n, p = a.n, a.degree
     if p > n:
         raise DegreeError(f"degree {p} out of range for dimension {n}")
+    # the one entry of each row: the complement, and the sign of (blade, complement)
     out = [0] * len(a.num)
-    for x, (dst, neg) in zip(a.num.tolist(), _hodge_table(n, p)):
+    for x, ((dst, _, neg),) in zip(a.num.tolist(), _wedge_table(n, p, n - p)):
         out[dst] = -x if neg else x
     return Form.of_numerators(n, n - p, out, a.den)
 
@@ -418,25 +412,21 @@ def sigma_t(t: Form) -> Form:
     """Torsion 4-form (1/2) sum_i (e_i -| T) ^ (e_i -| T) of a 3-form T."""
     if t.degree != 3:
         raise DegreeError("sigma_t expects a 3-form")
-    n, num = t.n, t.num.tolist()
-    out = [0] * comb(n, 4)
-    for i in range(1, n + 1):
-        ct = _contract(num, n, 3, i)
-        _wedge_into(out, ct, ct, _wedge_table(n, 2, 2))
-    return Form.of_numerators(n, 4, out, 2 * t.den * t.den)
+    return derivation(t, 2, lambda m: contract(t, m)) * Q(1, 2)
 
 
 def sigma_t_quadratic(t: Form) -> Form:
     """sigma^T from its quadratic definition g(T(X,Y),T(Z,V)) + cyclic in X,Y,Z."""
     if t.degree != 3:
         raise DegreeError("sigma_t expects a 3-form")
-    n = t.n
+    n, tensor = t.n, dense(t.num, t.n, 3)
+    x, y, z, v = (np.array(_blades(n, 4), dtype=np.intp).reshape(-1, 4) - 1).T
 
     def pair(i, j, k, l):
-        return sum(t.eval(i, j, m) * t.eval(k, l, m) for m in range(1, n + 1))
+        return (tensor[i, j] * tensor[k, l]).sum(axis=-1)
 
-    return Form.of_rationals(n, 4, [pair(x, y, z, v) + pair(y, z, x, v) + pair(z, x, y, v)
-                                    for x, y, z, v in _blades(n, 4)])
+    return Form.of_numerators(n, 4, pair(x, y, z, v) + pair(y, z, x, v) + pair(z, x, y, v),
+                              t.den * t.den)
 
 
 def derivation(a: Form, image_degree: int, image) -> Form:
@@ -480,7 +470,8 @@ def so_action(alpha: Form, a: Form) -> Form:
 
 
 def all_blades(n: int, degree: int):
-    return combinations(range(1, n + 1), degree)
+    """The blades of a degree, ascending index tuples in blade order."""
+    return _blades(n, degree)
 
 
 def random_form(n: int, degree: int, rng, span=6) -> Form:

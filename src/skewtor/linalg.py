@@ -36,7 +36,7 @@ from math import comb, isqrt, prod
 import numpy as np
 
 from .errors import DegreeError, DimensionMismatch, SkewtorError
-from .forms import Form, _Exact, _blade_layout, common_denominator, numerators_of
+from .forms import Form, _Exact, common_denominator, dense, numerators_of
 
 Q = Fraction
 
@@ -104,16 +104,11 @@ class Tensor(_Array):
         if any(f.degree != degree for f in forms):
             raise DegreeError("forms of different degree")
         nums, den = common_denominator(forms)
-        rows = np.stack(nums)
-        num = np.hstack([rows, -rows, np.zeros((len(rows), 1), dtype=object)])
-        return Tensor(num[:, _blade_layout(n, degree)[0]].reshape((len(rows),) + (n,) * degree),
-                      den)
+        return Tensor(dense(np.stack(nums), n, degree), den)
 
     def to_form(self) -> Form:
         """The form with this tensor's entries on ascending indices (for a skew tensor)."""
-        n, degree = len(self.num), self.num.ndim
-        ascending = self.num.reshape(-1)[_blade_layout(n, degree)[1]]
-        return Form.of_numerators(n, degree, ascending, self.den)
+        return Form.of_dense(self.num, self.den)
 
     @staticmethod
     def einsum(spec: str, *operands: "Tensor") -> "Tensor":

@@ -150,7 +150,7 @@ def suite_clifford() -> Report:
                         == [(Q(1), 8)],
                         provenance="trivial"))
     checks.append(check("clifford.empty-kernel", "common kernel conventions",
-                        len(clifford.common_kernel([], dim=8)) == 8,
+                        len(clifford.common_kernel([GaussTensor.identity(8) * 0])) == 8,
                         provenance="trivial"))
     ok_kc = all(clifford.kernel_conditions_are_membership(which) for which in ("plus", "minus"))
     checks.append(check("clifford.kernel-conditions", "Lemmas 7.2 / 7.5",

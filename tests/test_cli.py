@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 import tempfile
 import time
 from fractions import Fraction
@@ -26,10 +27,10 @@ def test_parse_simple_terms():
     (f,) = parse_form("2*e1^e2^e5 + 2*e3^e4^e5", 5)
     assert f == Form(5, 3, {(1, 2, 5): 2, (3, 4, 5): 2})
     (g,) = parse_form("-e5^e6^e7 + e1^e3^e5 - e3^e4^e7 - e1^e4^e6", 7)
-    assert g.degree == 3 and g.coeff(5, 6, 7) == -1
+    assert g.degree == 3 and g.eval(5, 6, 7) == -1
     from fractions import Fraction
     (h,) = parse_form("1/2 * e1 ^ e2", 4)
-    assert h.coeff(1, 2) == Fraction(1, 2)
+    assert h.eval(1, 2) == Fraction(1, 2)
     (s,) = parse_form("3", 4)
     assert s == Form.scalar(4, 3)
 
@@ -876,14 +877,24 @@ def test_cli_malformed_model_file_is_an_input_error(tmp_path, monkeypatch, capsy
     assert str(path) in err and field in err, err
 
 
+# a literal with one digit more than Python converts to an int
+_OVERLONG = "9" * (sys.get_int_max_str_digits() + 1)
+
+
 @pytest.mark.parametrize("argv, position", [
     (["spin-eig", "7", "--", "1/0*e1^e2"], 0),
     (["decompose", "heis7", "--", "1/0*e1^e2"], 0),
     (["spin-eig", "7", "e1^e2+"], 5),
     (["spin-eig", "7", "e1^e2 - "], 6),
     (["spin-eig", "7", "2*+e1"], 1),
+    (["spin-eig", "4", f"e3^e4 + {_OVERLONG}*e1^e2"], 8),
+    (["spin-eig", "4", f"e3^e4 + 1/{_OVERLONG}*e1^e2"], 8),
+    (["decompose", "heis7", f"e3^e4 + {_OVERLONG}*e1^e2"], 8),
+    (["decompose", "heis7", f"e3^e4 + 1/{_OVERLONG}*e1^e2"], 8),
 ], ids=["zero-denominator-spin-eig", "zero-denominator-decompose", "trailing-sign",
-        "trailing-sign-space", "dangling-star"])
+        "trailing-sign-space", "dangling-star", "overlong-numerator-spin-eig",
+        "overlong-denominator-spin-eig", "overlong-numerator-decompose",
+        "overlong-denominator-decompose"])
 def test_cli_form_parse_errors_exit_2(capsys, argv, position):
     assert main(argv) == 2
     assert f"(at position {position})" in capsys.readouterr().err

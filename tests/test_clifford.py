@@ -109,7 +109,6 @@ def test_eigen_multiset_invariant_under_conjugation():
 
 
 def test_common_kernel_conventions():
-    assert len(common_kernel([], dim=8)) == 8
     rep = build_rep(5)
     g12 = rep.gammas[0] @ rep.gammas[1]
     g34 = rep.gammas[2] @ rep.gammas[3]

@@ -3,13 +3,14 @@ from fractions import Fraction as Q
 from itertools import combinations
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import forms_reference as ref
 from skewtor.errors import DegreeError, DimensionMismatch
 from skewtor.formexpr import render_form
-from skewtor.forms import (Form, contract, derivation, hodge, inner, interior,
+from skewtor.forms import (Form, contract, dense, derivation, hodge, inner, interior,
                            random_form, sigma_t, sigma_t_quadratic, so_action,
                            volume_form, wedge)
 from skewtor.g2 import canonical_omega3
@@ -157,6 +158,31 @@ def test_blade_normalization_and_eval():
     assert f.eval(1, 2) == -3
     assert f.eval(2, 1) == 3
     assert f.eval(1, 1) == 0
+    # a read with the wrong number of indices never reads another degree's table
+    for indices in ((1,), (1, 2, 3)):
+        with pytest.raises(DegreeError):
+            f.eval(*indices)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_dense_matches_eval_at_every_index(n):
+    rng = random.Random(n)
+    for p in range(n + 1):
+        if n ** p > 4096:
+            break
+        size = len(list(combinations(range(1, n + 1), p)))
+        small = np.array([[[rng.randint(-9, 9) for _ in range(size)] for _ in range(3)]
+                          for _ in range(2)], dtype=np.int64)
+        big = np.array([[rng.choice((-1, 1)) * rng.randint(2 ** 63, 2 ** 70)
+                         for _ in range(size)] for _ in range(2)], dtype=object)
+        for coefficients in (small, big):
+            out = dense(coefficients, n, p)
+            assert out.dtype == coefficients.dtype
+            assert out.shape == coefficients.shape[:-1] + (n,) * p
+            for lead in np.ndindex(coefficients.shape[:-1]):
+                form = Form.of_numerators(n, p, coefficients[lead].tolist())
+                for ix in np.ndindex((n,) * p):
+                    assert out[lead + ix] == form.eval(*(i + 1 for i in ix))
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +240,7 @@ def test_dense_tables_match_sparse_reference(data, n):
                 == ref.derivation(ta, lambda m: images[m - 1]))
     if p == 3:
         assert sigma_t(a).terms == ref.sigma_t(ta, n)
+        assert sigma_t_quadratic(a).terms == ref.sigma_t(ta, n)
     # every result is reduced, so equal forms have equal numerators
     for r in (wedge(a, b), interior(x, a), hodge(a), a + c, a - c, a * Q(2, 3)):
         assert r.den > 0 and gcd(r.den, *r.num) == 1
