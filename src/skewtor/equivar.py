@@ -3,8 +3,14 @@
 Everything is assembled in explicit integer coordinates:
   * the stabilizer algebra g as the 2-forms orthogonal to the seven e_i -| w3,
     orthogonalized over the rationals;
+  * every module as one kind of data, a stack of mutually orthogonal integer
+    unit tensors (the unit blades of Lambda^p, the symmetric units of S^2,
+    the e_k -| w3 of m, the basis of g); a generator acts on each by one slot
+    sum of its 2-tensor and is read back by projection, and R^7 (x) V is the
+    Kronecker sum of the actions on R^7 and V;
   * the equivariant maps Phi (from R^7 (x) g) and Psi (from R^7 (x) m) into
-    R^7 (x) S^2(R^7)), as integer matrices with exact rank certificates;
+    R^7 (x) S^2(R^7)), both `_symmetrized`, as integer matrices with exact
+    rank certificates;
   * the Casimir operator of each relevant module with certified eigenspace
     dimensions (mod-p ranks promoted by an annihilation certificate plus the
     dimension count, never trusted raw).
@@ -15,14 +21,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from types import MappingProxyType
 
 import numpy as np
 
 from .errors import StructureError
-from .forms import (Form, all_blades, common_denominator, contract, dense, derivation, inner,
-                    interior, so_action, wedge)
+from .forms import (Form, common_denominator, contract, dense, inner, interior, so_action,
+                    wedge)
 from .g2 import _projectors, canonical_omega3, project3, spanning_27
 from .linalg import (Tensor, certified_eigenspace_dims, certify_annihilation,
                      int_abs_max, int_matmul, krylov_min_poly, nullspace, rank,
@@ -45,7 +51,7 @@ class G2Algebra:
         raw = [Form.of_numerators(7, 2, v) for v in kernel.num]
         self.basis = _orthogonalize(raw)
         self.norms = [inner(x, x) for x in self.basis]
-        self.endos = np.stack([_int_endo(x) for x in self.basis])
+        self.units = _units_of(self.basis)
         if any(not so_action(x, w3).is_zero() for x in self.basis):
             raise StructureError("stabilizer basis does not annihilate the 3-form")
 
@@ -62,8 +68,7 @@ class G2Algebra:
         """For each pair a < b of basis elements, whether [xi_a, xi_b] lies in the algebra."""
         out = []
         for a in range(14):
-            closed = _ad_action(self.endos[a], self.endos, self.norms)[2]
-            out.extend(closed[a + 1:])
+            out.extend(_module_action(self.units[a], self.units)[2][a + 1:])
         return out
 
 
@@ -81,61 +86,37 @@ def _orthogonalize(forms):
 
 
 # ---------------------------------------------------------------------------
-# module actions as integer matrices
+# modules as stacks of orthogonal integer unit tensors
 # ---------------------------------------------------------------------------
-
-def _int_endo(alpha: Form):
-    """The matrix A with A e_u = sum_v alpha(u, v) e_v of an integral 2-form, as int64."""
-    if alpha.den != 1:
-        raise StructureError("generator 2-form has a non-integral coefficient")
-    return Tensor.of_form(alpha).num.T.astype(np.int64)
-
-
-def _form_action(xi, degree):
-    """so_action of an integral generator 2-form on the degree-p forms, as an int64 matrix.
-
-    Column c is the derivation image of blade c, with the images e_m -| xi
-    computed once.
-    """
-    images = [contract(xi, m) for m in range(1, 8)]
-    columns = [derivation(Form.blade(7, *b), 1, lambda m: images[m - 1]).num
-               for b in all_blades(7, degree)]
-    return np.array(columns, dtype=np.int64).T
-
 
 _S2_ROWS = np.array([y - 1 for y, _ in S2_PAIRS])
 _S2_COLS = np.array([z - 1 for _, z in S2_PAIRS])
 
 
-def _s2_action(a):
-    """W -> a W + W a^T on symmetric bilinear forms, in value coordinates.
+def _units_of(forms):
+    """The dense tensors of integral forms of one degree, stacked as int64: [c, i1, .., ip]."""
+    return dense(np.stack([f.num for f in forms]).astype(np.int64), 7, forms[0].degree)
 
-    Coordinates are the values W(e_y, e_z) for y <= z; the basis element of
-    the pair (u, v) is the symmetric W with W[u][v] = W[v][u] = 1, matching
-    the row convention of the equivariant map matrices.
+
+def _module_action(alpha, units):
+    """A generator's action on the span of mutually orthogonal integer unit tensors U[c].
+
+    alpha is the generator's dense 2-tensor, applied in every slot as the
+    so_action derivation e^m -> sum_k alpha(m, k) e^k.  The coefficient of
+    the image of U[c] on U[j] is its projection <image_c, U_j> / |U_j|^2.
+    Returns (rho, d, closed): rho / d is the action on the coefficients,
+    with d their least common denominator, and closed[c] says whether the
+    image of U[c] lies in the span.
     """
-    w = np.zeros((len(S2_PAIRS), 7, 7), dtype=np.int64)
-    w[np.arange(len(S2_PAIRS)), _S2_ROWS, _S2_COLS] = 1
-    w[np.arange(len(S2_PAIRS)), _S2_COLS, _S2_ROWS] = 1
-    image = int_matmul(a, w) + int_matmul(w, a.T)
-    return image[:, _S2_ROWS, _S2_COLS].T
-
-
-def _ad_action(a, basis, norms):
-    """ad_a on the span of an orthogonal basis of skew matrices.
-
-    The 2-form inner product is half the entrywise product of the matrices,
-    so the coefficient of [a, X_c] on X_j is <[a, X_c], X_j>_F / (2 |X_j|^2).
-    Returns (rho, d, closed): rho / d is the action on the projections, and
-    closed[c] says whether [a, X_c] equals its projection, i.e. lies in the span.
-    """
-    comm = int_matmul(a, basis) - int_matmul(basis, a)
-    num = np.einsum("cuv,juv->jc", comm, basis)
-    den = np.array([[2 * int(norm)] for norm in norms], dtype=np.int64)
+    image = sum(np.moveaxis(int_matmul(np.moveaxis(units, s, -1), alpha), -1, s)
+                for s in range(1, units.ndim))
+    flat, image = units.reshape(len(units), -1), image.reshape(len(units), -1)
+    num = int_matmul(flat, image.T)
+    den = (flat * flat).sum(axis=1, keepdims=True)
     g = np.gcd(num, den)
     d = int(np.lcm.reduce((den // g).ravel()))
     rho = (num // g) * (d // (den // g))
-    closed = (np.einsum("jc,juv->cuv", rho, basis) == d * comm).all(axis=(1, 2))
+    closed = (int_matmul(rho.T, flat) == d * image).all(axis=1)
     return rho, d, closed.tolist()
 
 
@@ -146,33 +127,33 @@ def _tensor_action(a, rho, d):
 
 
 class Spaces:
-    """Lazily assembled integer action matrices for every module in play."""
+    """Every module in play as its unit tensors, with lazily assembled integer actions.
+
+    `units` maps lambda1..lambda4 (the unit blades), s2 (the symmetric units
+    of `S2_PAIRS`), m (the e_k -| w3) and g2 (the algebra basis) to their
+    stacked dense tensors; the space r7_V is R^7 (x) V.
+    """
 
     def __init__(self):
         self.algebra = G2Algebra()
         self.w3 = canonical_omega3()
         self.m_basis = [contract(self.w3, i) for i in range(1, 8)]
-        self.m_endos = np.stack([_int_endo(mu) for mu in self.m_basis])
-        self.m_norms = [inner(mu, mu) for mu in self.m_basis]
+        s2, r = np.zeros((len(S2_PAIRS), 7, 7), dtype=np.int64), np.arange(len(S2_PAIRS))
+        s2[r, _S2_ROWS, _S2_COLS] = s2[r, _S2_COLS, _S2_ROWS] = 1
+        self.units = {f"lambda{p}": dense(np.eye(comb(7, p), dtype=np.int64), 7, p)
+                      for p in range(1, 5)}
+        self.units.update(s2=s2, m=_units_of(self.m_basis), g2=self.algebra.units)
         self._cache = {}
 
     def _action(self, space: str, k: int):
         """Action of the k-th algebra basis element, as (rho, d)."""
-        a = self.algebra.endos[k]
-        if space == "lambda1":
-            return a, 1
-        if space in ("lambda2", "lambda3", "lambda4"):
-            return _form_action(self.algebra.basis[k], int(space[-1])), 1
-        if space == "r7_s2":
-            return _tensor_action(a, _s2_action(a), 1), 1
-        if space in ("r7_m", "r7_g2"):
-            basis, norms = ((self.m_endos, self.m_norms) if space == "r7_m"
-                            else (self.algebra.endos, self.algebra.norms))
-            rho, d, closed = _ad_action(a, basis, norms)
-            if not all(closed):
-                raise StructureError("bracket left the module")
-            return _tensor_action(a, rho, d), d
-        raise KeyError(f"unknown space '{space}'")
+        alpha, module = self.algebra.units[k], space.removeprefix("r7_")
+        rho, d, closed = _module_action(alpha, self.units[module])
+        if not all(closed):
+            raise StructureError("the action left the module")
+        if module != space:
+            rho = _tensor_action(_module_action(alpha, self.units["lambda1"])[0], rho, d)
+        return rho, d
 
     def generators(self, space: str):
         """The actions of the 14 basis elements on a module, built one at a time.
@@ -346,28 +327,26 @@ def casimir_decompose(space: str) -> IsotypicReport:
 # the equivariant maps and their rank certificates
 # ---------------------------------------------------------------------------
 
-def _map_matrix(endos):
-    """196 x 7k integer matrix with columns e^i (x) X_c and rows (x, y <= z).
+def _map_matrix(forms):
+    """196 x 7k integer matrix of e^i (x) X_c -> p_z(x, y) + p_y(x, z), p_k = [k = i] X_c.
 
-    The entry is X_c(x, y) [z = i] + X_c(x, z) [y = i], for the k skew
-    matrices X_c = _int_endo(.) stacked in `endos`.
+    The columns are e^i (x) X_c (e^i outer) for the k integral 2-forms X_c,
+    and the rows the value coordinates (x, y <= z).
     """
-    values = endos.transpose(0, 2, 1)  # values[c, x, y] = X_c(x, y)
-    out = np.zeros((7, len(S2_PAIRS), 7, len(endos)), dtype=np.int64)
-    for r, (y, z) in enumerate(S2_PAIRS):
-        out[:, r, z - 1, :] += values[:, :, y - 1].T
-        out[:, r, y - 1, :] += values[:, :, z - 1].T
-    return out.reshape(7 * len(S2_PAIRS), 7 * len(endos))
+    coeffs = np.zeros((7, len(forms), 7, comb(7, 2)), dtype=object)
+    coeffs[np.arange(7), :, np.arange(7)] = np.stack([f.num for f in forms])
+    values = _symmetrized(Tensor(coeffs.reshape(7 * len(forms), 7, -1))).num
+    return values[:, :, _S2_ROWS, _S2_COLS].reshape(7 * len(forms), -1).T.astype(np.int64)
 
 
 def phi_matrix():
     """Phi as a 196 x 98 integer matrix; columns e^i (x) xi_a, rows (x, y<=z)."""
-    return _map_matrix(spaces().algebra.endos)
+    return _map_matrix(spaces().algebra.basis)
 
 
 def psi_matrix():
     """Psi as a 196 x 49 integer matrix; columns e^i (x) (e_k -| w3)."""
-    return _map_matrix(spaces().m_endos)
+    return _map_matrix(spaces().m_basis)
 
 
 def isotypic_basis_r7_m(label: str):

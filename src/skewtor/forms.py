@@ -68,12 +68,18 @@ def _locate(n, indices):
     return _sign_position(n, indices)
 
 
+def _mask(blade):
+    return sum(1 << i for i in blade)
+
+
 @lru_cache(maxsize=None)
 def _wedge_table(n, p, q):
-    """Per p-blade a: the (q-blade b, (p+q)-blade, sign bit) of every a ^ b != 0."""
-    return tuple(tuple((ib, pos, sign < 0) for ib, b in enumerate(_blades(n, q))
-                       for sign, pos in [_sign_position(n, a + b)] if sign)
-                 for a in _blades(n, p))
+    """Per p-blade a: the (q-blade b, (p+q)-blade, sign bit) of every a ^ b != 0,
+    that is of every b whose bitmask is disjoint from a's."""
+    right = [(ib, b, _mask(b)) for ib, b in enumerate(_blades(n, q))]
+    return tuple(tuple((ib, pos, sign < 0) for ib, b, mb in right if not ma & mb
+                       for sign, pos in [_sign_position(n, a + b)])
+                 for a, ma in zip(_blades(n, p), map(_mask, _blades(n, p))))
 
 
 @lru_cache(maxsize=None)

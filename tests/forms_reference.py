@@ -7,6 +7,7 @@ Indices are 1-based, as in the program.
 """
 
 from fractions import Fraction as Q
+from itertools import combinations
 
 
 def merge_sign(left, right):
@@ -30,6 +31,16 @@ def merge_sign(left, right):
     merged.extend(left[i:])
     merged.extend(right[j:])
     return sign, tuple(merged)
+
+
+def wedge_table(n, p, q):
+    """`skewtor.forms._wedge_table` from all C(n, p) C(n, q) pairs of blades: per
+    p-blade a, the (q-blade, (p+q)-blade, sign bit) of every a ^ b != 0, by index."""
+    index = {b: k for k, b in enumerate(combinations(range(1, n + 1), p + q))}
+    return tuple(tuple((ib, index[merged], sign < 0)
+                       for ib, b in enumerate(combinations(range(1, n + 1), q))
+                       for sign, merged in [merge_sign(a, b)] if sign)
+                 for a in combinations(range(1, n + 1), p))
 
 
 def _add(terms, blade, c):

@@ -16,6 +16,7 @@ from skewtor.errors import StructureError
 from skewtor.g2 import canonical_omega3
 from skewtor.linalg import Tensor, rank_mod_p, _PRIMES
 
+import equivar_reference
 from cq_reference import poly_mul
 
 
@@ -237,6 +238,35 @@ def test_form_casimirs_match_so_action_assembly(sp, degree):
                 total[i][j] += Q(sq[i][j]) / norm
     cmat, scale = sp.casimir(f"lambda{degree}")
     assert [[Q(x, scale) for x in row] for row in cmat] == total
+
+
+@pytest.mark.parametrize("target", SPACES + ("closure", "phi", "psi"))
+def test_engine_matches_loop_reference(sp, target):
+    # every action, in order, with its denominator, the closure flags and the
+    # two maps equal the per-module loop constructions exactly
+    basis = sp.algebra.basis
+    if target == "closure":
+        assert sp.algebra.closure_residuals() == equivar_reference.closure_residuals(basis)
+    elif target in ("phi", "psi"):
+        got = phi_matrix() if target == "phi" else psi_matrix()
+        want = equivar_reference.map_matrix(basis if target == "phi" else sp.m_basis)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+    else:
+        got = list(sp.generators(target))
+        want = equivar_reference.generators(target, basis, sp.m_basis)
+        assert len(got) == len(want) == 14
+        for (rho, d), (ref_rho, ref_d) in zip(got, want):
+            assert d == ref_d and rho.dtype == np.int64 and np.array_equal(rho, ref_rho)
+
+
+def test_action_outside_the_module_is_refused(sp, monkeypatch):
+    # seven unit blades of Lambda^2 span no submodule: the closure flags say
+    # so, and an r7 module built on them raises
+    part = sp.units["lambda2"][:7]
+    assert not all(equivar._module_action(sp.algebra.units[0], part)[2])
+    monkeypatch.setitem(sp.units, "m", part)
+    with pytest.raises(StructureError, match="left the module"):
+        list(sp.generators("r7_m"))
 
 
 def test_full_column_rank_certificate_falls_back_to_exact_rank():

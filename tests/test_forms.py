@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 import forms_reference as ref
 from skewtor.errors import DegreeError, DimensionMismatch
 from skewtor.formexpr import render_form
-from skewtor.forms import (Form, contract, dense, derivation, hodge, inner, interior,
-                           random_form, sigma_t, sigma_t_quadratic, so_action,
+from skewtor.forms import (Form, _wedge_table, contract, dense, derivation, hodge, inner,
+                           interior, random_form, sigma_t, sigma_t_quadratic, so_action,
                            volume_form, wedge)
 from skewtor.g2 import canonical_omega3
 
@@ -183,6 +183,14 @@ def test_dense_matches_eval_at_every_index(n):
                 form = Form.of_numerators(n, p, coefficients[lead].tolist())
                 for ix in np.ndindex((n,) * p):
                     assert out[lead + ix] == form.eval(*(i + 1 for i in ix))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_wedge_table_matches_all_pairs_reference(n):
+    # the disjointness filter drops exactly the pairs whose wedge vanishes
+    for p in range(n + 1):
+        for q in range(n + 1):
+            assert _wedge_table(n, p, q) == ref.wedge_table(n, p, q), (p, q)
 
 
 # ---------------------------------------------------------------------------
