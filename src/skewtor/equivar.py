@@ -13,12 +13,15 @@ Everything is assembled in explicit integer coordinates:
     rank certificates;
   * the Casimir operator of each relevant module with certified eigenspace
     dimensions (mod-p ranks promoted by an annihilation certificate plus the
-    dimension count, never trusted raw).
+    dimension count, never trusted raw), its roots read from the Krylov
+    minimal polynomials of a fixed ramp and then of the unit vectors.
+
+`Spaces` builds the actions on each base module, Phi, Psi, every Casimir and
+the calibration once, and hands them out read-only.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, lcm
@@ -126,12 +129,18 @@ def _tensor_action(a, rho, d):
         + np.kron(np.eye(len(a), dtype=np.int64), rho)
 
 
+def _read_only(array):
+    array.flags.writeable = False
+    return array
+
+
 class Spaces:
     """Every module in play as its unit tensors, with lazily assembled integer actions.
 
     `units` maps lambda1..lambda4 (the unit blades), s2 (the symmetric units
     of `S2_PAIRS`), m (the e_k -| w3) and g2 (the algebra basis) to their
-    stacked dense tensors; the space r7_V is R^7 (x) V.
+    stacked dense tensors; these are the base modules, and the space r7_V is
+    R^7 (x) V.
     """
 
     def __init__(self):
@@ -143,26 +152,30 @@ class Spaces:
         self.units = {f"lambda{p}": dense(np.eye(comb(7, p), dtype=np.int64), 7, p)
                       for p in range(1, 5)}
         self.units.update(s2=s2, m=_units_of(self.m_basis), g2=self.algebra.units)
-        self._cache = {}
+        self._tables, self._cache = {}, {}
 
-    def _action(self, space: str, k: int):
-        """Action of the k-th algebra basis element, as (rho, d)."""
-        alpha, module = self.algebra.units[k], space.removeprefix("r7_")
-        rho, d, closed = _module_action(alpha, self.units[module])
-        if not all(closed):
-            raise StructureError("the action left the module")
-        if module != space:
-            rho = _tensor_action(_module_action(alpha, self.units["lambda1"])[0], rho, d)
-        return rho, d
+    def _table(self, module: str):
+        """The 14 actions (rho, d) on a base module, built and checked for closure once."""
+        if module not in self._tables:
+            actions = [_module_action(alpha, self.units[module]) for alpha in self.algebra.units]
+            if not all(all(closed) for _, _, closed in actions):
+                raise StructureError("the action left the module")
+            self._tables[module] = [(_read_only(rho), d) for rho, d, _ in actions]
+        return self._tables[module]
 
     def generators(self, space: str):
-        """The actions of the 14 basis elements on a module, built one at a time.
+        """The actions of the 14 basis elements on a module, in basis order.
 
         Yields (rho, d) with rho an int64 matrix; the action is rho / d, with
-        d the least common denominator of its entries.
+        d the least common denominator of its entries: the cached table of a
+        base module, or on r7_V the Kronecker sums of the R^7 and V tables.
         """
-        for k in range(len(self.algebra.basis)):
-            yield self._action(space, k)
+        module = space.removeprefix("r7_")
+        if module == space:
+            yield from self._table(module)
+            return
+        for (a, _), (rho, d) in zip(self._table("lambda1"), self._table(module)):
+            yield _tensor_action(a, rho, d), d
 
     def casimir(self, space: str):
         """Integer matrix C' = L * Casimir plus the exact scale L.
@@ -185,9 +198,18 @@ class Spaces:
                 total, sq = total.astype(object), sq.astype(object)
             total = total * k + sq * f
             scale = grown
-        total.flags.writeable = False
-        self._cache[space] = (total, scale)
+        self._cache[space] = (_read_only(total), scale)
         return self._cache[space]
+
+    @cached_property
+    def phi(self):
+        """Phi as a read-only 196 x 98 int64 matrix; columns e^i (x) xi_a, rows (x, y<=z)."""
+        return _read_only(_map_matrix(self.algebra.basis))
+
+    @cached_property
+    def psi(self):
+        """Psi as a read-only 196 x 49 int64 matrix; columns e^i (x) (e_k -| w3)."""
+        return _read_only(_map_matrix(self.m_basis))
 
     @cached_property
     def calibration(self):
@@ -236,21 +258,6 @@ def spaces() -> Spaces:
 IRREP_DIMS = {"1": 1, "7": 7, "14": 14, "27": 27, "64": 64, "77": 77}
 
 
-class IsotypicReport:
-    def __init__(self, space, entries, scale):
-        self.space = space
-        self.entries = entries  # list of (eigenvalue Fraction, dimension, label, multiplicity)
-        self.scale = scale
-
-    def dims_by_label(self):
-        return {label: (dim, mult) for _, dim, label, mult in self.entries}
-
-    def __repr__(self):
-        body = ", ".join(f"{label}:dim {dim} (x{mult}, c={val})"
-                         for val, dim, label, mult in self.entries)
-        return f"IsotypicReport({self.space}: {body})"
-
-
 def _eigen_scalar(matrix, vec):
     """The eigenvalue of an integer matrix on a nonzero probe vector (both Tensors)."""
     image = Tensor.einsum("ij,j->i", matrix, vec)
@@ -262,65 +269,53 @@ def _eigen_scalar(matrix, vec):
 
 
 def casimir_spectrum(space: str):
-    """Certified (eigenvalue, dimension) pairs of the Casimir on a module."""
-    sp = spaces()
-    cmat, scale = sp.casimir(space)
+    """Certified (eigenvalue, dimension) pairs of the Casimir on a module, with its scale.
+
+    The Krylov minimal polynomials of the ramp (1, 2, .., n), then of e_1 ..
+    e_n, must split over Z into simple roots (else the search is refused),
+    and each time their roots grow the annihilation certificate is tried.
+    The unit vectors span the module, so the search always ends.
+    """
+    cmat, scale = spaces().casimir(space)
     n = len(cmat)
-
-    def matvec(v):
-        return int_matmul(cmat, v).tolist()
-
-    # with simple integral roots, the lcm of the vectors' minimal polynomials
-    # has the union of their roots; each new vector can only add roots
-    rng = random.Random(20240811)
     roots = set()
-    for _ in range(12):
-        v = [rng.randint(1, 9) for _ in range(n)]
-        poly = krylov_min_poly(matvec, v)
-        # integral roots make a monic polynomial integral
-        integral = all(c.denominator == 1 for c in poly)
-        pairs, residual = rational_roots([int(c) for c in poly], 1) if integral else ([], poly)
+    for v in [list(range(1, n + 1))] + np.eye(n, dtype=np.int64).tolist():
+        pairs, residual = rational_roots(krylov_min_poly(cmat, v), 1)
         if residual is not None or any(m > 1 for _, m in pairs):
-            # not diagonalizable over Q with integral eigenvalues
             raise StructureError("Casimir minimal polynomial does not split over Z "
                                  "into simple roots")
-        roots.update(int(r) for r, _ in pairs)
-        if certify_annihilation(cmat, sorted(roots)):
-            break
+        grown = roots | {int(r) for r, _ in pairs}
+        if grown != roots:
+            roots = grown
+            if certify_annihilation(cmat, sorted(roots)):
+                break
     else:
         raise StructureError("minimal polynomial candidate failed certification")
     roots = sorted(roots)
     dims = certified_eigenspace_dims(cmat, roots)
-    return sorted(((Q(r, scale), d) for r, d in zip(roots, dims) if d),
-                  key=lambda p: p[0]), scale
+    return [(Q(r, scale), d) for r, d in zip(roots, dims) if d], scale
 
 
-def casimir_decompose(space: str) -> IsotypicReport:
-    """Isotypic decomposition with irreducibles identified by calibrated scalars.
+def casimir_decompose(space: str) -> dict:
+    """Isotypic decomposition {label: (dim, multiplicity)}, in increasing Casimir eigenvalue.
 
-    Unmatched eigenvalues are attributed to the 64- or 77-dimensional modules
-    purely by dimension count; anything else raises.
+    A block is the isotypic part of the irreducible whose calibrated scalar
+    is its eigenvalue, when that irreducible's dimension divides the block's;
+    otherwise a block of dimension 64 or 77 is that module, by dimension
+    count alone.  Any other block raises.
     """
-    pairs, scale = casimir_spectrum(space)
-    calib = spaces().calibration
-    by_value = {v: k for k, v in calib.items()}
-    entries = []
-    leftovers = []
-    for value, dim in pairs:
+    by_value = {v: k for k, v in spaces().calibration.items()}
+    out = {}
+    for value, dim in casimir_spectrum(space)[0]:
         label = by_value.get(value)
         if label is not None and dim % IRREP_DIMS[label] == 0:
-            entries.append((value, dim, label, dim // IRREP_DIMS[label]))
+            out[label] = (dim, dim // IRREP_DIMS[label])
+        elif dim in (64, 77):
+            out[str(dim)] = (dim, 1)
         else:
-            leftovers.append((value, dim))
-    for value, dim in leftovers:
-        if dim in (64, 77):
-            entries.append((value, dim, str(dim), 1))
-        else:
-            entries.append((value, dim, "UNMATCHED", 0))
-    entries.sort()
-    if any(label == "UNMATCHED" for _, _, label, _ in entries):
-        raise StructureError(f"unmatched isotypic block in {space}: {entries}")
-    return IsotypicReport(space, entries, scale)
+            raise StructureError(f"unmatched isotypic block in {space}: "
+                                 f"eigenvalue {value}, dimension {dim}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +335,13 @@ def _map_matrix(forms):
 
 
 def phi_matrix():
-    """Phi as a 196 x 98 integer matrix; columns e^i (x) xi_a, rows (x, y<=z)."""
-    return _map_matrix(spaces().algebra.basis)
+    """Phi as a read-only 196 x 98 int64 matrix, built once per `Spaces`."""
+    return spaces().phi
 
 
 def psi_matrix():
-    """Psi as a 196 x 49 integer matrix; columns e^i (x) (e_k -| w3)."""
-    return _map_matrix(spaces().m_basis)
+    """Psi as a read-only 196 x 49 int64 matrix, built once per `Spaces`."""
+    return spaces().psi
 
 
 def isotypic_basis_r7_m(label: str):

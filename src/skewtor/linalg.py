@@ -414,8 +414,8 @@ class _PrimePool:
 
     Indexing, slicing and iteration sieve only as far as they read, so
     nothing is computed at import.  The first twelve (2097143 down to
-    2096993) are the primes that `krylov_min_poly`,
-    `certified_eigenspace_dims` and `equivar` try.
+    2096993) are the primes that `certified_eigenspace_dims` and `equivar`
+    try.
     """
 
     _BLOCK = 1 << 12
@@ -538,26 +538,26 @@ def int_abs_max(a):
     return max(1, int(np.abs(a).max())) if a.size else 1
 
 
-def krylov_min_poly(matvec, v):
-    """Monic minimal polynomial of the integer vector v under an integer operator.
+def krylov_min_poly(matrix, v):
+    """Monic minimal polynomial of the integer vector v under an integer matrix A, highest first.
 
-    Returns Fraction coefficients (highest first).  It divides the operator's
-    minimal polynomial; equality must be certified separately.  Dependence
-    detection runs mod p; the dependence itself is solved exactly over all
-    rows, so a bad prime only costs extra iterations.
+    The stack [v, Av, A^2 v, ..] doubles (up to n + 1 vectors) until its
+    exact kernel is nonzero.  The first kernel vector c is that of the first
+    A^k v that depends on the vectors before it: zero beyond k, it gives the
+    polynomial sum_j c_j x^j / c_k.  Doubling takes log k eliminations, not
+    k, which matters when k is large.  The polynomial is a monic factor of
+    A's integral characteristic polynomial, so by Gauss's lemma its
+    coefficients are integers: they are returned as Python ints.  It divides
+    A's minimal polynomial; equality must be certified separately.
     """
-    p = _PRIMES[0]
-    vecs = [list(v)]
-    while len(vecs) <= len(v) + 1:
-        vecs.append(matvec(vecs[-1]))
-        if rank_mod_p(vecs, p) == len(vecs):
-            continue
-        # dependence suspected: solve sum c_j v_j = -v_last exactly (over all rows)
-        lead = Tensor(np.array(vecs[:-1], dtype=object).T)
-        sol = solve(lead, Tensor(-np.array(vecs[-1:], dtype=object)))[0]
-        if sol is not None:
-            return [Q(1)] + [sol[j] for j in range(len(vecs) - 2, -1, -1)]
-    raise RuntimeError("krylov failed to terminate")
+    a, vecs = np.asarray(matrix), [np.asarray(v)]
+    while True:
+        kernel = nullspace(Tensor(np.stack(vecs, axis=1)))
+        if len(kernel):
+            c = np.trim_zeros(kernel.num[0], "b")
+            return [int(x // c[-1]) for x in c[::-1]]
+        for _ in range(min(len(vecs), len(v) + 1 - len(vecs))):
+            vecs.append(int_matmul(a, vecs[-1]))
 
 
 def certify_annihilation(int_matrix, int_roots):

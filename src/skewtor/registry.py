@@ -17,15 +17,20 @@ from .liegeom import LieModel
 Q = Fraction
 
 
+def _rotation(n: int, planes):
+    """Column-action matrix with e_a -> -e_b and e_b -> e_a on each plane (a, b), 1-based."""
+    m = [[Q(0)] * n for _ in range(n)]
+    for a, b in planes:
+        m[b - 1][a - 1], m[a - 1][b - 1] = Q(-1), Q(1)
+    return m
+
+
 def standard_j_matrix(n: int):
-    """Block-diagonal complex structure J e_{2k-1} = e_{2k} (columns)."""
-    j = [[Q(0)] * n for _ in range(n)]
-    for k in range(0, n, 2):
-        # J e_{k+1} = -e_{k+2}, J e_{k+2} = e_{k+1}: the Kaehler form
-        # Omega(X,Y) = g(X, JY) is then e_{k+1} ^ e_{k+2} on each plane
-        j[k + 1][k] = Q(-1)
-        j[k][k + 1] = Q(1)
-    return j
+    """Block-diagonal complex structure J e_{2k-1} = -e_{2k}, J e_{2k} = e_{2k-1} (columns).
+
+    The Kaehler form Omega(X,Y) = g(X, JY) is then e_{2k-1} ^ e_{2k} on each plane.
+    """
+    return _rotation(n, [(k, k + 1) for k in range(1, n, 2)])
 
 
 def standard_phi_matrix(n: int):
@@ -34,11 +39,7 @@ def standard_phi_matrix(n: int):
     Oriented so the fundamental form g(., phi .) is e1^e2 + e3^e4 + ...,
     matching the d(eta) = 2(e1^e2 + e3^e4) normalization of the fixtures.
     """
-    phi = [[Q(0)] * n for _ in range(n)]
-    for k in range(0, n - 1, 2):
-        phi[k + 1][k] = Q(-1)
-        phi[k][k + 1] = Q(1)
-    return phi
+    return _rotation(n, [(k, k + 1) for k in range(1, n - 1, 2)])
 
 
 def _standard_contact(model: LieModel) -> AlmostContact:
@@ -124,10 +125,7 @@ def build_registry():
         {}, {}, {},
         {(1, 2): 1},
     ]), name="kt4")
-    reg["kt4"] = ModelEntry(kt4, AlmostHermitian(kt4, [[Q(0), Q(0), Q(1), Q(0)],
-                                                       [Q(0), Q(0), Q(0), Q(1)],
-                                                       [Q(-1), Q(0), Q(0), Q(0)],
-                                                       [Q(0), Q(-1), Q(0), Q(0)]]),
+    reg["kt4"] = ModelEntry(kt4, AlmostHermitian(kt4, _rotation(4, [(1, 3), (2, 4)])),
                             notes="almost-Kaehler non-Kaehler error fixture")
 
     # rank-one solvable extension: de_i = e_i ^ e7; its characteristic torsion
@@ -161,23 +159,17 @@ def build_registry():
         {(2, 3): -2}, {(1, 3): 2}, {(1, 2): -2},
         {(5, 6): -2}, {(4, 6): 2}, {(4, 5): -2},
     ]), name="su2su2")
-    j_swap = [[Q(0)] * 6 for _ in range(6)]
-    for k in range(3):
-        j_swap[k + 3][k] = Q(1)
-        j_swap[k][k + 3] = Q(-1)
-    reg["su2su2"] = ModelEntry(su2su2, AlmostHermitian(su2su2, j_swap),
+    # J e_k = e_{k+3}, J e_{k+3} = -e_k
+    swap = [(k + 3, k) for k in range(1, 4)]
+    reg["su2su2"] = ModelEntry(su2su2, AlmostHermitian(su2su2, _rotation(6, swap)),
                                notes="non-integrable skew-Nijenhuis fixture")
 
     su2su2xr = LieModel(7, _forms(7, [
         {(2, 3): -2}, {(1, 3): 2}, {(1, 2): -2},
         {(5, 6): -2}, {(4, 6): 2}, {(4, 5): -2}, {},
     ]), name="su2su2xr")
-    phi_swap = [[Q(0)] * 7 for _ in range(7)]
-    for k in range(3):
-        phi_swap[k + 3][k] = Q(1)
-        phi_swap[k][k + 3] = Q(-1)
     reg["su2su2xr"] = ModelEntry(
-        su2su2xr, AlmostContact(su2su2xr, 7, phi_swap),
+        su2su2xr, AlmostContact(su2su2xr, 7, _rotation(7, swap)),
         notes="skew nonzero Nijenhuis contact fixture")
 
     # 6-dim solvable complex group N^6 with its integrable J (G_1 hermitian)

@@ -122,11 +122,11 @@ def test_c06_equivariant_machinery():
     assert rc["psi-14-dimension"] and rc["images-meet-trivially"]
     assert rc["scalar-image-contained"] and rc["traceless-image-contained"]
     assert equivar.sigma0_constant() == Q(2, 3)
-    assert equivar.casimir_decompose("r7_m").dims_by_label() == \
+    assert equivar.casimir_decompose("r7_m") == \
         {"1": (1, 1), "7": (7, 1), "14": (14, 1), "27": (27, 1)}
-    assert equivar.casimir_decompose("r7_g2").dims_by_label() == \
+    assert equivar.casimir_decompose("r7_g2") == \
         {"7": (7, 1), "27": (27, 1), "64": (64, 1)}
-    assert equivar.casimir_decompose("r7_s2").dims_by_label() == \
+    assert equivar.casimir_decompose("r7_s2") == \
         {"7": (14, 2), "14": (14, 1), "27": (27, 1), "64": (64, 1), "77": (77, 1)}
     _line(6, "rank 98 injectivity, trivial 14-intersection, 2/3 constant, "
              "three isotypic lists")

@@ -83,17 +83,17 @@ def test_calibration_values(sp):
 
 
 def test_casimir_spectra_and_decompositions():
-    assert casimir_decompose("lambda2").dims_by_label() == \
+    assert casimir_decompose("lambda2") == \
         {"7": (7, 1), "14": (14, 1)}
-    assert casimir_decompose("lambda3").dims_by_label() == \
+    assert casimir_decompose("lambda3") == \
         {"1": (1, 1), "7": (7, 1), "27": (27, 1)}
-    assert casimir_decompose("lambda4").dims_by_label() == \
+    assert casimir_decompose("lambda4") == \
         {"1": (1, 1), "7": (7, 1), "27": (27, 1)}
-    assert casimir_decompose("r7_m").dims_by_label() == \
+    assert casimir_decompose("r7_m") == \
         {"1": (1, 1), "7": (7, 1), "14": (14, 1), "27": (27, 1)}
-    assert casimir_decompose("r7_g2").dims_by_label() == \
+    assert casimir_decompose("r7_g2") == \
         {"7": (7, 1), "27": (27, 1), "64": (64, 1)}
-    assert casimir_decompose("r7_s2").dims_by_label() == \
+    assert casimir_decompose("r7_s2") == \
         {"7": (14, 2), "14": (14, 1), "27": (27, 1), "64": (64, 1), "77": (77, 1)}
 
 
@@ -109,17 +109,17 @@ def test_casimir_spectrum_refuses_all_but_simple_integral_roots(sp, monkeypatch)
     # the lambda1 Casimir is lam Id, so (x - lam) f annihilates it for every
     # f: only the root guard, not the certificate, can refuse a candidate
     cmat, scale = sp.casimir("lambda1")
-    lam = cmat[0][0]
-    root = [Q(1), Q(-lam)]
+    lam = int(cmat[0][0])
+    root = [1, -lam]
 
     def spectrum(f):
         poly = poly_mul(root, f)
-        monkeypatch.setattr(equivar, "krylov_min_poly", lambda matvec, v: poly)
+        monkeypatch.setattr(equivar, "krylov_min_poly", lambda matrix, v: poly)
         return casimir_spectrum("lambda1")
 
-    assert spectrum([Q(1), Q(0)])[0] == [(Q(lam, scale), 7)]
-    # a repeated root, a non-integral root, an irreducible factor
-    for f in (root, [Q(1), Q(-1, 2)], [Q(1), Q(0), Q(1)]):
+    assert spectrum([1, 0])[0] == [(Q(lam, scale), 7)]
+    # a repeated root, an irreducible factor
+    for f in (root, [1, 0, 1]):
         with pytest.raises(StructureError, match="simple roots"):
             spectrum(f)
 
@@ -127,24 +127,31 @@ def test_casimir_spectrum_refuses_all_but_simple_integral_roots(sp, monkeypatch)
 def test_casimir_spectrum_adds_vectors_until_certified(sp, monkeypatch):
     # a vector orthogonal to every eigenspace but the first shows only part of
     # the spectrum: the roots of later vectors join it until the certificate
-    # passes, and twelve vectors that never certify are an error
+    # passes, and the ramp and the seven unit vectors that never certify are
+    # an error; the certificate runs only when the roots grow
     cmat, scale = sp.casimir("lambda1")
-    lam = cmat[0][0]
-    polys = [[Q(1)], [Q(1)], [Q(1), Q(-lam)]]
-    calls = []
+    lam = int(cmat[0][0])
+    polys = [[1], [1], [1, -lam]]
+    calls, certified = [], []
+    certify = equivar.certify_annihilation
 
-    def stub(matvec, v):
+    def stub(matrix, v):
         calls.append(v)
         return polys[min(len(calls), len(polys)) - 1]
 
     monkeypatch.setattr(equivar, "krylov_min_poly", stub)
+    monkeypatch.setattr(equivar, "certify_annihilation",
+                        lambda matrix, roots: certified.append(roots) or certify(matrix, roots))
     assert casimir_spectrum("lambda1")[0] == [(Q(lam, scale), 7)]
-    assert len(calls) == 3 and len({tuple(v) for v in calls}) == 3
-    polys[-1] = [Q(1)]
+    # the ramp first, then the unit vectors in order
+    assert calls == [[1, 2, 3, 4, 5, 6, 7], [1, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0]]
+    assert certified == [[lam]]
+    polys[-1] = [1]
     calls.clear()
+    certified.clear()
     with pytest.raises(StructureError, match="failed certification"):
         casimir_spectrum("lambda1")
-    assert len(calls) == 12
+    assert len(calls) == 8 and certified == []
 
 
 def test_map_shapes(sp):
@@ -259,14 +266,51 @@ def test_engine_matches_loop_reference(sp, target):
             assert d == ref_d and rho.dtype == np.int64 and np.array_equal(rho, ref_rho)
 
 
-def test_action_outside_the_module_is_refused(sp, monkeypatch):
+def test_action_outside_the_module_is_refused():
     # seven unit blades of Lambda^2 span no submodule: the closure flags say
-    # so, and an r7 module built on them raises
-    part = sp.units["lambda2"][:7]
-    assert not all(equivar._module_action(sp.algebra.units[0], part)[2])
-    monkeypatch.setitem(sp.units, "m", part)
+    # so, and an r7 module built on them raises (on a fresh Spaces, whose
+    # table of m is not built yet)
+    fresh = equivar.Spaces()
+    part = fresh.units["lambda2"][:7]
+    assert not all(equivar._module_action(fresh.algebra.units[0], part)[2])
+    fresh.units["m"] = part
     with pytest.raises(StructureError, match="left the module"):
-        list(sp.generators("r7_m"))
+        list(fresh.generators("r7_m"))
+
+
+def _planted(monkeypatch, matrix, space="lambda1", scale=1):
+    """casimir_spectrum(space) on a fresh Spaces whose Casimir there is matrix / scale."""
+    fresh = equivar.Spaces()
+    fresh._cache[space] = (np.array(matrix, dtype=np.int64), scale)
+    monkeypatch.setattr(equivar, "_SPACES", fresh)
+    return casimir_spectrum(space)[0]
+
+
+def test_casimir_spectrum_reads_past_an_eigenvector_ramp(monkeypatch):
+    # the ramp (1, 2) is an eigenvector of eigenvalue 1, whose root alone
+    # fails the certificate; e_1 adds the root 2, and the search certifies
+    assert _planted(monkeypatch, [[1, 0], [-2, 2]]) == [(1, 1), (2, 1)]
+
+
+@pytest.mark.parametrize("matrix", [[[3, 1], [0, 3]], [[0, 1], [2, 0]]])
+def test_casimir_spectrum_refuses_a_jordan_block_and_irrational_roots(monkeypatch, matrix):
+    # (x - 3)^2 has a repeated root, x^2 - 2 no rational one
+    with pytest.raises(StructureError, match="simple roots"):
+        _planted(monkeypatch, matrix)
+
+
+def test_casimir_decompose_refuses_an_unmatched_block(monkeypatch):
+    # a planted lambda4 Casimir (the calibration reads lambda1..lambda3 only):
+    # a block of the calibrated "7" scalar and dimension 14 is two copies of
+    # the 7, and a block of no calibrated scalar and dimension 2 is refused
+    seven = spaces().calibration["7"]
+    num, den = seven.numerator, seven.denominator
+    assert _planted(monkeypatch, np.eye(14, dtype=np.int64) * num, "lambda4", den) \
+        == [(seven, 14)]
+    assert casimir_decompose("lambda4") == {"7": (14, 2)}
+    _planted(monkeypatch, np.diag([num] * 14 + [num + 1] * 2), "lambda4", den)
+    with pytest.raises(StructureError, match="unmatched isotypic block in lambda4"):
+        casimir_decompose("lambda4")
 
 
 def test_full_column_rank_certificate_falls_back_to_exact_rank():
@@ -281,3 +325,4 @@ def test_full_column_rank_certificate_falls_back_to_exact_rank():
 def test_full_column_rank_certificate_refuses_rank_deficient():
     matrix = [[1, 0, 1], [0, 1, 1], [2, 3, 5], [4, -1, 3]]
     assert not full_column_rank_certificate(matrix)
+

@@ -274,17 +274,23 @@ def test_rank_mod_p_is_lower_bound():
 
 def test_krylov_certificates_diagonalizable():
     d = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 5]]
-
-    def matvec(v):
-        return [sum(d[i][j] * v[j] for j in range(4)) for i in range(4)]
-
     # a vector with a component in every eigenspace has the minimal
     # polynomial (x-1)(x-2)(x-5); one in two of them has (x-1)(x-5)
-    assert krylov_min_poly(matvec, [1, 2, 3, 4]) == [Q(1), Q(-8), Q(17), Q(-10)]
-    assert krylov_min_poly(matvec, [1, 2, 0, 4]) == [Q(1), Q(-6), Q(5)]
+    assert krylov_min_poly(d, [1, 2, 3, 4]) == [1, -8, 17, -10]
+    assert krylov_min_poly(d, [1, 2, 0, 4]) == [1, -6, 5]
     assert certify_annihilation(d, [1, 2, 5])
     assert not certify_annihilation(d, [1, 2])
     assert certified_eigenspace_dims(d, [1, 2, 5]) == [2, 1, 1]
+
+
+def test_krylov_min_poly_is_integral_beyond_int64():
+    # A^2 v has entries 2^80: the polynomial x^2 - 2^80 comes back as Python ints
+    big = 2 ** 40
+    poly = krylov_min_poly([[big, 0], [0, -big]], [1, 1])
+    assert poly == [1, 0, -2 ** 80] and all(type(c) is int for c in poly)
+    # a non-diagonalizable matrix: (x - 3)^2 from a vector outside the eigenline
+    assert krylov_min_poly([[3, 1], [0, 3]], [0, 1]) == [1, -6, 9]
+    assert krylov_min_poly([[3, 1], [0, 3]], [1, 0]) == [1, -3]
 
 
 def test_certify_rejects_nondiagonalizable():
