@@ -11,10 +11,9 @@ Everything is assembled in explicit integer coordinates:
   * the equivariant maps Phi (from R^7 (x) g) and Psi (from R^7 (x) m) into
     R^7 (x) S^2(R^7)), both `_symmetrized`, as integer matrices with exact
     rank certificates;
-  * the Casimir operator of each relevant module with certified eigenspace
-    dimensions (mod-p ranks promoted by an annihilation certificate plus the
-    dimension count, never trusted raw), its roots read from the Krylov
-    minimal polynomials of a fixed ramp and then of the unit vectors.
+  * the Casimir operator of each relevant module, its roots read from the
+    Krylov minimal polynomials of a fixed ramp and then of the unit vectors,
+    proven by an annihilation certificate, its multiplicities from traces.
 
 `Spaces` builds the actions on each base module, Phi, Psi, every Casimir and
 the calibration once, and hands them out read-only.
@@ -67,12 +66,14 @@ class G2Algebra:
         span = sum((x * c for c, x in zip(coords, self.basis)), Form.zero(7, 2))
         return coords if span == alpha else None
 
+    @cached_property
+    def adjoint(self):
+        """The 14 actions (rho, d, closed) of the basis on itself, built once: the g2 table."""
+        return [_module_action(alpha, self.units) for alpha in self.units]
+
     def closure_residuals(self):
         """For each pair a < b of basis elements, whether [xi_a, xi_b] lies in the algebra."""
-        out = []
-        for a in range(14):
-            out.extend(_module_action(self.units[a], self.units)[2][a + 1:])
-        return out
+        return [flag for a, (_, _, closed) in enumerate(self.adjoint) for flag in closed[a + 1:]]
 
 
 def _orthogonalize(forms):
@@ -137,10 +138,10 @@ def _read_only(array):
 class Spaces:
     """Every module in play as its unit tensors, with lazily assembled integer actions.
 
-    `units` maps lambda1..lambda4 (the unit blades), s2 (the symmetric units
-    of `S2_PAIRS`), m (the e_k -| w3) and g2 (the algebra basis) to their
-    stacked dense tensors; these are the base modules, and the space r7_V is
-    R^7 (x) V.
+    `units` maps lambda1..lambda3 (the unit blades), s2 (the symmetric units
+    of `S2_PAIRS`) and m (the e_k -| w3) to their stacked dense tensors;
+    these and g2, whose units are the algebra basis, are the base modules,
+    and the space r7_V is R^7 (x) V.
     """
 
     def __init__(self):
@@ -150,14 +151,15 @@ class Spaces:
         s2, r = np.zeros((len(S2_PAIRS), 7, 7), dtype=np.int64), np.arange(len(S2_PAIRS))
         s2[r, _S2_ROWS, _S2_COLS] = s2[r, _S2_COLS, _S2_ROWS] = 1
         self.units = {f"lambda{p}": dense(np.eye(comb(7, p), dtype=np.int64), 7, p)
-                      for p in range(1, 5)}
-        self.units.update(s2=s2, m=_units_of(self.m_basis), g2=self.algebra.units)
+                      for p in range(1, 4)}
+        self.units.update(s2=s2, m=_units_of(self.m_basis))
         self._tables, self._cache = {}, {}
 
     def _table(self, module: str):
         """The 14 actions (rho, d) on a base module, built and checked for closure once."""
         if module not in self._tables:
-            actions = [_module_action(alpha, self.units[module]) for alpha in self.algebra.units]
+            actions = (self.algebra.adjoint if module == "g2" else
+                       [_module_action(alpha, self.units[module]) for alpha in self.algebra.units])
             if not all(all(closed) for _, _, closed in actions):
                 raise StructureError("the action left the module")
             self._tables[module] = [(_read_only(rho), d) for rho, d, _ in actions]

@@ -415,10 +415,13 @@ def volume_form(n: int) -> Form:
 
 
 def sigma_t(t: Form) -> Form:
-    """Torsion 4-form (1/2) sum_i (e_i -| T) ^ (e_i -| T) of a 3-form T."""
+    """Torsion 4-form (1/2) sum_m c_m ^ c_m of a 3-form T, each c_m = e_m -| T contracted once."""
     if t.degree != 3:
         raise DegreeError("sigma_t expects a 3-form")
-    return derivation(t, 2, lambda m: contract(t, m)) * Q(1, 2)
+    n, num, out = t.n, t.num.tolist(), [0] * comb(t.n, 4)
+    for c in (_contract(num, n, 3, m) for m in range(1, n + 1)):
+        _wedge_into(out, c, c, _wedge_table(n, 2, 2))
+    return Form.of_numerators(n, 4, out, 2 * t.den * t.den)
 
 
 def sigma_t_quadratic(t: Form) -> Form:

@@ -41,6 +41,11 @@ class G2Structure(SkewTorsionStructure):
         self.star_omega3 = hodge(self.omega3)
 
     @cached_property
+    def d_omega3(self) -> Form:
+        """d w3 on the model, computed once per structure."""
+        return d_form(self.model, self.omega3)
+
+    @cached_property
     def torsion_class(self) -> "TorsionClass":
         """The intrinsic-derivative components, classified once per structure."""
         return classify(self)
@@ -139,7 +144,7 @@ def classify(s: G2Structure) -> TorsionClass:
     model = s.model
     w3 = s.omega3
     big_w, big_s = _dense()
-    dw3 = d_form(model, w3)
+    dw3 = s.d_omega3
     lam = Q(-1, 7) * inner(dw3, s.star_omega3)
     lc = model.levi_civita
     nab = Tensor.of_forms([nabla_form(lc, i, w3) for i in range(1, 8)])
@@ -165,7 +170,7 @@ def torsion_form(s: G2Structure) -> Form:
         raise NoSkewConnection("two-form-component",
                                "the structure has a 2-form-type derivative component")
     w3 = s.omega3
-    dw3 = d_form(s.model, w3)
+    dw3 = s.d_omega3
     return (w3 * (Q(1, 6) * inner(dw3, s.star_omega3)) - hodge(dw3)
             + hodge(wedge(cls.beta, w3)))
 
@@ -193,7 +198,7 @@ def dw3_decomposition_identity(s: G2Structure) -> bool:
     cls = s.torsion_class
     rhs = (s.star_omega3 * -cls.lam + hodge(cls.gamma27)
            + wedge(cls.beta, s.omega3) * Q(3, 4))
-    return d_form(s.model, s.omega3) == rhs
+    return s.d_omega3 == rhs
 
 
 def codiff_identity(s: G2Structure) -> bool:
@@ -323,7 +328,7 @@ def ricci_flat_conditions(s: G2Structure) -> dict:
     if not cls.beta.is_zero():
         raise StructureError("conditions stated for coclosed structures only")
     conn = s.connection
-    dw3 = d_form(model, s.omega3)
+    dw3 = s.d_omega3
     cubic = d_form(model, hodge(dw3)) + dw3 * (Q(7, 6) * cls.lam)
     wedge_id = wedge(hodge(dw3) + s.omega3 * (Q(7, 6) * cls.lam), dw3)
     conditions = {

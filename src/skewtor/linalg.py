@@ -1,4 +1,4 @@
-"""Exact linear algebra: rationals, Gaussian rationals, and certified big-matrix ranks.
+"""Exact linear algebra: rationals, Gaussian rationals, and certified big-matrix statements.
 
 Invariant tensors (structure constants, connection coefficients, curvature,
 the tensors of forms) are exact dense `Tensor`s, and every identity over them
@@ -20,17 +20,19 @@ Z[i], computed by one batched Faddeev-LeVerrier run over its images modulo
 primes p = 1 (mod 4) and rebuilt by the Chinese remainder theorem under a
 proven coefficient bound; for a real one its rational roots are y / d for
 the integer roots y of that monic integer polynomial, found by a divisor
-search and Horner's rule.  The large representation-theoretic matrices (up
-to 196 x 196) are first tried by a mod-p elimination, whose result is
-promoted to an exact statement by a separate certificate, never trusted on
-its own.  Every prime comes from one pool, the primes below 2^21 in
-descending order, sieved as far as it is read.
+search and Horner's rule.  On the large representation-theoretic matrices
+(up to 196 x 196) a mod-p rank is a lower bound that can prove full column
+rank, prod_k (A - r_k I) = 0 is proven modulo primes under an entry bound,
+and the eigenspace dimensions then follow exactly from the traces tr(A^j).
+Every prime comes from one pool, the primes below 2^21 in descending order,
+sieved as far as it is read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate, repeat
 from math import comb, isqrt, prod
 
 import numpy as np
@@ -413,9 +415,9 @@ class _PrimePool:
     """The primes below 2^21 in descending order, sieved a block at a time as they are read.
 
     Indexing, slicing and iteration sieve only as far as they read, so
-    nothing is computed at import.  The first twelve (2097143 down to
-    2096993) are the primes that `certified_eigenspace_dims` and `equivar`
-    try.
+    nothing is computed at import.  `equivar`'s full-column-rank certificate
+    tries the first three; `certify_annihilation` and `charpoly` (the primes
+    p = 1 (mod 4) only) take from the first as many as their bounds need.
     """
 
     _BLOCK = 1 << 12
@@ -587,19 +589,18 @@ def certify_annihilation(int_matrix, int_roots):
 
 
 def certified_eigenspace_dims(int_matrix, eigs_scaled):
-    """Exact eigenspace dimensions of a diagonalizable integer matrix.
+    """Exact eigenspace dimensions of a diagonalizable integer matrix, read from its traces.
 
-    Requires that `certify_annihilation` already proved the matrix is
-    diagonalizable with exactly `eigs_scaled` as eigenvalues.  Mod-p ranks are
-    lower bounds for rational ranks, so when the resulting kernel dimensions
-    add up to the full dimension each one is exact.
+    Requires that `certify_annihilation` already proved prod_k (A - r_k I) = 0
+    for the distinct integers r_k of `eigs_scaled`, so A is diagonalizable.
+    The dimensions m_k are then the one solution of the Vandermonde system
+    sum_k m_k r_k^j = tr(A^j), j < k; one that is not made of non-negative
+    integers means the precondition failed, and raises.
     """
-    a = np.asarray(int_matrix)
-    n = len(a)
-    eye = np.eye(n, dtype=np.int64)
-    for p in _PRIMES[:12]:
-        ap = (a % p).astype(np.int64)
-        dims = [n - rank_mod_p(ap - (lam % p) * eye, p) for lam in eigs_scaled]
-        if sum(dims) == n:
-            return dims
-    raise RuntimeError("no prime certified the eigenspace dimensions")
+    a, roots = np.asarray(int_matrix), [int(r) for r in eigs_scaled]
+    powers = accumulate(repeat(a, len(roots) - 1), int_matmul)
+    traces = [len(a)] + [sum(np.diagonal(p).tolist()) for p in powers]
+    dims = solve([[r ** j for r in roots] for j in range(len(roots))], [traces])[0]
+    if dims is None or dims.den != 1 or any(m < 0 for m in dims.num):
+        raise ValueError("the traces fit no eigenspace dimensions of these eigenvalues")
+    return [int(m) for m in dims.num]

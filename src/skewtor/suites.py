@@ -17,8 +17,8 @@ from . import acskit, clifford, equivar, g2
 from .forms import (Form, all_blades, contract, hodge, inner, random_form, sigma_t,
                     sigma_t_quadratic, volume_form, wedge)
 from .errors import NoSkewConnection
-from .liegeom import (SkewTorsionStructure, codiff, curvature_identity_residuals, d_form,
-                      nabla_form, tt_contraction, with_torsion)
+from .liegeom import (SkewTorsionStructure, codiff, curvature_identity_residuals, nabla_form,
+                      tt_contraction, with_torsion)
 from .linalg import GaussTensor, Tensor, int_abs_max, int_matmul
 from .registry import registry
 from .reporting import Report, check, merge, skip
@@ -87,7 +87,7 @@ def suite_exterior() -> Report:
     checks.append(check("exterior.inner.omega3-norm", "pi^3_1 coefficient",
                         inner(w3, w3) == 7, value=inner(w3, w3), expected=7,
                         provenance="derived"))
-    dw3_heis = d_form(registry()["heis7"].model, w3)
+    dw3_heis = registry()["heis7"].structure.d_omega3
     checks.append(check("exterior.inner.pure-type", "pure 27-type model",
                         inner(dw3_heis, sw3) == 0, provenance="stated"))
     checks.append(check("exterior.sigma.decomposable", "torsion 4-form",
@@ -522,7 +522,7 @@ def suite_examples() -> Report:
     e = lambda *ix, c=1: Form.blade(7, *ix, coeff=c)
 
     heis7 = registry()["heis7"].model
-    dw3 = d_form(heis7, w3)
+    dw3 = registry()["heis7"].structure.d_omega3
     checks.append(check("examples.heis7.dw3", "worked example tables",
                         dw3 == e(1, 2, 3, 4) + e(2, 4, 6, 7) + e(1, 2, 5, 6)
                         - e(2, 3, 5, 7), value=dw3, provenance="stated"))
@@ -579,7 +579,7 @@ def suite_examples() -> Report:
     checks.append(check("examples.solv7.cocalibrated", "worked example tables",
                         codiff(solv7.levi_civita, w3).is_zero(),
                         expected="delta(w3) = 0", provenance="stated"))
-    dw3s = d_form(solv7, w3)
+    dw3s = registry()["solv7"].structure.d_omega3
     checks.append(check("examples.solv7.dw3", "worked example tables",
                         dw3s == e(1, 3, 4, 7, c=2) - e(1, 5, 6, 7, c=2),
                         value=dw3s, provenance="stated"))

@@ -312,9 +312,9 @@ def test_run_suite_all_builds_each_connection_once(monkeypatch):
 
 def test_run_suite_all_builds_each_module_once(monkeypatch):
     # on a fresh Spaces, `verify all` builds the 14 actions of each base
-    # module it reads once (lambda1..lambda3, s2, m and g2: 84), plus the 14
-    # of the closure check, and Phi and Psi once each; what it caches is
-    # read-only
+    # module it reads once (lambda1..lambda3, s2, m and g2: 84; the closure
+    # check reads the flags of the g2 table), and Phi and Psi once each; what
+    # it caches is read-only
     from collections import Counter
     from skewtor import equivar
     counts = Counter()
@@ -328,7 +328,7 @@ def test_run_suite_all_builds_each_module_once(monkeypatch):
     count("_map_matrix")
     monkeypatch.setattr(equivar, "_SPACES", equivar.Spaces())
     assert run_suite("all").ok
-    assert counts == {"_module_action": 98, "_map_matrix": 2}
+    assert counts == {"_module_action": 84, "_map_matrix": 2}
     sp = equivar.spaces()
     assert sorted(sp._tables) == ["g2", "lambda1", "lambda2", "lambda3", "m", "s2"]
     cached = [rho for table in sp._tables.values() for rho, _ in table]
@@ -336,7 +336,7 @@ def test_run_suite_all_builds_each_module_once(monkeypatch):
     cached += [cmat for cmat, _ in sp._cache.values()]
     assert all(not a.flags.writeable for a in cached)
     # reading Phi and Psi again built nothing
-    assert counts == {"_module_action": 98, "_map_matrix": 2}
+    assert counts == {"_module_action": 84, "_map_matrix": 2}
 
 
 def test_run_suite_all_builds_each_spinor_side_once(monkeypatch):

@@ -11,7 +11,7 @@ from skewtor.equivar import (casimir_decompose, casimir_spectrum,
                              isotypic_basis_r7_m, phi_matrix, psi_matrix,
                              rank_certificates, sigma0_constant,
                              sigma_solution_identity, spaces)
-from skewtor.forms import Form, contract, so_action
+from skewtor.forms import Form, contract, dense, so_action
 from skewtor.errors import StructureError
 from skewtor.g2 import canonical_omega3
 from skewtor.linalg import Tensor, rank_mod_p, _PRIMES
@@ -23,6 +23,19 @@ from cq_reference import poly_mul
 @pytest.fixture(scope="module")
 def sp():
     return spaces()
+
+
+@pytest.fixture
+def lambda4(sp, monkeypatch):
+    """Lambda^4 (its unit blades) as a base module of the shared Spaces, for one test.
+
+    No suite reads Lambda^4, so `Spaces` does not hold it; its table and
+    Casimir are dropped again after the test.
+    """
+    monkeypatch.setitem(sp.units, "lambda4", dense(np.eye(35, dtype=np.int64), 7, 4))
+    yield
+    for built in (sp._tables, sp._cache):
+        built.pop("lambda4", None)
 
 
 def bracket_2forms(a, b):
@@ -82,7 +95,7 @@ def test_calibration_values(sp):
     assert len({calib["1"], calib["7"], calib["14"], calib["27"]}) == 4
 
 
-def test_casimir_spectra_and_decompositions():
+def test_casimir_spectra_and_decompositions(lambda4):
     assert casimir_decompose("lambda2") == \
         {"7": (7, 1), "14": (14, 1)}
     assert casimir_decompose("lambda3") == \
@@ -223,7 +236,7 @@ def test_integer_actions_are_homomorphisms(sp, brackets, space):
 
 
 @pytest.mark.parametrize("space", SPACES)
-def test_casimir_commutes_with_every_generator(sp, space):
+def test_casimir_commutes_with_every_generator(sp, lambda4, space):
     cmat = np.array(sp.casimir(space)[0], dtype=np.int64)
     for rho, _ in sp.generators(space):
         assert np.array_equal(cmat @ rho, rho @ cmat), space
@@ -248,7 +261,7 @@ def test_form_casimirs_match_so_action_assembly(sp, degree):
 
 
 @pytest.mark.parametrize("target", SPACES + ("closure", "phi", "psi"))
-def test_engine_matches_loop_reference(sp, target):
+def test_engine_matches_loop_reference(sp, lambda4, target):
     # every action, in order, with its denominator, the closure flags and the
     # two maps equal the per-module loop constructions exactly
     basis = sp.algebra.basis

@@ -281,6 +281,9 @@ def test_krylov_certificates_diagonalizable():
     assert certify_annihilation(d, [1, 2, 5])
     assert not certify_annihilation(d, [1, 2])
     assert certified_eigenspace_dims(d, [1, 2, 5]) == [2, 1, 1]
+    # 3 is a candidate root that d lacks: its dimension is 0
+    assert certify_annihilation(d, [1, 2, 3, 5])
+    assert certified_eigenspace_dims(d, [1, 2, 3, 5]) == [2, 1, 0, 1]
 
 
 def test_krylov_min_poly_is_integral_beyond_int64():
@@ -309,7 +312,7 @@ def test_certify_annihilation_takes_the_primes_its_bound_needs():
 
 
 def test_prime_pool_is_every_prime_below_2_21_descending():
-    # the first twelve are the primes the mod-p certificates try
+    # the head of the pool, from which every certificate takes its primes
     assert _PRIMES[:12] == [2097143, 2097133, 2097131, 2097097, 2097091, 2097083, 2097047,
                             2097041, 2097031, 2097023, 2097013, 2096993]
     # the whole pool against a plain sieve of Eratosthenes
@@ -404,6 +407,26 @@ def _annihilates(a, roots):
     return not any(x for row in acc for x in row)
 
 
+def _similar(a, ops):
+    """E A E^-1 for nested lists of Python ints A and E the product of the row
+    operations row i += c row j of `ops` (unimodular, so E^-1 is integral)."""
+    a = [list(row) for row in a]
+    for i, j, c in ops:
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        for row in a:
+            row[j] -= c * row[i]
+    return a
+
+
+def _draw_similarity(data, n, most):
+    """Up to `most` row operations (i, j, c) on n rows, i != j and |c| <= 3."""
+    ops = []
+    for _ in range(data.draw(st.integers(0, most)) if n > 1 else 0):
+        i, j = data.draw(st.permutations(range(n)))[:2]
+        ops.append((i, j, data.draw(st.integers(-3, 3))))
+    return ops
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_certify_annihilation_matches_python_product(data):
@@ -416,12 +439,7 @@ def test_certify_annihilation_matches_python_product(data):
     diag = data.draw(st.lists(st.integers(-size, size), min_size=n, max_size=n))
     a = [[diag[i] if i == j else data.draw(st.integers(-size, size)) if j > i else 0
           for j in range(n)] for i in range(n)]
-    for _ in range(data.draw(st.integers(0, 2)) if n > 1 else 0):
-        i, j = data.draw(st.permutations(range(n)))[:2]
-        c = data.draw(st.integers(-3, 3))
-        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        for row in a:
-            row[j] -= c * row[i]
+    a = _similar(a, _draw_similarity(data, n, 2))
     distinct = sorted(set(diag))
     lists = [diag, distinct, distinct[1:], [distinct[0] + 1] + distinct[1:]]
     for roots in lists:
@@ -437,6 +455,44 @@ def test_certify_annihilation_beyond_int64():
     assert certify_annihilation(a, [big, -big]) and _annihilates(a, [big, -big])
     assert not certify_annihilation(a, [big, -big + 1]) and not _annihilates(a, [big, -big + 1])
     assert certify_annihilation([[big, 0], [0, big]], [big])
+
+
+def test_eigenspace_dims_from_traces_beyond_int64():
+    # eigenvalues near 2^40: tr(A^2) and tr(A^3) are near 2^81 and 2^122, past
+    # 2^53 and int64, so the powers and the traces are Python integers
+    big = 2 ** 40
+    roots = [-big - 3, 7, big - 5, big + 1]
+    a = _similar(np.diag([big + 1, 7, -big - 3, big + 1, 7, big - 5, 7]).tolist(),
+                 [(0, 1, 2), (3, 6, -1), (5, 2, 3)])
+    assert max(abs(x) for row in a for x in row) > big
+    assert certify_annihilation(a, roots)
+    assert certified_eigenspace_dims(a, roots) == [1, 3, 1, 2]
+    assert certified_eigenspace_dims(np.array(a, dtype=np.int64), roots) == [1, 3, 1, 2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_eigenspace_dims_are_the_planted_counts(data):
+    # A = E D E^-1 for a planted diagonal D, with each candidate root r_k on
+    # counts[k] >= 0 diagonal entries, and a unimodular E: the annihilation
+    # certificate passes on the candidates, and the traces give the counts
+    size = data.draw(st.sampled_from([20, 2 ** 20]))
+    roots = data.draw(st.lists(st.integers(-size, size), min_size=1, max_size=5, unique=True))
+    counts = data.draw(st.lists(st.integers(0, 3), min_size=len(roots),
+                                max_size=len(roots)).filter(any))
+    diag = data.draw(st.permutations([r for r, c in zip(roots, counts) for _ in range(c)]))
+    a = _similar(np.diag(diag).tolist(), _draw_similarity(data, len(diag), 4))
+    assert certify_annihilation(a, roots)
+    assert certified_eigenspace_dims(a, roots) == counts
+
+
+def test_eigenspace_dims_refuse_traces_that_fit_no_dimensions():
+    # without the annihilation certificate the traces may fit no dimensions:
+    # diag(1, 2) on the roots 1, 3 gives (3/2, 1/2), diag(5, 5) gives (-2, 4)
+    for diag, roots in (([1, 2], [1, 3]), ([5, 5], [1, 3])):
+        assert not certify_annihilation(np.diag(diag), roots)
+        with pytest.raises(ValueError, match="fit no eigenspace dimensions"):
+            certified_eigenspace_dims(np.diag(diag), roots)
 
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
