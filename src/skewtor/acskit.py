@@ -14,11 +14,10 @@ from math import comb
 
 import numpy as np
 
-from .equivar import full_column_rank_certificate
 from .errors import DegreeError, NoSkewConnection, StructureError
 from .forms import Form, all_blades, dense, interior, sigma_t, wedge
 from .liegeom import LieModel, SkewTorsionStructure, d_form, tt_contraction
-from .linalg import Tensor, int_matmul
+from .linalg import Tensor, full_column_rank_certificate, int_matmul
 
 Q = Fraction
 ein = Tensor.einsum

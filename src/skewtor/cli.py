@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -179,19 +180,28 @@ def main(argv=None):
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
     if getattr(args, "expr", "") is None:
         parser.error("the following arguments are required: expr")
-    if args.convention_ledger:
-        print(CONVENTIONS, end="")
-        return 0
-    if not args.command:
-        parser.print_help()
-        return 2
     handlers = {"models": cmd_models, "verify": cmd_verify,
                 "torsion": cmd_characteristic, "ricci": cmd_characteristic,
                 "decompose": cmd_decompose, "spin-eig": cmd_spin_eig}
     try:
-        return handlers[args.command](args)
+        if args.convention_ledger:
+            print(CONVENTIONS, end="")
+            code = 0
+        elif not args.command:
+            parser.print_help()
+            code = 2
+        else:
+            code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
     except SkewtorError as err:
         return _fail(str(err))
+    except BrokenPipeError:
+        # the reader closed stdout (`skewtor ... | head`): exit as a writer
+        # killed by SIGPIPE would, silently; stdout is pointed at os.devnull
+        # so that the interpreter's last flush finds nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

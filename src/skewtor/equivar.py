@@ -13,7 +13,9 @@ Everything is assembled in explicit integer coordinates:
     rank certificates;
   * the Casimir operator of each relevant module, its roots read from the
     Krylov minimal polynomials of a fixed ramp and then of the unit vectors,
-    proven by an annihilation certificate, its multiplicities from traces.
+    proven and counted by one exact product chain prod_k (C' - r_k I): its
+    vanishing makes C' diagonalizable, and the traces of its partial
+    products give the multiplicities.
 
 `Spaces` builds the actions on each base module, Phi, Psi, every Casimir and
 the calibration once, and hands them out read-only.
@@ -32,9 +34,9 @@ from .errors import StructureError
 from .forms import (Form, common_denominator, contract, dense, inner, interior, so_action,
                     wedge)
 from .g2 import _projectors, canonical_omega3, project3, spanning_27
-from .linalg import (Tensor, certified_eigenspace_dims, certify_annihilation,
-                     int_abs_max, int_matmul, krylov_min_poly, nullspace, rank,
-                     rank_mod_p, rational_roots, solve, _PRIMES)
+from .linalg import (Tensor, certified_eigenspace_dims, full_column_rank_certificate,
+                     int_abs_max, int_matmul, krylov_min_poly, nullspace, rational_roots,
+                     solve)
 
 Q = Fraction
 
@@ -275,8 +277,10 @@ def casimir_spectrum(space: str):
 
     The Krylov minimal polynomials of the ramp (1, 2, .., n), then of e_1 ..
     e_n, must split over Z into simple roots (else the search is refused),
-    and each time their roots grow the annihilation certificate is tried.
-    The unit vectors span the module, so the search always ends.
+    and each time their roots grow `linalg.certified_eigenspace_dims` runs
+    its product chain on them; the first chain that vanishes proves the
+    roots and counts their multiplicities.  The unit vectors span the
+    module, so the search always ends.
     """
     cmat, scale = spaces().casimir(space)
     n = len(cmat)
@@ -289,13 +293,12 @@ def casimir_spectrum(space: str):
         grown = roots | {int(r) for r, _ in pairs}
         if grown != roots:
             roots = grown
-            if certify_annihilation(cmat, sorted(roots)):
+            dims = certified_eigenspace_dims(cmat, sorted(roots))
+            if dims is not None:
                 break
     else:
         raise StructureError("minimal polynomial candidate failed certification")
-    roots = sorted(roots)
-    dims = certified_eigenspace_dims(cmat, roots)
-    return [(Q(r, scale), d) for r, d in zip(roots, dims) if d], scale
+    return [(Q(r, scale), d) for r, d in zip(sorted(roots), dims) if d], scale
 
 
 def casimir_decompose(space: str) -> dict:
@@ -336,16 +339,6 @@ def _map_matrix(forms):
     return values[:, :, _S2_ROWS, _S2_COLS].reshape(7 * len(forms), -1).T.astype(np.int64)
 
 
-def phi_matrix():
-    """Phi as a read-only 196 x 98 int64 matrix, built once per `Spaces`."""
-    return spaces().phi
-
-
-def psi_matrix():
-    """Psi as a read-only 196 x 49 int64 matrix, built once per `Spaces`."""
-    return spaces().psi
-
-
 def isotypic_basis_r7_m(label: str):
     """Exact basis of one isotypic component of R^7 (x) m (49-dim), as the rows of a Tensor."""
     sp = spaces()
@@ -356,29 +349,14 @@ def isotypic_basis_r7_m(label: str):
     return nullspace(Tensor(cmat) - Tensor.identity(49) * lam)
 
 
-def full_column_rank_certificate(matrix):
-    """Exact statement that an integer matrix has full column rank.
-
-    A mod-p rank is a lower bound on the rank over Q, so reaching the column
-    count mod one of three primes proves it; only when all three fall short
-    is the rank settled by exact elimination.
-    """
-    cols = np.shape(matrix)[1]
-    for p in _PRIMES[:3]:
-        if rank_mod_p(matrix, p) == cols:
-            return True
-    return rank(Tensor(matrix)) == cols
-
-
 def rank_certificates():
     """Exact rank and containment certificates for the connection-existence theory."""
-    phi = phi_matrix()
+    phi, psi = spaces().phi, spaces().psi
     out = {}
     out["phi-injective"] = full_column_rank_certificate(phi)
 
     # every statement below is invariant under rescaling the isotypic basis
     # vectors, so each is read as its integer numerators
-    psi = psi_matrix()
     basis14 = isotypic_basis_r7_m("14")
     cols14 = int_matmul(psi, basis14.num.T)
     combined = np.hstack([phi, cols14])

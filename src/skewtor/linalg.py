@@ -22,17 +22,17 @@ proven coefficient bound; for a real one its rational roots are y / d for
 the integer roots y of that monic integer polynomial, found by a divisor
 search and Horner's rule.  On the large representation-theoretic matrices
 (up to 196 x 196) a mod-p rank is a lower bound that can prove full column
-rank, prod_k (A - r_k I) = 0 is proven modulo primes under an entry bound,
-and the eigenspace dimensions then follow exactly from the traces tr(A^j).
-Every prime comes from one pool, the primes below 2^21 in descending order,
-sieved as far as it is read.
+rank, and one exact product chain prod_k (A - r_k I) by `int_matmul` both
+proves a spectrum (the chain vanishes) and counts it (the traces of its
+partial products give the eigenspace dimensions).  Every prime comes from
+one pool, the primes below 2^21 in descending order, sieved as far as it is
+read, and no other module names one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, repeat
 from math import comb, isqrt, prod
 
 import numpy as np
@@ -408,16 +408,16 @@ def _divide_root(q, y):
 
 
 # ---------------------------------------------------------------------------
-# integer matrices: mod-p elimination, certified spectra
+# integer matrices: mod-p ranks, exact products, certified spectra
 # ---------------------------------------------------------------------------
 
 class _PrimePool:
     """The primes below 2^21 in descending order, sieved a block at a time as they are read.
 
     Indexing, slicing and iteration sieve only as far as they read, so
-    nothing is computed at import.  `equivar`'s full-column-rank certificate
-    tries the first three; `certify_annihilation` and `charpoly` (the primes
-    p = 1 (mod 4) only) take from the first as many as their bounds need.
+    nothing is computed at import.  `full_column_rank_certificate` tries the
+    first three; `charpoly` takes from the first as many primes p = 1 (mod 4)
+    as its bound needs.
     """
 
     _BLOCK = 1 << 12
@@ -514,6 +514,20 @@ def rank_mod_p(matrix, p):
     return r
 
 
+def full_column_rank_certificate(matrix):
+    """Exact statement that an integer matrix has full column rank.
+
+    A mod-p rank is a lower bound on the rank over Q, so reaching the column
+    count mod one of three primes proves it; only when all three fall short
+    is the rank settled by exact elimination.
+    """
+    cols = np.shape(matrix)[1]
+    for p in _PRIMES[:3]:
+        if rank_mod_p(matrix, p) == cols:
+            return True
+    return rank(matrix) == cols
+
+
 def int_matmul(a, b):
     """Exact product of integer matrices (or stacks of them, or a matrix and a vector).
 
@@ -562,45 +576,31 @@ def krylov_min_poly(matrix, v):
             vecs.append(int_matmul(a, vecs[-1]))
 
 
-def certify_annihilation(int_matrix, int_roots):
-    """Exact proof that prod_k (A - r_k I) = 0 for an integer matrix A.
+def certified_eigenspace_dims(int_matrix, roots):
+    """Exact eigenspace dimensions of an integer matrix A on distinct integers r_k, or None.
 
-    Runs the product mod enough primes that CRT covers an a-priori entry
-    bound, so a zero residue everywhere implies the exact zero matrix.  Each
-    step multiplies two matrices of residues below p < 2^21, so for n < 2048
-    `int_matmul` keeps the whole chain in float64.
+    One exact product chain P_0 = I, P_(j+1) = P_j (A - r_j I) by `int_matmul`
+    (float64 under its bound, Python integers past 2^53) decides the claim:
+    P_k != 0 gives None, and P_k = 0 proves A diagonalizable with every
+    eigenvalue among the r_k.  P_j then acts on the eigenspace of r_l as
+    prod_(i<j) (r_l - r_i), so the dimensions m_l solve
+    tr(P_j) = sum_l m_l prod_(i<j) (r_l - r_i), j < k: a triangular system
+    (the Newton basis on the r_k) with nonzero diagonal, whose one solution,
+    by the exact `solve`, is the true dimensions.  A repeated root raises
+    ValueError.
     """
-    a = np.asarray(int_matrix)
-    n = len(a)
-    max_a = int_abs_max(a)
-    bound = max_a + max((abs(r) for r in int_roots), default=0)
-    for r in int_roots:
-        bound *= n * (max_a + abs(r))
-    primes, _ = _covering(_PRIMES, bound)
-    eye = np.eye(n, dtype=np.int64)
-    for p in primes:
-        ap = (a % p).astype(np.int64)
-        acc = eye
-        for r in int_roots:
-            acc = int_matmul(acc, (ap - (r % p) * eye) % p) % p
-        if np.any(acc):
-            return False
-    return True
+    a, roots = np.asarray(int_matrix), [int(r) for r in roots]
+    if len(set(roots)) != len(roots):
+        raise ValueError("the roots of the product chain must be distinct")
+    if int_abs_max(a) + max(map(abs, roots), default=0) >= 2 ** 63:
+        a = a.astype(object)    # A - r I leaves int64
+    eye = np.eye(len(a), dtype=a.dtype)
+    chain, traces = eye, []
+    for r in roots:
+        traces.append(sum(np.diagonal(chain).tolist()))
+        chain = int_matmul(chain, a - r * eye)
+    if np.any(chain):
+        return None
+    newton = [[prod(r - s for s in roots[:j]) for r in roots] for j in range(len(roots))]
+    return [int(m) for m in solve(newton, [traces])[0].num]
 
-
-def certified_eigenspace_dims(int_matrix, eigs_scaled):
-    """Exact eigenspace dimensions of a diagonalizable integer matrix, read from its traces.
-
-    Requires that `certify_annihilation` already proved prod_k (A - r_k I) = 0
-    for the distinct integers r_k of `eigs_scaled`, so A is diagonalizable.
-    The dimensions m_k are then the one solution of the Vandermonde system
-    sum_k m_k r_k^j = tr(A^j), j < k; one that is not made of non-negative
-    integers means the precondition failed, and raises.
-    """
-    a, roots = np.asarray(int_matrix), [int(r) for r in eigs_scaled]
-    powers = accumulate(repeat(a, len(roots) - 1), int_matmul)
-    traces = [len(a)] + [sum(np.diagonal(p).tolist()) for p in powers]
-    dims = solve([[r ** j for r in roots] for j in range(len(roots))], [traces])[0]
-    if dims is None or dims.den != 1 or any(m < 0 for m in dims.num):
-        raise ValueError("the traces fit no eigenspace dimensions of these eigenvalues")
-    return [int(m) for m in dims.num]

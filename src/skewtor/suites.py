@@ -363,7 +363,7 @@ def _equivariance_residual_zero(sp):
     the Casimir.  Each scale enters an operand, so the bound of `int_matmul`
     covers it.
     """
-    phi, psi = equivar.phi_matrix(), equivar.psi_matrix()
+    phi, psi = sp.phi, sp.psi
     cas = sp.casimir("r7_s2")[0]
     for (g2_rho, g2_d), (m_rho, m_d), (s2_rho, s2_d) in zip(
             sp.generators("r7_g2"), sp.generators("r7_m"), sp.generators("r7_s2")):

@@ -4,10 +4,12 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -226,6 +228,26 @@ def test_cli_convention_ledger(capsys):
     assert "hodge-orientation" in out and "ricci-index-order" in out
 
 
+@pytest.mark.parametrize("argv", [["models", "show", "heis7"], ["verify", "all"]])
+def test_cli_exits_141_quietly_on_a_closed_stdout(argv):
+    # stdout is a pipe whose read end is closed before the process starts, so
+    # the first write fails, however small the output: that is exit 141
+    # (128 + SIGPIPE), as for a writer killed by the signal, not the "check
+    # failed" 1 of a traceback, and nothing reaches stderr
+    import skewtor
+    env = dict(os.environ)
+    src = str(Path(skewtor.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "skewtor.cli", *argv], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=300)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")
+
+
 def test_suite_output_is_deterministic():
     a = run_suite("examples").to_json()
     b = run_suite("examples").to_json()
@@ -332,7 +354,7 @@ def test_run_suite_all_builds_each_module_once(monkeypatch):
     sp = equivar.spaces()
     assert sorted(sp._tables) == ["g2", "lambda1", "lambda2", "lambda3", "m", "s2"]
     cached = [rho for table in sp._tables.values() for rho, _ in table]
-    cached += [equivar.phi_matrix(), equivar.psi_matrix()]
+    cached += [sp.phi, sp.psi]
     cached += [cmat for cmat, _ in sp._cache.values()]
     assert all(not a.flags.writeable for a in cached)
     # reading Phi and Psi again built nothing

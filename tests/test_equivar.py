@@ -6,15 +6,13 @@ import numpy as np
 import pytest
 
 from skewtor import equivar
-from skewtor.equivar import (casimir_decompose, casimir_spectrum,
-                             full_column_rank_certificate,
-                             isotypic_basis_r7_m, phi_matrix, psi_matrix,
+from skewtor.equivar import (casimir_decompose, casimir_spectrum, isotypic_basis_r7_m,
                              rank_certificates, sigma0_constant,
                              sigma_solution_identity, spaces)
 from skewtor.forms import Form, contract, dense, so_action
 from skewtor.errors import StructureError
 from skewtor.g2 import canonical_omega3
-from skewtor.linalg import Tensor, rank_mod_p, _PRIMES
+from skewtor.linalg import Tensor, full_column_rank_certificate, rank_mod_p, _PRIMES
 
 import equivar_reference
 from cq_reference import poly_mul
@@ -139,22 +137,22 @@ def test_casimir_spectrum_refuses_all_but_simple_integral_roots(sp, monkeypatch)
 
 def test_casimir_spectrum_adds_vectors_until_certified(sp, monkeypatch):
     # a vector orthogonal to every eigenspace but the first shows only part of
-    # the spectrum: the roots of later vectors join it until the certificate
-    # passes, and the ramp and the seven unit vectors that never certify are
-    # an error; the certificate runs only when the roots grow
+    # the spectrum: the roots of later vectors join it until the product
+    # chain vanishes, and the ramp and the seven unit vectors that never
+    # certify are an error; the chain runs only when the roots grow
     cmat, scale = sp.casimir("lambda1")
     lam = int(cmat[0][0])
     polys = [[1], [1], [1, -lam]]
     calls, certified = [], []
-    certify = equivar.certify_annihilation
+    chain = equivar.certified_eigenspace_dims
 
     def stub(matrix, v):
         calls.append(v)
         return polys[min(len(calls), len(polys)) - 1]
 
     monkeypatch.setattr(equivar, "krylov_min_poly", stub)
-    monkeypatch.setattr(equivar, "certify_annihilation",
-                        lambda matrix, roots: certified.append(roots) or certify(matrix, roots))
+    monkeypatch.setattr(equivar, "certified_eigenspace_dims",
+                        lambda matrix, roots: certified.append(roots) or chain(matrix, roots))
     assert casimir_spectrum("lambda1")[0] == [(Q(lam, scale), 7)]
     # the ramp first, then the unit vectors in order
     assert calls == [[1, 2, 3, 4, 5, 6, 7], [1, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0]]
@@ -168,8 +166,7 @@ def test_casimir_spectrum_adds_vectors_until_certified(sp, monkeypatch):
 
 
 def test_map_shapes(sp):
-    phi = phi_matrix()
-    psi = psi_matrix()
+    phi, psi = sp.phi, sp.psi
     assert len(phi) == 196 and len(phi[0]) == 98
     assert len(psi) == 196 and len(psi[0]) == 49
 
@@ -268,7 +265,7 @@ def test_engine_matches_loop_reference(sp, lambda4, target):
     if target == "closure":
         assert sp.algebra.closure_residuals() == equivar_reference.closure_residuals(basis)
     elif target in ("phi", "psi"):
-        got = phi_matrix() if target == "phi" else psi_matrix()
+        got = sp.phi if target == "phi" else sp.psi
         want = equivar_reference.map_matrix(basis if target == "phi" else sp.m_basis)
         assert got.dtype == np.int64 and np.array_equal(got, want)
     else:

@@ -13,12 +13,12 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
+from skewtor import equivar, linalg
 from skewtor.clifford import eigen_report
 from skewtor.forms import Form
-from skewtor.linalg import (GaussTensor, Tensor, certified_eigenspace_dims,
-                            certify_annihilation, charpoly, int_abs_max, int_matmul,
-                            is_hermitian, krylov_min_poly, nullspace, rank,
-                            rank_mod_p, rational_roots, solve, _PRIMES)
+from skewtor.linalg import (GaussTensor, Tensor, certified_eigenspace_dims, charpoly,
+                            int_abs_max, int_matmul, is_hermitian, krylov_min_poly,
+                            nullspace, rank, rank_mod_p, rational_roots, solve, _PRIMES)
 from skewtor.reporting import fmt
 
 import cq_reference
@@ -278,11 +278,9 @@ def test_krylov_certificates_diagonalizable():
     # polynomial (x-1)(x-2)(x-5); one in two of them has (x-1)(x-5)
     assert krylov_min_poly(d, [1, 2, 3, 4]) == [1, -8, 17, -10]
     assert krylov_min_poly(d, [1, 2, 0, 4]) == [1, -6, 5]
-    assert certify_annihilation(d, [1, 2, 5])
-    assert not certify_annihilation(d, [1, 2])
     assert certified_eigenspace_dims(d, [1, 2, 5]) == [2, 1, 1]
+    assert certified_eigenspace_dims(d, [1, 2]) is None
     # 3 is a candidate root that d lacks: its dimension is 0
-    assert certify_annihilation(d, [1, 2, 3, 5])
     assert certified_eigenspace_dims(d, [1, 2, 3, 5]) == [2, 1, 0, 1]
 
 
@@ -297,18 +295,21 @@ def test_krylov_min_poly_is_integral_beyond_int64():
 
 
 def test_certify_rejects_nondiagonalizable():
+    # (A - 1)^2 = 0 holds, but a chain takes each root once
     jordan = [[1, 1], [0, 1]]
-    assert not certify_annihilation(jordan, [1])
-    assert certify_annihilation(jordan, [1, 1])  # (A-1)^2 = 0 holds
+    assert certified_eigenspace_dims(jordan, [1]) is None
+    with pytest.raises(ValueError, match="distinct"):
+        certified_eigenspace_dims(jordan, [1, 1])
 
 
-def test_certify_annihilation_takes_the_primes_its_bound_needs():
-    # the bound of this product is about 2^409, beyond the twelve largest
-    # primes below 2^21 (about 2^252), so the certificate reads further
+def test_eigenspace_chain_runs_on_python_ints_past_2_53():
+    # eigenvalues up to 2^42 on an object diagonal: from the second product
+    # of the chain on, the bound n max|a| max|b| is past 2^53, so the chain
+    # multiplies Python integers
     roots = [s * k * 2 ** 40 for k in range(1, 5) for s in (1, -1)]
     a = np.diag(np.array(roots, dtype=object))
-    assert certify_annihilation(a, roots)
-    assert not certify_annihilation(a, roots[1:])
+    assert certified_eigenspace_dims(a, roots) == [1] * 8
+    assert certified_eigenspace_dims(a, roots[1:]) is None
 
 
 def test_prime_pool_is_every_prime_below_2_21_descending():
@@ -429,11 +430,12 @@ def _draw_similarity(data, n, most):
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
-def test_certify_annihilation_matches_python_product(data):
+def test_eigenspace_chain_matches_python_product(data):
     # A = E T E^-1 for an upper triangular T and elementary similarities E:
-    # its diagonal (with multiplicity) annihilates A by Cayley-Hamilton, the
-    # distinct diagonal values exactly when A is diagonalizable, and a list
-    # with one value dropped or shifted usually not at all
+    # the distinct diagonal values annihilate A exactly when A is
+    # diagonalizable, with the diagonal's counts as dimensions, and a list
+    # with one value dropped or shifted usually not at all; a list with a
+    # repeated value is refused
     n = data.draw(st.integers(1, 4))
     size = data.draw(st.sampled_from([3, 2 ** 30]))
     diag = data.draw(st.lists(st.integers(-size, size), min_size=n, max_size=n))
@@ -444,17 +446,30 @@ def test_certify_annihilation_matches_python_product(data):
     lists = [diag, distinct, distinct[1:], [distinct[0] + 1] + distinct[1:]]
     for roots in lists:
         for matrix in (a, np.array(a, dtype=np.int64)):
-            assert certify_annihilation(matrix, roots) == _annihilates(a, roots), roots
-    assert certify_annihilation(a, diag)
+            if len(set(roots)) < len(roots):
+                with pytest.raises(ValueError, match="distinct"):
+                    certified_eigenspace_dims(matrix, roots)
+                continue
+            dims = certified_eigenspace_dims(matrix, roots)
+            assert (dims is not None) == _annihilates(a, roots), roots
+            assert dims is None or dims == [diag.count(r) for r in roots]
+    if len(distinct) == n:
+        assert certified_eigenspace_dims(a, diag) == [1] * n
 
 
-def test_certify_annihilation_beyond_int64():
-    # entries above 2^63 take the object residues; the chain is still float64
+def test_eigenspace_chain_beyond_int64():
+    # entries and roots above 2^63: A - r I is built on Python integers
     big = 2 ** 70 + 3
     a = [[big, 1], [0, -big]]
-    assert certify_annihilation(a, [big, -big]) and _annihilates(a, [big, -big])
-    assert not certify_annihilation(a, [big, -big + 1]) and not _annihilates(a, [big, -big + 1])
-    assert certify_annihilation([[big, 0], [0, big]], [big])
+    assert certified_eigenspace_dims(a, [big, -big]) == [1, 1] and _annihilates(a, [big, -big])
+    assert certified_eigenspace_dims(a, [big, -big + 1]) is None \
+        and not _annihilates(a, [big, -big + 1])
+    assert certified_eigenspace_dims([[big, 0], [0, big]], [big]) == [2]
+    # int64 entries whose shift by an int64 root leaves int64: A + 2^62 I
+    # has the entry 2^63, which int64 would wrap to -2^63
+    half = 2 ** 62
+    for roots in ([half, -half], [-half, half]):
+        assert certified_eigenspace_dims(np.diag([half, -half]), roots) == [1, 1]
 
 
 def test_eigenspace_dims_from_traces_beyond_int64():
@@ -465,7 +480,6 @@ def test_eigenspace_dims_from_traces_beyond_int64():
     a = _similar(np.diag([big + 1, 7, -big - 3, big + 1, 7, big - 5, 7]).tolist(),
                  [(0, 1, 2), (3, 6, -1), (5, 2, 3)])
     assert max(abs(x) for row in a for x in row) > big
-    assert certify_annihilation(a, roots)
     assert certified_eigenspace_dims(a, roots) == [1, 3, 1, 2]
     assert certified_eigenspace_dims(np.array(a, dtype=np.int64), roots) == [1, 3, 1, 2]
 
@@ -474,25 +488,52 @@ def test_eigenspace_dims_from_traces_beyond_int64():
 @given(st.data())
 def test_eigenspace_dims_are_the_planted_counts(data):
     # A = E D E^-1 for a planted diagonal D, with each candidate root r_k on
-    # counts[k] >= 0 diagonal entries, and a unimodular E: the annihilation
-    # certificate passes on the candidates, and the traces give the counts
+    # counts[k] >= 0 diagonal entries, and a unimodular E: the chain on the
+    # candidates vanishes, and its traces give the counts
     size = data.draw(st.sampled_from([20, 2 ** 20]))
     roots = data.draw(st.lists(st.integers(-size, size), min_size=1, max_size=5, unique=True))
     counts = data.draw(st.lists(st.integers(0, 3), min_size=len(roots),
                                 max_size=len(roots)).filter(any))
     diag = data.draw(st.permutations([r for r, c in zip(roots, counts) for _ in range(c)]))
     a = _similar(np.diag(diag).tolist(), _draw_similarity(data, len(diag), 4))
-    assert certify_annihilation(a, roots)
     assert certified_eigenspace_dims(a, roots) == counts
 
 
 def test_eigenspace_dims_refuse_traces_that_fit_no_dimensions():
-    # without the annihilation certificate the traces may fit no dimensions:
-    # diag(1, 2) on the roots 1, 3 gives (3/2, 1/2), diag(5, 5) gives (-2, 4)
+    # the traces of these chains fit no dimensions: diag(1, 2) on the roots
+    # 1, 3 would give (3/2, 1/2) and diag(5, 5) (-2, 4); the chain does not
+    # vanish, so they are never read
     for diag, roots in (([1, 2], [1, 3]), ([5, 5], [1, 3])):
-        assert not certify_annihilation(np.diag(diag), roots)
-        with pytest.raises(ValueError, match="fit no eigenspace dimensions"):
-            certified_eigenspace_dims(np.diag(diag), roots)
+        assert not _annihilates(np.diag(diag).tolist(), roots)
+        assert certified_eigenspace_dims(np.diag(diag), roots) is None
+
+
+def test_casimir_chains_stay_in_int64(monkeypatch):
+    # the product chain of every Casimir the suites decompose stays under
+    # the float64 bound of `int_matmul`: each of its products is int64.  Each
+    # search certifies at its first chain, one product per root (2, 4, 3
+    # and 5 roots)
+    dtypes, inside = [], []
+
+    def matmul(a, b):
+        out = int_matmul(a, b)
+        if inside:
+            dtypes.append(out.dtype)
+        return out
+
+    def chain(matrix, roots):
+        inside.append(roots)
+        try:
+            return certified_eigenspace_dims(matrix, roots)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(linalg, "int_matmul", matmul)
+    monkeypatch.setattr(equivar, "certified_eigenspace_dims", chain)
+    for space in ("lambda2", "r7_m", "r7_g2", "r7_s2"):
+        equivar.casimir_spectrum(space)
+    assert len(dtypes) == 2 + 4 + 3 + 5
+    assert all(d == np.int64 for d in dtypes)
 
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
