@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DegreeError, NoSkewConnection, StructureError
 from .forms import Form, all_blades, dense, interior, sigma_t, wedge
 from .liegeom import LieModel, SkewTorsionStructure, d_form, tt_contraction
-from .linalg import Tensor, full_column_rank_certificate, int_matmul
+from .linalg import Tensor, int_matmul, rank
 
 Q = Fraction
 ein = Tensor.einsum
@@ -215,14 +215,15 @@ def torsion_uniqueness_certificate(s) -> bool:
     perturbation is omega'_ijk = dT(i, j, k) / 2.  The response matrix has
     one column per blade of dT and n^3 (+ n^2 with eta) rows; it is built
     from the signed permutations of each blade, scaled by 2 L to integers
-    (L clears the denominators of phi and eta), and its full column rank is
-    certified mod p, with exact elimination only if that falls short.  The
-    matrix depends only on the frame (phi, and xi for contact input), so each
-    frame is certified once.
+    (L clears the denominators of phi and eta).  Its full column rank is the
+    exact rank of the Gram matrix M^T M (at most 56 x 56), as over Q
+    rank(M^T M) = rank(M).  The matrix depends only on the frame (phi, and xi
+    for contact input), so each frame is certified once.
     """
     frame = (s.phi.den, tuple(s.phi.num.flat), getattr(s, "xi_index", None))
     if frame not in _CERTIFICATES:
-        _CERTIFICATES[frame] = full_column_rank_certificate(_uniqueness_response(s))
+        m = _uniqueness_response(s)
+        _CERTIFICATES[frame] = rank(Tensor(int_matmul(m.T, m))) == m.shape[1]
     return _CERTIFICATES[frame]
 
 

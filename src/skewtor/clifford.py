@@ -126,8 +126,7 @@ def act_form(form) -> GaussTensor:
 class EigenReport:
     """Exact spectrum: rational eigenvalues with multiplicity plus any residual factor."""
 
-    def __init__(self, size, pairs, residual, hermitian):
-        self.size = size
+    def __init__(self, pairs, residual, hermitian):
         self.pairs = pairs            # sorted [(Fraction eigenvalue, multiplicity)]
         self.residual = residual      # remaining charpoly factor (a GaussTensor vector) or None
         self.hermitian = hermitian
@@ -159,7 +158,7 @@ def eigen_report(matrix: GaussTensor) -> EigenReport:
     total = sum(m for _, m in pairs) + (0 if residual is None else len(residual) - 1)
     if total != size:
         raise RuntimeError("spectrum bookkeeping lost degrees")
-    return EigenReport(size, pairs, residual, is_hermitian(matrix))
+    return EigenReport(pairs, residual, is_hermitian(matrix))
 
 
 def common_kernel(endos) -> GaussTensor:

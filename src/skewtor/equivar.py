@@ -34,9 +34,8 @@ from .errors import StructureError
 from .forms import (Form, common_denominator, contract, dense, inner, interior, so_action,
                     wedge)
 from .g2 import _projectors, canonical_omega3, project3, spanning_27
-from .linalg import (Tensor, certified_eigenspace_dims, full_column_rank_certificate,
-                     int_abs_max, int_matmul, krylov_min_poly, nullspace, rational_roots,
-                     solve)
+from .linalg import (Tensor, certified_eigenspace_dims, eliminate, int_abs_max, int_matmul,
+                     krylov_min_poly, nullspace, rank, rational_roots)
 
 Q = Fraction
 
@@ -350,29 +349,34 @@ def isotypic_basis_r7_m(label: str):
 
 
 def rank_certificates():
-    """Exact rank and containment certificates for the connection-existence theory."""
+    """Exact rank and containment certificates for the connection-existence theory.
+
+    Every claim is read from one elimination of [Phi | Psi B14 | Psi B1 | Psi B27]
+    (B the isotypic bases of R^7 (x) m) with pivots in Phi's columns only: Phi
+    is injective when each of its columns holds a pivot, and the rows below
+    the pivots are the quotient by Im(Phi), so an image meets Im(Phi) only in
+    0 when they have full rank on its columns, and lies in Im(Phi) when they
+    vanish on them.  Every statement is invariant under rescaling the basis
+    vectors, so each basis is read as its integer numerators.
+    """
     phi, psi = spaces().phi, spaces().psi
+    b14, b1, b27 = bases = [isotypic_basis_r7_m(label) for label in ("14", "1", "27")]
+    images = int_matmul(psi, np.vstack([b.num for b in bases]).T)
+    matrix = np.hstack([phi, images]).astype(object)
+    rows, pivots, _ = eliminate(matrix, phi.shape[1])
+    quotient = rows[len(pivots):]
+    ends = np.cumsum([phi.shape[1]] + [len(b) for b in bases])
+    cols14, cols1, cols27 = (slice(a, b) for a, b in zip(ends, ends[1:]))
     out = {}
-    out["phi-injective"] = full_column_rank_certificate(phi)
-
-    # every statement below is invariant under rescaling the isotypic basis
-    # vectors, so each is read as its integer numerators
-    basis14 = isotypic_basis_r7_m("14")
-    cols14 = int_matmul(psi, basis14.num.T)
-    combined = np.hstack([phi, cols14])
-    out["psi-14-dimension"] = len(basis14) == 14
-    out["images-meet-trivially"] = full_column_rank_certificate(combined)
-
-    # containment of the scalar- and 27-type images inside Im(Phi)
-    basis1 = isotypic_basis_r7_m("1")
-    basis27 = isotypic_basis_r7_m("27")
-    out["scalar-block-dimension"] = len(basis1) == 1
-    out["traceless-block-dimension"] = len(basis27) == 27
-    rhs = int_matmul(psi, np.vstack([basis1.num, basis27.num]).T)
-    sols = solve(Tensor(phi), Tensor(rhs.T))
-    out["scalar-image-contained"] = sols[0] is not None
-    out["scalar-image-solution-zero"] = sols[0] is not None and sols[0].is_zero()
-    out["traceless-image-contained"] = all(s is not None for s in sols[1:])
+    out["phi-injective"] = len(pivots) == phi.shape[1]
+    out["psi-14-dimension"] = len(b14) == 14
+    out["images-meet-trivially"] = (out["phi-injective"]
+                                    and rank(Tensor(quotient[:, cols14])) == len(b14))
+    out["scalar-block-dimension"] = len(b1) == 1
+    out["traceless-block-dimension"] = len(b27) == 27
+    out["scalar-image-contained"] = not quotient[:, cols1].any()
+    out["scalar-image-solution-zero"] = not matrix[:, cols1].any()
+    out["traceless-image-contained"] = not quotient[:, cols27].any()
     return out
 
 

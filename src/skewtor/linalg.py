@@ -21,12 +21,12 @@ primes p = 1 (mod 4) and rebuilt by the Chinese remainder theorem under a
 proven coefficient bound; for a real one its rational roots are y / d for
 the integer roots y of that monic integer polynomial, found by a divisor
 search and Horner's rule.  On the large representation-theoretic matrices
-(up to 196 x 196) a mod-p rank is a lower bound that can prove full column
-rank, and one exact product chain prod_k (A - r_k I) by `int_matmul` both
-proves a spectrum (the chain vanishes) and counts it (the traces of its
-partial products give the eigenspace dimensions).  Every prime comes from
-one pool, the primes below 2^21 in descending order, sieved as far as it is
-read, and no other module names one.
+(up to 196 x 196) every rank claim is read from the one exact elimination,
+and one exact product chain prod_k (A - r_k I) by `int_matmul` both proves
+a spectrum (the chain vanishes) and counts it (the traces of its partial
+products give the eigenspace dimensions).  The primes of `charpoly` come
+from one pool, the primes below 2^21 in descending order, sieved as far as
+it is read, and no other module names one.
 """
 
 from __future__ import annotations
@@ -192,13 +192,16 @@ def is_hermitian(a: GaussTensor) -> bool:
 # exact elimination over Z and Z[i]
 # ---------------------------------------------------------------------------
 
-def _eliminate(a, limit):
+def eliminate(a, limit):
     """Fraction-free Gauss-Jordan elimination (Bareiss) of an integer object array.
 
     Columns at or beyond `limit` are reduced but never chosen as pivots
     (augmented right-hand sides).  Returns (rows, pivot_cols, d) with d > 0:
     every pivot entry of `rows` equals d, and rows / d is the reduced row
-    echelon form.  Each step divides exactly by the previous pivot
+    echelon form.  The rows below the pivots vanish on the first `limit`
+    columns: on the others they span the quotient by the image of those
+    columns, so a later column lies in that image exactly when they vanish
+    on it.  Each step divides exactly by the previous pivot
     (Sylvester's identity), so every entry stays a minor of the input.  The
     input array is left as it is.
     """
@@ -249,7 +252,7 @@ def _system(matrix):
 def rank(matrix) -> int:
     """Exact rank of a matrix: a Tensor, a GaussTensor or nested lists of rationals."""
     t, a = _system(matrix)
-    pivots = _eliminate(a, a.shape[1])[1]
+    pivots = eliminate(a, a.shape[1])[1]
     return len(pivots) // (2 if isinstance(t, GaussTensor) else 1)
 
 
@@ -261,7 +264,7 @@ def nullspace(matrix):
     are the even free columns of the real form.
     """
     t, a = _system(matrix)
-    rows, pivots, d = _eliminate(a, a.shape[1])
+    rows, pivots, d = eliminate(a, a.shape[1])
     step = 2 if isinstance(t, GaussTensor) else 1
     free = sorted(set(range(0, a.shape[1], step)) - set(pivots))
     basis = np.zeros((len(free), a.shape[1]), dtype=object)
@@ -283,7 +286,7 @@ def solve(matrix, rhs):
     if type(b) is not type(t):
         raise TypeError(f"a {type(t).__name__} system has {type(b).__name__} right-hand sides")
     n = a.shape[1]
-    rows, pivots, d = _eliminate(np.hstack([a * b.den, b.num.reshape(len(b), -1).T * t.den]), n)
+    rows, pivots, d = eliminate(np.hstack([a * b.den, b.num.reshape(len(b), -1).T * t.den]), n)
     sols = []
     for col in rows[:, n:].T:
         if any(col[len(pivots):]):
@@ -408,16 +411,15 @@ def _divide_root(q, y):
 
 
 # ---------------------------------------------------------------------------
-# integer matrices: mod-p ranks, exact products, certified spectra
+# integer matrices: exact products, certified spectra
 # ---------------------------------------------------------------------------
 
 class _PrimePool:
     """The primes below 2^21 in descending order, sieved a block at a time as they are read.
 
     Indexing, slicing and iteration sieve only as far as they read, so
-    nothing is computed at import.  `full_column_rank_certificate` tries the
-    first three; `charpoly` takes from the first as many primes p = 1 (mod 4)
-    as its bound needs.
+    nothing is computed at import.  Its one reader, `charpoly`, takes from
+    the first as many primes p = 1 (mod 4) as its bound needs.
     """
 
     _BLOCK = 1 << 12
@@ -484,48 +486,6 @@ def _sqrt_minus_one(p):
     while pow(c, (p - 1) // 2, p) != p - 1:
         c += 1
     return pow(c, (p - 1) // 4, p)
-
-
-def rank_mod_p(matrix, p):
-    """Rank of an integer matrix mod p (numpy elimination).
-
-    Always a lower bound for the rationals' rank; callers must certify before
-    claiming exactness.
-    """
-    a = (np.asarray(matrix) % p).astype(np.int64)
-    m, n = a.shape
-    r = 0
-    for c in range(n):
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        k = r + int(nz[0])
-        if k != r:
-            a[[r, k]] = a[[k, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        col = a[r + 1:, c].copy()
-        mask = col != 0
-        if mask.any():
-            a[r + 1:][mask] = (a[r + 1:][mask] - col[mask, None] * a[r][None, :]) % p
-        r += 1
-        if r == m:
-            break
-    return r
-
-
-def full_column_rank_certificate(matrix):
-    """Exact statement that an integer matrix has full column rank.
-
-    A mod-p rank is a lower bound on the rank over Q, so reaching the column
-    count mod one of three primes proves it; only when all three fall short
-    is the rank settled by exact elimination.
-    """
-    cols = np.shape(matrix)[1]
-    for p in _PRIMES[:3]:
-        if rank_mod_p(matrix, p) == cols:
-            return True
-    return rank(matrix) == cols
 
 
 def int_matmul(a, b):

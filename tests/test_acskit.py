@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from skewtor import acskit
 from skewtor.acskit import (AlmostContact, AlmostHermitian,
                             contact_general_identities, contact_torsion,
                             half_module_endomorphism_spectrum,
@@ -145,6 +146,21 @@ def test_torsion_uniqueness_certificates():
         assert torsion_uniqueness_certificate(contact(name)), name
     for name in ("abelian6", "solv6", "su2su2"):
         assert torsion_uniqueness_certificate(hermitian(name)), name
+
+
+def test_torsion_uniqueness_certificate_refuses_a_rank_deficient_response(monkeypatch):
+    # a response whose last column repeats its first has a kernel
+    response = acskit._uniqueness_response
+
+    def planted(s):
+        m = response(s).copy()
+        m[:, -1] = m[:, 0]
+        return m
+
+    monkeypatch.setattr(acskit, "_uniqueness_response", planted)
+    monkeypatch.setattr(acskit, "_CERTIFICATES", {})
+    assert not acskit.torsion_uniqueness_certificate(contact("heis5"))
+    assert not acskit.torsion_uniqueness_certificate(hermitian("solv6"))
 
 
 def _response_by_loops(s):

@@ -12,7 +12,7 @@ from skewtor.equivar import (casimir_decompose, casimir_spectrum, isotypic_basis
 from skewtor.forms import Form, contract, dense, so_action
 from skewtor.errors import StructureError
 from skewtor.g2 import canonical_omega3
-from skewtor.linalg import Tensor, full_column_rank_certificate, rank_mod_p, _PRIMES
+from skewtor.linalg import Tensor
 
 import equivar_reference
 from cq_reference import poly_mul
@@ -323,16 +323,34 @@ def test_casimir_decompose_refuses_an_unmatched_block(monkeypatch):
         casimir_decompose("lambda4")
 
 
-def test_full_column_rank_certificate_falls_back_to_exact_rank():
-    # a column divisible by the three certificate primes vanishes mod each of
-    # them, so only the exact elimination can certify the full rank
-    big = _PRIMES[0] * _PRIMES[1] * _PRIMES[2]
-    matrix = [[big, 0, 0], [0, 1, 0], [0, 0, 1], [big, 1, 1]]
-    assert all(rank_mod_p(matrix, p) == 2 for p in _PRIMES[:3])
-    assert full_column_rank_certificate(matrix)
+def _planted_certificates(monkeypatch, phi, psi):
+    """rank_certificates() on a fresh Spaces whose Phi and Psi are the given integer matrices."""
+    fresh = equivar.Spaces()
+    fresh.phi, fresh.psi = np.asarray(phi, dtype=np.int64), np.asarray(psi, dtype=np.int64)
+    monkeypatch.setattr(equivar, "_SPACES", fresh)
+    return rank_certificates()
 
 
-def test_full_column_rank_certificate_refuses_rank_deficient():
-    matrix = [[1, 0, 1], [0, 1, 1], [2, 3, 5], [4, -1, 3]]
-    assert not full_column_rank_certificate(matrix)
+def test_rank_certificates_refuse_a_repeated_phi_column(sp, monkeypatch):
+    phi = sp.phi.copy()
+    phi[:, 1] = phi[:, 0]
+    rc = _planted_certificates(monkeypatch, phi, sp.psi)
+    assert not rc["phi-injective"] and not rc["images-meet-trivially"]
 
+
+def test_rank_certificates_read_psi_inside_the_image_of_phi(sp, monkeypatch):
+    # Psi = Phi X maps every isotypic block into Im(Phi): the 14-type image
+    # meets it, both containments hold, and the scalar image Phi X b1 is not
+    # zero because X b1 is not
+    x = np.random.default_rng(0).integers(-2, 3, size=(98, 49))
+    assert (x @ isotypic_basis_r7_m("1").num[0]).any()
+    rc = _planted_certificates(monkeypatch, sp.phi, sp.phi @ x)
+    assert rc["phi-injective"] and not rc["images-meet-trivially"]
+    assert rc["scalar-image-contained"] and rc["traceless-image-contained"]
+    assert not rc["scalar-image-solution-zero"]
+
+
+def test_rank_certificates_refuse_a_generic_psi(sp, monkeypatch):
+    psi = np.random.default_rng(1).integers(-3, 4, size=(196, 49))
+    rc = _planted_certificates(monkeypatch, sp.phi, psi)
+    assert rc["phi-injective"] and not rc["traceless-image-contained"]

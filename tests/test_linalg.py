@@ -18,7 +18,7 @@ from skewtor.clifford import eigen_report
 from skewtor.forms import Form
 from skewtor.linalg import (GaussTensor, Tensor, certified_eigenspace_dims, charpoly,
                             int_abs_max, int_matmul, is_hermitian, krylov_min_poly,
-                            nullspace, rank, rank_mod_p, rational_roots, solve, _PRIMES)
+                            nullspace, rank, rational_roots, solve, _PRIMES)
 from skewtor.reporting import fmt
 
 import cq_reference
@@ -264,14 +264,6 @@ def test_integer_echelon_tools():
     assert Tensor.of(qm([["1/2", "1/3", 0]])).num.tolist() == [[3, 2, 0]]
 
 
-def test_rank_mod_p_is_lower_bound():
-    a = [[1, 2], [2, 4]]
-    assert rank_mod_p(a, _PRIMES[0]) == 1
-    b = [[1, 0], [0, _PRIMES[0]]]  # rank drops mod this prime only
-    assert rank_mod_p(b, _PRIMES[0]) == 1
-    assert rank(b) == 2
-
-
 def test_krylov_certificates_diagonalizable():
     d = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 5]]
     # a vector with a component in every eigenspace has the minimal
@@ -313,7 +305,7 @@ def test_eigenspace_chain_runs_on_python_ints_past_2_53():
 
 
 def test_prime_pool_is_every_prime_below_2_21_descending():
-    # the head of the pool, from which every certificate takes its primes
+    # the head of the pool, from which `charpoly` takes its primes
     assert _PRIMES[:12] == [2097143, 2097133, 2097131, 2097097, 2097091, 2097083, 2097047,
                             2097041, 2097031, 2097023, 2097013, 2096993]
     # the whole pool against a plain sieve of Eratosthenes
