@@ -17,15 +17,10 @@ import numpy as np
 from .errors import DegreeError, NoSkewConnection, StructureError
 from .forms import Form, all_blades, dense, interior, sigma_t, wedge
 from .liegeom import LieModel, SkewTorsionStructure, d_form, tt_contraction
-from .linalg import Tensor, int_matmul, rank
+from .linalg import Tensor, int_matmul, rank, slot_sum
 
 Q = Fraction
 ein = Tensor.einsum
-
-
-def _nabla_endo(conn, phi):
-    """[i, j, k] = g((nabla_{e_i} phi) e_j, e_k): [nabla_i, phi] in coefficients."""
-    return ein("lj,ilk->ijk", phi, conn.omega) - ein("ijl,kl->ijk", conn.omega, phi)
 
 
 class _EndoStructure(SkewTorsionStructure):
@@ -93,7 +88,7 @@ class AlmostContact(_EndoStructure):
 
     def killing_matrix(self) -> Tensor:
         """K[i, j] = g(nabla^g_{e_i} xi, e_j); xi is Killing iff K is skew."""
-        return self.model.levi_civita.nabla_vector(self.xi)
+        return self.model.levi_civita.nabla(self.xi)
 
     def xi_is_killing(self) -> bool:
         """Whether ad_xi, A[i, j] = g([xi, e_i], e_j), is skew.
@@ -213,11 +208,10 @@ def torsion_uniqueness_certificate(s) -> bool:
     compatible connection is exactly injectivity of the linear response of
     (nabla phi, nabla eta) to a torsion perturbation dT, whose connection
     perturbation is omega'_ijk = dT(i, j, k) / 2.  The response matrix has
-    one column per blade of dT and n^3 (+ n^2 with eta) rows; it is built
-    from the signed permutations of each blade, scaled by 2 L to integers
-    (L clears the denominators of phi and eta).  Its full column rank is the
-    exact rank of the Gram matrix M^T M (at most 56 x 56), as over Q
-    rank(M^T M) = rank(M).  The matrix depends only on the frame (phi, and xi
+    one column per blade of dT and n^3 (+ n^2 with eta) rows, scaled by 2 L
+    to integers (L clears the denominators of phi and eta).  Its full column
+    rank is the exact rank of the Gram matrix M^T M (at most 56 x 56), as
+    over Q rank(M^T M) = rank(M).  The matrix depends only on the frame (phi, and xi
     for contact input), so each frame is certified once.
     """
     frame = (s.phi.den, tuple(s.phi.num.flat), getattr(s, "xi_index", None))
@@ -233,26 +227,26 @@ _CERTIFICATES = {}
 def _uniqueness_response(s):
     """The response matrix of `torsion_uniqueness_certificate`, times 2 L, as integers.
 
-    L is the denominator of phi (eta = e^xi needs none).  Row [i, j, k] of a
-    blade dT is sum_l phi[l, j] dT(i, l, k) - dT(i, j, l) phi[k, l], and
-    sum_l dT(i, j, l) eta[l] for contact input.
+    L is the denominator of phi (eta = e^xi needs none).  The unit 3-blades
+    dT, stacked as connection perturbations, act by `slot_sum` on the tensor
+    g(phi X, Y) (phi^T) and, for contact input, on xi; column b holds the
+    images [i, j, k] and [i, j] of blade b.
     """
-    p = s.phi.num
-    blades = dense(np.eye(comb(s.model.n, 3), dtype=np.int64), s.model.n, 3)
-    response = [np.swapaxes(int_matmul(np.swapaxes(blades, 2, 3), p), 2, 3)
-                - int_matmul(blades, p.T)]
+    n, p = s.model.n, s.phi.num
+    blades = dense(np.eye(comb(n, 3), dtype=np.int64), n, 3)
+    response = [slot_sum(blades, p.T, 2)]
     if isinstance(s, AlmostContact):
-        response.append(int_matmul(blades, s.xi.num * s.phi.den)[..., None])
-    matrix = np.concatenate([r.reshape(len(blades), s.model.n, -1) for r in response], axis=2)
+        response.append(slot_sum(blades, s.xi.num * s.phi.den, 1))
+    matrix = np.concatenate([r.reshape(len(blades), n, -1) for r in response], axis=2)
     return matrix.reshape(len(blades), -1).T
 
 
 def structure_parallel_residuals(s):
     """Max residuals of nabla g = nabla (eta, xi, phi | J) = 0 under the structure's connection."""
     conn = s.connection
-    res = _nabla_endo(conn, s.phi).max_abs()
+    res = conn.nabla(s.phi).max_abs()
     if isinstance(s, AlmostContact):
-        res = max(res, conn.nabla_vector(s.xi).max_abs())
+        res = max(res, conn.nabla(s.xi).max_abs())
     return res
 
 
@@ -271,8 +265,9 @@ def contact_general_identities(s: AlmostContact) -> dict:
     df = Tensor.of_form(s.d_fundamental)
     de = Tensor.of_form(s.d_eta)
     nij = s.nijenhuis.table
-    nabla_phi = _nabla_endo(lc, p)
-    nabla_eta = lc.nabla_vector(eta)
+    # [x, y, z] = g((nabla_x phi) e_y, e_z), and g(phi X, Y) = -F(X, Y)
+    nabla_phi = -lc.nabla(p)
+    nabla_eta = lc.nabla(eta)
 
     covariant = nabla_phi * 2 - (
         ein("xab,ay,bz->xyz", df, p, p) - df + ein("yzc,cx->xyz", nij, p)
@@ -300,7 +295,7 @@ def nijenhuis_gradient_identities(s: AlmostContact) -> dict:
     eta = s.xi
     df = Tensor.of_form(s.d_fundamental)
     nij = s.nijenhuis.table
-    nabla_phi = _nabla_endo(s.model.levi_civita, p)
+    nabla_phi = -s.model.levi_civita.nabla(p)
     killing = s.killing_matrix()
 
     df_minus = (ein("xab,ay,bz->xyz", df, p, p) + ein("ayb,ax,bz->xyz", df, p, p)
@@ -362,7 +357,7 @@ def holonomy_reduction_residual(s):
     """
     p, conn = s.phi, s.connection
     rho, one_form, lam = ricci_form_package(s)
-    nabla_w = conn.nabla_vector(one_form)
+    nabla_w = conn.nabla(one_form)
     rhs = ein("ay,xa->xy", p, conn.curvature.ric) + lam * Q(1, 4)
     if isinstance(s, AlmostContact):
         rhs = rhs - nabla_w
@@ -387,7 +382,7 @@ def sasakian_ricci_package(s: AlmostContact) -> dict:
     eta2 = ein("x,y->xy", eta, eta)
     out = {}
     out["lambda-is-16(1-k)F"] = lam == Tensor.of_form(s.fundamental_form()) * (16 * (1 - k))
-    out["one-form-parallel"] = conn.nabla_vector(one_form).is_zero()
+    out["one-form-parallel"] = conn.nabla(one_form).is_zero()
     ttc = tt_contraction(t)
     out["tt-contraction"] = ttc == one * 8 + eta2 * (8 * (k - 1))
     ric_target = (one - eta2) * (4 * (k - 1))

@@ -5,9 +5,9 @@ Everything is assembled in explicit integer coordinates:
     orthogonalized over the rationals;
   * every module as one kind of data, a stack of mutually orthogonal integer
     unit tensors (the unit blades of Lambda^p, the symmetric units of S^2,
-    the e_k -| w3 of m, the basis of g); a generator acts on each by one slot
-    sum of its 2-tensor and is read back by projection, and R^7 (x) V is the
-    Kronecker sum of the actions on R^7 and V;
+    the e_k -| w3 of m, the basis of g); a generator acts on each by one
+    `linalg.slot_sum` of its 2-tensor and is read back by projection, and
+    R^7 (x) V is the Kronecker sum of the actions on R^7 and V;
   * the equivariant maps Phi (from R^7 (x) g) and Psi (from R^7 (x) m) into
     R^7 (x) S^2(R^7)), both `_symmetrized`, as integer matrices with exact
     rank certificates;
@@ -31,11 +31,10 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import StructureError
-from .forms import (Form, common_denominator, contract, dense, inner, interior, so_action,
-                    wedge)
+from .forms import Form, common_denominator, contract, dense, inner, interior, wedge
 from .g2 import _projectors, canonical_omega3, project3, spanning_27
 from .linalg import (Tensor, certified_eigenspace_dims, eliminate, int_abs_max, int_matmul,
-                     krylov_min_poly, nullspace, rank, rational_roots)
+                     krylov_min_poly, nullspace, rank, rational_roots, slot_sum)
 
 Q = Fraction
 
@@ -55,7 +54,7 @@ class G2Algebra:
         self.basis = _orthogonalize(raw)
         self.norms = [inner(x, x) for x in self.basis]
         self.units = _units_of(self.basis)
-        if any(not so_action(x, w3).is_zero() for x in self.basis):
+        if slot_sum(self.units, Tensor.of_form(w3).num, 3).any():
             raise StructureError("stabilizer basis does not annihilate the 3-form")
 
     def coordinates(self, alpha: Form):
@@ -106,27 +105,35 @@ def _units_of(forms):
 def _module_action(alpha, units):
     """A generator's action on the span of mutually orthogonal integer unit tensors U[c].
 
-    alpha is the generator's dense 2-tensor, applied in every slot as the
-    so_action derivation e^m -> sum_k alpha(m, k) e^k.  The coefficient of
-    the image of U[c] on U[j] is its projection <image_c, U_j> / |U_j|^2.
-    Returns (rho, d, closed): rho / d is the action on the coefficients,
-    with d their least common denominator, and closed[c] says whether the
-    image of U[c] lies in the span.
+    alpha is the generator's dense 2-tensor, applied in every slot by
+    `slot_sum`.  The coefficient of the image of U[c] on U[j] is its
+    projection <image_c, U_j> / |U_j|^2.  Returns (rho, d, closed): rho / d
+    is the action on the coefficients, with d their least common
+    denominator, and closed[c] says whether the image of U[c] lies in the
+    span.
     """
-    image = sum(np.moveaxis(int_matmul(np.moveaxis(units, s, -1), alpha), -1, s)
-                for s in range(1, units.ndim))
+    image = slot_sum(alpha, units, units.ndim - 1)
     flat, image = units.reshape(len(units), -1), image.reshape(len(units), -1)
     num = int_matmul(flat, image.T)
+    # int64 holds |U_j|^2 <= size max|U|^2 below 2^63; past it, Python integers
+    if flat.shape[1] * int_abs_max(flat) ** 2 >= 2 ** 63:
+        flat = flat.astype(object)
     den = (flat * flat).sum(axis=1, keepdims=True)
     g = np.gcd(num, den)
-    d = int(np.lcm.reduce((den // g).ravel()))
+    d = lcm(*(den // g).ravel().tolist())
+    # and |rho| = |num / g| d / (den / g) <= d max|num| and d image below 2^63
+    if d * max(int_abs_max(num), int_abs_max(image)) >= 2 ** 63:
+        g, image = g.astype(object), image.astype(object)
     rho = (num // g) * (d // (den // g))
     closed = (int_matmul(rho.T, flat) == d * image).all(axis=1)
     return rho, d, closed.tolist()
 
 
 def _tensor_action(a, rho, d):
-    """d (a (x) 1 + 1 (x) rho / d) in (small x big) coordinates."""
+    """d (a (x) 1 + 1 (x) rho / d) in (small x big) coordinates, in int64 below 2^63."""
+    # its entries are at most d max|a| + max|rho|
+    if d * int_abs_max(a) + int_abs_max(rho) >= 2 ** 63:
+        a, rho = a.astype(object), rho.astype(object)
     return np.kron(d * a, np.eye(len(rho), dtype=np.int64)) \
         + np.kron(np.eye(len(a), dtype=np.int64), rho)
 
@@ -169,7 +176,8 @@ class Spaces:
     def generators(self, space: str):
         """The actions of the 14 basis elements on a module, in basis order.
 
-        Yields (rho, d) with rho an int64 matrix; the action is rho / d, with
+        Yields (rho, d) with rho an integer matrix (int64 under the bounds of
+        `_module_action` and `_tensor_action`); the action is rho / d, with
         d the least common denominator of its entries: the cached table of a
         base module, or on r7_V the Kronecker sums of the R^7 and V tables.
         """

@@ -465,19 +465,6 @@ def derivation(a: Form, image_degree: int, image) -> Form:
     return Form.of_numerators(n, degree, out, a.den * den)
 
 
-def so_action(alpha: Form, a: Form) -> Form:
-    """Derivation action of a 2-form (an so(n) element) on a form.
-
-    On the coframe, e^m maps to e_m -| alpha = sum_k alpha(e_m, e_k) e^k; the
-    sign is pinned so that the canonical dimension-7 identity
-    rho(Z -| w3)(w3) = -3 (Z -| *w3) holds (enforced by the test suite).
-    """
-    alpha._check_same_space(a)
-    if alpha.degree != 2:
-        raise DegreeError("so(n) elements are 2-forms")
-    return derivation(a, 1, lambda m: contract(alpha, m))
-
-
 def all_blades(n: int, degree: int):
     """The blades of a degree, ascending index tuples in blade order."""
     return _blades(n, degree)

@@ -13,11 +13,10 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .errors import DegreeError, NoSkewConnection, StructureError
-from .forms import (Form, all_blades, contract, hodge, inner, interior,
-                    sigma_t, so_action, wedge)
+from .forms import Form, all_blades, contract, hodge, inner, interior, sigma_t, wedge
 from .liegeom import (ConnectionData, LieModel, SkewTorsionStructure, codiff, d_form,
-                      nabla_form, tt_contraction)
-from .linalg import Tensor
+                      tt_contraction)
+from .linalg import Tensor, slot_sum
 
 Q = Fraction
 
@@ -141,13 +140,11 @@ def classify(s: G2Structure) -> TorsionClass:
     the 14-part of its skew component.
     """
     ein = Tensor.einsum
-    model = s.model
     w3 = s.omega3
     big_w, big_s = _dense()
     dw3 = s.d_omega3
     lam = Q(-1, 7) * inner(dw3, s.star_omega3)
-    lc = model.levi_civita
-    nab = Tensor.of_forms([nabla_form(lc, i, w3) for i in range(1, 8)])
+    nab = s.model.levi_civita.nabla(big_w)
     beta = (ein("jjab,iab->i", nab, big_w) * Q(1, 6)).to_form()
     gamma27 = hodge(dw3) + w3 * lam - hodge(wedge(beta, w3)) * Q(3, 4)
 
@@ -262,7 +259,7 @@ def derivation_constant_identities():
                                                                     for g in span]
 
     out["two-form-action-constant-minus-3"] = (
-        Tensor.of_forms([so_action(contract(w3, z), w3) for z in range(1, 8)]) == big_s * -3)
+        Tensor(slot_sum(big_w.num, big_w.num, 3)) == big_s * -3)
     out["gram-3-delta"] = ein("iab,jab->ij", big_w, big_w) * Q(1, 2) == unit * 3
     out["gram-4-delta"] = ein("iabc,jabc->ij", big_s, big_s) * Q(1, 6) == unit * 4
     return out

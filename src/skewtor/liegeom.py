@@ -3,7 +3,8 @@
 A LieModel is an orthonormal coframe e_1 .. e_n together with the exterior
 derivatives de_i (invariant 2-forms).  All geometry below is evaluated on
 invariant tensors, where covariant derivatives reduce to exact linear algebra
-over the structure constants.
+over the structure constants: nabla_{e_i} acts on an invariant covariant
+tensor as the so(n) element omega[i], one `linalg.slot_sum` for all i.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from functools import cached_property
 from .clifford import act_form, build_rep, common_kernel
 from .errors import DegreeError, DimensionMismatch, NoSkewConnection, StructureError
 from .forms import Form, contract, derivation, sigma_t
-from .linalg import GaussTensor, Tensor
+from .linalg import GaussTensor, Tensor, slot_sum
 
 Q = Fraction
 
@@ -102,12 +103,16 @@ class ConnectionData:
     @cached_property
     def nabla_t(self) -> Tensor:
         """[i, a, b, c] = (nabla_{e_i} T)(e_a, e_b, e_c)."""
-        t = self.skew_torsion
-        return Tensor.of_forms([nabla_form(self, i, t) for i in range(1, self.model.n + 1)])
+        return self.nabla(Tensor.of_form(self.skew_torsion))
 
-    def nabla_vector(self, v) -> Tensor:
-        """[i, k]: the coefficients of nabla_{e_i} of an invariant vector field v."""
-        return Tensor.einsum("ijk,j->ik", self.omega, Tensor.of(v))
+    def nabla(self, tensor: Tensor) -> Tensor:
+        """[i, a_1, .., a_p] = (nabla_{e_i} t)(e_a_1, .., e_a_p) of an invariant covariant t.
+
+        nabla_{e_i} e^j = sum_k omega_ijk e^k, so omega[i] acts as a derivation;
+        a vector field reads as its metric dual 1-form.
+        """
+        return Tensor(slot_sum(self.omega.num, tensor.num, tensor.num.ndim),
+                      self.omega.den * tensor.den)
 
 
 def levi_civita(model: LieModel) -> ConnectionData:
@@ -159,18 +164,12 @@ class SkewTorsionStructure:
         return with_torsion(self.model, self.torsion)
 
 
-def nabla_form(conn: ConnectionData, i: int, a: Form) -> Form:
-    """Covariant derivative nabla_{e_i} of an invariant form."""
-    # nabla_{e_i} e^j = sum_k omega_ijk e^k
-    n, omega = conn.model.n, conn.omega
-    return derivation(a, 1, lambda j: Form.of_numerators(n, 1, omega.num[i - 1, j - 1], omega.den))
-
-
 def codiff(conn: ConnectionData, a: Form) -> Form:
-    """Codifferential -sum_i e_i -| nabla_{e_i} a of a connection."""
-    n = conn.model.n
-    return -sum((contract(nabla_form(conn, i, a), i) for i in range(1, n + 1)),
-                Form.zero(n, max(a.degree - 1, 0)))
+    """Codifferential -sum_i e_i -| nabla_{e_i} a: minus the trace of nabla a over i and slot 1."""
+    if a.degree == 0:
+        return Form.zero(a.n, 0)
+    trace = -Tensor.einsum("ii...->...", conn.nabla(Tensor.of_form(a)))
+    return trace.to_form() if a.degree > 1 else Form.scalar(a.n, trace[()])
 
 
 class CurvatureTable:

@@ -11,22 +11,23 @@ part and the one Gaussian type, multiplied by integer matrix products.  Every
 dense integer matrix product in the program is `int_matmul`: float64 BLAS when
 the a-priori bound n max|a| max|b| < 2^53 makes every partial sum an integer
 that a double holds exactly (the word-size technique of FFLAS-FFPACK), Python
-integers otherwise, so a float only ever carries such an integer.  Every exact
-rank, kernel and solve runs one fraction-free Gauss-Jordan elimination over Z
-on the integer numerators; a Gaussian system enters it with each entry a + bi
-as the real block [[a, -b], [b, a]].  A spectrum is read from the
-characteristic polynomial of the integral d A (d the denominator of A) over
-Z[i], computed by one batched Faddeev-LeVerrier run over its images modulo
-primes p = 1 (mod 4) and rebuilt by the Chinese remainder theorem under a
-proven coefficient bound; for a real one its rational roots are y / d for
-the integer roots y of that monic integer polynomial, found by a divisor
-search and Horner's rule.  On the large representation-theoretic matrices
-(up to 196 x 196) every rank claim is read from the one exact elimination,
-and one exact product chain prod_k (A - r_k I) by `int_matmul` both proves
-a spectrum (the chain vanishes) and counts it (the traces of its partial
-products give the eigenspace dimensions).  The primes of `charpoly` come
-from one pool, the primes below 2^21 in descending order, sieved as far as
-it is read, and no other module names one.
+integers otherwise, so a float only ever carries such an integer; every
+derivation action of an so(n) element on a tensor is `slot_sum`, one such
+product per slot.  Every exact rank, kernel and solve runs one fraction-free
+Gauss-Jordan elimination over Z on the integer numerators; a Gaussian system
+enters it with each entry a + bi as the real block [[a, -b], [b, a]].  A
+spectrum is read from the characteristic polynomial of the integral d A (d
+the denominator of A) over Z[i], computed by one batched Faddeev-LeVerrier
+run over its images modulo primes p = 1 (mod 4) and rebuilt by the Chinese
+remainder theorem under a proven coefficient bound; for a real one its
+rational roots are y / d for the integer roots y of that monic integer
+polynomial, found by a divisor search and Horner's rule.  On the large
+representation-theoretic matrices (up to 196 x 196) every rank claim is read
+from the one exact elimination, and one exact product chain prod_k (A - r_k I)
+by `int_matmul` both proves a spectrum (the chain vanishes) and counts it
+(the traces of its partial products give the eigenspace dimensions).  The
+primes of `charpoly` come from one pool, the primes below 2^21 in descending
+order, sieved as far as it is read, and no other module names one.
 """
 
 from __future__ import annotations
@@ -417,9 +418,9 @@ def _divide_root(q, y):
 class _PrimePool:
     """The primes below 2^21 in descending order, sieved a block at a time as they are read.
 
-    Indexing, slicing and iteration sieve only as far as they read, so
-    nothing is computed at import.  Its one reader, `charpoly`, takes from
-    the first as many primes p = 1 (mod 4) as its bound needs.
+    Iteration sieves only as far as it reads, so nothing is computed at
+    import.  Its one reader, `charpoly`, takes from the first as many primes
+    p = 1 (mod 4) as its bound needs.
     """
 
     _BLOCK = 1 << 12
@@ -437,12 +438,6 @@ class _PrimePool:
         self._primes.extend(_sieve(low, self._low, self._divisors))
         self._low = low
         return True
-
-    def __getitem__(self, index):
-        need = index.stop if isinstance(index, slice) else index + 1
-        while len(self._primes) < need and self._extend():
-            pass
-        return self._primes[index]
 
     def __iter__(self):
         k = 0
@@ -512,6 +507,23 @@ def int_matmul(a, b):
 def int_abs_max(a):
     """Largest absolute entry of an array of integers (of any dtype) as a Python int, at least 1."""
     return max(1, int(np.abs(a).max())) if a.size else 1
+
+
+def slot_sum(w, t, degree):
+    """The action of skew 2-tensors w (so(n) elements) on the last `degree` slots of integer t.
+
+    out[W.., T.., a_1, .., a_p] = -sum_s sum_k w[W.., a_s, k] t[T.., .., k (slot s), ..]: the
+    derivation e^m -> sum_k w(m, k) e^k, with the leading axes W of w and T of t as
+    batches.  Each slot is one `int_matmul`; degree 0 gives zeros.
+    """
+    w, t = np.asarray(w), np.asarray(t)
+    batch = w.shape[:-2]
+    out = np.zeros(batch + t.shape, dtype=np.int64)
+    for s in range(t.ndim - degree, t.ndim):
+        moved = np.moveaxis(t, s, -1)
+        image = int_matmul(moved.reshape(-1, w.shape[-1]), np.swapaxes(w, -1, -2))
+        out = out - np.moveaxis(image.reshape(batch + moved.shape), -1, len(batch) + s)
+    return out
 
 
 def krylov_min_poly(matrix, v):

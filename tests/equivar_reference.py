@@ -16,8 +16,10 @@ from math import lcm
 
 import numpy as np
 
-from skewtor.forms import Form, all_blades, inner, so_action
+from skewtor.forms import Form, all_blades, inner
 from skewtor.linalg import Tensor
+
+from forms_reference import so_action
 
 S2_PAIRS = [(i, j) for i in range(1, 8) for j in range(i, 8)]
 

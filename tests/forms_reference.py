@@ -4,10 +4,16 @@ These are the per-term algorithms (merge signs, complement signs, one
 Fraction per term) that the dense signed tables of `skewtor.forms` replaced
 in the program, kept here to compare the tables against term for term.
 Indices are 1-based, as in the program.
+
+`nabla_form` and `so_action` are the per-form derivations on program Forms
+that `skewtor.linalg.slot_sum` replaced: one `skewtor.forms.derivation`
+with 1-form images for each covariant derivative or so(n) element.
 """
 
 from fractions import Fraction as Q
 from itertools import combinations
+
+from skewtor import forms
 
 
 def merge_sign(left, right):
@@ -127,3 +133,15 @@ def render(terms):
         else:
             bits.append(f"{c}*{mono}")
     return " + ".join(bits).replace("+ -", "- ")
+
+
+def nabla_form(conn, i, a):
+    """nabla_{e_i} of an invariant Form, the derivation e^j -> sum_k omega[i, j, k] e^k."""
+    n, omega = conn.model.n, conn.omega
+    return forms.derivation(
+        a, 1, lambda j: forms.Form.of_numerators(n, 1, omega.num[i - 1, j - 1], omega.den))
+
+
+def so_action(alpha, a):
+    """The derivation action of a 2-form alpha (an so(n) element): e^m -> e_m -| alpha."""
+    return forms.derivation(a, 1, lambda m: forms.contract(alpha, m))

@@ -9,10 +9,11 @@ the contractions against entry for entry.  Indices are 1-based for forms.
 from fractions import Fraction as Q
 
 from skewtor.errors import StructureError
-from skewtor.forms import (Form, all_blades, contract, hodge, inner, interior,
-                           so_action, wedge)
+from skewtor.forms import Form, all_blades, contract, hodge, inner, interior, wedge
 from skewtor.g2 import canonical_omega3, project2, spanning_27, tbeta_form
-from skewtor.liegeom import codiff, d_form, levi_civita, nabla_form, with_torsion
+from skewtor.liegeom import codiff, d_form, levi_civita, with_torsion
+
+from forms_reference import nabla_form, so_action
 
 
 def classify_by_loops(s):

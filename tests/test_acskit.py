@@ -16,8 +16,7 @@ from skewtor.acskit import (AlmostContact, AlmostHermitian,
                             _uniqueness_response)
 from skewtor.errors import NoSkewConnection, StructureError
 from skewtor.forms import Form, sigma_t, wedge
-from skewtor.liegeom import (LieModel, codiff, curvature, d_form, levi_civita,
-                             nabla_form, with_torsion)
+from skewtor.liegeom import LieModel, codiff, curvature, d_form, levi_civita, with_torsion
 from skewtor.linalg import Tensor
 from skewtor.registry import registry, standard_j_matrix, standard_phi_matrix
 
@@ -78,7 +77,7 @@ def test_sasakian_fixture():
     assert t == wedge(s.eta, s.d_eta)
     assert structure_parallel_residuals(s) == 0
     conn = with_torsion(s.model, t)
-    assert all(nabla_form(conn, i, t).is_zero() for i in range(1, 6))
+    assert conn.nabla(Tensor.of_form(t)).is_zero()
     assert codiff(levi_civita(s.model), t).is_zero()
     assert sigma_t(t) * 2 == d_form(s.model, t) == \
         wedge(s.d_eta, s.d_eta)
@@ -179,9 +178,11 @@ def _response_by_loops(s):
                                     - dt.eval(i + 1, j + 1, l + 1) * phi[k][l]
                                     for l in range(n)) / 2)
             if eta is not None:
+                # (nabla'_i eta)(e_j) = -(1/2) sum_l dT(i, j, l) eta[l], as nabla_{e_i} e^j =
+                # sum_k omega_ijk e^k; the sign of a row leaves the certificate's M^T M as it is
                 for j in range(n):
-                    rows.append(sum(dt.eval(i + 1, j + 1, l + 1) * eta[l]
-                                    for l in range(n)) / 2)
+                    rows.append(-sum(dt.eval(i + 1, j + 1, l + 1) * eta[l]
+                                     for l in range(n)) / 2)
         columns.append(rows)
     return [list(row) for row in zip(*columns)]
 
@@ -305,7 +306,7 @@ def test_compact_group_hermitian_fixture():
     assert structure_parallel_residuals(h) == 0
     conn = with_torsion(h.model, t)
     # parallel and coclosed torsion, like the nearly Kaehler class
-    assert all(nabla_form(conn, i, t).is_zero() for i in range(1, 7))
+    assert conn.nabla(Tensor.of_form(t)).is_zero()
     assert codiff(levi_civita(h.model), t).is_zero()
     hol = holonomy_reduction_residual(h)
     assert hol["identity-residual"] == 0

@@ -1,6 +1,6 @@
 from fractions import Fraction as Q
 from itertools import combinations
-from math import lcm
+from math import isqrt, lcm
 
 import numpy as np
 import pytest
@@ -9,13 +9,14 @@ from skewtor import equivar
 from skewtor.equivar import (casimir_decompose, casimir_spectrum, isotypic_basis_r7_m,
                              rank_certificates, sigma0_constant,
                              sigma_solution_identity, spaces)
-from skewtor.forms import Form, contract, dense, so_action
+from skewtor.forms import Form, contract, dense
 from skewtor.errors import StructureError
 from skewtor.g2 import canonical_omega3
 from skewtor.linalg import Tensor
 
 import equivar_reference
 from cq_reference import poly_mul
+from forms_reference import so_action
 
 
 @pytest.fixture(scope="module")
@@ -286,6 +287,49 @@ def test_action_outside_the_module_is_refused():
     fresh.units["m"] = part
     with pytest.raises(StructureError, match="left the module"):
         list(fresh.generators("r7_m"))
+
+
+@pytest.mark.parametrize("scale", [isqrt((2 ** 63 - 1) // 7), 3 << 30, 1 << 32, 1 << 40])
+def test_scaled_units_give_the_same_actions(sp, scale):
+    # scaled units span the same module, so every action is the unscaled one.
+    # |U_j|^2 of the Lambda^1 units is scale^2 and their stack has 7 columns:
+    # the first scale is the largest with 7 scale^2 in int64; past it |U_j|^2
+    # wrapped in int64 (to -8070450532247928832 at 3 * 2^30, which refused the
+    # action as not closed, and to 0 at 2^32, which divided by zero)
+    units = sp.units["lambda1"]
+    for alpha in sp.algebra.units:
+        rho, d, closed = equivar._module_action(alpha, units)
+        big_rho, big_d, big_closed = equivar._module_action(alpha, units * scale)
+        assert all(closed) and big_closed == closed
+        assert big_d == d and big_rho.tolist() == rho.tolist()
+
+
+def test_unit_scales_past_int64_give_the_conjugated_actions(sp):
+    # U_c = p_c e_c for the seven largest primes below 2^20: the action is conjugated
+    # by diag(p), rho[j, c] / d = rho0[j, c] p_c / (d0 p_j).  |U_j|^2 and the
+    # projections stay in int64, but the common denominator d (80 or 120
+    # bits) leaves it (np.lcm wrapped it there)
+    primes = np.array([1048573, 1048571, 1048559, 1048549, 1048517, 1048507, 1048447])
+    units = sp.units["lambda1"] * primes[:, None]
+    for alpha in sp.algebra.units:
+        rho0, d0, _ = equivar._module_action(alpha, sp.units["lambda1"])
+        rho, d, closed = equivar._module_action(alpha, units)
+        assert all(closed) and d >= 2 ** 63
+        assert [[Q(int(x), d) for x in row] for row in rho] == \
+            [[Q(int(rho0[j, c]) * int(primes[c]), d0 * int(primes[j])) for c in range(7)]
+             for j in range(7)]
+
+
+def test_tensor_action_past_int64():
+    # d (a (x) 1) + 1 (x) rho with d max|a| + max|rho| past 2^63 runs on Python integers
+    a = np.array([[0, 2], [-2, 0]], dtype=np.int64)
+    rho = np.array([[1, -3], [3, 1]], dtype=np.int64)
+    for d in (2 ** 61, 2 ** 62):
+        got = equivar._tensor_action(a, rho, d)
+        want = [[d * int(a[i // 2, j // 2]) * (i % 2 == j % 2)
+                 + int(rho[i % 2, j % 2]) * (i // 2 == j // 2) for j in range(4)]
+                for i in range(4)]
+        assert got.tolist() == want
 
 
 def _planted(monkeypatch, matrix, space="lambda1", scale=1):

@@ -11,9 +11,10 @@ import forms_reference as ref
 from skewtor.errors import DegreeError, DimensionMismatch
 from skewtor.formexpr import render_form
 from skewtor.forms import (Form, _wedge_table, contract, dense, derivation, hodge, inner,
-                           interior, random_form, sigma_t, sigma_t_quadratic, so_action,
-                           volume_form, wedge)
+                           interior, random_form, sigma_t, sigma_t_quadratic, volume_form,
+                           wedge)
 from skewtor.g2 import canonical_omega3
+from skewtor.linalg import Tensor, slot_sum
 
 
 def blade(n, *ix, c=1):
@@ -138,7 +139,15 @@ def test_sigma_wrong_degree():
         sigma_t(blade(7, 1, 2))
 
 
+def so_action(alpha, a):
+    """The so(n) action of a 2-form on a form: `slot_sum` of their tensors."""
+    w, t = Tensor.of_form(alpha), Tensor.of_form(a)
+    return Tensor(slot_sum(w.num, t.num, a.degree), w.den * t.den).to_form()
+
+
 def test_so_action_derivation_and_pinning():
+    # the kernel's sign is pinned by rho(Z -| w3)(w3) = -3 (Z -| *w3); it is a
+    # derivation of wedges and equals the per-form reference
     w3 = canonical_omega3()
     sw3 = hodge(w3)
     for z in range(1, 8):
@@ -150,6 +159,8 @@ def test_so_action_derivation_and_pinning():
     lhs = so_action(alpha, wedge(a, b))
     rhs = wedge(so_action(alpha, a), b) + wedge(a, so_action(alpha, b))
     assert lhs == rhs
+    for x in (a, b, wedge(a, b)):
+        assert so_action(alpha, x) == ref.so_action(alpha, x)
 
 
 def test_blade_normalization_and_eval():

@@ -11,8 +11,7 @@ from skewtor.g2 import (G2Structure, _wedge_sums, canonical_omega3, classify,
                         pr_g2, pr_m, project2, project3, ricci_flat_conditions,
                         ricci_via_dt, spanning_27, tbeta_form,
                         torsion_component_identity, torsion_form)
-from skewtor.liegeom import (LieModel, codiff, curvature, d_form,
-                             nabla_form, with_torsion)
+from skewtor.liegeom import LieModel, curvature, d_form, with_torsion
 from skewtor.linalg import Tensor
 from skewtor.registry import registry
 
@@ -76,7 +75,7 @@ def test_classify_and_torsion_contract(name, pure27):
     assert wedge(cls.gamma27, SW3).is_zero()
     t = torsion_form(s)
     conn = with_torsion(s.model, t)
-    assert all(nabla_form(conn, i, W3).is_zero() for i in range(1, 8))
+    assert conn.nabla(Tensor.of_form(W3)).is_zero()
     assert torsion_component_identity(s)
     assert dw3_decomposition_identity(s)
     assert codiff_identity(s)
@@ -94,7 +93,7 @@ def test_vector_type_model():
     from skewtor.forms import interior
     assert t == interior(cls.beta, SW3) * Q(-1, 4)
     conn = with_torsion(s.model, t)
-    assert all(nabla_form(conn, i, W3).is_zero() for i in range(1, 8))
+    assert conn.nabla(Tensor.of_form(W3)).is_zero()
     assert ricci_via_dt(conn) == curvature(conn).ric
     assert torsion_component_identity(s)
     assert dw3_decomposition_identity(s) and codiff_identity(s)
@@ -109,7 +108,7 @@ def test_nonzero_scaling_component_model():
     assert cls.beta.is_zero()
     t = torsion_form(s)
     conn = with_torsion(s.model, t)
-    assert all(nabla_form(conn, i, W3).is_zero() for i in range(1, 8))
+    assert conn.nabla(Tensor.of_form(W3)).is_zero()
     assert torsion_component_identity(s)
     assert ricci_via_dt(conn) == curvature(conn).ric
 

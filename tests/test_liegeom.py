@@ -8,10 +8,12 @@ from skewtor.errors import DegreeError, NoSkewConnection, StructureError
 from skewtor.forms import Form, hodge, random_form, sigma_t, wedge
 from skewtor.g2 import canonical_omega3
 from skewtor.liegeom import (LieModel, codiff, curvature, curvature_identity_residuals,
-                             d_form, lc_trace_vector, levi_civita, nabla_form,
-                             tt_contraction, with_torsion)
+                             d_form, lc_trace_vector, levi_civita, tt_contraction,
+                             with_torsion)
 from skewtor.linalg import GaussTensor, Tensor
 from skewtor.registry import registry
+
+from forms_reference import nabla_form
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +29,13 @@ def solv7():
 @pytest.fixture(scope="module")
 def heis5():
     return registry()["heis5"].model
+
+
+@pytest.fixture(scope="module")
+def aff4():
+    """A 4-dimensional model that is not unimodular: its trace vector is -e_1."""
+    return LieModel(4, [Form(4, 2), Form(4, 2, {(1, 2): Q(1)}), Form(4, 2),
+                        Form(4, 2, {(1, 3): Q(-1)})], name="aff4")
 
 
 def test_jacobi_enforced():
@@ -61,8 +70,8 @@ def test_d_matches_registry_values(heis7):
 
 def _d_via_connection(model, a):
     """d(a) = sum_i e_i ^ nabla^g_{e_i} a, the reference for the CE differential."""
-    lc, n = model.levi_civita, model.n
-    return sum((wedge(Form.basis_vector(n, i), nabla_form(lc, i, a)) for i in range(1, n + 1)),
+    n, nab = model.n, model.levi_civita.nabla(Tensor.of_form(a))
+    return sum((wedge(Form.basis_vector(n, i), nab[i - 1].to_form()) for i in range(1, n + 1)),
                Form.zero(n, a.degree + 1))
 
 
@@ -94,9 +103,10 @@ def test_d_is_an_antiderivation(heis7, solv7, heis5):
                     + wedge(a, d_form(model, b)) * (Q(-1) ** p_deg)
                 assert lhs == rhs
                 # nabla_{e_i} under a torsion connection is an even derivation
-                for i in range(1, n + 1):
-                    assert nabla_form(conn, i, wedge(a, b)) == \
-                        wedge(nabla_form(conn, i, a), b) + wedge(a, nabla_form(conn, i, b))
+                nab_ab, nab_a, nab_b = (conn.nabla(Tensor.of_form(x)) for x in (wedge(a, b), a, b))
+                for i in range(n):
+                    assert nab_ab[i].to_form() == \
+                        wedge(nab_a[i].to_form(), b) + wedge(a, nab_b[i].to_form())
 
 
 def test_codiff_examples(heis7, solv7, heis5):
@@ -108,10 +118,12 @@ def test_codiff_examples(heis7, solv7, heis5):
     assert codiff(levi_civita(heis5), Form.scalar(5, 3)).is_zero()
 
 
-def test_codiff_against_hodge_composite(heis7, solv7, heis5):
-    # delta = (-1)^(n(p+1)+1) * d * on p-forms of an oriented n-frame
+def test_codiff_against_hodge_composite(heis7, solv7, heis5, aff4):
+    # delta = (-1)^(n(p+1)+1) * d * on p-forms of an oriented n-frame; off the
+    # unimodular class delta of a 1-form need not vanish: delta e^1 = -1 on aff4
+    assert codiff(levi_civita(aff4), Form.basis_vector(4, 1)) == Form.scalar(4, -1)
     rng = random.Random(23)
-    for model in (heis5, heis7, solv7):
+    for model in (heis5, heis7, solv7, aff4):
         n = model.n
         for p in (1, 2, 3):
             a = random_form(n, p, rng, span=3)
@@ -131,7 +143,7 @@ def test_levi_civita_properties(heis5):
     # torsion-free: nabla_i e_j - nabla_j e_i = [e_i, e_j]
     assert _torsion_table(lc).is_zero()
     # the worked value nabla_{e1} e2 = -e5
-    assert lc.nabla_vector([Q(1) if k == 1 else Q(0) for k in range(n)])[0] == \
+    assert lc.nabla(Tensor.of([Q(1) if k == 1 else Q(0) for k in range(n)]))[0] == \
         [Q(0), Q(0), Q(0), Q(0), Q(-1)]
 
 
@@ -195,7 +207,7 @@ def test_heis7_tables(heis7):
     w3 = canonical_omega3()
     t = -hodge(d_form(heis7, w3))
     conn = with_torsion(heis7, t)
-    assert all(nabla_form(conn, i, w3).is_zero() for i in range(1, 8))
+    assert conn.nabla(Tensor.of_form(w3)).is_zero()
     table = curvature(conn)
     assert table.ric_diag() == [Q(-2), Q(0), Q(-2), Q(0), Q(0), Q(-2), Q(-2)]
     assert table.scal == -8
@@ -205,7 +217,7 @@ def test_heis7_tables(heis7):
         [Q(-1), Q(0), Q(-1), Q(1), Q(1), Q(-1), Q(-1)]
 
 
-def test_trace_vector_computed_not_assumed(solv7, heis7):
+def test_trace_vector_computed_not_assumed(solv7, heis7, aff4):
     # every registry model turns out unimodular (trace vector zero) ...
     assert not any(lc_trace_vector(solv7))
     assert not any(lc_trace_vector(heis7))
@@ -215,8 +227,6 @@ def test_trace_vector_computed_not_assumed(solv7, heis7):
     assert any(v)
     assert with_torsion(hyper, Form(2, 3)).spinors.square_residual().is_zero()
     # a 4-dim variant where the trace direction carries spin-connection content
-    aff4 = LieModel(4, [Form(4, 2), Form(4, 2, {(1, 2): Q(1)}), Form(4, 2),
-                        Form(4, 2, {(1, 3): Q(-1)})], name="aff4")
     assert lc_trace_vector(aff4) == [Q(-1), Q(0), Q(0), Q(0)]
     t0 = Form(4, 3)
     spin = with_torsion(aff4, t0).spinors

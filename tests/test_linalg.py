@@ -4,7 +4,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction as Q
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb, lcm
 from pathlib import Path
 
@@ -15,13 +15,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from skewtor import equivar, linalg
 from skewtor.clifford import eigen_report
-from skewtor.forms import Form
+from skewtor.forms import Form, wedge
 from skewtor.linalg import (GaussTensor, Tensor, certified_eigenspace_dims, charpoly,
                             int_abs_max, int_matmul, is_hermitian, krylov_min_poly,
-                            nullspace, rank, rational_roots, solve, _PRIMES)
+                            nullspace, rank, rational_roots, slot_sum, solve, _PRIMES)
 from skewtor.reporting import fmt
 
 import cq_reference
+import forms_reference
 from cq_reference import (CQ, entries, mat_add, mat_identity, mat_mul, mat_scale, parts,
                           poly_eval, poly_mul)
 
@@ -306,8 +307,8 @@ def test_eigenspace_chain_runs_on_python_ints_past_2_53():
 
 def test_prime_pool_is_every_prime_below_2_21_descending():
     # the head of the pool, from which `charpoly` takes its primes
-    assert _PRIMES[:12] == [2097143, 2097133, 2097131, 2097097, 2097091, 2097083, 2097047,
-                            2097041, 2097031, 2097023, 2097013, 2096993]
+    assert list(islice(_PRIMES, 12)) == [2097143, 2097133, 2097131, 2097097, 2097091, 2097083,
+                                         2097047, 2097041, 2097031, 2097023, 2097013, 2096993]
     # the whole pool against a plain sieve of Eratosthenes
     is_prime = np.ones(2 ** 21, dtype=bool)
     is_prime[:2] = False
@@ -388,6 +389,91 @@ def test_int_matmul_bound_edge():
     ones = np.ones((4, 3), dtype=np.int64)
     assert int_matmul(np.zeros((0, 4), dtype=np.int64), ones).shape == (0, 3)
     assert int_matmul(np.ones((2, 0), dtype=np.int64), ones[:0]).tolist() == [[0] * 3] * 2
+
+
+@st.composite
+def slot_operands(draw):
+    """Batches of integral 2-forms w and p-forms t (sparse dicts) for `slot_sum`.
+
+    n is 2..8 and p is 1..4; each batch holds one to three forms, each with
+    an entry of largest size.  The class puts the kernel's bound n max|w| max|t|
+    far below 2^53, at its largest below it, at the least above it, or the
+    entries of t beyond int64.
+    """
+    n = draw(st.integers(2, 8))
+    degree = draw(st.integers(1, min(4, n)))
+    kind = draw(st.sampled_from(["small", "below", "above", "int64"]))
+    big_w = draw(st.integers(1, 9 if kind == "small" else 2 ** 20))
+    if kind == "small":
+        big_t = draw(st.integers(1, 9))
+    elif kind in ("below", "above"):
+        big_t = (2 ** 53 - 1) // (n * big_w) + (kind == "above")
+    else:
+        big_t = draw(st.integers(2 ** 63, 2 ** 64))
+
+    def batch(p, big):
+        blades = list(combinations(range(1, n + 1), p))
+        forms = []
+        for _ in range(draw(st.integers(1, 3))):
+            coeffs = draw(st.lists(st.integers(-big, big), min_size=len(blades),
+                                   max_size=len(blades)))
+            coeffs[draw(st.integers(0, len(blades) - 1))] = draw(st.sampled_from([big, -big]))
+            forms.append({b: Q(c) for b, c in zip(blades, coeffs) if c})
+        return forms
+
+    return n, degree, batch(2, big_w), batch(degree, big_t), kind in ("above", "int64")
+
+
+def _dense_of(n, degree, forms):
+    """The stacked integer tensors of sparse forms, as an object array."""
+    return np.stack([Tensor.of_form(Form(n, degree, f)).num for f in forms])
+
+
+@settings(max_examples=60, deadline=None)
+@given(slot_operands(), st.booleans())
+def test_slot_sum_matches_the_sparse_derivation(operands, as_int64):
+    # out[a, b] is the derivation e^m -> e_m -| w_a of t_b, term by term;
+    # past the bound every product runs on Python integers
+    n, degree, ws, ts, object_branch = operands
+    w, t = _dense_of(n, 2, ws), _dense_of(n, degree, ts)
+    if as_int64 and int_abs_max(t) < 2 ** 63:
+        w, t = w.astype(np.int64), t.astype(np.int64)
+    got = slot_sum(w, t, degree)
+    assert got.shape == (len(ws), len(ts)) + (n,) * degree
+    assert (got.dtype == object) == object_branch
+    for a, alpha in enumerate(ws):
+        for b, form in enumerate(ts):
+            image = forms_reference.derivation(
+                form, lambda m: forms_reference.interior({(m,): Q(1)}, alpha))
+            assert got[a, b].tolist() == _dense_of(n, degree, [image])[0].tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_slot_sum_is_a_derivation_of_wedges(data):
+    # w acts on a ^ b as (w a) ^ b + a ^ (w b), for a batch of w at once;
+    # on degree 0 it is zero
+    n = data.draw(st.integers(2, 8))
+    p = data.draw(st.integers(1, min(3, n - 1)))
+    q = data.draw(st.integers(1, min(4, n) - p)) if p < min(4, n) else 0
+    big = data.draw(st.sampled_from([3, 2 ** 40]))
+
+    def form(degree):
+        count = comb(n, degree)
+        return Form.of_numerators(n, degree, data.draw(
+            st.lists(st.integers(-big, big), min_size=count, max_size=count)))
+
+    alphas = [form(2) for _ in range(data.draw(st.integers(1, 3)))]
+    w = np.stack([Tensor.of_form(x).num for x in alphas])
+
+    def act(a):
+        return [Tensor(x).to_form() for x in slot_sum(w, Tensor.of_form(a).num, a.degree)]
+
+    a, b = form(p), form(q)
+    for lhs, wa, wb in zip(act(wedge(a, b)), act(a), act(b) if q else [Form.zero(n, 0)] * len(w)):
+        assert lhs == wedge(wa, b) + wedge(a, wb)
+    scalar = slot_sum(w, np.array(5), 0)
+    assert scalar.shape == (len(w),) and not scalar.any()
 
 
 def _annihilates(a, roots):
