@@ -11,11 +11,12 @@ Everything is assembled in explicit integer coordinates:
   * the equivariant maps Phi (from R^7 (x) g) and Psi (from R^7 (x) m) into
     R^7 (x) S^2(R^7)), both `_symmetrized`, as integer matrices with exact
     rank certificates;
-  * the Casimir operator of each relevant module, its roots read from the
-    Krylov minimal polynomials of a fixed ramp and then of the unit vectors,
-    proven and counted by one exact product chain prod_k (C' - r_k I): its
-    vanishing makes C' diagonalizable, and the traces of its partial
-    products give the multiplicities.
+  * the Casimir operator of each relevant module, its spectrum proven,
+    counted and labelled by one exact product chain prod_k (C' - r_k I) over
+    the Casimir values r_k of the irreducible g2-modules from the weight
+    table `G2_IRREPS`: every finite-dimensional g2-module is a sum of
+    irreducibles, so the chain vanishes, which proves C' diagonalizable, and
+    the traces of its partial products give the multiplicities.
 
 `Spaces` builds the actions on each base module, Phi, Psi, every Casimir and
 the calibration once, and hands them out read-only.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import count
 from math import comb, gcd, lcm
 from types import MappingProxyType
 
@@ -32,9 +34,9 @@ import numpy as np
 
 from .errors import StructureError
 from .forms import Form, common_denominator, contract, dense, inner, interior, wedge
-from .g2 import _projectors, canonical_omega3, project3, spanning_27
+from .g2 import _projectors, canonical_omega3, spanning_27
 from .linalg import (Tensor, certified_eigenspace_dims, eliminate, int_abs_max, int_matmul,
-                     krylov_min_poly, nullspace, rank, rational_roots, slot_sum)
+                     nullspace, rank, slot_sum)
 
 Q = Fraction
 
@@ -224,32 +226,17 @@ class Spaces:
 
     @cached_property
     def calibration(self):
-        """Exact Casimir scalars on the four small irreducibles, derived once."""
-        table = {}
+        """The Casimir value of each irreducible of `G2_IRREPS` by label, derived once.
+
+        Each is the measured scalar C(7) of the vector module times the
+        irreducible's ratio in the weight table.
+        """
         c1, s1 = self.casimir("lambda1")
         c1 = Tensor(c1, s1)
-        value = c1[0, 0]
-        if c1 != Tensor.identity(7) * value:
+        seven = c1[0, 0]
+        if c1 != Tensor.identity(7) * seven:
             raise StructureError("Casimir is not scalar on the vector module")
-        table["7"] = value
-
-        c3, s3 = self.casimir("lambda3")
-        c3 = Tensor(c3)
-        w3 = canonical_omega3()
-        w3vec = Tensor(w3.num, w3.den)
-        if not Tensor.einsum("ij,j->i", c3, w3vec).is_zero():
-            raise StructureError("Casimir does not kill the invariant 3-form")
-        table["1"] = Q(0)
-
-        c2, s2 = self.casimir("lambda2")
-        xi = self.algebra.basis[0]
-        lam14 = _eigen_scalar(Tensor(c2), Tensor(xi.num, xi.den))
-        table["14"] = lam14 / s2
-
-        probe = project3(Form.blade(7, 1, 2, 3))[2]
-        lam27 = _eigen_scalar(c3, Tensor(probe.num, probe.den))
-        table["27"] = lam27 / s3
-        return MappingProxyType(table)
+        return MappingProxyType({label: seven * ratio for label, _, ratio in G2_IRREPS})
 
 
 _SPACES = None
@@ -266,67 +253,77 @@ def spaces() -> Spaces:
 # Casimir spectrum with certificates
 # ---------------------------------------------------------------------------
 
-IRREP_DIMS = {"1": 1, "7": 7, "14": 14, "27": 27, "64": 64, "77": 77}
+def g2_irreps(max_dim):
+    """(label, dimension, Casimir ratio to the 7) of each g2-irreducible up to max_dim, by ratio.
+
+    V(a, b), of highest weight a w_1 + b w_2 (w_1 that of the 7, w_2 of the
+    14), has Weyl's dimension and the Casimir 2a^2 + 6ab + 6b^2 + 10a + 18b,
+    12 on the 7 (Humphreys, Introduction to Lie Algebras, 22.3 and 24.3;
+    Fulton & Harris, Lecture 22).  A label is the dimension, primed once for
+    each earlier irreducible of that dimension (V(0, 2) is 77').  A Casimir
+    value shared by two irreducibles could not tell them apart: it raises
+    ValueError.
+    """
+    found = []
+    for a in count():
+        for b in count():
+            dim = ((a + 1) * (b + 1) * (a + b + 2) * (a + 2 * b + 3) * (a + 3 * b + 4)
+                   * (2 * a + 3 * b + 5) // 120)
+            if dim > max_dim:
+                break
+            found.append((Q(2 * a * a + 6 * a * b + 6 * b * b + 10 * a + 18 * b, 12), dim))
+        if b == 0:      # V(a, 0) is too large, and the dimension grows with a
+            break
+    found.sort()
+    if len({ratio for ratio, _ in found}) < len(found):
+        raise ValueError(f"two irreducible g2-modules of dimension <= {max_dim} "
+                         "share a Casimir value")
+    dims = [dim for _, dim in found]
+    return [(str(dim) + "'" * dims[:k].count(dim), dim, ratio)
+            for k, (ratio, dim) in enumerate(found)]
 
 
-def _eigen_scalar(matrix, vec):
-    """The eigenvalue of an integer matrix on a nonzero probe vector (both Tensors)."""
-    image = Tensor.einsum("ij,j->i", matrix, vec)
-    k = next(i for i, x in enumerate(vec) if x)
-    lam = image[k] / vec[k]
-    if image != vec * lam:
-        raise StructureError("probe vector is not an eigenvector")
-    return lam
+# every irreducible that fits in the largest module of the suites, R^7 (x) S^2
+G2_IRREPS = g2_irreps(196)
 
 
 def casimir_spectrum(space: str):
     """Certified (eigenvalue, dimension) pairs of the Casimir on a module, with its scale.
 
-    The Krylov minimal polynomials of the ramp (1, 2, .., n), then of e_1 ..
-    e_n, must split over Z into simple roots (else the search is refused),
-    and each time their roots grow `linalg.certified_eigenspace_dims` runs
-    its product chain on them; the first chain that vanishes proves the
-    roots and counts their multiplicities.  The unit vectors span the
-    module, so the search always ends.
+    The module is a sum of irreducibles, so one `linalg.certified_eigenspace_dims`
+    chain over the calibrated values of the irreducibles of `G2_IRREPS` that
+    fit in it, scaled to C' and integral, vanishes and counts each eigenspace;
+    a chain that does not vanish is refused.  The chain takes the values in
+    increasing ratio, which keeps the suites' chains in int64, and the pairs
+    are returned in increasing eigenvalue.
     """
-    cmat, scale = spaces().casimir(space)
-    n = len(cmat)
-    roots = set()
-    for v in [list(range(1, n + 1))] + np.eye(n, dtype=np.int64).tolist():
-        pairs, residual = rational_roots(krylov_min_poly(cmat, v), 1)
-        if residual is not None or any(m > 1 for _, m in pairs):
-            raise StructureError("Casimir minimal polynomial does not split over Z "
-                                 "into simple roots")
-        grown = roots | {int(r) for r, _ in pairs}
-        if grown != roots:
-            roots = grown
-            dims = certified_eigenspace_dims(cmat, sorted(roots))
-            if dims is not None:
-                break
-    else:
-        raise StructureError("minimal polynomial candidate failed certification")
-    return [(Q(r, scale), d) for r, d in zip(sorted(roots), dims) if d], scale
+    sp = spaces()
+    cmat, scale = sp.casimir(space)
+    values = [sp.calibration[label] * scale for label, dim, _ in G2_IRREPS if dim <= len(cmat)]
+    roots = [int(v) for v in values if v.denominator == 1]
+    dims = certified_eigenspace_dims(cmat, roots)
+    if dims is None:
+        raise StructureError(f"the Casimir on {space} is not diagonalizable "
+                             "with the irreducibles' values")
+    return sorted((Q(r, scale), d) for r, d in zip(roots, dims) if d), scale
 
 
 def casimir_decompose(space: str) -> dict:
     """Isotypic decomposition {label: (dim, multiplicity)}, in increasing Casimir eigenvalue.
 
-    A block is the isotypic part of the irreducible whose calibrated scalar
-    is its eigenvalue, when that irreducible's dimension divides the block's;
-    otherwise a block of dimension 64 or 77 is that module, by dimension
-    count alone.  Any other block raises.
+    Each block of `casimir_spectrum` is the isotypic part of the one
+    irreducible of `G2_IRREPS` with its value; a block whose dimension that
+    irreducible's does not divide raises.
     """
-    by_value = {v: k for k, v in spaces().calibration.items()}
+    calibration = spaces().calibration
+    irreps = {calibration[label]: (label, dim) for label, dim, _ in G2_IRREPS}
     out = {}
     for value, dim in casimir_spectrum(space)[0]:
-        label = by_value.get(value)
-        if label is not None and dim % IRREP_DIMS[label] == 0:
-            out[label] = (dim, dim // IRREP_DIMS[label])
-        elif dim in (64, 77):
-            out[str(dim)] = (dim, 1)
-        else:
+        label, irrep_dim = irreps[value]
+        if dim % irrep_dim:
             raise StructureError(f"unmatched isotypic block in {space}: "
                                  f"eigenvalue {value}, dimension {dim}")
+        out[label] = (dim, dim // irrep_dim)
     return out
 
 

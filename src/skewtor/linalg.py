@@ -526,28 +526,6 @@ def slot_sum(w, t, degree):
     return out
 
 
-def krylov_min_poly(matrix, v):
-    """Monic minimal polynomial of the integer vector v under an integer matrix A, highest first.
-
-    The stack [v, Av, A^2 v, ..] doubles (up to n + 1 vectors) until its
-    exact kernel is nonzero.  The first kernel vector c is that of the first
-    A^k v that depends on the vectors before it: zero beyond k, it gives the
-    polynomial sum_j c_j x^j / c_k.  Doubling takes log k eliminations, not
-    k, which matters when k is large.  The polynomial is a monic factor of
-    A's integral characteristic polynomial, so by Gauss's lemma its
-    coefficients are integers: they are returned as Python ints.  It divides
-    A's minimal polynomial; equality must be certified separately.
-    """
-    a, vecs = np.asarray(matrix), [np.asarray(v)]
-    while True:
-        kernel = nullspace(Tensor(np.stack(vecs, axis=1)))
-        if len(kernel):
-            c = np.trim_zeros(kernel.num[0], "b")
-            return [int(x // c[-1]) for x in c[::-1]]
-        for _ in range(min(len(vecs), len(v) + 1 - len(vecs))):
-            vecs.append(int_matmul(a, vecs[-1]))
-
-
 def certified_eigenspace_dims(int_matrix, roots):
     """Exact eigenspace dimensions of an integer matrix A on distinct integers r_k, or None.
 

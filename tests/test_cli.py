@@ -334,7 +334,7 @@ def test_run_suite_all_builds_each_connection_once(monkeypatch):
 
 def test_run_suite_all_builds_each_module_once(monkeypatch):
     # on a fresh Spaces, `verify all` builds the 14 actions of each base
-    # module it reads once (lambda1..lambda3, s2, m and g2: 84; the closure
+    # module it reads once (lambda1, lambda2, s2, m and g2: 70; the closure
     # check reads the flags of the g2 table), and Phi and Psi once each; what
     # it caches is read-only
     from collections import Counter
@@ -350,15 +350,15 @@ def test_run_suite_all_builds_each_module_once(monkeypatch):
     count("_map_matrix")
     monkeypatch.setattr(equivar, "_SPACES", equivar.Spaces())
     assert run_suite("all").ok
-    assert counts == {"_module_action": 84, "_map_matrix": 2}
+    assert counts == {"_module_action": 70, "_map_matrix": 2}
     sp = equivar.spaces()
-    assert sorted(sp._tables) == ["g2", "lambda1", "lambda2", "lambda3", "m", "s2"]
+    assert sorted(sp._tables) == ["g2", "lambda1", "lambda2", "m", "s2"]
     cached = [rho for table in sp._tables.values() for rho, _ in table]
     cached += [sp.phi, sp.psi]
     cached += [cmat for cmat, _ in sp._cache.values()]
     assert all(not a.flags.writeable for a in cached)
     # reading Phi and Psi again built nothing
-    assert counts == {"_module_action": 84, "_map_matrix": 2}
+    assert counts == {"_module_action": 70, "_map_matrix": 2}
 
 
 def test_run_suite_all_builds_each_spinor_side_once(monkeypatch):
@@ -413,19 +413,21 @@ def test_run_suite_all_certifies_each_frame_once(monkeypatch):
 
 
 def test_calibration_table_is_built_once_per_spaces(monkeypatch):
-    # casimir_decompose reads it once per module and isotypic_basis_r7_m once
-    # per label: the two eigenvector probes run once for the whole suite
+    # the table is the lambda1 Casimir's scalar times the weight table's
+    # ratios: on a fresh Spaces it reads that Casimir alone, once for the
+    # whole suite
     from skewtor import equivar
-    calls = []
-    scalar = equivar._eigen_scalar
-    monkeypatch.setattr(equivar, "_eigen_scalar",
-                        lambda matrix, vec: calls.append(vec) or scalar(matrix, vec))
-    monkeypatch.setattr(equivar, "_SPACES", equivar.Spaces())
+    read = []
+    casimir = equivar.Spaces.casimir
+    monkeypatch.setattr(equivar.Spaces, "casimir",
+                        lambda self, space: read.append(space) or casimir(self, space))
+    sp = equivar.Spaces()
+    monkeypatch.setattr(equivar, "_SPACES", sp)
+    table = sp.calibration
+    assert read == ["lambda1"] and list(sp._tables) == ["lambda1"]
     statuses = {c.status for c in run_suite("equivariant").checks}
-    assert len(calls) == 2
     assert "FAIL" not in statuses
-    table = equivar.spaces().calibration
-    assert equivar.spaces().calibration is table and len(calls) == 2
+    assert sp.calibration is table and read.count("lambda1") == 1
 
 
 def test_verify_all_json_is_byte_identical(all_report):

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as Q
 from itertools import combinations
 from math import isqrt, lcm
@@ -6,13 +7,13 @@ import numpy as np
 import pytest
 
 from skewtor import equivar
-from skewtor.equivar import (casimir_decompose, casimir_spectrum, isotypic_basis_r7_m,
-                             rank_certificates, sigma0_constant,
+from skewtor.equivar import (G2_IRREPS, casimir_decompose, casimir_spectrum, g2_irreps,
+                             isotypic_basis_r7_m, rank_certificates, sigma0_constant,
                              sigma_solution_identity, spaces)
 from skewtor.forms import Form, contract, dense
 from skewtor.errors import StructureError
-from skewtor.g2 import canonical_omega3
-from skewtor.linalg import Tensor
+from skewtor.g2 import canonical_omega3, project3
+from skewtor.linalg import GaussTensor, Tensor, charpoly
 
 import equivar_reference
 from cq_reference import poly_mul
@@ -88,10 +89,39 @@ def test_complement_equivariance(sp):
             assert br == image
 
 
+# V(a, b): label, dimension (Fulton & Harris, Lecture 22) and Casimir ratio to the 7
+FULTON_HARRIS = [("1", 1, 0), ("7", 7, 1), ("14", 14, 2), ("27", 27, Q(7, 3)),
+                 ("64", 64, Q(7, 2)), ("77", 77, 4), ("77'", 77, 5), ("189", 189, Q(16, 3)),
+                 ("182", 182, 6)]
+
+
+def test_weight_table_matches_fulton_harris():
+    assert G2_IRREPS == g2_irreps(196) == FULTON_HARRIS
+    assert len({ratio for _, _, ratio in G2_IRREPS}) == len(G2_IRREPS)
+    # V(7, 0) (dimension 1254) and V(0, 4) (748) share the Casimir ratio 14
+    assert g2_irreps(1253)[-1] == ("748", 748, 14)
+    with pytest.raises(ValueError, match="share a Casimir value"):
+        g2_irreps(1254)
+
+
 def test_calibration_values(sp):
     calib = sp.calibration
-    assert calib["1"] == 0
-    assert len({calib["1"], calib["7"], calib["14"], calib["27"]}) == 4
+    seven = calib["7"]
+    assert seven < 0 and calib["1"] == 0
+    assert dict(calib) == {label: seven * ratio for label, _, ratio in FULTON_HARRIS}
+
+
+def test_casimir_acts_by_the_table_values_on_probes(sp):
+    # the computed Casimirs kill w3, act on the first algebra element as 2 C(7)
+    # and on the 27-part of e123 as 7/3 C(7)
+    seven = sp.calibration["7"]
+    probes = [("lambda3", canonical_omega3(), 0), ("lambda2", sp.algebra.basis[0], 2),
+              ("lambda3", project3(Form.blade(7, 1, 2, 3))[2], Q(7, 3))]
+    for space, probe, ratio in probes:
+        cmat, scale = sp.casimir(space)
+        v = Tensor(probe.num, probe.den)
+        assert not v.is_zero()
+        assert Tensor.einsum("ij,j->i", Tensor(cmat, scale), v) == v * (seven * ratio)
 
 
 def test_casimir_spectra_and_decompositions(lambda4):
@@ -117,55 +147,6 @@ def test_casimir_64_eigenvalue_cross_check():
     assert val64_g2 == val64_s2
 
 
-def test_casimir_spectrum_refuses_all_but_simple_integral_roots(sp, monkeypatch):
-    # the lambda1 Casimir is lam Id, so (x - lam) f annihilates it for every
-    # f: only the root guard, not the certificate, can refuse a candidate
-    cmat, scale = sp.casimir("lambda1")
-    lam = int(cmat[0][0])
-    root = [1, -lam]
-
-    def spectrum(f):
-        poly = poly_mul(root, f)
-        monkeypatch.setattr(equivar, "krylov_min_poly", lambda matrix, v: poly)
-        return casimir_spectrum("lambda1")
-
-    assert spectrum([1, 0])[0] == [(Q(lam, scale), 7)]
-    # a repeated root, an irreducible factor
-    for f in (root, [1, 0, 1]):
-        with pytest.raises(StructureError, match="simple roots"):
-            spectrum(f)
-
-
-def test_casimir_spectrum_adds_vectors_until_certified(sp, monkeypatch):
-    # a vector orthogonal to every eigenspace but the first shows only part of
-    # the spectrum: the roots of later vectors join it until the product
-    # chain vanishes, and the ramp and the seven unit vectors that never
-    # certify are an error; the chain runs only when the roots grow
-    cmat, scale = sp.casimir("lambda1")
-    lam = int(cmat[0][0])
-    polys = [[1], [1], [1, -lam]]
-    calls, certified = [], []
-    chain = equivar.certified_eigenspace_dims
-
-    def stub(matrix, v):
-        calls.append(v)
-        return polys[min(len(calls), len(polys)) - 1]
-
-    monkeypatch.setattr(equivar, "krylov_min_poly", stub)
-    monkeypatch.setattr(equivar, "certified_eigenspace_dims",
-                        lambda matrix, roots: certified.append(roots) or chain(matrix, roots))
-    assert casimir_spectrum("lambda1")[0] == [(Q(lam, scale), 7)]
-    # the ramp first, then the unit vectors in order
-    assert calls == [[1, 2, 3, 4, 5, 6, 7], [1, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0]]
-    assert certified == [[lam]]
-    polys[-1] = [1]
-    calls.clear()
-    certified.clear()
-    with pytest.raises(StructureError, match="failed certification"):
-        casimir_spectrum("lambda1")
-    assert len(calls) == 8 and certified == []
-
-
 def test_map_shapes(sp):
     phi, psi = sp.phi, sp.psi
     assert len(phi) == 196 and len(phi[0]) == 98
@@ -187,6 +168,7 @@ def test_isotypic_bases_exact(sp):
     assert len(basis14) == 14
     cmat, scale = sp.casimir("r7_m")
     lam = sp.calibration["14"] * scale
+    assert lam == 2 * sp.calibration["7"] * scale
     for v in basis14:
         image = [sum(Q(cmat[i][j]) * v[j] for j in range(49)) for i in range(49)]
         assert image == [lam * x for x in v]
@@ -332,37 +314,92 @@ def test_tensor_action_past_int64():
         assert got.tolist() == want
 
 
-def _planted(monkeypatch, matrix, space="lambda1", scale=1):
-    """casimir_spectrum(space) on a fresh Spaces whose Casimir there is matrix / scale."""
+@pytest.mark.parametrize("space", ["lambda1", "lambda2", "lambda3", "s2", "r7_m"])
+def test_casimir_spectrum_multiplies_back_to_the_charpoly(sp, space):
+    # two routes to one spectrum: the product chain over the weight table and
+    # the multi-modular characteristic polynomial of C'
+    cmat, scale = sp.casimir(space)
+    pairs, got = casimir_spectrum(space)
+    want = [1]
+    for value, dim in pairs:
+        for _ in range(dim):
+            want = poly_mul(want, [1, -int(value * scale)])
+    coeffs = charpoly(GaussTensor.of_parts(cmat, np.zeros_like(cmat)))
+    assert got == scale and coeffs == GaussTensor.of_parts(want, [0] * len(want))
+
+
+def _planted(monkeypatch, matrix, space="lambda4", scale=1):
+    """A fresh shared Spaces whose Casimir on space is matrix / scale.
+
+    The calibration reads the lambda1 Casimir alone, so planting elsewhere
+    leaves C(7) as computed.
+    """
     fresh = equivar.Spaces()
     fresh._cache[space] = (np.array(matrix, dtype=np.int64), scale)
     monkeypatch.setattr(equivar, "_SPACES", fresh)
-    return casimir_spectrum(space)[0]
+    return fresh
 
 
-def test_casimir_spectrum_reads_past_an_eigenvector_ramp(monkeypatch):
-    # the ramp (1, 2) is an eigenvector of eigenvalue 1, whose root alone
-    # fails the certificate; e_1 adds the root 2, and the search certifies
-    assert _planted(monkeypatch, [[1, 0], [-2, 2]]) == [(1, 1), (2, 1)]
+def _blocks(*blocks):
+    """A diagonal Casimir (scale 1) with `dim` eigenvalues ratio * C(7) for each (ratio, dim)."""
+    seven = int(spaces().calibration["7"])
+    return np.diag([int(ratio * seven) for ratio, dim in blocks for _ in range(dim)])
 
 
-@pytest.mark.parametrize("matrix", [[[3, 1], [0, 3]], [[0, 1], [2, 0]]])
+@pytest.mark.parametrize("matrix", [np.eye(7, k=1, dtype=np.int64).tolist(), [[0, 1], [2, 0]]])
 def test_casimir_spectrum_refuses_a_jordan_block_and_irrational_roots(monkeypatch, matrix):
-    # (x - 3)^2 has a repeated root, x^2 - 2 no rational one
-    with pytest.raises(StructureError, match="simple roots"):
-        _planted(monkeypatch, matrix)
+    # C(7) I + matrix: a Jordan block at C(7), a table value, and the roots
+    # C(7) +- sqrt(2), which are not rational
+    seven = int(spaces().calibration["7"])
+    _planted(monkeypatch, seven * np.eye(len(matrix), dtype=np.int64) + matrix)
+    with pytest.raises(StructureError, match="not diagonalizable"):
+        casimir_spectrum("lambda4")
+
+
+@pytest.mark.parametrize("extra", [[], [(1, 14)]])
+def test_casimir_decompose_refuses_a_64_block_at_the_value_of_77prime(monkeypatch, extra):
+    # alone, the 64-block is no eigenspace of a candidate (77' is larger than
+    # the module); beside two 7s, 77' does not divide it
+    _planted(monkeypatch, _blocks((5, 64), *extra))
+    with pytest.raises(StructureError, match="not diagonalizable|unmatched isotypic block"):
+        casimir_decompose("lambda4")
+
+
+def test_casimir_spectrum_refuses_a_77_block_off_the_table(monkeypatch):
+    _planted(monkeypatch, _blocks((11, 77)))
+    with pytest.raises(StructureError, match="not diagonalizable"):
+        casimir_decompose("lambda4")
+
+
+def test_casimir_decompose_labels_a_77_block_by_its_value(monkeypatch):
+    _planted(monkeypatch, _blocks((5, 77)))
+    assert casimir_decompose("lambda4") == {"77'": (77, 1)}
+    _planted(monkeypatch, _blocks((4, 77)))
+    assert casimir_decompose("lambda4") == {"77": (77, 1)}
+
+
+@pytest.mark.parametrize("n", [70, 98])
+def test_casimir_spectrum_refuses_a_random_casimir_quickly(monkeypatch, n):
+    # a symmetric integer matrix with entries -6..6 is diagonalizable, but its
+    # eigenvalues are no Casimir values: one chain refuses it
+    upper = np.triu(np.random.default_rng(n).integers(-6, 7, size=(n, n)))
+    # the calibration is read outside the timed region
+    assert _planted(monkeypatch, upper + np.triu(upper, 1).T).calibration["7"]
+    start = time.process_time()
+    with pytest.raises(StructureError, match="not diagonalizable"):
+        casimir_spectrum("lambda4")
+    assert time.process_time() - start < 1
 
 
 def test_casimir_decompose_refuses_an_unmatched_block(monkeypatch):
-    # a planted lambda4 Casimir (the calibration reads lambda1..lambda3 only):
     # a block of the calibrated "7" scalar and dimension 14 is two copies of
-    # the 7, and a block of no calibrated scalar and dimension 2 is refused
+    # the 7, and one of dimension 13 is refused
     seven = spaces().calibration["7"]
     num, den = seven.numerator, seven.denominator
-    assert _planted(monkeypatch, np.eye(14, dtype=np.int64) * num, "lambda4", den) \
-        == [(seven, 14)]
+    _planted(monkeypatch, np.eye(14, dtype=np.int64) * num, scale=den)
+    assert casimir_spectrum("lambda4")[0] == [(seven, 14)]
     assert casimir_decompose("lambda4") == {"7": (14, 2)}
-    _planted(monkeypatch, np.diag([num] * 14 + [num + 1] * 2), "lambda4", den)
+    _planted(monkeypatch, np.diag([num] * 13 + [0]), scale=den)
     with pytest.raises(StructureError, match="unmatched isotypic block in lambda4"):
         casimir_decompose("lambda4")
 

@@ -17,8 +17,8 @@ from skewtor import equivar, linalg
 from skewtor.clifford import eigen_report
 from skewtor.forms import Form, wedge
 from skewtor.linalg import (GaussTensor, Tensor, certified_eigenspace_dims, charpoly,
-                            int_abs_max, int_matmul, is_hermitian, krylov_min_poly,
-                            nullspace, rank, rational_roots, slot_sum, solve, _PRIMES)
+                            int_abs_max, int_matmul, is_hermitian, nullspace, rank,
+                            rational_roots, slot_sum, solve, _PRIMES)
 from skewtor.reporting import fmt
 
 import cq_reference
@@ -265,26 +265,12 @@ def test_integer_echelon_tools():
     assert Tensor.of(qm([["1/2", "1/3", 0]])).num.tolist() == [[3, 2, 0]]
 
 
-def test_krylov_certificates_diagonalizable():
+def test_eigenspace_dims_certify_a_diagonal_matrix():
     d = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 5]]
-    # a vector with a component in every eigenspace has the minimal
-    # polynomial (x-1)(x-2)(x-5); one in two of them has (x-1)(x-5)
-    assert krylov_min_poly(d, [1, 2, 3, 4]) == [1, -8, 17, -10]
-    assert krylov_min_poly(d, [1, 2, 0, 4]) == [1, -6, 5]
     assert certified_eigenspace_dims(d, [1, 2, 5]) == [2, 1, 1]
     assert certified_eigenspace_dims(d, [1, 2]) is None
     # 3 is a candidate root that d lacks: its dimension is 0
     assert certified_eigenspace_dims(d, [1, 2, 3, 5]) == [2, 1, 0, 1]
-
-
-def test_krylov_min_poly_is_integral_beyond_int64():
-    # A^2 v has entries 2^80: the polynomial x^2 - 2^80 comes back as Python ints
-    big = 2 ** 40
-    poly = krylov_min_poly([[big, 0], [0, -big]], [1, 1])
-    assert poly == [1, 0, -2 ** 80] and all(type(c) is int for c in poly)
-    # a non-diagonalizable matrix: (x - 3)^2 from a vector outside the eigenline
-    assert krylov_min_poly([[3, 1], [0, 3]], [0, 1]) == [1, -6, 9]
-    assert krylov_min_poly([[3, 1], [0, 3]], [1, 0]) == [1, -3]
 
 
 def test_certify_rejects_nondiagonalizable():
@@ -588,9 +574,9 @@ def test_eigenspace_dims_refuse_traces_that_fit_no_dimensions():
 
 def test_casimir_chains_stay_in_int64(monkeypatch):
     # the product chain of every Casimir the suites decompose stays under
-    # the float64 bound of `int_matmul`: each of its products is int64.  Each
-    # search certifies at its first chain, one product per root (2, 4, 3
-    # and 5 roots)
+    # the float64 bound of `int_matmul`: each of its products is int64.  The
+    # chain takes one product per irreducible of the weight table that fits
+    # the module (3, 4, 7 and 9 of them), in increasing Casimir ratio
     dtypes, inside = [], []
 
     def matmul(a, b):
@@ -610,7 +596,7 @@ def test_casimir_chains_stay_in_int64(monkeypatch):
     monkeypatch.setattr(equivar, "certified_eigenspace_dims", chain)
     for space in ("lambda2", "r7_m", "r7_g2", "r7_s2"):
         equivar.casimir_spectrum(space)
-    assert len(dtypes) == 2 + 4 + 3 + 5
+    assert len(dtypes) == 3 + 4 + 7 + 9
     assert all(d == np.int64 for d in dtypes)
 
 
