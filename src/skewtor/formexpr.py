@@ -15,7 +15,20 @@ from math import comb
 from .errors import FormParseError
 from .forms import Form, _locate
 
-_TOKEN = re.compile(r"\s*(?:(?P<sign>[+-])|(?P<rat>\d+(?:/\d+)?)|(?P<blade>e\d+(?:\s*\^\s*e\d+)*)|(?P<star>\*))")
+_RATIONAL = r"\d+(?:/\d+)?"
+_TOKEN = re.compile(rf"\s*(?:(?P<sign>[+-])|(?P<rat>{_RATIONAL})|(?P<blade>e\d+(?:\s*\^\s*e\d+)*)|(?P<star>\*))")
+_SIGNED_RATIONAL = re.compile(rf"[+-]?{_RATIONAL}")
+
+
+def parse_rational(text: str) -> Fraction:
+    """The Fraction of a "p" or "p/q" literal, signed or not: the one rational grammar
+    of CLI expressions and model files.  Other text (an exponent, a decimal point,
+    whitespace) and more digits than int() converts are a ValueError, q = 0 a
+    ZeroDivisionError."""
+    if not _SIGNED_RATIONAL.fullmatch(text):
+        raise ValueError(f"{text!r} is not an integer or a \"p/q\" rational")
+    top, _, bottom = text.partition("/")
+    return Fraction(int(top), int(bottom or 1))
 
 
 def parse_form(text: str, n: int) -> list:
@@ -49,14 +62,12 @@ def parse_form(text: str, n: int) -> list:
         elif m.group("rat"):
             if coeff is not None or blade is not None:
                 raise FormParseError("unexpected number", pos)
-            top, _, bottom = m.group("rat").partition("/")
             try:
-                top, bottom = int(top), int(bottom or 1)
+                coeff = parse_rational(m.group("rat"))
             except ValueError:  # more digits than Python converts to an int
                 raise FormParseError("number too long", m.start("rat")) from None
-            if not bottom:
-                raise FormParseError("zero denominator", m.start("rat"))
-            coeff = Fraction(top, bottom)
+            except ZeroDivisionError:
+                raise FormParseError("zero denominator", m.start("rat")) from None
             pending = None
         elif m.group("star"):
             if coeff is None or blade is not None:

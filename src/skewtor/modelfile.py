@@ -1,4 +1,11 @@
-"""Model files: UTF-8 JSON with integer blade arrays and "p/q" coefficients."""
+"""Model files: UTF-8 JSON with integer blade arrays and "p/q" coefficients.
+
+A model is defined in one way only: as a model file, read and validated by
+`load_file`.  The registry's models are the files shipped in the package's
+`models/` directory (`registry.registry`), and a user's models are the
+`<name>.json` files on `SKEWTOR_MODEL_PATH`, which `find_model` searches
+after the registry.
+"""
 
 from __future__ import annotations
 
@@ -8,12 +15,29 @@ from fractions import Fraction
 
 from .acskit import AlmostContact, AlmostHermitian
 from .errors import SkewtorError
+from .formexpr import parse_rational
 from .forms import Form
 from .g2 import G2Structure, canonical_omega3
 from .liegeom import LieModel
-from .registry import ModelEntry, registry
+from .registry import registry
 
 ENV_PATH = "SKEWTOR_MODEL_PATH"
+
+
+class ModelEntry:
+    def __init__(self, model, structure, notes=""):
+        self.model = model
+        # G2Structure | AlmostContact | AlmostHermitian, validated; None for a bare model
+        self.structure = structure
+        self.notes = notes
+
+    @property
+    def name(self):
+        return self.model.name
+
+    @property
+    def kind(self):
+        return "none" if self.structure is None else self.structure.kind
 
 
 def form_to_pairs(f: Form):
@@ -21,11 +45,13 @@ def form_to_pairs(f: Form):
 
 
 def _exact(value):
-    """A JSON integer or "p/q" string as a Fraction; a bool or a float is an error."""
-    c = Fraction(value)
-    if isinstance(value, (bool, float)):
+    """A JSON integer or a "p", "p/q" string (signed or not) as a Fraction; a bool, a float
+    or any other string (an exponent, a decimal point) is an error."""
+    if isinstance(value, str):
+        return parse_rational(value)
+    if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"coefficient {value!r} is not exact; write it as a \"p/q\" string")
-    return c
+    return Fraction(value)
 
 
 def form_from_pairs(pairs, n, degree):

@@ -18,7 +18,8 @@ from skewtor.errors import NoSkewConnection, StructureError
 from skewtor.forms import Form, sigma_t, wedge
 from skewtor.liegeom import LieModel, codiff, curvature, d_form, levi_civita, with_torsion
 from skewtor.linalg import Tensor
-from skewtor.registry import registry, standard_j_matrix, standard_phi_matrix
+from skewtor.registry import registry
+from structure_reference import standard_j_matrix, standard_phi_matrix
 
 
 def contact(name):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewtor import cli
+from skewtor import registry as registry_module
 from skewtor.cli import main
 from skewtor.errors import FormParseError, SkewtorError
 from skewtor.formexpr import parse_form, parse_homogeneous, render_form
@@ -84,11 +85,46 @@ def test_model_path_env(tmp_path, monkeypatch):
     doc["name"] = "custom5"
     path = tmp_path / "custom5.json"
     path.write_text(json.dumps(doc))
+    # a file named like a registry model does not shadow it: registry names win
+    doc.update(name="heis5", notes="a shadowing copy")
+    (tmp_path / "heis5.json").write_text(json.dumps(doc))
     monkeypatch.setenv("SKEWTOR_MODEL_PATH", str(tmp_path))
     entry = find_model("custom5")
     assert entry.model.n == 5
-    with pytest.raises(Exception):
+    assert find_model("heis5") is registry()["heis5"]
+    assert find_model("heis5").notes == "Sasakian; torsion eta ^ d(eta)"
+    with pytest.raises(SkewtorError, match="unknown model 'missing-model'"):
         find_model("missing-model")
+
+
+_MODELS_DIR = Path(registry_module.MODELS_DIR)
+
+
+def test_model_documents_are_named_by_their_files():
+    paths = sorted(_MODELS_DIR.glob("*.json"))
+    assert [p.stem for p in paths] == sorted(registry())
+    for path in paths:
+        assert json.loads(path.read_text(encoding="utf-8"))["name"] == path.stem, path
+
+
+@pytest.mark.parametrize("name", sorted(registry()))
+def test_models_show_prints_the_shipped_document(capsys, name):
+    # the shipped file is the template a user copies: `models show` prints it byte for byte
+    assert main(["models", "show", name]) == 0
+    assert capsys.readouterr().out == (_MODELS_DIR / f"{name}.json").read_text(encoding="utf-8")
+
+
+def test_registry_loads_every_model_by_the_file_loader():
+    from skewtor import modelfile
+    loaded = []
+    load_file = modelfile.load_file
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modelfile, "load_file", lambda path: loaded.append(path) or load_file(path))
+        mp.setattr(registry_module, "_REGISTRY", None)
+        entries = registry_module.registry()
+        assert registry_module.registry() is entries
+    assert [Path(p).name for p in loaded] == [f"{name}.json" for name in sorted(entries)]
+    assert list(entries) == sorted(entries) and len(entries) == 14
 
 
 def test_report_json_round_trip():
@@ -875,6 +911,10 @@ def test_form_outputs_are_pinned(capsys):
         assert (code, digest) == pinned, command
 
 
+# a literal with one digit more than Python converts to an int
+_OVERLONG = "9" * (sys.get_int_max_str_digits() + 1)
+
+
 def _model_text(name, edit):
     doc = entry_to_dict(registry()[name])
     edit(doc)
@@ -897,7 +937,7 @@ def _abelian5_text(edit):
     (_abelian5_text(lambda d: d.update(dim=True)), "field dim: True is not an integer"),
     (_abelian5_text(lambda d: d.update(name=["x"])), "field name: ['x'] is not a string"),
     (_abelian5_text(lambda d: d["coframe_d"].append([5, [[[1, 2], float("inf")]]])),
-     "field coframe_d: cannot convert Infinity"),
+     "field coframe_d: coefficient inf is not exact"),
     (_abelian5_text(lambda d: d["coframe_d"].append([5, [[[1, 2], 0.1]]])),
      "field coframe_d: coefficient 0.1 is not exact"),
     (_abelian5_text(lambda d: d["coframe_d"].append([5, [[[1, 2], "1"], [[1, 2], "2"]]])),
@@ -916,22 +956,32 @@ def _abelian5_text(edit):
      "field structure: coefficient 1.0 is not exact"),
     (_abelian5_text(lambda d: d.update(coframe_d=[[3, [[[1, 2], "1"]]], [3, []]])),
      "field coframe_d: coframe index 3 is listed twice"),
+    # coefficients follow the "p/q" grammar: no exponent, no decimal point
+    (_abelian5_text(lambda d: d["coframe_d"].append([5, [[[1, 2], "1e5000"]]])),
+     "field coframe_d: '1e5000' is not an integer or a \"p/q\" rational"),
+    (_abelian5_text(lambda d: d["coframe_d"].append([5, [[[1, 2], "1e100000000"]]])),
+     "field coframe_d: '1e100000000' is not an integer"),
+    (_abelian5_text(lambda d: d["coframe_d"].append([5, [[[1, 2], "1.5"]]])),
+     "field coframe_d: '1.5' is not an integer"),
+    (_abelian5_text(lambda d: d["coframe_d"].append([5, [[[1, 2], _OVERLONG]]])),
+     "field coframe_d: Exceeds the limit"),
 ], ids=["missing-dim", "descending-blade", "zero-denominator", "invalid-json", "dim-9",
         "float-dim", "bool-dim", "list-name", "infinite-coefficient", "float-coefficient",
         "duplicate-blade", "bool-blade-index", "float-blade-index", "bool-phi-entry",
-        "float-phi-entry", "bool-j-entry", "float-j-entry", "repeated-coframe-index"])
+        "float-phi-entry", "bool-j-entry", "float-j-entry", "repeated-coframe-index",
+        "exponent-coefficient", "huge-exponent-coefficient", "decimal-coefficient",
+        "overlong-coefficient"])
 def test_cli_malformed_model_file_is_an_input_error(tmp_path, monkeypatch, capsys,
                                                     text, field):
     path = tmp_path / "broken5.json"
     path.write_text(text)
     monkeypatch.setenv("SKEWTOR_MODEL_PATH", str(tmp_path))
+    start = time.process_time()
     assert main(["models", "show", "broken5"]) == 2
+    # refused before any work on the value: Fraction("1e100000000") alone takes 14 CPU s
+    assert time.process_time() - start < 1.0
     err = capsys.readouterr().err
     assert str(path) in err and field in err, err
-
-
-# a literal with one digit more than Python converts to an int
-_OVERLONG = "9" * (sys.get_int_max_str_digits() + 1)
 
 
 @pytest.mark.parametrize("argv, position", [
