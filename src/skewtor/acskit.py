@@ -14,6 +14,7 @@ from math import comb
 
 import numpy as np
 
+from .clifford import act_form, eigen_report, half_module_blocks
 from .errors import DegreeError, NoSkewConnection, StructureError
 from .forms import Form, all_blades, dense, interior, sigma_t, wedge
 from .liegeom import LieModel, SkewTorsionStructure, d_form, tt_contraction
@@ -483,11 +484,8 @@ def nearly_kaehler_identities(a) -> dict:
 
 def half_module_endomorphism_spectrum(a):
     """Eigenvalues of the parallel-spinor integrability endomorphism per half module."""
-    from .clifford import act_form, eigen_report, half_spinor_bases, restrict
     a = Q(a)
     four_form = (Form.blade(6, 1, 2, 3, 4) + Form.blade(6, 1, 2, 5, 6)
                  + Form.blade(6, 3, 4, 5, 6)) * a
     endo = act_form([four_form, Form.scalar(6, 3 * a)])
-    plus, minus = half_spinor_bases(6)
-    return (eigen_report(restrict(endo, plus)).multiset(),
-            eigen_report(restrict(endo, minus)).multiset())
+    return tuple(eigen_report(block).multiset() for block in half_module_blocks(6, endo))

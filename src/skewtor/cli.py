@@ -68,11 +68,10 @@ def cmd_models(args):
 
 
 def cmd_verify(args):
-    try:
-        report = run_suite(args.suite)
-    except KeyError:
+    if args.suite != "all" and args.suite not in SUITES:
         return _fail(f"unknown suite '{args.suite}' "
                      f"(have: {', '.join(SUITES)}, all)")
+    report = run_suite(args.suite)
     if args.json:
         print(report.to_json())
     else:

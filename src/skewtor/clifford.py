@@ -6,98 +6,69 @@ Conventions, pinned by the identities the test suite enforces:
     when n = 3 (mod 4) and to -i Id when n = 1 (mod 4).  With this choice the
     canonical 3-form of dimension 7 acts with the simple eigenvalue -7 and
     the Reeb direction of dimension 5 acts by +i on the rank-one subbundles.
+
+The module is one table of signed monomial matrices: the product of gamma
+matrices over a blade holds one entry i^k per row.  `act_form` is the one
+place that turns it into a dense matrix; a gamma matrix is `act_form(e_i)`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from operator import matmul
 
 import numpy as np
 
 from .errors import DegreeError, DimensionMismatch
 from .forms import Form, all_blades, common_denominator
 from .linalg import (GaussTensor, Tensor, charpoly, int_matmul, is_hermitian, nullspace,
-                     rank, rational_roots, solve, unscaled)
-
-_S3 = np.diag([1, -1])
-_ID2 = np.eye(2, dtype=int)
-_ZERO2 = np.zeros((2, 2), dtype=int)
-# (re, im) of i sigma_1 and of i sigma_2, with the Pauli matrices
-# sigma_1 = [[0, 1], [1, 0]], sigma_2 = [[0, -i], [i, 0]], sigma_3 = _S3
-_I_SIGMA = ((_ZERO2, np.array([[0, 1], [1, 0]])), (np.array([[0, 1], [-1, 0]]), _ZERO2))
+                     rank, rational_roots, unscaled)
 
 
-def _kron(mats):
-    return reduce(np.kron, mats)
-
-
-# i^k as (re, im)
-_UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
-
-
-class GammaRep:
-    """Gamma matrices of Cl(n) acting on C^(2^floor(n/2)), as GaussTensors.
-
-    Every product of gamma matrices is a signed monomial matrix: row r holds
-    i^phases[r] in column cols[r] and zeros elsewhere.  `monomial(blade)`
-    gives (cols, phases) of the product over a blade, derived once from
-    `gammas`.
-    """
-
-    def __init__(self, n, gammas):
-        self.n = n
-        self.gammas = gammas
-        self.dim = len(gammas[0])
-        self._monomials = {(): (tuple(range(self.dim)), (0,) * self.dim)}
-        self._monomials.update({(i,): _monomial_of(g) for i, g in enumerate(gammas, 1)})
-
-    def monomial(self, blade):
-        """(cols, phases) of Gamma_i1 ... Gamma_ik for an ascending blade (i1, ..., ik)."""
-        mono = self._monomials.get(blade)
-        if mono is None:
-            cols, phases = self.monomial(blade[:-1])
-            g_cols, g_phases = self._monomials[blade[-1:]]
-            mono = (tuple(g_cols[c] for c in cols),
-                    tuple((p + g_phases[c]) % 4 for p, c in zip(phases, cols)))
-            self._monomials[blade] = mono
-        return mono
-
-    def volume(self):
-        """The matrix of the volume element Gamma_1...Gamma_n."""
-        return reduce(matmul, self.gammas)
-
-
-def _monomial_of(gamma):
-    """(cols, phases) of a matrix with one entry i^k per row."""
-    cols = [next(j for j in range(len(gamma)) if gamma.re[r, j] or gamma.im[r, j])
-            for r in range(len(gamma))]
-    phases = [_UNITS.index((gamma.re[r, c], gamma.im[r, c])) for r, c in enumerate(cols)]
-    return tuple(cols), tuple(phases)
+def _times(mono, gen):
+    """(cols, phases) of the product of two signed monomial matrices."""
+    cols, phases = mono
+    g_cols, g_phases = gen
+    return (tuple(g_cols[c] for c in cols),
+            tuple((p + g_phases[c]) % 4 for p, c in zip(phases, cols)))
 
 
 @lru_cache(maxsize=None)
-def build_rep(n: int) -> GammaRep:
+def _generators(n):
+    """(cols, phases) of Gamma_1 .. Gamma_n: row r holds i^phases[r] in column cols[r].
+
+    Gamma_2k-1 and Gamma_2k are sigma_3^(k-1) (x) i sigma_1|2 (x) Id^(half-k),
+    read on the bits of r with the first factor on the highest bit: i sigma_1
+    and i sigma_2 flip the bit of slot k, each sigma_3 above it gives -1 where
+    its bit is set, and i sigma_2 gives -1 where the bit of slot k is set.  Odd
+    n adds i sigma_3^half, and all generators change sign when the volume
+    element is not then the pinned +1 or -i.
+    """
     if not 2 <= n <= 8:
         raise DimensionMismatch("spin modules provided for dimensions 2..8")
     half = n // 2
-    # sigma_3^(k-1) (x) i sigma_1|2 (x) Id^(half-k); odd n adds i sigma_3^half
-    gammas = []
-    for k in range(1, half + 1):
-        pre = [_S3] * (k - 1)
-        post = [_ID2] * (half - k)
-        for re, im in _I_SIGMA:
-            gammas.append(GaussTensor.of_parts(_kron(pre + [re] + post), _kron(pre + [im] + post)))
+    rows = range(2 ** half)
+    gens = []
+    for bit in reversed(range(half)):
+        signs = [2 * (r >> (bit + 1)).bit_count() for r in rows]
+        cols = tuple(r ^ (1 << bit) for r in rows)
+        gens.append((cols, tuple((s + 1) % 4 for s in signs)))
+        gens.append((cols, tuple((s + 2 * (r >> bit & 1)) % 4 for r, s in zip(rows, signs))))
     if n % 2:
-        gammas.append(GaussTensor.of_parts(np.zeros((2 ** half,) * 2, dtype=int),
-                                           _kron([_S3] * half)))
-        rep = GammaRep(n, gammas)
-        target = [1, 0] if n % 4 == 3 else [0, -1]   # (re, im) of +1 or -i
-        if rep.volume().num[0, 0].tolist() != target:
-            rep = GammaRep(n, [-g for g in gammas])
-        assert rep.volume().num[0, 0].tolist() == target
-        return rep
-    return GammaRep(n, gammas)
+        gens.append((tuple(rows), tuple((1 + 2 * r.bit_count()) % 4 for r in rows)))
+        target = 0 if n % 4 == 3 else 3   # i^0 = +1 or i^3 = -i
+        if reduce(_times, gens)[1][0] != target:
+            gens = [(cols, tuple((p + 2) % 4 for p in phases)) for cols, phases in gens]
+    return tuple(gens)
+
+
+@lru_cache(maxsize=None)
+def _monomial(n, blade):
+    """(cols, phases) of Gamma_i1 ... Gamma_ik for an ascending blade (i1, ..., ik) of R^n."""
+    gens = _generators(n)
+    if not blade:
+        size = len(gens[0][0])
+        return tuple(range(size)), (0,) * size
+    return _times(_monomial(n, blade[:-1]), gens[blade[-1] - 1])
 
 
 def act_form(form) -> GaussTensor:
@@ -109,15 +80,15 @@ def act_form(form) -> GaussTensor:
     parts = [form] if isinstance(form, Form) else list(form)
     if any(part.n != parts[0].n for part in parts):
         raise DimensionMismatch("form parts of different dimension")
-    rep = build_rep(parts[0].n)
+    n = parts[0].n
+    size = len(_generators(n)[0][0])
     nums, den = common_denominator(parts)
-    size = rep.dim
     acc = [[0, 0] for _ in range(size * size)]
     for part, num in zip(parts, nums):
         for blade, x in zip(all_blades(part.n, part.degree), num.tolist()):
             if not x:
                 continue
-            cols, phases = rep.monomial(blade)
+            cols, phases = _monomial(n, blade)
             for r, (c, p) in enumerate(zip(cols, phases)):
                 acc[r * size + c][p % 2] += x if p < 2 else -x
     return GaussTensor(np.array(acc, dtype=object).reshape(size, size, 2), den)
@@ -249,20 +220,23 @@ def kernel_conditions_are_membership(which: str) -> bool:
     return len(ranks) == 1
 
 
-def restrict(matrix: GaussTensor, basis: GaussTensor) -> GaussTensor:
-    """Matrix of an endomorphism restricted to an invariant subspace (basis as rows)."""
-    cols = basis.T
-    sols = solve(cols, (matrix @ cols).T)
-    if any(s is None for s in sols):
-        raise ValueError("subspace is not invariant")
-    nums, den = common_denominator(sols)
-    return GaussTensor(np.stack(nums, axis=1), den)
-
-
 def half_spinor_bases(n: int):
-    """Eigenbases (as rows) of the volume element on Delta_n for even n (+i, -i)."""
+    """Bases (as unit rows) of the half modules of Delta_n for even n: the rows
+    where the diagonal volume element Gamma_1...Gamma_n acts by +i, then by -i."""
     if n % 2:
         raise DimensionMismatch("half modules exist in even dimensions")
-    rep = build_rep(n)
-    vol, eye = rep.volume(), np.eye(rep.dim, dtype=int)
-    return tuple(nullspace(vol - GaussTensor.of_parts(0 * eye, s * eye)) for s in (1, -1))
+    _, phases = _monomial(n, tuple(range(1, n + 1)))
+    eye = GaussTensor.identity(len(phases)).num
+    return tuple(GaussTensor(eye[[r for r, p in enumerate(phases) if p == k]]) for k in (1, 3))
+
+
+def half_module_blocks(n: int, matrix: GaussTensor):
+    """The diagonal blocks (+i, -i) of a spin endomorphism of Delta_n, n even.
+
+    A matrix whose off-diagonal blocks do not vanish does not preserve the
+    half modules (an odd form swaps them) and is refused with ValueError.
+    """
+    plus, minus = half_spinor_bases(n)
+    if not ((plus @ matrix @ minus.T).is_zero() and (minus @ matrix @ plus.T).is_zero()):
+        raise ValueError("the endomorphism does not preserve the half modules")
+    return plus @ matrix @ plus.T, minus @ matrix @ minus.T

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .clifford import act_form, build_rep, common_kernel
+from .clifford import act_form, common_kernel
 from .errors import DegreeError, DimensionMismatch, NoSkewConnection, StructureError
 from .forms import Form, contract, derivation, sigma_t
 from .linalg import GaussTensor, Tensor, slot_sum
@@ -279,7 +279,12 @@ class SpinorData:
 
     @cached_property
     def dirac(self) -> GaussTensor:
-        return _sum_products(build_rep(self.model.n).gammas, self.lams)
+        """D = sum_i Gamma_i Lambda_i as one form action, by e . w = e ^ w - e -| w: the
+        3-form sum_i e^i ^ omega_i / 2 (the cyclic sum of omega_ijk / 2) minus the
+        1-form sum_i e_i -| omega_i / 2 (the trace omega_iik / 2)."""
+        om = self.conn.omega * Q(1, 2)
+        three = om + Tensor.einsum("jki->ijk", om) + Tensor.einsum("kij->ijk", om)
+        return act_form([three.to_form(), -Tensor.einsum("iik->k", om).to_form()])
 
     @cached_property
     def parallel(self) -> GaussTensor:

@@ -114,8 +114,8 @@ def suite_clifford() -> Report:
     checks = []
     ok = True
     for n in range(2, 9):
-        rep = clifford.build_rep(n)
-        gammas, minus_two = rep.gammas, GaussTensor.identity(rep.dim) * -2
+        gammas = [clifford.act_form(Form.basis_vector(n, i)) for i in range(1, n + 1)]
+        minus_two = GaussTensor.identity(len(gammas[0])) * -2
         for i in range(n):
             for j in range(i, n):
                 anti = gammas[i] @ gammas[j] + gammas[j] @ gammas[i]

@@ -1,14 +1,16 @@
 """Reference linear algebra on nested lists of CQ (or Fraction) entries.
 
 These are the list-matrix loops that `GaussTensor` and the fraction-free
-elimination replaced in the program, kept here to compare the integer
-kernels against entry for entry.  `CQ` is the reference's own Gaussian
+elimination replaced in the program, and the Kronecker construction of the
+gamma matrices that `clifford`'s bit formula replaced, kept here to compare
+the integer kernels against entry for entry.  `CQ` is the reference's own Gaussian
 rational, independent of the program; `parts` and `entries` convert nested
 lists of it to and from the integer parts over one denominator that a
 `GaussTensor` holds.
 """
 
 from fractions import Fraction as Q
+from functools import reduce
 from math import lcm
 
 import numpy as np
@@ -118,10 +120,52 @@ def mat_mul(a, b):
     return out
 
 
-def act_form_by_gamma_products(rep, parts):
-    """Reference action: each blade as a chain of dense CQ gamma-matrix products."""
-    size = rep.dim
-    gammas = [entries(g.num, g.den) for g in rep.gammas]
+# the Pauli matrices sigma_1 = [[0, 1], [1, 0]], sigma_2 = [[0, -i], [i, 0]] and
+# sigma_3 = diag(1, -1), and the 2 x 2 identity, as CQ nested lists
+_SIGMA = ([[CQ(0), CQ(1)], [CQ(1), CQ(0)]], [[CQ(0), CQ(0, -1)], [CQ(0, 1), CQ(0)]],
+          [[CQ(1), CQ(0)], [CQ(0), CQ(-1)]])
+_ID2 = [[CQ(1), CQ(0)], [CQ(0), CQ(1)]]
+
+
+def kron(a, b):
+    """Kronecker product of two nested-list matrices."""
+    return [[x * y for x in row_a for y in row_b] for row_a in a for row_b in b]
+
+
+def gamma_matrices(n):
+    """Reference gamma matrices of Cl(n), 2 <= n <= 8, as dense CQ nested lists.
+
+    The Kronecker construction of Delta_n: Gamma_2k-1 and Gamma_2k are
+    sigma_3^(k-1) (x) i sigma_1|2 (x) Id^(n//2 - k); odd n adds
+    i sigma_3^(n//2), and every generator changes sign unless the volume
+    element Gamma_1 ... Gamma_n is then +1 (n = 3 mod 4) or -i (n = 1 mod 4).
+    """
+    half = n // 2
+    product = lambda mats: reduce(kron, mats)
+    gammas = []
+    for k in range(1, half + 1):
+        for sigma in _SIGMA[:2]:
+            factors = [_SIGMA[2]] * (k - 1) + [mat_scale(sigma, CQ(0, 1))] + [_ID2] * (half - k)
+            gammas.append(product(factors))
+    if n % 2:
+        gammas.append(mat_scale(product([_SIGMA[2]] * half), CQ(0, 1)))
+        target = CQ(1) if n % 4 == 3 else CQ(0, -1)
+        if reduce(mat_mul, gammas)[0][0] != target:
+            gammas = [mat_scale(g, CQ(-1)) for g in gammas]
+    return gammas
+
+
+def monomial_of(matrix):
+    """(cols, phases) of a matrix with one entry i^k per row."""
+    units = (CQ(1), CQ(0, 1), CQ(-1), CQ(0, -1))
+    cols = tuple(next(j for j, x in enumerate(row) if x) for row in matrix)
+    return cols, tuple(units.index(row[c]) for row, c in zip(matrix, cols))
+
+
+def act_form_by_gamma_products(parts):
+    """Reference action: each blade as a chain of dense reference gamma-matrix products."""
+    gammas = gamma_matrices(parts[0].n)
+    size = len(gammas[0])
     out = [[CQ(0)] * size for _ in range(size)]
     for part in parts:
         for blade, coeff in part.terms.items():

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from skewtor import cli
 from skewtor import registry as registry_module
+from skewtor import suites
 from skewtor.cli import main
 from skewtor.errors import FormParseError, SkewtorError
 from skewtor.formexpr import parse_form, parse_homogeneous, render_form
@@ -291,12 +292,22 @@ def test_suite_output_is_deterministic():
 
 
 def test_cli_verify_reports_failure_exit(monkeypatch, capsys):
-    import skewtor.cli as cli_mod
     failing = Report("demo", [check("x", "anchor", False, value=1, expected=2)])
-    monkeypatch.setattr(cli_mod, "run_suite", lambda name: failing)
+    monkeypatch.setitem(suites.SUITES, "demo", lambda: failing)
     assert main(["verify", "demo"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+def test_cli_verify_lets_an_error_inside_a_suite_propagate(monkeypatch, capsys):
+    # a KeyError raised while a listed suite runs is a fault, not an unknown suite name
+    def broken():
+        raise KeyError("inside the suite")
+
+    monkeypatch.setitem(suites.SUITES, "examples", broken)
+    with pytest.raises(KeyError, match="inside the suite"):
+        main(["verify", "examples"])
+    assert "unknown suite" not in capsys.readouterr().err
 
 
 def test_out_of_scope_statements_are_skip_listed(all_report):

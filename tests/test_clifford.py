@@ -1,22 +1,23 @@
 import random
 from fractions import Fraction as Q
+from functools import reduce
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from skewtor import clifford
-from skewtor.clifford import (act_form, build_rep, common_kernel,
-                              eigen_report, half_spinor_bases,
+from skewtor.clifford import (act_form, common_kernel,
+                              eigen_report, half_module_blocks, half_spinor_bases,
                               kernel_conditions_5d, kernel_conditions_are_membership,
-                              restrict, spinor_5d)
+                              spinor_5d)
 from skewtor.errors import DimensionMismatch
 from skewtor.forms import Form, contract, hodge, random_form, wedge
 from skewtor.g2 import canonical_omega3
-from skewtor.linalg import GaussTensor, charpoly, is_hermitian, solve
+from skewtor.linalg import GaussTensor, charpoly, is_hermitian, nullspace, solve
 
 from cq_reference import (CQ, act_form_by_gamma_products, charpoly_by_fractions, entries,
-                          parts as cq_parts, poly_eval)
+                          gamma_matrices, mat_mul, monomial_of, parts as cq_parts, poly_eval)
 
 
 def gauss(values):
@@ -29,31 +30,44 @@ def cq(tensor):
     return entries(tensor.num, tensor.den)
 
 
+def gammas_of(n):
+    """Gamma_1 .. Gamma_n of the program: the actions of the unit vectors."""
+    return [act_form(Form.basis_vector(n, i)) for i in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_generator_monomials_match_the_kronecker_reference(n):
+    reference = gamma_matrices(n)
+    assert clifford._generators(n) == tuple(map(monomial_of, reference))
+    assert [cq(g) for g in gammas_of(n)] == reference
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_clifford_relations(n):
-    rep = build_rep(n)
-    assert rep.dim == 2 ** (n // 2)
+    gammas, dim = gammas_of(n), 2 ** (n // 2)
+    assert len(gammas[0]) == dim
     for i in range(n):
         for j in range(i, n):
-            anti = cq(rep.gammas[i] @ rep.gammas[j] + rep.gammas[j] @ rep.gammas[i])
+            anti = cq(gammas[i] @ gammas[j] + gammas[j] @ gammas[i])
             want = CQ(-2) if i == j else CQ(0)
             assert all(anti[a][b] == (want if a == b else CQ(0))
-                       for a in range(rep.dim) for b in range(rep.dim))
+                       for a in range(dim) for b in range(dim))
 
 
 @pytest.mark.parametrize("n", (5, 6, 7))
 def test_gammas_anti_hermitian(n):
-    rep = build_rep(n)
-    for g in map(cq, rep.gammas):
-        for a in range(rep.dim):
-            for b in range(rep.dim):
+    dim = 2 ** (n // 2)
+    for g in map(cq, gammas_of(n)):
+        for a in range(dim):
+            for b in range(dim):
                 assert g[a][b] == -g[b][a].conj()
 
 
 def test_act_form_reads_the_module_of_its_dimension():
     assert act_form(Form.scalar(5, 1)) == GaussTensor.identity(4)
+    reference = gamma_matrices(6)
     assert act_form([Form.blade(6, 1), Form.blade(6, 2)]) == \
-        build_rep(6).gammas[0] + build_rep(6).gammas[1]
+        gauss(reference[0]) + gauss(reference[1])
     with pytest.raises(DimensionMismatch):
         act_form([Form.blade(5, 1, 2), Form.blade(7, 1)])
     with pytest.raises(DimensionMismatch):
@@ -68,6 +82,31 @@ def test_act_form_algebra_map_on_disjoint_blades():
     lhs = act_form(wedge(a, b))
     rhs = act_form(a) @ act_form(b)
     assert lhs == rhs
+
+
+@st.composite
+def vector_and_form(draw):
+    """A unit vector index i and a form of any degree on R^n (n = 2..8).
+
+    Numerators reach past 2^63, so the integer entries leave int64.
+    """
+    n = draw(st.integers(min_value=2, max_value=8))
+    degree = draw(st.integers(min_value=0, max_value=n))
+    numerators = st.one_of(st.integers(-9, 9), st.integers(-2 ** 70, 2 ** 70))
+    coeffs = st.builds(Q, numerators, st.integers(min_value=1, max_value=2 ** 40))
+    terms = draw(st.dictionaries(
+        st.sampled_from(list(combinations(range(1, n + 1), degree))), coeffs, max_size=6))
+    return draw(st.integers(min_value=1, max_value=n)), Form(n, degree, terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=vector_and_form())
+@example(data=(3, Form(7, 3, {(1, 2, 4): Q(2 ** 64 + 1, 3), (3, 5, 6): Q(-(2 ** 63) - 5)})))
+def test_vector_action_is_wedge_minus_contraction(data):
+    # e . a = e ^ a - e -| a for a unit vector e (e . e = -1)
+    i, a = data
+    e = Form.basis_vector(a.n, i)
+    assert act_form(e) @ act_form(a) == act_form([wedge(e, a), -contract(a, i)])
 
 
 def test_omega3_spectrum_and_normalizations():
@@ -109,9 +148,9 @@ def test_eigen_multiset_invariant_under_conjugation():
 
 
 def test_common_kernel_conventions():
-    rep = build_rep(5)
-    g12 = rep.gammas[0] @ rep.gammas[1]
-    g34 = rep.gammas[2] @ rep.gammas[3]
+    gammas = gammas_of(5)
+    g12 = gammas[0] @ gammas[1]
+    g34 = gammas[2] @ gammas[3]
     s = g12 + g34
     ker = common_kernel([s])
     assert len(ker) == 2
@@ -152,9 +191,26 @@ def test_half_module_spectrum_dim6():
     assert len(plus) == len(minus) == 4
     endo = act_form([Form.blade(6, 1, 2, 3, 4) + Form.blade(6, 1, 2, 5, 6)
                      + Form.blade(6, 3, 4, 5, 6), Form.scalar(6, 3)])
-    for basis in (plus, minus):
-        assert eigen_report(restrict(endo, basis)).multiset() == \
+    for block in half_module_blocks(6, endo):
+        assert eigen_report(block).multiset() == \
             [Q(0), Q(4), Q(4), Q(4)]
+
+
+@pytest.mark.parametrize("n", (2, 4, 6, 8))
+def test_half_spinor_bases_are_the_volume_eigenspaces(n):
+    # the kernels of vol - i Id and vol + i Id of the reference volume element;
+    # in dimensions 4 and 8 the volume element squares to +1, so both are empty
+    volume = gauss(reduce(mat_mul, gamma_matrices(n)))
+    eye = GaussTensor.identity(len(volume))
+    shifts = [GaussTensor.of_parts(0 * eye.re, eye.re * s) for s in (1, -1)]
+    assert half_spinor_bases(n) == tuple(nullspace(volume - shift) for shift in shifts)
+
+
+def test_half_module_blocks_refuse_an_action_that_swaps_the_halves():
+    # an odd form anticommutes with the volume element and swaps the half modules
+    for parts in ([Form.blade(6, 1)], [Form.blade(6, 2, 4, 5), Form.scalar(6, 1)]):
+        with pytest.raises(ValueError, match="half modules"):
+            half_module_blocks(6, act_form(parts))
 
 
 def test_hermiticity_tracks_degree_mod_four():
@@ -193,9 +249,9 @@ def mixed_forms(draw):
 @settings(max_examples=60, deadline=None)
 @given(parts=mixed_forms())
 def test_monomial_action_and_integer_charpoly_match_references(parts):
-    rep = build_rep(parts[0].n)
+    dim = 2 ** (parts[0].n // 2)
     m = act_form(parts)
-    assert m == gauss(act_form_by_gamma_products(rep, parts))
+    assert m == gauss(act_form_by_gamma_products(parts))
     entries_m = cq(m)
     # charpoly holds the integer coefficients of det(yI - dA), d the denominator
     coeffs = charpoly(m)
@@ -209,17 +265,17 @@ def test_monomial_action_and_integer_charpoly_match_references(parts):
     assert coeffs.re.tolist() == \
         [c * real_m.den ** k for k, c in enumerate(charpoly_by_fractions(real))]
     assert is_hermitian(m) == all(entries_m[i][j] == entries_m[j][i].conj()
-                                  for i in range(rep.dim) for j in range(rep.dim))
+                                  for i in range(dim) for j in range(dim))
 
 
 @settings(max_examples=60, deadline=None)
 @given(parts=mixed_forms())
 def test_multiplicities_and_residual_fill_the_module(parts):
-    rep = build_rep(parts[0].n)
+    dim = 2 ** (parts[0].n // 2)
     m = act_form(parts)
     report = eigen_report(m)
     residual_degree = 0 if report.residual is None else len(report.residual) - 1
-    assert sum(mult for _, mult in report.pairs) + residual_degree == rep.dim
+    assert sum(mult for _, mult in report.pairs) + residual_degree == dim
     # each reported eigenvalue is a root of the reference characteristic polynomial
     reference = charpoly_by_fractions(cq(m))
     assert all(not poly_eval(reference, CQ(value)) for value, _ in report.pairs)

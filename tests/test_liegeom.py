@@ -7,12 +7,13 @@ from skewtor.clifford import act_form
 from skewtor.errors import DegreeError, NoSkewConnection, StructureError
 from skewtor.forms import Form, hodge, random_form, sigma_t, wedge
 from skewtor.g2 import canonical_omega3
-from skewtor.liegeom import (LieModel, codiff, curvature, curvature_identity_residuals,
+from skewtor.liegeom import (LieModel, SkewTorsionStructure, codiff, curvature, curvature_identity_residuals,
                              d_form, lc_trace_vector, levi_civita, tt_contraction,
                              with_torsion)
 from skewtor.linalg import GaussTensor, Tensor
 from skewtor.registry import registry
 
+from cq_reference import gamma_matrices, parts as cq_parts
 from forms_reference import nabla_form
 
 
@@ -166,6 +167,24 @@ def test_spinor_side_of_levi_civita(heis5):
     assert spin is heis5.levi_civita.spinors
     assert len(spin.lams) == 5 and len(spin.dirac) == 4
     assert len(spin.parallel) == 0
+
+
+def test_dirac_operator_is_the_sum_of_gamma_spin_connection_products():
+    # the reference D = sum_i Gamma_i Lambda_i, with the Kronecker gamma matrices, on
+    # the Levi-Civita connection of every registry model and the characteristic
+    # connection of every structure that admits one
+    connections = []
+    for name, entry in registry().items():
+        connections.append((name, entry.model.levi_civita))
+        structure = entry.structure
+        if isinstance(structure, SkewTorsionStructure) and structure.admits_connection():
+            connections.append((name, structure.connection))
+    assert len(connections) == 26
+    for name, conn in connections:
+        spin = conn.spinors
+        gammas = [GaussTensor.of_parts(*cq_parts(g)) for g in gamma_matrices(conn.model.n)]
+        products = [g @ lam for g, lam in zip(gammas, spin.lams)]
+        assert spin.dirac == sum(products[1:], products[0]), name
 
 
 def test_levi_civita_uniqueness(heis7):
