@@ -222,16 +222,18 @@ def kernel_conditions_are_membership(which: str) -> bool:
 
 def half_spinor_bases(n: int):
     """Bases (as unit rows) of the half modules of Delta_n for even n: the rows
-    where the diagonal volume element Gamma_1...Gamma_n acts by +i, then by -i."""
+    where the diagonal volume element Gamma_1...Gamma_n acts by +i, then by -i
+    (n = 2 mod 4, where it squares to -1), or by +1, then by -1 (n = 0 mod 4)."""
     if n % 2:
         raise DimensionMismatch("half modules exist in even dimensions")
     _, phases = _monomial(n, tuple(range(1, n + 1)))
     eye = GaussTensor.identity(len(phases)).num
-    return tuple(GaussTensor(eye[[r for r, p in enumerate(phases) if p == k]]) for k in (1, 3))
+    return tuple(GaussTensor(eye[[r for r, p in enumerate(phases) if p == k]])
+                 for k in (n // 2 % 2, n // 2 % 2 + 2))
 
 
 def half_module_blocks(n: int, matrix: GaussTensor):
-    """The diagonal blocks (+i, -i) of a spin endomorphism of Delta_n, n even.
+    """The diagonal blocks of a spin endomorphism of Delta_n, n even, in `half_spinor_bases` order.
 
     A matrix whose off-diagonal blocks do not vanish does not preserve the
     half modules (an odd form swaps them) and is refused with ValueError.

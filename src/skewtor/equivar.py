@@ -1,8 +1,9 @@
 """Representation-theoretic engine for the 14-dimensional stabilizer algebra.
 
-Everything is assembled in explicit integer coordinates:
+Everything is assembled in explicit integer coordinates, and nothing that a
+formula writes down is solved for:
   * the stabilizer algebra g as the 2-forms orthogonal to the seven e_i -| w3,
-    orthogonalized over the rationals;
+    two per block of three 2-blades of w3, orthogonal by construction;
   * every module as one kind of data, a stack of mutually orthogonal integer
     unit tensors (the unit blades of Lambda^p, the symmetric units of S^2,
     the e_k -| w3 of m, the basis of g); a generator acts on each by one
@@ -10,7 +11,8 @@ Everything is assembled in explicit integer coordinates:
     R^7 (x) V is the Kronecker sum of the actions on R^7 and V;
   * the equivariant maps Phi (from R^7 (x) g) and Psi (from R^7 (x) m) into
     R^7 (x) S^2(R^7)), both `_symmetrized`, as integer matrices with exact
-    rank certificates;
+    rank certificates, the isotypic parts of R^7 (x) m = R^7 (x) R^7 by
+    formula, and their intertwining checked on every generator;
   * the Casimir operator of each relevant module, its spectrum proven,
     counted and labelled by one exact product chain prod_k (C' - r_k I) over
     the Casimir values r_k of the irreducible g2-modules from the weight
@@ -27,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
-from math import comb, gcd, lcm
+from math import comb, lcm
 from types import MappingProxyType
 
 import numpy as np
@@ -36,7 +38,7 @@ from .errors import StructureError
 from .forms import Form, common_denominator, contract, dense, inner, interior, wedge
 from .g2 import _projectors, canonical_omega3, spanning_27
 from .linalg import (Tensor, certified_eigenspace_dims, eliminate, int_abs_max, int_matmul,
-                     nullspace, rank, slot_sum)
+                     rank, slot_sum)
 
 Q = Fraction
 
@@ -44,29 +46,29 @@ S2_PAIRS = [(i, j) for i in range(1, 8) for j in range(i, 8)]
 
 
 class G2Algebra:
-    """Integer orthogonal basis of the stabilizer algebra inside the 2-forms."""
+    """Integer orthogonal basis of the stabilizer algebra inside the 2-forms, by formula.
+
+    The seven e_i -| w3 = s_a a + s_b b + s_c c (a < b < c unit 2-blades,
+    s = +-1) hold each 2-blade exactly once, so the 2-forms orthogonal to
+    all of them, the algebra, are the sum of the 2-dimensional complements
+    of e_i -| w3 in its block, spanned by s_a a - s_b b and
+    s_a a + s_b b - 2 s_c c.
+    """
 
     def __init__(self):
-        # the 2-forms orthogonal to every e_i -| w3, i = 1..7
         w3 = canonical_omega3()
-        kernel = nullspace([contract(w3, i).num for i in range(1, 8)])
-        if len(kernel) != 14:
-            raise StructureError("stabilizer equations do not cut out 14 dimensions")
-        raw = [Form.of_numerators(7, 2, v) for v in kernel.num]
-        self.basis = _orthogonalize(raw)
+        self.basis = []
+        for i in range(1, 8):
+            block = contract(w3, i).num
+            abc = np.flatnonzero(block)
+            for weights in ((1, -1, 0), (1, 1, -2)):
+                num = np.zeros_like(block)
+                num[abc] = block[abc] * weights
+                self.basis.append(Form.of_numerators(7, 2, num))
         self.norms = [inner(x, x) for x in self.basis]
         self.units = _units_of(self.basis)
         if slot_sum(self.units, Tensor.of_form(w3).num, 3).any():
             raise StructureError("stabilizer basis does not annihilate the 3-form")
-
-    def coordinates(self, alpha: Form):
-        """Coefficients of a 2-form in the basis, or None if outside the algebra.
-
-        The basis is orthogonal, so the coefficients are the projections.
-        """
-        coords = [inner(alpha, x) / norm for x, norm in zip(self.basis, self.norms)]
-        span = sum((x * c for c, x in zip(coords, self.basis)), Form.zero(7, 2))
-        return coords if span == alpha else None
 
     @cached_property
     def adjoint(self):
@@ -76,19 +78,6 @@ class G2Algebra:
     def closure_residuals(self):
         """For each pair a < b of basis elements, whether [xi_a, xi_b] lies in the algebra."""
         return [flag for a, (_, _, closed) in enumerate(self.adjoint) for flag in closed[a + 1:]]
-
-
-def _orthogonalize(forms):
-    """Gram-Schmidt over Q without normalization, rescaled to primitive integers."""
-    out = []
-    for f in forms:
-        g = f
-        for h in out:
-            g = g - h * (inner(g, h) / inner(h, h))
-        if g.is_zero():
-            raise StructureError("dependent basis in orthogonalization")
-        out.append(Form.of_numerators(g.n, g.degree, g.num // gcd(*g.num)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -344,13 +333,25 @@ def _map_matrix(forms):
 
 
 def isotypic_basis_r7_m(label: str):
-    """Exact basis of one isotypic component of R^7 (x) m (49-dim), as the rows of a Tensor."""
+    """Integer basis of the isotypic part `label` (1, 7, 14 or 27) of R^7 (x) m, as rows.
+
+    e_k -> e_k -| w3 is equivariant, so R^7 (x) m is R^7 (x) R^7 = 1 + 7 + 14 + 27
+    (Fulton & Harris, Lecture 22) on the coefficients T[i, k] of
+    e^i (x) (e_k -| w3): the parts are the identity, the 2-tensors of m and
+    of the algebra, and the symmetric units but E_77 less their trace times
+    E_77.  One product checks that the part lies in the eigenspace of C'
+    with its calibrated value; a part that does not raises.
+    """
     sp = spaces()
+    s2 = sp.units["s2"]     # E_77 is the last of S2_PAIRS
+    parts = {"1": np.eye(7, dtype=np.int64)[None], "7": sp.units["m"], "14": sp.algebra.units,
+             "27": s2[:-1] - np.einsum("cii->c", s2[:-1])[:, None, None] * s2[-1]}
+    basis = parts[label].reshape(-1, 49)
     cmat, scale = sp.casimir("r7_m")
     lam = sp.calibration[label] * scale
-    if lam.denominator != 1:
-        raise StructureError("calibration scalar does not clear the scale")
-    return nullspace(Tensor(cmat) - Tensor.identity(49) * lam)
+    if np.any(int_matmul(cmat, basis.T) * lam.denominator != basis.T * lam.numerator):
+        raise StructureError(f"the {label}-part of R^7 (x) m is not an eigenspace of the Casimir")
+    return basis
 
 
 def rank_certificates():
@@ -361,12 +362,18 @@ def rank_certificates():
     is injective when each of its columns holds a pivot, and the rows below
     the pivots are the quotient by Im(Phi), so an image meets Im(Phi) only in
     0 when they have full rank on its columns, and lies in Im(Phi) when they
-    vanish on them.  Every statement is invariant under rescaling the basis
-    vectors, so each basis is read as its integer numerators.
+    vanish on them.  Each basis lies in its eigenspace, so it spans the whole
+    isotypic part when its size is the multiplicity the r7_m product chain
+    certifies.
     """
-    phi, psi = spaces().phi, spaces().psi
-    b14, b1, b27 = bases = [isotypic_basis_r7_m(label) for label in ("14", "1", "27")]
-    images = int_matmul(psi, np.vstack([b.num for b in bases]).T)
+    sp = spaces()
+    phi, psi = sp.phi, sp.psi
+    labels = ("14", "1", "27")
+    b14, b1, b27 = bases = [isotypic_basis_r7_m(label) for label in labels]
+    certified = dict(casimir_spectrum("r7_m")[0])
+    sized = {label: len(b) == certified.get(sp.calibration[label])
+             for label, b in zip(labels, bases)}
+    images = int_matmul(psi, np.vstack(bases).T)
     matrix = np.hstack([phi, images]).astype(object)
     rows, pivots, _ = eliminate(matrix, phi.shape[1])
     quotient = rows[len(pivots):]
@@ -374,15 +381,42 @@ def rank_certificates():
     cols14, cols1, cols27 = (slice(a, b) for a, b in zip(ends, ends[1:]))
     out = {}
     out["phi-injective"] = len(pivots) == phi.shape[1]
-    out["psi-14-dimension"] = len(b14) == 14
+    out["psi-14-dimension"] = sized["14"]
     out["images-meet-trivially"] = (out["phi-injective"]
                                     and rank(Tensor(quotient[:, cols14])) == len(b14))
-    out["scalar-block-dimension"] = len(b1) == 1
-    out["traceless-block-dimension"] = len(b27) == 27
+    out["scalar-block-dimension"] = sized["1"]
+    out["traceless-block-dimension"] = sized["27"]
     out["scalar-image-contained"] = not quotient[:, cols1].any()
     out["scalar-image-solution-zero"] = not matrix[:, cols1].any()
     out["traceless-image-contained"] = not quotient[:, cols27].any()
     return out
+
+
+def equivariance_residual_zero():
+    """Exact intertwining check of Phi, Psi and the r7_s2 Casimir on all 14 generators.
+
+    With rho = N / d on each module, Phi rho_g2 = rho_s2 Phi becomes the
+    integer identity Phi (d_s2 N_g2) = (d_g2 N_s2) Phi; likewise for Psi and
+    the Casimir.  Each scale enters an operand, so the bound of `int_matmul`
+    covers it.
+    """
+    sp = spaces()
+    phi, psi = sp.phi, sp.psi
+    cas = sp.casimir("r7_s2")[0]
+    for (g2_rho, g2_d), (m_rho, m_d), (s2_rho, s2_d) in zip(
+            sp.generators("r7_g2"), sp.generators("r7_m"), sp.generators("r7_s2")):
+        if np.any(int_matmul(phi, _scaled(g2_rho, s2_d)) - int_matmul(_scaled(s2_rho, g2_d), phi)):
+            return False
+        if np.any(int_matmul(psi, _scaled(m_rho, s2_d)) - int_matmul(_scaled(s2_rho, m_d), psi)):
+            return False
+        if np.any(int_matmul(cas, s2_rho) - int_matmul(s2_rho, cas)):
+            return False
+    return True
+
+
+def _scaled(rho, d):
+    """The integer matrix d rho, on Python integers where int64 could wrap."""
+    return (rho if int_abs_max(rho) * d < 2 ** 63 else rho.astype(object)) * d
 
 
 def _coefficients(table) -> Tensor:

@@ -13,7 +13,7 @@ the a-priori bound n max|a| max|b| < 2^53 makes every partial sum an integer
 that a double holds exactly (the word-size technique of FFLAS-FFPACK), Python
 integers otherwise, so a float only ever carries such an integer; every
 derivation action of an so(n) element on a tensor is `slot_sum`, one such
-product per slot.  Every exact rank, kernel and solve runs one fraction-free
+product per slot.  Every exact rank and kernel runs one fraction-free
 Gauss-Jordan elimination over Z on the integer numerators; a Gaussian system
 enters it with each entry a + bi as the real block [[a, -b], [b, a]].  A
 spectrum is read from the characteristic polynomial of the integral d A (d
@@ -25,9 +25,10 @@ polynomial, found by a divisor search and Horner's rule.  On the large
 representation-theoretic matrices (up to 196 x 196) every rank claim is read
 from the one exact elimination, and one exact product chain prod_k (A - r_k I)
 by `int_matmul` both proves a spectrum (the chain vanishes) and counts it
-(the traces of its partial products give the eigenspace dimensions).  The
-primes of `charpoly` come from one pool, the primes below 2^21 in descending
-order, sieved as far as it is read, and no other module names one.
+(back substitution on the traces of its partial products gives the
+eigenspace dimensions).  The primes of `charpoly` come from one pool, the
+primes below 2^21 in descending order, sieved as far as it is read, and no
+other module names one.
 """
 
 from __future__ import annotations
@@ -275,30 +276,6 @@ def nullspace(matrix):
     return type(t)(basis.reshape((len(free),) + t.num.shape[1:]), d)
 
 
-def solve(matrix, rhs):
-    """One solution of A x = b for each row b of `rhs`, or None where there is none.
-
-    `rhs` is of the same kind as the matrix (nested lists are rationals).  The
-    matrix is eliminated once, with every right-hand side as an extra column;
-    each solution is a vector of that kind, zero at the free columns.
-    """
-    t, a = _system(matrix)
-    b = rhs if isinstance(rhs, GaussTensor) else Tensor.of(rhs)
-    if type(b) is not type(t):
-        raise TypeError(f"a {type(t).__name__} system has {type(b).__name__} right-hand sides")
-    n = a.shape[1]
-    rows, pivots, d = eliminate(np.hstack([a * b.den, b.num.reshape(len(b), -1).T * t.den]), n)
-    sols = []
-    for col in rows[:, n:].T:
-        if any(col[len(pivots):]):
-            sols.append(None)
-            continue
-        x = np.zeros(n, dtype=object)
-        x[pivots] = col[:len(pivots)]
-        sols.append(type(t)(x.reshape(t.num.shape[1:]), d))
-    return sols
-
-
 # ---------------------------------------------------------------------------
 # characteristic polynomial & rational roots
 # ---------------------------------------------------------------------------
@@ -533,10 +510,10 @@ def certified_eigenspace_dims(int_matrix, roots):
     (float64 under its bound, Python integers past 2^53) decides the claim:
     P_k != 0 gives None, and P_k = 0 proves A diagonalizable with every
     eigenvalue among the r_k.  P_j then acts on the eigenspace of r_l as
-    prod_(i<j) (r_l - r_i), so the dimensions m_l solve
-    tr(P_j) = sum_l m_l prod_(i<j) (r_l - r_i), j < k: a triangular system
-    (the Newton basis on the r_k) with nonzero diagonal, whose one solution,
-    by the exact `solve`, is the true dimensions.  A repeated root raises
+    prod_(i<j) (r_l - r_i), zero for l < j, so the dimensions m_l solve
+    tr(P_j) = sum_(l>=j) m_l prod_(i<j) (r_l - r_i), j < k: an upper
+    triangular system (the Newton basis on the r_k) with nonzero diagonal,
+    read by back substitution, each division exact.  A repeated root raises
     ValueError.
     """
     a, roots = np.asarray(int_matrix), [int(r) for r in roots]
@@ -551,6 +528,9 @@ def certified_eigenspace_dims(int_matrix, roots):
         chain = int_matmul(chain, a - r * eye)
     if np.any(chain):
         return None
-    newton = [[prod(r - s for s in roots[:j]) for r in roots] for j in range(len(roots))]
-    return [int(m) for m in solve(newton, [traces])[0].num]
+    dims = []
+    for j in reversed(range(len(roots))):
+        known = sum(m * prod(r - s for s in roots[:j]) for r, m in zip(roots[j + 1:], dims))
+        dims.insert(0, (traces[j] - known) // prod(roots[j] - s for s in roots[:j]))
+    return dims
 

@@ -1,8 +1,10 @@
-"""Reference builders of the g2-module actions and of the maps Phi and Psi.
+"""Reference builders of the algebra basis, the g2-module actions and the maps Phi and Psi.
 
-These are the per-module constructions that `skewtor.equivar` replaced by one
-slot sum and one projection on unit tensors, kept here to compare the engine
-against exactly:
+These are the constructions that `skewtor.equivar` replaced by formulas, or
+by one slot sum and one projection on unit tensors, kept here to compare the
+engine against exactly:
+  * the algebra basis: the kernel of the seven e_i -| w3, orthogonalized by
+    Gram-Schmidt over Q, and the coordinates of a 2-form in it;
   * Lambda^p: the so_action image of every unit blade, one blade at a time;
   * S^2: W -> a W + W a^T on the symmetric unit matrices;
   * m and g2: the commutator [a, X] projected on an orthogonal basis of
@@ -12,16 +14,38 @@ against exactly:
 """
 
 from fractions import Fraction as Q
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
-from skewtor.forms import Form, all_blades, inner
-from skewtor.linalg import Tensor
+from skewtor.forms import Form, all_blades, contract, inner
+from skewtor.g2 import canonical_omega3
+from skewtor.linalg import Tensor, nullspace
 
 from forms_reference import so_action
 
 S2_PAIRS = [(i, j) for i in range(1, 8) for j in range(i, 8)]
+
+
+def gram_schmidt_basis():
+    """The 2-forms orthogonal to every e_i -| w3: a kernel basis, orthogonalized over Q
+    without normalization and rescaled to primitive integers."""
+    w3 = canonical_omega3()
+    kernel = nullspace([contract(w3, i).num for i in range(1, 8)])
+    out = []
+    for f in (Form.of_numerators(7, 2, v) for v in kernel.num):
+        for h in out:
+            f = f - h * (inner(f, h) / inner(h, h))
+        assert not f.is_zero()
+        out.append(Form.of_numerators(7, 2, f.num // gcd(*f.num)))
+    return out
+
+
+def coordinates(basis, alpha):
+    """Coefficients of a 2-form in an orthogonal basis (its projections), or None off the span."""
+    coords = [inner(alpha, x) / inner(x, x) for x in basis]
+    span = sum((x * c for c, x in zip(coords, basis)), Form.zero(7, 2))
+    return coords if span == alpha else None
 
 
 def endo(alpha):

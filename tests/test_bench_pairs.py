@@ -41,3 +41,32 @@ def test_summary_of_canned_pairs():
     ok = summary["verify-all"]["ok_share"]
     assert ok["change_wins"] == 0 and ok["relative_change"] == -0.1
     assert ok["worse_than_bound"] is True   # higher is better: a 10% fall exceeds 5%
+    # the parent's spread (3.0 to 3.1) is within the bound
+    assert report["unresolved"] is False and ok["unresolved"] is False
+
+
+def test_workload_without_a_complete_pair_reads_zero_pairs():
+    # every parent run printed no result: the summary says so instead of
+    # raising on an empty median
+    runs = [dict(_run("parent", seed, 1.0, 1.0), result=None) for seed in (21, 22)]
+    runs += [_run("change", seed, 1.0, 1.0) for seed in (21, 22)]
+    report = summarize(runs, SPECS)["verify-all"]["report_s"]
+    assert report["pairs"] == 0
+    assert report["parent_median"] is None and report["change_median"] is None
+    assert report["unresolved"] is None and report["worse_than_bound"] is None
+
+
+def _pairs(parent, change):
+    return [_run(side, seed, value, 1.0) for seed, values in enumerate(zip(parent, change), 21)
+            for side, value in zip(("parent", "change"), values)]
+
+
+def test_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    # parent quartiles 1.0 and 2.0 around a median of 1.5: a spread of 67%,
+    # past the 25% bound of report_s
+    parent = [0.9, 1.0, 1.5, 2.0, 2.1]
+    overlapping = summarize(_pairs(parent, [0.8, 1.2, 1.4, 1.9, 1.0]), SPECS)
+    assert overlapping["verify-all"]["report_s"]["unresolved"] is True
+    # unless every change run beats every parent run
+    separated = summarize(_pairs(parent, [0.5, 0.6, 0.7, 0.8, 0.85]), SPECS)
+    assert separated["verify-all"]["report_s"]["unresolved"] is False

@@ -14,8 +14,9 @@ from skewtor.clifford import (act_form, common_kernel,
 from skewtor.errors import DimensionMismatch
 from skewtor.forms import Form, contract, hodge, random_form, wedge
 from skewtor.g2 import canonical_omega3
-from skewtor.linalg import GaussTensor, charpoly, is_hermitian, nullspace, solve
+from skewtor.linalg import GaussTensor, charpoly, is_hermitian, nullspace
 
+import cq_reference
 from cq_reference import (CQ, act_form_by_gamma_products, charpoly_by_fractions, entries,
                           gamma_matrices, mat_mul, monomial_of, parts as cq_parts, poly_eval)
 
@@ -141,7 +142,7 @@ def test_eigen_multiset_invariant_under_conjugation():
     g = [[CQ(rng.randint(-3, 3), rng.randint(-2, 2)) for _ in range(4)]
          for _ in range(4)]
     g[0][0] = g[0][0] + CQ(7)
-    cols = [cq(col) for col in solve(gauss(g), GaussTensor.identity(4))]
+    cols = cq_reference.solve(g, [[CQ(int(i == j)) for i in range(4)] for j in range(4)])
     ginv = [[col[i] for col in cols] for i in range(4)]
     conj = gauss(g) @ m @ gauss(ginv)
     assert eigen_report(conj).pairs == eigen_report(m).pairs
@@ -198,12 +199,27 @@ def test_half_module_spectrum_dim6():
 
 @pytest.mark.parametrize("n", (2, 4, 6, 8))
 def test_half_spinor_bases_are_the_volume_eigenspaces(n):
-    # the kernels of vol - i Id and vol + i Id of the reference volume element;
-    # in dimensions 4 and 8 the volume element squares to +1, so both are empty
+    # the kernels of vol - i Id and vol + i Id of the reference volume element
+    # where it squares to -1 (n = 2 mod 4), of vol - Id and vol + Id where it
+    # squares to +1 (n = 0 mod 4); each half holds half the spinors
     volume = gauss(reduce(mat_mul, gamma_matrices(n)))
     eye = GaussTensor.identity(len(volume))
-    shifts = [GaussTensor.of_parts(0 * eye.re, eye.re * s) for s in (1, -1)]
-    assert half_spinor_bases(n) == tuple(nullspace(volume - shift) for shift in shifts)
+    unit = GaussTensor.of_parts(0 * eye.re, eye.re) if n % 4 == 2 else eye
+    bases = half_spinor_bases(n)
+    assert bases == (nullspace(volume - unit), nullspace(volume + unit))
+    assert [len(b) for b in bases] == [2 ** (n // 2 - 1)] * 2
+
+
+def test_half_module_blocks_split_the_two_forms_dim4():
+    # e12 + e34 = Gamma_1 Gamma_2 (1 - vol) vanishes on the +1 half module and
+    # squares to -4 on the -1 half; e12 - e34 = Gamma_1 Gamma_2 (1 + vol) the
+    # other way round
+    for sign, zero_half in ((1, 0), (-1, 1)):
+        endo = act_form(Form.blade(4, 1, 2) + Form.blade(4, 3, 4) * sign)
+        blocks = half_module_blocks(4, endo)
+        assert [b.num.shape for b in blocks] == [(2, 2, 2)] * 2
+        other = blocks[1 - zero_half]
+        assert blocks[zero_half].is_zero() and other @ other == GaussTensor.identity(2) * -4
 
 
 def test_half_module_blocks_refuse_an_action_that_swaps_the_halves():

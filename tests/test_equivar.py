@@ -10,10 +10,10 @@ from skewtor import equivar
 from skewtor.equivar import (G2_IRREPS, casimir_decompose, casimir_spectrum, g2_irreps,
                              isotypic_basis_r7_m, rank_certificates, sigma0_constant,
                              sigma_solution_identity, spaces)
-from skewtor.forms import Form, contract, dense
+from skewtor.forms import Form, contract, dense, inner
 from skewtor.errors import StructureError
 from skewtor.g2 import canonical_omega3, project3
-from skewtor.linalg import GaussTensor, Tensor, charpoly
+from skewtor.linalg import GaussTensor, Tensor, charpoly, nullspace, rank
 
 import equivar_reference
 from cq_reference import poly_mul
@@ -63,9 +63,23 @@ def test_algebra_dimension_and_closure(sp):
 
 
 def test_algebra_membership_samples(sp):
-    assert sp.algebra.coordinates(Form.blade(7, 1, 2) - Form.blade(7, 3, 4)) \
+    basis = sp.algebra.basis
+    assert equivar_reference.coordinates(basis, Form.blade(7, 1, 2) - Form.blade(7, 3, 4)) \
         is not None
-    assert sp.algebra.coordinates(contract(canonical_omega3(), 1)) is None
+    assert equivar_reference.coordinates(basis, contract(canonical_omega3(), 1)) is None
+
+
+def test_formula_basis_is_the_gram_schmidt_basis(sp):
+    # the block formula gives the Gram-Schmidt basis of the kernel up to sign
+    # and order: the same 14 forms, seven of norm 2 and seven of norm 6
+    reference = equivar_reference.gram_schmidt_basis()
+
+    def signed(forms):
+        return sorted(max(tuple(f.num.tolist()), tuple((-f).num.tolist())) for f in forms)
+
+    assert signed(sp.algebra.basis) == signed(reference)
+    assert sorted(sp.algebra.norms) == sorted(inner(x, x) for x in reference) \
+        == [2] * 7 + [6] * 7
 
 
 def test_bracket_consistency_with_derivation(sp):
@@ -164,14 +178,28 @@ def test_rank_certificates():
 
 
 def test_isotypic_bases_exact(sp):
-    basis14 = isotypic_basis_r7_m("14")
-    assert len(basis14) == 14
+    # each formula part spans the whole eigenspace of C' at its calibrated value
     cmat, scale = sp.casimir("r7_m")
-    lam = sp.calibration["14"] * scale
-    assert lam == 2 * sp.calibration["7"] * scale
-    for v in basis14:
-        image = [sum(Q(cmat[i][j]) * v[j] for j in range(49)) for i in range(49)]
-        assert image == [lam * x for x in v]
+    assert sp.calibration["14"] == 2 * sp.calibration["7"]
+    for label, dim in (("1", 1), ("7", 7), ("14", 14), ("27", 27)):
+        basis = isotypic_basis_r7_m(label)
+        assert basis.shape == (dim, 49) and basis.dtype == np.int64
+        kernel = nullspace(Tensor(cmat) - Tensor.identity(49) * (sp.calibration[label] * scale))
+        assert len(kernel) == rank(Tensor(basis)) == rank(np.vstack([basis, kernel.num])) == dim
+
+
+def test_isotypic_basis_refuses_a_part_off_its_eigenspace(sp, monkeypatch):
+    # C' + L v v^T for the symmetric unit v = E_12 + E_21 acts as C' on the
+    # 1-, 7- and 14-parts (v is traceless and symmetric, so orthogonal to
+    # them) but moves v alone in the 27-part
+    cmat, scale = sp.casimir("r7_m")
+    v = np.zeros((7, 7), dtype=np.int64)
+    v[0, 1] = v[1, 0] = 1
+    _planted(monkeypatch, cmat + scale * np.outer(v, v), "r7_m", scale)
+    for label in ("1", "7", "14"):
+        assert len(isotypic_basis_r7_m(label)) == int(label)
+    with pytest.raises(StructureError, match="the 27-part .* is not an eigenspace"):
+        isotypic_basis_r7_m("27")
 
 
 def test_sigma0_constant_value():
@@ -198,7 +226,7 @@ def brackets(sp):
     out = []
     for a in range(14):
         for b in range(a + 1, 14):
-            coords = sp.algebra.coordinates(bracket_2forms(basis[a], basis[b]))
+            coords = equivar_reference.coordinates(basis, bracket_2forms(basis[a], basis[b]))
             assert coords is not None
             q = lcm(*(c.denominator for c in coords))
             out.append((a, b, [int(c * q) for c in coords], q))
@@ -424,7 +452,7 @@ def test_rank_certificates_read_psi_inside_the_image_of_phi(sp, monkeypatch):
     # meets it, both containments hold, and the scalar image Phi X b1 is not
     # zero because X b1 is not
     x = np.random.default_rng(0).integers(-2, 3, size=(98, 49))
-    assert (x @ isotypic_basis_r7_m("1").num[0]).any()
+    assert (x @ isotypic_basis_r7_m("1")[0]).any()
     rc = _planted_certificates(monkeypatch, sp.phi, sp.phi @ x)
     assert rc["phi-injective"] and not rc["images-meet-trivially"]
     assert rc["scalar-image-contained"] and rc["traceless-image-contained"]

@@ -14,8 +14,11 @@ once with `--trace 1` at seed 3.  OUT.json holds:
            trace flag, exit code and wall time
   summary  per workload and end-to-end metric: both medians, both
            interquartile ranges (inclusive quartiles), pair wins and ties of
-           the change, the relative change of the median, and whether it is
-           worse than the metric's bound in BENCHMARK.json
+           the change, the relative change of the median, whether it is
+           worse than the metric's bound in BENCHMARK.json, and whether the
+           comparison is unresolved: the parent's quartile spread exceeds the
+           bound and not every change run beats every parent run.  A
+           workload without a complete pair reads `pairs: 0` and nulls.
   traced   the per-layer metrics of the traced run of each side
 """
 
@@ -75,11 +78,11 @@ def summarize(runs, end_to_end):
     pairs with a side that printed no result are left out.
     """
     out = {}
-    untraced = [r for r in runs if r["trace"] == 0 and r["result"] is not None]
+    untraced = [r for r in runs if r["trace"] == 0]
     for workload in dict.fromkeys(r["workload"] for r in untraced):
         by_seed = {}
         for r in untraced:
-            if r["workload"] == workload:
+            if r["workload"] == workload and r["result"] is not None:
                 by_seed.setdefault(r["seed"], {})[r["side"]] = r
         pairs = [(p["parent"], p["change"]) for _, p in sorted(by_seed.items())
                  if "parent" in p and "change" in p]
@@ -88,6 +91,10 @@ def summarize(runs, end_to_end):
 
 
 def _metric_summary(pairs, spec):
+    if not pairs:
+        return {"parent_median": None, "change_median": None, "parent_q1_q3": None,
+                "change_q1_q3": None, "pairs": 0, "change_wins": 0, "ties": 0,
+                "relative_change": None, "worse_than_bound": None, "unresolved": None}
     name, lower = spec["name"], spec["better"] == "lower"
     parent = [_value(p, name) for p, _ in pairs]
     change = [_value(c, name) for _, c in pairs]
@@ -95,11 +102,15 @@ def _metric_summary(pairs, spec):
     ties = sum(c == p for p, c in zip(parent, change))
     p_med, c_med = statistics.median(parent), statistics.median(change)
     relative = (c_med - p_med) / p_med if p_med else 0.0
+    q1, q3 = _quartiles(parent)
+    spread = (q3 - q1) / abs(p_med) if p_med else 0.0
+    separated = max(change) < min(parent) if lower else min(change) > max(parent)
     return {"parent_median": p_med, "change_median": c_med,
-            "parent_q1_q3": _quartiles(parent), "change_q1_q3": _quartiles(change),
+            "parent_q1_q3": [q1, q3], "change_q1_q3": _quartiles(change),
             "pairs": len(pairs), "change_wins": wins, "ties": ties,
             "relative_change": round(relative, 4),
-            "worse_than_bound": (relative if lower else -relative) > spec["bound"]}
+            "worse_than_bound": (relative if lower else -relative) > spec["bound"],
+            "unresolved": spread > spec["bound"] and not separated}
 
 
 def _quartiles(values):
