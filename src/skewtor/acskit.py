@@ -14,11 +14,11 @@ from math import comb
 
 import numpy as np
 
-from .clifford import act_form, eigen_report, half_module_blocks
+from .clifford import act_form, half_module_blocks
 from .errors import DegreeError, NoSkewConnection, StructureError
 from .forms import Form, all_blades, dense, interior, sigma_t, wedge
 from .liegeom import LieModel, SkewTorsionStructure, d_form, tt_contraction
-from .linalg import Tensor, int_matmul, rank, slot_sum
+from .linalg import Tensor, certified_spectrum, int_matmul, rank, slot_sum
 
 Q = Fraction
 ein = Tensor.einsum
@@ -483,9 +483,13 @@ def nearly_kaehler_identities(a) -> dict:
 
 
 def half_module_endomorphism_spectrum(a):
-    """Eigenvalues of the parallel-spinor integrability endomorphism per half module."""
+    """Eigenvalues of the parallel-spinor integrability endomorphism per half module, certified
+    on the values 0 and 4a of Lemma 10.7 (None for a block not diagonalizable on them)."""
     a = Q(a)
     four_form = (Form.blade(6, 1, 2, 3, 4) + Form.blade(6, 1, 2, 5, 6)
                  + Form.blade(6, 3, 4, 5, 6)) * a
     endo = act_form([four_form, Form.scalar(6, 3 * a)])
-    return tuple(eigen_report(block).multiset() for block in half_module_blocks(6, endo))
+    spectra = (certified_spectrum(block, sorted({Q(0), 4 * a}))
+               for block in half_module_blocks(6, endo))
+    return tuple(None if pairs is None else [v for v, m in pairs for _ in range(m)]
+                 for pairs in spectra)

@@ -15,6 +15,7 @@ place that turns it into a dense matrix; a gamma matrix is `act_form(e_i)`.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,28 +95,12 @@ def act_form(form) -> GaussTensor:
     return GaussTensor(np.array(acc, dtype=object).reshape(size, size, 2), den)
 
 
-class EigenReport:
-    """Exact spectrum: rational eigenvalues with multiplicity plus any residual factor."""
+class EigenReport(NamedTuple):
+    """Exact spectrum found by `eigen_report`: rational eigenvalues plus any residual factor."""
 
-    def __init__(self, pairs, residual, hermitian):
-        self.pairs = pairs            # sorted [(Fraction eigenvalue, multiplicity)]
-        self.residual = residual      # remaining charpoly factor (a GaussTensor vector) or None
-        self.hermitian = hermitian
-
-    def multiset(self):
-        out = []
-        for value, mult in self.pairs:
-            out.extend([value] * mult)
-        return out
-
-    def as_pairs(self):
-        return [(str(v), m) for v, m in self.pairs]
-
-    def __repr__(self):
-        body = ", ".join(f"{v} x{m}" for v, m in self.pairs)
-        if self.residual is not None:
-            body += f"; residual degree {len(self.residual) - 1}"
-        return f"EigenReport({body})"
+    pairs: list         # sorted [(Fraction eigenvalue, multiplicity)]
+    residual: object    # remaining charpoly factor (a GaussTensor vector) or None
+    hermitian: bool
 
 
 def eigen_report(matrix: GaussTensor) -> EigenReport:

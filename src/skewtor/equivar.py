@@ -37,8 +37,8 @@ import numpy as np
 from .errors import StructureError
 from .forms import Form, common_denominator, contract, dense, inner, interior, wedge
 from .g2 import _projectors, canonical_omega3, spanning_27
-from .linalg import (Tensor, certified_eigenspace_dims, eliminate, int_abs_max, int_matmul,
-                     rank, slot_sum)
+from .linalg import (Tensor, certified_spectrum, eliminate, int_abs_max, int_matmul, rank,
+                     slot_sum)
 
 Q = Fraction
 
@@ -279,22 +279,21 @@ G2_IRREPS = g2_irreps(196)
 def casimir_spectrum(space: str):
     """Certified (eigenvalue, dimension) pairs of the Casimir on a module, with its scale.
 
-    The module is a sum of irreducibles, so one `linalg.certified_eigenspace_dims`
-    chain over the calibrated values of the irreducibles of `G2_IRREPS` that
-    fit in it, scaled to C' and integral, vanishes and counts each eigenspace;
-    a chain that does not vanish is refused.  The chain takes the values in
+    The module is a sum of irreducibles, so the `linalg.certified_spectrum`
+    chain of C' over the calibrated values of the irreducibles of
+    `G2_IRREPS` that fit in it vanishes and counts each eigenspace; a chain
+    that does not vanish is refused.  The chain takes the values in
     increasing ratio, which keeps the suites' chains in int64, and the pairs
     are returned in increasing eigenvalue.
     """
     sp = spaces()
     cmat, scale = sp.casimir(space)
-    values = [sp.calibration[label] * scale for label, dim, _ in G2_IRREPS if dim <= len(cmat)]
-    roots = [int(v) for v in values if v.denominator == 1]
-    dims = certified_eigenspace_dims(cmat, roots)
-    if dims is None:
+    values = [sp.calibration[label] for label, dim, _ in G2_IRREPS if dim <= len(cmat)]
+    pairs = certified_spectrum(cmat, values, scale)
+    if pairs is None:
         raise StructureError(f"the Casimir on {space} is not diagonalizable "
                              "with the irreducibles' values")
-    return sorted((Q(r, scale), d) for r, d in zip(roots, dims) if d), scale
+    return pairs, scale
 
 
 def casimir_decompose(space: str) -> dict:

@@ -15,20 +15,18 @@ integers otherwise, so a float only ever carries such an integer; every
 derivation action of an so(n) element on a tensor is `slot_sum`, one such
 product per slot.  Every exact rank and kernel runs one fraction-free
 Gauss-Jordan elimination over Z on the integer numerators; a Gaussian system
-enters it with each entry a + bi as the real block [[a, -b], [b, a]].  A
-spectrum is read from the characteristic polynomial of the integral d A (d
-the denominator of A) over Z[i], computed by one batched Faddeev-LeVerrier
-run over its images modulo primes p = 1 (mod 4) and rebuilt by the Chinese
-remainder theorem under a proven coefficient bound; for a real one its
-rational roots are y / d for the integer roots y of that monic integer
-polynomial, found by a divisor search and Horner's rule.  On the large
-representation-theoretic matrices (up to 196 x 196) every rank claim is read
-from the one exact elimination, and one exact product chain prod_k (A - r_k I)
-by `int_matmul` both proves a spectrum (the chain vanishes) and counts it
-(back substitution on the traces of its partial products gives the
-eigenspace dimensions).  The primes of `charpoly` come from one pool, the
-primes below 2^21 in descending order, sieved as far as it is read, and no
-other module names one.
+enters it with each entry a + bi as the real block [[a, -b], [b, a]], and
+every rank claim on the representation-theoretic matrices (up to 196 x 196)
+is read from it.  A stated spectrum is proven, not searched for: one exact
+product chain prod_k (A - r_k I) by `int_matmul` over the candidate values
+(`certified_spectrum`, a Gaussian A by its real form) vanishes exactly when A
+is diagonalizable with eigenvalues among them, and the traces of its partial
+products count them.  Only the `spin-eig` command finds an unknown spectrum:
+`charpoly` computes det(yI - dA) over Z[i] (d the denominator of A) by one
+batched Faddeev-LeVerrier run modulo the primes p = 1 (mod 4) of one pool
+(the primes below 2^21, which no other code reads), rebuilt by the Chinese
+remainder theorem under a proven bound, and `rational_roots` finds its
+rational roots by a divisor search and Horner's rule.
 """
 
 from __future__ import annotations
@@ -506,10 +504,12 @@ def slot_sum(w, t, degree):
 def certified_eigenspace_dims(int_matrix, roots):
     """Exact eigenspace dimensions of an integer matrix A on distinct integers r_k, or None.
 
-    One exact product chain P_0 = I, P_(j+1) = P_j (A - r_j I) by `int_matmul`
-    (float64 under its bound, Python integers past 2^53) decides the claim:
-    P_k != 0 gives None, and P_k = 0 proves A diagonalizable with every
-    eigenvalue among the r_k.  P_j then acts on the eigenspace of r_l as
+    It proves every stated spectrum (through `certified_spectrum`); `charpoly`
+    and `rational_roots` only find the unknown spectra of `spin-eig`.  The
+    product chain P_0 = I, P_(j+1) = P_j (A - r_j I) by `int_matmul` (float64
+    under its bound, Python integers past 2^53) decides the claim: P_k != 0
+    gives None, and P_k = 0 proves A diagonalizable with every eigenvalue
+    among the r_k.  P_j then acts on the eigenspace of r_l as
     prod_(i<j) (r_l - r_i), zero for l < j, so the dimensions m_l solve
     tr(P_j) = sum_(l>=j) m_l prod_(i<j) (r_l - r_i), j < k: an upper
     triangular system (the Newton basis on the r_k) with nonzero diagonal,
@@ -534,3 +534,22 @@ def certified_eigenspace_dims(int_matrix, roots):
         dims.insert(0, (traces[j] - known) // prod(roots[j] - s for s in roots[:j]))
     return dims
 
+
+def certified_spectrum(matrix, values, scale=1):
+    """Sorted (eigenvalue, multiplicity) pairs of matrix / scale on the given `values`, or None.
+
+    `matrix` is an integer matrix, or a GaussTensor N / d, which enters as the
+    integer real form [[Re N, -Im N], [Im N, Re N]] of `_system` over d scale:
+    similar to N (+) conj(N), it holds each real eigenvalue of N twice, so its
+    counts are halved.  An integer matrix has no rational eigenvalue but
+    integers, so one `certified_eigenspace_dims` chain runs over the values v
+    with v scale integral, in the order given; None when it does not vanish.
+    """
+    halve = 1
+    if isinstance(matrix, GaussTensor):
+        matrix, scale, halve = _system(matrix)[1], matrix.den * scale, 2
+    roots = [int(v) for v in (Q(v) * scale for v in values) if v.denominator == 1]
+    dims = certified_eigenspace_dims(matrix, roots)
+    if dims is None:
+        return None
+    return sorted((Q(r, scale), m // halve) for r, m in zip(roots, dims) if m)

@@ -1,8 +1,10 @@
+import subprocess
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
+import bench_pairs  # noqa: E402
 from bench_pairs import summarize  # noqa: E402
 
 SPECS = [{"name": "report_s", "better": "lower", "bound": 0.25},
@@ -70,3 +72,28 @@ def test_unresolved_when_the_parent_spreads_wider_than_the_bound():
     # unless every change run beats every parent run
     separated = summarize(_pairs(parent, [0.5, 0.6, 0.7, 0.8, 0.85]), SPECS)
     assert separated["verify-all"]["report_s"]["unresolved"] is False
+
+
+def test_change_side_is_a_copy_of_the_working_tree(tmp_path, monkeypatch):
+    # the change side runs from its own copy, like the parent's export, and
+    # that copy holds the uncommitted edits of tracked files, but not a file
+    # git does not track
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    (repo / "src" / "mod.py").write_text("VALUE = 1\n")
+    (repo / "gone.py").write_text("")
+    git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@localhost"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "parent"]):
+        subprocess.run(git + args, cwd=repo, check=True, capture_output=True)
+    (repo / "src" / "mod.py").write_text("VALUE = 2\n")
+    (repo / "gone.py").unlink()
+    (repo / "untracked.py").write_text("")
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+
+    copy = tmp_path / "copy"
+    bench_pairs.export_worktree(copy)
+    assert (copy / "src" / "mod.py").read_text() == "VALUE = 2\n"
+    assert sorted(p.name for p in copy.rglob("*")) == ["mod.py", "src"]
+    parent = tmp_path / "parent"
+    bench_pairs.export("HEAD", parent)
+    assert (parent / "src" / "mod.py").read_text() == "VALUE = 1\n"

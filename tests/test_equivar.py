@@ -6,7 +6,7 @@ from math import isqrt, lcm
 import numpy as np
 import pytest
 
-from skewtor import equivar
+from skewtor import equivar, suites
 from skewtor.equivar import (G2_IRREPS, casimir_decompose, casimir_spectrum, g2_irreps,
                              isotypic_basis_r7_m, rank_certificates, sigma0_constant,
                              sigma_solution_identity, spaces)
@@ -175,6 +175,42 @@ def test_rank_certificates():
     assert rc["scalar-block-dimension"] and rc["traceless-block-dimension"]
     assert rc["scalar-image-contained"] and rc["scalar-image-solution-zero"]
     assert rc["traceless-image-contained"]
+
+
+def _equivariant_statuses():
+    return {c.id: c.status for c in suites.suite_equivariant().checks}
+
+
+def test_partial_isotypic_bases_fail_cor_4_5_1(monkeypatch):
+    # a 27-part short of 3 rows and an empty 1-part still lie in their
+    # eigenspaces and in Im(Phi); only their sizes show that they do not span
+    # the isotypic blocks, and both checks of Cor 4.5(1) read them
+    basis = equivar.isotypic_basis_r7_m
+    cut = {"27": 3, "1": 1}
+    monkeypatch.setattr(equivar, "isotypic_basis_r7_m",
+                        lambda label: basis(label)[:len(basis(label)) - cut.get(label, 0)])
+    rc = rank_certificates()
+    assert not rc["scalar-block-dimension"] and not rc["traceless-block-dimension"]
+    statuses = _equivariant_statuses()
+    assert statuses["equivariant.scalar-image"] == "FAIL"
+    assert statuses["equivariant.traceless-image"] == "FAIL"
+
+
+def test_every_rank_certificate_enters_a_check(monkeypatch):
+    rc = rank_certificates()
+    assert all(rc.values()) and "FAIL" not in _equivariant_statuses().values()
+    for claim in rc:
+        monkeypatch.setattr(equivar, "rank_certificates", lambda claim=claim: {**rc, claim: False})
+        assert "FAIL" in _equivariant_statuses().values(), claim
+
+
+def test_complement_orthogonal_reads_the_gram_block(sp, monkeypatch):
+    # m and the algebra are orthogonal: a unit of m with a g2 part fails the check
+    sp.casimir("r7_m")      # the cached tables are built from the true units
+    units = sp.units["m"].copy()
+    units[0] += sp.algebra.units[0]
+    monkeypatch.setitem(sp.units, "m", units)
+    assert _equivariant_statuses()["equivariant.complement-orthogonal"] == "FAIL"
 
 
 def test_isotypic_bases_exact(sp):

@@ -12,11 +12,12 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from skewtor import equivar, linalg
-from skewtor.clifford import eigen_report
+from skewtor import clifford, equivar, linalg, suites
+from skewtor.clifford import act_form, eigen_report
 from skewtor.forms import Form, wedge
-from skewtor.linalg import (GaussTensor, Tensor, certified_eigenspace_dims, charpoly,
-                            int_abs_max, int_matmul, is_hermitian, nullspace, rank,
+from skewtor.g2 import canonical_omega3
+from skewtor.linalg import (GaussTensor, Tensor, certified_eigenspace_dims, certified_spectrum,
+                            charpoly, int_abs_max, int_matmul, is_hermitian, nullspace, rank,
                             rational_roots, slot_sum, _PRIMES)
 from skewtor.reporting import fmt
 
@@ -250,6 +251,50 @@ def test_certify_rejects_nondiagonalizable():
     assert certified_eigenspace_dims(jordan, [1]) is None
     with pytest.raises(ValueError, match="distinct"):
         certified_eigenspace_dims(jordan, [1, 1])
+
+
+def test_certified_spectrum_of_spinor_endomorphisms():
+    # the real form of a Gaussian matrix holds each eigenvalue twice: the
+    # counts are halved
+    w3 = act_form(canonical_omega3())
+    assert certified_spectrum(w3, [-7, 1]) == [(-7, 1), (1, 7)]
+    # a wrong value leaves the chain nonzero; a value that is no eigenvalue
+    # counts 0 and is left out, and one off the lattice 1/d Z is not tried
+    assert certified_spectrum(w3, [-6, 1]) is None
+    assert certified_spectrum(w3, [-7, 0, Q(1, 2), 1]) == [(-7, 1), (1, 7)]
+    # A = N / d is certified at the values of A, not of N
+    third = w3 * Q(1, 3)
+    assert third.den == 3
+    assert certified_spectrum(third, [Q(-7, 3), Q(1, 3)]) == [(Q(-7, 3), 1), (Q(1, 3), 7)]
+    assert certified_spectrum(third, [-7, 1]) is None
+    # an integer matrix over its scale, as the Casimirs enter
+    assert certified_spectrum(np.diag([2, 2, 6]), [1, 3], scale=2) == [(1, 2), (3, 1)]
+
+
+def test_certified_spectrum_refuses_a_nilpotent_matrix():
+    # the stated (0, 0) of a nonzero nilpotent matrix is refused; over Z[i],
+    # e_1 + e_2 e_3 e_4 squares to 0 on Delta_4, and charpoly and
+    # rational_roots split it as 0 four times
+    assert certified_spectrum(np.array([[0, 1], [0, 0]]), [0]) is None
+    nilpotent = act_form([Form.blade(4, 1), Form.blade(4, 2, 3, 4)])
+    assert (nilpotent @ nilpotent).is_zero() and not nilpotent.is_zero()
+    assert eigen_report(nilpotent).pairs == [(0, 4)]
+    assert certified_spectrum(nilpotent, [0]) is None
+
+
+def test_verify_all_reads_no_prime(monkeypatch, all_report):
+    # every stated spectrum is proven by the product chain: with the
+    # characteristic polynomial and the root search out of reach, `verify all`
+    # writes the same report
+    def refuse(*args):
+        raise AssertionError("verify all searched for a spectrum")
+
+    for module in (linalg, clifford):
+        monkeypatch.setattr(module, "charpoly", refuse)
+        monkeypatch.setattr(module, "rational_roots", refuse)
+    monkeypatch.setattr(clifford, "eigen_report", refuse)
+    suites._lemma_10_7.cache_clear()
+    assert suites.run_suite("all").to_json() == all_report.to_json()
 
 
 def test_eigenspace_chain_runs_on_python_ints_past_2_53():
@@ -564,7 +609,7 @@ def test_casimir_chains_stay_in_int64(monkeypatch):
             inside.pop()
 
     monkeypatch.setattr(linalg, "int_matmul", matmul)
-    monkeypatch.setattr(equivar, "certified_eigenspace_dims", chain)
+    monkeypatch.setattr(linalg, "certified_eigenspace_dims", chain)
     for space in ("lambda2", "r7_m", "r7_g2", "r7_s2"):
         equivar.casimir_spectrum(space)
     assert len(dtypes) == 3 + 4 + 7 + 9

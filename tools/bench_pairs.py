@@ -3,8 +3,9 @@
     python3 tools/bench_pairs.py PARENT_REV OUT.json [--first-seed 21] [--claim TEXT]
 
 The parent revision is exported with `git archive` into a temporary
-directory; the change side is the working tree of the checkout that holds
-this script.  For each workload of BENCHMARK.json, pair k of ten runs
+directory, and the change side is a copy of the files git tracks in the
+checkout that holds this script, uncommitted edits included (`git add` a new
+file first), in another one.  For each workload of BENCHMARK.json, pair k of ten runs
 `bench/run.py --seed FIRST_SEED + k --trace 0` for the benchmark's
 run_seconds once on each side, the parent first in even pairs and the change
 first in odd ones, one process at a time.  Then each side runs verify-all
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -46,6 +48,17 @@ def export(rev, into):
                          check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(into)
+
+
+def export_worktree(into):
+    """The tracked files of the working tree, as they are on disk, in the directory `into`."""
+    names = subprocess.run(["git", "ls-files", "-z"], cwd=ROOT, check=True,
+                           capture_output=True).stdout.decode().split("\0")
+    for name in filter(None, names):
+        source, target = ROOT / name, Path(into) / name
+        if source.is_file():    # a tracked file deleted in the working tree is left out
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
 
 
 def run_bench(side, root, workload, seed, seconds, trace):
@@ -133,9 +146,10 @@ def main(argv=None):
     seconds = spec["run_seconds"]
 
     runs, traced = [], {}
-    with tempfile.TemporaryDirectory() as tmp:
-        export(args.parent_rev, tmp)
-        roots = {"parent": Path(tmp), "change": ROOT}
+    with tempfile.TemporaryDirectory() as parent, tempfile.TemporaryDirectory() as change:
+        export(args.parent_rev, parent)
+        export_worktree(change)
+        roots = {"parent": Path(parent), "change": Path(change)}
         for workload in (w["name"] for w in spec["workloads"]):
             for k in range(PAIRS):
                 order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
