@@ -356,14 +356,14 @@ def isotypic_basis_r7_m(label: str):
 def rank_certificates():
     """Exact rank and containment certificates for the connection-existence theory.
 
-    Every claim is read from one elimination of [Phi | Psi B14 | Psi B1 | Psi B27]
-    (B the isotypic bases of R^7 (x) m) with pivots in Phi's columns only: Phi
-    is injective when each of its columns holds a pivot, and the rows below
-    the pivots are the quotient by Im(Phi), so an image meets Im(Phi) only in
-    0 when they have full rank on its columns, and lies in Im(Phi) when they
-    vanish on them.  Each basis lies in its eigenspace, so it spans the whole
-    isotypic part when its size is the multiplicity the r7_m product chain
-    certifies.
+    The rank and containment claims are read from one elimination of
+    [Phi | Psi B14 | Psi B1 | Psi B27] (B the isotypic bases of R^7 (x) m)
+    with pivots in Phi's columns only: Phi is injective when each of its
+    columns holds a pivot, and the rows below the pivots are the quotient by
+    Im(Phi), so an image meets Im(Phi) only in 0 when they have full rank on
+    its columns, and lies in Im(Phi) when they vanish on them.  Each basis
+    lies in its eigenspace, so it spans the whole isotypic part when its size
+    is the multiplicity the r7_m product chain certifies.
     """
     sp = spaces()
     phi, psi = sp.phi, sp.psi

@@ -1,9 +1,10 @@
 """Reference linear algebra on nested lists of CQ (or Fraction) entries.
 
 These are the list-matrix loops that `GaussTensor` and the fraction-free
-elimination replaced in the program, and the Kronecker construction of the
-gamma matrices that `clifford`'s bit formula replaced, kept here to compare
-the integer kernels against entry for entry.  `CQ` is the reference's own Gaussian
+elimination replaced in the program, the Bareiss elimination that
+`linalg.eliminate`'s primitive rows replaced, and the Kronecker construction
+of the gamma matrices that `clifford`'s bit formula replaced, kept here to
+compare the integer kernels against entry for entry.  `CQ` is the reference's own Gaussian
 rational, independent of the program; `parts` and `entries` convert nested
 lists of it to and from the integer parts over one denominator that a
 `GaussTensor` holds.
@@ -237,6 +238,41 @@ def rref(matrix, pivot_limit=None):
         if r == m:
             break
     return rows, pivots
+
+
+def eliminate_bareiss(a, limit):
+    """Bareiss's fraction-free Gauss-Jordan elimination of an integer object array.
+
+    The contract of `linalg.eliminate`: columns at or beyond `limit` are
+    never pivots, and it returns (rows, pivot_cols, d) with d > 0, every pivot
+    entry equal to d and rows / d the reduced row echelon form.  Each pivot p
+    rescales every row by p / d_prev, an exact division by Sylvester's
+    identity, so every entry is a minor of the input and grows with the
+    pivots even where a row has no entry in the pivot column.
+    """
+    a, pivots, d = a.copy(), [], 1
+    for c in range(limit):
+        r = len(pivots)
+        if r == len(a):
+            break
+        below = np.flatnonzero(a[r:, c])
+        if not below.size:
+            continue
+        k = r + int(below[0])
+        if k != r:
+            a[[r, k]] = a[[k, r]]
+        row, p = a[r].copy(), a[r, c]
+        hit = np.flatnonzero(a[:, c])
+        update = (a[hit] * p - np.outer(a[hit, c], row)) // d
+        if p != d:
+            a = a * p // d    # rows with a zero in column c only rescale
+        a[hit] = update
+        a[r] = row
+        pivots.append(c)
+        d = p
+    if d < 0:
+        a, d = -a, -d
+    return a, pivots, d
 
 
 def rank(matrix):

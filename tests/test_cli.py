@@ -299,6 +299,23 @@ def test_cli_verify_reports_failure_exit(monkeypatch, capsys):
     assert "FAIL" in out
 
 
+def test_verify_all_fails_without_a_minus_seven_spinor(monkeypatch, capsys, all_report):
+    # with no -7 eigenvector of the w3 action, the two checks that read it
+    # FAIL and `verify all` exits 1 with its report; no other status moves
+    import numpy as np
+    from skewtor.linalg import GaussTensor
+    monkeypatch.setattr(suites, "_minus7_spinors",
+                        lambda action: GaussTensor(np.zeros((0, 8, 2), dtype=object)))
+    assert main(["verify", "all", "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    statuses = {c["id"]: c["status"] for c in json.loads(out)["checks"]}
+    failed = {"clifford.omega3-spectrum", "clifford.contraction-action"}
+    assert {i for i, s in statuses.items() if s == "FAIL"} == failed
+    assert statuses == {c.id: "FAIL" if c.id in failed else c.status
+                        for c in all_report.checks}
+
+
 def test_cli_verify_lets_an_error_inside_a_suite_propagate(monkeypatch, capsys):
     # a KeyError raised while a listed suite runs is a fault, not an unknown suite name
     def broken():

@@ -102,6 +102,43 @@ def test_elimination_matches_field_reference(system):
     assert not want or kernel == of(want)
 
 
+@settings(max_examples=80, deadline=None)
+@given(exact_matrices(), st.data())
+def test_elimination_with_leading_pivots_matches_references(system, data):
+    # the integer system (a Gaussian one as its real form) eliminated with
+    # pivots in its first `limit` columns only, against the rational RREF
+    # and Bareiss's elimination with the same limit
+    is_gauss, a = system
+    num = linalg._system(gauss(a) if is_gauss else Tensor.of(a))[1]
+    limit = data.draw(st.integers(0, num.shape[1]))
+    rows, pivots, d = linalg.eliminate(num, limit)
+    fractions = [[Q(x) for x in row] for row in num.tolist()]
+    want, want_pivots = cq_reference.rref(fractions, pivot_limit=limit)
+    r = len(pivots)
+    assert pivots == want_pivots and d > 0
+    assert [[Q(x, d) for x in row] for row in rows[:r].tolist()] == want[:r]
+    assert not rows[r:, :limit].any()
+    quotient = [[Q(x) for x in row] for row in rows[r:].tolist()]
+    assert cq_reference.rank(quotient) == (
+        cq_reference.rank(fractions) - cq_reference.rank([row[:limit] for row in fractions]))
+    assert (abs(rows) <= abs(cq_reference.eliminate_bareiss(num, limit)[0])).all()
+
+
+def test_certificate_elimination_keeps_its_entries_small(monkeypatch):
+    # the 196 x 140 elimination of `rank_certificates` changes only the rows
+    # a pivot hits: every entry stays below 2^16 (6 bits), where a rescale of
+    # all rows at every pivot, as Bareiss's, reaches 84 bits
+    calls = []
+    monkeypatch.setattr(equivar, "eliminate",
+                        lambda a, limit: calls.append((a, limit)) or linalg.eliminate(a, limit))
+    equivar.rank_certificates()
+    (matrix, limit), = calls
+    rows, pivots, d = linalg.eliminate(matrix, limit)
+    assert matrix.shape == (196, 140) and len(pivots) == limit == 98
+    assert int_abs_max(rows) < 2 ** 16
+    assert int_abs_max(cq_reference.eliminate_bareiss(matrix, limit)[0]) >= 2 ** 16
+
+
 def test_charpoly_and_roots_complex():
     m = GaussTensor.of_parts([[1, 0], [0, 1]], [[0, 1], [-1, 0]])
     assert is_hermitian(m)
