@@ -284,8 +284,7 @@ def contact_general_identities(s: AlmostContact) -> dict:
                  + ein("x,a,abc,by,cz->xyz", eta, xi, nij, p, p))
     return {"covariant-derivative-of-phi": covariant.max_abs(),
             "phi-phi-symmetry": phi_phi.max_abs(),
-            "xi-derivative": max((xi_derivative - nabla_eta).max_abs(),
-                                 (nabla_eta - s.killing_matrix()).max_abs()),
+            "xi-derivative": (xi_derivative - nabla_eta).max_abs(),
             "nijenhuis-phi-phi": phi_phi_nij.max_abs(),
             "nijenhuis-phi-mixed": mixed_nij.max_abs()}
 

@@ -12,7 +12,7 @@ from functools import lru_cache
 from . import clifford, g2
 from .errors import NoSkewConnection, SkewtorError
 from .formexpr import parse_form, parse_homogeneous, render_form
-from .modelfile import entry_to_dict, find_model
+from .modelfile import find_model
 from .registry import registry
 from .reporting import fmt
 from .suites import SUITES, run_suite
@@ -58,12 +58,11 @@ def _fail(message, code=2):
 
 def cmd_models(args):
     if args.action == "list":
-        for name in sorted(registry()):
-            entry = registry()[name]
+        for name, entry in registry().items():   # in name order
             print(f"{name:<12} dim {entry.model.n}  structure {entry.kind:<9} {entry.notes}")
         return 0
     entry = find_model(args.name)
-    print(json.dumps(entry_to_dict(entry), indent=2))
+    print(json.dumps(entry.doc, indent=2))
     return 0
 
 

@@ -5,6 +5,10 @@ A model is defined in one way only: as a model file, read and validated by
 `models/` directory (`registry.registry`), and a user's models are the
 `<name>.json` files on `SKEWTOR_MODEL_PATH`, which `find_model` searches
 after the registry.
+
+The format is read, never written.  A document holds only the keys `KEYS`, and
+"structure" only "kind" and that kind's `STRUCTURE_KEYS`; an entry keeps the
+validated document, which `skewtor models show` prints.
 """
 
 from __future__ import annotations
@@ -23,17 +27,26 @@ from .registry import registry
 
 ENV_PATH = "SKEWTOR_MODEL_PATH"
 
+# the keys of a model document, and those of its "structure" object besides "kind"
+KEYS = ("name", "dim", "coframe_d", "notes", "structure")
+STRUCTURE_KEYS = {"g2": ("omega3",), "contact": ("xi", "eta", "phi"), "hermitian": ("J",), "none": ()}
+
 
 class ModelEntry:
-    def __init__(self, model, structure, notes=""):
+    def __init__(self, model, structure, doc):
         self.model = model
         # G2Structure | AlmostContact | AlmostHermitian, validated; None for a bare model
         self.structure = structure
-        self.notes = notes
+        # the document as read, every key of it validated: `models show` prints it
+        self.doc = doc
 
     @property
     def name(self):
         return self.model.name
+
+    @property
+    def notes(self):
+        return self.doc.get("notes", "")
 
     @property
     def kind(self):
@@ -67,35 +80,10 @@ def form_from_pairs(pairs, n, degree):
     return Form(n, degree, terms)
 
 
-def matrix_to_rows(m):
-    """Rows of "p/q" strings of a matrix (nested lists or a Tensor)."""
-    return [[str(x) for x in row] for row in m]
-
-
 def matrix_from_rows(rows, n):
     if len(rows) != n or any(len(row) != n for row in rows):
         raise ValueError(f"expected a {n} x {n} matrix")
     return [[_exact(x) for x in row] for row in rows]
-
-
-def entry_to_dict(entry: ModelEntry) -> dict:
-    model = entry.model
-    doc = {
-        "name": model.name,
-        "dim": model.n,
-        "coframe_d": [[i + 1, form_to_pairs(model.d_coframe[i])]
-                      for i in range(model.n)],
-        "notes": entry.notes,
-    }
-    s = entry.structure
-    fields = doc["structure"] = {"kind": entry.kind}
-    if isinstance(s, G2Structure):
-        fields["omega3"] = form_to_pairs(s.omega3)
-    elif isinstance(s, AlmostContact):
-        fields.update(xi=s.xi_index, eta=form_to_pairs(s.eta), phi=matrix_to_rows(s.phi))
-    elif isinstance(s, AlmostHermitian):
-        fields["J"] = matrix_to_rows(s.phi)
-    return doc
 
 
 def _field(name, read, *args):
@@ -141,9 +129,21 @@ def _coframe(doc, n):
     return [d_coframe.get(i, Form.zero(n, 2)) for i in range(1, n + 1)]
 
 
+def _known_keys(obj, keys, where=""):
+    """A key of `obj` outside `keys` is an error: a loaded document holds only what is read."""
+    unknown = [key for key in obj if key not in keys]
+    if unknown:
+        raise SkewtorError(f"{where}unknown key {unknown[0]!r} (have: {', '.join(keys)})")
+
+
 def _structure(s, model):
     """The validated structure of a model file's "structure" object, or None."""
     kind, n = s.get("kind", "none"), model.n
+    fields = STRUCTURE_KEYS.get(kind) if isinstance(kind, str) else None
+    if fields is None:
+        raise SkewtorError(f"field structure.kind: unknown kind {kind!r} "
+                           f"(have: {', '.join(STRUCTURE_KEYS)})")
+    _known_keys(s, ("kind",) + fields, "field structure: ")
     if kind == "g2":
         structure = G2Structure(model)
         if form_from_pairs(s["omega3"], n, 3) != canonical_omega3():
@@ -157,20 +157,20 @@ def _structure(s, model):
         return structure
     if kind == "hermitian":
         return AlmostHermitian(model, matrix_from_rows(s["J"], n))
-    if kind == "none":
-        return None
-    raise SkewtorError(f"field structure.kind: unknown kind {kind!r} "
-                       f"(have: g2, contact, hermitian, none)")
+    return None
 
 
 def entry_from_dict(doc: dict) -> ModelEntry:
+    """The entry of a model document, which it keeps as given; every key is validated."""
     if not isinstance(doc, dict):
         raise SkewtorError("a model file holds one JSON object")
+    _known_keys(doc, KEYS)
     n = _field("dim", _dimension, doc)
     name = _field("name", _text, doc.get("name", ""))
+    _field("notes", _text, doc.get("notes", ""))
     model = LieModel(n, _field("coframe_d", _coframe, doc, n), name=name)
     structure = _field("structure", _structure, doc.get("structure", {"kind": "none"}), model)
-    return ModelEntry(model, structure, notes=_field("notes", _text, doc.get("notes", "")))
+    return ModelEntry(model, structure, doc)
 
 
 def load_file(path: str) -> ModelEntry:

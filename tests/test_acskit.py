@@ -1,5 +1,6 @@
 from fractions import Fraction as Q
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ from skewtor.errors import NoSkewConnection, StructureError
 from skewtor.forms import Form, sigma_t, wedge
 from skewtor.liegeom import LieModel, codiff, curvature, d_form, levi_civita, with_torsion
 from skewtor.linalg import Tensor
+from skewtor.modelfile import load_file
 from skewtor.registry import registry
 from structure_reference import standard_j_matrix, standard_phi_matrix
 
@@ -32,6 +34,11 @@ def hermitian(name):
     s = registry()[name].structure
     assert isinstance(s, AlmostHermitian)
     return s
+
+
+def fixture(name):
+    """The structure of the test model file tests/models/<name>.json, read by the loader."""
+    return load_file(str(Path(__file__).parent / "models" / f"{name}.json")).structure
 
 
 def test_killing_test_from_brackets_matches_the_connection():
@@ -274,6 +281,71 @@ def test_tanno_rejects_non_sasakian():
     assert nijenhuis(s).is_zero() and s.xi_is_killing()
     with pytest.raises(StructureError):
         tanno_deform(s, Q(4, 3))
+
+
+# ---------------------------------------------------------------------------
+# fixtures on which every term of the contact and hermitian identities is
+# nonzero: on the registry's models some terms vanish, so their signs go
+# unchecked there
+# ---------------------------------------------------------------------------
+
+def test_hermitian_ricci_form_identity_with_a_lee_form():
+    # Thm 10.5 with a nonzero Lee form that is not parallel.  T = -2 e2^e3^e4
+    # and J e1 = -e2, J e3 = -e4, so theta(e1) = -(1/2) sum_i T(J e1, e_i, J e_i)
+    # = (1/2) (T(e2, e3, -e4) + T(e2, e4, e3)) = 2
+    h = fixture("hermitian4")
+    assert nijenhuis(h).is_zero()
+    assert h.torsion == Form(4, 3, {(2, 3, 4): Q(-2)})
+    _, theta, _ = ricci_form_package(h)
+    assert theta == Tensor.of([2, 0, 0, 0])
+    assert not h.connection.nabla(theta).is_zero()
+    assert holonomy_reduction_residual(h)["identity-residual"] == 0
+
+
+def test_contact_ricci_form_identity_with_a_non_parallel_one_form():
+    # Prop 9.1 on a normal structure, xi Killing, whose one-form
+    # omega(X) = -(1/2) sum_i T(X, e_i, phi e_i) is -4 e^2 + 2 e^3 for
+    # T = 2 e1^e2^e3 - 4 e2^e3^e4, with (nabla_X omega)(Y) not zero
+    s = fixture("contact5a")
+    assert nijenhuis(s).is_zero() and s.xi_is_killing()
+    assert s.torsion == Form(5, 3, {(1, 2, 3): Q(2), (2, 3, 4): Q(-4)})
+    _, omega, _ = ricci_form_package(s)
+    assert omega == Tensor.of([0, -4, 2, 0, 0])
+    assert not s.connection.nabla(omega).is_zero()
+    assert holonomy_reduction_residual(s)["identity-residual"] == 0
+
+
+def test_reeb_chain_and_mixed_nijenhuis_identity_with_xi_hook_n_nonzero():
+    # Lemma 8.3: the chain N(phi X, Y, xi) = N(X, phi Y, xi) = N2(X, Y) = ...
+    # has a nonzero common value here, and the eta(X) N(xi, phi Y, phi Z) term
+    # of the mixed identity is nonzero
+    s = fixture("contact5b")
+    nij = nijenhuis(s)
+    assert nij.totally_skew and not nij.is_zero() and s.xi_is_killing()
+    lem = nijenhuis_xi_identities(s)
+    assert lem == {"chain-residual": 0, "reeb-geodesic": 0, "common-nonzero": True}
+    assert all(v == 0 for v in contact_general_identities(s).values())
+
+
+@pytest.mark.parametrize("a2", [Q(4, 3), Q(4), Q(1, 9)])
+def test_tanno_deformation_of_a_three_dimensional_sasakian_model(a2):
+    # The D-homothetic deformation with constant a is eta' = a eta,
+    # g' = a g + a(a - 1) eta (x) eta, phi' = phi; its orthonormal coframe is
+    # f^1 = sqrt(a) e^1, f^2 = sqrt(a) e^2, f^3 = a e^3.  From de1 = e2^e3,
+    # de2 = -e1^e3 and de3 = 2 e1^e2:
+    #   df^1 = sqrt(a) e^2^e^3 = f^2^f^3 / a,  df^2 = -f^1^f^3 / a,
+    #   df^3 = 2a e^1^e^2 = 2 f^1^f^2.
+    # `tanno_deform(s, a2)` is this deformation with a = 1 / a2, so the
+    # deformed model has de1 = a2 e2^e3, de2 = -a2 e1^e3 and de3 = 2 e1^e2.
+    # In dimension 3 the e^3 terms of de1 and de2 are allowed by the Jacobi
+    # identity, so the weight exponent of the deformation shows
+    s = fixture("sasakian3")
+    assert s.torsion == wedge(s.eta, s.d_eta)
+    deformed = tanno_deform(s, a2)
+    assert deformed.model.d_coframe == [Form(3, 2, {(2, 3): a2}), Form(3, 2, {(1, 3): -a2}),
+                                        Form(3, 2, {(1, 2): Q(2)})]
+    assert deformed.is_contact_metric()
+    assert deformed.torsion == wedge(deformed.eta, deformed.d_eta)
 
 
 def test_hermitian_fixtures():

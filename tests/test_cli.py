@@ -21,10 +21,17 @@ from skewtor.cli import main
 from skewtor.errors import FormParseError, SkewtorError
 from skewtor.formexpr import parse_form, parse_homogeneous, render_form
 from skewtor.forms import Form
-from skewtor.modelfile import entry_from_dict, entry_to_dict, find_model
+from skewtor.modelfile import entry_from_dict, find_model
 from skewtor.registry import registry
 from skewtor.reporting import Report, check, skip
 from skewtor.suites import run_suite
+
+_MODELS_DIR = Path(registry_module.MODELS_DIR)
+
+
+def _shipped(name):
+    """The parsed document of a shipped model file."""
+    return json.loads((_MODELS_DIR / f"{name}.json").read_text(encoding="utf-8"))
 
 
 def test_parse_simple_terms():
@@ -64,25 +71,16 @@ def test_render_round_trip():
     assert f == g
 
 
-def test_model_file_round_trip(tmp_path):
-    for name in ("heis7", "heis5", "solv6"):
-        doc = entry_to_dict(registry()[name])
-        text = json.dumps(doc)
-        entry = entry_from_dict(json.loads(text))
-        assert entry.model.d_coframe == registry()[name].model.d_coframe
-        assert entry.kind == registry()[name].kind
-
-
 def test_model_file_rejects_invalid_structure():
     from skewtor.errors import StructureError
-    doc = entry_to_dict(registry()["heis5"])
+    doc = _shipped("heis5")
     doc["structure"]["phi"][0][1] = "7"
     with pytest.raises(StructureError):
         entry_from_dict(doc)
 
 
 def test_model_path_env(tmp_path, monkeypatch):
-    doc = entry_to_dict(registry()["heis5"])
+    doc = _shipped("heis5")
     doc["name"] = "custom5"
     path = tmp_path / "custom5.json"
     path.write_text(json.dumps(doc))
@@ -96,9 +94,6 @@ def test_model_path_env(tmp_path, monkeypatch):
     assert find_model("heis5").notes == "Sasakian; torsion eta ^ d(eta)"
     with pytest.raises(SkewtorError, match="unknown model 'missing-model'"):
         find_model("missing-model")
-
-
-_MODELS_DIR = Path(registry_module.MODELS_DIR)
 
 
 def test_model_documents_are_named_by_their_files():
@@ -121,7 +116,7 @@ def test_registry_loads_every_model_by_the_file_loader():
     load_file = modelfile.load_file
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(modelfile, "load_file", lambda path: loaded.append(path) or load_file(path))
-        mp.setattr(registry_module, "_REGISTRY", None)
+        registry_module.registry.cache_clear()
         entries = registry_module.registry()
         assert registry_module.registry() is entries
     assert [Path(p).name for p in loaded] == [f"{name}.json" for name in sorted(entries)]
@@ -352,7 +347,6 @@ def test_lemma_10_7_is_computed_once_for_both_suites(monkeypatch):
 def test_run_suite_all_builds_each_connection_once(monkeypatch):
     # on a fresh registry, `verify all` computes each structure's torsion, each
     # model's Levi-Civita connection and each connection's curvature at most once
-    import importlib
     from collections import Counter
     from skewtor import acskit, g2, liegeom
     model_key = lambda model: (model.n, tuple(model.d_coframe))
@@ -369,10 +363,9 @@ def test_run_suite_all_builds_each_connection_once(monkeypatch):
         count(module, name, lambda s: s)
     count(liegeom, "levi_civita", model_key)
     count(liegeom, "curvature", lambda conn: (model_key(conn.model), conn.torsion))
-    registry_module = importlib.import_module("skewtor.registry")
-    monkeypatch.setattr(registry_module, "_REGISTRY", None)
+    registry.cache_clear()
     assert run_suite("all").ok
-    entries = registry_module._REGISTRY.values()
+    entries = registry().values()
     assert max(counts.values()) == 1, [key[0] for key, n in counts.items() if n > 1]
     # the 14 registry structures and the Tanno deformation of heis5
     names = {name for _, name in torsion_functions}
@@ -428,7 +421,6 @@ def test_run_suite_all_builds_each_module_once(monkeypatch):
 def test_run_suite_all_builds_each_spinor_side_once(monkeypatch):
     # on a fresh registry, `verify all` computes the spin connection and the
     # parallel-spinor basis of each torsion connection at most once
-    import importlib
     from collections import Counter
     from skewtor import clifford, liegeom
     from skewtor.suites import admissible_models
@@ -448,7 +440,7 @@ def test_run_suite_all_builds_each_spinor_side_once(monkeypatch):
     monkeypatch.setattr(liegeom.SpinorData, "__init__", counting_init)
     for module in (clifford, liegeom):
         monkeypatch.setattr(module, "common_kernel", counting_kernel)
-    monkeypatch.setattr(importlib.import_module("skewtor.registry"), "_REGISTRY", None)
+    registry.cache_clear()
     assert run_suite("all").ok
     # one spinor side per admissible structure, and one kernel per spinor side:
     # structures with equal spin connections share a kernel input
@@ -463,13 +455,12 @@ def test_run_suite_all_certifies_each_frame_once(monkeypatch):
     # on a fresh registry, `verify all` builds the torsion-uniqueness response
     # matrix once per frame (phi, and xi for contact input): the certified
     # structures share 4 frames
-    import importlib
     from skewtor import acskit
     built = []
     response = acskit._uniqueness_response
     monkeypatch.setattr(acskit, "_uniqueness_response", lambda s: built.append(s) or response(s))
     monkeypatch.setattr(acskit, "_CERTIFICATES", {}, raising=False)
-    monkeypatch.setattr(importlib.import_module("skewtor.registry"), "_REGISTRY", None)
+    registry.cache_clear()
     assert run_suite("all").ok
     frames = {(tuple(s.phi.num.flat), s.phi.den, getattr(s, "xi_index", None)) for s in built}
     assert len(frames) == 4
@@ -519,7 +510,7 @@ def test_check_values_are_python_scalars(all_run):
 
 
 def _write_model(tmp_path, monkeypatch, name, structure):
-    doc = entry_to_dict(registry()["abelian5"])
+    doc = _shipped("abelian5")
     doc["name"] = name
     doc["structure"] = structure
     path = tmp_path / f"{name}.json"
@@ -544,8 +535,48 @@ def test_cli_structureless_model_has_no_torsion(tmp_path, monkeypatch, capsys):
         assert "carries no structure" in capsys.readouterr().err
 
 
+def test_models_show_prints_a_user_file_as_written(tmp_path, monkeypatch, capsys):
+    # the document is printed as it was read, not rebuilt from the model: a
+    # coefficient written "2/4" is printed "2/4", not "1/2"
+    doc = _shipped("heis5")
+    doc["name"] = "half5"
+    doc["coframe_d"][4][1] = [[[1, 2], "2/4"], [[3, 4], "1/2"]]
+    text = json.dumps(doc, indent=2) + "\n"
+    (tmp_path / "half5.json").write_text(text)
+    monkeypatch.setenv("SKEWTOR_MODEL_PATH", str(tmp_path))
+    assert main(["models", "show", "half5"]) == 0
+    assert capsys.readouterr().out == text
+    assert find_model("half5").model.d_coframe[4] == Form(5, 2, {(1, 2): Fraction(1, 2),
+                                                                 (3, 4): Fraction(1, 2)})
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda d: d.update(structre=d.pop("structure")), "unknown key 'structre'"),
+    (lambda d: d.update(comment="a note"), "unknown key 'comment'"),
+    (lambda d: d["structure"].update(J=d["structure"]["phi"]),
+     "field structure: unknown key 'J'"),
+    (lambda d: d["structure"].update(Phi=d["structure"].pop("phi")),
+     "field structure: unknown key 'Phi'"),
+], ids=["misspelled-structure", "extra-top-level-key", "key-of-another-kind",
+        "misspelled-structure-key"])
+def test_model_file_with_an_unknown_key_is_an_input_error(tmp_path, monkeypatch, capsys,
+                                                          edit, key):
+    # a key the loader does not read would be printed by `models show` as if it
+    # were part of the model: it is refused, at the top level and in "structure"
+    doc = _shipped("heis5")
+    doc["name"] = "typo5"
+    edit(doc)
+    path = tmp_path / "typo5.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setenv("SKEWTOR_MODEL_PATH", str(tmp_path))
+    for command in (["models", "show"], ["torsion"]):
+        assert main(command + ["typo5"]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and key in err, err
+
+
 def test_model_file_rejects_a_non_canonical_g2_form(tmp_path, monkeypatch, capsys):
-    doc = entry_to_dict(registry()["abelian7"])
+    doc = _shipped("abelian7")
     doc["name"] = "scaled7"
     doc["structure"]["omega3"] = [[blade, str(2 * Fraction(c))]
                                   for blade, c in doc["structure"]["omega3"]]
@@ -566,7 +597,7 @@ def test_model_file_rejects_a_non_canonical_g2_form(tmp_path, monkeypatch, capsy
 ], ids=["scaled-eta", "other-eta", "negated-eta", "xi-outside-frame"])
 def test_model_file_eta_must_be_the_dual_of_the_reeb_vector(tmp_path, monkeypatch, capsys,
                                                             field, value, words):
-    doc = entry_to_dict(registry()["heis5"])
+    doc = _shipped("heis5")
     assert doc["structure"]["eta"] == [[[5], "1"]]
     doc["name"] = "custom5"
     doc["structure"][field] = value
@@ -944,7 +975,7 @@ _OVERLONG = "9" * (sys.get_int_max_str_digits() + 1)
 
 
 def _model_text(name, edit):
-    doc = entry_to_dict(registry()[name])
+    doc = _shipped(name)
     edit(doc)
     return json.dumps(doc)
 
@@ -1045,10 +1076,10 @@ def test_cli_builds_its_parser_once(capsys):
 
 
 # ---------------------------------------------------------------------------
-# fuzzed model documents: mutations of `skewtor models show <name>` output
+# fuzzed model documents: mutations of the shipped model files
 # ---------------------------------------------------------------------------
 
-_SHOWN = {name: entry_to_dict(entry) for name, entry in registry().items()}
+_SHOWN = {name: _shipped(name) for name in registry()}
 
 _json_scalars = (st.none() | st.booleans() | st.integers(-3, 12)
                  | st.floats(-10, 10) | st.floats(allow_nan=True, allow_infinity=True)
