@@ -69,7 +69,7 @@ class AlmostContact(_EndoStructure):
         self.model = model
         self.xi_index = xi_index
         self.xi = xi = Tensor.of([int(k == xi_index - 1) for k in range(n)])
-        self.eta = Form.basis_vector(n, xi_index)
+        self.eta = Form.blade(n, xi_index)
         self.phi = phi = Tensor.of(phi)
         one = Tensor.identity(n)
         if not ein("ij,j->i", phi, xi).is_zero():
@@ -120,9 +120,6 @@ class AlmostHermitian(_EndoStructure):
             raise StructureError("J^2 must be -Id")
         if ein("ki,kj->ij", j, j) != one:
             raise StructureError("J must be orthogonal")
-
-    # Omega(X,Y) = g(X, J(Y))
-    kaehler_form = _EndoStructure.fundamental_form
 
     def _torsion(self) -> Form:
         return hermitian_torsion(self)
@@ -213,16 +210,10 @@ def torsion_uniqueness_certificate(s) -> bool:
     to integers (L clears the denominators of phi and eta).  Its full column
     rank is the exact rank of the Gram matrix M^T M (at most 56 x 56), as
     over Q rank(M^T M) = rank(M).  The matrix depends only on the frame (phi, and xi
-    for contact input), so each frame is certified once.
+    for contact input).
     """
-    frame = (s.phi.den, tuple(s.phi.num.flat), getattr(s, "xi_index", None))
-    if frame not in _CERTIFICATES:
-        m = _uniqueness_response(s)
-        _CERTIFICATES[frame] = rank(Tensor(int_matmul(m.T, m))) == m.shape[1]
-    return _CERTIFICATES[frame]
-
-
-_CERTIFICATES = {}
+    m = _uniqueness_response(s)
+    return rank(Tensor(int_matmul(m.T, m))) == m.shape[1]
 
 
 def _uniqueness_response(s):

@@ -27,7 +27,7 @@ the calibration once, and hands them out read-only.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import count
 from math import comb, lcm
 from types import MappingProxyType
@@ -228,14 +228,10 @@ class Spaces:
         return MappingProxyType({label: seven * ratio for label, _, ratio in G2_IRREPS})
 
 
-_SPACES = None
-
-
+@cache
 def spaces() -> Spaces:
-    global _SPACES
-    if _SPACES is None:
-        _SPACES = Spaces()
-    return _SPACES
+    """The one `Spaces` of the process, which every suite and decomposition reads."""
+    return Spaces()
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +438,7 @@ def sigma0_constant():
     Gamma(Y) = (A_kappa Y) -| w3 with kappa = e_g -| w3; all seven g at once.
     """
     w3 = canonical_omega3()
-    e = [Form.basis_vector(7, k) for k in range(1, 8)]
+    e = [Form.blade(7, k) for k in range(1, 8)]
     sigma = _coefficients([[wedge(g, y) for y in e] for g in e])
     phi = _symmetrized(sigma - _pr_m(sigma))
     psi = _symmetrized(_coefficients([[interior(contract(contract(w3, g), y), w3)
@@ -466,10 +462,10 @@ def sigma_solution_identity():
     `spanning_27()` prove it, all at once as [case, Y, blade] coefficients.
     """
     cases = ([(Form.zero(7, 1), gamma27) for gamma27 in spanning_27()]
-             + [(Form.basis_vector(7, b), Form.zero(7, 3)) for b in range(1, 8)])
+             + [(Form.blade(7, b), Form.zero(7, 3)) for b in range(1, 8)])
     contracted = _coefficients([[contract(gamma27, y) for y in range(1, 8)]
                                 for _, gamma27 in cases])
-    wedged = _coefficients([[wedge(beta, Form.basis_vector(7, y)) for y in range(1, 8)]
+    wedged = _coefficients([[wedge(beta, Form.blade(7, y)) for y in range(1, 8)]
                             for beta, _ in cases])
     arg = contracted - wedged * Q(1, 4)
     sig = (arg - _pr_m(arg)) * Q(-1, 2)

@@ -270,10 +270,6 @@ class Form(_Exact):
         return Form.of_numerators(n, len(indices), num, c.denominator)
 
     @staticmethod
-    def basis_vector(n: int, i: int) -> "Form":
-        return Form.blade(n, i)
-
-    @staticmethod
     def from_vector(n: int, coeffs) -> "Form":
         values = list(coeffs)
         if len(values) != n:

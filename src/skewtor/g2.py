@@ -243,7 +243,7 @@ def derivation_constant_identities():
 
     # beta = e_b for all seven b at once: (e_b ^ e_j, e_i -| w3) = W[i, b, j]
     c_beta = ein("ibj->bij", big_w)
-    vectors = [Form.basis_vector(7, b) for b in range(1, 8)]
+    vectors = [Form.blade(7, b) for b in range(1, 8)]
     out["beta-contraction-is-minus-4"] = ein("kij,ijxy->kxy", c_beta, big_s) == big_w * -4
     out["beta-wedge-is-minus-3"] = _wedge_sums(c_beta) == [wedge(v, w3) * -3
                                                            for v in vectors]
@@ -275,7 +275,7 @@ def tbeta_form(beta_form: Form) -> Form:
     ein = Tensor.einsum
     beta, g = Tensor.of_form(beta_form), Tensor.identity(7)
     # prm[x, y, z] = pr_m(beta ^ e_x)(e_y, e_z)
-    prm = Tensor.of_forms([pr_m(wedge(beta_form, Form.basis_vector(7, x)))
+    prm = Tensor.of_forms([pr_m(wedge(beta_form, Form.blade(7, x)))
                            for x in range(1, 8)])
     table = ((ein("yxz->xyz", prm) - prm) * Q(3, 8)
              + (ein("y,xz->xyz", beta, g) - ein("x,yz->xyz", beta, g)) * Q(1, 8))

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb, isqrt, lcm, prod
+from math import comb, lcm, prod
 
 import numpy as np
 
@@ -315,7 +315,7 @@ def charpoly(matrix: GaussTensor) -> GaussTensor:
     n = len(matrix)
     radius = int(np.abs(matrix.num).sum(axis=(1, 2)).max())
     bound = max(comb(n, k) * radius ** k for k in range(n + 1))
-    primes, modulus = _covering((p for p in _PRIMES if p % 4 == 1), bound)
+    primes, modulus = _covering((p for p in _primes() if p % 4 == 1), bound)
     ps = np.array(primes, dtype=np.int64)
     roots = np.array([_sqrt_minus_one(p) for p in primes], dtype=np.int64)
     # numerators beyond int64 are reduced as Python integers
@@ -401,35 +401,28 @@ def _divide_root(q, y):
 # integer matrices: exact products, certified spectra
 # ---------------------------------------------------------------------------
 
-class _PrimePool:
-    """The primes below 2^21 in descending order, sieved a block at a time as they are read.
+_BLOCK = 1 << 12
 
-    Iteration sieves only as far as it reads, so nothing is computed at
-    import.  Its one reader, `charpoly`, takes from the first as many primes
-    p = 1 (mod 4) as its bound needs.
+
+@cache
+def _prime_block(k):
+    """The primes of [k 2^12, (k + 1) 2^12), highest first, sieved once per process.
+
+    Block 0 holds every prime below sqrt(2^21), so its primes sieve the others.
     """
+    divisors = range(2, 64) if k == 0 else reversed(_prime_block(0))
+    return tuple(_sieve(max(2, k * _BLOCK), (k + 1) * _BLOCK, divisors))
 
-    _BLOCK = 1 << 12
 
-    def __init__(self):
-        self._primes, self._low, self._divisors = [], 1 << 21, None
+def _primes():
+    """The primes below 2^21 in descending order, read a cached block at a time.
 
-    def _extend(self) -> bool:
-        """Sieve the next block below the primes found so far; False once all are found."""
-        if self._low <= 2:
-            return False
-        if self._divisors is None:
-            self._divisors = _sieve(2, isqrt(self._low) + 1, range(2, 64))[::-1]
-        low = max(2, self._low - self._BLOCK)
-        self._primes.extend(_sieve(low, self._low, self._divisors))
-        self._low = low
-        return True
-
-    def __iter__(self):
-        k = 0
-        while k < len(self._primes) or self._extend():
-            yield self._primes[k]
-            k += 1
+    A block is sieved when it is first read, so nothing is computed at import;
+    the iteration ends after block 0.  Its one reader, `charpoly`, takes from
+    the first as many primes p = 1 (mod 4) as its bound needs.
+    """
+    for k in reversed(range((1 << 21) // _BLOCK)):
+        yield from _prime_block(k)
 
 
 def _sieve(low, high, divisors):
@@ -440,9 +433,6 @@ def _sieve(low, high, divisors):
             break
         keep[max(p * p, -(-low // p) * p) - low::p] = False
     return (np.flatnonzero(keep)[::-1] + low).tolist()
-
-
-_PRIMES = _PrimePool()
 
 
 def _covering(primes, bound):

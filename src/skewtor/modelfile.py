@@ -193,10 +193,15 @@ def search_paths():
 
 
 def find_model(name: str) -> ModelEntry:
+    """The registry entry of `name`, else the file `<name>.json` in a directory on the path.
+
+    A name with a path separator is no file name, so only files inside the
+    listed directories are read.
+    """
     reg = registry()
     if name in reg:
         return reg[name]
-    for directory in search_paths():
+    for directory in [] if {os.sep, os.altsep} & set(name) else search_paths():
         candidate = os.path.join(directory, f"{name}.json")
         if os.path.exists(candidate):
             return load_file(candidate)

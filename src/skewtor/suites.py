@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -64,7 +63,7 @@ def suite_exterior() -> Report:
                         wedge(w3, w3).is_zero(), provenance="trivial"))
     checks.append(check("exterior.interior.basis", "notation",
                         contract(e(1, 2), 1) == e(2), provenance="trivial"))
-    eta5 = Form.basis_vector(5, 5)
+    eta5 = Form.blade(5, 5)
     checks.append(check("exterior.interior.eta-wedge", "contact conventions",
                         contract(wedge(eta5, de), 5) == de, provenance="derived"))
     checks.append(check("exterior.interior.omega3", "canonical 3-form",
@@ -114,7 +113,7 @@ def suite_clifford() -> Report:
     checks = []
     ok = True
     for n in range(2, 9):
-        gammas = [clifford.act_form(Form.basis_vector(n, i)) for i in range(1, n + 1)]
+        gammas = [clifford.act_form(Form.blade(n, i)) for i in range(1, n + 1)]
         minus_two = GaussTensor.identity(len(gammas[0])) * -2
         for i in range(n):
             for j in range(i, n):
@@ -133,10 +132,10 @@ def suite_clifford() -> Report:
     sw3 = hodge(w3)
     ok4 = len(minus7) > 0 and all(
         clifford.act_form(contract(sw3, i)) @ minus7[0]
-        == clifford.act_form(Form.basis_vector(7, i)) @ minus7[0] * 4 for i in range(1, 8))
+        == clifford.act_form(Form.blade(7, i)) @ minus7[0] * 4 for i in range(1, 8))
     checks.append(check("clifford.contraction-action", "(X -| *w3) psi = 4 X psi",
                         ok4, provenance="stated"))
-    eta = Form.basis_vector(5, 5)
+    eta = Form.blade(5, 5)
     de = Form.blade(5, 1, 2, coeff=2) + Form.blade(5, 3, 4, coeff=2)
     spec5 = certified_spectrum(clifford.act_form(wedge(eta, de)), [-4, 0, 4])
     checks.append(check("clifford.contact-spectrum", "contact 3-form eigenvalues",
@@ -163,18 +162,12 @@ def suite_clifford() -> Report:
                         clifford.kernel_conditions_5d(t0, x_plus, "minus")
                         and not clifford.kernel_conditions_5d(t0, x_minus, "minus"),
                         provenance="stated"))
-    plus, minus = _lemma_10_7()
+    plus, minus = acskit.half_module_endomorphism_spectrum(1)
     checks.append(check("clifford.half-module-spectrum", "Lemma 10.7",
                         plus == [Q(0), Q(4), Q(4), Q(4)] == minus,
                         expected="(0, 4, 4, 4) per half module",
                         provenance="stated"))
     return Report("clifford", checks)
-
-
-@lru_cache(maxsize=None)
-def _lemma_10_7():
-    """The half-module spectra of Lemma 10.7, which the clifford and hermitian suites share."""
-    return acskit.half_module_endomorphism_spectrum(1)
 
 
 def _minus7_spinors(action):
@@ -466,7 +459,7 @@ def suite_hermitian() -> Report:
         pack = acskit.nearly_kaehler_identities(a)
         checks.append(check(f"hermitian.nearly-kaehler.{a}", "Prop 10.4 / Cor 10.6",
                             all(pack.values()), value=pack, provenance="stated"))
-    plus, minus = _lemma_10_7()
+    plus, minus = acskit.half_module_endomorphism_spectrum(1)
     checks.append(check("hermitian.half-module-spectrum", "Lemma 10.7",
                         plus == [Q(0), Q(4), Q(4), Q(4)] == minus,
                         value=[plus, minus], expected="(0,4,4,4) twice",

@@ -64,7 +64,7 @@ def contraction_sums(part):
             coeff = inner(part_j, contract(w3, i))
             if coeff:
                 inter = inter + contract(contract(sw3, i), j) * coeff
-                wedged = wedged + wedge(Form.basis_vector(7, j), contract(sw3, i)) * coeff
+                wedged = wedged + wedge(Form.blade(7, j), contract(sw3, i)) * coeff
     return inter, wedged
 
 
@@ -73,18 +73,18 @@ def constant_identities_by_loops():
     w3 = canonical_omega3()
     sw3 = hodge(w3)
     out = {}
-    beta_sums = [contraction_sums(lambda j, b=b: wedge(Form.basis_vector(7, b),
-                                                      Form.basis_vector(7, j)))
+    beta_sums = [contraction_sums(lambda j, b=b: wedge(Form.blade(7, b),
+                                                      Form.blade(7, j)))
                  for b in range(1, 8)]
     out["beta-contraction-is-minus-4"] = all(
         inter == contract(w3, b) * -4 for b, (inter, _) in enumerate(beta_sums, 1))
     out["beta-wedge-is-minus-3"] = all(
-        wedged == wedge(Form.basis_vector(7, b), w3) * -3
+        wedged == wedge(Form.blade(7, b), w3) * -3
         for b, (_, wedged) in enumerate(beta_sums, 1))
-    out["star-beta-wedge"] = all(hodge(wedge(Form.basis_vector(7, b), w3)) == -contract(sw3, b)
+    out["star-beta-wedge"] = all(hodge(wedge(Form.blade(7, b), w3)) == -contract(sw3, b)
                                  for b in range(1, 8))
     out["t-beta-is-quarter-contraction"] = all(
-        tbeta_form(Form.basis_vector(7, b)) == contract(sw3, b) * Q(-1, 4)
+        tbeta_form(Form.blade(7, b)) == contract(sw3, b) * Q(-1, 4)
         for b in range(1, 8))
     gamma_sums = [(g, contraction_sums(lambda j, g=g: contract(g, j))) for g in spanning_27()]
     out["gamma27-contraction-vanishes"] = all(inter.is_zero() for _, (inter, _) in gamma_sums)

@@ -167,7 +167,7 @@ def test_c09_spinor_identities():
     (psi0,) = nullspace(shifted)
     for i in range(1, 8):
         lhs = clifford.act_form(contract(SW3, i)) @ psi0
-        rhs = clifford.act_form(Form.basis_vector(7, i)) @ psi0
+        rhs = clifford.act_form(Form.blade(7, i)) @ psi0
         assert lhs == rhs * 4
     pack = g2.nearly_parallel_identities(6)
     assert pack["quarter-tt-contraction"]      # (3/72) lambda^2 delta

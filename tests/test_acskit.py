@@ -69,7 +69,7 @@ def test_structure_invariants_enforced():
     for xi_index in (0, 6):
         with pytest.raises(StructureError, match="outside 1..5"):
             AlmostContact(e.model, xi_index, standard_phi_matrix(5))
-    assert e.structure.eta == Form.basis_vector(5, 5)
+    assert e.structure.eta == Form.blade(5, 5)
     bad_j = standard_j_matrix(6)
     bad_j[0][1] = Q(0)
     with pytest.raises(StructureError):
@@ -165,7 +165,6 @@ def test_torsion_uniqueness_certificate_refuses_a_rank_deficient_response(monkey
         return m
 
     monkeypatch.setattr(acskit, "_uniqueness_response", planted)
-    monkeypatch.setattr(acskit, "_CERTIFICATES", {})
     assert not acskit.torsion_uniqueness_certificate(contact("heis5"))
     assert not acskit.torsion_uniqueness_certificate(hermitian("solv6"))
 
@@ -361,7 +360,7 @@ def test_hermitian_fixtures():
 
 def test_almost_kaehler_rejected():
     h = hermitian("kt4")
-    assert d_form(h.model, h.kaehler_form()).is_zero()
+    assert d_form(h.model, h.fundamental_form()).is_zero()
     nij = nijenhuis(h)
     assert not nij.is_zero() and not nij.totally_skew
     with pytest.raises(NoSkewConnection) as err:

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import functools
 import hashlib
 import io
 import json
@@ -280,10 +281,16 @@ def test_cli_exits_141_quietly_on_a_closed_stdout(argv):
     assert (done.returncode, done.stderr) == (141, b"")
 
 
-def test_suite_output_is_deterministic():
+def test_suite_output_is_deterministic(monkeypatch, all_report):
     a = run_suite("examples").to_json()
     b = run_suite("examples").to_json()
     assert a == b
+    # a cold `verify all`, on a fresh registry and a fresh Spaces, writes the
+    # report of the session's shared run
+    from skewtor import equivar
+    registry.cache_clear()
+    monkeypatch.setattr(equivar, "spaces", functools.cache(equivar.Spaces))
+    assert run_suite("all").to_json() == all_report.to_json()
 
 
 def test_cli_verify_reports_failure_exit(monkeypatch, capsys):
@@ -328,20 +335,6 @@ def test_out_of_scope_statements_are_skip_listed(all_report):
     for anchor in ("Thm 3.4", "Thm 5.3", "Thm 5.6", "Thm 10.8",
                    "Cor 6.3", "Cor 6.6"):
         assert anchor in skips, anchor
-
-
-def test_lemma_10_7_is_computed_once_for_both_suites(monkeypatch):
-    from skewtor import acskit, suites
-    calls = []
-    spectrum = acskit.half_module_endomorphism_spectrum
-    monkeypatch.setattr(acskit, "half_module_endomorphism_spectrum",
-                        lambda a: calls.append(a) or spectrum(a))
-    suites._lemma_10_7.cache_clear()
-    checks = {c.id: c.status for name in ("clifford", "hermitian")
-              for c in run_suite(name).checks}
-    assert calls == [1]
-    assert checks["clifford.half-module-spectrum"] == "PASS"
-    assert checks["hermitian.half-module-spectrum"] == "PASS"
 
 
 def test_run_suite_all_builds_each_connection_once(monkeypatch):
@@ -405,7 +398,7 @@ def test_run_suite_all_builds_each_module_once(monkeypatch):
 
     count("_module_action")
     count("_map_matrix")
-    monkeypatch.setattr(equivar, "_SPACES", equivar.Spaces())
+    monkeypatch.setattr(equivar, "spaces", functools.cache(equivar.Spaces))
     assert run_suite("all").ok
     assert counts == {"_module_action": 70, "_map_matrix": 2}
     sp = equivar.spaces()
@@ -451,22 +444,6 @@ def test_run_suite_all_builds_each_spinor_side_once(monkeypatch):
     assert {k: kernels[k] for k in expected} == expected
 
 
-def test_run_suite_all_certifies_each_frame_once(monkeypatch):
-    # on a fresh registry, `verify all` builds the torsion-uniqueness response
-    # matrix once per frame (phi, and xi for contact input): the certified
-    # structures share 4 frames
-    from skewtor import acskit
-    built = []
-    response = acskit._uniqueness_response
-    monkeypatch.setattr(acskit, "_uniqueness_response", lambda s: built.append(s) or response(s))
-    monkeypatch.setattr(acskit, "_CERTIFICATES", {}, raising=False)
-    registry.cache_clear()
-    assert run_suite("all").ok
-    frames = {(tuple(s.phi.num.flat), s.phi.den, getattr(s, "xi_index", None)) for s in built}
-    assert len(frames) == 4
-    assert len(built) == 4
-
-
 def test_calibration_table_is_built_once_per_spaces(monkeypatch):
     # the table is the lambda1 Casimir's scalar times the weight table's
     # ratios: on a fresh Spaces it reads that Casimir alone, once for the
@@ -477,7 +454,7 @@ def test_calibration_table_is_built_once_per_spaces(monkeypatch):
     monkeypatch.setattr(equivar.Spaces, "casimir",
                         lambda self, space: read.append(space) or casimir(self, space))
     sp = equivar.Spaces()
-    monkeypatch.setattr(equivar, "_SPACES", sp)
+    monkeypatch.setattr(equivar, "spaces", lambda: sp)
     table = sp.calibration
     assert read == ["lambda1"] and list(sp._tables) == ["lambda1"]
     statuses = {c.status for c in run_suite("equivariant").checks}
@@ -548,6 +525,23 @@ def test_models_show_prints_a_user_file_as_written(tmp_path, monkeypatch, capsys
     assert capsys.readouterr().out == text
     assert find_model("half5").model.d_coframe[4] == Form(5, 2, {(1, 2): Fraction(1, 2),
                                                                  (3, 4): Fraction(1, 2)})
+
+
+def test_model_names_with_a_path_separator_are_unknown(tmp_path, monkeypatch, capsys):
+    # only `<name>.json` files inside the listed directories are read: neither
+    # a relative name that climbs out of one nor an absolute name loads a file
+    doc = _shipped("heis5")
+    doc["name"] = "outside"
+    (tmp_path / "outside.json").write_text(json.dumps(doc))
+    (tmp_path / "sub").mkdir()
+    monkeypatch.setenv("SKEWTOR_MODEL_PATH", str(tmp_path / "sub"))
+    for name in ("../outside", str(tmp_path / "outside")):
+        for command in (["torsion", name], ["models", "show", name]):
+            assert main(command) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and f"unknown model '{name}'" in err
+    monkeypatch.setenv("SKEWTOR_MODEL_PATH", str(tmp_path))
+    assert main(["models", "show", "outside"]) == 0
 
 
 @pytest.mark.parametrize("edit, key", [

@@ -33,7 +33,7 @@ def cq(tensor):
 
 def gammas_of(n):
     """Gamma_1 .. Gamma_n of the program: the actions of the unit vectors."""
-    return [act_form(Form.basis_vector(n, i)) for i in range(1, n + 1)]
+    return [act_form(Form.blade(n, i)) for i in range(1, n + 1)]
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -106,7 +106,7 @@ def vector_and_form(draw):
 def test_vector_action_is_wedge_minus_contraction(data):
     # e . a = e ^ a - e -| a for a unit vector e (e . e = -1)
     i, a = data
-    e = Form.basis_vector(a.n, i)
+    e = Form.blade(a.n, i)
     assert act_form(e) @ act_form(a) == act_form([wedge(e, a), -contract(a, i)])
 
 
@@ -123,19 +123,19 @@ def test_omega3_spectrum_and_normalizations():
     assert act_form(sw3) @ psi0 == psi0 * -7
     for i in range(1, 8):
         lhs = act_form(contract(sw3, i)) @ psi0
-        rhs = act_form(Form.basis_vector(7, i)) @ psi0
+        rhs = act_form(Form.blade(7, i)) @ psi0
         assert lhs == rhs * 4
 
 
 def test_contact_form_spectrum_dim5():
-    eta = Form.basis_vector(5, 5)
+    eta = Form.blade(5, 5)
     de = Form.blade(5, 1, 2, coeff=2) + Form.blade(5, 3, 4, coeff=2)
     report = eigen_report(act_form(wedge(eta, de)))
     assert report.pairs == [(Q(-4), 1), (Q(0), 2), (Q(4), 1)]
 
 
 def test_eigen_multiset_invariant_under_conjugation():
-    eta = Form.basis_vector(5, 5)
+    eta = Form.blade(5, 5)
     de = Form.blade(5, 1, 2, coeff=2) + Form.blade(5, 3, 4, coeff=2)
     m = act_form(wedge(eta, de))
     rng = random.Random(3)

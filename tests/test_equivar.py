@@ -400,7 +400,7 @@ def _planted(monkeypatch, matrix, space="lambda4", scale=1):
     """
     fresh = equivar.Spaces()
     fresh._cache[space] = (np.array(matrix, dtype=np.int64), scale)
-    monkeypatch.setattr(equivar, "_SPACES", fresh)
+    monkeypatch.setattr(equivar, "spaces", lambda: fresh)
     return fresh
 
 
@@ -472,7 +472,7 @@ def _planted_certificates(monkeypatch, phi, psi):
     """rank_certificates() on a fresh Spaces whose Phi and Psi are the given integer matrices."""
     fresh = equivar.Spaces()
     fresh.phi, fresh.psi = np.asarray(phi, dtype=np.int64), np.asarray(psi, dtype=np.int64)
-    monkeypatch.setattr(equivar, "_SPACES", fresh)
+    monkeypatch.setattr(equivar, "spaces", lambda: fresh)
     return rank_certificates()
 
 

@@ -176,7 +176,7 @@ def test_constant_identities_all_hold():
 
 def test_tbeta_matches_contraction():
     for b in range(1, 8):
-        beta = Form.basis_vector(7, b)
+        beta = Form.blade(7, b)
         assert tbeta_form(beta) == contract(SW3, b) * Q(-1, 4)
 
 
@@ -266,8 +266,8 @@ def test_constant_identities_match_fraction_loops():
     assert derivation_constant_identities() == constant_identities_by_loops()
     # the wedge sums, family member by family member
     w = Tensor.of_form(W3)
-    sums = [contraction_sums(lambda j, b=b: wedge(Form.basis_vector(7, b),
-                                                 Form.basis_vector(7, j)))[1]
+    sums = [contraction_sums(lambda j, b=b: wedge(Form.blade(7, b),
+                                                 Form.blade(7, j)))[1]
             for b in range(1, 8)]
     assert _wedge_sums(Tensor.einsum("ibj->bij", w)) == sums
     span = spanning_27()

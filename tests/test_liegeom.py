@@ -65,14 +65,14 @@ def test_d_matches_registry_values(heis7):
     dw3 = d_form(heis7, w3)
     e = lambda *ix, c=1: Form.blade(7, *ix, coeff=c)
     assert dw3 == e(1, 2, 3, 4) + e(2, 4, 6, 7) + e(1, 2, 5, 6) - e(2, 3, 5, 7)
-    assert d_form(heis7, Form.basis_vector(7, 4)) == e(1, 6) + e(3, 7)
+    assert d_form(heis7, Form.blade(7, 4)) == e(1, 6) + e(3, 7)
     assert d_form(heis7, Form.scalar(7, 5)).is_zero()
 
 
 def _d_via_connection(model, a):
     """d(a) = sum_i e_i ^ nabla^g_{e_i} a, the reference for the CE differential."""
     n, nab = model.n, model.levi_civita.nabla(Tensor.of_form(a))
-    return sum((wedge(Form.basis_vector(n, i), nab[i - 1].to_form()) for i in range(1, n + 1)),
+    return sum((wedge(Form.blade(n, i), nab[i - 1].to_form()) for i in range(1, n + 1)),
                Form.zero(n, a.degree + 1))
 
 
@@ -113,7 +113,7 @@ def test_d_is_an_antiderivation(heis7, solv7, heis5):
 def test_codiff_examples(heis7, solv7, heis5):
     w3 = canonical_omega3()
     assert codiff(levi_civita(solv7), w3).is_zero()
-    eta = Form.basis_vector(5, 5)
+    eta = Form.blade(5, 5)
     t = wedge(eta, d_form(heis5, eta))
     assert codiff(levi_civita(heis5), t).is_zero()
     assert codiff(levi_civita(heis5), Form.scalar(5, 3)).is_zero()
@@ -122,7 +122,7 @@ def test_codiff_examples(heis7, solv7, heis5):
 def test_codiff_against_hodge_composite(heis7, solv7, heis5, aff4):
     # delta = (-1)^(n(p+1)+1) * d * on p-forms of an oriented n-frame; off the
     # unimodular class delta of a 1-form need not vanish: delta e^1 = -1 on aff4
-    assert codiff(levi_civita(aff4), Form.basis_vector(4, 1)) == Form.scalar(4, -1)
+    assert codiff(levi_civita(aff4), Form.blade(4, 1)) == Form.scalar(4, -1)
     rng = random.Random(23)
     for model in (heis5, heis7, solv7, aff4):
         n = model.n
@@ -277,8 +277,8 @@ def test_section2_identities_zero(heis7, solv7, heis5):
     cases = [
         (heis7, -hodge(d_form(heis7, w3))),
         (solv7, -hodge(d_form(solv7, w3))),
-        (heis5, wedge(Form.basis_vector(5, 5),
-                      d_form(heis5, Form.basis_vector(5, 5)))),
+        (heis5, wedge(Form.blade(5, 5),
+                      d_form(heis5, Form.blade(5, 5)))),
         (registry()["abelian5"].model, Form(5, 3, {(1, 2, 3): Q(1)})),
     ]
     for model, t in cases:
@@ -291,8 +291,8 @@ def test_operator_identities_and_parallel_counts(heis7, solv7, heis5):
     cases = [
         (heis7, -hodge(d_form(heis7, w3)), 4),
         (solv7, -hodge(d_form(solv7, w3)), 2),
-        (heis5, wedge(Form.basis_vector(5, 5),
-                      d_form(heis5, Form.basis_vector(5, 5))), 2),
+        (heis5, wedge(Form.blade(5, 5),
+                      d_form(heis5, Form.blade(5, 5))), 2),
     ]
     for model, t, count in cases:
         spin = with_torsion(model, t).spinors

@@ -18,7 +18,7 @@ from skewtor.forms import Form, wedge
 from skewtor.g2 import canonical_omega3
 from skewtor.linalg import (GaussTensor, Tensor, certified_eigenspace_dims, certified_spectrum,
                             charpoly, int_abs_max, int_matmul, is_hermitian, nullspace, rank,
-                            rational_roots, slot_sum, _PRIMES)
+                            rational_roots, slot_sum, _prime_block, _primes)
 from skewtor.reporting import fmt
 
 import cq_reference
@@ -330,7 +330,7 @@ def test_verify_all_reads_no_prime(monkeypatch, all_report):
         monkeypatch.setattr(module, "charpoly", refuse)
         monkeypatch.setattr(module, "rational_roots", refuse)
     monkeypatch.setattr(clifford, "eigen_report", refuse)
-    suites._lemma_10_7.cache_clear()
+    monkeypatch.setattr(linalg, "_primes", refuse)
     assert suites.run_suite("all").to_json() == all_report.to_json()
 
 
@@ -345,16 +345,21 @@ def test_eigenspace_chain_runs_on_python_ints_past_2_53():
 
 
 def test_prime_pool_is_every_prime_below_2_21_descending():
-    # the head of the pool, from which `charpoly` takes its primes
-    assert list(islice(_PRIMES, 12)) == [2097143, 2097133, 2097131, 2097097, 2097091, 2097083,
-                                         2097047, 2097041, 2097031, 2097023, 2097013, 2096993]
-    # the whole pool against a plain sieve of Eratosthenes
+    # the head of the pool, from which `charpoly` takes its primes: reading it
+    # sieves the top block and block 0, whose primes sieve the others
+    _prime_block.cache_clear()
+    assert list(islice(_primes(), 12)) == [2097143, 2097133, 2097131, 2097097, 2097091, 2097083,
+                                           2097047, 2097041, 2097031, 2097023, 2097013, 2096993]
+    assert _prime_block.cache_info().currsize == 2
+    # the whole pool against a plain sieve of Eratosthenes: it ends after its
+    # 512th block, each sieved once
     is_prime = np.ones(2 ** 21, dtype=bool)
     is_prime[:2] = False
     for p in range(2, 1449):
         if is_prime[p]:
             is_prime[p * p::p] = False
-    assert list(_PRIMES) == np.flatnonzero(is_prime)[::-1].tolist()
+    assert list(_primes()) == np.flatnonzero(is_prime)[::-1].tolist()
+    assert _prime_block.cache_info().currsize == 512
 
 
 def _school_product(a, b, m, n, k):

@@ -1,0 +1,38 @@
+"""Static checks on the package source, by `ast`: no lint tool is needed."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import skewtor
+
+MODULES = sorted(p for p in Path(skewtor.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_module_level_import_is_read(path):
+    tree = _tree(path)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused = {name: line for name, line in imported.items() if name not in read}
+    assert not unused, f"{path.name}: imported and never read: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_module_global_is_rebound_from_a_function(path):
+    # work is computed once by functools.cache or cached_property, never by a
+    # module global that a function reassigns
+    statements = [node.lineno for node in ast.walk(_tree(path)) if isinstance(node, ast.Global)]
+    assert not statements, f"{path.name}: global statement on lines {statements}"
