@@ -340,7 +340,7 @@ def isotypic_basis_r7_m(label: str):
     sp = spaces()
     s2 = sp.units["s2"]     # E_77 is the last of S2_PAIRS
     parts = {"1": np.eye(7, dtype=np.int64)[None], "7": sp.units["m"], "14": sp.algebra.units,
-             "27": s2[:-1] - np.einsum("cii->c", s2[:-1])[:, None, None] * s2[-1]}
+             "27": s2[:-1] - np.trace(s2[:-1], axis1=1, axis2=2)[:, None, None] * s2[-1]}
     basis = parts[label].reshape(-1, 49)
     cmat, scale = sp.casimir("r7_m")
     lam = sp.calibration[label] * scale

@@ -2,18 +2,22 @@
 
 Invariant tensors (structure constants, connection coefficients, curvature,
 the tensors of forms) are exact dense `Tensor`s, and every identity over them
-is one einsum contraction.  `Tensor` and `GaussTensor` are kinds of the exact
-base of `forms` (reduction, +, -, rational scaling, ==), which `Form` shares,
-with indexing added; lists of them are brought over one denominator by
-`forms.common_denominator`.  Spinor endomorphisms, spinors and characteristic
-polynomials are exact dense `GaussTensor`s, the same layout with an imaginary
-part and the one Gaussian type, multiplied by integer matrix products.  Every
-dense integer matrix product in the program is `int_matmul`: float64 BLAS when
-the a-priori bound n max|a| max|b| < 2^53 makes every partial sum an integer
-that a double holds exactly (the word-size technique of FFLAS-FFPACK), Python
-integers otherwise, so a float only ever carries such an integer; every
-derivation action of an so(n) element on a tensor is `slot_sum`, one such
-product per slot.  Every exact rank and kernel runs one fraction-free
+is one `Tensor.einsum` contraction, run by a plan compiled once per spec and
+operand shapes (the pairwise plans of opt_einsum, paired left to right): the
+diagonals and lone sums of each operand are index gathers and sums, and each
+pairwise contraction is one stacked integer matrix product.  `Tensor` and
+`GaussTensor` are kinds of the exact base of `forms` (reduction, +, -,
+rational scaling, ==), which `Form` shares, with indexing added; lists of
+them are brought over one denominator by `forms.common_denominator`.  Spinor
+endomorphisms, spinors and characteristic polynomials are exact dense
+`GaussTensor`s, the same layout with an imaginary part and the one Gaussian
+type, multiplied by integer matrix products.  Every dense integer matrix
+product in the program is `int_matmul`: float64 BLAS when the a-priori bound
+n max|a| max|b| < 2^53 makes every partial sum an integer that a double
+holds exactly (the word-size technique of FFLAS-FFPACK), Python integers
+otherwise, so a float only ever carries such an integer; every contraction
+step is one, and every derivation action of an so(n) element on a tensor is
+`slot_sum`, one per slot.  Every exact rank and kernel runs one fraction-free
 Gauss-Jordan elimination over Z on the integer numerators, in which a pivot
 changes only the rows it hits and keeps each of them primitive, so no entry
 exceeds the minor of the input that Bareiss's elimination would hold there;
@@ -34,6 +38,7 @@ rational roots by a divisor search and Horner's rule.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import cache
 from math import comb, lcm, prod
@@ -117,14 +122,108 @@ class Tensor(_Array):
 
     @staticmethod
     def einsum(spec: str, *operands: "Tensor") -> "Tensor":
-        """Exact contraction of real tensors, written as for numpy.einsum."""
+        """Exact contraction of real tensors, written as for numpy.einsum with its `->`.
+
+        The plan of (spec, operand shapes) is compiled once by `_plan` and run
+        here: the diagonals and lone sums of each operand, then one stacked
+        `int_matmul` per further operand, left to right, then the output order.
+        """
         if any(type(t) is not Tensor for t in operands):
             raise TypeError("einsum contracts real Tensors")
-        num = np.einsum(spec, *(t.num for t in operands), optimize=len(operands) > 2)
-        return Tensor(num, prod(t.den for t in operands))
+        prepare, pairs, order = _plan(spec, tuple(t.num.shape for t in operands))
+        arrays = []
+        for t, (gather, summed) in zip(operands, prepare):
+            x = t.num if gather is None else t.num[gather]
+            arrays.append(np.asarray(x.sum(axis=summed), dtype=object) if summed else x)
+        out = arrays[0]
+        for x, (order_a, shape_a, order_b, shape_b, shape) in zip(arrays[1:], pairs):
+            product = int_matmul(out.transpose(order_a).reshape(shape_a),
+                                 x.transpose(order_b).reshape(shape_b))
+            out = product.reshape(shape)
+        return Tensor(out.transpose(order), prod(t.den for t in operands))
 
     def max_abs(self) -> Fraction:
         return Q(max(map(abs, self.num.flat), default=0), self.den)
+
+
+# ---------------------------------------------------------------------------
+# contraction plans
+# ---------------------------------------------------------------------------
+
+_TERM = re.compile(r"([a-zA-Z]*)(\.\.\.)?([a-zA-Z]*)")
+
+
+@cache
+def _plan(spec, shapes):
+    """The steps of `Tensor.einsum(spec, ...)` on operands of the given shapes, built once.
+
+    - Per operand, (gather, summed): index arrays that take the diagonal of
+      every repeated letter (None when no letter repeats), then the axes of
+      the letters that no other operand and not the output reads, summed.
+    - Per further operand, left to right, one product of the result so far
+      with it: the transposes and reshapes to a stacked (batch, m, k) @
+      (batch, k, n) `int_matmul`, and the shape that product unfolds to.
+      Batch letters are on both sides and read later, k letters on both and
+      read by nothing later, m and n letters on one side only.
+    - The transpose to the output order.
+
+    Each letter has one size: a size-1 axis is not broadcast.  A spec without
+    `->`, with letters that do not fit the shapes, or with an output letter
+    that repeats or is not an input letter raises ValueError.
+    """
+    terms, out = _subscripts(spec, [len(s) for s in shapes])
+    size = {}
+    for term, shape in zip(terms, shapes):
+        for letter, n in zip(term, shape):
+            if size.setdefault(letter, n) != n:
+                raise ValueError(f"{spec!r}: {letter!r} has sizes {size[letter]} and {n}")
+    prepare, kept = [], []
+    for i, term in enumerate(terms):
+        read = set(out).union(*terms[:i], *terms[i + 1:])
+        letters = tuple(dict.fromkeys(term))
+        gather = None if len(letters) == len(term) else tuple(
+            np.arange(size[a]).reshape([-1 if b == a else 1 for b in letters]) for a in term)
+        prepare.append((gather, tuple(k for k, a in enumerate(letters) if a not in read)))
+        kept.append(tuple(a for a in letters if a in read))
+    held, pairs = kept[0], []
+    for i, term in enumerate(kept[1:], 2):
+        later = set(out).union(*kept[i:])
+        batch = tuple(a for a in held if a in term and a in later)
+        inner = tuple(a for a in held if a in term and a not in later)
+        left = tuple(a for a in held if a not in term)
+        right = tuple(a for a in term if a not in held)
+        b, m, k, n = (prod(size[a] for a in group) for group in (batch, left, inner, right))
+        pairs.append((tuple(map(held.index, batch + left + inner)), (b, m, k),
+                      tuple(map(term.index, batch + inner + right)), (b, k, n),
+                      tuple(size[a] for a in batch + left + right)))
+        held = batch + left + right
+    return tuple(prepare), tuple(pairs), tuple(map(held.index, out))
+
+
+def _subscripts(spec, ndims):
+    """The letters of each operand and of the output of an einsum spec with `->`.
+
+    The axes an operand's `...` stands for are numbered right-aligned, as
+    numpy broadcasts them (the axes of the longest are 0, 1, ..), and the
+    output's `...` is all of them.
+    """
+    inputs, arrow, output = spec.partition("->")
+    matches = [_TERM.fullmatch(term) for term in inputs.split(",") + [output]]
+    if not arrow or None in matches or len(matches) != len(ndims) + 1:
+        raise ValueError(f"{spec!r} is not an einsum spec with '->' for {len(ndims)} operands")
+    spans = [ndim - len(m[1] + m[3]) for m, ndim in zip(matches, ndims)]
+    if any(r < 0 or (r and not m[2]) for m, r in zip(matches, spans)):
+        raise ValueError(f"{spec!r} does not fit operands of {list(ndims)} axes")
+    dots = max(spans, default=0)
+    terms = [tuple(m[1]) + tuple(range(dots - r, dots)) + tuple(m[3])
+             for m, r in zip(matches, spans)]
+    out = matches[-1]
+    if dots and not out[2]:
+        raise ValueError(f"{spec!r}: the axes of '...' have no place in the output")
+    out = tuple(out[1]) + tuple(range(dots)) + tuple(out[3])
+    if len(set(out)) < len(out) or not set(out) <= set().union(*terms):
+        raise ValueError(f"{spec!r}: an output letter repeats or is not an input letter")
+    return terms, out
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,24 @@ def test_workload_without_a_complete_pair_reads_zero_pairs():
     assert report["unresolved"] is None and report["worse_than_bound"] is None
 
 
+def test_traced_metrics_per_workload_and_side():
+    # every workload has a traced run per side, so a claim on any workload
+    # comes with its per-layer metrics; untraced runs are left out
+    runs = [_run(side, 3, value, 1.0, workload=workload, trace=1)
+            for workload, value in (("verify-all", 0.5), ("model-sessions", 0.1))
+            for side in ("parent", "change")]
+    runs.append(dict(_run("change", 3, 0.2, 1.0, workload="spinor-spectra", trace=1),
+                     result=None))
+    runs.append(_run("parent", 21, 9.0, 1.0, workload="spinor-spectra"))
+    traced = bench_pairs.traced_metrics(runs)
+    assert traced == {
+        "verify-all": {"parent": {"report_s": 0.5, "ok_share": 1.0},
+                       "change": {"report_s": 0.5, "ok_share": 1.0}},
+        "model-sessions": {"parent": {"report_s": 0.1, "ok_share": 1.0},
+                           "change": {"report_s": 0.1, "ok_share": 1.0}},
+        "spinor-spectra": {"change": None}}
+
+
 def _pairs(parent, change):
     return [_run(side, seed, value, 1.0) for seed, values in enumerate(zip(parent, change), 21)
             for side, value in zip(("parent", "change"), values)]

@@ -4,8 +4,9 @@ import sys
 from collections import Counter
 from fractions import Fraction as Q
 from itertools import combinations, islice
-from math import comb, lcm
+from math import comb, lcm, prod
 from pathlib import Path
+from random import Random
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from skewtor.linalg import (GaussTensor, Tensor, certified_eigenspace_dims, cert
 from skewtor.reporting import fmt
 
 import cq_reference
+import einsum_reference
 import forms_reference
 from cq_reference import (CQ, entries, mat_add, mat_identity, mat_mul, mat_scale, parts,
                           poly_eval, poly_mul)
@@ -712,6 +714,92 @@ def test_tensor_arithmetic_matches_fraction_loops(data):
     assert [[ta[i, j] for j in range(mid)] for i in range(rows)] == a
     assert all(type(x) is Q for row in ta for x in row)
     assert Tensor.einsum("ij,ij->", ta, ta)[()] == sum(x * x for row in a for x in row)
+
+
+# entry sizes of the contraction operands: small, at the 2^53 edge of
+# `int_matmul`'s float64 branch (2^26 squared meets it at k = 2), at 2^53,
+# past int64 and past the float range
+EINSUM_BOUNDS = (3, 2 ** 26, 2 ** 53, 2 ** 63 + 1, 2 ** 1100)
+
+
+@st.composite
+def einsum_calls(draw):
+    """(spec, operands): 1-3 real Tensors with axes of size 0-5, their letters drawn from
+    `abcde` with repeats (traces and diagonals), one `...` for some of them (right-aligned
+    axes, as numpy broadcasts them) and an output of distinct letters in any order, or none."""
+    size = {a: draw(st.integers(0, 5)) for a in "abcde"}
+    dots = draw(st.lists(st.integers(0, 5), max_size=2))
+    terms, operands = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        term = draw(st.lists(st.sampled_from("abcde"), max_size=4))
+        shape = [size[a] for a in term]
+        if draw(st.booleans()):
+            at, span = draw(st.integers(0, len(term))), draw(st.integers(0, len(dots)))
+            term.insert(at, "...")
+            shape[at:at] = dots[len(dots) - span:]
+        bound, rng = draw(st.sampled_from(EINSUM_BOUNDS)), Random(draw(st.integers(0, 2 ** 32)))
+        entries = [rng.choice((-1, 1)) * (bound - rng.randrange(3)) if rng.random() < 0.5
+                   else rng.randint(-3, 3) for _ in range(prod(shape))]
+        den = draw(st.integers(1, 4))
+        operands.append(Tensor(np.array(entries, dtype=object).reshape(shape), den))
+        terms.append("".join(term))
+    letters = sorted(set("".join(terms)) - {"."})
+    out = draw(st.lists(st.sampled_from(letters), unique=True)) if letters else []
+    if any("..." in t for t in terms):
+        out.insert(draw(st.integers(0, len(out))), "...")
+    return ",".join(terms) + "->" + "".join(out), operands
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(einsum_calls())
+@example(("ii...->...", [Tensor(np.arange(27, dtype=object).reshape(3, 3, 3) * 2 ** 70)]))
+@example(("ijji->", [Tensor(np.full((2, 3, 3, 2), 2 ** 1100 + 1, dtype=object))]))
+@example(("ab,bc->ca", [Tensor(np.full((3, 2), 2 ** 26, dtype=object)),
+                        Tensor(np.full((2, 4), 2 ** 26 - 1, dtype=object))]))
+def test_einsum_matches_object_einsum(call):
+    spec, operands = call
+    got = Tensor.einsum(spec, *operands)
+    assert type(got) is Tensor and got.num.dtype == object
+    assert got == einsum_reference.einsum(spec, *operands)
+
+
+def test_einsum_refuses_what_numpy_refuses_and_implicit_specs():
+    a, b = Tensor.of([[1, 2, 3], [4, 5, 6]]), Tensor.of([[1, 2]] * 4)
+    # a letter of two sizes (j is 3 on the left, 4 on the right)
+    with pytest.raises(ValueError):
+        np.einsum("ij,jk->ik", a.num, b.num)
+    with pytest.raises(ValueError):
+        Tensor.einsum("ij,jk->ik", a, b)
+    # implicit mode, which numpy reads and no caller writes
+    with pytest.raises(ValueError):
+        Tensor.einsum("ij,kj", a, a)
+    for spec, operands in (("ij->ii", [a]), ("ij->k", [a]), ("ijk->i", [a]), ("i->i", [a]),
+                           ("ij,jk->ik", [a]), ("...j->j", [Tensor.of([[[1]]])])):
+        with pytest.raises(ValueError):
+            np.einsum(spec, *(t.num for t in operands))
+        with pytest.raises(ValueError):
+            Tensor.einsum(spec, *operands)
+    with pytest.raises(TypeError):
+        Tensor.einsum("ij,jk->ik", a, GaussTensor.identity(3))
+
+
+def test_einsum_plan_is_keyed_by_spec_and_shapes():
+    # one plan serves every pair of operands of its shapes, whatever their
+    # entries: small ones take the float64 product, ones past 2^63 Python ints
+    spec = "QR,RS->SQ"
+    small = Tensor.of([[1, -2, 3], [0, 5, -6]])
+    big = Tensor(np.array([[2 ** 64 + 1, 7, -3], [1, 0, -(2 ** 70)]], dtype=object), 5)
+    right = Tensor.of([[1, 2, 3, 4], [5, 6, 7, 8], [Q(9, 2), 10, 11, 12]])
+    before = linalg._plan.cache_info()
+    first, second = Tensor.einsum(spec, small, right), Tensor.einsum(spec, big, right)
+    after = linalg._plan.cache_info()
+    assert (after.misses, after.hits) == (before.misses + 1, before.hits + 1)
+    assert first == einsum_reference.einsum(spec, small, right)
+    assert second == einsum_reference.einsum(spec, big, right)
+    assert second[0, 0] == Q(2 ** 64 + 1 + 7 * 5, 5) - Q(3 * 9, 2 * 5)
+    # a new shape builds a new plan
+    Tensor.einsum(spec, small, Tensor.of([[1], [2], [3]]))
+    assert linalg._plan.cache_info().misses == after.misses + 1
 
 
 gaussian_rationals = st.builds(lambda re, im, den: CQ(Q(re, den), Q(im, den)),

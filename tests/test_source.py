@@ -36,3 +36,27 @@ def test_no_module_global_is_rebound_from_a_function(path):
     # module global that a function reassigns
     statements = [node.lineno for node in ast.walk(_tree(path)) if isinstance(node, ast.Global)]
     assert not statements, f"{path.name}: global statement on lines {statements}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_module_calls_numpy_einsum(path):
+    # every contraction runs through the compiled plans of `Tensor.einsum`,
+    # whose products are `int_matmul`
+    tree = _tree(path)
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "einsum"
+             and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")]
+    imports = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and node.module == "numpy" and any(a.name == "einsum" for a in node.names)]
+    assert not calls + imports, f"{path.name}: numpy einsum on lines {calls + imports}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_literal_einsum_spec_has_an_output(path):
+    # `Tensor.einsum` refuses numpy's implicit mode; no caller writes it
+    specs = [node.args[0] for node in ast.walk(_tree(path)) if isinstance(node, ast.Call)
+             and (isinstance(node.func, ast.Attribute) and node.func.attr == "einsum"
+                  or isinstance(node.func, ast.Name) and node.func.id in ("ein", "einsum"))
+             and node.args and isinstance(node.args[0], ast.Constant)]
+    implicit = [(s.lineno, s.value) for s in specs if "->" not in s.value]
+    assert not implicit, f"{path.name}: einsum specs without '->': {implicit}"

@@ -8,8 +8,8 @@ checkout that holds this script, uncommitted edits included (`git add` a new
 file first), in another one.  For each workload of BENCHMARK.json, pair k of ten runs
 `bench/run.py --seed FIRST_SEED + k --trace 0` for the benchmark's
 run_seconds once on each side, the parent first in even pairs and the change
-first in odd ones, one process at a time.  Then each side runs verify-all
-once with `--trace 1` at seed 3.  OUT.json holds:
+first in odd ones, one process at a time.  Then each side runs every
+workload once with `--trace 1` at seed 3.  OUT.json holds:
 
   runs     the JSON line each run printed, with its side, workload, seed,
            trace flag, exit code and wall time
@@ -20,7 +20,8 @@ once with `--trace 1` at seed 3.  OUT.json holds:
            comparison is unresolved: the parent's quartile spread exceeds the
            bound and not every change run beats every parent run.  A
            workload without a complete pair reads `pairs: 0` and nulls.
-  traced   the per-layer metrics of the traced run of each side
+  traced   per workload and side, the per-layer metrics of its traced run
+           (null for a run that printed no result)
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
-TRACED, TRACE_SEED = "verify-all", 3
+TRACE_SEED = 3
 
 
 def export(rev, into):
@@ -133,6 +134,17 @@ def _quartiles(values):
     return [q1, q3]
 
 
+def traced_metrics(runs):
+    """{workload: {side: {metric: value}}} of the traced runs; None for a run without a result."""
+    out = {}
+    for r in runs:
+        if r["trace"] == 1:
+            metrics = r["result"]["metrics"] if r["result"] else None
+            out.setdefault(r["workload"], {})[r["side"]] = (
+                {k: v["value"] for k, v in metrics.items()} if metrics else None)
+    return out
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_rev")
@@ -145,12 +157,12 @@ def main(argv=None):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
 
-    runs, traced = [], {}
+    runs, workloads = [], [w["name"] for w in spec["workloads"]]
     with tempfile.TemporaryDirectory() as parent, tempfile.TemporaryDirectory() as change:
         export(args.parent_rev, parent)
         export_worktree(change)
         roots = {"parent": Path(parent), "change": Path(change)}
-        for workload in (w["name"] for w in spec["workloads"]):
+        for workload in workloads:
             for k in range(PAIRS):
                 order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
                 for side in order:
@@ -158,9 +170,9 @@ def main(argv=None):
                                           seconds, 0))
                     print(f"{side} {workload} seed {args.first_seed + k}: exit "
                           f"{runs[-1]['exit']}", file=sys.stderr)
-        for side in ("parent", "change"):
-            runs.append(run_bench(side, roots[side], TRACED, TRACE_SEED, seconds, 1))
-            traced[side] = runs[-1]["result"]["metrics"] if runs[-1]["result"] else None
+        for workload in workloads:
+            for side in ("parent", "change"):
+                runs.append(run_bench(side, roots[side], workload, TRACE_SEED, seconds, 1))
 
     doc = {
         "about": (f"Parent ({parent_sha}) and change runs of `python3 bench/run.py "
@@ -169,12 +181,11 @@ def main(argv=None):
                   "each pair; written by tools/bench_pairs.py.  Times are reference seconds "
                   "(CPU seconds scaled by bench/calib.py).  `runs` holds the JSON line each "
                   "run printed; `summary` gives medians, quartiles and pair wins per "
-                  "metric; `traced` gives the per-layer metrics of one --trace 1 run per "
-                  "side."),
+                  "metric; `traced` gives, per workload and side, the per-layer metrics "
+                  f"of one --trace 1 run at seed {TRACE_SEED}."),
         "claim": args.claim,
         "summary": summarize(runs, spec["end_to_end"]),
-        "traced": {side: {k: v["value"] for k, v in metrics.items()} if metrics else None
-                   for side, metrics in traced.items()},
+        "traced": traced_metrics(runs),
         "runs": runs,
     }
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
