@@ -228,7 +228,7 @@ def _uniqueness_response(s):
     blades = dense(np.eye(comb(n, 3), dtype=np.int64), n, 3)
     response = [slot_sum(blades, p.T, 2)]
     if isinstance(s, AlmostContact):
-        response.append(slot_sum(blades, s.xi.num * s.phi.den, 1))
+        response.append(slot_sum(blades, (s.xi * s.phi.den).num, 1))
     matrix = np.concatenate([r.reshape(len(blades), n, -1) for r in response], axis=2)
     return matrix.reshape(len(blades), -1).T
 
@@ -404,7 +404,7 @@ def tanno_deform(s: AlmostContact, a2) -> AlmostContact:
     for i in range(n):
         d = s.model.d_coframe[i]
         values = []
-        for (a, b), coeff in zip(all_blades(n, 2), d.num):
+        for (a, b), coeff in zip(all_blades(n, 2), d.num.tolist()):
             expo = weights[a - 1] + weights[b - 1] - weights[i]
             if coeff and expo % 2:
                 raise StructureError("deformation leaves the rational frame")

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegreeError, DimensionMismatch
-from .forms import Form, all_blades, common_denominator
+from .forms import Form, _abs_max, _exact_array, all_blades, common_denominator
 from .linalg import (GaussTensor, Tensor, charpoly, int_matmul, is_hermitian, nullspace,
                      rank, rational_roots, unscaled)
 
@@ -83,16 +83,17 @@ def act_form(form) -> GaussTensor:
         raise DimensionMismatch("form parts of different dimension")
     n = parts[0].n
     size = len(_generators(n)[0][0])
-    nums, den = common_denominator(parts)
-    acc = [[0, 0] for _ in range(size * size)]
+    nums, den, _ = common_denominator(parts)
+    acc = [0] * (2 * size * size)
     for part, num in zip(parts, nums):
         for blade, x in zip(all_blades(part.n, part.degree), num.tolist()):
             if not x:
                 continue
             cols, phases = _monomial(n, blade)
             for r, (c, p) in enumerate(zip(cols, phases)):
-                acc[r * size + c][p % 2] += x if p < 2 else -x
-    return GaussTensor(np.array(acc, dtype=object).reshape(size, size, 2), den)
+                acc[2 * (r * size + c) + p % 2] += x if p < 2 else -x
+    bound = _abs_max(acc)
+    return GaussTensor(_exact_array(acc, bound).reshape(size, size, 2), den, bound)
 
 
 class EigenReport(NamedTuple):
@@ -124,7 +125,8 @@ def common_kernel(endos) -> GaussTensor:
         if len(m) != size:
             raise DimensionMismatch("spin endomorphism sizes differ")
     # the kernels do not depend on the denominators, so the numerators are stacked
-    return nullspace(GaussTensor(np.concatenate([m.num for m in endos])))
+    return nullspace(GaussTensor(np.concatenate([m.num for m in endos]), 1,
+                                 max(m.bound for m in endos)))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +185,7 @@ def kernel_conditions_5d(t: Form, x: Form, which: str) -> bool:
         raise DimensionMismatch("dimension-5 conditions")
     if t.degree != 3 or x.degree != 1:
         raise DegreeError("expected a 3-form and a 1-form")
-    nums, _ = common_denominator([t, x])
+    nums = common_denominator([t, x])[0]
     return not int_matmul(kernel_condition_rows(which), np.concatenate(nums)).any()
 
 

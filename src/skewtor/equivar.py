@@ -35,10 +35,9 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import StructureError
-from .forms import Form, common_denominator, contract, dense, inner, interior, wedge
+from .forms import Form, _abs_max, common_denominator, contract, dense, inner, interior, wedge
 from .g2 import _projectors, canonical_omega3, spanning_27
-from .linalg import (Tensor, certified_spectrum, eliminate, int_abs_max, int_matmul, rank,
-                     slot_sum)
+from .linalg import Tensor, certified_spectrum, eliminate, int_matmul, rank, slot_sum
 
 Q = Fraction
 
@@ -107,13 +106,13 @@ def _module_action(alpha, units):
     flat, image = units.reshape(len(units), -1), image.reshape(len(units), -1)
     num = int_matmul(flat, image.T)
     # int64 holds |U_j|^2 <= size max|U|^2 below 2^63; past it, Python integers
-    if flat.shape[1] * int_abs_max(flat) ** 2 >= 2 ** 63:
+    if flat.shape[1] * _abs_max(flat) ** 2 >= 2 ** 63:
         flat = flat.astype(object)
     den = (flat * flat).sum(axis=1, keepdims=True)
     g = np.gcd(num, den)
     d = lcm(*(den // g).ravel().tolist())
     # and |rho| = |num / g| d / (den / g) <= d max|num| and d image below 2^63
-    if d * max(int_abs_max(num), int_abs_max(image)) >= 2 ** 63:
+    if d * max(_abs_max(num), _abs_max(image)) >= 2 ** 63:
         g, image = g.astype(object), image.astype(object)
     rho = (num // g) * (d // (den // g))
     closed = (int_matmul(rho.T, flat) == d * image).all(axis=1)
@@ -123,7 +122,7 @@ def _module_action(alpha, units):
 def _tensor_action(a, rho, d):
     """d (a (x) 1 + 1 (x) rho / d) in (small x big) coordinates, in int64 below 2^63."""
     # its entries are at most d max|a| + max|rho|
-    if d * int_abs_max(a) + int_abs_max(rho) >= 2 ** 63:
+    if d * _abs_max(a) + _abs_max(rho) >= 2 ** 63:
         a, rho = a.astype(object), rho.astype(object)
     return np.kron(d * a, np.eye(len(rho), dtype=np.int64)) \
         + np.kron(np.eye(len(a), dtype=np.int64), rho)
@@ -196,7 +195,7 @@ class Spaces:
             grown = lcm(scale, weight)
             k, f = grown // scale, grown // weight
             if (total.dtype == object or sq.dtype == object
-                    or k * int_abs_max(total) + f * int_abs_max(sq) >= 2 ** 62):
+                    or k * _abs_max(total) + f * _abs_max(sq) >= 2 ** 62):
                 total, sq = total.astype(object), sq.astype(object)
             total = total * k + sq * f
             scale = grown
@@ -369,7 +368,7 @@ def rank_certificates():
     sized = {label: len(b) == certified.get(sp.calibration[label])
              for label, b in zip(labels, bases)}
     images = int_matmul(psi, np.vstack(bases).T)
-    matrix = np.hstack([phi, images]).astype(object)
+    matrix = np.hstack([phi, images])
     rows, pivots, _ = eliminate(matrix, phi.shape[1])
     quotient = rows[len(pivots):]
     ends = np.cumsum([phi.shape[1]] + [len(b) for b in bases])
@@ -411,13 +410,13 @@ def equivariance_residual_zero():
 
 def _scaled(rho, d):
     """The integer matrix d rho, on Python integers where int64 could wrap."""
-    return (rho if int_abs_max(rho) * d < 2 ** 63 else rho.astype(object)) * d
+    return (rho if _abs_max(rho) * d < 2 ** 63 else rho.astype(object)) * d
 
 
 def _coefficients(table) -> Tensor:
     """The [case, k, blade] coefficients of a table of 2-forms."""
-    nums, den = common_denominator([f for row in table for f in row])
-    return Tensor(np.stack(nums).reshape(len(table), len(table[0]), -1), den)
+    nums, den, bound = common_denominator([f for row in table for f in row])
+    return Tensor(np.stack(nums).reshape(len(table), len(table[0]), -1), den, bound)
 
 
 def _pr_m(coeffs) -> Tensor:
@@ -427,7 +426,7 @@ def _pr_m(coeffs) -> Tensor:
 
 def _symmetrized(coeffs):
     """[case, x, y, z] -> p_z(x, y) + p_y(x, z) of [case, k, blade] coefficients of 2-forms p_k."""
-    t = Tensor(dense(coeffs.num, 7, 2), coeffs.den)
+    t = Tensor(dense(coeffs.num, 7, 2), coeffs.den, coeffs.bound)
     return Tensor.einsum("czxy->cxyz", t) + Tensor.einsum("cyxz->cxyz", t)
 
 

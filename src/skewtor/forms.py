@@ -1,11 +1,16 @@
 """Exact exterior algebra over an orthonormal coframe of R^n (2 <= n <= 8).
 
-The module holds the exact base of every exact array in the program: an
-object array of Python-int numerators over one reduced positive denominator,
-with +, -, rational scaling by `*`, == and `is_zero`.  `numerators_of` is
-the one place where rationals become numerators, and `common_denominator`
-brings a list of exact arrays over one denominator.  `linalg.Tensor` and
-`linalg.GaussTensor` are kinds of this base, and so is a Form.
+The module holds the exact base of every exact array in the program: one
+numpy array of integer numerators over one reduced positive denominator,
+with +, -, rational scaling by `*`, == and `is_zero`.  The array carries a
+bound on its largest absolute entry, set where the array is built and
+propagated by each operation instead of read from the entries: the
+numerators are int64 while the bound is below 2^62, and an object array of
+Python ints past it, so no int64 step can wrap and the object dtype is the
+one exact fallback.  `numerators_of` is the one place where rationals become
+numerators, and `common_denominator` brings a list of exact arrays over one
+denominator.  `linalg.Tensor` and `linalg.GaussTensor` are kinds of this
+base, and so is a Form.
 
 A Form is a degree-homogeneous element with rational coefficients, stored
 densely: one numerator per blade of its degree.  The blades of degree p are
@@ -19,8 +24,9 @@ is an integer gather/scatter over the one signed wedge table, cached per
 (n, p, q) and built on first use, and reads the numerators once, as a list:
 e_k -| blade and the Hodge star are rows of it.  `dense` is the one gather
 between blade coefficients and dense tensors, and `Form.of_dense` the one
-read back.  A Fraction appears only where a coefficient leaves the algebra:
-`eval`, `terms`, `vector_components` and `inner`.
+read back.  A Fraction, always of Python ints, appears only where a
+coefficient leaves the algebra: `eval`, `terms`, `vector_components` and
+`inner`.
 """
 
 from __future__ import annotations
@@ -121,6 +127,48 @@ def _rational(x):
 # exact arrays: integer numerators over one reduced denominator
 # ---------------------------------------------------------------------------
 
+# numerators are int64 below this bound; its margin below 2^63 keeps a sign
+# change and the sum of two entries within int64
+_WORD = 1 << 62
+# an array of at most this many entries is reduced by Python's gcd, which
+# costs less there than one numpy reduction
+_SMALL = 64
+
+
+def _abs_max(num) -> int:
+    """The largest absolute entry of a list of integers or of an integer array (0 when empty)."""
+    if isinstance(num, np.ndarray):
+        if num.dtype != object:
+            # read as uint64, the absolute value of -2^63 is 2^63
+            return int(np.abs(num.astype(np.int64, copy=False)).view(np.uint64).max()) \
+                if num.size else 0
+        num = num.flat
+    return int(max(map(abs, num), default=0))
+
+
+def _exact_array(num, bound):
+    """Integer numerators under `bound`: int64 below 2^62, an object array of Python ints past it.
+
+    A list is read with the dtype given, never inferred (numpy reads
+    [-1, 2^63] as float64).
+    """
+    return np.asarray(num, dtype=np.int64 if bound < _WORD else object)
+
+
+def _widened(num, bound):
+    """The numerators as Python ints when an operation's bound reaches 2^62."""
+    return num if bound < _WORD else num.astype(object, copy=False)
+
+
+def _gcd(den, num):
+    """gcd(den, every entry of num), Python's for object and small arrays, else numpy's."""
+    if num.dtype == object:
+        return gcd(den, *num.flat)
+    if num.size <= _SMALL:
+        return gcd(den, *num.ravel().tolist())
+    return gcd(den, int(np.gcd.reduce(num, axis=None)))
+
+
 def numerators_of(values):
     """The integer numerators of rationals over their least common denominator: (list, den)."""
     values = [_rational(c) for c in values]
@@ -129,49 +177,77 @@ def numerators_of(values):
 
 
 def common_denominator(arrays):
-    """The numerators of a list of exact arrays over their least common denominator: (list, den)."""
+    """A list of exact arrays over their least common denominator: (numerators, den, bound).
+
+    The bound holds for every array of numerators returned.
+    """
     den = lcm(*(a.den for a in arrays))
-    return [a.num if a.den == den else a.num * (den // a.den) for a in arrays], den
+    nums, bound = [], 0
+    for a in arrays:
+        f = den // a.den
+        nums.append(a.num if f == 1 else _widened(a.num, max(a.bound, 1) * f) * f)
+        bound = max(bound, a.bound * f)
+    return nums, den, bound
 
 
 class _Exact:
-    """Exact array: an object array of Python-int numerators over one denominator.
+    """Exact array: integer numerators over one denominator, with a bound on the numerators.
 
     The pair is kept reduced (denominator positive and coprime to the
     numerators as a whole), so equal arrays have equal numerators and
-    denominators.  An array is never changed after it is built.  `Form` and
-    `linalg`'s `Tensor` and `GaussTensor` are its kinds: they share +, -,
-    rational scaling, == and `is_zero`, and each result is built by `_like`,
-    so it keeps its kind (and a form its n and degree).
+    denominators.  `bound` is at least the largest absolute numerator; it is
+    given by whoever builds the array from an operation (sums, scalings,
+    slices, products) and read from the entries only when it is not, a list
+    by Python's max.  The numerators are int64 while the bound is below
+    2^62 and an object array of Python ints past it, and every operation
+    works on Python ints when its result's bound reaches 2^62.  An array is
+    never changed after it is built.  `Form` and `linalg`'s `Tensor` and
+    `GaussTensor` are its kinds: they share +, -, rational scaling, == and
+    `is_zero`, and each result is built by `_like`, so it keeps its kind
+    (and a form its n and degree).
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "bound")
 
-    def __init__(self, num, den=1):
-        num = np.asarray(num, dtype=object)
-        if den != 1:
-            g = gcd(den, *num.flat)
+    def __init__(self, num, den=1, bound=None):
+        if bound is None:
+            bound = _abs_max(num)
+        num = _exact_array(num, bound)
+        if not bound:
+            den = 1
+        elif den != 1:
+            g = _gcd(den, num)
             if g != 1:
-                num, den = np.asarray(num // g, dtype=object), den // g
-        self.num, self.den = num, den
+                num, den, bound = _exact_array(num // g, bound // g), den // g, bound // g
+        self.num, self.den, self.bound = num, den, bound
 
-    def _like(self, num, den):
-        return type(self)(num, den)
+    def _like(self, num, den, bound):
+        return type(self)(num, den, bound)
 
     def __add__(self, other):
-        den = lcm(self.den, other.den)
-        return self._like(self.num * (den // self.den) + other.num * (den // other.den), den)
+        return self._combine(other, np.add)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, np.subtract)
+
+    def _combine(self, other, op):
+        """self + other or self - other (op np.add or np.subtract) over the lcm of the dens."""
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        wide = max(self.bound, 1) * fa + max(other.bound, 1) * fb
+        a, b = _widened(self.num, wide), _widened(other.num, wide)
+        return self._like(op(a if fa == 1 else a * fa, b if fb == 1 else b * fb), den,
+                          self.bound * fa + other.bound * fb)
 
     def __neg__(self):
-        return self._like(-self.num, self.den)
+        return self._like(-self.num, self.den, self.bound)
 
     def __mul__(self, factor):
         """Scaling by a rational number."""
         f = _rational(factor)
-        return self._like(self.num * f.numerator, self.den * f.denominator)
+        p = f.numerator
+        return self._like(_widened(self.num, max(self.bound, 1) * abs(p)) * p,
+                          self.den * f.denominator, self.bound * abs(p))
 
     def __eq__(self, other):
         """Exact equality within one kind; another kind, or a list, raises TypeError."""
@@ -185,7 +261,7 @@ class _Exact:
     __hash__ = None
 
     def is_zero(self) -> bool:
-        return not any(self.num.flat)
+        return not self.bound or not np.count_nonzero(self.num)
 
 
 # ---------------------------------------------------------------------------
@@ -227,32 +303,36 @@ class Form(_Exact):
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def of_numerators(n: int, degree: int, num, den: int = 1) -> "Form":
-        """The form num / den, num in blade order and den positive; reduced, not validated."""
+    def of_numerators(n: int, degree: int, num, den: int = 1, bound=None) -> "Form":
+        """The form num / den, num in blade order and den positive; reduced, not validated.
+
+        `bound` bounds the absolute numerators; it is read from them when None.
+        """
         f = object.__new__(Form)
         f.n, f.degree = n, degree
-        _Exact.__init__(f, num, den)
+        _Exact.__init__(f, num, den, bound)
         return f
 
     @staticmethod
-    def of_dense(num, den: int = 1) -> "Form":
+    def of_dense(num, den: int = 1, bound=None) -> "Form":
         """The form with the entries of a dense skew array num / den on its ascending indices."""
         n, degree = len(num), num.ndim
-        return Form.of_numerators(n, degree, num.reshape(-1)[_blade_layout(n, degree)[1]], den)
+        return Form.of_numerators(n, degree, num.reshape(-1)[_blade_layout(n, degree)[1]], den,
+                                  bound)
 
     @staticmethod
     def of_rationals(n: int, degree: int, values) -> "Form":
         """The form with the rationals `values` on the blades, in blade order; not validated."""
         return Form.of_numerators(n, degree, *numerators_of(values))
 
-    def _like(self, num, den):
-        return Form.of_numerators(self.n, self.degree, num, den)
+    def _like(self, num, den, bound):
+        return Form.of_numerators(self.n, self.degree, num, den, bound)
 
     @staticmethod
     def zero(n: int, degree: int = 0) -> "Form":
         if degree < 0:
             raise DegreeError(f"degree {degree} out of range for dimension {n}")
-        return Form.of_numerators(n, degree, [0] * comb(n, degree))
+        return Form.of_numerators(n, degree, [0] * comb(n, degree), 1, 0)
 
     @staticmethod
     def scalar(n: int, value) -> "Form":
@@ -315,16 +395,16 @@ class Form(_Exact):
         if self.n != other.n:
             raise DimensionMismatch(f"dimension {self.n} vs {other.n}")
 
-    def __add__(self, other):
-        """The sum of forms on one R^n, where a zero summand is degree-agnostic."""
+    def _combine(self, other, op):
+        """The sum or difference of forms on one R^n, where a zero summand is degree-agnostic."""
         self._check_same_space(other)
         if self.degree != other.degree:
             if self.is_zero():
-                return other
+                return other if op is np.add else -other
             if other.is_zero():
                 return self
             raise DegreeError("cannot add forms of different degree")
-        return super().__add__(other)
+        return super()._combine(other, op)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -333,7 +413,7 @@ class Form(_Exact):
         if len(indices) != self.degree:
             raise DegreeError("wrong number of arguments")
         sign, pos = _locate(self.n, indices)
-        return Q(sign * self.num[pos], self.den) if sign else _ZERO
+        return Q(sign * int(self.num[pos]), self.den) if sign else _ZERO
 
 
 def _wedge_into(out, a, b, table):
@@ -374,7 +454,7 @@ def interior(x: Form, a: Form) -> Form:
         raise DegreeError("contraction direction must be a vector (1-form)")
     if a.degree == 0:
         return Form.zero(a.n, 0)
-    return derivation(a, 0, lambda m: Form.of_numerators(a.n, 0, x.num[m - 1:m], x.den))
+    return derivation(a, 0, lambda m: Form.of_numerators(a.n, 0, x.num[m - 1:m], x.den, x.bound))
 
 
 def contract(a: Form, i: int) -> Form:
@@ -384,7 +464,7 @@ def contract(a: Form, i: int) -> Form:
     if a.degree == 0:
         return Form.zero(a.n, 0)
     return Form.of_numerators(a.n, a.degree - 1, _contract(a.num.tolist(), a.n, a.degree, i),
-                              a.den)
+                              a.den, a.bound)
 
 
 def hodge(a: Form) -> Form:
@@ -395,7 +475,7 @@ def hodge(a: Form) -> Form:
     out = [0] * len(a.num)
     for x, ((dst, _, neg),) in zip(a.num.tolist(), _wedge_table(n, p, n - p)):
         out[dst] = -x if neg else x
-    return Form.of_numerators(n, n - p, out, a.den)
+    return Form.of_numerators(n, n - p, out, a.den, a.bound)
 
 
 def inner(a: Form, b: Form) -> Fraction:
@@ -407,7 +487,7 @@ def inner(a: Form, b: Form) -> Fraction:
 
 
 def volume_form(n: int) -> Form:
-    return Form.of_numerators(n, n, [1])
+    return Form.of_numerators(n, n, [1], 1, 1)
 
 
 def sigma_t(t: Form) -> Form:
@@ -424,14 +504,16 @@ def sigma_t_quadratic(t: Form) -> Form:
     """sigma^T from its quadratic definition g(T(X,Y),T(Z,V)) + cyclic in X,Y,Z."""
     if t.degree != 3:
         raise DegreeError("sigma_t expects a 3-form")
-    n, tensor = t.n, dense(t.num, t.n, 3)
+    # three sums of n products of entries
+    n, bound = t.n, 3 * t.n * t.bound ** 2
+    tensor = dense(_widened(t.num, bound), n, 3)
     x, y, z, v = (np.array(_blades(n, 4), dtype=np.intp).reshape(-1, 4) - 1).T
 
     def pair(i, j, k, l):
         return (tensor[i, j] * tensor[k, l]).sum(axis=-1)
 
     return Form.of_numerators(n, 4, pair(x, y, z, v) + pair(y, z, x, v) + pair(z, x, y, v),
-                              t.den * t.den)
+                              t.den * t.den, bound)
 
 
 def derivation(a: Form, image_degree: int, image) -> Form:
@@ -446,13 +528,13 @@ def derivation(a: Form, image_degree: int, image) -> Form:
     n, p, degree = a.n, a.degree, a.degree + image_degree - 1
     out = [0] * comb(n, degree)
     if degree > n or p == 0 or a.is_zero():
-        return Form.of_numerators(n, degree, out)
+        return Form.of_numerators(n, degree, out, 1, 0)
     images = [image(m) for m in range(1, n + 1)]
     for img in images:
         a._check_same_space(img)
         if img.degree != image_degree and not img.is_zero():
             raise DegreeError(f"image of degree {img.degree}, expected {image_degree}")
-    nums, den = common_denominator(images)
+    nums, den, _ = common_denominator(images)
     table, num = _wedge_table(n, image_degree, p - 1), a.num.tolist()
     for m, img in enumerate(nums, 1):
         img = img.tolist()

@@ -68,9 +68,9 @@ def _projectors(degree: int):
 
 def _parts(a: Form):
     """The projections of `a` by `_projectors`."""
-    images = (Tensor.einsum("ij,j->i", p, Tensor(a.num, a.den))
+    images = (Tensor.einsum("ij,j->i", p, Tensor(a.num, a.den, a.bound))
               for p in _projectors(a.degree))
-    return [Form.of_numerators(7, a.degree, x.num, x.den) for x in images]
+    return [Form.of_numerators(7, a.degree, x.num, x.den, x.bound) for x in images]
 
 
 def project2(a: Form):

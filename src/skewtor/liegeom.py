@@ -109,10 +109,12 @@ class ConnectionData:
         """[i, a_1, .., a_p] = (nabla_{e_i} t)(e_a_1, .., e_a_p) of an invariant covariant t.
 
         nabla_{e_i} e^j = sum_k omega_ijk e^k, so omega[i] acts as a derivation;
-        a vector field reads as its metric dual 1-form.
+        a vector field reads as its metric dual 1-form.  Each entry sums p n
+        products of entries, for p slots and dimension n.
         """
-        return Tensor(slot_sum(self.omega.num, tensor.num, tensor.num.ndim),
-                      self.omega.den * tensor.den)
+        p, om = tensor.num.ndim, self.omega
+        return Tensor(slot_sum(om.num, tensor.num, p), om.den * tensor.den,
+                      p * len(om.num) * om.bound * tensor.bound)
 
 
 def levi_civita(model: LieModel) -> ConnectionData:

@@ -7,8 +7,11 @@ operand shapes (the pairwise plans of opt_einsum, paired left to right): the
 diagonals and lone sums of each operand are index gathers and sums, and each
 pairwise contraction is one stacked integer matrix product.  `Tensor` and
 `GaussTensor` are kinds of the exact base of `forms` (reduction, +, -,
-rational scaling, ==), which `Form` shares, with indexing added; lists of
-them are brought over one denominator by `forms.common_denominator`.  Spinor
+rational scaling, ==), which `Form` shares, with indexing added: int64
+numerators while the bound each array carries is below 2^62, Python ints
+past it, the bound propagated by every operation, contractions and products
+included, and read by `int_matmul`; lists of them are brought over one
+denominator by `forms.common_denominator`.  Spinor
 endomorphisms, spinors and characteristic polynomials are exact dense
 `GaussTensor`s, the same layout with an imaginary part and the one Gaussian
 type, multiplied by integer matrix products.  Every dense integer matrix
@@ -46,7 +49,8 @@ from math import comb, lcm, prod
 import numpy as np
 
 from .errors import DegreeError, DimensionMismatch, SkewtorError
-from .forms import Form, _Exact, common_denominator, dense, numerators_of
+from .forms import (Form, _Exact, _abs_max, _exact_array, _widened, common_denominator, dense,
+                    numerators_of)
 
 Q = Fraction
 
@@ -63,7 +67,9 @@ class _Array(_Exact):
     def __getitem__(self, index):
         """A Fraction for a full index of a real Tensor, else a tensor of this kind."""
         part = self.num[index]
-        return type(self)(part, self.den) if isinstance(part, np.ndarray) else Q(part, self.den)
+        if isinstance(part, np.ndarray):
+            return type(self)(part, self.den, self.bound)
+        return Q(int(part), self.den)
 
     def __len__(self):
         return len(self.num)
@@ -89,7 +95,8 @@ class Tensor(_Array):
             return values
         arr = np.asarray(values, dtype=object)
         nums, den = numerators_of(arr.flat)
-        return Tensor(np.array(nums, dtype=object).reshape(arr.shape), den)
+        bound = _abs_max(nums)
+        return Tensor(_exact_array(nums, bound).reshape(arr.shape), den, bound)
 
     def __eq__(self, other):
         """Nested lists are read as a Tensor."""
@@ -97,13 +104,13 @@ class Tensor(_Array):
 
     @staticmethod
     def identity(n: int) -> "Tensor":
-        return Tensor(np.eye(n, dtype=object))
+        return Tensor(np.eye(n, dtype=np.int64), 1, min(n, 1))
 
     @staticmethod
     def of_form(form: Form) -> "Tensor":
         """The tensor a(e_i1, .., e_ip) of a form, indexed from 0."""
         stacked = Tensor.of_forms([form])
-        return Tensor(stacked.num[0], stacked.den)
+        return Tensor(stacked.num[0], stacked.den, stacked.bound)
 
     @staticmethod
     def of_forms(forms) -> "Tensor":
@@ -113,12 +120,12 @@ class Tensor(_Array):
             raise DimensionMismatch("forms of different dimension")
         if any(f.degree != degree for f in forms):
             raise DegreeError("forms of different degree")
-        nums, den = common_denominator(forms)
-        return Tensor(dense(np.stack(nums), n, degree), den)
+        nums, den, bound = common_denominator(forms)
+        return Tensor(dense(np.stack(nums), n, degree), den, bound)
 
     def to_form(self) -> Form:
         """The form with this tensor's entries on ascending indices (for a skew tensor)."""
-        return Form.of_dense(self.num, self.den)
+        return Form.of_dense(self.num, self.den, self.bound)
 
     @staticmethod
     def einsum(spec: str, *operands: "Tensor") -> "Tensor":
@@ -127,23 +134,33 @@ class Tensor(_Array):
         The plan of (spec, operand shapes) is compiled once by `_plan` and run
         here: the diagonals and lone sums of each operand, then one stacked
         `int_matmul` per further operand, left to right, then the output order.
+        The bounds are carried, not read: a lone sum multiplies its operand's
+        bound by the sizes it sums over, and a product with inner size k
+        multiplies the two bounds and k, so the result's bound is the product
+        of the operands' bounds and of the sizes of the letters not in the
+        output.  A lone sum whose bound reaches 2^62 runs on Python ints.
         """
         if any(type(t) is not Tensor for t in operands):
             raise TypeError("einsum contracts real Tensors")
         prepare, pairs, order = _plan(spec, tuple(t.num.shape for t in operands))
-        arrays = []
-        for t, (gather, summed) in zip(operands, prepare):
-            x = t.num if gather is None else t.num[gather]
-            arrays.append(np.asarray(x.sum(axis=summed), dtype=object) if summed else x)
-        out = arrays[0]
-        for x, (order_a, shape_a, order_b, shape_b, shape) in zip(arrays[1:], pairs):
+        arrays, bounds = [], []
+        for t, (gather, summed, size) in zip(operands, prepare):
+            x, bound = (t.num if gather is None else t.num[gather]), t.bound * size
+            if summed:
+                x = _widened(x, bound)
+                x = np.asarray(x.sum(axis=summed), dtype=x.dtype)
+            arrays.append(x)
+            bounds.append(bound)
+        out, bound = arrays[0], bounds[0]
+        for x, b, (order_a, shape_a, order_b, shape_b, shape) in zip(arrays[1:], bounds[1:],
+                                                                    pairs):
             product = int_matmul(out.transpose(order_a).reshape(shape_a),
-                                 x.transpose(order_b).reshape(shape_b))
-            out = product.reshape(shape)
-        return Tensor(out.transpose(order), prod(t.den for t in operands))
+                                 x.transpose(order_b).reshape(shape_b), bound, b)
+            out, bound = product.reshape(shape), bound * b * shape_a[2]
+        return Tensor(out.transpose(order), prod(t.den for t in operands), bound)
 
     def max_abs(self) -> Fraction:
-        return Q(max(map(abs, self.num.flat), default=0), self.den)
+        return Q(_abs_max(self.num), self.den)
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +174,10 @@ _TERM = re.compile(r"([a-zA-Z]*)(\.\.\.)?([a-zA-Z]*)")
 def _plan(spec, shapes):
     """The steps of `Tensor.einsum(spec, ...)` on operands of the given shapes, built once.
 
-    - Per operand, (gather, summed): index arrays that take the diagonal of
-      every repeated letter (None when no letter repeats), then the axes of
-      the letters that no other operand and not the output reads, summed.
+    - Per operand, (gather, summed, size): index arrays that take the
+      diagonal of every repeated letter (None when no letter repeats), then
+      the axes of the letters that no other operand and not the output
+      reads, summed, and the product of their sizes.
     - Per further operand, left to right, one product of the result so far
       with it: the transposes and reshapes to a stacked (batch, m, k) @
       (batch, k, n) `int_matmul`, and the shape that product unfolds to.
@@ -183,7 +201,8 @@ def _plan(spec, shapes):
         letters = tuple(dict.fromkeys(term))
         gather = None if len(letters) == len(term) else tuple(
             np.arange(size[a]).reshape([-1 if b == a else 1 for b in letters]) for a in term)
-        prepare.append((gather, tuple(k for k, a in enumerate(letters) if a not in read)))
+        summed = tuple(k for k, a in enumerate(letters) if a not in read)
+        prepare.append((gather, summed, prod(size[letters[k]] for k in summed)))
         kept.append(tuple(a for a in letters if a in read))
     held, pairs = kept[0], []
     for i, term in enumerate(kept[1:], 2):
@@ -245,14 +264,20 @@ class GaussTensor(_Array):
     __slots__ = ()
 
     @staticmethod
-    def of_parts(re, im, den=1) -> "GaussTensor":
-        """(re + i im) / den from integer arrays of one shape."""
-        return GaussTensor(np.stack([np.asarray(re, dtype=object),
-                                     np.asarray(im, dtype=object)], axis=-1), den)
+    def of_parts(re, im, den=1, bound=None) -> "GaussTensor":
+        """(re + i im) / den from integer arrays (or lists) of one shape, each part under `bound`.
+
+        A list is read as Python ints; the bound is read from the parts when None.
+        """
+        re, im = (x if isinstance(x, np.ndarray) else np.asarray(x, dtype=object) for x in (re, im))
+        if bound is None:
+            bound = max(_abs_max(re), _abs_max(im))
+        return GaussTensor(np.stack([re, im], axis=-1), den, bound)
 
     @staticmethod
     def identity(n: int) -> "GaussTensor":
-        return GaussTensor.of_parts(np.eye(n, dtype=int), np.zeros((n, n), dtype=int))
+        return GaussTensor.of_parts(np.eye(n, dtype=np.int64), np.zeros((n, n), dtype=np.int64),
+                                    1, min(n, 1))
 
     @property
     def re(self):
@@ -265,13 +290,19 @@ class GaussTensor(_Array):
     @property
     def T(self) -> "GaussTensor":
         """The transpose of a matrix (without conjugation)."""
-        return GaussTensor(self.num.transpose(1, 0, 2), self.den)
+        return GaussTensor(self.num.transpose(1, 0, 2), self.den, self.bound)
 
     def __matmul__(self, other: "GaussTensor") -> "GaussTensor":
-        """(R + iJ)(P + iQ) from the three integer products RP, JQ, (R + J)(P + Q)."""
-        rp, jq = int_matmul(self.re, other.re), int_matmul(self.im, other.im)
-        cross = int_matmul(self.re + self.im, other.re + other.im)
-        return GaussTensor.of_parts(rp - jq, cross - rp - jq, self.den * other.den)
+        """(R + iJ)(P + iQ) from the three integer products RP, JQ, (R + J)(P + Q).
+
+        Both parts of the product, RP - JQ and RQ + JP, are within 2 k a b for
+        the inner size k and the bounds a and b of the factors.
+        """
+        a, b = self.bound, other.bound
+        rp, jq = int_matmul(self.re, other.re, a, b), int_matmul(self.im, other.im, a, b)
+        cross = int_matmul(self.re + self.im, other.re + other.im, 2 * a, 2 * b)
+        return GaussTensor.of_parts(rp - jq, cross - rp - jq, self.den * other.den,
+                                    2 * self.re.shape[-1] * a * b)
 
     def __bool__(self):
         raise TypeError("a GaussTensor has no truth value; use is_zero()")
@@ -295,7 +326,7 @@ def is_hermitian(a: GaussTensor) -> bool:
 # ---------------------------------------------------------------------------
 
 def eliminate(a, limit):
-    """Fraction-free Gauss-Jordan elimination of an integer object array, on primitive rows.
+    """Fraction-free Gauss-Jordan elimination of an integer array, on primitive rows.
 
     Columns at or beyond `limit` are reduced but never chosen as pivots
     (augmented right-hand sides).  Returns (rows, pivot_cols, d) with d > 0:
@@ -314,9 +345,10 @@ def eliminate(a, limit):
     there.  Nothing rescales the other rows, so on a sparse input the
     entries stay small: the 196 x 140 matrix of `equivar.rank_certificates`
     keeps every entry within 6 bits, where Bareiss reaches 84.  The input
-    array is left as it is.
+    array is left as it is: the elimination runs on a copy of it as Python
+    ints, so no row update can wrap.
     """
-    a, pivots = a.copy(), []
+    a, pivots = np.array(a, dtype=object), []
     for c in range(limit):
         r = len(pivots)
         if r == len(a):
@@ -353,7 +385,7 @@ def _system(matrix):
     if not isinstance(t, GaussTensor):
         return t, t.num
     (m, n), re, im = t.re.shape, t.re, t.im
-    blocks = np.empty((m, 2, n, 2), dtype=object)
+    blocks = np.empty((m, 2, n, 2), dtype=t.num.dtype)
     blocks[:, 0, :, 0], blocks[:, 0, :, 1] = re, -im
     blocks[:, 1, :, 0], blocks[:, 1, :, 1] = im, re
     return t, blocks.reshape(2 * m, 2 * n)
@@ -404,21 +436,22 @@ def charpoly(matrix: GaussTensor) -> GaussTensor:
       Re + i_p Im and Re - i_p Im of dA (the two maps Z[i] -> F_p) are
       stacked, and one Faddeev-LeVerrier run over the whole stack gives
       c+ = Re C_k + i_p Im C_k and c- = Re C_k - i_p Im C_k mod p.  Each
-      step is one `int_matmul` of matrices of entries below 2p, exact in
-      float64 as 2n p^2 < 2^53 (for n < 1024; `int_matmul` checks the bound
-      itself), and the division by k < p is a product with k^-1 mod p.
+      step is one `int_matmul` of matrices of entries below p and 2p, for
+      the largest prime p, exact in float64 as 2n p^2 < 2^53 (for n < 1024;
+      `int_matmul` checks these bounds), and the division by k < p is a
+      product with k^-1 mod p.
     - Rebuild.  Re C_k = (c+ + c-) / 2 and Im C_k = (c+ - c-) / (2 i_p)
       mod p, and the Chinese remainder theorem takes each part to its
       residue mod M in [-B, B]: one product of the residues with weights.
     """
-    n = len(matrix)
-    radius = int(np.abs(matrix.num).sum(axis=(1, 2)).max())
+    n, num = len(matrix), matrix.num
+    # a row sum of 2n entries under the bound, on Python ints where int64 could wrap
+    radius = int(np.abs(_widened(num, 2 * n * matrix.bound)).sum(axis=(1, 2)).max())
     bound = max(comb(n, k) * radius ** k for k in range(n + 1))
     primes, modulus = _covering((p for p in _primes() if p % 4 == 1), bound)
     ps = np.array(primes, dtype=np.int64)
     roots = np.array([_sqrt_minus_one(p) for p in primes], dtype=np.int64)
-    # numerators beyond int64 are reduced as Python integers
-    num = matrix.num if radius >= 2 ** 62 else matrix.num.astype(np.int64)
+    # numerators past 2^62 (an object array) are reduced as Python ints
     parts = num[None] % ps.astype(num.dtype)[:, None, None, None]
     re, i_im = parts[..., 0], parts[..., 1].astype(np.int64) * roots[:, None, None]
     # images under i -> i_p, then under i -> -i_p; mods[j] is the prime of image j
@@ -429,7 +462,7 @@ def charpoly(matrix: GaussTensor) -> GaussTensor:
     m = images.copy()
     for k in range(1, n + 1):
         if k > 1:
-            m = int_matmul(images, m) % mods[:, None, None]
+            m = int_matmul(images, m, primes[0], 2 * primes[0]) % mods[:, None, None]
         coeffs[k] = -np.trace(m, axis1=1, axis2=2) % mods * inv[k - 1] % mods
         # M + C_k I, left unreduced: its entries stay below 2p
         m.reshape(len(mods), -1)[:, ::n + 1] += coeffs[k][:, None]
@@ -449,7 +482,7 @@ def unscaled(q: GaussTensor, d) -> GaussTensor:
     """The coefficients q_k / d^k of sum_k q_k x^(n-k) / d^k, a polynomial given in y = d x."""
     n = len(q) - 1
     powers = np.array([d ** (n - k) for k in range(n + 1)], dtype=object)[:, None]
-    return GaussTensor(q.num * powers, d ** n)
+    return GaussTensor(q.num * powers, d ** n, q.bound * d ** n)
 
 
 def rational_roots(q, d):
@@ -558,30 +591,24 @@ def _sqrt_minus_one(p):
     return pow(c, (p - 1) // 4, p)
 
 
-def int_matmul(a, b):
-    """Exact product of integer matrices (or stacks of them, or a matrix and a vector).
+def int_matmul(a, b, a_bound=None, b_bound=None):
+    """Exact product of integer arrays (matrices, stacks of them, or a matrix and a vector).
 
     With n the inner dimension, every partial sum of the product is bounded
     by n max|a| max|b|.  Below 2^53 each one is an integer that a double
     holds exactly, whatever order BLAS sums in, so the product runs in
-    float64 and comes back as int64.  The bound is read from the float images
-    of the entries: an integer converts exactly when its image is below 2^53,
-    and a larger image fails the bound.  Otherwise, or when an entry is
-    beyond float range, the product runs on Python integers and comes back as
-    an object array.
+    float64 and comes back as int64.  Otherwise the product runs on Python
+    integers and comes back as an object array.  `a_bound` and `b_bound`
+    are bounds on max|a| and max|b| that the caller carries (an exact
+    array's `bound`); each is read from the entries when None.
     """
-    try:
-        fa, fb = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    except OverflowError:
-        fa = None
-    if fa is not None and fa.shape[-1] * int_abs_max(fa) * int_abs_max(fb) < 2 ** 53:
-        return (fa @ fb).astype(np.int64)
-    return np.asarray(a, dtype=object) @ np.asarray(b, dtype=object)
+    a, b = np.asarray(a), np.asarray(b)
+    bound = max(1, _abs_max(a) if a_bound is None else a_bound) \
+        * max(1, _abs_max(b) if b_bound is None else b_bound)
+    if a.shape[-1] * bound < 2 ** 53:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    return a.astype(object) @ b.astype(object)
 
-
-def int_abs_max(a):
-    """Largest absolute entry of an array of integers (of any dtype) as a Python int, at least 1."""
-    return max(1, int(np.abs(a).max())) if a.size else 1
 
 
 def slot_sum(w, t, degree):
@@ -619,7 +646,7 @@ def certified_eigenspace_dims(int_matrix, roots):
     a, roots = np.asarray(int_matrix), [int(r) for r in roots]
     if len(set(roots)) != len(roots):
         raise ValueError("the roots of the product chain must be distinct")
-    if int_abs_max(a) + max(map(abs, roots), default=0) >= 2 ** 63:
+    if _abs_max(a) + max(map(abs, roots), default=0) >= 2 ** 63:
         a = a.astype(object)    # A - r I leaves int64
     eye = np.eye(len(a), dtype=a.dtype)
     chain, traces = eye, []

@@ -241,7 +241,7 @@ def rref(matrix, pivot_limit=None):
 
 
 def eliminate_bareiss(a, limit):
-    """Bareiss's fraction-free Gauss-Jordan elimination of an integer object array.
+    """Bareiss's fraction-free Gauss-Jordan elimination of an integer array, on Python ints.
 
     The contract of `linalg.eliminate`: columns at or beyond `limit` are
     never pivots, and it returns (rows, pivot_cols, d) with d > 0, every pivot
@@ -250,7 +250,7 @@ def eliminate_bareiss(a, limit):
     identity, so every entry is a minor of the input and grows with the
     pivots even where a row has no entry in the pivot column.
     """
-    a, pivots, d = a.copy(), [], 1
+    a, pivots, d = np.array(a, dtype=object), [], 1
     for c in range(limit):
         r = len(pivots)
         if r == len(a):

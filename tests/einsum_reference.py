@@ -15,4 +15,6 @@ from skewtor.linalg import Tensor
 
 def einsum(spec, *operands):
     """The exact contraction of real Tensors, by numpy's object-array einsum."""
-    return Tensor(np.einsum(spec, *(t.num for t in operands)), prod(t.den for t in operands))
+    nums = (t.num.astype(object) for t in operands)
+    return Tensor(np.asarray(np.einsum(spec, *nums), dtype=object),
+                  prod(t.den for t in operands))

@@ -194,12 +194,14 @@ def _response_by_loops(s):
     return [list(row) for row in zip(*columns)]
 
 
-def _rotated_contact(name):
-    """A contact fixture with phi conjugated by the rational rotation (3/5, 4/5) in e1, e3."""
+def _rotated_contact(name, a=2, b=1):
+    """A contact fixture with phi conjugated by the rational rotation
+    ((a^2 - b^2) / c, 2ab / c), c = a^2 + b^2, in e1, e3: (3/5, 4/5) by default."""
     s = contact(name)
-    n = s.n
+    n, c = s.n, a * a + b * b
+    cos, sin = Q(a * a - b * b, c), Q(2 * a * b, c)
     r = [[Q(int(i == j)) for j in range(n)] for i in range(n)]
-    r[0][0], r[0][2], r[2][0], r[2][2] = Q(3, 5), Q(-4, 5), Q(4, 5), Q(3, 5)
+    r[0][0], r[0][2], r[2][0], r[2][2] = cos, -sin, sin, cos
     phi = [[sum(r[i][a] * s.phi[a][b] * r[j][b] for a in range(n) for b in range(n))
             for j in range(n)] for i in range(n)]
     return AlmostContact(s.model, s.xi_index, phi)
@@ -212,6 +214,16 @@ def test_uniqueness_response_matches_fraction_loops(make, name, scale):
     s = make(name)
     ints = _uniqueness_response(s).tolist()
     assert [[Q(x, scale) for x in row] for row in ints] == _response_by_loops(s)
+
+
+def test_uniqueness_response_with_a_denominator_past_int64():
+    # phi's denominator 2^65 + 2^33 + 1 is past 2^63, and so are its numerators
+    s = _rotated_contact("heis5", 2 ** 32 + 1, 2 ** 32)
+    assert s.phi.den >= 2 ** 63 and s.phi.num.dtype == object
+    ints = _uniqueness_response(s).tolist()
+    assert [[Q(x, 2 * s.phi.den) for x in row] for row in ints] == _response_by_loops(s)
+    assert acskit.torsion_uniqueness_certificate(s) == acskit.torsion_uniqueness_certificate(
+        contact("heis5"))
 
 
 def test_xi_identities_on_admissible_models():

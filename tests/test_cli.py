@@ -604,6 +604,35 @@ def test_model_file_eta_must_be_the_dual_of_the_reeb_vector(tmp_path, monkeypatc
         assert str(path) in err and all(w in err for w in words), err
 
 
+_CONTACT_PHI = [["0", "1", "0", "0", "1"], ["-1", "0", "0", "0", "0"], ["0", "0", "0", "1", "0"],
+                ["0", "0", "-1", "0", "0"], ["0", "0", "0", "0", "0"]]
+# squares to -Id, but the block [[1, -2], [1, -1]] is not orthogonal
+_SKEW_J = [["1", "-2", "0", "0"], ["1", "-1", "0", "0"], ["0", "0", "0", "1"],
+           ["0", "0", "-1", "0"]]
+
+
+@pytest.mark.parametrize("fixture, field, value, words", [
+    ("contact5a", "phi", _CONTACT_PHI, ("phi must kill xi",)),
+    ("hermitian4", "J", _SKEW_J, ("J must be orthogonal",)),
+], ids=["phi-moves-xi", "j-not-orthogonal"])
+def test_model_file_structure_guards_exit_2(tmp_path, monkeypatch, capsys, fixture, field,
+                                            value, words):
+    # the guards of AlmostContact and AlmostHermitian that no shipped model
+    # reaches: a document that violates one is an input error, not a crash
+    source = Path(__file__).parent / "models" / f"{fixture}.json"
+    doc = json.loads(source.read_text(encoding="utf-8"))
+    name = f"guarded{doc['dim']}"
+    doc["name"] = name
+    doc["structure"][field] = value
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setenv("SKEWTOR_MODEL_PATH", str(tmp_path))
+    assert main(["torsion", name]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out and "Traceback" not in captured.err
+    assert str(path) in captured.err and all(w in captured.err for w in words), captured.err
+
+
 @pytest.mark.parametrize("make", [
     lambda path: path.mkdir(),                              # a directory
     lambda path: path.write_text("[" * 100_000),            # nested past the stack

@@ -15,15 +15,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from skewtor import clifford, equivar, linalg, suites
 from skewtor.clifford import act_form, eigen_report
-from skewtor.forms import Form, wedge
+from skewtor.forms import Form, _abs_max, wedge
 from skewtor.g2 import canonical_omega3
 from skewtor.linalg import (GaussTensor, Tensor, certified_eigenspace_dims, certified_spectrum,
-                            charpoly, int_abs_max, int_matmul, is_hermitian, nullspace, rank,
+                            charpoly, int_matmul, is_hermitian, nullspace, rank,
                             rational_roots, slot_sum, _prime_block, _primes)
 from skewtor.reporting import fmt
 
 import cq_reference
 import einsum_reference
+import exact_reference
 import forms_reference
 from cq_reference import (CQ, entries, mat_add, mat_identity, mat_mul, mat_scale, parts,
                           poly_eval, poly_mul)
@@ -137,8 +138,8 @@ def test_certificate_elimination_keeps_its_entries_small(monkeypatch):
     (matrix, limit), = calls
     rows, pivots, d = linalg.eliminate(matrix, limit)
     assert matrix.shape == (196, 140) and len(pivots) == limit == 98
-    assert int_abs_max(rows) < 2 ** 16
-    assert int_abs_max(cq_reference.eliminate_bareiss(matrix, limit)[0]) >= 2 ** 16
+    assert _abs_max(rows) < 2 ** 16
+    assert _abs_max(cq_reference.eliminate_bareiss(matrix, limit)[0]) >= 2 ** 16
 
 
 def test_charpoly_and_roots_complex():
@@ -182,7 +183,7 @@ def gaussian_matrices(draw):
 def test_charpoly_matches_fraction_reference(m):
     coeffs = charpoly(m)
     assert type(coeffs) is GaussTensor and coeffs.den == 1
-    assert all(type(x) is int for x in coeffs.num.flat)
+    assert exact_reference.holds(coeffs)
     reference = cq_reference.charpoly_by_fractions(cq(m))
     assert cq(coeffs) == [c * m.den ** k for k, c in enumerate(reference)]
 
@@ -200,7 +201,7 @@ def test_charpoly_of_scalar_matrices_meets_its_bound(radius):
                 expected.append(comb(n, k) * power)
                 power = power * CQ(-re, -im)
             coeffs = charpoly(m)
-            assert all(type(x) is int for x in coeffs.num.flat)
+            assert exact_reference.holds(coeffs)
             assert cq(coeffs) == expected, (n, re, im)
 
 
@@ -407,7 +408,7 @@ def product_operands(draw):
 def test_int_matmul_matches_object_product(operands, as_int64):
     a, b, m, n, k, float_branch = operands
     arrays = [np.array(x, dtype=object).reshape(shape) for x, shape in ((a, (m, n)), (b, (n, k)))]
-    if as_int64 and all(int_abs_max(x) < 2 ** 63 for x in arrays):
+    if as_int64 and all(_abs_max(x) < 2 ** 63 for x in arrays):
         arrays = [x.astype(np.int64) for x in arrays]
     got = int_matmul(*arrays)
     assert got.shape == (m, k)
@@ -482,7 +483,7 @@ def test_slot_sum_matches_the_sparse_derivation(operands, as_int64):
     # past the bound every product runs on Python integers
     n, degree, ws, ts, object_branch = operands
     w, t = _dense_of(n, 2, ws), _dense_of(n, degree, ts)
-    if as_int64 and int_abs_max(t) < 2 ** 63:
+    if as_int64 and _abs_max(t) < 2 ** 63:
         w, t = w.astype(np.int64), t.astype(np.int64)
     got = slot_sum(w, t, degree)
     assert got.shape == (len(ws), len(ts)) + (n,) * degree
@@ -759,7 +760,7 @@ def einsum_calls(draw):
 def test_einsum_matches_object_einsum(call):
     spec, operands = call
     got = Tensor.einsum(spec, *operands)
-    assert type(got) is Tensor and got.num.dtype == object
+    assert type(got) is Tensor and exact_reference.holds(got)
     assert got == einsum_reference.einsum(spec, *operands)
 
 
