@@ -16,9 +16,9 @@ import numpy as np
 
 from .clifford import act_form, half_module_blocks
 from .errors import DegreeError, NoSkewConnection, StructureError
-from .forms import Form, all_blades, dense, interior, sigma_t, wedge
+from .forms import Form, all_blades, common_denominator, dense, interior, sigma_t, wedge
 from .liegeom import LieModel, SkewTorsionStructure, d_form, tt_contraction
-from .linalg import Tensor, certified_spectrum, int_matmul, rank, slot_sum
+from .linalg import Tensor, certified_spectrum, rank, slot_sum
 
 Q = Fraction
 ein = Tensor.einsum
@@ -206,31 +206,31 @@ def torsion_uniqueness_certificate(s) -> bool:
     compatible connection is exactly injectivity of the linear response of
     (nabla phi, nabla eta) to a torsion perturbation dT, whose connection
     perturbation is omega'_ijk = dT(i, j, k) / 2.  The response matrix has
-    one column per blade of dT and n^3 (+ n^2 with eta) rows, scaled by 2 L
-    to integers (L clears the denominators of phi and eta).  Its full column
-    rank is the exact rank of the Gram matrix M^T M (at most 56 x 56), as
-    over Q rank(M^T M) = rank(M).  The matrix depends only on the frame (phi, and xi
-    for contact input).
+    one column per blade of dT and n^3 (+ n^2 with eta) rows, scaled by 2.
+    Its full column rank is the exact rank of the Gram matrix M^T M (at most
+    56 x 56), as over Q rank(M^T M) = rank(M).  The matrix depends only on
+    the frame (phi, and xi for contact input).
     """
     m = _uniqueness_response(s)
-    return rank(Tensor(int_matmul(m.T, m))) == m.shape[1]
+    return rank(ein("ib,ic->bc", m, m)) == m.num.shape[1]
 
 
-def _uniqueness_response(s):
-    """The response matrix of `torsion_uniqueness_certificate`, times 2 L, as integers.
+def _uniqueness_response(s) -> Tensor:
+    """The response matrix of `torsion_uniqueness_certificate`, times 2, as a Tensor.
 
-    L is the denominator of phi (eta = e^xi needs none).  The unit 3-blades
-    dT, stacked as connection perturbations, act by `slot_sum` on the tensor
-    g(phi X, Y) (phi^T) and, for contact input, on xi; column b holds the
-    images [i, j, k] and [i, j] of blade b.
+    The unit 3-blades dT, stacked as connection perturbations, act by
+    `slot_sum` on the tensor g(phi X, Y) (phi^T) and, for contact input, on
+    xi; column b holds the images [i, j, k] and [i, j] of blade b, over
+    their common denominator.
     """
-    n, p = s.model.n, s.phi.num
-    blades = dense(np.eye(comb(n, 3), dtype=np.int64), n, 3)
-    response = [slot_sum(blades, p.T, 2)]
+    n = s.model.n
+    blades = Tensor(dense(np.eye(comb(n, 3), dtype=np.int64), n, 3))
+    response = [slot_sum(blades, ein("ij->ji", s.phi), 2)]
     if isinstance(s, AlmostContact):
-        response.append(slot_sum(blades, (s.xi * s.phi.den).num, 1))
-    matrix = np.concatenate([r.reshape(len(blades), n, -1) for r in response], axis=2)
-    return matrix.reshape(len(blades), -1).T
+        response.append(slot_sum(blades, s.xi, 1))
+    nums, den, bound = common_denominator(response)
+    matrix = np.concatenate([r.reshape(len(blades), n, -1) for r in nums], axis=2)
+    return Tensor(matrix.reshape(len(blades), -1).T, den, bound)
 
 
 def structure_parallel_residuals(s):

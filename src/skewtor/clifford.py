@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import DegreeError, DimensionMismatch
 from .forms import Form, _abs_max, _exact_array, all_blades, common_denominator
-from .linalg import (GaussTensor, Tensor, charpoly, int_matmul, is_hermitian, nullspace,
-                     rank, rational_roots, unscaled)
+from .linalg import (GaussTensor, Tensor, charpoly, is_hermitian, nullspace, rank,
+                     rational_roots, unscaled)
 
 
 def _times(mono, gen):
@@ -185,8 +185,9 @@ def kernel_conditions_5d(t: Form, x: Form, which: str) -> bool:
         raise DimensionMismatch("dimension-5 conditions")
     if t.degree != 3 or x.degree != 1:
         raise DegreeError("expected a 3-form and a 1-form")
-    nums = common_denominator([t, x])[0]
-    return not int_matmul(kernel_condition_rows(which), np.concatenate(nums)).any()
+    nums, den, bound = common_denominator([t, x])
+    coordinates = Tensor(np.concatenate(nums), den, bound)
+    return Tensor.einsum("rc,c->r", Tensor(kernel_condition_rows(which)), coordinates).is_zero()
 
 
 def kernel_conditions_are_membership(which: str) -> bool:

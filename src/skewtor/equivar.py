@@ -1,7 +1,8 @@
 """Representation-theoretic engine for the 14-dimensional stabilizer algebra.
 
-Everything is assembled in explicit integer coordinates, and nothing that a
-formula writes down is solved for:
+Everything is assembled in explicit integer coordinates, as exact `Tensor`s
+that carry their bounds, and nothing that a formula writes down is solved
+for:
   * the stabilizer algebra g as the 2-forms orthogonal to the seven e_i -| w3,
     two per block of three 2-blades of w3, orthogonal by construction;
   * every module as one kind of data, a stack of mutually orthogonal integer
@@ -13,11 +14,11 @@ formula writes down is solved for:
     R^7 (x) S^2(R^7)), both `_symmetrized`, as integer matrices with exact
     rank certificates, the isotypic parts of R^7 (x) m = R^7 (x) R^7 by
     formula, and their intertwining checked on every generator;
-  * the Casimir operator of each relevant module, its spectrum proven,
-    counted and labelled by one exact product chain prod_k (C' - r_k I) over
+  * the Casimir operator C of each relevant module, its spectrum proven,
+    counted and labelled by one exact product chain prod_k (C - r_k I) over
     the Casimir values r_k of the irreducible g2-modules from the weight
     table `G2_IRREPS`: every finite-dimensional g2-module is a sum of
-    irreducibles, so the chain vanishes, which proves C' diagonalizable, and
+    irreducibles, so the chain vanishes, which proves C diagonalizable, and
     the traces of its partial products give the multiplicities.
 
 `Spaces` builds the actions on each base module, Phi, Psi, every Casimir and
@@ -27,17 +28,18 @@ the calibration once, and hands them out read-only.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from itertools import count
-from math import comb, lcm
+from math import comb
+from operator import add
 from types import MappingProxyType
 
 import numpy as np
 
 from .errors import StructureError
-from .forms import Form, _abs_max, common_denominator, contract, dense, inner, interior, wedge
+from .forms import Form, common_denominator, contract, dense, inner, interior, wedge
 from .g2 import _projectors, canonical_omega3, spanning_27
-from .linalg import Tensor, certified_spectrum, eliminate, int_matmul, rank, slot_sum
+from .linalg import Tensor, certified_spectrum, eliminate, rank, slot_sum
 
 Q = Fraction
 
@@ -65,18 +67,18 @@ class G2Algebra:
                 num[abc] = block[abc] * weights
                 self.basis.append(Form.of_numerators(7, 2, num))
         self.norms = [inner(x, x) for x in self.basis]
-        self.units = _units_of(self.basis)
-        if slot_sum(self.units, Tensor.of_form(w3).num, 3).any():
+        self.units = Tensor.of_forms(self.basis)
+        if not slot_sum(self.units, Tensor.of_form(w3), 3).is_zero():
             raise StructureError("stabilizer basis does not annihilate the 3-form")
 
     @cached_property
     def adjoint(self):
-        """The 14 actions (rho, d, closed) of the basis on itself, built once: the g2 table."""
+        """The 14 actions (rho, closed) of the basis on itself, built once: the g2 table."""
         return [_module_action(alpha, self.units) for alpha in self.units]
 
     def closure_residuals(self):
         """For each pair a < b of basis elements, whether [xi_a, xi_b] lies in the algebra."""
-        return [flag for a, (_, _, closed) in enumerate(self.adjoint) for flag in closed[a + 1:]]
+        return [flag for a, (_, closed) in enumerate(self.adjoint) for flag in closed[a + 1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -87,9 +89,9 @@ _S2_ROWS = np.array([y - 1 for y, _ in S2_PAIRS])
 _S2_COLS = np.array([z - 1 for _, z in S2_PAIRS])
 
 
-def _units_of(forms):
-    """The dense tensors of integral forms of one degree, stacked as int64: [c, i1, .., ip]."""
-    return dense(np.stack([f.num for f in forms]).astype(np.int64), 7, forms[0].degree)
+def _flat(t):
+    """A stack of tensors [c, ...] as the matrix [c, flattened entries], with its bound."""
+    return Tensor(t.num.reshape(len(t), -1), t.den, t.bound)
 
 
 def _module_action(alpha, units):
@@ -97,47 +99,40 @@ def _module_action(alpha, units):
 
     alpha is the generator's dense 2-tensor, applied in every slot by
     `slot_sum`.  The coefficient of the image of U[c] on U[j] is its
-    projection <image_c, U_j> / |U_j|^2.  Returns (rho, d, closed): rho / d
-    is the action on the coefficients, with d their least common
-    denominator, and closed[c] says whether the image of U[c] lies in the
-    span.
+    projection <image_c, U_j> / |U_j|^2, one contraction.  Returns
+    (rho, closed): rho is the action on the coefficients, a Tensor over the
+    least common denominator of its entries, and closed[c] says whether the
+    image of U[c] lies in the span.
     """
-    image = slot_sum(alpha, units, units.ndim - 1)
-    flat, image = units.reshape(len(units), -1), image.reshape(len(units), -1)
-    num = int_matmul(flat, image.T)
-    # int64 holds |U_j|^2 <= size max|U|^2 below 2^63; past it, Python integers
-    if flat.shape[1] * _abs_max(flat) ** 2 >= 2 ** 63:
-        flat = flat.astype(object)
-    den = (flat * flat).sum(axis=1, keepdims=True)
-    g = np.gcd(num, den)
-    d = lcm(*(den // g).ravel().tolist())
-    # and |rho| = |num / g| d / (den / g) <= d max|num| and d image below 2^63
-    if d * max(_abs_max(num), _abs_max(image)) >= 2 ** 63:
-        g, image = g.astype(object), image.astype(object)
-    rho = (num // g) * (d // (den // g))
-    closed = (int_matmul(rho.T, flat) == d * image).all(axis=1)
-    return rho, d, closed.tolist()
+    flat = _flat(units)
+    image = _flat(slot_sum(alpha, units, units.num.ndim - 1))
+    norms = Tensor.einsum("jx,jx->j", flat, flat)
+    rho = Tensor.einsum("jx,cx,j->jc", flat, image, Tensor.of([1 / q for q in norms]))
+    residual = Tensor.einsum("jc,jx->cx", rho, flat) - image
+    return rho, (residual.num == 0).all(axis=1).tolist()
 
 
-def _tensor_action(a, rho, d):
-    """d (a (x) 1 + 1 (x) rho / d) in (small x big) coordinates, in int64 below 2^63."""
-    # its entries are at most d max|a| + max|rho|
-    if d * _abs_max(a) + _abs_max(rho) >= 2 ** 63:
-        a, rho = a.astype(object), rho.astype(object)
-    return np.kron(d * a, np.eye(len(rho), dtype=np.int64)) \
-        + np.kron(np.eye(len(a), dtype=np.int64), rho)
+def _tensor_action(a, rho):
+    """a (x) 1 + 1 (x) rho: the action on R^7 (x) V of a generator acting by a and by rho.
+
+    A Kronecker product with an identity keeps the entries, so each term
+    keeps its factor's denominator and bound, and the sum is the one of the
+    exact base.
+    """
+    return (Tensor(np.kron(a.num, np.eye(len(rho), dtype=np.int64)), a.den, a.bound)
+            + Tensor(np.kron(np.eye(len(a), dtype=np.int64), rho.num), rho.den, rho.bound))
 
 
-def _read_only(array):
-    array.flags.writeable = False
-    return array
+def _read_only(t):
+    t.num.flags.writeable = False
+    return t
 
 
 class Spaces:
-    """Every module in play as its unit tensors, with lazily assembled integer actions.
+    """Every module in play as its unit tensors, with lazily assembled actions.
 
     `units` maps lambda1..lambda3 (the unit blades), s2 (the symmetric units
-    of `S2_PAIRS`) and m (the e_k -| w3) to their stacked dense tensors;
+    of `S2_PAIRS`) and m (the e_k -| w3) to their stacked dense Tensors;
     these and g2, whose units are the algebra basis, are the base modules,
     and the space r7_V is R^7 (x) V.
     """
@@ -148,68 +143,59 @@ class Spaces:
         self.m_basis = [contract(self.w3, i) for i in range(1, 8)]
         s2, r = np.zeros((len(S2_PAIRS), 7, 7), dtype=np.int64), np.arange(len(S2_PAIRS))
         s2[r, _S2_ROWS, _S2_COLS] = s2[r, _S2_COLS, _S2_ROWS] = 1
-        self.units = {f"lambda{p}": dense(np.eye(comb(7, p), dtype=np.int64), 7, p)
+        self.units = {f"lambda{p}": Tensor(dense(np.eye(comb(7, p), dtype=np.int64), 7, p))
                       for p in range(1, 4)}
-        self.units.update(s2=s2, m=_units_of(self.m_basis))
+        self.units.update(s2=Tensor(s2), m=Tensor.of_forms(self.m_basis))
         self._tables, self._cache = {}, {}
 
     def _table(self, module: str):
-        """The 14 actions (rho, d) on a base module, built and checked for closure once."""
+        """The 14 actions on a base module, built and checked for closure once."""
         if module not in self._tables:
             actions = (self.algebra.adjoint if module == "g2" else
                        [_module_action(alpha, self.units[module]) for alpha in self.algebra.units])
-            if not all(all(closed) for _, _, closed in actions):
+            if not all(all(closed) for _, closed in actions):
                 raise StructureError("the action left the module")
-            self._tables[module] = [(_read_only(rho), d) for rho, d, _ in actions]
+            self._tables[module] = [_read_only(rho) for rho, _ in actions]
         return self._tables[module]
 
     def generators(self, space: str):
         """The actions of the 14 basis elements on a module, in basis order.
 
-        Yields (rho, d) with rho an integer matrix (int64 under the bounds of
-        `_module_action` and `_tensor_action`); the action is rho / d, with
-        d the least common denominator of its entries: the cached table of a
-        base module, or on r7_V the Kronecker sums of the R^7 and V tables.
+        Yields reduced Tensors, each over the least common denominator of its
+        entries and with the bound its operations carry: the cached table of
+        a base module (the bound of `_module_action`'s contraction), or on
+        r7_V the Kronecker sums of the R^7 and V tables (the bound of their
+        sum).
         """
         module = space.removeprefix("r7_")
         if module == space:
             yield from self._table(module)
             return
-        for (a, _), (rho, d) in zip(self._table("lambda1"), self._table(module)):
-            yield _tensor_action(a, rho, d), d
+        for a, rho in zip(self._table("lambda1"), self._table(module)):
+            yield _tensor_action(a, rho)
 
-    def casimir(self, space: str):
-        """Integer matrix C' = L * Casimir plus the exact scale L.
+    def casimir(self, space: str) -> Tensor:
+        """The Casimir sum_a rho_a^2 / |xi_a|^2 of a module, one reduced Tensor.
 
-        The Casimir is sum_a rho_a^2 / |xi_a|^2; with rho_a = N_a / d_a each
-        term is N_a^2 / w_a, w_a = d_a^2 |xi_a|^2, and L = lcm of the w_a.
-        C' is a read-only int64 array (object if its entries leave int64),
-        built once per module and shared by every caller.
+        Each term is one contraction of an action with itself, scaled by the
+        inverse norm, and the sum is the exact base's: the bound is the one
+        those operations carry.  It is built once per module and shared by
+        every caller, its numerators read-only.
         """
-        if space in self._cache:
-            return self._cache[space]
-        terms = ((int_matmul(rho, rho), d * d * int(norm))
-                 for (rho, d), norm in zip(self.generators(space), self.algebra.norms))
-        total, scale = next(terms)
-        for sq, weight in terms:
-            grown = lcm(scale, weight)
-            k, f = grown // scale, grown // weight
-            if (total.dtype == object or sq.dtype == object
-                    or k * _abs_max(total) + f * _abs_max(sq) >= 2 ** 62):
-                total, sq = total.astype(object), sq.astype(object)
-            total = total * k + sq * f
-            scale = grown
-        self._cache[space] = (_read_only(total), scale)
+        if space not in self._cache:
+            terms = (Tensor.einsum("ij,jk->ik", rho, rho) * (1 / norm)
+                     for rho, norm in zip(self.generators(space), self.algebra.norms))
+            self._cache[space] = _read_only(reduce(add, terms))
         return self._cache[space]
 
     @cached_property
     def phi(self):
-        """Phi as a read-only 196 x 98 int64 matrix; columns e^i (x) xi_a, rows (x, y<=z)."""
+        """Phi as a read-only 196 x 98 integer Tensor; columns e^i (x) xi_a, rows (x, y<=z)."""
         return _read_only(_map_matrix(self.algebra.basis))
 
     @cached_property
     def psi(self):
-        """Psi as a read-only 196 x 49 int64 matrix; columns e^i (x) (e_k -| w3)."""
+        """Psi as a read-only 196 x 49 integer Tensor; columns e^i (x) (e_k -| w3)."""
         return _read_only(_map_matrix(self.m_basis))
 
     @cached_property
@@ -219,8 +205,7 @@ class Spaces:
         Each is the measured scalar C(7) of the vector module times the
         irreducible's ratio in the weight table.
         """
-        c1, s1 = self.casimir("lambda1")
-        c1 = Tensor(c1, s1)
+        c1 = self.casimir("lambda1")
         seven = c1[0, 0]
         if c1 != Tensor.identity(7) * seven:
             raise StructureError("Casimir is not scalar on the vector module")
@@ -272,23 +257,23 @@ G2_IRREPS = g2_irreps(196)
 
 
 def casimir_spectrum(space: str):
-    """Certified (eigenvalue, dimension) pairs of the Casimir on a module, with its scale.
+    """Certified (eigenvalue, dimension) pairs of the Casimir on a module.
 
     The module is a sum of irreducibles, so the `linalg.certified_spectrum`
-    chain of C' over the calibrated values of the irreducibles of
+    chain of the Casimir over the calibrated values of the irreducibles of
     `G2_IRREPS` that fit in it vanishes and counts each eigenspace; a chain
     that does not vanish is refused.  The chain takes the values in
-    increasing ratio, which keeps the suites' chains in int64, and the pairs
-    are returned in increasing eigenvalue.
+    increasing ratio, which keeps the suites' chains in float64, and the
+    pairs are returned in increasing eigenvalue.
     """
     sp = spaces()
-    cmat, scale = sp.casimir(space)
-    values = [sp.calibration[label] for label, dim, _ in G2_IRREPS if dim <= len(cmat)]
-    pairs = certified_spectrum(cmat, values, scale)
+    cas = sp.casimir(space)
+    values = [sp.calibration[label] for label, dim, _ in G2_IRREPS if dim <= len(cas)]
+    pairs = certified_spectrum(cas, values)
     if pairs is None:
         raise StructureError(f"the Casimir on {space} is not diagonalizable "
                              "with the irreducibles' values")
-    return pairs, scale
+    return pairs
 
 
 def casimir_decompose(space: str) -> dict:
@@ -301,7 +286,7 @@ def casimir_decompose(space: str) -> dict:
     calibration = spaces().calibration
     irreps = {calibration[label]: (label, dim) for label, dim, _ in G2_IRREPS}
     out = {}
-    for value, dim in casimir_spectrum(space)[0]:
+    for value, dim in casimir_spectrum(space):
         label, irrep_dim = irreps[value]
         if dim % irrep_dim:
             raise StructureError(f"unmatched isotypic block in {space}: "
@@ -315,35 +300,34 @@ def casimir_decompose(space: str) -> dict:
 # ---------------------------------------------------------------------------
 
 def _map_matrix(forms):
-    """196 x 7k integer matrix of e^i (x) X_c -> p_z(x, y) + p_y(x, z), p_k = [k = i] X_c.
+    """196 x 7k integer Tensor of e^i (x) X_c -> p_z(x, y) + p_y(x, z), p_k = [k = i] X_c.
 
     The columns are e^i (x) X_c (e^i outer) for the k integral 2-forms X_c,
     and the rows the value coordinates (x, y <= z).
     """
     coeffs = np.zeros((7, len(forms), 7, comb(7, 2)), dtype=object)
     coeffs[np.arange(7), :, np.arange(7)] = np.stack([f.num for f in forms])
-    values = _symmetrized(Tensor(coeffs.reshape(7 * len(forms), 7, -1))).num
-    return values[:, :, _S2_ROWS, _S2_COLS].reshape(7 * len(forms), -1).T.astype(np.int64)
+    values = _symmetrized(Tensor(coeffs.reshape(7 * len(forms), 7, -1)))
+    return Tensor(values.num[:, :, _S2_ROWS, _S2_COLS].reshape(7 * len(forms), -1).T,
+                  values.den, values.bound)
 
 
 def isotypic_basis_r7_m(label: str):
-    """Integer basis of the isotypic part `label` (1, 7, 14 or 27) of R^7 (x) m, as rows.
+    """Integer basis of the isotypic part `label` (1, 7, 14 or 27) of R^7 (x) m, as Tensor rows.
 
     e_k -> e_k -| w3 is equivariant, so R^7 (x) m is R^7 (x) R^7 = 1 + 7 + 14 + 27
     (Fulton & Harris, Lecture 22) on the coefficients T[i, k] of
     e^i (x) (e_k -| w3): the parts are the identity, the 2-tensors of m and
     of the algebra, and the symmetric units but E_77 less their trace times
-    E_77.  One product checks that the part lies in the eigenspace of C'
-    with its calibrated value; a part that does not raises.
+    E_77.  One product checks that the part lies in the eigenspace of the
+    Casimir with its calibrated value; a part that does not raises.
     """
     sp = spaces()
     s2 = sp.units["s2"]     # E_77 is the last of S2_PAIRS
-    parts = {"1": np.eye(7, dtype=np.int64)[None], "7": sp.units["m"], "14": sp.algebra.units,
-             "27": s2[:-1] - np.trace(s2[:-1], axis1=1, axis2=2)[:, None, None] * s2[-1]}
-    basis = parts[label].reshape(-1, 49)
-    cmat, scale = sp.casimir("r7_m")
-    lam = sp.calibration[label] * scale
-    if np.any(int_matmul(cmat, basis.T) * lam.denominator != basis.T * lam.numerator):
+    parts = {"1": Tensor.identity(7)[None], "7": sp.units["m"], "14": sp.algebra.units,
+             "27": s2[:-1] - Tensor.einsum("cii,xy->cxy", s2[:-1], s2[-1])}
+    basis = _flat(parts[label])
+    if Tensor.einsum("ij,kj->ki", sp.casimir("r7_m"), basis) != basis * sp.calibration[label]:
         raise StructureError(f"the {label}-part of R^7 (x) m is not an eigenspace of the Casimir")
     return basis
 
@@ -363,21 +347,22 @@ def rank_certificates():
     sp = spaces()
     phi, psi = sp.phi, sp.psi
     labels = ("14", "1", "27")
-    b14, b1, b27 = bases = [isotypic_basis_r7_m(label) for label in labels]
-    certified = dict(casimir_spectrum("r7_m")[0])
+    bases = [isotypic_basis_r7_m(label) for label in labels]
+    certified = dict(casimir_spectrum("r7_m"))
     sized = {label: len(b) == certified.get(sp.calibration[label])
              for label, b in zip(labels, bases)}
-    images = int_matmul(psi, np.vstack(bases).T)
-    matrix = np.hstack([phi, images])
-    rows, pivots, _ = eliminate(matrix, phi.shape[1])
+    images = [Tensor.einsum("ij,kj->ik", psi, b) for b in bases]
+    matrix = np.hstack([phi.num] + [x.num for x in images])
+    columns = phi.num.shape[1]
+    rows, pivots, _ = eliminate(matrix, columns)
     quotient = rows[len(pivots):]
-    ends = np.cumsum([phi.shape[1]] + [len(b) for b in bases])
+    ends = np.cumsum([columns] + [len(b) for b in bases])
     cols14, cols1, cols27 = (slice(a, b) for a, b in zip(ends, ends[1:]))
     out = {}
-    out["phi-injective"] = len(pivots) == phi.shape[1]
+    out["phi-injective"] = len(pivots) == columns
     out["psi-14-dimension"] = sized["14"]
     out["images-meet-trivially"] = (out["phi-injective"]
-                                    and rank(Tensor(quotient[:, cols14])) == len(b14))
+                                    and rank(Tensor(quotient[:, cols14])) == len(bases[0]))
     out["scalar-block-dimension"] = sized["1"]
     out["traceless-block-dimension"] = sized["27"]
     out["scalar-image-contained"] = not quotient[:, cols1].any()
@@ -389,28 +374,20 @@ def rank_certificates():
 def equivariance_residual_zero():
     """Exact intertwining check of Phi, Psi and the r7_s2 Casimir on all 14 generators.
 
-    With rho = N / d on each module, Phi rho_g2 = rho_s2 Phi becomes the
-    integer identity Phi (d_s2 N_g2) = (d_g2 N_s2) Phi; likewise for Psi and
-    the Casimir.  Each scale enters an operand, so the bound of `int_matmul`
-    covers it.
+    Phi rho_g2 = rho_s2 Phi, Psi rho_m = rho_s2 Psi and C rho_s2 = rho_s2 C,
+    each side one contraction of exact Tensors, compared reduced.
     """
     sp = spaces()
-    phi, psi = sp.phi, sp.psi
-    cas = sp.casimir("r7_s2")[0]
-    for (g2_rho, g2_d), (m_rho, m_d), (s2_rho, s2_d) in zip(
-            sp.generators("r7_g2"), sp.generators("r7_m"), sp.generators("r7_s2")):
-        if np.any(int_matmul(phi, _scaled(g2_rho, s2_d)) - int_matmul(_scaled(s2_rho, g2_d), phi)):
-            return False
-        if np.any(int_matmul(psi, _scaled(m_rho, s2_d)) - int_matmul(_scaled(s2_rho, m_d), psi)):
-            return False
-        if np.any(int_matmul(cas, s2_rho) - int_matmul(s2_rho, cas)):
+    phi, psi, cas = sp.phi, sp.psi, sp.casimir("r7_s2")
+    for g2, m, s2 in zip(sp.generators("r7_g2"), sp.generators("r7_m"), sp.generators("r7_s2")):
+        if (_product(phi, g2) != _product(s2, phi) or _product(psi, m) != _product(s2, psi)
+                or _product(cas, s2) != _product(s2, cas)):
             return False
     return True
 
 
-def _scaled(rho, d):
-    """The integer matrix d rho, on Python integers where int64 could wrap."""
-    return (rho if _abs_max(rho) * d < 2 ** 63 else rho.astype(object)) * d
+def _product(a, b):
+    return Tensor.einsum("ij,jk->ik", a, b)
 
 
 def _coefficients(table) -> Tensor:

@@ -218,7 +218,9 @@ class _Exact:
         elif den != 1:
             g = _gcd(den, num)
             if g != 1:
-                num, den, bound = _exact_array(num // g, bound // g), den // g, bound // g
+                # g beyond the bound divides only zeros (and may be past int64)
+                num, den, bound = (_exact_array(num // g if g <= bound else num, bound // g),
+                                   den // g, bound // g)
         self.num, self.den, self.bound = num, den, bound
 
     def _like(self, num, den, bound):

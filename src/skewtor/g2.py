@@ -259,7 +259,7 @@ def derivation_constant_identities():
                                                                     for g in span]
 
     out["two-form-action-constant-minus-3"] = (
-        Tensor(slot_sum(big_w.num, big_w.num, 3)) == big_s * -3)
+        slot_sum(big_w, big_w, 3) == big_s * -3)
     out["gram-3-delta"] = ein("iab,jab->ij", big_w, big_w) * Q(1, 2) == unit * 3
     out["gram-4-delta"] = ein("iabc,jabc->ij", big_s, big_s) * Q(1, 6) == unit * 4
     return out

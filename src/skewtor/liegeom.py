@@ -112,9 +112,7 @@ class ConnectionData:
         a vector field reads as its metric dual 1-form.  Each entry sums p n
         products of entries, for p slots and dimension n.
         """
-        p, om = tensor.num.ndim, self.omega
-        return Tensor(slot_sum(om.num, tensor.num, p), om.den * tensor.den,
-                      p * len(om.num) * om.bound * tensor.bound)
+        return slot_sum(self.omega, tensor, tensor.num.ndim)
 
 
 def levi_civita(model: LieModel) -> ConnectionData:

@@ -7,36 +7,41 @@ operand shapes (the pairwise plans of opt_einsum, paired left to right): the
 diagonals and lone sums of each operand are index gathers and sums, and each
 pairwise contraction is one stacked integer matrix product.  `Tensor` and
 `GaussTensor` are kinds of the exact base of `forms` (reduction, +, -,
-rational scaling, ==), which `Form` shares, with indexing added: int64
-numerators while the bound each array carries is below 2^62, Python ints
-past it, the bound propagated by every operation, contractions and products
-included, and read by `int_matmul`; lists of them are brought over one
-denominator by `forms.common_denominator`.  Spinor
-endomorphisms, spinors and characteristic polynomials are exact dense
-`GaussTensor`s, the same layout with an imaginary part and the one Gaussian
-type, multiplied by integer matrix products.  Every dense integer matrix
-product in the program is `int_matmul`: float64 BLAS when the a-priori bound
-n max|a| max|b| < 2^53 makes every partial sum an integer that a double
-holds exactly (the word-size technique of FFLAS-FFPACK), Python integers
-otherwise, so a float only ever carries such an integer; every contraction
-step is one, and every derivation action of an so(n) element on a tensor is
-`slot_sum`, one per slot.  Every exact rank and kernel runs one fraction-free
+rational scaling, ==), which `Form` shares, with indexing added: `forms`
+alone decides whether numerators are int64 or Python ints, from the bound
+each array carries, and every operation propagates the bound, contractions
+and products included; lists of them are brought over one denominator by
+`forms.common_denominator`.  Spinor endomorphisms, spinors and
+characteristic polynomials are exact dense `GaussTensor`s, the same layout
+with an imaginary part and the one Gaussian type, multiplied by integer
+matrix products.  Every dense integer matrix product in the program is
+`int_matmul(a, b, a_bound, b_bound)`, which reads no bound from its
+operands: float64 BLAS when the a-priori bound n a_bound b_bound < 2^53
+makes every partial sum an integer that a double holds exactly (the
+word-size technique of FFLAS-FFPACK), Python integers otherwise, so a float
+only ever carries such an integer.  Every contraction step is one, under the
+bounds its operands carry, and so is every slot of `slot_sum`, the
+derivation action of so(n) elements on a tensor, a Tensor from Tensors.
+The two products on bare integer arrays state their bounds too: `charpoly`'s
+residues lie below their primes, and the product chain of
+`certified_eigenspace_dims` reads its entries once per step, as a carried
+bound would grow as n^k.  Every exact rank and kernel runs one fraction-free
 Gauss-Jordan elimination over Z on the integer numerators, in which a pivot
 changes only the rows it hits and keeps each of them primitive, so no entry
 exceeds the minor of the input that Bareiss's elimination would hold there;
 a Gaussian system enters it with each entry a + bi as the real block
 [[a, -b], [b, a]], and every rank claim on the representation-theoretic
 matrices (up to 196 x 196) is read from it.  A stated spectrum is proven,
-not searched for: one exact product chain prod_k (A - r_k I) by `int_matmul`
-over the candidate values
-(`certified_spectrum`, a Gaussian A by its real form) vanishes exactly when A
-is diagonalizable with eigenvalues among them, and the traces of its partial
-products count them.  Only the `spin-eig` command finds an unknown spectrum:
-`charpoly` computes det(yI - dA) over Z[i] (d the denominator of A) by one
-batched Faddeev-LeVerrier run modulo the primes p = 1 (mod 4) of one pool
-(the primes below 2^21, which no other code reads), rebuilt by the Chinese
-remainder theorem under a proven bound, and `rational_roots` finds its
-rational roots by a divisor search and Horner's rule.
+not searched for: one exact product chain prod_k (N - r_k I) by `int_matmul`
+over the candidate values times d, for a Tensor or GaussTensor A = N / d
+(`certified_spectrum`, a Gaussian N by its real form), vanishes exactly when
+A is diagonalizable with eigenvalues among them, and the traces of its
+partial products count them.  Only the `spin-eig` command finds an unknown
+spectrum: `charpoly` computes det(yI - dA) over Z[i] (d the denominator of
+A) by one batched Faddeev-LeVerrier run modulo the primes p = 1 (mod 4) of
+one pool (the primes below 2^21, which no other code reads), rebuilt by the
+Chinese remainder theorem under a proven bound, and `rational_roots` finds
+its rational roots by a divisor search and Horner's rule.
 """
 
 from __future__ import annotations
@@ -591,41 +596,42 @@ def _sqrt_minus_one(p):
     return pow(c, (p - 1) // 4, p)
 
 
-def int_matmul(a, b, a_bound=None, b_bound=None):
+def int_matmul(a, b, a_bound, b_bound):
     """Exact product of integer arrays (matrices, stacks of them, or a matrix and a vector).
 
-    With n the inner dimension, every partial sum of the product is bounded
-    by n max|a| max|b|.  Below 2^53 each one is an integer that a double
-    holds exactly, whatever order BLAS sums in, so the product runs in
-    float64 and comes back as int64.  Otherwise the product runs on Python
-    integers and comes back as an object array.  `a_bound` and `b_bound`
-    are bounds on max|a| and max|b| that the caller carries (an exact
-    array's `bound`); each is read from the entries when None.
+    `a_bound` and `b_bound` bound max|a| and max|b|: the bounds the exact
+    arrays carry, or one the caller proves.  With n the inner dimension,
+    every partial sum of the product is within n a_bound b_bound.  Below
+    2^53 each one is an integer that a double holds exactly, whatever order
+    BLAS sums in, so the product runs in float64 and comes back as int64.
+    Otherwise the product runs on Python integers and comes back as an
+    object array.
     """
-    a, b = np.asarray(a), np.asarray(b)
-    bound = max(1, _abs_max(a) if a_bound is None else a_bound) \
-        * max(1, _abs_max(b) if b_bound is None else b_bound)
-    if a.shape[-1] * bound < 2 ** 53:
+    if a.shape[-1] * max(1, a_bound) * max(1, b_bound) < 2 ** 53:
         return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
     return a.astype(object) @ b.astype(object)
 
 
-
-def slot_sum(w, t, degree):
-    """The action of skew 2-tensors w (so(n) elements) on the last `degree` slots of integer t.
+def slot_sum(w: Tensor, t: Tensor, degree: int) -> Tensor:
+    """The action of skew 2-tensors w (so(n) elements) on the last `degree` slots of t.
 
     out[W.., T.., a_1, .., a_p] = -sum_s sum_k w[W.., a_s, k] t[T.., .., k (slot s), ..]: the
     derivation e^m -> sum_k w(m, k) e^k, with the leading axes W of w and T of t as
-    batches.  Each slot is one `int_matmul`; degree 0 gives zeros.
+    batches, over the denominator w.den t.den.  Each slot is one `int_matmul`
+    under the bounds the two tensors carry, and each entry sums `degree` n of
+    their products, so the result carries the bound degree n w.bound t.bound;
+    degree 0 gives zeros.
     """
-    w, t = np.asarray(w), np.asarray(t)
-    batch = w.shape[:-2]
-    out = np.zeros(batch + t.shape, dtype=np.int64)
-    for s in range(t.ndim - degree, t.ndim):
-        moved = np.moveaxis(t, s, -1)
-        image = int_matmul(moved.reshape(-1, w.shape[-1]), np.swapaxes(w, -1, -2))
+    wn, tn = w.num, t.num
+    batch, n = wn.shape[:-2], wn.shape[-1]
+    bound = degree * n * w.bound * t.bound
+    # an int64 image is below 2^53, so `degree` of them sum within int64
+    out = np.zeros(batch + tn.shape, dtype=np.int64)
+    for s in range(tn.ndim - degree, tn.ndim):
+        moved = np.moveaxis(tn, s, -1)
+        image = int_matmul(moved.reshape(-1, n), np.swapaxes(wn, -1, -2), t.bound, w.bound)
         out = out - np.moveaxis(image.reshape(batch + moved.shape), -1, len(batch) + s)
-    return out
+    return Tensor(out, w.den * t.den, bound)
 
 
 def certified_eigenspace_dims(int_matrix, roots):
@@ -634,9 +640,10 @@ def certified_eigenspace_dims(int_matrix, roots):
     It proves every stated spectrum (through `certified_spectrum`); `charpoly`
     and `rational_roots` only find the unknown spectra of `spin-eig`.  The
     product chain P_0 = I, P_(j+1) = P_j (A - r_j I) by `int_matmul` (float64
-    under its bound, Python integers past 2^53) decides the claim: P_k != 0
-    gives None, and P_k = 0 proves A diagonalizable with every eigenvalue
-    among the r_k.  P_j then acts on the eigenspace of r_l as
+    under its bound, Python integers past 2^53; A - r_j I is built on Python
+    integers where `forms._widened` says max|A| + max|r| needs them) decides
+    the claim: P_k != 0 gives None, and P_k = 0 proves A diagonalizable with
+    every eigenvalue among the r_k.  P_j then acts on the eigenspace of r_l as
     prod_(i<j) (r_l - r_i), zero for l < j, so the dimensions m_l solve
     tr(P_j) = sum_(l>=j) m_l prod_(i<j) (r_l - r_i), j < k: an upper
     triangular system (the Newton basis on the r_k) with nonzero diagonal,
@@ -646,13 +653,15 @@ def certified_eigenspace_dims(int_matrix, roots):
     a, roots = np.asarray(int_matrix), [int(r) for r in roots]
     if len(set(roots)) != len(roots):
         raise ValueError("the roots of the product chain must be distinct")
-    if _abs_max(a) + max(map(abs, roots), default=0) >= 2 ** 63:
-        a = a.astype(object)    # A - r I leaves int64
+    # the entries of A - r I are within max|A| + max|r|
+    shift = _abs_max(a) + max(map(abs, roots), default=0)
+    a = _widened(a, shift)
     eye = np.eye(len(a), dtype=a.dtype)
     chain, traces = eye, []
     for r in roots:
         traces.append(sum(np.diagonal(chain).tolist()))
-        chain = int_matmul(chain, a - r * eye)
+        # a carried bound of the chain would grow as n^k: its entries are read
+        chain = int_matmul(chain, a - r * eye, _abs_max(chain), shift)
     if np.any(chain):
         return None
     dims = []
@@ -662,21 +671,21 @@ def certified_eigenspace_dims(int_matrix, roots):
     return dims
 
 
-def certified_spectrum(matrix, values, scale=1):
-    """Sorted (eigenvalue, multiplicity) pairs of matrix / scale on the given `values`, or None.
+def certified_spectrum(matrix, values):
+    """Sorted (eigenvalue, multiplicity) pairs of an exact matrix on the given `values`, or None.
 
-    `matrix` is an integer matrix, or a GaussTensor N / d, which enters as the
-    integer real form [[Re N, -Im N], [Im N, Re N]] of `_system` over d scale:
-    similar to N (+) conj(N), it holds each real eigenvalue of N twice, so its
-    counts are halved.  An integer matrix has no rational eigenvalue but
-    integers, so one `certified_eigenspace_dims` chain runs over the values v
-    with v scale integral, in the order given; None when it does not vanish.
+    `matrix` is a Tensor N / d (nested lists are read as one), or a
+    GaussTensor N / d, which enters as the integer real form
+    [[Re N, -Im N], [Im N, Re N]] of `_system`: similar to N (+) conj(N), it
+    holds each real eigenvalue of N twice, so its counts are halved.  The
+    integer matrix N has no rational eigenvalue but integers, so one
+    `certified_eigenspace_dims` chain runs on it over the values v with v d
+    integral, in the order given; None when it does not vanish.
     """
-    halve = 1
-    if isinstance(matrix, GaussTensor):
-        matrix, scale, halve = _system(matrix)[1], matrix.den * scale, 2
-    roots = [int(v) for v in (Q(v) * scale for v in values) if v.denominator == 1]
-    dims = certified_eigenspace_dims(matrix, roots)
+    t, a = _system(matrix)
+    roots = [int(v) for v in (Q(v) * t.den for v in values) if v.denominator == 1]
+    dims = certified_eigenspace_dims(a, roots)
     if dims is None:
         return None
-    return sorted((Q(r, scale), m // halve) for r, m in zip(roots, dims) if m)
+    halve = 2 if isinstance(t, GaussTensor) else 1
+    return sorted((Q(r, t.den), m // halve) for r, m in zip(roots, dims) if m)

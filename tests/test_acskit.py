@@ -160,9 +160,10 @@ def test_torsion_uniqueness_certificate_refuses_a_rank_deficient_response(monkey
     response = acskit._uniqueness_response
 
     def planted(s):
-        m = response(s).copy()
-        m[:, -1] = m[:, 0]
-        return m
+        m = response(s)
+        num = m.num.copy()
+        num[:, -1] = num[:, 0]
+        return Tensor(num, m.den)
 
     monkeypatch.setattr(acskit, "_uniqueness_response", planted)
     assert not acskit.torsion_uniqueness_certificate(contact("heis5"))
@@ -210,9 +211,12 @@ def _rotated_contact(name, a=2, b=1):
 @pytest.mark.parametrize("make, name, scale", [
     (contact, "heis5", 2), (_rotated_contact, "abelian5", 10), (hermitian, "solv6", 2)])
 def test_uniqueness_response_matches_fraction_loops(make, name, scale):
-    # the integer matrix is the loop matrix times 2 L, L clearing phi and eta
+    # the response is the loop matrix times 2, over L = scale / 2, which clears
+    # phi and eta: its numerators are the loop matrix times 2 L
     s = make(name)
-    ints = _uniqueness_response(s).tolist()
+    response = _uniqueness_response(s)
+    assert 2 * response.den == scale
+    ints = response.num.tolist()
     assert [[Q(x, scale) for x in row] for row in ints] == _response_by_loops(s)
 
 
@@ -220,7 +224,9 @@ def test_uniqueness_response_with_a_denominator_past_int64():
     # phi's denominator 2^65 + 2^33 + 1 is past 2^63, and so are its numerators
     s = _rotated_contact("heis5", 2 ** 32 + 1, 2 ** 32)
     assert s.phi.den >= 2 ** 63 and s.phi.num.dtype == object
-    ints = _uniqueness_response(s).tolist()
+    response = _uniqueness_response(s)
+    assert response.den == s.phi.den
+    ints = response.num.tolist()
     assert [[Q(x, 2 * s.phi.den) for x in row] for row in ints] == _response_by_loops(s)
     assert acskit.torsion_uniqueness_certificate(s) == acskit.torsion_uniqueness_certificate(
         contact("heis5"))

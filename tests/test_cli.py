@@ -403,10 +403,9 @@ def test_run_suite_all_builds_each_module_once(monkeypatch):
     assert counts == {"_module_action": 70, "_map_matrix": 2}
     sp = equivar.spaces()
     assert sorted(sp._tables) == ["g2", "lambda1", "lambda2", "m", "s2"]
-    cached = [rho for table in sp._tables.values() for rho, _ in table]
-    cached += [sp.phi, sp.psi]
-    cached += [cmat for cmat, _ in sp._cache.values()]
-    assert all(not a.flags.writeable for a in cached)
+    cached = [rho for table in sp._tables.values() for rho in table]
+    cached += [sp.phi, sp.psi, *sp._cache.values()]
+    assert all(not a.num.flags.writeable for a in cached)
     # reading Phi and Psi again built nothing
     assert counts == {"_module_action": 70, "_map_matrix": 2}
 

@@ -4,7 +4,7 @@ from functools import reduce
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, example, given, seed, settings, strategies as st
 
 from skewtor import clifford
 from skewtor.clifford import (act_form, common_kernel,
@@ -104,6 +104,8 @@ def vector_and_form(draw):
 @settings(max_examples=80, deadline=None)
 @given(data=vector_and_form())
 @example(data=(3, Form(7, 3, {(1, 2, 4): Q(2 ** 64 + 1, 3), (3, 5, 6): Q(-(2 ** 63) - 5)})))
+# e_3 -| a is 0 over the denominator 9223372036893892718, past 2^63
+@example(data=(3, Form(3, 1, {(1,): Q(1, 22724474), (2,): Q(1, 405878351107)})))
 def test_vector_action_is_wedge_minus_contraction(data):
     # e . a = e ^ a - e -| a for a unit vector e (e . e = -1)
     i, a = data
@@ -262,6 +264,9 @@ def mixed_forms(draw):
         for p in degrees]
 
 
+# The seed is the one Hypothesis derived from this test's source under
+# derandomize=True when it was pinned: restating the test keeps its examples.
+@seed(21273674255207588328351241184877874773091135051373202008041478824539928768540683912256443487548733814141438981973875)
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(parts=mixed_forms())
 def test_monomial_action_and_integer_charpoly_match_references(parts):
@@ -309,6 +314,7 @@ def hermitian_forms(draw):
     return [Form(n, p, {b: c for b, c in terms.items() if len(b) == p}) for p in degrees]
 
 
+@seed(9617670182178257612744311252069232332125108722593917123898080118999098349261270238449260425263398957176353820560498)
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(parts=st.one_of(hermitian_forms(), mixed_forms()))
 @example(parts=[Form.blade(4, 1), Form.blade(4, 2, 3, 4)])     # nilpotent

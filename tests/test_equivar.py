@@ -17,6 +17,7 @@ from skewtor.linalg import GaussTensor, Tensor, charpoly, nullspace, rank
 
 import equivar_reference
 from cq_reference import poly_mul
+from exact_reference import holds
 from forms_reference import so_action
 
 
@@ -32,7 +33,7 @@ def lambda4(sp, monkeypatch):
     No suite reads Lambda^4, so `Spaces` does not hold it; its table and
     Casimir are dropped again after the test.
     """
-    monkeypatch.setitem(sp.units, "lambda4", dense(np.eye(35, dtype=np.int64), 7, 4))
+    monkeypatch.setitem(sp.units, "lambda4", Tensor(dense(np.eye(35, dtype=np.int64), 7, 4)))
     yield
     for built in (sp._tables, sp._cache):
         built.pop("lambda4", None)
@@ -132,10 +133,9 @@ def test_casimir_acts_by_the_table_values_on_probes(sp):
     probes = [("lambda3", canonical_omega3(), 0), ("lambda2", sp.algebra.basis[0], 2),
               ("lambda3", project3(Form.blade(7, 1, 2, 3))[2], Q(7, 3))]
     for space, probe, ratio in probes:
-        cmat, scale = sp.casimir(space)
         v = Tensor(probe.num, probe.den)
         assert not v.is_zero()
-        assert Tensor.einsum("ij,j->i", Tensor(cmat, scale), v) == v * (seven * ratio)
+        assert Tensor.einsum("ij,j->i", sp.casimir(space), v) == v * (seven * ratio)
 
 
 def test_casimir_spectra_and_decompositions(lambda4):
@@ -154,8 +154,8 @@ def test_casimir_spectra_and_decompositions(lambda4):
 
 
 def test_casimir_64_eigenvalue_cross_check():
-    pairs_g2, scale_g2 = casimir_spectrum("r7_g2")
-    pairs_s2, scale_s2 = casimir_spectrum("r7_s2")
+    pairs_g2 = casimir_spectrum("r7_g2")
+    pairs_s2 = casimir_spectrum("r7_s2")
     val64_g2 = next(v for v, d in pairs_g2 if d == 64)
     val64_s2 = next(v for v, d in pairs_s2 if d == 64)
     assert val64_g2 == val64_s2
@@ -207,31 +207,31 @@ def test_every_rank_certificate_enters_a_check(monkeypatch):
 def test_complement_orthogonal_reads_the_gram_block(sp, monkeypatch):
     # m and the algebra are orthogonal: a unit of m with a g2 part fails the check
     sp.casimir("r7_m")      # the cached tables are built from the true units
-    units = sp.units["m"].copy()
-    units[0] += sp.algebra.units[0]
-    monkeypatch.setitem(sp.units, "m", units)
+    units = sp.units["m"].num.copy()
+    units[0] += sp.algebra.units.num[0]
+    monkeypatch.setitem(sp.units, "m", Tensor(units))
     assert _equivariant_statuses()["equivariant.complement-orthogonal"] == "FAIL"
 
 
 def test_isotypic_bases_exact(sp):
-    # each formula part spans the whole eigenspace of C' at its calibrated value
-    cmat, scale = sp.casimir("r7_m")
+    # each formula part spans the whole eigenspace of the Casimir at its calibrated value
+    cas = sp.casimir("r7_m")
     assert sp.calibration["14"] == 2 * sp.calibration["7"]
     for label, dim in (("1", 1), ("7", 7), ("14", 14), ("27", 27)):
         basis = isotypic_basis_r7_m(label)
-        assert basis.shape == (dim, 49) and basis.dtype == np.int64
-        kernel = nullspace(Tensor(cmat) - Tensor.identity(49) * (sp.calibration[label] * scale))
-        assert len(kernel) == rank(Tensor(basis)) == rank(np.vstack([basis, kernel.num])) == dim
+        assert basis.num.shape == (dim, 49) and basis.num.dtype == np.int64 and basis.den == 1
+        kernel = nullspace(cas - Tensor.identity(49) * sp.calibration[label])
+        assert len(kernel) == rank(basis) == rank(np.vstack([basis.num, kernel.num])) == dim
 
 
 def test_isotypic_basis_refuses_a_part_off_its_eigenspace(sp, monkeypatch):
-    # C' + L v v^T for the symmetric unit v = E_12 + E_21 acts as C' on the
+    # C + v v^T for the symmetric unit v = E_12 + E_21 acts as C on the
     # 1-, 7- and 14-parts (v is traceless and symmetric, so orthogonal to
     # them) but moves v alone in the 27-part
-    cmat, scale = sp.casimir("r7_m")
+    cas = sp.casimir("r7_m")
     v = np.zeros((7, 7), dtype=np.int64)
     v[0, 1] = v[1, 0] = 1
-    _planted(monkeypatch, cmat + scale * np.outer(v, v), "r7_m", scale)
+    _planted(monkeypatch, cas.num + cas.den * np.outer(v, v), "r7_m", cas.den)
     for label in ("1", "7", "14"):
         assert len(isotypic_basis_r7_m(label)) == int(label)
     with pytest.raises(StructureError, match="the 27-part .* is not an eigenspace"):
@@ -251,8 +251,8 @@ SPACES = ("lambda1", "lambda2", "lambda3", "lambda4", "r7_m", "r7_g2", "r7_s2")
 
 def _common_scale(gens):
     """The actions as integer matrices M_a over one denominator D: rho_a = M_a / D."""
-    den = lcm(*(d for _, d in gens))
-    return [rho * (den // d) for rho, d in gens], den
+    den = lcm(*(rho.den for rho in gens))
+    return [rho.num * (den // rho.den) for rho in gens], den
 
 
 @pytest.fixture(scope="module")
@@ -281,15 +281,15 @@ def test_integer_actions_are_homomorphisms(sp, brackets, space):
 
 @pytest.mark.parametrize("space", SPACES)
 def test_casimir_commutes_with_every_generator(sp, lambda4, space):
-    cmat = np.array(sp.casimir(space)[0], dtype=np.int64)
-    for rho, _ in sp.generators(space):
-        assert np.array_equal(cmat @ rho, rho @ cmat), space
+    cmat = np.array(sp.casimir(space).num, dtype=np.int64)
+    for rho in sp.generators(space):
+        assert np.array_equal(cmat @ rho.num, rho.num @ cmat), space
 
 
 @pytest.mark.parametrize("degree", [2, 3])
 def test_form_casimirs_match_so_action_assembly(sp, degree):
     # Casimir = sum_a rho_a^2 / |xi_a|^2 with rho_a read off so_action on
-    # the basis blades, compared as fractions with the integer kernel's C' / L
+    # the basis blades, compared as fractions with the engine's Casimir
     blades = list(combinations(range(1, 8), degree))
     total = [[Q(0)] * len(blades) for _ in blades]
     for xi, norm in zip(sp.algebra.basis, sp.algebra.norms):
@@ -300,8 +300,8 @@ def test_form_casimirs_match_so_action_assembly(sp, degree):
         for i in range(len(blades)):
             for j in range(len(blades)):
                 total[i][j] += Q(sq[i][j]) / norm
-    cmat, scale = sp.casimir(f"lambda{degree}")
-    assert [[Q(x, scale) for x in row] for row in cmat] == total
+    cas = sp.casimir(f"lambda{degree}")
+    assert [[Q(x, cas.den) for x in row] for row in cas.num.tolist()] == total
 
 
 @pytest.mark.parametrize("target", SPACES + ("closure", "phi", "psi"))
@@ -314,13 +314,14 @@ def test_engine_matches_loop_reference(sp, lambda4, target):
     elif target in ("phi", "psi"):
         got = sp.phi if target == "phi" else sp.psi
         want = equivar_reference.map_matrix(basis if target == "phi" else sp.m_basis)
-        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert got.den == 1 and got.num.dtype == np.int64 and np.array_equal(got.num, want)
     else:
         got = list(sp.generators(target))
         want = equivar_reference.generators(target, basis, sp.m_basis)
         assert len(got) == len(want) == 14
-        for (rho, d), (ref_rho, ref_d) in zip(got, want):
-            assert d == ref_d and rho.dtype == np.int64 and np.array_equal(rho, ref_rho)
+        for rho, (ref_rho, ref_d) in zip(got, want):
+            assert rho.den == ref_d and rho.num.dtype == np.int64
+            assert np.array_equal(rho.num, ref_rho)
 
 
 def test_action_outside_the_module_is_refused():
@@ -329,7 +330,7 @@ def test_action_outside_the_module_is_refused():
     # table of m is not built yet)
     fresh = equivar.Spaces()
     part = fresh.units["lambda2"][:7]
-    assert not all(equivar._module_action(fresh.algebra.units[0], part)[2])
+    assert not all(equivar._module_action(fresh.algebra.units[0], part)[1])
     fresh.units["m"] = part
     with pytest.raises(StructureError, match="left the module"):
         list(fresh.generators("r7_m"))
@@ -344,10 +345,11 @@ def test_scaled_units_give_the_same_actions(sp, scale):
     # action as not closed, and to 0 at 2^32, which divided by zero)
     units = sp.units["lambda1"]
     for alpha in sp.algebra.units:
-        rho, d, closed = equivar._module_action(alpha, units)
-        big_rho, big_d, big_closed = equivar._module_action(alpha, units * scale)
+        rho, closed = equivar._module_action(alpha, units)
+        big_rho, big_closed = equivar._module_action(alpha, units * scale)
         assert all(closed) and big_closed == closed
-        assert big_d == d and big_rho.tolist() == rho.tolist()
+        assert big_rho.den == rho.den and big_rho.num.tolist() == rho.num.tolist()
+        assert holds(big_rho)
 
 
 def test_unit_scales_past_int64_give_the_conjugated_actions(sp):
@@ -356,40 +358,42 @@ def test_unit_scales_past_int64_give_the_conjugated_actions(sp):
     # projections stay in int64, but the common denominator d (80 or 120
     # bits) leaves it (np.lcm wrapped it there)
     primes = np.array([1048573, 1048571, 1048559, 1048549, 1048517, 1048507, 1048447])
-    units = sp.units["lambda1"] * primes[:, None]
+    units = Tensor(sp.units["lambda1"].num * primes[:, None])
     for alpha in sp.algebra.units:
-        rho0, d0, _ = equivar._module_action(alpha, sp.units["lambda1"])
-        rho, d, closed = equivar._module_action(alpha, units)
-        assert all(closed) and d >= 2 ** 63
-        assert [[Q(int(x), d) for x in row] for row in rho] == \
-            [[Q(int(rho0[j, c]) * int(primes[c]), d0 * int(primes[j])) for c in range(7)]
-             for j in range(7)]
+        rho0, _ = equivar._module_action(alpha, sp.units["lambda1"])
+        rho, closed = equivar._module_action(alpha, units)
+        assert all(closed) and rho.den >= 2 ** 63 and holds(rho)
+        assert [[Q(int(x), rho.den) for x in row] for row in rho.num.tolist()] == \
+            [[Q(int(rho0.num[j, c]) * int(primes[c]), rho0.den * int(primes[j]))
+              for c in range(7)] for j in range(7)]
 
 
 def test_tensor_action_past_int64():
-    # d (a (x) 1) + 1 (x) rho with d max|a| + max|rho| past 2^63 runs on Python integers
+    # a (x) 1 + 1 (x) rho / d has the numerators d (a (x) 1) + 1 (x) rho over d;
+    # with d max|a| + max|rho| past 2^62 its bound says so, and the sum runs
+    # on Python integers
     a = np.array([[0, 2], [-2, 0]], dtype=np.int64)
     rho = np.array([[1, -3], [3, 1]], dtype=np.int64)
     for d in (2 ** 61, 2 ** 62):
-        got = equivar._tensor_action(a, rho, d)
+        got = equivar._tensor_action(Tensor(a), Tensor(rho, d))
         want = [[d * int(a[i // 2, j // 2]) * (i % 2 == j % 2)
                  + int(rho[i % 2, j % 2]) * (i // 2 == j // 2) for j in range(4)]
                 for i in range(4)]
-        assert got.tolist() == want
+        assert got.den == d and got.num.tolist() == want and holds(got)
 
 
 @pytest.mark.parametrize("space", ["lambda1", "lambda2", "lambda3", "s2", "r7_m"])
 def test_casimir_spectrum_multiplies_back_to_the_charpoly(sp, space):
     # two routes to one spectrum: the product chain over the weight table and
-    # the multi-modular characteristic polynomial of C'
-    cmat, scale = sp.casimir(space)
-    pairs, got = casimir_spectrum(space)
+    # the multi-modular characteristic polynomial of the Casimir's numerators
+    cas = sp.casimir(space)
+    pairs = casimir_spectrum(space)
     want = [1]
     for value, dim in pairs:
         for _ in range(dim):
-            want = poly_mul(want, [1, -int(value * scale)])
-    coeffs = charpoly(GaussTensor.of_parts(cmat, np.zeros_like(cmat)))
-    assert got == scale and coeffs == GaussTensor.of_parts(want, [0] * len(want))
+            want = poly_mul(want, [1, -int(value * cas.den)])
+    coeffs = charpoly(GaussTensor.of_parts(cas.num, np.zeros_like(cas.num)))
+    assert coeffs == GaussTensor.of_parts(want, [0] * len(want))
 
 
 def _planted(monkeypatch, matrix, space="lambda4", scale=1):
@@ -399,7 +403,7 @@ def _planted(monkeypatch, matrix, space="lambda4", scale=1):
     leaves C(7) as computed.
     """
     fresh = equivar.Spaces()
-    fresh._cache[space] = (np.array(matrix, dtype=np.int64), scale)
+    fresh._cache[space] = Tensor(np.array(matrix, dtype=np.int64), scale)
     monkeypatch.setattr(equivar, "spaces", lambda: fresh)
     return fresh
 
@@ -461,25 +465,38 @@ def test_casimir_decompose_refuses_an_unmatched_block(monkeypatch):
     seven = spaces().calibration["7"]
     num, den = seven.numerator, seven.denominator
     _planted(monkeypatch, np.eye(14, dtype=np.int64) * num, scale=den)
-    assert casimir_spectrum("lambda4")[0] == [(seven, 14)]
+    assert casimir_spectrum("lambda4") == [(seven, 14)]
     assert casimir_decompose("lambda4") == {"7": (14, 2)}
     _planted(monkeypatch, np.diag([num] * 13 + [0]), scale=den)
     with pytest.raises(StructureError, match="unmatched isotypic block in lambda4"):
         casimir_decompose("lambda4")
 
 
+def test_calibration_refuses_a_casimir_not_scalar_on_the_vector_module(monkeypatch):
+    # C(7) on six vectors and 0 on the seventh is no multiple of the identity:
+    # no C(7) can be read from it, and the calibration, read first by every
+    # decomposition, refuses it
+    seven = spaces().calibration["7"]
+    fresh = _planted(monkeypatch, np.diag([seven.numerator] * 6 + [0]), "lambda1",
+                     seven.denominator)
+    with pytest.raises(StructureError, match="Casimir is not scalar on the vector module"):
+        fresh.calibration
+    with pytest.raises(StructureError, match="Casimir is not scalar on the vector module"):
+        casimir_decompose("lambda2")
+
+
 def _planted_certificates(monkeypatch, phi, psi):
     """rank_certificates() on a fresh Spaces whose Phi and Psi are the given integer matrices."""
     fresh = equivar.Spaces()
-    fresh.phi, fresh.psi = np.asarray(phi, dtype=np.int64), np.asarray(psi, dtype=np.int64)
+    fresh.phi, fresh.psi = (Tensor(np.asarray(x, dtype=np.int64)) for x in (phi, psi))
     monkeypatch.setattr(equivar, "spaces", lambda: fresh)
     return rank_certificates()
 
 
 def test_rank_certificates_refuse_a_repeated_phi_column(sp, monkeypatch):
-    phi = sp.phi.copy()
+    phi = sp.phi.num.copy()
     phi[:, 1] = phi[:, 0]
-    rc = _planted_certificates(monkeypatch, phi, sp.psi)
+    rc = _planted_certificates(monkeypatch, phi, sp.psi.num)
     assert not rc["phi-injective"] and not rc["images-meet-trivially"]
 
 
@@ -488,8 +505,8 @@ def test_rank_certificates_read_psi_inside_the_image_of_phi(sp, monkeypatch):
     # meets it, both containments hold, and the scalar image Phi X b1 is not
     # zero because X b1 is not
     x = np.random.default_rng(0).integers(-2, 3, size=(98, 49))
-    assert (x @ isotypic_basis_r7_m("1")[0]).any()
-    rc = _planted_certificates(monkeypatch, sp.phi, sp.phi @ x)
+    assert (x @ isotypic_basis_r7_m("1").num[0]).any()
+    rc = _planted_certificates(monkeypatch, sp.phi.num, sp.phi.num @ x)
     assert rc["phi-injective"] and not rc["images-meet-trivially"]
     assert rc["scalar-image-contained"] and rc["traceless-image-contained"]
     assert not rc["scalar-image-solution-zero"]
@@ -497,5 +514,5 @@ def test_rank_certificates_read_psi_inside_the_image_of_phi(sp, monkeypatch):
 
 def test_rank_certificates_refuse_a_generic_psi(sp, monkeypatch):
     psi = np.random.default_rng(1).integers(-3, 4, size=(196, 49))
-    rc = _planted_certificates(monkeypatch, sp.phi, psi)
+    rc = _planted_certificates(monkeypatch, sp.phi.num, psi)
     assert rc["phi-injective"] and not rc["traceless-image-contained"]

@@ -12,7 +12,7 @@ from fractions import Fraction as Q
 from math import lcm, prod
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from skewtor.forms import Form, _abs_max, all_blades, common_denominator, inner
 from skewtor.linalg import (GaussTensor, Tensor, charpoly, int_matmul, nullspace, rank,
@@ -47,6 +47,9 @@ def _reduced_den(rows):
     return lcm(1, *(q.denominator for row in rows for q in row))
 
 
+# The seed is the one Hypothesis derived from this test's source under
+# derandomize=True when it was pinned: restating the test keeps its examples.
+@seed(12728658261165660486266907212615251391533988043363897428093386427445926915992273563132992523457973194829845090046089)
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.sampled_from([(2, 3), (1, 1), (0, 2)]), st.data())
 def test_sums_and_scalings_at_the_int64_edge(shape, data):
@@ -80,6 +83,7 @@ def _check_linear_structure(a, b, f):
         assert fractions(got) == want and got.den == _reduced_den(want)
 
 
+@seed(28931707250236640073661862879426638687124354220459483424168366404856438041146504560308576709790727142656846956774835)
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.lists(signed_edges, min_size=6, max_size=6),
        st.lists(signed_edges, min_size=6, max_size=6), st.sampled_from(DENOMINATORS), signed_edges)
@@ -94,6 +98,7 @@ def test_form_sums_and_scalings_at_the_int64_edge(xs, ys, den, p):
         assert got.terms == {blade: w for blade, w in zip(blades, want) if w}
 
 
+@seed(37923663020781979356381585177235377818387946118177562156164850583957877725903677961497356044729540109796215501516566)
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.integers(1, 3).flatmap(lambda k: st.lists(tensors((2, 2)), min_size=k, max_size=k)))
 def test_common_denominator_at_the_int64_edge(arrays):
@@ -106,6 +111,7 @@ def test_common_denominator_at_the_int64_edge(arrays):
         assert num.dtype == np.int64 or all(type(x) is int for x in num.flat)
 
 
+@seed(26710818533168388218734752947185409591993991876456348919006136347142536054775837960101301633269174486335976244614643)
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.sampled_from(("ij->", "ij->i", "ij->j", "iij->j", "ij,k->k", "ij,jk->", "i,i->")),
        st.data())
@@ -154,7 +160,8 @@ def test_int64_min_is_read_exactly():
     t = Tensor(a)
     assert holds(t) and t.bound == 2 ** 63 and t.num.dtype == object
     assert (-t)[0, 0] == 2 ** 63 and t.max_abs() == 2 ** 63
-    assert int_matmul(a, np.array([[1], [0]], dtype=np.int64)).tolist() == [[-(2 ** 63)]]
+    assert int_matmul(a, np.array([[1], [0]], dtype=np.int64), 2 ** 63, 1).tolist() == \
+        [[-(2 ** 63)]]
 
 
 def test_elimination_of_int64_numerators_runs_on_python_ints():

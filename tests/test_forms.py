@@ -141,8 +141,7 @@ def test_sigma_wrong_degree():
 
 def so_action(alpha, a):
     """The so(n) action of a 2-form on a form: `slot_sum` of their tensors."""
-    w, t = Tensor.of_form(alpha), Tensor.of_form(a)
-    return Tensor(slot_sum(w.num, t.num, a.degree), w.den * t.den).to_form()
+    return slot_sum(Tensor.of_form(alpha), Tensor.of_form(a), a.degree).to_form()
 
 
 def test_so_action_derivation_and_pinning():

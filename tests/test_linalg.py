@@ -11,7 +11,7 @@ from random import Random
 import numpy as np
 import pytest
 import sympy
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from skewtor import clifford, equivar, linalg, suites
 from skewtor.clifford import act_form, eigen_report
@@ -307,8 +307,8 @@ def test_certified_spectrum_of_spinor_endomorphisms():
     assert third.den == 3
     assert certified_spectrum(third, [Q(-7, 3), Q(1, 3)]) == [(Q(-7, 3), 1), (Q(1, 3), 7)]
     assert certified_spectrum(third, [-7, 1]) is None
-    # an integer matrix over its scale, as the Casimirs enter
-    assert certified_spectrum(np.diag([2, 2, 6]), [1, 3], scale=2) == [(1, 2), (3, 1)]
+    # a real Tensor N / d, as the Casimirs enter, at the values of N / d
+    assert certified_spectrum(Tensor(np.diag([2, 2, 6]), 2), [1, 3]) == [(1, 2), (3, 1)]
 
 
 def test_certified_spectrum_refuses_a_nilpotent_matrix():
@@ -410,13 +410,15 @@ def test_int_matmul_matches_object_product(operands, as_int64):
     arrays = [np.array(x, dtype=object).reshape(shape) for x, shape in ((a, (m, n)), (b, (n, k)))]
     if as_int64 and all(_abs_max(x) < 2 ** 63 for x in arrays):
         arrays = [x.astype(np.int64) for x in arrays]
-    got = int_matmul(*arrays)
+    bounds = [_abs_max(x) for x in arrays]
+    got = int_matmul(*arrays, *bounds)
     assert got.shape == (m, k)
     assert got.dtype == (np.int64 if float_branch else object)
     assert got.tolist() == _school_product(a, b, m, n, k)
     if k:
         # a vector on the right is the first column
-        assert int_matmul(arrays[0], arrays[1][:, 0]).tolist() == [row[0] for row in got.tolist()]
+        assert int_matmul(arrays[0], arrays[1][:, 0], *bounds).tolist() == \
+            [row[0] for row in got.tolist()]
 
 
 def test_int_matmul_bound_edge():
@@ -427,15 +429,16 @@ def test_int_matmul_bound_edge():
                          ((2 ** 53 - 1) // (n * big_a) + 1, object)):
         a = np.full((2, n), big_a, dtype=np.int64)
         b = np.full((n, 2), big_b, dtype=np.int64)
-        got = int_matmul(a, b)
+        got = int_matmul(a, b, big_a, big_b)
         assert got.dtype == dtype
         assert got.tolist() == [[n * big_a * big_b] * 2] * 2
     # 2^53 + 1 has no double: the float branch must not be taken
     odd = np.array([[2 ** 53 + 1]], dtype=np.int64)
-    assert int_matmul(odd, np.array([[1]])).tolist() == [[2 ** 53 + 1]]
+    assert int_matmul(odd, np.array([[1]]), 2 ** 53 + 1, 1).tolist() == [[2 ** 53 + 1]]
     ones = np.ones((4, 3), dtype=np.int64)
-    assert int_matmul(np.zeros((0, 4), dtype=np.int64), ones).shape == (0, 3)
-    assert int_matmul(np.ones((2, 0), dtype=np.int64), ones[:0]).tolist() == [[0] * 3] * 2
+    assert int_matmul(np.zeros((0, 4), dtype=np.int64), ones, 0, 1).shape == (0, 3)
+    assert int_matmul(np.ones((2, 0), dtype=np.int64), ones[:0], 1, 1).tolist() == \
+        [[0] * 3] * 2
 
 
 @st.composite
@@ -477,22 +480,32 @@ def _dense_of(n, degree, forms):
 
 
 @settings(max_examples=60, deadline=None)
-@given(slot_operands(), st.booleans())
-def test_slot_sum_matches_the_sparse_derivation(operands, as_int64):
+@given(slot_operands())
+def test_slot_sum_matches_the_sparse_derivation(operands):
     # out[a, b] is the derivation e^m -> e_m -| w_a of t_b, term by term;
-    # past the bound every product runs on Python integers
+    # past the bound every product runs on Python integers, and the result
+    # carries the bound degree n max|w| max|t|
     n, degree, ws, ts, object_branch = operands
-    w, t = _dense_of(n, 2, ws), _dense_of(n, degree, ts)
-    if as_int64 and _abs_max(t) < 2 ** 63:
-        w, t = w.astype(np.int64), t.astype(np.int64)
-    got = slot_sum(w, t, degree)
-    assert got.shape == (len(ws), len(ts)) + (n,) * degree
-    assert (got.dtype == object) == object_branch
+    w, t = Tensor(_dense_of(n, 2, ws)), Tensor(_dense_of(n, degree, ts))
+    products = []
+
+    def spy(*args):
+        products.append(int_matmul(*args))
+        return products[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "int_matmul", spy)
+        got = slot_sum(w, t, degree)
+    assert got.num.shape == (len(ws), len(ts)) + (n,) * degree
+    assert len(products) == degree
+    assert all((x.dtype == object) == object_branch for x in products)
+    assert got.den == 1 and got.bound == degree * n * w.bound * t.bound
+    assert exact_reference.holds(got)
     for a, alpha in enumerate(ws):
         for b, form in enumerate(ts):
             image = forms_reference.derivation(
                 form, lambda m: forms_reference.interior({(m,): Q(1)}, alpha))
-            assert got[a, b].tolist() == _dense_of(n, degree, [image])[0].tolist()
+            assert got.num[a, b].tolist() == _dense_of(n, degree, [image])[0].tolist()
 
 
 @settings(max_examples=40, deadline=None)
@@ -511,16 +524,16 @@ def test_slot_sum_is_a_derivation_of_wedges(data):
             st.lists(st.integers(-big, big), min_size=count, max_size=count)))
 
     alphas = [form(2) for _ in range(data.draw(st.integers(1, 3)))]
-    w = np.stack([Tensor.of_form(x).num for x in alphas])
+    w = Tensor.of_forms(alphas)
 
     def act(a):
-        return [Tensor(x).to_form() for x in slot_sum(w, Tensor.of_form(a).num, a.degree)]
+        return [x.to_form() for x in slot_sum(w, Tensor.of_form(a), a.degree)]
 
     a, b = form(p), form(q)
     for lhs, wa, wb in zip(act(wedge(a, b)), act(a), act(b) if q else [Form.zero(n, 0)] * len(w)):
         assert lhs == wedge(wa, b) + wedge(a, wb)
-    scalar = slot_sum(w, np.array(5), 0)
-    assert scalar.shape == (len(w),) and not scalar.any()
+    scalar = slot_sum(w, Tensor.of(5), 0)
+    assert scalar.num.shape == (len(w),) and scalar.is_zero()
 
 
 def _annihilates(a, roots):
@@ -640,8 +653,8 @@ def test_casimir_chains_stay_in_int64(monkeypatch):
     # the module (3, 4, 7 and 9 of them), in increasing Casimir ratio
     dtypes, inside = [], []
 
-    def matmul(a, b):
-        out = int_matmul(a, b)
+    def matmul(a, b, a_bound, b_bound):
+        out = int_matmul(a, b, a_bound, b_bound)
         if inside:
             dtypes.append(out.dtype)
         return out
@@ -751,6 +764,9 @@ def einsum_calls(draw):
     return ",".join(terms) + "->" + "".join(out), operands
 
 
+# The seed is the one Hypothesis derived from this test's source under
+# derandomize=True when it was pinned: restating the test keeps its examples.
+@seed(27402579777145105166589926015646271548946690638859538700073684987238511488564695573528324922817422294244233756786439)
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(einsum_calls())
 @example(("ii...->...", [Tensor(np.arange(27, dtype=object).reshape(3, 3, 3) * 2 ** 70)]))

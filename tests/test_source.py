@@ -60,3 +60,33 @@ def test_every_literal_einsum_spec_has_an_output(path):
              and node.args and isinstance(node.args[0], ast.Constant)]
     implicit = [(s.lineno, s.value) for s in specs if "->" not in s.value]
     assert not implicit, f"{path.name}: einsum specs without '->': {implicit}"
+
+
+def _word_size(node):
+    """Whether an expression node is 2^62 or 2^63 written out: 2 ** k, 1 << k or the integer."""
+    if isinstance(node, ast.BinOp) and isinstance(node.left, ast.Constant) \
+            and isinstance(node.right, ast.Constant):
+        base, power = node.left.value, node.right.value
+        return (isinstance(node.op, ast.Pow) and base == 2 or
+                isinstance(node.op, ast.LShift) and base == 1) and power in (62, 63)
+    return (isinstance(node, ast.Constant) and type(node.value) is int
+            and node.value in (2 ** 62, 2 ** 63))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "forms.py"],
+                         ids=lambda p: p.stem)
+def test_no_word_size_literal_outside_forms(path):
+    # whether numerators fit int64 is decided by the exact arrays of `forms`
+    # alone, from the bounds they carry; no other module states the word size
+    lines = [node.lineno for node in ast.walk(_tree(path)) if _word_size(node)]
+    assert not lines, f"{path.name}: word-size literal on lines {lines}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_int_matmul_call_states_both_bounds(path):
+    # `int_matmul(a, b, a_bound, b_bound)` never reads a bound from its operands
+    calls = [node.lineno for node in ast.walk(_tree(path)) if isinstance(node, ast.Call)
+             and (isinstance(node.func, ast.Name) and node.func.id == "int_matmul"
+                  or isinstance(node.func, ast.Attribute) and node.func.attr == "int_matmul")
+             and len(node.args) + len(node.keywords) < 4]
+    assert not calls, f"{path.name}: int_matmul without both bounds on lines {calls}"
