@@ -68,15 +68,17 @@ class AlmostContact(_EndoStructure):
             raise StructureError(f"Reeb index {xi_index} is outside 1..{n}")
         self.model = model
         self.xi_index = xi_index
-        self.xi = xi = Tensor.of([int(k == xi_index - 1) for k in range(n)])
+        one = Tensor.identity(n)
+        self.xi = xi = one[xi_index - 1]
         self.eta = Form.blade(n, xi_index)
         self.phi = phi = Tensor.of(phi)
-        one = Tensor.identity(n)
+        # 1 - eta (x) xi: the identity without its xi diagonal entry
+        rest = one - Tensor(np.outer(xi.num, xi.num), 1, 1)
         if not ein("ij,j->i", phi, xi).is_zero():
             raise StructureError("phi must kill xi")
-        if ein("ik,kj->ij", phi, phi) != ein("i,j->ij", xi, xi) - one:
+        if ein("ik,kj->ij", phi, phi) != -rest:
             raise StructureError("phi^2 must be -Id + eta (x) xi")
-        if ein("ki,kj->ij", phi, phi) != one - ein("i,j->ij", xi, xi):
+        if ein("ki,kj->ij", phi, phi) != rest:
             raise StructureError("phi must be metric-compatible")
 
     @cached_property

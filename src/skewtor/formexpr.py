@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .errors import FormParseError
@@ -20,11 +21,13 @@ _TOKEN = re.compile(rf"\s*(?:(?P<sign>[+-])|(?P<rat>{_RATIONAL})|(?P<blade>e\d+(
 _SIGNED_RATIONAL = re.compile(rf"[+-]?{_RATIONAL}")
 
 
+@lru_cache(maxsize=256)
 def parse_rational(text: str) -> Fraction:
     """The Fraction of a "p" or "p/q" literal, signed or not: the one rational grammar
     of CLI expressions and model files.  Other text (an exponent, a decimal point,
     whitespace) and more digits than int() converts are a ValueError, q = 0 a
-    ZeroDivisionError."""
+    ZeroDivisionError.  A Fraction is immutable, so the last 256 literals parsed
+    are remembered: a model file repeats a handful of them."""
     if not _SIGNED_RATIONAL.fullmatch(text):
         raise ValueError(f"{text!r} is not an integer or a \"p/q\" rational")
     top, _, bottom = text.partition("/")

@@ -289,7 +289,7 @@ class Form(_Exact):
         if degree < 0 or (degree > n and terms):
             raise DegreeError(f"degree {degree} out of range for dimension {n}")
         index = _index(n, degree)
-        values = [0] * len(index)
+        nonzero = {}
         for blade, coeff in (terms or {}).items():
             c = _rational(coeff)
             if not c:
@@ -298,9 +298,14 @@ class Form(_Exact):
                 raise DegreeError(f"blade {blade} does not have degree {degree}")
             if tuple(blade) not in index:
                 raise ValueError(f"blade {blade} not ascending in 1..{n}")
-            values[index[tuple(blade)]] = c
+            nonzero[index[tuple(blade)]] = c
+        # only the nonzero terms are read, over one lcm, into zero numerators
+        values, den = numerators_of(nonzero.values())
+        bound = _abs_max(values)
+        num = _widened(np.zeros(len(index), dtype=np.int64), bound)
+        num[list(nonzero)] = values
         self.n, self.degree = n, degree
-        super().__init__(*numerators_of(values))
+        super().__init__(num, den, bound)
 
     # -- constructors ------------------------------------------------------
 
@@ -349,7 +354,8 @@ class Form(_Exact):
         num = [0] * comb(n, len(indices))
         if sign:
             num[pos] = sign * c.numerator
-        return Form.of_numerators(n, len(indices), num, c.denominator)
+        return Form.of_numerators(n, len(indices), num, c.denominator,
+                                  abs(c.numerator) if sign else 0)
 
     @staticmethod
     def from_vector(n: int, coeffs) -> "Form":
@@ -441,12 +447,14 @@ def _contract(num, n, p, i):
 
 
 def wedge(a: Form, b: Form) -> Form:
+    """a ^ b; each coefficient sums at most C(p + q, p) products, one per split of its blade."""
     a._check_same_space(b)
     n, degree = a.n, a.degree + b.degree
     out = [0] * comb(n, degree)
     if degree <= n:
         _wedge_into(out, a.num.tolist(), b.num.tolist(), _wedge_table(n, a.degree, b.degree))
-    return Form.of_numerators(n, degree, out, a.den * b.den)
+    return Form.of_numerators(n, degree, out, a.den * b.den,
+                              comb(degree, a.degree) * a.bound * b.bound)
 
 
 def interior(x: Form, a: Form) -> Form:
@@ -525,7 +533,9 @@ def derivation(a: Form, image_degree: int, image) -> Form:
     (-1)^pos rest, where m sits at position pos and rest is the blade without
     it.  The sign is right both for 1-form images (a derivation) and for
     2-form images (an antiderivation such as d), because an even image
-    commutes with every factor it passes.
+    commutes with every factor it passes.  A coefficient of the result sums
+    one product per split of its blade into an image blade and a rest, and
+    per m outside the rest: at most (n - p + 1) C(degree, image_degree).
     """
     n, p, degree = a.n, a.degree, a.degree + image_degree - 1
     out = [0] * comb(n, degree)
@@ -536,13 +546,14 @@ def derivation(a: Form, image_degree: int, image) -> Form:
         a._check_same_space(img)
         if img.degree != image_degree and not img.is_zero():
             raise DegreeError(f"image of degree {img.degree}, expected {image_degree}")
-    nums, den, _ = common_denominator(images)
+    nums, den, bound = common_denominator(images)
     table, num = _wedge_table(n, image_degree, p - 1), a.num.tolist()
     for m, img in enumerate(nums, 1):
         img = img.tolist()
         if any(img):
             _wedge_into(out, img, _contract(num, n, p, m), table)
-    return Form.of_numerators(n, degree, out, a.den * den)
+    return Form.of_numerators(n, degree, out, a.den * den,
+                              (n - p + 1) * comb(degree, image_degree) * bound * a.bound)
 
 
 def all_blades(n: int, degree: int):

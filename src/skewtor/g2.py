@@ -21,10 +21,14 @@ from .linalg import Tensor, slot_sum
 Q = Fraction
 
 
+@lru_cache(maxsize=None)
 def canonical_omega3() -> Form:
+    """The canonical 3-form, built once and shared: its numerators are read-only."""
     f = lambda *ix, c=1: Form.blade(7, *ix, coeff=c)
-    return (f(1, 2, 7) + f(1, 3, 5) - f(1, 4, 6) - f(2, 3, 6) - f(2, 4, 5)
-            + f(3, 4, 7) + f(5, 6, 7))
+    w3 = (f(1, 2, 7) + f(1, 3, 5) - f(1, 4, 6) - f(2, 3, 6) - f(2, 4, 5)
+          + f(3, 4, 7) + f(5, 6, 7))
+    w3.num.flags.writeable = False
+    return w3
 
 
 class G2Structure(SkewTorsionStructure):

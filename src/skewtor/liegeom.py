@@ -34,12 +34,18 @@ class LieModel:
         self.name = name
         # c[i, j, k]: [e_i, e_j] = sum_k c[i, j, k] e_k, from de_k(e_i,e_j) = -c_ijk
         self.c = -Tensor.einsum("kij->ijk", Tensor.of_forms(self.d_coframe))
-        bad = self.jacobi_residuals()
-        if any(not r.is_zero() for r in bad):
+        if not self.jacobi_residuals().is_zero():
             raise StructureError(f"structure constants violate d^2 = 0 ({name or 'model'})")
 
-    def jacobi_residuals(self):
-        return [d_form(self, d) for d in self.d_coframe]
+    def jacobi_residuals(self) -> Tensor:
+        """[i, j, k, l]: the e_l-component of [[e_i, e_j], e_k] + cyclic in i, j, k.
+
+        d(de_l)(e_i, e_j, e_k) is this sum up to sign, so the tensor vanishes
+        exactly when d^2 = 0 on the coframe.  It is P = c_ijm c_mkl, one
+        contraction, plus its two cyclic shifts in i, j, k.
+        """
+        p = Tensor.einsum("ijm,mkl->ijkl", self.c, self.c)
+        return p + Tensor.einsum("jkil->ijkl", p) + Tensor.einsum("kijl->ijkl", p)
 
     @cached_property
     def levi_civita(self) -> "ConnectionData":

@@ -9,6 +9,19 @@ after the registry.
 The format is read, never written.  A document holds only the keys `KEYS`, and
 "structure" only "kind" and that kind's `STRUCTURE_KEYS`; an entry keeps the
 validated document, which `skewtor models show` prints.
+
+A load is one pass over the document, and every query makes its own: no
+model is kept between loads.
+1. Parse the JSON and check its keys, the dimension, the name and the notes.
+2. Read each structure 2-form de_i into a Form (blades ascending, each listed
+   once, coefficients exact), and build the `LieModel`: its structure
+   constants c and the check that their Jacobi tensor vanishes (d^2 = 0).
+3. Build the structure of its kind, which checks its identities: omega3 is
+   the canonical 3-form; eta is e^xi, phi xi = 0, phi^2 = -1 + eta (x) xi
+   and phi^T phi = 1 - eta (x) xi; or J^2 = -1 and J^T J = 1.
+`formexpr.parse_rational` remembers the last 256 literals it parsed, so a
+repeated "0" or "1" is parsed once, and the canonical 3-form is built once
+per process; neither cache is keyed by a file or a document.
 """
 
 from __future__ import annotations

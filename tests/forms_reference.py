@@ -8,6 +8,8 @@ Indices are 1-based, as in the program.
 `nabla_form` and `so_action` are the per-form derivations on program Forms
 that `skewtor.linalg.slot_sum` replaced: one `skewtor.forms.derivation`
 with 1-form images for each covariant derivative or so(n) element.
+`d_squared` is the per-form check of d^2 = 0 that the Jacobi tensor of
+`skewtor.liegeom.LieModel` replaced.
 """
 
 from fractions import Fraction as Q
@@ -145,3 +147,8 @@ def nabla_form(conn, i, a):
 def so_action(alpha, a):
     """The derivation action of a 2-form alpha (an so(n) element): e^m -> e_m -| alpha."""
     return forms.derivation(a, 1, lambda m: forms.contract(alpha, m))
+
+
+def d_squared(d_coframe):
+    """d(de_k) for each structure 2-form de_k, d the derivation e^i -> de_i."""
+    return [forms.derivation(d, 2, lambda i: d_coframe[i - 1]) for d in d_coframe]

@@ -5,7 +5,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 import forms_reference as ref
 from skewtor.errors import DegreeError, DimensionMismatch
@@ -15,6 +15,8 @@ from skewtor.forms import (Form, _wedge_table, contract, dense, derivation, hodg
                            wedge)
 from skewtor.g2 import canonical_omega3
 from skewtor.linalg import Tensor, slot_sum
+
+from exact_reference import holds
 
 
 def blade(n, *ix, c=1):
@@ -232,6 +234,41 @@ def _coefficients(n, p, count=1):
 
     return st.tuples(st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=size, max_size=size),
                      st.lists(st.integers(-6, 12), min_size=size, max_size=size)).map(split)
+
+
+# mostly units and zeros, so that sums of products often reach their bound,
+# and entries past int64
+_BOUND_COEFFICIENTS = st.sampled_from((0, 0, 1, -1, 1, -1, 2, Q(-3, 2), 2 ** 62, -2 ** 63))
+
+
+def _drawn_form(data, n, p):
+    return Form(n, p, {b: data.draw(_BOUND_COEFFICIENTS) for b in combinations(range(1, n + 1), p)})
+
+
+@seed(38)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=2, max_value=5))
+def test_carried_bounds_hold(data, n):
+    # the validating constructor, Form.blade, wedge and derivation carry their
+    # bounds instead of reading them: each is at least the largest |numerator|
+    p, q, k = (data.draw(st.integers(lo, n), label) for lo, label in ((0, "p"), (0, "q"),
+                                                                     (1, "image degree")))
+    a, b = _drawn_form(data, n, p), _drawn_form(data, n, q)
+    images = [_drawn_form(data, n, k) for _ in range(n)]
+    ix = data.draw(st.lists(st.integers(1, n), max_size=n, unique=True), "blade")
+    single = Form.blade(n, *ix, coeff=data.draw(_BOUND_COEFFICIENTS))
+    for x in (a, b, single, wedge(a, b), derivation(a, k, lambda m: images[m - 1])):
+        assert holds(x)
+
+
+def test_carried_bounds_are_reached():
+    # each bound is reached: by one coefficient for the constructor and Form.blade,
+    # and by a wedge and a derivation in which every product adds up
+    a, b, c = Form(2, 1, {(1,): 1, (2,): 1}), Form(2, 1, {(1,): -1, (2,): 1}), Q(-7, 3)
+    image = Form(2, 1, {(1,): 1})
+    for x, bound in ((Form(2, 1, {(1,): c, (2,): 1}), 7), (Form.blade(2, 2, 1, coeff=c), 7),
+                     (wedge(a, b), 2), (derivation(a, 1, lambda m: image), 2)):
+        assert holds(x) and x.bound == bound == max(map(abs, x.num.tolist()))
 
 
 @settings(max_examples=120, deadline=None)

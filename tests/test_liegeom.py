@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from skewtor.clifford import act_form
 from skewtor.errors import DegreeError, NoSkewConnection, StructureError
@@ -14,7 +16,7 @@ from skewtor.linalg import GaussTensor, Tensor
 from skewtor.registry import registry
 
 from cq_reference import gamma_matrices, parts as cq_parts
-from forms_reference import nabla_form
+from forms_reference import d_squared, nabla_form
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +52,43 @@ def test_jacobi_enforced():
 
 def test_jacobi_zero_on_registry():
     for entry in registry().values():
-        assert all(r.is_zero() for r in entry.model.jacobi_residuals())
+        n = entry.model.n
+        residuals = entry.model.jacobi_residuals()
+        assert residuals.num.shape == (n,) * 4 and residuals.is_zero()
+
+
+@st.composite
+def coframes(draw):
+    """Structure 2-forms de_1 .. de_n, n in 3..8, with a few small integer terms in all: sparse
+    enough that d^2 = 0 holds for many of them."""
+    n = draw(st.integers(3, 8))
+    pairs = list(combinations(range(1, n + 1), 2))
+    terms = draw(st.lists(st.tuples(st.integers(1, n), st.sampled_from(pairs),
+                                    st.sampled_from((-2, -1, 1, 2))), min_size=1, max_size=5))
+    d_coframe = [{} for _ in range(n)]
+    for k, blade, c in terms:
+        d_coframe[k - 1][blade] = c
+    return [Form(n, 2, d) for d in d_coframe]
+
+
+def test_jacobi_tensor_decides_as_the_per_form_check():
+    closed_outcomes = []
+
+    @seed(38)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(d_coframe=coframes())
+    def decide(d_coframe):
+        closed = all(r.is_zero() for r in d_squared(d_coframe))
+        try:
+            model = LieModel(len(d_coframe), d_coframe)
+        except StructureError as err:
+            assert not closed and "violate d^2 = 0" in str(err)
+        else:
+            assert closed and model.jacobi_residuals().is_zero()
+        closed_outcomes.append(closed)
+
+    decide()
+    assert set(closed_outcomes) == {True, False}
 
 
 def test_structure_constant_recovery(heis7):
