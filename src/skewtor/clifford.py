@@ -10,6 +10,13 @@ Conventions, pinned by the identities the test suite enforces:
 The module is one table of signed monomial matrices: the product of gamma
 matrices over a blade holds one entry i^k per row.  `act_form` is the one
 place that turns it into a dense matrix; a gamma matrix is `act_form(e_i)`.
+
+Each gamma matrix moves a row r to a row whose index differs from r in one
+bit, or (the last generator of odd n) keeps it, so the volume element is
+diagonal and, for even n, the rows of even and of odd popcount are the half
+modules Delta^+ and Delta^-: an even form preserves them and an odd form
+swaps them.  `eigen_report` factors a characteristic polynomial along this
+grading, and `half_module_blocks` reads the blocks by the same gather.
 """
 
 from __future__ import annotations
@@ -105,8 +112,19 @@ class EigenReport(NamedTuple):
 
 
 def eigen_report(matrix: GaussTensor) -> EigenReport:
+    """The exact spectrum of A = N / d: the rational roots of det(yI - N) over d, by one
+    `charpoly` call, factored along the half-spin grading (`_parity_rows`).
+
+    An even form keeps the half modules Delta^+ and Delta^-, so the blocks of
+    N between them vanish and det(yI - N) = det(yI - N_++) det(yI - N_--): one
+    `charpoly` of the two diagonal blocks, multiplied exactly over Z[i].  An
+    odd form swaps them, so the diagonal blocks vanish and
+    det(yI - N) = det(y^2 I - N_+- N_-+): one `charpoly` of half the size,
+    read at y^2.  Any other matrix (odd n, mixed parity) is taken whole.  The
+    blocks are numerators of N, so each keeps the denominator d.
+    """
     size, d = len(matrix), matrix.den
-    coeffs = charpoly(matrix)
+    coeffs = _graded_charpoly(matrix)
     if coeffs.im.any():
         # a non-real polynomial is not searched: it is the residual whole
         pairs, residual = [], unscaled(coeffs, d)
@@ -116,6 +134,25 @@ def eigen_report(matrix: GaussTensor) -> EigenReport:
     if total != size:
         raise RuntimeError("spectrum bookkeeping lost degrees")
     return EigenReport(pairs, residual, is_hermitian(matrix))
+
+
+def _graded_charpoly(matrix: GaussTensor) -> GaussTensor:
+    """det(yI - N) over Z[i] for the numerators N of a square matrix, as `eigen_report` factors it."""
+    even, odd = _parity_rows(len(matrix))
+    if len(even) == len(odd):
+        ee, eo, oe, oo = _blocks(matrix, even, odd)
+        if not (np.count_nonzero(eo) or np.count_nonzero(oe)):
+            first, second = charpoly(GaussTensor(np.stack([ee, oo]), 1, matrix.bound))
+            (ar, ai), (br, bi) = ((f.re.astype(object), f.im.astype(object))
+                                  for f in (first, second))
+            return GaussTensor.of_parts(np.convolve(ar, br) - np.convolve(ai, bi),
+                                        np.convolve(ar, bi) + np.convolve(ai, br))
+        if not (np.count_nonzero(ee) or np.count_nonzero(oo)):
+            half = charpoly(GaussTensor(eo, 1, matrix.bound) @ GaussTensor(oe, 1, matrix.bound))
+            spread = np.zeros((2 * len(half) - 1, 2), dtype=half.num.dtype)
+            spread[::2] = half.num
+            return GaussTensor(spread, 1, half.bound)
+    return charpoly(matrix)
 
 
 def common_kernel(endos) -> GaussTensor:
@@ -208,16 +245,41 @@ def kernel_conditions_are_membership(which: str) -> bool:
     return len(ranks) == 1
 
 
+def _parity_rows(size):
+    """The row indices below `size` of even popcount, then those of odd popcount.
+
+    On Delta_n the volume element is diagonal with one value on each class,
+    so for even n they are the rows of the half modules (`half_spinor_bases`).
+    """
+    return [[r for r in range(size) if r.bit_count() % 2 == k] for k in (0, 1)]
+
+
+def _blocks(matrix: GaussTensor, first, second):
+    """The numerator blocks first x first, first x second, second x first and second x second
+    of a matrix, for two row sets of one size, by one index gather."""
+    order = first + second
+    h = len(first)
+    graded = matrix.num[np.ix_(order, order)]
+    return graded[:h, :h], graded[:h, h:], graded[h:, :h], graded[h:, h:]
+
+
 def half_spinor_bases(n: int):
     """Bases (as unit rows) of the half modules of Delta_n for even n: the rows
     where the diagonal volume element Gamma_1...Gamma_n acts by +i, then by -i
     (n = 2 mod 4, where it squares to -1), or by +1, then by -1 (n = 0 mod 4)."""
+    halves = _half_rows(n)
+    eye = GaussTensor.identity(2 ** (n // 2)).num
+    return tuple(GaussTensor(eye[rows]) for rows in halves)
+
+
+def _half_rows(n):
+    """The `_parity_rows` of Delta_n, n even, in the order of `half_spinor_bases`."""
     if n % 2:
         raise DimensionMismatch("half modules exist in even dimensions")
     _, phases = _monomial(n, tuple(range(1, n + 1)))
-    eye = GaussTensor.identity(len(phases)).num
-    return tuple(GaussTensor(eye[[r for r, p in enumerate(phases) if p == k]])
-                 for k in (n // 2 % 2, n // 2 % 2 + 2))
+    rows = _parity_rows(len(phases))
+    # the volume element is i^phase: +i or +1 (phase n/2 mod 2) on the plus half
+    return rows if phases[0] == n // 2 % 2 else rows[::-1]
 
 
 def half_module_blocks(n: int, matrix: GaussTensor):
@@ -226,7 +288,10 @@ def half_module_blocks(n: int, matrix: GaussTensor):
     A matrix whose off-diagonal blocks do not vanish does not preserve the
     half modules (an odd form swaps them) and is refused with ValueError.
     """
-    plus, minus = half_spinor_bases(n)
-    if not ((plus @ matrix @ minus.T).is_zero() and (minus @ matrix @ plus.T).is_zero()):
+    plus, minus = _half_rows(n)
+    if len(matrix) != len(plus) + len(minus):
+        raise DimensionMismatch(f"a spin endomorphism of Delta_{n} has size {len(plus) * 2}")
+    pp, pm, mp, mm = _blocks(matrix, plus, minus)
+    if np.count_nonzero(pm) or np.count_nonzero(mp):
         raise ValueError("the endomorphism does not preserve the half modules")
-    return plus @ matrix @ plus.T, minus @ matrix @ minus.T
+    return GaussTensor(pp, matrix.den, matrix.bound), GaussTensor(mm, matrix.den, matrix.bound)

@@ -2,8 +2,14 @@
 
 Coefficients are rationals ("3", "-1/2"); blades are wedge-joined frame
 labels ("e1^e3^e5"); a bare coefficient is a scalar term.  Whitespace is
-free.  Errors carry the offending position: among them a zero denominator
-and a sign or '*' with no term after it.
+free.  Errors carry the offending position: among them a zero denominator,
+a sign or '*' with no term after it, and a number or index of more digits
+than int() converts.
+
+`parse_form` reads the text in one pass of `_TOKEN` matches, each told
+apart by the group it matched, and keeps each coefficient as the integers
+p and q: the terms of one degree are summed as numerators over the lcm of
+their denominators, straight into the form's exact array.
 """
 
 from __future__ import annotations
@@ -11,13 +17,15 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 from .errors import FormParseError
 from .forms import Form, _locate
 
 _RATIONAL = r"\d+(?:/\d+)?"
 _TOKEN = re.compile(rf"\s*(?:(?P<sign>[+-])|(?P<rat>{_RATIONAL})|(?P<blade>e\d+(?:\s*\^\s*e\d+)*)|(?P<star>\*))")
+_SIGN, _RAT, _STAR = 1, 2, 4   # groups of _TOKEN (3 is the blade), read by `lastindex`
+_DIGITS = re.compile(r"\d+")
 _SIGNED_RATIONAL = re.compile(rf"[+-]?{_RATIONAL}")
 
 
@@ -37,70 +45,78 @@ def parse_rational(text: str) -> Fraction:
 def parse_form(text: str, n: int) -> list:
     """Parse into homogeneous Forms (one per degree present, ascending)."""
     pos = 0
-    terms = []  # (coeff, [indices])
+    terms = []  # (signed numerator, denominator, indices)
     sign = 1
-    coeff = None
+    coeff = None  # (numerator, denominator)
     blade = None
     pending = None  # ("sign" or "'*'", position) of an operator still waiting for its term
 
-    def flush():
-        nonlocal sign, coeff, blade
-        terms.append((sign * (coeff if coeff is not None else 1), blade or []))
-        sign, coeff, blade = 1, None, None
-
     while pos < len(text):
         m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
+        if not m:
             if text[pos:].strip():
                 raise FormParseError("unrecognized token", pos)
             break
-        if m.group("sign"):
+        kind = m.lastindex
+        if kind == _SIGN:
             if pending and pending[0] == "'*'":
                 raise FormParseError("dangling '*'", pending[1])
             if coeff is not None or blade is not None:
-                flush()
-            if m.group("sign") == "-":
+                p, q = coeff or (1, 1)
+                terms.append((sign * p, q, blade or ()))
+                sign, coeff, blade = 1, None, None
+            if m.group(kind) == "-":
                 sign = -sign
-            pending = ("sign", m.start("sign"))
-        elif m.group("rat"):
+            pending = ("sign", m.start(kind))
+        elif kind == _RAT:
             if coeff is not None or blade is not None:
                 raise FormParseError("unexpected number", pos)
+            top, _, bottom = m.group(kind).partition("/")
             try:
-                coeff = parse_rational(m.group("rat"))
+                coeff = int(top), int(bottom or 1)
             except ValueError:  # more digits than Python converts to an int
-                raise FormParseError("number too long", m.start("rat")) from None
-            except ZeroDivisionError:
-                raise FormParseError("zero denominator", m.start("rat")) from None
+                raise FormParseError("number too long", m.start(kind)) from None
+            if not coeff[1]:
+                raise FormParseError("zero denominator", m.start(kind))
             pending = None
-        elif m.group("star"):
+        elif kind == _STAR:
             if coeff is None or blade is not None:
                 raise FormParseError("misplaced '*'", pos)
-            pending = ("'*'", m.start("star"))
-        else:
+            pending = ("'*'", m.start(kind))
+        else:  # a blade
             if blade is not None:
                 raise FormParseError("unexpected blade", pos)
-            indices = [int(t[1:]) for t in re.split(r"\s*\^\s*", m.group("blade"))]
-            for k in indices:
+            try:
+                blade = tuple(map(int, _DIGITS.findall(m.group(kind))))
+            except ValueError:
+                raise FormParseError("number too long", pos) from None
+            for k in blade:
                 if not 1 <= k <= n:
                     raise FormParseError(f"index e{k} outside 1..{n}", pos)
-            blade = indices
             pending = None
         pos = m.end()
     if pending:
         raise FormParseError(f"dangling {pending[0]}", pending[1])
     if coeff is not None or blade is not None:
-        flush()
+        p, q = coeff or (1, 1)
+        terms.append((sign * p, q, blade or ()))
     elif not terms:
         raise FormParseError("empty expression", 0)
 
-    # one coefficient vector per degree
-    vectors = {}
-    for c, indices in terms:
-        vector = vectors.setdefault(len(indices), [0] * comb(n, len(indices)))
-        sign, pos = _locate(n, tuple(indices))
-        if sign:
-            vector[pos] += sign * c
-    parts = [Form.of_rationals(n, d, vectors[d]) for d in sorted(vectors)]
+    # one numerator vector per degree, over the lcm of its terms' denominators
+    degrees = {}
+    for term in terms:
+        degrees.setdefault(len(term[2]), []).append(term)
+    parts = []
+    for degree in sorted(degrees):
+        group = degrees[degree]
+        den = lcm(*(q for _, q, _ in group))
+        num = [0] * comb(n, degree)
+        for p, q, indices in group:
+            s, at = _locate(n, indices)
+            if s:
+                num[at] += s * p * (den // q)
+        parts.append(Form.of_numerators(n, degree, num, den))
     return [f for f in parts if not f.is_zero()] or [Form.zero(n, 0)]
 
 

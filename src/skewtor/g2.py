@@ -31,6 +31,14 @@ def canonical_omega3() -> Form:
     return w3
 
 
+@lru_cache(maxsize=None)
+def _star_omega3() -> Form:
+    """*w3 of the canonical 3-form, built once and shared: its numerators are read-only."""
+    sw3 = hodge(canonical_omega3())
+    sw3.num.flags.writeable = False
+    return sw3
+
+
 class G2Structure(SkewTorsionStructure):
     """A 7-dimensional model carrying the canonical positive 3-form (an adapted frame)."""
 
@@ -41,7 +49,7 @@ class G2Structure(SkewTorsionStructure):
             raise DegreeError("these structures live on 7-dimensional frames")
         self.model = model
         self.omega3 = canonical_omega3()
-        self.star_omega3 = hodge(self.omega3)
+        self.star_omega3 = _star_omega3()
 
     @cached_property
     def d_omega3(self) -> Form:
@@ -64,7 +72,7 @@ def _projectors(degree: int):
     e_i -| w3, or over w3 and over the e_i -| *w3."""
     w3 = canonical_omega3()
     spans = ([[contract(w3, i) for i in range(1, 8)]] if degree == 2
-             else [[w3], [contract(hodge(w3), i) for i in range(1, 8)]])
+             else [[w3], [contract(_star_omega3(), i) for i in range(1, 8)]])
     outer = [[Tensor.einsum("i,j->ij", Tensor(v.num, v.den), Tensor(v.num, v.den))
               * (1 / inner(v, v)) for v in span] for span in spans]
     return [sum(parts[1:], parts[0]) for parts in outer]
@@ -130,7 +138,7 @@ class TorsionClass:
 def _dense():
     """The dense tensors W[i, j, k] of w3 and S[i, j, k, l] of *w3."""
     w3 = canonical_omega3()
-    return Tensor.of_form(w3), Tensor.of_form(hodge(w3))
+    return Tensor.of_form(w3), Tensor.of_form(_star_omega3())
 
 
 def classify(s: G2Structure) -> TorsionClass:
@@ -223,8 +231,7 @@ def spanning_27() -> list:
 
 def _wedge_sums(c: Tensor) -> list:
     """The 4-forms sum_ij c[k, i, j] e_j ^ (e_i -| *w3), one per k."""
-    sw3 = hodge(canonical_omega3())
-    star = [contract(sw3, i) for i in range(1, 8)]
+    star = [contract(_star_omega3(), i) for i in range(1, 8)]
     return [sum((wedge(row.to_form(), s) for row, s in zip(ck, star)), Form.zero(7, 4))
             for ck in c]
 
@@ -301,7 +308,7 @@ def nearly_parallel_identities(lam) -> dict:
     lam = Q(lam)
     w3 = canonical_omega3()
     t = w3 * (-lam / 6)
-    dt = hodge(w3) * (lam * lam / 6)
+    dt = _star_omega3() * (lam * lam / 6)
     unit = Tensor.identity(7)
     quarter_tt = tt_contraction(t) * Q(1, 4)
     # (1/2)(e_i -| dT, e_j -| *w3)

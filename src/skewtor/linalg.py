@@ -38,10 +38,12 @@ over the candidate values times d, for a Tensor or GaussTensor A = N / d
 A is diagonalizable with eigenvalues among them, and the traces of its
 partial products count them.  Only the `spin-eig` command finds an unknown
 spectrum: `charpoly` computes det(yI - dA) over Z[i] (d the denominator of
-A) by one batched Faddeev-LeVerrier run modulo the primes p = 1 (mod 4) of
-one pool (the primes below 2^21, which no other code reads), rebuilt by the
-Chinese remainder theorem under a proven bound, and `rational_roots` finds
-its rational roots by a divisor search and Horner's rule.
+A), for one matrix or for each block of a stack of square blocks of one
+size, by one batched Faddeev-LeVerrier run modulo the primes p = 1 (mod 4)
+of one pool (the primes below 2^21, which no other code reads), over primes
+x 2 images x blocks, rebuilt by the Chinese remainder theorem under a proven
+bound, and `rational_roots` finds its rational roots by a divisor search and
+Horner's rule.
 """
 
 from __future__ import annotations
@@ -426,43 +428,51 @@ def nullspace(matrix):
 # ---------------------------------------------------------------------------
 
 def charpoly(matrix: GaussTensor) -> GaussTensor:
-    """Coefficients of det(yI - dA) over Z[i] as a GaussTensor vector, highest first.
+    """Coefficients of det(yI - dA) over Z[i], highest first, for A or a stack of blocks.
 
-    d is the denominator of A, so A has the characteristic polynomial
+    `matrix` is one square matrix A, or a stack of square blocks A_j of one
+    size on a leading axis, which gives one coefficient vector per block;
+    d is the denominator, so A has the characteristic polynomial
     sum_k C_k x^(n-k) / d^k.  The C_k are computed modulo primes and rebuilt
     by the Chinese remainder theorem under a proven bound:
 
     - Bound.  With R the largest row sum of |Re| + |Im| over the numerators
-      of dA, every eigenvalue has |lambda| <= R (Gershgorin), so
-      |Re C_k|, |Im C_k| <= |C_k| <= C(n, k) R^k <= B, the largest of these.
-      The primes p = 1 (mod 4) of the pool are taken until their product M
-      exceeds 2B, so each part is the one residue mod M in [-B, B].
+      of dA (of every block), every eigenvalue has |lambda| <= R
+      (Gershgorin), so |Re C_k|, |Im C_k| <= |C_k| <= C(n, k) R^k <= B, the
+      largest of these.  The primes p = 1 (mod 4) of the pool are taken
+      until their product M exceeds 2B, so each part is the one residue
+      mod M in [-B, B].
     - Residues.  For each prime, with i_p^2 = -1 (mod p), the images
-      Re + i_p Im and Re - i_p Im of dA (the two maps Z[i] -> F_p) are
-      stacked, and one Faddeev-LeVerrier run over the whole stack gives
-      c+ = Re C_k + i_p Im C_k and c- = Re C_k - i_p Im C_k mod p.  Each
-      step is one `int_matmul` of matrices of entries below p and 2p, for
-      the largest prime p, exact in float64 as 2n p^2 < 2^53 (for n < 1024;
-      `int_matmul` checks these bounds), and the division by k < p is a
-      product with k^-1 mod p.
+      Re + i_p Im and Re - i_p Im of each block (the two maps Z[i] -> F_p)
+      are stacked, and one Faddeev-LeVerrier run over the whole stack of
+      primes x 2 images x blocks gives c+ = Re C_k + i_p Im C_k and
+      c- = Re C_k - i_p Im C_k mod p.  Each step is one `int_matmul` of
+      matrices of entries below p and 2p, for the largest prime p, exact in
+      float64 as 2n p^2 < 2^53 (for n < 1024; `int_matmul` checks these
+      bounds), and the division by k < p is a product with k^-1 mod p.
     - Rebuild.  Re C_k = (c+ + c-) / 2 and Im C_k = (c+ - c-) / (2 i_p)
       mod p, and the Chinese remainder theorem takes each part to its
       residue mod M in [-B, B]: one product of the residues with weights.
     """
-    n, num = len(matrix), matrix.num
+    num = matrix.num
+    n = num.shape[-2]
+    blocks = num.reshape((-1, n, n, 2))
     # a row sum of 2n entries under the bound, on Python ints where int64 could wrap
-    radius = int(np.abs(_widened(num, 2 * n * matrix.bound)).sum(axis=(1, 2)).max())
+    radius = int(np.abs(_widened(blocks, 2 * n * matrix.bound)).sum(axis=(2, 3)).max())
     bound = max(comb(n, k) * radius ** k for k in range(n + 1))
     primes, modulus = _covering((p for p in _primes() if p % 4 == 1), bound)
     ps = np.array(primes, dtype=np.int64)
     roots = np.array([_sqrt_minus_one(p) for p in primes], dtype=np.int64)
     # numerators past 2^62 (an object array) are reduced as Python ints
-    parts = num[None] % ps.astype(num.dtype)[:, None, None, None]
-    re, i_im = parts[..., 0], parts[..., 1].astype(np.int64) * roots[:, None, None]
-    # images under i -> i_p, then under i -> -i_p; mods[j] is the prime of image j
-    mods = np.concatenate([ps, ps])
-    images = np.concatenate([re + i_im, re - i_im]).astype(np.int64) % mods[:, None, None]
-    inv = np.array([[pow(k, -1, p) for p in primes] * 2 for k in range(1, n + 1)], dtype=np.int64)
+    parts = blocks[None] % ps.astype(num.dtype)[:, None, None, None, None]
+    re, i_im = parts[..., 0], parts[..., 1].astype(np.int64) * roots[:, None, None, None]
+    # images under i -> i_p, then under i -> -i_p, of every block; mods[j] is
+    # the prime of image j
+    mods = np.repeat(np.concatenate([ps, ps]), len(blocks))
+    images = (np.concatenate([re + i_im, re - i_im]).astype(np.int64).reshape((-1, n, n))
+              % mods[:, None, None])
+    inv = np.repeat(np.array([[pow(k, -1, p) for p in primes] * 2 for k in range(1, n + 1)],
+                             dtype=np.int64), len(blocks), axis=1)
     coeffs = np.ones((n + 1, len(mods)), dtype=np.int64)
     m = images.copy()
     for k in range(1, n + 1):
@@ -478,9 +488,11 @@ def charpoly(matrix: GaussTensor) -> GaussTensor:
     halves = [e * ((p + 1) // 2) for e, p in zip(idempotents, primes)]
     turned = [h * int(i) for h, i in zip(halves, roots)]
     weights = np.array([halves * 2, [-t for t in turned] + turned], dtype=object).T
-    values = coeffs.astype(object) @ weights % modulus
+    # per block, the (n + 1) x (2 primes) residues times the weights
+    residues = coeffs.reshape((n + 1, len(mods) // len(blocks), len(blocks))).transpose(2, 0, 1)
+    values = residues.astype(object) @ weights % modulus
     values[values > bound] -= modulus
-    return GaussTensor(values)
+    return GaussTensor(values.reshape(num.shape[:-3] + (n + 1, 2)))
 
 
 def unscaled(q: GaussTensor, d) -> GaussTensor:

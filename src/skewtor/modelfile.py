@@ -31,7 +31,7 @@ import os
 from fractions import Fraction
 
 from .acskit import AlmostContact, AlmostHermitian
-from .errors import SkewtorError
+from .errors import DegreeError, SkewtorError, StructureError
 from .formexpr import parse_rational
 from .forms import Form
 from .g2 import G2Structure, canonical_omega3
@@ -100,11 +100,16 @@ def matrix_from_rows(rows, n):
 
 
 def _field(name, read, *args):
-    """read(*args), with a malformed or missing value raised as a SkewtorError naming the field."""
+    """read(*args), with a malformed or missing value raised as a SkewtorError naming the
+    field; a value that breaks an identity of its structure or its degree keeps the class
+    of its error, and the field is named too."""
     try:
         return read(*args)
     except KeyError as err:
         raise SkewtorError(f"field {name}: missing {err}") from err
+    except (StructureError, DegreeError) as err:
+        # the error keeps its class, so a caller can still tell a broken identity
+        raise type(err)(f"field {name}: {err}") from err
     except (AttributeError, IndexError, OverflowError, TypeError, ValueError,
             ZeroDivisionError) as err:
         raise SkewtorError(f"field {name}: {err}") from err
@@ -181,7 +186,7 @@ def entry_from_dict(doc: dict) -> ModelEntry:
     n = _field("dim", _dimension, doc)
     name = _field("name", _text, doc.get("name", ""))
     _field("notes", _text, doc.get("notes", ""))
-    model = LieModel(n, _field("coframe_d", _coframe, doc, n), name=name)
+    model = _field("coframe_d", lambda: LieModel(n, _coframe(doc, n), name=name))
     structure = _field("structure", _structure, doc.get("structure", {"kind": "none"}), model)
     return ModelEntry(model, structure, doc)
 

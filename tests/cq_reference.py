@@ -7,14 +7,17 @@ of the gamma matrices that `clifford`'s bit formula replaced, kept here to
 compare the integer kernels against entry for entry.  `CQ` is the reference's own Gaussian
 rational, independent of the program; `parts` and `entries` convert nested
 lists of it to and from the integer parts over one denominator that a
-`GaussTensor` holds.
+`GaussTensor` holds.  `split_by_sympy` splits a rational polynomial by sympy's
+factorization, a second oracle for `linalg.rational_roots`.
 """
 
+from collections import Counter
 from fractions import Fraction as Q
 from functools import reduce
 from math import lcm
 
 import numpy as np
+import sympy
 
 
 class CQ:
@@ -207,6 +210,23 @@ def charpoly_by_fractions(matrix):
         coeffs.append(ck)
         m = [[am[i][j] + (ck if i == j else zero) for j in range(n)] for i in range(n)]
     return coeffs
+
+
+def split_by_sympy(q, d):
+    """The rational roots with multiplicity and the monic residual of sum_k q_k x^(n-k) / d^k,
+    for integers q_k, by sympy's factorization over Q."""
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([sympy.Rational(c, d ** k) for k, c in enumerate(q)], x)
+    roots, rest = Counter(), sympy.Poly(1, x)
+    for factor, mult in poly.factor_list()[1]:
+        if factor.degree() == 1:
+            a, b = factor.all_coeffs()
+            root = -b / a
+            roots[Q(int(root.p), int(root.q))] += mult
+        else:
+            rest *= factor ** mult
+    residual = [Q(int(c.p), int(c.q)) for c in rest.monic().all_coeffs()]
+    return sorted(roots.items()), residual if len(residual) > 1 else None
 
 
 def rref(matrix, pivot_limit=None):

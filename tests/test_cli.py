@@ -10,6 +10,7 @@ import sys
 import tempfile
 import time
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -500,6 +501,7 @@ def test_cli_unknown_structure_kind_is_an_input_error(tmp_path, monkeypatch, cap
     assert main(["models", "show", "fruit5"]) == 2
     err = capsys.readouterr().err
     assert str(path) in err and "structure.kind" in err and "banana" in err
+    assert err.count("field ") == 1, err
 
 
 def test_cli_structureless_model_has_no_torsion(tmp_path, monkeypatch, capsys):
@@ -619,6 +621,10 @@ _SHEARED_PHI = [["1", "-2", "0", "0", "0"], ["1", "-1", "0", "0", "0"],
 _NOT_CLOSED = [[4, [[[1, 5], "1"]]], [5, [[[1, 2], "2"], [[3, 4], "2"]]]]
 
 
+# a 3-blade among the structure 2-forms
+_DEGREE3_D = [[5, [[[1, 2, 3], "1"]]]]
+
+
 @pytest.mark.parametrize("fixture, field, value, words", [
     ("contact5a", ("structure", "phi"), _CONTACT_PHI, ("phi must kill xi",)),
     ("hermitian4", ("structure", "J"), _SKEW_J, ("J must be orthogonal",)),
@@ -626,8 +632,13 @@ _NOT_CLOSED = [[4, [[[1, 5], "1"]]], [5, [[[1, 2], "2"], [[3, 4], "2"]]]]
     ("contact5a", ("structure", "phi"), _SHEARED_PHI, ("phi must be metric-compatible",)),
     ("hermitian4", ("structure", "J"), _IDENTITY_J, ("J^2 must be -Id",)),
     ("contact5a", ("coframe_d",), _NOT_CLOSED, ("violate d^2 = 0", "guarded5")),
+    ("contact5a", ("structure", "xi"), 9, ("Reeb index 9 is outside 1..5",)),
+    ("contact5a", ("structure",), {"kind": "hermitian", "J": _ZERO_PHI},
+     ("hermitian structures live in even dimensions",)),
+    ("contact5a", ("coframe_d",), _DEGREE3_D, ("does not have degree 2",)),
 ], ids=["phi-moves-xi", "j-not-orthogonal", "phi-squares-to-zero", "phi-not-orthogonal",
-        "j-squares-to-id", "d-squared-not-zero"])
+        "j-squares-to-id", "d-squared-not-zero", "reeb-index-outside", "hermitian-in-dim-5",
+        "degree-3-structure-form"])
 def test_model_file_structure_guards_exit_2(tmp_path, monkeypatch, capsys, fixture, field,
                                             value, words):
     # the guards of LieModel, AlmostContact and AlmostHermitian that no shipped
@@ -647,6 +658,9 @@ def test_model_file_structure_guards_exit_2(tmp_path, monkeypatch, capsys, fixtu
     captured = capsys.readouterr()
     assert not captured.out and "Traceback" not in captured.err
     assert str(path) in captured.err and all(w in captured.err for w in words), captured.err
+    # the field is named once, after the file
+    assert f"{path}: field {field[0]}: " in captured.err, captured.err
+    assert captured.err.count("field ") == 1, captured.err
 
 
 def test_model_files_are_read_again_by_every_query(tmp_path, monkeypatch, capsys):
@@ -1110,26 +1124,67 @@ def test_cli_malformed_model_file_is_an_input_error(tmp_path, monkeypatch, capsy
     assert str(path) in err and field in err, err
 
 
-@pytest.mark.parametrize("argv, position", [
-    (["spin-eig", "7", "--", "1/0*e1^e2"], 0),
-    (["decompose", "heis7", "--", "1/0*e1^e2"], 0),
-    (["spin-eig", "7", "e1^e2+"], 5),
-    (["spin-eig", "7", "e1^e2 - "], 6),
-    (["spin-eig", "7", "2*+e1"], 1),
-    (["spin-eig", "4", f"e3^e4 + {_OVERLONG}*e1^e2"], 8),
-    (["spin-eig", "4", f"e3^e4 + 1/{_OVERLONG}*e1^e2"], 8),
-    (["decompose", "heis7", f"e3^e4 + {_OVERLONG}*e1^e2"], 8),
-    (["decompose", "heis7", f"e3^e4 + 1/{_OVERLONG}*e1^e2"], 8),
+@pytest.mark.parametrize("argv, position, message", [
+    (["spin-eig", "7", "--", "1/0*e1^e2"], 0, "zero denominator"),
+    (["decompose", "heis7", "--", "1/0*e1^e2"], 0, "zero denominator"),
+    (["spin-eig", "7", "e1^e2+"], 5, "dangling sign"),
+    (["spin-eig", "7", "e1^e2 - "], 6, "dangling sign"),
+    (["spin-eig", "7", "2*+e1"], 1, "dangling '*'"),
+    (["spin-eig", "4", f"e3^e4 + {_OVERLONG}*e1^e2"], 8, "number too long"),
+    (["spin-eig", "4", f"e3^e4 + 1/{_OVERLONG}*e1^e2"], 8, "number too long"),
+    (["decompose", "heis7", f"e3^e4 + {_OVERLONG}*e1^e2"], 8, "number too long"),
+    (["decompose", "heis7", f"e3^e4 + 1/{_OVERLONG}*e1^e2"], 8, "number too long"),
+    (["spin-eig", "7", "e1^e2 $"], 5, "unrecognized token"),
+    (["spin-eig", "7", "2*e1^^e2"], 4, "unrecognized token"),
+    (["spin-eig", "7", "e1^e2 - 3 4"], 9, "unexpected number"),
+    (["spin-eig", "7", "e1 * e2"], 2, "misplaced '*'"),
+    (["spin-eig", "7", "*e1"], 0, "misplaced '*'"),
+    (["spin-eig", "7", "e1 e2"], 2, "unexpected blade"),
+    (["spin-eig", "7", "2*e1^e8"], 2, "index e8 outside 1..7"),
+    (["spin-eig", "7", "e0"], 0, "index e0 outside 1..7"),
+    (["spin-eig", "7", "  "], 0, "empty expression"),
+    (["spin-eig", "7", ""], 0, "empty expression"),
+    (["spin-eig", "7", f"e{_OVERLONG}"], 0, "number too long"),
 ], ids=["zero-denominator-spin-eig", "zero-denominator-decompose", "trailing-sign",
         "trailing-sign-space", "dangling-star", "overlong-numerator-spin-eig",
         "overlong-denominator-spin-eig", "overlong-numerator-decompose",
-        "overlong-denominator-decompose"])
-def test_cli_form_parse_errors_exit_2(capsys, argv, position):
+        "overlong-denominator-decompose", "unrecognized-token", "doubled-wedge",
+        "unexpected-number", "misplaced-star", "leading-star", "unexpected-blade",
+        "index-above-n", "index-zero", "blank", "empty", "overlong-index"])
+def test_cli_form_parse_errors_exit_2(capsys, argv, position, message):
     assert main(argv) == 2
-    assert f"(at position {position})" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {message} (at position {position})\n"
     with pytest.raises(FormParseError) as err:
         parse_form(argv[-1], 7)
-    assert err.value.position == position
+    assert err.value.position == position and str(err.value) == \
+        f"{message} (at position {position})"
+
+
+def _rational_forms(n):
+    """Forms on R^n with up to five blades of one degree and rational coefficients."""
+    coeffs = st.fractions(min_value=-50, max_value=50, max_denominator=30).filter(bool)
+    return st.integers(min_value=0, max_value=n).flatmap(lambda p: st.builds(
+        lambda terms: Form(n, p, terms),
+        st.dictionaries(st.sampled_from(list(combinations(range(1, n + 1), p))), coeffs,
+                        max_size=5)))
+
+
+@seed(39)
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=2, max_value=8).flatmap(
+    lambda n: st.lists(_rational_forms(n), min_size=1, max_size=3)))
+def test_rendered_forms_parse_back(forms):
+    # each homogeneous part renders, the parts join with " + " (a negative
+    # leading coefficient reads as "+ -"), and the sum parses back into its
+    # nonzero parts of each degree, in ascending degree
+    n = forms[0].n
+    sums = {}
+    for f in forms:
+        sums[f.degree] = sums[f.degree] + f if f.degree in sums else f
+    expected = [sums[p] for p in sorted(sums) if not sums[p].is_zero()] or [Form.zero(n, 0)]
+    for f in forms:
+        assert parse_form(render_form(f), n) == ([f] if not f.is_zero() else [Form.zero(n, 0)])
+    assert parse_form(" + ".join(render_form(f) for f in forms), n) == expected
 
 
 def test_cli_builds_its_parser_once(capsys):

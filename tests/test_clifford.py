@@ -14,12 +14,14 @@ from skewtor.clifford import (act_form, common_kernel,
 from skewtor.errors import DimensionMismatch
 from skewtor.forms import Form, contract, hodge, random_form, wedge
 from skewtor.g2 import canonical_omega3
-from skewtor.linalg import GaussTensor, certified_spectrum, charpoly, is_hermitian, nullspace, rank
+from skewtor.linalg import (GaussTensor, certified_spectrum, charpoly, is_hermitian, nullspace, rank,
+                            rational_roots, unscaled)
 
 import cq_reference
 import exact_reference
 from cq_reference import (CQ, act_form_by_gamma_products, charpoly_by_fractions, entries,
-                          gamma_matrices, mat_mul, monomial_of, parts as cq_parts, poly_eval)
+                          gamma_matrices, mat_mul, monomial_of, parts as cq_parts, poly_eval,
+                          split_by_sympy)
 
 
 def gauss(values):
@@ -101,6 +103,7 @@ def vector_and_form(draw):
     return draw(st.integers(min_value=1, max_value=n)), Form(n, degree, terms)
 
 
+@seed(37421454391770731680937989246202159579210960564476580652491210375506972295021745343985499041225132765601222868980873)
 @settings(max_examples=80, deadline=None)
 @given(data=vector_and_form())
 @example(data=(3, Form(7, 3, {(1, 2, 4): Q(2 ** 64 + 1, 3), (3, 5, 6): Q(-(2 ** 63) - 5)})))
@@ -199,6 +202,74 @@ def test_half_module_spectrum_dim6():
         assert eigen_report(block).pairs == [(Q(0), 1), (Q(4), 3)]
 
 
+@st.composite
+def graded_forms(draw):
+    """A form on R^n (n = 2..8) with parts of even degrees only, of odd degrees only, or of
+    one even and one odd degree."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    even, odd = range(0, n + 1, 2), range(1, n + 1, 2)
+    parity = draw(st.sampled_from(("even", "odd", "mixed")))
+    if parity == "mixed":
+        degrees = [draw(st.sampled_from(even)), draw(st.sampled_from(odd))]
+    else:
+        degrees = draw(st.lists(st.sampled_from(even if parity == "even" else odd),
+                                min_size=1, max_size=2, unique=True))
+    coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    return [Form(n, p, draw(st.dictionaries(
+        st.sampled_from(list(combinations(range(1, n + 1), p))), coeffs, max_size=5)))
+        for p in degrees]
+
+
+@seed(39)
+@settings(max_examples=80, deadline=None)
+@given(parts=graded_forms())
+@example(parts=[Form.blade(8, 1, 2, 3) * Q(1, 2), Form.blade(8, 4, 5, 6, 7, 8)])
+def test_graded_spectrum_matches_the_fraction_reference(parts):
+    # det(yI - dA) factored along the half modules, whole and in the report,
+    # against the Faddeev-LeVerrier reference over Q(i) and sympy's factorization
+    m = act_form(parts)
+    reference = [c * m.den ** k for k, c in enumerate(charpoly_by_fractions(cq(m)))]
+    graded = clifford._graded_charpoly(m)
+    assert type(graded) is GaussTensor and exact_reference.holds(graded)
+    assert cq(graded) == reference and cq(charpoly(m)) == reference
+    report = eigen_report(m)
+    if any(c.im for c in reference):
+        assert report.pairs == []
+        assert cq(report.residual) == [c * Q(1, m.den ** k) for k, c in enumerate(reference)]
+    else:
+        pairs, residual = split_by_sympy([c.re for c in reference], m.den)
+        assert report.pairs == pairs
+        assert (None if report.residual is None else cq(report.residual)) == \
+            (None if residual is None else [CQ(c) for c in residual])
+
+
+@pytest.mark.parametrize("n", (6, 8))
+def test_pure_parity_spectra_run_one_charpoly_on_half_blocks(monkeypatch, n):
+    calls = []
+
+    def spy(matrix):
+        calls.append(matrix.num.shape)
+        return charpoly(matrix)
+
+    monkeypatch.setattr(clifford, "charpoly", spy)
+    rng = random.Random(n)
+    even = [random_form(n, 2, rng, 4), random_form(n, 4, rng, 4), Form.scalar(n, Q(1, 3))]
+    odd = [random_form(n, 1, rng, 3), random_form(n, 3, rng, 4)]
+    half = 2 ** (n // 2 - 1)
+    for parts, shape in ((even, (2, half, half, 2)), (odd, (half, half, 2)),
+                         (even + odd, (2 * half, 2 * half, 2))):
+        calls.clear()
+        m = act_form(parts)
+        report = eigen_report(m)
+        assert calls == [shape]
+        # the same spectrum as the whole matrix's characteristic polynomial
+        whole = charpoly(m)
+        if whole.im.any():
+            assert report.pairs == [] and report.residual == unscaled(whole, m.den)
+        else:
+            assert (report.pairs, report.residual) == rational_roots(whole.re.tolist(), m.den)
+
+
 @pytest.mark.parametrize("n", (2, 4, 6, 8))
 def test_half_spinor_bases_are_the_volume_eigenspaces(n):
     # the kernels of vol - i Id and vol + i Id of the reference volume element
@@ -229,6 +300,18 @@ def test_half_module_blocks_refuse_an_action_that_swaps_the_halves():
     for parts in ([Form.blade(6, 1)], [Form.blade(6, 2, 4, 5), Form.scalar(6, 1)]):
         with pytest.raises(ValueError, match="half modules"):
             half_module_blocks(6, act_form(parts))
+    for n in (4, 6, 8):
+        with pytest.raises(ValueError, match="half modules"):
+            half_module_blocks(n, act_form([Form.blade(n, 2, 3, 4), Form.scalar(n, 1)]))
+        # so does one entry between the halves of an even form's action
+        plus, minus = clifford._half_rows(n)
+        endo = act_form(Form.blade(n, 1, 2)).num.copy()
+        endo[plus[0], minus[-1], 1] = 1
+        with pytest.raises(ValueError, match="half modules"):
+            half_module_blocks(n, GaussTensor(endo))
+        # a matrix of another module's size is refused, not split
+        with pytest.raises(DimensionMismatch):
+            half_module_blocks(n, act_form(Form.blade(n - 2, 1, 2)))
 
 
 def test_hermiticity_tracks_degree_mod_four():
@@ -289,6 +372,7 @@ def test_monomial_action_and_integer_charpoly_match_references(parts):
                                   for i in range(dim) for j in range(dim))
 
 
+@seed(132201020621178586229568842416189121039823025774724847323568624345371957345231448037844313740226698726300878976655)
 @settings(max_examples=60, deadline=None)
 @given(parts=mixed_forms())
 def test_multiplicities_and_residual_fill_the_module(parts):

@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from skewtor import g2
 from skewtor.errors import NoSkewConnection
 from skewtor.forms import Form, contract, hodge, inner, random_form, wedge
 from skewtor.g2 import (G2Structure, _wedge_sums, canonical_omega3, classify,
@@ -21,6 +22,17 @@ from g2_reference import (classify_by_loops, constant_identities_by_loops,
 
 W3 = canonical_omega3()
 SW3 = hodge(W3)
+
+
+def test_star_omega3_is_built_once_and_read_only(monkeypatch):
+    # every G2 load shares the one *w3: loading models builds no Hodge star
+    star = G2Structure(registry()["heis7"].model).star_omega3
+    assert star == hodge(W3) and not star.num.flags.writeable
+    calls = []
+    monkeypatch.setattr(g2, "hodge", lambda f: calls.append(f) or hodge(f))
+    for name in ("heis7", "solv7"):
+        assert G2Structure(registry()[name].model).star_omega3 is star
+    assert not calls
 
 
 def test_project2_properties():

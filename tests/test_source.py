@@ -90,3 +90,21 @@ def test_every_int_matmul_call_states_both_bounds(path):
                   or isinstance(node.func, ast.Attribute) and node.func.attr == "int_matmul")
              and len(node.args) + len(node.keywords) < 4]
     assert not calls, f"{path.name}: int_matmul without both bounds on lines {calls}"
+
+
+ROOT = Path(__file__).resolve().parent.parent
+TEST_FILES = sorted([*ROOT.glob("tests/test_*.py"), *ROOT.glob("bench/tests/test_*.py")])
+
+
+def _decorator_names(function):
+    calls = (d.func if isinstance(d, ast.Call) else d for d in function.decorator_list)
+    return {d.attr if isinstance(d, ast.Attribute) else getattr(d, "id", None) for d in calls}
+
+
+@pytest.mark.parametrize("path", TEST_FILES, ids=lambda p: p.stem)
+def test_every_given_carries_a_seed(path):
+    # a Hypothesis test draws the same examples on every run: an unseeded one
+    # can pass here and fail on the next run with no change to the code
+    unseeded = [node.name for node in ast.walk(_tree(path)) if isinstance(node, ast.FunctionDef)
+                and "given" in _decorator_names(node) and "seed" not in _decorator_names(node)]
+    assert not unseeded, f"{path.name}: @given without @seed: {unseeded}"
