@@ -249,7 +249,7 @@ def _parity_rows(size):
     """The row indices below `size` of even popcount, then those of odd popcount.
 
     On Delta_n the volume element is diagonal with one value on each class,
-    so for even n they are the rows of the half modules (`half_spinor_bases`).
+    so for even n they are the rows of the half modules (`_half_rows`).
     """
     return [[r for r in range(size) if r.bit_count() % 2 == k] for k in (0, 1)]
 
@@ -263,17 +263,10 @@ def _blocks(matrix: GaussTensor, first, second):
     return graded[:h, :h], graded[:h, h:], graded[h:, :h], graded[h:, h:]
 
 
-def half_spinor_bases(n: int):
-    """Bases (as unit rows) of the half modules of Delta_n for even n: the rows
+def _half_rows(n):
+    """The `_parity_rows` of Delta_n, n even, as the rows of its half modules: those
     where the diagonal volume element Gamma_1...Gamma_n acts by +i, then by -i
     (n = 2 mod 4, where it squares to -1), or by +1, then by -1 (n = 0 mod 4)."""
-    halves = _half_rows(n)
-    eye = GaussTensor.identity(2 ** (n // 2)).num
-    return tuple(GaussTensor(eye[rows]) for rows in halves)
-
-
-def _half_rows(n):
-    """The `_parity_rows` of Delta_n, n even, in the order of `half_spinor_bases`."""
     if n % 2:
         raise DimensionMismatch("half modules exist in even dimensions")
     _, phases = _monomial(n, tuple(range(1, n + 1)))
@@ -283,7 +276,7 @@ def _half_rows(n):
 
 
 def half_module_blocks(n: int, matrix: GaussTensor):
-    """The diagonal blocks of a spin endomorphism of Delta_n, n even, in `half_spinor_bases` order.
+    """The diagonal blocks of a spin endomorphism of Delta_n, n even, in `_half_rows` order.
 
     A matrix whose off-diagonal blocks do not vanish does not preserve the
     half modules (an odd form swaps them) and is refused with ValueError.

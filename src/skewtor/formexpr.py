@@ -43,7 +43,8 @@ def parse_rational(text: str) -> Fraction:
 
 
 def parse_form(text: str, n: int) -> list:
-    """Parse into homogeneous Forms (one per degree present, ascending)."""
+    """Parse into homogeneous Forms, one per degree present, ascending: the nonzero
+    ones, or each degree's zero form when every part cancels."""
     pos = 0
     terms = []  # (signed numerator, denominator, indices)
     sign = 1
@@ -117,7 +118,7 @@ def parse_form(text: str, n: int) -> list:
             if s:
                 num[at] += s * p * (den // q)
         parts.append(Form.of_numerators(n, degree, num, den))
-    return [f for f in parts if not f.is_zero()] or [Form.zero(n, 0)]
+    return [f for f in parts if not f.is_zero()] or parts
 
 
 def parse_homogeneous(text: str, n: int) -> Form:

@@ -357,13 +357,6 @@ class Form(_Exact):
         return Form.of_numerators(n, len(indices), num, c.denominator,
                                   abs(c.numerator) if sign else 0)
 
-    @staticmethod
-    def from_vector(n: int, coeffs) -> "Form":
-        values = list(coeffs)
-        if len(values) != n:
-            raise ValueError(f"{len(values)} components for dimension {n}")
-        return Form.of_rationals(n, 1, values)
-
     # -- bookkeeping -------------------------------------------------------
 
     @property

@@ -174,7 +174,8 @@ def codiff(conn: ConnectionData, a: Form) -> Form:
     """Codifferential -sum_i e_i -| nabla_{e_i} a: minus the trace of nabla a over i and slot 1."""
     if a.degree == 0:
         return Form.zero(a.n, 0)
-    trace = -Tensor.einsum("ii...->...", conn.nabla(Tensor.of_form(a)))
+    rest = "abcdefg"[:a.degree - 1]
+    trace = -Tensor.einsum("ii" + rest + "->" + rest, conn.nabla(Tensor.of_form(a)))
     return trace.to_form() if a.degree > 1 else Form.scalar(a.n, trace[()])
 
 
@@ -345,7 +346,7 @@ class SpinorData:
         """
         n, conn = self.model.n, self.conn
         second = [act_form([contract(conn.dt, i) * Q(1, 2) + conn.nabla_t[i - 1].to_form(),
-                            -Form.from_vector(n, conn.curvature.ric[i - 1])])
+                            -conn.curvature.ric[i - 1].to_form()])
                   for i in range(1, n + 1)]
         residuals = [(self.field @ psi, [op @ psi for op in second]) for psi in self.parallel]
         return self.parallel, residuals

@@ -136,7 +136,7 @@ class Tensor(_Array):
 
     @staticmethod
     def einsum(spec: str, *operands: "Tensor") -> "Tensor":
-        """Exact contraction of real tensors, written as for numpy.einsum with its `->`.
+        """Exact contraction of real tensors, written as for numpy.einsum in letters with `->`.
 
         The plan of (spec, operand shapes) is compiled once by `_plan` and run
         here: the diagonals and lone sums of each operand, then one stacked
@@ -173,9 +173,6 @@ class Tensor(_Array):
 # ---------------------------------------------------------------------------
 # contraction plans
 # ---------------------------------------------------------------------------
-
-_TERM = re.compile(r"([a-zA-Z]*)(\.\.\.)?([a-zA-Z]*)")
-
 
 @cache
 def _plan(spec, shapes):
@@ -227,29 +224,16 @@ def _plan(spec, shapes):
 
 
 def _subscripts(spec, ndims):
-    """The letters of each operand and of the output of an einsum spec with `->`.
-
-    The axes an operand's `...` stands for are numbered right-aligned, as
-    numpy broadcasts them (the axes of the longest are 0, 1, ..), and the
-    output's `...` is all of them.
-    """
-    inputs, arrow, output = spec.partition("->")
-    matches = [_TERM.fullmatch(term) for term in inputs.split(",") + [output]]
-    if not arrow or None in matches or len(matches) != len(ndims) + 1:
+    """The letters of each operand and of the output of an einsum spec of letters with `->`."""
+    inputs, _, output = spec.partition("->")
+    terms = inputs.split(",")
+    if not re.fullmatch(r"[a-zA-Z,]*->[a-zA-Z]*", spec) or len(terms) != len(ndims):
         raise ValueError(f"{spec!r} is not an einsum spec with '->' for {len(ndims)} operands")
-    spans = [ndim - len(m[1] + m[3]) for m, ndim in zip(matches, ndims)]
-    if any(r < 0 or (r and not m[2]) for m, r in zip(matches, spans)):
+    if any(len(t) != ndim for t, ndim in zip(terms, ndims)):
         raise ValueError(f"{spec!r} does not fit operands of {list(ndims)} axes")
-    dots = max(spans, default=0)
-    terms = [tuple(m[1]) + tuple(range(dots - r, dots)) + tuple(m[3])
-             for m, r in zip(matches, spans)]
-    out = matches[-1]
-    if dots and not out[2]:
-        raise ValueError(f"{spec!r}: the axes of '...' have no place in the output")
-    out = tuple(out[1]) + tuple(range(dots)) + tuple(out[3])
-    if len(set(out)) < len(out) or not set(out) <= set().union(*terms):
+    if len(set(output)) < len(output) or not set(output) <= set(inputs):
         raise ValueError(f"{spec!r}: an output letter repeats or is not an input letter")
-    return terms, out
+    return terms, output
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +277,6 @@ class GaussTensor(_Array):
     @property
     def im(self):
         return self.num[..., 1]
-
-    @property
-    def T(self) -> "GaussTensor":
-        """The transpose of a matrix (without conjugation)."""
-        return GaussTensor(self.num.transpose(1, 0, 2), self.den, self.bound)
 
     def __matmul__(self, other: "GaussTensor") -> "GaussTensor":
         """(R + iJ)(P + iQ) from the three integer products RP, JQ, (R + J)(P + Q).

@@ -32,7 +32,7 @@ def classify_by_loops(s):
     for i in range(1, 8):
         nab = nabla_form(lc, i, w3)
         z = [Q(-1, 12) * inner(nab, contract(sw3, j)) for j in range(1, 8)]
-        if interior(Form.from_vector(7, z), sw3) * -3 != nab:
+        if interior(Form.of_rationals(7, 1, z), sw3) * -3 != nab:
             raise StructureError("derivative of the 3-form left the vector-type orbit")
         gamma.append(z)
     skew = Form.of_rationals(7, 2, [gamma[i - 1][j - 1] - gamma[j - 1][i - 1]

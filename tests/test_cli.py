@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -20,7 +21,7 @@ from skewtor import cli
 from skewtor import registry as registry_module
 from skewtor import suites
 from skewtor.cli import main
-from skewtor.errors import FormParseError, SkewtorError
+from skewtor.errors import FormParseError, NoSkewConnection, SkewtorError
 from skewtor.formexpr import parse_form, parse_homogeneous, render_form
 from skewtor.forms import Form
 from skewtor.modelfile import entry_from_dict, find_model
@@ -46,6 +47,11 @@ def test_parse_simple_terms():
     assert h.eval(1, 2) == Fraction(1, 2)
     (s,) = parse_form("3", 4)
     assert s == Form.scalar(4, 3)
+    # terms that all cancel keep the degree they were written in
+    (z,) = parse_form("e1^e2 - e1^e2", 4)
+    assert z.is_zero() and z.degree == 2
+    (zero,) = parse_form("0", 4)
+    assert zero.is_zero() and zero.degree == 0
 
 
 def test_parse_mixed_degrees():
@@ -53,6 +59,11 @@ def test_parse_mixed_degrees():
     assert [p.degree for p in parts] == [0, 4]
     with pytest.raises(FormParseError):
         parse_homogeneous("3 + e1^e2", 6)
+    # a mixed expression whose terms all cancel is still mixed
+    parts = parse_form("e1^e2 - e1^e2 + e3 - e3", 6)
+    assert [p.degree for p in parts] == [1, 2] and all(p.is_zero() for p in parts)
+    with pytest.raises(FormParseError, match="expected a homogeneous form"):
+        parse_homogeneous("e1^e2 - e1^e2 + e3 - e3", 6)
 
 
 def test_parse_errors_carry_position():
@@ -223,6 +234,13 @@ def test_cli_decompose(capsys):
     assert main(["decompose", "heis7", w3]) == 0
     out = capsys.readouterr().out
     assert "part27 = 0" in out and "part7  = 0" in out
+    # terms that all cancel are the zero form of the degree they were written in
+    assert main(["decompose", "heis7", "e1^e2 - e1^e2"]) == 0
+    assert capsys.readouterr().out == "part7  = 0\npart14 = 0\n"
+    assert main(["decompose", "heis7", "e1^e2^e3 - e1^e2^e3"]) == 0
+    assert capsys.readouterr().out == "part1  = 0\npart7  = 0\npart27 = 0\n"
+    assert main(["decompose", "heis7", "e1^e2 - e1^e2 + e3 - e3"]) == 2
+    assert capsys.readouterr().err == "error: expected a homogeneous form (at position 0)\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -526,6 +544,43 @@ def test_models_show_prints_a_user_file_as_written(tmp_path, monkeypatch, capsys
     assert capsys.readouterr().out == text
     assert find_model("half5").model.d_coframe[4] == Form(5, 2, {(1, 2): Fraction(1, 2),
                                                                  (3, 4): Fraction(1, 2)})
+
+
+def _unquoted(value):
+    """A document with every integer-valued "p" string written as a JSON integer."""
+    if isinstance(value, list):
+        return [_unquoted(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _unquoted(v) for k, v in value.items()}
+    return int(value) if isinstance(value, str) and re.fullmatch(r"-?\d+", value) else value
+
+
+def _characteristic_torsion(entry):
+    """The structure's torsion, the reason it has none, or None for a bare model."""
+    if entry.structure is None:
+        return None
+    try:
+        return entry.structure.torsion
+    except NoSkewConnection as err:
+        return err.reason
+
+
+@pytest.mark.parametrize("name", sorted(registry()))
+def test_json_integer_coefficients_load_as_their_strings(tmp_path, monkeypatch, capsys, name):
+    # README "Model files": coefficients and the entries of phi and J may be
+    # JSON integers; each shipped document with its integer strings unquoted
+    # is the same model, and `models show` prints it as written
+    doc = _unquoted(_shipped(name))
+    assert doc != _shipped(name)
+    doc["name"] = f"{name}int"
+    text = json.dumps(doc, indent=2) + "\n"
+    (tmp_path / f"{name}int.json").write_text(text)
+    monkeypatch.setenv("SKEWTOR_MODEL_PATH", str(tmp_path))
+    entry, shipped = find_model(f"{name}int"), registry()[name]
+    assert entry.model.c == shipped.model.c
+    assert _characteristic_torsion(entry) == _characteristic_torsion(shipped)
+    assert main(["models", "show", f"{name}int"]) == 0
+    assert capsys.readouterr().out == text
 
 
 def test_model_names_with_a_path_separator_are_unknown(tmp_path, monkeypatch, capsys):
@@ -1176,12 +1231,15 @@ def _rational_forms(n):
 def test_rendered_forms_parse_back(forms):
     # each homogeneous part renders, the parts join with " + " (a negative
     # leading coefficient reads as "+ -"), and the sum parses back into its
-    # nonzero parts of each degree, in ascending degree
+    # nonzero parts of each degree, in ascending degree, or, when every part
+    # cancels, into the zero form of each degree written (a zero form is "0")
     n = forms[0].n
     sums = {}
     for f in forms:
         sums[f.degree] = sums[f.degree] + f if f.degree in sums else f
-    expected = [sums[p] for p in sorted(sums) if not sums[p].is_zero()] or [Form.zero(n, 0)]
+    written = sorted({0 if f.is_zero() else f.degree for f in forms})
+    expected = ([sums[p] for p in sorted(sums) if not sums[p].is_zero()]
+                or [Form.zero(n, p) for p in written])
     for f in forms:
         assert parse_form(render_form(f), n) == ([f] if not f.is_zero() else [Form.zero(n, 0)])
     assert parse_form(" + ".join(render_form(f) for f in forms), n) == expected

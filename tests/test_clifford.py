@@ -8,11 +8,11 @@ from hypothesis import assume, example, given, seed, settings, strategies as st
 
 from skewtor import clifford
 from skewtor.clifford import (act_form, common_kernel,
-                              eigen_report, half_module_blocks, half_spinor_bases,
+                              eigen_report, half_module_blocks,
                               kernel_conditions_5d, kernel_conditions_are_membership,
                               spinor_5d)
 from skewtor.errors import DimensionMismatch
-from skewtor.forms import Form, contract, hodge, random_form, wedge
+from skewtor.forms import Form, contract, hodge, random_form, volume_form, wedge
 from skewtor.g2 import canonical_omega3
 from skewtor.linalg import (GaussTensor, certified_spectrum, charpoly, is_hermitian, nullspace, rank,
                             rational_roots, unscaled)
@@ -77,7 +77,7 @@ def test_act_form_reads_the_module_of_its_dimension():
     with pytest.raises(DimensionMismatch):
         act_form(Form.blade(9, 1))
     with pytest.raises(DimensionMismatch):
-        half_spinor_bases(7)
+        half_module_blocks(7, act_form(volume_form(7)))
 
 
 def test_act_form_algebra_map_on_disjoint_blades():
@@ -122,7 +122,6 @@ def test_omega3_spectrum_and_normalizations():
     assert report.pairs == [(Q(-7), 1), (Q(1), 7)]
     assert report.hermitian
     # the simple eigenvector satisfies the contraction identity
-    from skewtor.linalg import nullspace
     shifted = act_form(w3) + GaussTensor.identity(8) * 7
     (psi0,) = nullspace(shifted)
     sw3 = hodge(w3)
@@ -194,11 +193,11 @@ def test_kernel_conditions_signed_samples():
 
 
 def test_half_module_spectrum_dim6():
-    plus, minus = half_spinor_bases(6)
-    assert len(plus) == len(minus) == 4
     endo = act_form([Form.blade(6, 1, 2, 3, 4) + Form.blade(6, 1, 2, 5, 6)
                      + Form.blade(6, 3, 4, 5, 6), Form.scalar(6, 3)])
-    for block in half_module_blocks(6, endo):
+    blocks = half_module_blocks(6, endo)
+    assert [len(b) for b in blocks] == [4, 4]
+    for block in blocks:
         assert eigen_report(block).pairs == [(Q(0), 1), (Q(4), 3)]
 
 
@@ -272,15 +271,14 @@ def test_pure_parity_spectra_run_one_charpoly_on_half_blocks(monkeypatch, n):
 
 @pytest.mark.parametrize("n", (2, 4, 6, 8))
 def test_half_spinor_bases_are_the_volume_eigenspaces(n):
-    # the kernels of vol - i Id and vol + i Id of the reference volume element
-    # where it squares to -1 (n = 2 mod 4), of vol - Id and vol + Id where it
-    # squares to +1 (n = 0 mod 4); each half holds half the spinors
-    volume = gauss(reduce(mat_mul, gamma_matrices(n)))
-    eye = GaussTensor.identity(len(volume))
-    unit = GaussTensor.of_parts(0 * eye.re, eye.re) if n % 4 == 2 else eye
-    bases = half_spinor_bases(n)
-    assert bases == (nullspace(volume - unit), nullspace(volume + unit))
-    assert [len(b) for b in bases] == [2 ** (n // 2 - 1)] * 2
+    # the reference volume element acts on the first half module by +i and on
+    # the second by -i where it squares to -1 (n = 2 mod 4), by +1 and -1
+    # where it squares to +1 (n = 0 mod 4); each half holds half the spinors
+    volume = act_form(volume_form(n))
+    assert volume == gauss(reduce(mat_mul, gamma_matrices(n)))
+    eye = GaussTensor.identity(2 ** (n // 2 - 1))
+    phase = GaussTensor.of_parts(0 * eye.re, eye.re) if n % 4 == 2 else eye
+    assert half_module_blocks(n, volume) == (phase, -phase)
 
 
 def test_half_module_blocks_split_the_two_forms_dim4():

@@ -205,7 +205,7 @@ def test_no_numpy_scalar_leaves_the_exact_layer():
     assert _is_python_fraction(table.scal)
     torsion = conn.torsion
     assert torsion.num.dtype == np.int64
-    vector = Form.from_vector(7, [Q(3, 2), 0, -1, 2 ** 63, 0, 5, Q(-1, 7)])
+    vector = Form.of_rationals(7, 1, [Q(3, 2), 0, -1, 2 ** 63, 0, 5, Q(-1, 7)])
     forms = (torsion, Form.of_rationals(7, 3, [Q(2 ** 62 + x, 3) for x in range(35)]), vector)
     for f in forms:
         assert all(_is_python_fraction(f.eval(*b)) for b in all_blades(7, f.degree))

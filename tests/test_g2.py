@@ -266,7 +266,7 @@ def test_classify_and_ricci_match_fraction_loops(name, c):
     assert cls.obstruction14 == obstruction
     assert cls.admits_connection() == (name not in _OBSTRUCTED)
     assert cls.gamma27 == (hodge(d_form(s.model, W3)) + W3 * lam
-                           - hodge(wedge(Form.from_vector(7, beta), W3)) * Q(3, 4))
+                           - hodge(wedge(Form.of_rationals(7, 1, beta), W3)) * Q(3, 4))
     # the contraction formula entry for entry, also off the characteristic torsion,
     # where the table is not symmetric
     torsions = [torsion_form(s)] if cls.admits_connection() else []

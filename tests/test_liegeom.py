@@ -5,11 +5,12 @@ from itertools import combinations
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from skewtor.clifford import act_form
-from skewtor.errors import DegreeError, NoSkewConnection, StructureError
-from skewtor.forms import Form, hodge, random_form, sigma_t, wedge
-from skewtor.g2 import canonical_omega3
-from skewtor.liegeom import (LieModel, SkewTorsionStructure, codiff, curvature, curvature_identity_residuals,
+from skewtor.clifford import act_form, common_kernel
+from skewtor.errors import DegreeError, DimensionMismatch, NoSkewConnection, StructureError
+from skewtor.forms import Form, contract, hodge, random_form, sigma_t, wedge
+from skewtor.g2 import canonical_omega3, project2, project3
+from skewtor.liegeom import (ConnectionData, LieModel, SkewTorsionStructure, codiff, curvature,
+                             curvature_identity_residuals,
                              d_form, lc_trace_vector, levi_civita, tt_contraction,
                              with_torsion)
 from skewtor.linalg import GaussTensor, Tensor
@@ -243,6 +244,37 @@ def test_abelian_trivial():
 def test_with_torsion_validation(heis5):
     with pytest.raises(DegreeError):
         with_torsion(heis5, Form(5, 2, {(1, 2): Q(1)}))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Tensor.of_forms([Form.blade(3, 1), Form.blade(4, 1)]),
+     DimensionMismatch, "forms of different dimension"),
+    (lambda: Tensor.of_forms([Form.blade(3, 1), Form.blade(3, 1, 2)]),
+     DegreeError, "forms of different degree"),
+    (lambda: project2(canonical_omega3()), DegreeError, "project2 expects a 2-form on the 7-frame"),
+    (lambda: project3(Form.blade(7, 1, 2)), DegreeError, "project3 expects a 3-form on the 7-frame"),
+    (lambda: common_kernel([GaussTensor.identity(2), GaussTensor.identity(4)]),
+     DimensionMismatch, "spin endomorphism sizes differ"),
+    (lambda: ConnectionData(registry()["heis5"].model, Tensor.of([[[1] * 5] * 5] * 5)),
+     StructureError, "connection is not metric"),
+    (lambda: with_torsion(registry()["heis5"].model, canonical_omega3()),
+     DimensionMismatch, "torsion does not live on this model"),
+    (lambda: d_form(registry()["heis5"].model, Form.blade(7, 1)),
+     DimensionMismatch, "form does not live on this model"),
+    (lambda: Form.blade(3, 1, 4), ValueError, "blade (1, 4) not in 1..3"),
+    (lambda: contract(Form.blade(3, 1, 2), 4), ValueError, "contraction index 4 outside 1..3"),
+    (lambda: contract(Form.blade(3, 1, 2), 0), ValueError, "contraction index 0 outside 1..3"),
+    (lambda: hodge(Form.zero(3, 4)), DegreeError, "degree 4 out of range for dimension 3"),
+], ids=["of-forms-mixed-n", "of-forms-mixed-degree", "project2-of-a-3-form",
+        "project3-of-a-2-form", "common-kernel-mixed-sizes", "non-metric-omega",
+        "with-torsion-of-another-dimension", "d-form-of-another-dimension", "blade-index-above-n",
+        "contract-index-above-n", "contract-index-zero", "hodge-degree-above-n"])
+def test_public_guards_refuse_with_their_messages(call, error, message):
+    # the guards of the exact layer's public entry points, which no other
+    # test and no registry model reaches
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message
 
 
 def test_curvature_symmetries(heis7):
